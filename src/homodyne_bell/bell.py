@@ -1,33 +1,40 @@
 """CH and CHSH assembly, the entangled/residual state split, and the
 two-qubit maximal-CHSH check for the entangled component.
 
-Bell records are built so that chsh == 2 + 4*ch holds to rounding on every
+Bell records come from station vectors, not from the 4-mode state. The
+input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
+w = (1/sqrt2, i/sqrt2), and both beamsplitters are local, so the output is
+sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
+station (optics.mix_station), truncated at the same per-mode cutoff as the
+dense network. Every record probability is a contraction of those vectors
+through their favorable amplitudes and 2x2 Gram matrices, conditional on
+the truncated space like the detection module's probabilities; the dense
+network (optics.run_network) stays the brute-force route for the
+verification oracles and the state split.
+
+Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
-in a single designated run and reused wherever that setting appears), which
-makes the cancellation between the two forms exact. No-signalling keeps the
-canonical marginal equal to any run's marginal up to the truncation budget.
+in a single designated setting pair and reused wherever that setting
+appears), which makes the cancellation between the two forms exact.
+No-signalling keeps the canonical marginal equal to any pair's marginal up
+to the truncation budget.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (
-    Station,
-    ab_product_expectation,
-    joint_favorable_prob,
-    station_favorable_prob,
-)
-from .fock import PRE_NETWORK_MODES, StateVector, fock_basis_state, inner
+from .detection import ab_product_expectation
+from .fock import PRE_NETWORK_MODES, StateVector, fock_basis_state
 from .optics import (
     ExperimentConfig,
-    alice_half_network,
-    apply_beamsplitter,
     apply_station_settings,
     build_input_state,
+    mix_station,
 )
 
 HALF_PI = math.pi / 2.0
@@ -82,27 +89,53 @@ class BellRecord:
     chsh: float
 
 
+# weights of the input terms: term k has k photons at Alice's ph port and
+# 1 - k at Bob's
+_TERM_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+_WEIGHT_PAIRS = np.outer(_TERM_WEIGHTS.conj(), _TERM_WEIGHTS)
+
+
+def _station_vectors(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix <V_k|V_l> of a station's two output terms V_k =
+    terms[..., k], and their favorable (1, 0) amplitudes."""
+    flat = terms.reshape(-1, 2)
+    return flat.conj().T @ flat, terms[1, 0]
+
+
+def _pair_probabilities(alice, bob) -> tuple[float, float, float]:
+    """(p_A, p_B, p_AB) of sum_k w_k A_k (x) B_k, each divided by its norm."""
+    (gram_a, a), (gram_b, b) = alice, bob
+    norm = np.sum(_WEIGHT_PAIRS * gram_a * gram_b).real
+    p_a = np.sum(_WEIGHT_PAIRS * np.outer(a.conj(), a) * gram_b).real
+    p_b = np.sum(_WEIGHT_PAIRS * gram_a * np.outer(b.conj(), b)).real
+    p_ab = abs(np.sum(_TERM_WEIGHTS * a * b)) ** 2
+    return float(p_a / norm), float(p_b / norm), float(p_ab / norm)
+
+
 def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
                       eta: float, eta2: float) -> BellRecord:
-    """Run the network at the four setting pairs (xi, eta), (xi2, eta),
-    (xi, eta2), (xi2, eta2) with signs +, +, -, + and assemble the record."""
-    source = build_input_state(config)
-    alice_out = {
-        xi: alice_half_network(source, xi),
-        xi2: alice_half_network(source, xi2),
-    }
+    """Evaluate the four setting pairs (xi, eta), (xi2, eta), (xi, eta2),
+    (xi2, eta2) with signs +, +, -, + and assemble the record.
+
+    Each distinct station setting is evolved once (optics.mix_station at
+    the dense network's cutoff config.resolve_cutoff()) and every pair is a
+    contraction of the station vectors. Canonical marginals: Alice's at
+    setting x comes from pair (x, eta) and Bob's at y from pair (xi, y).
+    """
+    n = config.resolve_cutoff()
+    alice_lo = config.alpha1 * cmath.exp(1j * config.phi1)
+    bob_lo = config.alpha2 * cmath.exp(1j * config.phi2)
+    alice = {x: _station_vectors(mix_station(alice_lo, x, n)) for x in (xi, xi2)}
+    # Bob's ph port holds the photon in term 0 and none in term 1
+    bob = {y: _station_vectors(mix_station(bob_lo, y, n)[..., ::-1])
+           for y in (eta, eta2)}
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
-    states = {}
-    for (x, y) in pairs:
-        if (x, y) not in states:
-            states[(x, y)] = apply_beamsplitter(alice_out[x], "a2", "b2", y)
+    probs = {(x, y): _pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
 
     # one canonical marginal per distinct setting
-    p_alice = {x: station_favorable_prob(states[(x, eta)], Station.ALICE)
-               for x in (xi, xi2)}
-    p_bob = {y: station_favorable_prob(states[(xi, y)], Station.BOB)
-             for y in (eta, eta2)}
-    joints = tuple(joint_favorable_prob(states[p]) for p in pairs)
+    p_alice = {x: probs[(x, eta)][0] for x in (xi, xi2)}
+    p_bob = {y: probs[(xi, y)][1] for y in (eta, eta2)}
+    joints = tuple(probs[p][2] for p in pairs)
     correlators = tuple(
         1.0 - 2.0 * p_alice[x] - 2.0 * p_bob[y] + 4.0 * j
         for (x, y), j in zip(pairs, joints)

@@ -76,6 +76,14 @@ class RunConfig:
                      "cutoff_eps", "diameter_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        for name in ("verify_points", "verify_draws"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        # reject a bad drive (NaN, negative, infinite) before any command runs
+        try:
+            self.experiment()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid experiment settings: {exc}") from exc
 
     def station_alpha_sq(self) -> tuple[float, float]:
         a1 = self.alpha1_sq if self.alpha1_sq is not None else self.alpha_sq
@@ -84,6 +92,8 @@ class RunConfig:
 
     def experiment(self) -> ExperimentConfig:
         a1, a2 = self.station_alpha_sq()
+        if a1 < 0 or a2 < 0:
+            raise ValueError(f"alpha_sq must be >= 0, got {a1} and {a2}")
         return ExperimentConfig(math.sqrt(a1), math.sqrt(a2), self.phi1,
                                 self.phi2, CutoffSpec(self.cutoff_n, self.cutoff_eps))
 

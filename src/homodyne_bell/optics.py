@@ -71,6 +71,9 @@ class ExperimentConfig:
     cutoff: CutoffSpec = CutoffSpec()
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2", "phi1", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("oscillator magnitudes must be non-negative")
 
@@ -150,10 +153,12 @@ def pair_unitary(theta: float, n_lo: int, n_ph: int) -> _sparse.csr_matrix:
         shape=(dim, dim))
 
 
-def _block_slices(n_lo: int, n_ph: int):
-    """Strided flat-index slices of each total-photon block: within total t
-    the valid flat indices are t + m*n_ph for m = m_lo..m_hi."""
-    for t in range(n_lo + n_ph + 1):
+def _block_slices(n_lo: int, n_ph: int, max_total: int | None = None):
+    """Strided flat-index slices of each total-photon block up to max_total
+    (default: every block): within total t the valid flat indices are
+    t + m*n_ph for m = m_lo..m_hi."""
+    top = n_lo + n_ph if max_total is None else min(max_total, n_lo + n_ph)
+    for t in range(top + 1):
         m_lo = max(0, t - n_ph)
         m_hi = min(n_lo, t)
         count = m_hi - m_lo + 1
@@ -163,12 +168,14 @@ def _block_slices(n_lo: int, n_ph: int):
 
 
 def _apply_blocks(mat: np.ndarray, theta: float, n_lo: int, n_ph: int,
-                  pair_axis: int) -> np.ndarray:
+                  pair_axis: int, max_total: int | None = None) -> np.ndarray:
     """Apply the pair mixing blockwise to a 2d array whose pair index runs
     along pair_axis (0: rows, 1: columns). Every pair index belongs to
-    exactly one block, so the output is fully written."""
-    out = np.empty_like(mat)
-    for t, m_lo, count, sl in _block_slices(n_lo, n_ph):
+    exactly one block, so the output is fully written; with max_total the
+    blocks above it are skipped and left zero, which is exact only when the
+    input has no amplitude there."""
+    out = np.empty_like(mat) if max_total is None else np.zeros_like(mat)
+    for t, m_lo, count, sl in _block_slices(n_lo, n_ph, max_total):
         block = _pair_block(theta, t)[m_lo:m_lo + count, m_lo:m_lo + count]
         if pair_axis == 0:
             out[sl, :] = block @ mat[sl, :]
@@ -220,6 +227,33 @@ def apply_beamsplitter(state: StateVector, lo_mode: str, ph_mode: str,
     modes[i_lo], modes[i_ph] = out_modes
     return StateVector(tuple(modes), state.cutoffs, out,
                        state.tail + dropped, out_norm_sq)
+
+
+def mix_station(alpha: complex, theta: float, cutoff: int) -> np.ndarray:
+    """Both input terms of one station mixed at angle theta.
+
+    Term k is the truncated coherent oscillator |alpha> on the lo port with
+    k = 0 or 1 photons on the ph port. Returns out[c, d, k], the amplitude of
+    the output occupation (c, d) for term k, both output modes cut at
+    `cutoff` exactly as apply_beamsplitter cuts them, so the slice
+    out[..., k] equals apply_beamsplitter on that term's 2-mode state.
+
+    The two terms are evolved in one block pass with the pair index leading
+    and the term index trailing. The input holds at most cutoff + 1 photons
+    (cutoff in the oscillator plus one at the ph port) and mixing conserves
+    the pair's photon number, so every block above total cutoff + 1 has
+    zero input and zero output; those blocks are skipped, which is exact
+    and keeps their large mixing blocks out of the cache.
+    """
+    if cutoff < 1:
+        raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
+    lo = coherent_state("lo", alpha, cutoff).amps
+    stride = cutoff + 1
+    inputs = np.zeros((stride * stride, 2), dtype=np.complex128)
+    inputs[0::stride, 0] = lo
+    inputs[1::stride, 1] = lo
+    out = _apply_blocks(inputs, theta, cutoff, cutoff, 0, max_total=cutoff + 1)
+    return out.reshape(stride, stride, 2)
 
 
 def photon_pair_state(cutoff: int, mode_c: str = "b1", mode_d: str = "b2") -> StateVector:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as _sciopt
-from scipy.stats import qmc as _qmc
 
 from . import analytic
 from .bell import (
@@ -234,6 +233,10 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     values carry the full truncation budget. Deterministic for a fixed
     seed: restarts run and are recorded in sample order.
     """
+    # imported here, its only use: scipy.stats is about half of the cli's
+    # import time
+    from scipy.stats import qmc
+
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     family = get_family(kind)
@@ -241,7 +244,7 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     search_eps = min(search_tail_eps, tail_eps) if path == "analytic" else search_tail_eps
     lo = np.array([p.lo for p in family.params])
     hi = np.array([p.hi for p in family.params])
-    sampler = _qmc.LatinHypercube(d=len(family.params), seed=seed)
+    sampler = qmc.LatinHypercube(d=len(family.params), seed=seed)
     starts = lo + sampler.random(n=restarts) * (hi - lo)
 
     evaluations = 0

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize as sciopt
 
 from homodyne_bell.bell import (
+    BellRecord,
     SettingsQuadruple,
     ch_value,
     chsh_decomposition,
@@ -12,6 +14,7 @@ from homodyne_bell.bell import (
     chsh_value,
     entangled_component,
     evaluate_quadruple,
+    evaluate_settings,
     jacobi_eigenvalues,
     lambda_cross_terms,
     logical_qubit_amplitudes,
@@ -19,13 +22,28 @@ from homodyne_bell.bell import (
     split_state,
     tsirelson_two_qubit,
 )
+from homodyne_bell.detection import (
+    Station,
+    joint_favorable_prob,
+    station_favorable_prob,
+)
 from homodyne_bell.fock import (
     PRE_NETWORK_MODES,
+    CutoffSpec,
     amplitude_of,
+    coherent_state,
     fock_basis_state,
     inner,
+    tensor,
 )
-from homodyne_bell.optics import build_input_state, symmetric_config
+from homodyne_bell.optics import (
+    ExperimentConfig,
+    alice_half_network,
+    apply_beamsplitter,
+    build_input_state,
+    mix_station,
+    symmetric_config,
+)
 
 HALF_PI = math.pi / 2.0
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -80,6 +98,88 @@ def qubit_chsh_search_oracle(psi, seed, starts=24):
                                        "maxfev": 4000})
         best = max(best, -res.fun)
     return best
+
+
+def dense_evaluate_settings(config, xi, xi2, eta, eta2):
+    """Oracle for evaluate_settings: run the dense 4-mode network at the four
+    setting pairs and read every probability off the full state, with the
+    same canonical-marginal rule (Alice's at x from (x, eta), Bob's at y
+    from (xi, y))."""
+    source = build_input_state(config)
+    alice_out = {x: alice_half_network(source, x) for x in (xi, xi2)}
+    pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
+    states = {(x, y): apply_beamsplitter(alice_out[x], "a2", "b2", y)
+              for (x, y) in pairs}
+    p_alice = {x: station_favorable_prob(states[(x, eta)], Station.ALICE)
+               for x in (xi, xi2)}
+    p_bob = {y: station_favorable_prob(states[(xi, y)], Station.BOB)
+             for y in (eta, eta2)}
+    joints = tuple(joint_favorable_prob(states[p]) for p in pairs)
+    correlators = tuple(1.0 - 2.0 * p_alice[x] - 2.0 * p_bob[y] + 4.0 * j
+                        for (x, y), j in zip(pairs, joints))
+    ch = (joints[0] + joints[1] - joints[2] + joints[3]
+          - p_alice[xi2] - p_bob[eta])
+    chsh = correlators[0] + correlators[1] - correlators[2] + correlators[3]
+    return BellRecord(pairs, joints, p_alice[xi2], p_bob[eta],
+                      correlators, ch, chsh)
+
+
+RECORD_FIELDS = ("joints", "local_alice", "local_bob", "correlators", "ch",
+                 "chsh")
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+# alpha^2 <= 2 keeps the dense oracle small (cutoff <= 21 at tail 1e-12)
+ALPHA_SQ = st.floats(0.0, 2.0)
+TAIL_EPS = st.sampled_from((1e-12, 1e-6, 1e-4))
+
+
+@st.composite
+def unequal_drives(draw):
+    """ExperimentConfig with alpha1 != alpha2 and free phases."""
+    a1_sq = draw(ALPHA_SQ)
+    a2_sq = draw(ALPHA_SQ.filter(lambda v: v != a1_sq))
+    return ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq),
+                            draw(ANGLES), draw(ANGLES),
+                            CutoffSpec(tail_eps=draw(TAIL_EPS)))
+
+
+class TestStationFactorization:
+    @PROPERTY_SETTINGS
+    @given(config=unequal_drives(), angles=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
+    def test_matches_dense_oracle(self, config, angles):
+        rec = evaluate_settings(config, *angles)
+        ref = dense_evaluate_settings(config, *angles)
+        assert rec.settings == ref.settings
+        for name in RECORD_FIELDS:
+            got = np.atleast_1d(getattr(rec, name))
+            want = np.atleast_1d(getattr(ref, name))
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
+    @PROPERTY_SETTINGS
+    @given(config=unequal_drives(), angles=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
+    def test_ch_chsh_identity(self, config, angles):
+        rec = evaluate_settings(config, *angles)
+        assert abs(rec.chsh - (2.0 + 4.0 * rec.ch)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(alpha_sq=ALPHA_SQ, phase=ANGLES, theta=ANGLES,
+           cutoff=st.integers(1, 12))
+    def test_station_terms_match_full_beamsplitter(self, alpha_sq, phase,
+                                                   theta, cutoff):
+        # the full 2-mode evolution runs every block up to 2 * cutoff, so
+        # agreement shows that the blocks mix_station skips hold nothing
+        alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
+        terms = mix_station(alpha, theta, cutoff)
+        assert terms.shape == (cutoff + 1, cutoff + 1, 2)
+        for k in (0, 1):
+            station = tensor([coherent_state("a1", alpha, cutoff),
+                              fock_basis_state(("b1",), (k,), cutoff)])
+            full = apply_beamsplitter(station, "a1", "b1", theta)
+            assert np.max(np.abs(terms[..., k] - full.amps)) <= 1e-15
+
+    def test_station_needs_room_for_the_photon(self):
+        with pytest.raises(ValueError):
+            mix_station(0.5, 0.3, 0)
 
 
 class TestBellRecords:

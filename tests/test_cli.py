@@ -60,6 +60,22 @@ class TestVerify:
         cfg = write_config(tmp_path, {"no_such_key": 1})
         assert run_cli(["verify", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key", ["verify_points", "verify_draws"])
+    def test_empty_sample_rejected(self, tmp_path, key):
+        # with no points every oracle would pass vacuously
+        cfg = write_config(tmp_path, {key: 0})
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_non_finite_drive_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"alpha_sq": NaN}')
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", path, "--out", out]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigure:
     def test_header_rows_and_window(self, tmp_path):
@@ -183,6 +199,17 @@ class TestDeterminism:
 
 
 class TestEntryPoint:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is imported lazily by the optimizer; it is about half
+        # of the cli's import time
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, homodyne_bell.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "homodyne_bell.cli", "figure",

@@ -196,6 +196,14 @@ class TestInputState:
         with pytest.raises(ValueError):
             ExperimentConfig(-1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2", "phi1", "phi2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        values = {"alpha1": 1.0, "alpha2": 1.0, "phi1": 0.0, "phi2": 0.0}
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(**values)
+
 
 class TestNetwork:
     def test_zero_angles_relabel_only(self):
