@@ -199,8 +199,10 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     a2 = alpha * alpha
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
-    psi1 = entangled_component(config)
+    # built first: build_input_state refuses a dense state that is too large
+    # before anything of that size is allocated
     full = build_input_state(config)
+    psi1 = entangled_component(config)
     lam = (1.0 / lam_coeff) * (full - c1 * psi1)
     return StateSplit(c1, psi1, lam, lam_coeff)
 
@@ -299,40 +301,6 @@ def lambda_cross_terms(split: StateSplit, count: int = 10) -> list[CrossTerm]:
     return terms
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, off_tol: float = 1e-14,
-                       max_sweeps: int = 64) -> np.ndarray:
-    """Eigenvalues of a small real symmetric matrix by cyclic Jacobi
-    rotations, iterated until the off-diagonal Frobenius norm is below
-    off_tol. Returned in descending order."""
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < off_tol / (n * n):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau)) \
-                    if tau != 0.0 else 1.0
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    else:
-        raise RuntimeError("jacobi iteration did not converge")
-    return np.sort(np.diag(a))[::-1]
-
-
 _PAULIS = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -371,5 +339,5 @@ def tsirelson_two_qubit(state: StateVector) -> float:
     for i, si in enumerate(_PAULIS):
         for j, sj in enumerate(_PAULIS):
             t[i, j] = np.einsum("ab,aA,bB,AB->", psi.conj(), si, sj, psi).real
-    lams = jacobi_eigenvalues(t.T @ t)
+    lams = np.linalg.eigvalsh(t.T @ t)[::-1]
     return 2.0 * math.sqrt(max(lams[0], 0.0) + max(lams[1], 0.0))

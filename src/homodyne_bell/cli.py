@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -46,6 +47,22 @@ class ConfigError(Exception):
     pass
 
 
+def _typed_value(name: str, value, hint):
+    """value checked against the field annotation hint (float, int, or
+    either with None): floats take ints, ints take integral floats (returned
+    as int), neither takes a bool."""
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in allowed:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if float in allowed:
+            return value
+        if int in allowed and float(value).is_integer():
+            return int(value)
+    kind = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Run settings merged from defaults, an optional JSON file, and flags."""
@@ -72,6 +89,9 @@ class RunConfig:
     diameter_tol: float = 1e-10
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed_value(
+                f.name, getattr(self, f.name), _RUN_CONFIG_TYPES[f.name]))
         for name in ("tol", "identity_tol", "nosignal_tol", "unitarity_tol",
                      "cutoff_eps", "diameter_tol"):
             if getattr(self, name) <= 0:
@@ -82,7 +102,7 @@ class RunConfig:
         # reject a bad drive (NaN, negative, infinite) before any command runs
         try:
             self.experiment()
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid experiment settings: {exc}") from exc
 
     def station_alpha_sq(self) -> tuple[float, float]:
@@ -96,6 +116,9 @@ class RunConfig:
             raise ValueError(f"alpha_sq must be >= 0, got {a1} and {a2}")
         return ExperimentConfig(math.sqrt(a1), math.sqrt(a2), self.phi1,
                                 self.phi2, CutoffSpec(self.cutoff_n, self.cutoff_eps))
+
+
+_RUN_CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -360,6 +383,8 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
                             diameter_tol=cfg.diameter_tol, maxfev=cfg.maxfev,
                             tail_eps=cfg.cutoff_eps)
+    crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residual,
+                        cfg.tol, outcome.crosscheck_points)
     payload = {
         "family": family.kind,
         "path": outcome.best.path,
@@ -372,6 +397,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "search_box": {p.name: [p.lo, p.hi] for p in family.params},
         "simplex_diameter_tol": outcome.diameter_tol,
         "maxfev_per_restart": outcome.maxfev,
+        "numeric_crosscheck": crosscheck,
         "trace": [{"restart": rec.index, "params": rec.params,
                    "ch": rec.ch, "chsh": rec.chsh} for rec in outcome.trace],
         "provenance": provenance(cfg, args),
@@ -380,6 +406,13 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     print(f"{family.kind}: best chsh = {outcome.best.chsh:.9g} over "
           f"{outcome.restarts} restarts "
           f"(violation_found={payload['violation_found']})")
+    print(f"numeric crosscheck: {outcome.crosscheck_points} of "
+          f"{outcome.restarts} restarts, max |ch_numeric - ch_analytic| = "
+          f"{outcome.crosscheck_residual:.3e}")
+    if not crosscheck["passed"]:
+        print("optimize crosscheck failed: numeric and analytic paths disagree",
+              file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
     return EXIT_OK
 
 
@@ -452,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, help="per-mode truncation tail budget")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=default_out, help="output path")
-        p.add_argument("--degrees", action="store_true",
-                       help="interpret angle flags in degrees")
 
     p_verify = sub.add_parser("verify", help="run the oracle and invariant suite")
     common(p_verify, "verify_report.json")
@@ -467,6 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default=REFERENCE_XI_MINUS_ETA)
     p_figure.add_argument("--grid", type=_parse_grid, default=(200, 200),
                           help="grid size NxM")
+    p_figure.add_argument("--degrees", action="store_true",
+                          help="interpret --dphi and --xi-minus-eta in degrees")
     p_figure.set_defaults(handler=cmd_figure)
 
     p_opt = sub.add_parser("optimize", help="maximize CHSH over a setting family")
@@ -486,9 +519,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "degrees", False):
-        for name in ("dphi", "xi_minus_eta"):
-            if hasattr(args, name):
-                setattr(args, name, math.radians(getattr(args, name)))
+        args.dphi = math.radians(args.dphi)
+        args.xi_minus_eta = math.radians(args.xi_minus_eta)
     try:
         cfg = load_run_config(args)
         return args.handler(cfg, args)

@@ -35,6 +35,14 @@ from .fock import (
 
 _STATION_OUTPUTS = {("a1", "b1"): ("c1", "d1"), ("a2", "b2"): ("c2", "d2")}
 
+# Largest dense 4-mode state build_input_state allocates: (N+1)^4 complex
+# amplitudes of 16 bytes each stay within 256 MiB up to cutoff N = 63, i.e.
+# alpha_sq up to 22 at tail 1e-12. The dense state serves the verify
+# oracles (alpha_sq <= 4, N <= 26, 8.5 MB) and the split report, whose
+# default alpha_sq = 1 resolves to N = 15; alpha_sq = 50 (N = 108) would
+# need 2.1 GiB.
+MAX_DENSE_STATE_BYTES = 256 * 2**20
+
 
 @dataclass(frozen=True)
 class BeamsplitterSetting:
@@ -268,9 +276,15 @@ def build_input_state(config: ExperimentConfig) -> StateVector:
 
     Coherent oscillators on a1 and a2, and the split single photon on
     (b1, b2). The accumulated tail is the sum of the two coherent
-    truncation tails.
+    truncation tails. Raises ValueError before allocating when the state
+    would exceed MAX_DENSE_STATE_BYTES.
     """
     n = config.resolve_cutoff()
+    size = (n + 1) ** 4 * np.dtype(np.complex128).itemsize
+    if size > MAX_DENSE_STATE_BYTES:
+        raise ValueError(
+            f"dense 4-mode state at cutoff N={n} needs {size / 2**30:.1f} GiB, "
+            f"above the {MAX_DENSE_STATE_BYTES // 2**20} MiB limit; lower alpha_sq")
     lo1 = coherent_state("a1", config.alpha1 * cmath.exp(1j * config.phi1), n)
     lo2 = coherent_state("a2", config.alpha2 * cmath.exp(1j * config.phi2), n)
     full = tensor([lo1, photon_pair_state(n), lo2])

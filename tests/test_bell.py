@@ -15,7 +15,6 @@ from homodyne_bell.bell import (
     entangled_component,
     evaluate_quadruple,
     evaluate_settings,
-    jacobi_eigenvalues,
     lambda_cross_terms,
     logical_qubit_amplitudes,
     reference_quadruple,
@@ -325,21 +324,6 @@ class TestDecomposition:
                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
             assert abs(dec.interference) < 1e-12
             assert abs(dec.full - dec.reassembled) < 1e-9
-
-
-class TestJacobi:
-    def test_matches_numpy_on_random_symmetric(self):
-        rng = np.random.default_rng(22)
-        for n in (3, 3, 4, 5):
-            m = rng.standard_normal((n, n))
-            sym = (m + m.T) / 2.0
-            ours = jacobi_eigenvalues(sym)
-            ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
-            assert np.max(np.abs(ours - ref)) < 1e-12
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTsirelson:

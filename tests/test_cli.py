@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import homodyne_bell
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed
-from homodyne_bell.cli import main
+from homodyne_bell.cli import RunConfig, main
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
 
@@ -20,6 +23,15 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_python(args):
+    """A fresh interpreter that imports the package under test, whether it
+    is installed or found through pytest's pythonpath setting."""
+    src = str(Path(homodyne_bell.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestVerify:
@@ -67,6 +79,35 @@ class TestVerify:
         out = tmp_path / "report.json"
         assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"tol": "x"},               # float field
+        {"tol": True},              # bool is not a number here
+        {"verify_points": "x"},     # int field
+        {"seed": "x"},
+        {"seed": 1.5},              # int field, non-integral float
+        {"restarts": False},
+        {"cutoff_n": "x"},          # int | None field
+        {"alpha1_sq": [1.0]},       # float | None field
+    ])
+    def test_wrong_type_rejected(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
+        assert f"{next(iter(payload))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_and_null_accepted(self):
+        cfg = RunConfig(seed=5.0, verify_points=3.0, cutoff_n=None,
+                        alpha1_sq=None, tol=1)
+        assert (cfg.seed, cfg.verify_points) == (5, 3)
+        assert isinstance(cfg.seed, int)
+
+    def test_degrees_flag_rejected(self):
+        # only figure takes angle flags
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--degrees"])
+        assert err.value.code == 2
 
     def test_non_finite_drive_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -147,6 +188,28 @@ class TestOptimize:
         assert len(payload["trace"]) == 6
         assert payload["search_box"]["alpha_sq"] == [1e-6, 6.0]
 
+    @pytest.mark.parametrize("family", ["paper_baseline", "relaxed_phases",
+                                        "relaxed_amplitudes"])
+    def test_reports_numeric_crosscheck(self, tmp_path, family):
+        cfg = write_config(tmp_path, {"maxfev": 60})
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", family, "--config", cfg,
+                        "--restarts", "2", "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["path"] == "analytic"
+        check = payload["numeric_crosscheck"]
+        assert check["points"] == 2
+        assert check["max_residual"] <= 1e-12
+        assert check["passed"] is True
+        assert payload["violation_found"] is False
+
+    def test_crosscheck_beyond_tolerance_fails(self, tmp_path):
+        cfg = write_config(tmp_path, {"maxfev": 60, "tol": 1e-30})
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", "relaxed_amplitudes",
+                        "--config", cfg, "--restarts", "1", "--out", out]) == 1
+        assert json.loads(out.read_text())["numeric_crosscheck"]["passed"] is False
+
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(["optimize", "--family", "everything_free"])
@@ -167,6 +230,15 @@ class TestSplit:
         assert term["magnitude"] == pytest.approx(0.279747782, abs=1e-9)
         assert term["alice_minus_one_reachable"] is True
         assert term["bob_minus_one_reachable"] is False
+
+    def test_oversized_dense_state_rejected(self, tmp_path, capsys):
+        # alpha_sq 50 resolves to cutoff 108: a 2.1 GiB 4-mode state, which
+        # is refused before anything of that size is allocated
+        cfg = write_config(tmp_path, {"alpha_sq": 50})
+        out = tmp_path / "s.json"
+        assert run_cli(["split", "--config", cfg, "--out", out]) == 2
+        assert "N=108" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_asymmetric_drive_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"alpha1_sq": 1.0, "alpha2_sq": 2.0})
@@ -202,18 +274,13 @@ class TestEntryPoint:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats is imported lazily by the optimizer; it is about half
         # of the cli's import time
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, homodyne_bell.cli; "
-             "print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True)
+        result = run_python(["-c", "import sys, homodyne_bell.cli; "
+                                   "print('scipy.stats' in sys.modules)"])
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
     def test_module_invocation(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "homodyne_bell.cli", "figure",
-             "--grid", "3x3", "--out", str(tmp_path / "g.csv")],
-            capture_output=True, text=True)
+        result = run_python(["-m", "homodyne_bell.cli", "figure",
+                             "--grid", "3x3", "--out", str(tmp_path / "g.csv")])
         assert result.returncode == 0
         assert (tmp_path / "g.csv").exists()

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.scan import (
+    ALPHA_SQ_MIN,
     FAMILIES,
+    PATHS,
     crosscheck_records,
     evaluate_point,
     get_family,
@@ -13,6 +16,21 @@ from homodyne_bell.scan import (
 )
 
 HALF_PI = math.pi / 2.0
+RELAXED = ("relaxed_phases", "relaxed_amplitudes")
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+# the box of both relaxed families up to alpha_sq 4 (cutoff <= 26 at the
+# strict budget), so the numeric path stays quick
+STRENGTHS = st.floats(ALPHA_SQ_MIN, 4.0)
+
+
+@st.composite
+def relaxed_points(draw, kind):
+    values = {name: draw(ANGLES) for name in
+              ("xi", "xi2", "eta", "eta2", "phi1", "phi2")}
+    strengths = (("alpha_sq",) if kind == "relaxed_phases"
+                 else ("alpha1_sq", "alpha2_sq"))
+    values.update({name: draw(STRENGTHS) for name in strengths})
+    return values
 
 
 class TestFamilies:
@@ -48,11 +66,23 @@ class TestEvaluatePoint:
         ch_n, _ = evaluate_point("paper_baseline", values, "numeric")
         assert ch_n == pytest.approx(ch_a, abs=1e-9)
 
-    def test_relaxed_families_are_numeric_only(self):
-        values = {"alpha_sq": 0.5, "xi": 1.0, "xi2": 2.0, "eta": 0.5,
-                  "eta2": 1.5, "phi1": 0.0, "phi2": 1.0}
-        with pytest.raises(ValueError):
-            evaluate_point("relaxed_phases", values, "analytic")
+    @pytest.mark.parametrize("kind", RELAXED)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_relaxed_analytic_agrees_with_numeric(self, kind, data):
+        values = data.draw(relaxed_points(kind))
+        ch_a, chsh_a = evaluate_point(kind, values, "analytic")
+        ch_n, _ = evaluate_point(kind, values, "numeric")
+        assert abs(ch_a - ch_n) <= 1e-12
+        assert chsh_a == 2.0 + 4.0 * ch_a
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_unknown_path_rejected(self, kind):
+        values = {name: 0.5 for name in FAMILIES[kind].names}
+        for path in PATHS:
+            evaluate_point(kind, values, path)
+        with pytest.raises(ValueError, match="unknown path"):
+            evaluate_point(kind, values, "numerical")
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -128,7 +158,26 @@ class TestMaximize:
         out = maximize_chsh("relaxed_phases", restarts=2, seed=77, maxfev=60)
         assert len(out.trace) == 2
         assert out.best.chsh < 2.0 + 1e-6
-        assert out.best.path == "numeric"
+        assert out.best.path == "analytic"
+        numeric = maximize_chsh("relaxed_phases", restarts=2, seed=77,
+                                maxfev=60, path="numeric")
+        assert len(numeric.trace) == 2
+        assert numeric.best.chsh < 2.0 + 1e-6
+        assert numeric.best.path == "numeric"
+        assert (numeric.crosscheck_points, numeric.crosscheck_residual) == (0, 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_analytic_search_crosschecks_every_restart(self, kind):
+        out = maximize_chsh(kind, restarts=3, seed=5, maxfev=40)
+        assert out.crosscheck_points == 3
+        assert 0.0 < out.crosscheck_residual <= 1e-12
+        for rec in out.trace:
+            ch_n, _ = evaluate_point(kind, rec.params, "numeric")
+            assert abs(ch_n - rec.ch) <= out.crosscheck_residual
+
+    def test_unknown_path_rejected(self):
+        with pytest.raises(ValueError, match="unknown path"):
+            maximize_chsh("relaxed_phases", restarts=1, seed=1, path="exact")
 
 
 class TestSmallDriveLimit:
