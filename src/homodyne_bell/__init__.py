@@ -20,7 +20,6 @@ from .fock import (
     tensor,
 )
 from .optics import (
-    BeamsplitterSetting,
     ExperimentConfig,
     apply_beamsplitter,
     build_input_state,
@@ -38,9 +37,8 @@ from .bell import (
     BellRecord,
     SettingsQuadruple,
     StateSplit,
-    ch_value,
     chsh_on_component,
-    chsh_value,
+    evaluate_quadruple,
     split_state,
     tsirelson_two_qubit,
 )
@@ -57,12 +55,12 @@ __all__ = [
     "__version__",
     "CutoffSpec", "StateVector", "amplitude_of", "coherent_state",
     "fock_basis_state", "inner", "required_cutoff", "tensor",
-    "BeamsplitterSetting", "ExperimentConfig", "apply_beamsplitter",
+    "ExperimentConfig", "apply_beamsplitter",
     "build_input_state", "run_network", "symmetric_config",
     "Station", "correlator", "joint_favorable_prob", "outcome_distribution",
     "station_favorable_prob",
-    "BellRecord", "SettingsQuadruple", "StateSplit", "ch_value",
-    "chsh_on_component", "chsh_value", "split_state", "tsirelson_two_qubit",
+    "BellRecord", "SettingsQuadruple", "StateSplit", "chsh_on_component",
+    "evaluate_quadruple", "split_state", "tsirelson_two_qubit",
     "ClosedFormPoint", "ch_closed", "chsh_closed", "joint_prob_closed",
     "local_prob_closed",
     "ScanRecord", "grid_scan", "maximize_chsh",

@@ -1,16 +1,21 @@
 """CH and CHSH assembly, the entangled/residual state split, and the
 two-qubit maximal-CHSH check for the entangled component.
 
-Bell records come from station vectors, not from the 4-mode state. The
+Everything here runs on station vectors, not on the dense 4-mode state. The
 input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
 w = (1/sqrt2, i/sqrt2), and both beamsplitters are local, so the output is
 sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
 station (optics.mix_station), truncated at the same per-mode cutoff as the
 dense network. Every record probability is a contraction of those vectors
 through their favorable amplitudes and 2x2 Gram matrices, conditional on
-the truncated space like the detection module's probabilities; the dense
-network (optics.run_network) stays the brute-force route for the
-verification oracles and the state split.
+the truncated space like the detection module's probabilities.
+
+The state split lives on the input's support: occupations (a1, b1, a2, b2)
+with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes instead of (N+1)^4. Its CHSH
+matrix elements contract those arrays through each setting's station
+observable 1 - 2|1,0><1,0|, written on a station's input support from one
+mix_station pass. The dense network (optics.run_network) stays the
+brute-force route for the verification oracles.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -28,14 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import ab_product_expectation
-from .fock import PRE_NETWORK_MODES, StateVector, fock_basis_state
-from .optics import (
-    ExperimentConfig,
-    apply_station_settings,
-    build_input_state,
-    mix_station,
-)
+from .fock import coherent_state
+from .optics import ExperimentConfig, mix_station
 
 HALF_PI = math.pi / 2.0
 
@@ -95,10 +94,21 @@ _TERM_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 _WEIGHT_PAIRS = np.outer(_TERM_WEIGHTS.conj(), _TERM_WEIGHTS)
 
 
+def _oscillator_columns(alpha: complex, cutoff: int) -> np.ndarray:
+    """mix_station input columns of a station's two input terms: the
+    truncated oscillator |alpha> on the lo port with k photons on the ph
+    port in column k."""
+    lo = coherent_state("lo", alpha, cutoff).amps
+    columns = np.zeros((cutoff + 1, 2, 2), dtype=np.complex128)
+    columns[:, 0, 0] = lo
+    columns[:, 1, 1] = lo
+    return columns
+
+
 def _station_vectors(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix <V_k|V_l> of a station's two output terms V_k =
+    """Gram matrix <V_k|V_l> of a station's output columns V_k =
     terms[..., k], and their favorable (1, 0) amplitudes."""
-    flat = terms.reshape(-1, 2)
+    flat = terms.reshape(-1, terms.shape[-1])
     return flat.conj().T @ flat, terms[1, 0]
 
 
@@ -123,11 +133,11 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     setting x comes from pair (x, eta) and Bob's at y from pair (xi, y).
     """
     n = config.resolve_cutoff()
-    alice_lo = config.alpha1 * cmath.exp(1j * config.phi1)
-    bob_lo = config.alpha2 * cmath.exp(1j * config.phi2)
-    alice = {x: _station_vectors(mix_station(alice_lo, x, n)) for x in (xi, xi2)}
+    alice_in = _oscillator_columns(config.alpha1 * cmath.exp(1j * config.phi1), n)
+    bob_in = _oscillator_columns(config.alpha2 * cmath.exp(1j * config.phi2), n)
+    alice = {x: _station_vectors(mix_station(alice_in, x)) for x in (xi, xi2)}
     # Bob's ph port holds the photon in term 0 and none in term 1
-    bob = {y: _station_vectors(mix_station(bob_lo, y, n)[..., ::-1])
+    bob = {y: _station_vectors(mix_station(bob_in, y)[..., ::-1])
            for y in (eta, eta2)}
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
     probs = {(x, y): _pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
@@ -153,45 +163,33 @@ def evaluate_quadruple(config: ExperimentConfig,
                              quad.eta, quad.eta + HALF_PI)
 
 
-def ch_value(config: ExperimentConfig, quad: SettingsQuadruple) -> BellRecord:
-    """Record for the quadruple; its .ch field is the CH combination
-    joints[0] + joints[1] - joints[2] + joints[3] - local_alice - local_bob."""
-    return evaluate_quadruple(config, quad)
-
-
-def chsh_value(config: ExperimentConfig, quad: SettingsQuadruple) -> BellRecord:
-    """Record for the quadruple; its .chsh field is the signed correlator sum
-    and satisfies chsh == 2 + 4*ch to rounding."""
-    return evaluate_quadruple(config, quad)
-
-
 @dataclass(frozen=True)
 class StateSplit:
-    """Input state split into a single-photon entangled two-qubit component
-    psi1 (weight c1) and the orthogonal unit-norm residual lam."""
+    """Symmetric input state full = c1*psi1 + lam_coeff*lam, split into a
+    single-photon entangled two-qubit component psi1 and the orthogonal
+    unit-norm residual lam.
+
+    full, psi1 and lam are amplitude arrays on the input's support, indexed
+    [a1, b1, a2, b2] with a1, a2 up to the cutoff N and b1, b2 in {0, 1}:
+    the input holds at most one photon at each ph port, so the dense
+    (N+1)^4 state is zero everywhere else."""
 
     c1: float
-    psi1: StateVector
-    lam: StateVector
+    psi1: np.ndarray
+    lam: np.ndarray
     lam_coeff: float
-
-
-def entangled_component(config: ExperimentConfig) -> StateVector:
-    """The two-term entangled component on (a1, b1, a2, b2):
-    (e^{i phi1} |1,0,0,1> + i e^{i phi2} |0,1,1,0>) / sqrt(2)."""
-    n = config.resolve_cutoff()
-    z = 1.0 / math.sqrt(2.0)
-    t1 = fock_basis_state(PRE_NETWORK_MODES, (1, 0, 0, 1), n)
-    t2 = fock_basis_state(PRE_NETWORK_MODES, (0, 1, 1, 0), n)
-    return (z * np.exp(1j * config.phi1)) * t1 + (z * 1j * np.exp(1j * config.phi2)) * t2
+    full: np.ndarray
 
 
 def split_state(config: ExperimentConfig) -> StateSplit:
     """Split the symmetric input state as c1*psi1 + lam_coeff*lam.
 
     c1 = alpha e^{-alpha^2} and lam_coeff = sqrt(1 - alpha^2 e^{-2 alpha^2}).
-    psi1 carries exactly the two single-photon-per-station terms, so lam is
-    orthogonal to it by construction. Defined only for alpha1 == alpha2.
+    psi1 = (e^{i phi1} |1,0,0,1> + i e^{i phi2} |0,1,1,0>) / sqrt(2) carries
+    exactly the two single-photon-per-station terms, so lam is orthogonal
+    to it by construction. The amplitudes are those of the dense
+    optics.build_input_state on the support, computed by the same
+    operations in the same order. Defined only for alpha1 == alpha2.
     """
     if config.alpha1 != config.alpha2:
         raise ValueError("state split requires equal oscillator strengths")
@@ -199,22 +197,51 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     a2 = alpha * alpha
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
-    # built first: build_input_state refuses a dense state that is too large
-    # before anything of that size is allocated
-    full = build_input_state(config)
-    psi1 = entangled_component(config)
-    lam = (1.0 / lam_coeff) * (full - c1 * psi1)
-    return StateSplit(c1, psi1, lam, lam_coeff)
+    n = config.resolve_cutoff()
+    lo1 = coherent_state("a1", config.alpha1 * cmath.exp(1j * config.phi1), n).amps
+    lo2 = coherent_state("a2", config.alpha2 * cmath.exp(1j * config.phi2), n).amps
+    # the split photon on (b1, b2): weight w_k with k photons at b1
+    pair = np.zeros((2, 2), dtype=np.complex128)
+    pair[0, 1], pair[1, 0] = _TERM_WEIGHTS
+    full = lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
+    z = 1.0 / math.sqrt(2.0)
+    psi1 = np.zeros_like(full)
+    psi1[1, 0, 0, 1] = z * np.exp(1j * config.phi1)
+    psi1[0, 1, 1, 0] = z * 1j * np.exp(1j * config.phi2)
+    lam = (1.0 / lam_coeff) * (full + (-1.0) * (c1 * psi1))
+    return StateSplit(c1, psi1, lam, lam_coeff, full)
 
 
-def chsh_on_component(component: StateVector, quad: SettingsQuadruple) -> float:
-    """CHSH combination of <component| A x B |component> with the component
-    propagated through the network at each of the quadruple's settings."""
-    total = 0.0
-    for sign, (x, y) in zip(_SIGNS, quad.pairs):
-        out = apply_station_settings(component, x, y)
-        total += sign * ab_product_expectation(out).real
-    return total
+def _station_observable(theta: float, cutoff: int) -> np.ndarray:
+    """Station observable 1 - 2|1,0><1,0| after mixing at theta, as a
+    matrix on the station's input support |a, b> (a <= cutoff, b <= 1,
+    flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
+    mixed basis inputs and f their favorable amplitudes."""
+    dim = 2 * (cutoff + 1)
+    gram, fav = _station_vectors(
+        mix_station(np.eye(dim).reshape(cutoff + 1, 2, dim), theta))
+    return gram - 2.0 * np.outer(fav.conj(), fav)
+
+
+def _chsh_form(u: np.ndarray, v: np.ndarray, quad: SettingsQuadruple) -> complex:
+    """CHSH combination of <u| A x B |v> for two support arrays, the
+    stations mixed at each of the quadruple's settings. With u, v as
+    matrices over (Alice's input index, Bob's), each term is
+    vdot(u, A v B^T): the literal bilinear form on the truncated space,
+    divided by no norm. Each distinct angle is mixed once."""
+    cutoff = u.shape[0] - 1
+    dim = 2 * (cutoff + 1)
+    obs = {theta: _station_observable(theta, cutoff)
+           for theta in {theta for pair in quad.pairs for theta in pair}}
+    u, v = u.reshape(dim, dim), v.reshape(dim, dim)
+    return complex(sum(sign * np.vdot(u, obs[x] @ v @ obs[y].T)
+                       for sign, (x, y) in zip(_SIGNS, quad.pairs)))
+
+
+def chsh_on_component(component: np.ndarray, quad: SettingsQuadruple) -> float:
+    """CHSH combination of <component| A x B |component> for a support
+    array, with the stations mixed at each of the quadruple's settings."""
+    return _chsh_form(component, component, quad).real
 
 
 @dataclass(frozen=True)
@@ -248,19 +275,13 @@ def chsh_decomposition(config: ExperimentConfig,
     'residual contributes the classical maximum' shortcut: it stays
     strictly below 2."""
     split = split_state(config)
-    full_in = build_input_state(config)
-    full = psi1_part = lam_part = interference = 0.0
-    for sign, (x, y) in zip(_SIGNS, quad.pairs):
-        out_full = apply_station_settings(full_in, x, y)
-        out_psi = apply_station_settings(split.psi1, x, y)
-        out_lam = apply_station_settings(split.lam, x, y)
-        full += sign * ab_product_expectation(out_full).real
-        psi1_part += sign * ab_product_expectation(out_psi).real
-        lam_part += sign * ab_product_expectation(out_lam).real
-        cross = ab_product_expectation(out_psi, out_lam)
-        interference += sign * 2.0 * split.c1 * split.lam_coeff * cross.real
-    return ChshDecomposition(full, psi1_part, lam_part, interference,
-                             split.c1, split.lam_coeff)
+    cross = _chsh_form(split.psi1, split.lam, quad)
+    return ChshDecomposition(
+        _chsh_form(split.full, split.full, quad).real,
+        _chsh_form(split.psi1, split.psi1, quad).real,
+        _chsh_form(split.lam, split.lam, quad).real,
+        2.0 * split.c1 * split.lam_coeff * cross.real,
+        split.c1, split.lam_coeff)
 
 
 @dataclass(frozen=True)
@@ -279,15 +300,15 @@ class CrossTerm:
 def lambda_cross_terms(split: StateSplit, count: int = 10) -> list[CrossTerm]:
     """The `count` largest |<occ|lam>|^2 contributions, largest first.
 
-    Ties are broken by flat (row-major) occupation index so the listing is
-    deterministic.
+    Ties are broken by the row-major occupation index of the dense
+    (N+1)^4 state so the listing is deterministic. Row-major order of the
+    support array is that order restricted to the support, so a stable sort
+    of the support gives it.
     """
     lam = split.lam
-    if lam.modes != PRE_NETWORK_MODES:
-        raise ValueError("residual component must be in pre-network mode order")
-    weights = np.abs(lam.amps.reshape(-1)) ** 2
+    weights = np.abs(lam.reshape(-1)) ** 2
     order = np.argsort(-weights, kind="stable")[:count]
-    shape = lam.amps.shape
+    shape = lam.shape
     terms = []
     for flat in order:
         occ = tuple(int(v) for v in np.unravel_index(int(flat), shape))
@@ -308,19 +329,19 @@ _PAULIS = (
 )
 
 
-def logical_qubit_amplitudes(state: StateVector, atol: float = 1e-9) -> np.ndarray:
-    """Project a pre-network state onto the per-station single-photon qubit
-    encoding |1,0> -> logical 0, |0,1> -> logical 1, as a 2x2 amplitude
-    matrix (rows Alice, columns Bob). Rejects states with support outside
-    that subspace."""
-    if state.modes != PRE_NETWORK_MODES:
-        raise ValueError("expected pre-network mode order (a1, b1, a2, b2)")
+def logical_qubit_amplitudes(state: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    """Project a support array [a1, b1, a2, b2] onto the per-station
+    single-photon qubit encoding |1,0> -> logical 0, |0,1> -> logical 1, as
+    a 2x2 amplitude matrix (rows Alice, columns Bob). Rejects states with
+    support outside that subspace."""
+    if state.ndim != 4 or state.shape[1::2] != (2, 2):
+        raise ValueError("expected a support array [a1, b1, a2, b2] with b1, b2 <= 1")
     basis = ((1, 0), (0, 1))
     psi = np.zeros((2, 2), dtype=complex)
     for i, occ_a in enumerate(basis):
         for j, occ_b in enumerate(basis):
-            psi[i, j] = state.amps[occ_a + occ_b]
-    off_support = state.norm_sq() - float(np.sum(np.abs(psi) ** 2))
+            psi[i, j] = state[occ_a + occ_b]
+    off_support = float(np.vdot(state, state).real) - float(np.sum(np.abs(psi) ** 2))
     if off_support > atol:
         raise ValueError(
             f"state has probability {off_support:.3e} outside the "
@@ -328,7 +349,7 @@ def logical_qubit_amplitudes(state: StateVector, atol: float = 1e-9) -> np.ndarr
     return psi
 
 
-def tsirelson_two_qubit(state: StateVector) -> float:
+def tsirelson_two_qubit(state: np.ndarray) -> float:
     """Maximum CHSH value of a two-qubit pure state over all qubit
     measurements: 2 sqrt(m1 + m2) with m1, m2 the two largest eigenvalues
     of T^T T, where T is the 3x3 spin correlation matrix."""

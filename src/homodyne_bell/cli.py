@@ -99,9 +99,11 @@ class RunConfig:
         for name in ("verify_points", "verify_draws"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        # reject a bad drive (NaN, negative, infinite) before any command runs
+        # reject a bad drive (NaN, negative, infinite, beyond the float-safe
+        # range of the cutoff policy) before any command runs
         try:
             self.experiment()
+            self.provenance_cutoff()
         except ValueError as exc:
             raise ConfigError(f"invalid experiment settings: {exc}") from exc
 
@@ -109,6 +111,13 @@ class RunConfig:
         a1 = self.alpha1_sq if self.alpha1_sq is not None else self.alpha_sq
         a2 = self.alpha2_sq if self.alpha2_sq is not None else self.alpha_sq
         return a1, a2
+
+    def provenance_cutoff(self) -> int:
+        """Per-mode cutoff reported in provenance: cutoff_n, or the one the
+        tail budget gives the stronger drive."""
+        if self.cutoff_n is not None:
+            return self.cutoff_n
+        return CutoffSpec(tail_eps=self.cutoff_eps).resolve(max(self.station_alpha_sq()))
 
     def experiment(self) -> ExperimentConfig:
         a1, a2 = self.station_alpha_sq()
@@ -167,13 +176,11 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def provenance(cfg: RunConfig, args: argparse.Namespace) -> dict:
-    a1, a2 = cfg.station_alpha_sq()
     return {
         "version": __version__,
         "seed": cfg.seed,
         "cutoff_eps": cfg.cutoff_eps,
-        "cutoff_n": cfg.cutoff_n if cfg.cutoff_n is not None
-        else CutoffSpec(tail_eps=cfg.cutoff_eps).resolve(max(a1, a2)),
+        "cutoff_n": cfg.provenance_cutoff(),
         "tolerances": {
             "oracle": cfg.tol,
             "identity": cfg.identity_tol,
@@ -346,6 +353,10 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"grid has {rows * cols} points, exceeding the "
                           f"budget of {cfg.grid_budget}")
     data = list(figure_rows(cfg, args.dphi, args.xi_minus_eta, rows, cols))
+    # the top row needs the largest cutoff of any spot-check; a range the
+    # numerics cannot reach is refused before the CSV is written
+    symmetric_config(cfg.figure_alpha_sq_max, args.dphi,
+                     cfg.cutoff_eps).resolve_cutoff()
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
@@ -403,7 +414,8 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "provenance": provenance(cfg, args),
     }
     write_json(args.out, payload)
-    print(f"{family.kind}: best chsh = {outcome.best.chsh:.9g} over "
+    print(f"{family.kind}: best chsh = {outcome.best.chsh:.9g} "
+          f"(ch = {outcome.best.ch:.3e}) over "
           f"{outcome.restarts} restarts "
           f"(violation_found={payload['violation_found']})")
     print(f"numeric crosscheck: {outcome.crosscheck_points} of "

@@ -8,8 +8,7 @@ projector, never enumerated.
 Probabilities are Born-rule probabilities conditional on the truncated
 space: each is divided by <psi|psi>, so a state that lost probability to
 photon-number truncation still gives p_A, p_B, p_AB and their complements
-one shared normalization. Only `ab_product_expectation` is the literal,
-unnormalized form.
+one shared normalization.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def correlator(state: StateVector) -> float:
     favorable projector, E = 1 - 2 p_A - 2 p_B + 4 p_AB exactly. The
     probabilities are conditional on the truncated space, so the identity
     term is 1 for any nonzero state, sub-normalized or not; this equals
-    ab_product_expectation(state) / <psi|psi>.
+    <psi| A x B |psi> / <psi|psi>.
     """
     p_a = station_favorable_prob(state, Station.ALICE)
     p_b = station_favorable_prob(state, Station.BOB)
@@ -96,25 +95,3 @@ def outcome_distribution(state: StateVector) -> dict[tuple[int, int], float]:
         (+1, -1): p_b - p_ab,
         (+1, +1): 1.0 - p_a - p_b + p_ab,
     }
-
-
-def ab_product_expectation(u: StateVector, v: StateVector | None = None) -> complex:
-    """Matrix element <u| A x B |v> of the product of station observables.
-
-    Unlike `correlator`, this is the literal quadratic/bilinear form on the
-    truncated space (it uses <u|v>, not 1, and divides by no norm), which
-    is what exact component decompositions need. With v omitted it returns
-    <u| A x B |u>.
-    """
-    if v is None:
-        v = u
-    if u.modes != v.modes or u.cutoffs != v.cutoffs:
-        raise ValueError("states must share modes and cutoffs")
-    idx_a = _favorable_indexer(u, (Station.ALICE,))
-    idx_b = _favorable_indexer(u, (Station.BOB,))
-    idx_ab = _favorable_indexer(u, (Station.ALICE, Station.BOB))
-    full = np.vdot(u.amps, v.amps)
-    pa = np.vdot(u.amps[idx_a], v.amps[idx_a])
-    pb = np.vdot(u.amps[idx_b], v.amps[idx_b])
-    pab = np.vdot(u.amps[idx_ab], v.amps[idx_ab])
-    return complex(full - 2.0 * pa - 2.0 * pb + 4.0 * pab)

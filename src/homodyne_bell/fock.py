@@ -38,7 +38,8 @@ def required_cutoff(alpha_sq: float, tail_eps: float) -> int:
     if not 0.0 < tail_eps < 1.0:
         raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps}")
     if alpha_sq > _MAX_ALPHA_SQ:
-        raise OverflowError(f"alpha_sq={alpha_sq} exceeds float-safe range")
+        raise ValueError(f"alpha_sq={alpha_sq} exceeds the float-safe range "
+                         f"(at most {_MAX_ALPHA_SQ:g})")
     term = math.exp(-alpha_sq)
     cum = term
     n = 0
@@ -170,7 +171,8 @@ def coherent_state(mode: str, alpha: complex, cutoff: int) -> StateVector:
         raise ValueError("cutoff must be >= 0")
     mag_sq = abs(alpha) ** 2
     if mag_sq > _MAX_ALPHA_SQ:
-        raise OverflowError(f"|alpha|^2={mag_sq} exceeds float-safe range")
+        raise ValueError(f"|alpha|^2={mag_sq} exceeds the float-safe range "
+                         f"(at most {_MAX_ALPHA_SQ:g})")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[0] = math.exp(-mag_sq / 2.0)
     for n in range(1, cutoff + 1):

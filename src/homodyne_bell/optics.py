@@ -1,4 +1,5 @@
-"""Beamsplitter action on labeled mode pairs and the two-station network.
+"""Beamsplitter action on labeled mode pairs, the two-station network, and
+the station mixing of the factorized engine.
 
 Reflection-phase convention, used identically at every splitter:
 
@@ -10,6 +11,12 @@ probability sin^2(theta/2), and the transmittivity seen from either input
 is cos^2(theta/2). Under this convention the closed-form phase-difference
 argument used by the analytic module corresponds to phi2 - phi1 of the two
 local-oscillator phases (see analytic module notes).
+
+Two engines share the exact per-block mixing. mix_station evolves input
+columns of one station (the ph port holding at most one photon), which is
+all the bell module needs. The dense 4-mode network (build_input_state,
+apply_beamsplitter, run_network) is the brute-force route the verification
+oracles compare against, independent of that factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from .fock import (
     CutoffSpec,
@@ -35,33 +41,12 @@ from .fock import (
 
 _STATION_OUTPUTS = {("a1", "b1"): ("c1", "d1"), ("a2", "b2"): ("c2", "d2")}
 
-# Largest dense 4-mode state build_input_state allocates: (N+1)^4 complex
-# amplitudes of 16 bytes each stay within 256 MiB up to cutoff N = 63, i.e.
-# alpha_sq up to 22 at tail 1e-12. The dense state serves the verify
-# oracles (alpha_sq <= 4, N <= 26, 8.5 MB) and the split report, whose
-# default alpha_sq = 1 resolves to N = 15; alpha_sq = 50 (N = 108) would
-# need 2.1 GiB.
-MAX_DENSE_STATE_BYTES = 256 * 2**20
-
-
-@dataclass(frozen=True)
-class BeamsplitterSetting:
-    """Mixing angle and input pair of one variable beamsplitter."""
-
-    theta: float
-    lo_mode: str
-    ph_mode: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
-
-    @property
-    def transmittivity(self) -> float:
-        return math.cos(self.theta / 2.0) ** 2
-
-    @property
-    def reflectivity(self) -> float:
-        return math.sin(self.theta / 2.0) ** 2
+# Largest per-mode cutoff any engine accepts. The dense 4-mode state,
+# (N+1)^4 complex amplitudes of 16 bytes, stays within 256 MiB exactly up to
+# N = 63 (alpha_sq up to 22 at tail 1e-12), and the cached mixing blocks of
+# a station grow as N^3. alpha_sq = 50 resolves to N = 108, a 2.1 GiB dense
+# state.
+MAX_CUTOFF = 63
 
 
 @dataclass(frozen=True)
@@ -90,9 +75,15 @@ class ExperimentConfig:
         return max(self.alpha1, self.alpha2) ** 2
 
     def resolve_cutoff(self) -> int:
+        """Per-mode cutoff N of every engine, refused above MAX_CUTOFF."""
         n = self.cutoff.resolve(self.max_alpha_sq)
         if n < 1 and self.max_alpha_sq > 0:
             raise ValueError("cutoff must be >= 1 when a coherent drive is present")
+        if n > MAX_CUTOFF:
+            dense_gib = (n + 1) ** 4 * np.dtype(np.complex128).itemsize / 2**30
+            raise ValueError(
+                f"cutoff N={n} exceeds the limit N={MAX_CUTOFF} (a dense 4-mode "
+                f"state would need {dense_gib:.1f} GiB); lower alpha_sq")
         return max(n, 1)
 
 
@@ -132,33 +123,6 @@ def _pair_block(theta: float, total: int) -> np.ndarray:
     block = (vec * phases) @ vec.T
     block.setflags(write=False)
     return block
-
-
-def pair_unitary(theta: float, n_lo: int, n_ph: int) -> _sparse.csr_matrix:
-    """Truncated two-mode mixing unitary on the (n_lo+1)(n_ph+1) pair space,
-    flat index m*(n_ph+1) + n with m the lo-mode count.
-
-    Block diagonal in the pair's total photon number; each block is the
-    exact untruncated transform with out-of-range rows and columns removed,
-    so the matrix drops exactly the amplitude that exact mixing would push
-    beyond a cutoff. This is the explicit matrix form of what
-    apply_beamsplitter applies block by block.
-    """
-    rows, cols, data = [], [], []
-    stride = n_ph + 1
-    for t in range(n_lo + n_ph + 1):
-        m_lo = max(0, t - n_ph)
-        m_hi = min(n_lo, t)
-        block = _pair_block(theta, t)[m_lo:m_hi + 1, m_lo:m_hi + 1]
-        flat = np.arange(m_lo, m_hi + 1) * stride + (t - np.arange(m_lo, m_hi + 1))
-        p_idx, m_idx = np.meshgrid(flat, flat, indexing="ij")
-        rows.append(p_idx.ravel())
-        cols.append(m_idx.ravel())
-        data.append(block.ravel())
-    dim = (n_lo + 1) * stride
-    return _sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
 
 
 def _block_slices(n_lo: int, n_ph: int, max_total: int | None = None):
@@ -237,31 +201,32 @@ def apply_beamsplitter(state: StateVector, lo_mode: str, ph_mode: str,
                        state.tail + dropped, out_norm_sq)
 
 
-def mix_station(alpha: complex, theta: float, cutoff: int) -> np.ndarray:
-    """Both input terms of one station mixed at angle theta.
+def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
+    """Input columns of one station mixed at angle theta.
 
-    Term k is the truncated coherent oscillator |alpha> on the lo port with
-    k = 0 or 1 photons on the ph port. Returns out[c, d, k], the amplitude of
-    the output occupation (c, d) for term k, both output modes cut at
-    `cutoff` exactly as apply_beamsplitter cuts them, so the slice
-    out[..., k] equals apply_beamsplitter on that term's 2-mode state.
+    columns[a, b, k] is the amplitude of input occupation (lo = a, ph = b)
+    in column k, with b in {0, 1} and a up to the station cutoff
+    columns.shape[0] - 1. Returns out[c, d, k], the amplitude of output
+    occupation (c, d) for column k, both output modes cut at the station
+    cutoff exactly as apply_beamsplitter cuts them, so out[..., k] equals
+    apply_beamsplitter on column k's 2-mode state.
 
-    The two terms are evolved in one block pass with the pair index leading
-    and the term index trailing. The input holds at most cutoff + 1 photons
-    (cutoff in the oscillator plus one at the ph port) and mixing conserves
-    the pair's photon number, so every block above total cutoff + 1 has
-    zero input and zero output; those blocks are skipped, which is exact
-    and keeps their large mixing blocks out of the cache.
+    All columns are evolved in one block pass with the pair index leading
+    and the column index trailing. The input holds at most cutoff + 1
+    photons and mixing conserves the pair's photon number, so every block
+    above total cutoff + 1 has zero input and zero output; those blocks are
+    skipped, which is exact and keeps their large mixing blocks out of the
+    cache.
     """
+    cutoff = columns.shape[0] - 1
     if cutoff < 1:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
-    lo = coherent_state("lo", alpha, cutoff).amps
     stride = cutoff + 1
-    inputs = np.zeros((stride * stride, 2), dtype=np.complex128)
-    inputs[0::stride, 0] = lo
-    inputs[1::stride, 1] = lo
-    out = _apply_blocks(inputs, theta, cutoff, cutoff, 0, max_total=cutoff + 1)
-    return out.reshape(stride, stride, 2)
+    inputs = np.zeros((stride, stride, columns.shape[2]), dtype=np.complex128)
+    inputs[:, :2] = columns
+    out = _apply_blocks(inputs.reshape(stride * stride, -1), theta, cutoff,
+                        cutoff, 0, max_total=cutoff + 1)
+    return out.reshape(stride, stride, -1)
 
 
 def photon_pair_state(cutoff: int, mode_c: str = "b1", mode_d: str = "b2") -> StateVector:
@@ -276,15 +241,10 @@ def build_input_state(config: ExperimentConfig) -> StateVector:
 
     Coherent oscillators on a1 and a2, and the split single photon on
     (b1, b2). The accumulated tail is the sum of the two coherent
-    truncation tails. Raises ValueError before allocating when the state
-    would exceed MAX_DENSE_STATE_BYTES.
+    truncation tails. The cutoff is resolved first, so a state above
+    MAX_CUTOFF is refused before anything is allocated.
     """
     n = config.resolve_cutoff()
-    size = (n + 1) ** 4 * np.dtype(np.complex128).itemsize
-    if size > MAX_DENSE_STATE_BYTES:
-        raise ValueError(
-            f"dense 4-mode state at cutoff N={n} needs {size / 2**30:.1f} GiB, "
-            f"above the {MAX_DENSE_STATE_BYTES // 2**20} MiB limit; lower alpha_sq")
     lo1 = coherent_state("a1", config.alpha1 * cmath.exp(1j * config.phi1), n)
     lo2 = coherent_state("a2", config.alpha2 * cmath.exp(1j * config.phi2), n)
     full = tensor([lo1, photon_pair_state(n), lo2])

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize as sciopt
 
+from dense_oracle import (
+    dense_chsh_decomposition,
+    dense_chsh_on_component,
+    dense_cross_terms,
+    dense_split_state,
+)
 from homodyne_bell.bell import (
     BellRecord,
     SettingsQuadruple,
-    ch_value,
     chsh_decomposition,
     chsh_on_component,
-    chsh_value,
-    entangled_component,
     evaluate_quadruple,
     evaluate_settings,
     lambda_cross_terms,
@@ -29,10 +32,9 @@ from homodyne_bell.detection import (
 from homodyne_bell.fock import (
     PRE_NETWORK_MODES,
     CutoffSpec,
-    amplitude_of,
+    StateVector,
     coherent_state,
     fock_basis_state,
-    inner,
     tensor,
 )
 from homodyne_bell.optics import (
@@ -61,11 +63,18 @@ CROSS_BY_ALPHA_SQ = {0.25: 0.14947185391803652, 0.5: 0.23738137751336144,
 DAMPED_TSIRELSON = 2.8096257321932941
 
 
+def support_state(amplitudes, cutoff=2):
+    """Support array [a1, b1, a2, b2] with the given {occupation: amplitude}."""
+    state = np.zeros((cutoff + 1, 2, cutoff + 1, 2), dtype=complex)
+    for occ, amp in amplitudes.items():
+        state[occ] = amp
+    return state
+
+
 def two_term_state(amp_first, amp_second, cutoff=2):
     """State amp_first |1,0,0,1> + i amp_second |0,1,1,0> on the input modes."""
-    t1 = fock_basis_state(PRE_NETWORK_MODES, (1, 0, 0, 1), cutoff)
-    t2 = fock_basis_state(PRE_NETWORK_MODES, (0, 1, 1, 0), cutoff)
-    return complex(amp_first) * t1 + (1j * amp_second) * t2
+    return support_state({(1, 0, 0, 1): amp_first,
+                          (0, 1, 1, 0): 1j * amp_second}, cutoff)
 
 
 def qubit_chsh_search_oracle(psi, seed, starts=24):
@@ -133,6 +142,32 @@ TAIL_EPS = st.sampled_from((1e-12, 1e-6, 1e-4))
 
 
 @st.composite
+def equal_drives(draw):
+    """Symmetric ExperimentConfig (the split needs alpha1 == alpha2) with
+    free phases."""
+    alpha = math.sqrt(draw(ALPHA_SQ))
+    return ExperimentConfig(alpha, alpha, draw(ANGLES), draw(ANGLES),
+                            CutoffSpec(tail_eps=draw(TAIL_EPS)))
+
+
+QUADS = st.builds(SettingsQuadruple, ANGLES, ANGLES)
+# the dense decomposition oracle propagates three (N+1)^4 states per pair
+DENSE_SPLIT_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+
+
+def support_slice(state):
+    """The dense input-mode state on the split's support, b1, b2 <= 1."""
+    return state.amps[:, :2, :, :2]
+
+
+def off_support(state):
+    """Every dense amplitude with b1 >= 2 or b2 >= 2."""
+    mask = np.ones(state.amps.shape, dtype=bool)
+    mask[:, :2, :, :2] = False
+    return state.amps[mask]
+
+
+@st.composite
 def unequal_drives(draw):
     """ExperimentConfig with alpha1 != alpha2 and free phases."""
     a1_sq = draw(ALPHA_SQ)
@@ -168,7 +203,11 @@ class TestStationFactorization:
         # the full 2-mode evolution runs every block up to 2 * cutoff, so
         # agreement shows that the blocks mix_station skips hold nothing
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
-        terms = mix_station(alpha, theta, cutoff)
+        lo = coherent_state("lo", alpha, cutoff).amps
+        columns = np.zeros((cutoff + 1, 2, 2), dtype=complex)
+        columns[:, 0, 0] = lo
+        columns[:, 1, 1] = lo
+        terms = mix_station(columns, theta)
         assert terms.shape == (cutoff + 1, cutoff + 1, 2)
         for k in (0, 1):
             station = tensor([coherent_state("a1", alpha, cutoff),
@@ -178,19 +217,19 @@ class TestStationFactorization:
 
     def test_station_needs_room_for_the_photon(self):
         with pytest.raises(ValueError):
-            mix_station(0.5, 0.3, 0)
+            mix_station(np.ones((1, 2, 1)), 0.3)
 
 
 class TestBellRecords:
     def test_zero_drive_zero_angles(self):
-        rec = ch_value(symmetric_config(0.0), SettingsQuadruple(0.0, 0.0))
+        rec = evaluate_quadruple(symmetric_config(0.0), SettingsQuadruple(0.0, 0.0))
         assert rec.ch == pytest.approx(-0.25, abs=1e-12)
         assert rec.chsh == pytest.approx(1.0, abs=1e-12)
         assert rec.local_alice == pytest.approx(0.25, abs=1e-12)
         assert rec.local_bob == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_point_both_paths(self):
-        rec = ch_value(symmetric_config(1.0, HALF_PI), reference_quadruple())
+        rec = evaluate_quadruple(symmetric_config(1.0, HALF_PI), reference_quadruple())
         assert rec.ch == pytest.approx(CH_REF, abs=1e-9)
         assert rec.chsh == pytest.approx(CHSH_REF, abs=1e-9)
 
@@ -201,7 +240,7 @@ class TestBellRecords:
                                    rng.uniform(0, 2 * math.pi))
             quad = SettingsQuadruple(rng.uniform(0, 2 * math.pi),
                                      rng.uniform(0, 2 * math.pi))
-            rec = chsh_value(cfg, quad)
+            rec = evaluate_quadruple(cfg, quad)
             assert abs(rec.chsh - (2.0 + 4.0 * rec.ch)) < 1e-12
             assert -2.0 <= rec.ch <= 1.0
 
@@ -229,25 +268,39 @@ class TestStateSplit:
         cfg = symmetric_config(alpha_sq, 0.8)
         split = split_state(cfg)
         recon = split.c1 * split.psi1 + split.lam_coeff * split.lam
-        assert (recon - build_input_state(cfg)).norm() < 1e-10
+        assert np.linalg.norm(recon - support_slice(build_input_state(cfg))) < 1e-10
 
     def test_orthogonality(self):
         for alpha_sq in (0.5, 1.0, 3.0):
             split = split_state(symmetric_config(alpha_sq, 1.1))
-            assert abs(inner(split.psi1, split.lam)) < 1e-10
+            assert abs(np.vdot(split.psi1, split.lam)) < 1e-10
 
     def test_zero_drive_degenerates(self):
         cfg = symmetric_config(0.0)
         split = split_state(cfg)
         assert split.c1 == 0.0
         assert split.lam_coeff == 1.0
-        assert (split.lam - build_input_state(cfg)).norm() < 1e-14
+        assert np.linalg.norm(split.lam - support_slice(build_input_state(cfg))) < 1e-14
 
     def test_residual_amplitude_at_paired_occupation(self):
         split = split_state(symmetric_config(1.0))
-        amp = amplitude_of(split.lam, (1, 0, 1, 1))
+        amp = split.lam[1, 0, 1, 1]
         assert amp.real == pytest.approx(CROSS_BY_ALPHA_SQ[1.0], abs=1e-12)
         assert abs(amp.imag) < 1e-15
+
+    @DENSE_SPLIT_SETTINGS
+    @given(config=equal_drives())
+    def test_support_holds_dense_state(self, config):
+        # the same operations in the same order: equal to the last bit on
+        # the support, and the dense states hold nothing outside it
+        split = split_state(config)
+        dense = dense_split_state(config)
+        assert split.full.shape == (config.resolve_cutoff() + 1, 2) * 2
+        for name in ("full", "psi1", "lam"):
+            assert np.array_equal(getattr(split, name),
+                                  support_slice(getattr(dense, name))), name
+            assert not np.any(off_support(getattr(dense, name))), name
+        assert (split.c1, split.lam_coeff) == (dense.c1, dense.lam_coeff)
 
     def test_asymmetric_drive_rejected(self):
         from homodyne_bell.optics import ExperimentConfig
@@ -274,11 +327,27 @@ class TestLambdaCrossTerms:
         weights = [t.weight for t in first]
         assert weights == sorted(weights, reverse=True)
 
+    @DENSE_SPLIT_SETTINGS
+    @given(config=equal_drives())
+    def test_matches_dense_listing(self, config):
+        split = split_state(config)
+        assert lambda_cross_terms(split, count=10) == \
+            dense_cross_terms(dense_split_state(config).lam, count=10)
+
+    @pytest.mark.parametrize("alpha_sq", [1e-6, 6.0])
+    def test_ties_keep_dense_order(self, alpha_sq):
+        # many occupations tie in weight here; a contraction in another
+        # order perturbs the last bits and swaps tied entries
+        cfg = symmetric_config(alpha_sq, HALF_PI, tail_eps=1e-6)
+        terms = lambda_cross_terms(split_state(cfg), count=10)
+        assert terms == dense_cross_terms(dense_split_state(cfg).lam, count=10)
+        weights = [t.weight for t in terms]
+        assert len(set(weights)) < len(weights)
+
 
 class TestComponentChsh:
     def test_photon_only_with_transmitting_settings(self):
-        cfg = symmetric_config(0.0)
-        component = build_input_state(cfg)
+        component = split_state(symmetric_config(0.0)).full
         assert chsh_on_component(component, SettingsQuadruple(0.0, 0.0)) == \
             pytest.approx(1.0, abs=1e-12)
 
@@ -290,12 +359,32 @@ class TestComponentChsh:
 
     def test_entangled_component_within_quantum_bound(self):
         rng = np.random.default_rng(21)
-        psi1 = entangled_component(symmetric_config(1.0, 0.7))
+        psi1 = split_state(symmetric_config(1.0, 0.7)).psi1
         for _ in range(4):
             quad = SettingsQuadruple(rng.uniform(0, 2 * math.pi),
                                      rng.uniform(0, 2 * math.pi))
             value = chsh_on_component(psi1, quad)
             assert -TWO_SQRT2 - 1e-12 <= value <= TWO_SQRT2 + 1e-12
+
+    @DENSE_SPLIT_SETTINGS
+    @given(config=equal_drives(), quad=QUADS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, config, quad, seed):
+        split = split_state(config)
+        dense = dense_split_state(config)
+        for name in ("full", "psi1", "lam"):
+            got = chsh_on_component(getattr(split, name), quad)
+            want = dense_chsh_on_component(getattr(dense, name), quad)
+            assert abs(got - want) <= 1e-12, name
+        # a generic support state also couples occupations that photon
+        # number keeps apart in the split's states
+        rng = np.random.default_rng(seed)
+        generic = rng.standard_normal(split.full.shape + (2,)) @ (1.0, 1.0j)
+        generic /= np.linalg.norm(generic)
+        embedded = np.zeros(dense.full.amps.shape, dtype=complex)
+        embedded[:, :2, :, :2] = generic
+        want = dense_chsh_on_component(
+            StateVector(PRE_NETWORK_MODES, dense.full.cutoffs, embedded), quad)
+        assert abs(chsh_on_component(generic, quad) - want) <= 1e-12
 
 
 class TestDecomposition:
@@ -310,7 +399,7 @@ class TestDecomposition:
         cfg = symmetric_config(1.0, HALF_PI)
         quad = reference_quadruple()
         dec = chsh_decomposition(cfg, quad)
-        rec = chsh_value(cfg, quad)
+        rec = evaluate_quadruple(cfg, quad)
         assert dec.full == pytest.approx(rec.chsh, abs=1e-9)
 
     def test_interference_vanishes_by_photon_number_conservation(self):
@@ -325,18 +414,27 @@ class TestDecomposition:
             assert abs(dec.interference) < 1e-12
             assert abs(dec.full - dec.reassembled) < 1e-9
 
+    @DENSE_SPLIT_SETTINGS
+    @given(config=equal_drives(), quad=QUADS)
+    def test_matches_dense_oracle(self, config, quad):
+        dec = chsh_decomposition(config, quad)
+        ref = dense_chsh_decomposition(config, quad)
+        for name in ("full", "psi1_part", "lam_part", "interference"):
+            assert abs(getattr(dec, name) - getattr(ref, name)) <= 1e-12, name
+        assert (dec.c1, dec.lam_coeff) == (ref.c1, ref.lam_coeff)
+
 
 class TestTsirelson:
     def test_product_state_reaches_classical_bound(self):
-        product = fock_basis_state(PRE_NETWORK_MODES, (1, 0, 1, 0), 2)
+        product = support_state({(1, 0, 1, 0): 1.0})
         assert tsirelson_two_qubit(product) == pytest.approx(2.0, abs=1e-12)
 
     def test_entangled_component_saturates_quantum_bound(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
             cfg = symmetric_config(1.0, 0.0)
-            psi1 = entangled_component(
-                symmetric_config(1.0, rng.uniform(0, 2 * math.pi)))
+            psi1 = split_state(
+                symmetric_config(1.0, rng.uniform(0, 2 * math.pi))).psi1
             assert tsirelson_two_qubit(psi1) == pytest.approx(
                 TWO_SQRT2, abs=1e-9)
             del cfg
@@ -363,6 +461,12 @@ class TestTsirelson:
         assert found == pytest.approx(tsirelson_two_qubit(state), abs=1e-6)
 
     def test_rejects_states_outside_logical_subspace(self):
-        vacuum_mix = fock_basis_state(PRE_NETWORK_MODES, (0, 0, 0, 0), 2)
+        vacuum_mix = support_state({(0, 0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             tsirelson_two_qubit(vacuum_mix)
+
+    def test_rejects_arrays_off_the_support_layout(self):
+        dense = np.zeros((3, 3, 3, 3), dtype=complex)
+        dense[1, 0, 0, 1] = 1.0
+        with pytest.raises(ValueError):
+            tsirelson_two_qubit(dense)

@@ -118,6 +118,19 @@ class TestVerify:
         assert not out.exists()
 
 
+class TestDriveRange:
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["figure", "--grid", "4x4"], ["split"],
+        ["optimize", "--family", "paper_baseline", "--restarts", "1"]])
+    def test_drive_beyond_float_range_rejected(self, tmp_path, capsys, command):
+        # the cutoff policy has no float-safe answer above alpha_sq 700
+        cfg = write_config(tmp_path, {"alpha_sq": 800})
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", cfg, "--out", out]) == 2
+        assert "float-safe" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFigure:
     def test_header_rows_and_window(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -175,6 +188,15 @@ class TestFigure:
         assert run_cli(["figure", "--config", cfg, "--grid", "50x50",
                         "--out", tmp_path / "g.csv"]) == 2
 
+    def test_range_beyond_cutoff_limit_rejected(self, tmp_path, capsys):
+        # alpha_sq 30 needs N=77 for its spot-checks, above the N=63 limit
+        cfg = write_config(tmp_path, {"figure_alpha_sq_max": 30})
+        out = tmp_path / "g.csv"
+        assert run_cli(["figure", "--config", cfg, "--grid", "4x4",
+                        "--out", out]) == 2
+        assert "exceeds the limit N=63" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptimize:
     def test_baseline_reports_no_violation(self, tmp_path):
@@ -209,6 +231,15 @@ class TestOptimize:
         assert run_cli(["optimize", "--family", "relaxed_amplitudes",
                         "--config", cfg, "--restarts", "1", "--out", out]) == 1
         assert json.loads(out.read_text())["numeric_crosscheck"]["passed"] is False
+
+    def test_stdout_shows_ch(self, tmp_path, capsys):
+        # chsh at 9 digits can read 2 for a value just below the bound
+        cfg = write_config(tmp_path, {"maxfev": 60})
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", "relaxed_phases", "--config", cfg,
+                        "--restarts", "1", "--out", out]) == 0
+        ch = json.loads(out.read_text())["best"]["ch"]
+        assert f"(ch = {ch:.3e}) over 1 restarts" in capsys.readouterr().out
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import ab_product_expectation
 from homodyne_bell.detection import (
     Station,
-    ab_product_expectation,
     correlator,
     joint_favorable_prob,
     outcome_distribution,

@@ -79,6 +79,10 @@ class TestCoherentState:
             s = coherent_state("a", alpha, 12)
             assert s.tail == pytest.approx(1.0 - s.norm_sq(), abs=1e-15)
 
+    def test_drive_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError):
+            coherent_state("a", math.sqrt(800.0), 3)
+
     def test_complex_alpha_phases(self):
         alpha = 0.8 * np.exp(1j * 0.6)
         s = coherent_state("a", alpha, 10)
@@ -185,6 +189,9 @@ class TestRequiredCutoff:
             required_cutoff(-1.0, 1e-12)
         with pytest.raises(ValueError):
             required_cutoff(1.0, 0.0)
+        # beyond the float-safe drive range: a config error, not an overflow
+        with pytest.raises(ValueError):
+            required_cutoff(800.0, 1e-12)
 
 
 class TestCutoffSpec:

@@ -3,6 +3,7 @@ from math import comb, cos, factorial, sin, sqrt
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from homodyne_bell.fock import (
     CutoffSpec,
@@ -13,17 +14,44 @@ from homodyne_bell.fock import (
     tensor,
 )
 from homodyne_bell.optics import (
-    BeamsplitterSetting,
+    MAX_CUTOFF,
     ExperimentConfig,
+    _pair_block,
     apply_beamsplitter,
     apply_station_settings,
     build_input_state,
-    pair_unitary,
     run_network,
     symmetric_config,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def pair_unitary(theta, n_lo, n_ph):
+    """Truncated two-mode mixing unitary on the (n_lo+1)(n_ph+1) pair space,
+    flat index m*(n_ph+1) + n with m the lo-mode count.
+
+    Block diagonal in the pair's total photon number; each block is the
+    exact untruncated transform with out-of-range rows and columns removed,
+    so the matrix drops exactly the amplitude that exact mixing would push
+    beyond a cutoff. This is the explicit matrix form of what
+    apply_beamsplitter applies block by block.
+    """
+    rows, cols, data = [], [], []
+    stride = n_ph + 1
+    for t in range(n_lo + n_ph + 1):
+        m_lo = max(0, t - n_ph)
+        m_hi = min(n_lo, t)
+        block = _pair_block(theta, t)[m_lo:m_hi + 1, m_lo:m_hi + 1]
+        flat = np.arange(m_lo, m_hi + 1) * stride + (t - np.arange(m_lo, m_hi + 1))
+        p_idx, m_idx = np.meshgrid(flat, flat, indexing="ij")
+        rows.append(p_idx.ravel())
+        cols.append(m_idx.ravel())
+        data.append(block.ravel())
+    dim = (n_lo + 1) * stride
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
 
 
 def mixing_matrix_oracle(theta, n_lo, n_ph):
@@ -160,17 +188,6 @@ class TestApplyBeamsplitter:
             apply_beamsplitter(s, "lo", "nope", 1.0)
 
 
-class TestBeamsplitterSetting:
-    def test_transmittivity(self):
-        setting = BeamsplitterSetting(math.pi / 2, "a1", "b1")
-        assert setting.transmittivity == pytest.approx(0.5)
-        assert setting.reflectivity == pytest.approx(0.5)
-
-    def test_angle_normalized(self):
-        assert BeamsplitterSetting(2.5 * math.pi, "a1", "b1").theta == \
-            pytest.approx(0.5 * math.pi)
-
-
 class TestInputState:
     def test_vacuum_oscillators(self):
         s = build_input_state(symmetric_config(0.0))
@@ -191,6 +208,18 @@ class TestInputState:
         s = build_input_state(cfg)
         assert s.tail < 2e-12
         assert s.norm_sq() == pytest.approx(1.0 - s.tail, abs=1e-14)
+
+    def test_cutoff_limit(self):
+        # (N+1)^4 complex amplitudes fit in 256 MiB exactly up to N = 63
+        assert MAX_CUTOFF == 63
+        assert 64 ** 4 * 16 <= 256 * 2**20 < 65 ** 4 * 16
+        at_limit = ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=63))
+        assert at_limit.resolve_cutoff() == 63
+        with pytest.raises(ValueError, match="N=64"):
+            ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=64)).resolve_cutoff()
+        # a drive whose tail budget alone asks for more is refused the same way
+        with pytest.raises(ValueError, match="N=108"):
+            symmetric_config(50.0).resolve_cutoff()
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
