@@ -1,38 +1,19 @@
 """Simulator and verifier for single-photon homodyne Bell tests.
 
-Two independent evaluation routes for the same experiment: brute-force
-truncated Fock-space numerics (fock, optics, detection, bell) and closed
-forms for the symmetric network (analytic), cross-validated against each
-other; plus grid scans and constrained CHSH maximization (scan) and a CLI
-(cli).
+Two independent evaluation routes for the same experiment: truncated
+Fock-space numerics (fock, optics, bell) and closed forms (analytic),
+cross-validated against each other; plus constrained CHSH maximization
+(scan) and a CLI (cli). The numerics mix each station's input terms and
+contract them into Bell records (bell on optics.mix_station); the
+verification oracles check both against a brute-force route that shares no
+mixing code with it (closed station columns -> dense output -> index
+readout, optics.run_network and detection, used only by the cli).
 """
 
 __version__ = "0.1.0"
 
-from .fock import (
-    CutoffSpec,
-    StateVector,
-    amplitude_of,
-    coherent_state,
-    fock_basis_state,
-    inner,
-    required_cutoff,
-    tensor,
-)
-from .optics import (
-    ExperimentConfig,
-    apply_beamsplitter,
-    build_input_state,
-    run_network,
-    symmetric_config,
-)
-from .detection import (
-    Station,
-    correlator,
-    joint_favorable_prob,
-    outcome_distribution,
-    station_favorable_prob,
-)
+from .fock import CutoffSpec, coherent_state, required_cutoff
+from .optics import ExperimentConfig, mix_station, symmetric_config
 from .bell import (
     BellRecord,
     SettingsQuadruple,
@@ -49,19 +30,15 @@ from .analytic import (
     joint_prob_closed,
     local_prob_closed,
 )
-from .scan import ScanRecord, grid_scan, maximize_chsh
+from .scan import ScanRecord, maximize_chsh
 
 __all__ = [
     "__version__",
-    "CutoffSpec", "StateVector", "amplitude_of", "coherent_state",
-    "fock_basis_state", "inner", "required_cutoff", "tensor",
-    "ExperimentConfig", "apply_beamsplitter",
-    "build_input_state", "run_network", "symmetric_config",
-    "Station", "correlator", "joint_favorable_prob", "outcome_distribution",
-    "station_favorable_prob",
+    "CutoffSpec", "coherent_state", "required_cutoff",
+    "ExperimentConfig", "mix_station", "symmetric_config",
     "BellRecord", "SettingsQuadruple", "StateSplit", "chsh_on_component",
     "evaluate_quadruple", "split_state", "tsirelson_two_qubit",
     "ClosedFormPoint", "ch_closed", "chsh_closed", "joint_prob_closed",
     "local_prob_closed",
-    "ScanRecord", "grid_scan", "maximize_chsh",
+    "ScanRecord", "maximize_chsh",
 ]

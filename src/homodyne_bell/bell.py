@@ -1,21 +1,22 @@
 """CH and CHSH assembly, the entangled/residual state split, and the
 two-qubit maximal-CHSH check for the entangled component.
 
-Everything here runs on station vectors, not on the dense 4-mode state. The
-input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
-w = (1/sqrt2, i/sqrt2), and both beamsplitters are local, so the output is
-sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
-station (optics.mix_station), truncated at the same per-mode cutoff as the
-dense network. Every record probability is a contraction of those vectors
-through their favorable amplitudes and 2x2 Gram matrices, conditional on
-the truncated space like the detection module's probabilities.
+Everything here runs on station vectors, not on the dense 4-mode output.
+The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
+w = optics.PAIR_WEIGHTS, and both beamsplitters are local, so the output
+is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
+station (optics.mix_station), every mode truncated at the per-mode cutoff.
+Every record probability is a contraction of those vectors through their
+favorable amplitudes and 2x2 Gram matrices, conditional on the truncated
+space (divided by the output norm).
 
-The state split lives on the input's support: occupations (a1, b1, a2, b2)
-with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes instead of (N+1)^4. Its CHSH
-matrix elements contract those arrays through each setting's station
-observable 1 - 2|1,0><1,0|, written on a station's input support from one
-mix_station pass. The dense network (optics.run_network) stays the
-brute-force route for the verification oracles.
+The state split lives on the input's support (optics.input_support):
+occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
+instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
+each setting's station observable 1 - 2|1,0><1,0|, written on a station's
+input support from one mix_station pass. Nothing here uses the dense
+network of the verification oracles (optics.run_network and the detection
+readout), which stays an independent brute-force route.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import coherent_state
-from .optics import ExperimentConfig, mix_station
+from .optics import PAIR_WEIGHTS, ExperimentConfig, input_support, mix_station
 
 HALF_PI = math.pi / 2.0
 
@@ -88,17 +89,14 @@ class BellRecord:
     chsh: float
 
 
-# weights of the input terms: term k has k photons at Alice's ph port and
-# 1 - k at Bob's
-_TERM_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-_WEIGHT_PAIRS = np.outer(_TERM_WEIGHTS.conj(), _TERM_WEIGHTS)
+_WEIGHT_PAIRS = np.outer(PAIR_WEIGHTS.conj(), PAIR_WEIGHTS)
 
 
 def _oscillator_columns(alpha: complex, cutoff: int) -> np.ndarray:
     """mix_station input columns of a station's two input terms: the
     truncated oscillator |alpha> on the lo port with k photons on the ph
     port in column k."""
-    lo = coherent_state("lo", alpha, cutoff).amps
+    lo, _ = coherent_state(alpha, cutoff)
     columns = np.zeros((cutoff + 1, 2, 2), dtype=np.complex128)
     columns[:, 0, 0] = lo
     columns[:, 1, 1] = lo
@@ -118,7 +116,7 @@ def _pair_probabilities(alice, bob) -> tuple[float, float, float]:
     norm = np.sum(_WEIGHT_PAIRS * gram_a * gram_b).real
     p_a = np.sum(_WEIGHT_PAIRS * np.outer(a.conj(), a) * gram_b).real
     p_b = np.sum(_WEIGHT_PAIRS * gram_a * np.outer(b.conj(), b)).real
-    p_ab = abs(np.sum(_TERM_WEIGHTS * a * b)) ** 2
+    p_ab = abs(np.sum(PAIR_WEIGHTS * a * b)) ** 2
     return float(p_a / norm), float(p_b / norm), float(p_ab / norm)
 
 
@@ -187,9 +185,8 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     c1 = alpha e^{-alpha^2} and lam_coeff = sqrt(1 - alpha^2 e^{-2 alpha^2}).
     psi1 = (e^{i phi1} |1,0,0,1> + i e^{i phi2} |0,1,1,0>) / sqrt(2) carries
     exactly the two single-photon-per-station terms, so lam is orthogonal
-    to it by construction. The amplitudes are those of the dense
-    optics.build_input_state on the support, computed by the same
-    operations in the same order. Defined only for alpha1 == alpha2.
+    to it by construction. full is optics.input_support. Defined only for
+    alpha1 == alpha2.
     """
     if config.alpha1 != config.alpha2:
         raise ValueError("state split requires equal oscillator strengths")
@@ -197,13 +194,7 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     a2 = alpha * alpha
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
-    n = config.resolve_cutoff()
-    lo1 = coherent_state("a1", config.alpha1 * cmath.exp(1j * config.phi1), n).amps
-    lo2 = coherent_state("a2", config.alpha2 * cmath.exp(1j * config.phi2), n).amps
-    # the split photon on (b1, b2): weight w_k with k photons at b1
-    pair = np.zeros((2, 2), dtype=np.complex128)
-    pair[0, 1], pair[1, 0] = _TERM_WEIGHTS
-    full = lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
+    full = input_support(config)
     z = 1.0 / math.sqrt(2.0)
     psi1 = np.zeros_like(full)
     psi1[1, 0, 0, 1] = z * np.exp(1j * config.phi1)

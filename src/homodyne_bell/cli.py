@@ -29,10 +29,10 @@ from .bell import (
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
-from .detection import Station, joint_favorable_prob, station_favorable_prob
+from .detection import favorable_probs
 from .fock import CutoffSpec
-from .optics import ExperimentConfig, build_input_state, run_network, symmetric_config
-from .scan import FAMILIES, get_family, maximize_chsh
+from .optics import ExperimentConfig, input_support, run_network, symmetric_config
+from .scan import ALPHA_SQ_MAX, FAMILIES, get_family, maximize_chsh
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -40,6 +40,8 @@ EXIT_CONFIG_ERROR = 2
 
 PHASE_CONVENTION = "phi2 - phi1"
 VIOLATION_MARGIN = 1e-6
+# verify draws alpha_sq from (0, VERIFY_ALPHA_SQ_MAX]
+VERIFY_ALPHA_SQ_MAX = 4.0
 CSV_HEADER = "alpha_sq,xi_plus_eta,ch,chsh"
 
 
@@ -112,12 +114,15 @@ class RunConfig:
         a2 = self.alpha2_sq if self.alpha2_sq is not None else self.alpha_sq
         return a1, a2
 
-    def provenance_cutoff(self) -> int:
+    def provenance_cutoff(self, alpha_sq_max: float | None = None) -> int:
         """Per-mode cutoff reported in provenance: cutoff_n, or the one the
-        tail budget gives the stronger drive."""
+        tail budget gives the largest drive a command evaluates,
+        alpha_sq_max (default: the config's stronger drive)."""
         if self.cutoff_n is not None:
             return self.cutoff_n
-        return CutoffSpec(tail_eps=self.cutoff_eps).resolve(max(self.station_alpha_sq()))
+        if alpha_sq_max is None:
+            alpha_sq_max = max(self.station_alpha_sq())
+        return CutoffSpec(tail_eps=self.cutoff_eps).resolve(alpha_sq_max)
 
     def experiment(self) -> ExperimentConfig:
         a1, a2 = self.station_alpha_sq()
@@ -175,12 +180,16 @@ def write_json(path: str, payload: dict) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def provenance(cfg: RunConfig, args: argparse.Namespace) -> dict:
+def provenance(cfg: RunConfig, args: argparse.Namespace,
+               alpha_sq_max: float | None = None) -> dict:
+    """Provenance block of a report. cutoff_n is the cutoff of the largest
+    drive the command evaluates, alpha_sq_max (see
+    RunConfig.provenance_cutoff)."""
     return {
         "version": __version__,
         "seed": cfg.seed,
         "cutoff_eps": cfg.cutoff_eps,
-        "cutoff_n": cfg.provenance_cutoff(),
+        "cutoff_n": cfg.provenance_cutoff(alpha_sq_max),
         "tolerances": {
             "oracle": cfg.tol,
             "identity": cfg.identity_tol,
@@ -212,12 +221,10 @@ def run_verification(cfg: RunConfig) -> dict:
     worst_joint = worst_local = 0.0
     worst_margin = 0.0
     for _ in range(cfg.verify_points):
-        a2 = 4.0 * (1.0 - rng.random())
+        a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
         xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, 3)
-        state = run_network(symmetric_config(a2, dphi, eps), xi, eta)
-        p_ab = joint_favorable_prob(state)
-        p_a = station_favorable_prob(state, Station.ALICE)
-        p_b = station_favorable_prob(state, Station.BOB)
+        p_a, p_b, p_ab, _ = favorable_probs(
+            run_network(symmetric_config(a2, dphi, eps), xi, eta))
         point = analytic.ClosedFormPoint(xi, eta, dphi, a2)
         worst_joint = max(worst_joint, abs(p_ab - analytic.joint_prob_closed(point)))
         worst_local = max(worst_local,
@@ -234,8 +241,7 @@ def run_verification(cfg: RunConfig) -> dict:
     # local-probability exponent adjudication against the brute force
     corrected_resid = printed_resid = 0.0
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
-        state = run_network(symmetric_config(a2, 0.7, eps), x, 0.9)
-        p = station_favorable_prob(state, Station.ALICE)
+        p = favorable_probs(run_network(symmetric_config(a2, 0.7, eps), x, 0.9))[0]
         corrected_resid = max(corrected_resid,
                               abs(p - analytic.local_prob_closed(x, a2)))
         printed_resid = max(printed_resid,
@@ -270,7 +276,7 @@ def run_verification(cfg: RunConfig) -> dict:
         point = analytic.ClosedFormPoint(rng.uniform(0.0, 2.0 * math.pi),
                                          rng.uniform(0.0, 2.0 * math.pi),
                                          rng.uniform(0.0, 2.0 * math.pi),
-                                         4.0 * (1.0 - rng.random()))
+                                         VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random()))
         ch = analytic.ch_closed(point)
         worst_asm = max(worst_asm, abs(ch - analytic.ch_assembled(point)))
         worst_exp = max(worst_exp, abs(analytic.chsh_closed(point) - (2.0 + 4.0 * ch)))
@@ -279,27 +285,26 @@ def run_verification(cfg: RunConfig) -> dict:
     checks.append(_check("closed_form_expanded_identity", worst_exp,
                          cfg.identity_tol, 500))
 
-    # physics invariants: no-signalling and norm conservation
+    # physics invariants: no-signalling, and the norm the network loses at
+    # the cutoff edge
     worst_nosig = worst_norm = 0.0
     for _ in range(cfg.verify_draws):
-        a2 = 4.0 * (1.0 - rng.random())
+        a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         a = math.sqrt(a2)
         spec = CutoffSpec(tail_eps=eps)
-        base_in = build_input_state(ExperimentConfig(a, a, phi1, phi2, spec))
-        base = run_network(ExperimentConfig(a, a, phi1, phi2, spec), xi, eta)
-        alt_bob = run_network(ExperimentConfig(a, a, phi1, phi2_alt, spec),
-                              xi, eta_alt)
-        alt_alice = run_network(ExperimentConfig(a, a, phi1_alt, phi2, spec),
-                                xi_alt, eta)
-        worst_nosig = max(
-            worst_nosig,
-            abs(station_favorable_prob(base, Station.ALICE)
-                - station_favorable_prob(alt_bob, Station.ALICE)),
-            abs(station_favorable_prob(base, Station.BOB)
-                - station_favorable_prob(alt_alice, Station.BOB)))
-        worst_norm = max(worst_norm, abs(base.norm_sq() - base_in.norm_sq()))
+        base = ExperimentConfig(a, a, phi1, phi2, spec)
+        source = input_support(base)
+        p_a, p_b, _, norm_sq = favorable_probs(run_network(base, xi, eta))
+        alt_bob = favorable_probs(run_network(
+            ExperimentConfig(a, a, phi1, phi2_alt, spec), xi, eta_alt))
+        alt_alice = favorable_probs(run_network(
+            ExperimentConfig(a, a, phi1_alt, phi2, spec), xi_alt, eta))
+        worst_nosig = max(worst_nosig, abs(p_a - alt_bob[0]),
+                          abs(p_b - alt_alice[1]))
+        worst_norm = max(worst_norm,
+                         abs(norm_sq - float(np.vdot(source, source).real)))
     checks.append(_check("no_signalling", worst_nosig, cfg.nosignal_tol,
                          cfg.verify_draws))
     checks.append(_check("network_unitarity", worst_norm, cfg.unitarity_tol,
@@ -314,7 +319,7 @@ def run_verification(cfg: RunConfig) -> dict:
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = run_verification(cfg)
-    report["provenance"] = provenance(cfg, args)
+    report["provenance"] = provenance(cfg, args, VERIFY_ALPHA_SQ_MAX)
     report["provenance"][analytic.LOCAL_EXPONENT_DECISION_KEY] = \
         report[analytic.LOCAL_EXPONENT_DECISION_KEY]
     for check in report["checks"]:
@@ -411,7 +416,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "numeric_crosscheck": crosscheck,
         "trace": [{"restart": rec.index, "params": rec.params,
                    "ch": rec.ch, "chsh": rec.chsh} for rec in outcome.trace],
-        "provenance": provenance(cfg, args),
+        "provenance": provenance(cfg, args, ALPHA_SQ_MAX),
     }
     write_json(args.out, payload)
     print(f"{family.kind}: best chsh = {outcome.best.chsh:.9g} "

@@ -1,26 +1,18 @@
-"""Truncated multimode Fock space with labeled modes.
+"""Photon-number truncation: the per-mode cutoff policy and truncated
+coherent amplitudes.
 
-States are dense complex amplitude arrays indexed mixed-radix, one axis per
-mode (axis length = per-mode cutoff + 1). All values are immutable after
-construction and every operation returns a fresh state, so states are safe
-to share across threads.
-
-Each state carries a ``tail`` field: an upper bound on the probability lost
-to photon-number truncation so far (coherent-state tails, plus any amplitude
-dropped later by mode mixing at the cutoff edge).
+Every engine works on per-mode occupations 0..N. A coherent input loses its
+Poisson tail beyond N; required_cutoff picks the smallest N that keeps that
+tail under a budget, and coherent_state returns the truncated amplitudes
+together with the probability they drop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-
-PRE_NETWORK_MODES = ("a1", "b1", "a2", "b2")
-POST_NETWORK_MODES = ("c1", "d1", "c2", "d2")
 
 # e^{-|a|^2/2} underflows long before this; reject absurd drive strengths.
 _MAX_ALPHA_SQ = 700.0
@@ -75,97 +67,12 @@ class CutoffSpec:
         return required_cutoff(alpha_sq, self.tail_eps) + 1
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Dense state over occupation numbers of an ordered list of labeled modes."""
+def coherent_state(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
+    """Truncated coherent amplitudes c_0..c_cutoff and their dropped tail.
 
-    modes: tuple[str, ...]
-    cutoffs: tuple[int, ...]
-    amps: np.ndarray
-    tail: float = 0.0
-    # <psi|psi> when the constructing operation already knows it; see norm_sq
-    _norm_sq: float | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError(f"duplicate mode labels in {self.modes}")
-        if len(self.cutoffs) != len(self.modes):
-            raise ValueError("need exactly one cutoff per mode")
-        if any(n < 0 for n in self.cutoffs):
-            raise ValueError("cutoffs must be non-negative")
-        shape = tuple(n + 1 for n in self.cutoffs)
-        if self.amps.shape != shape:
-            raise ValueError(f"amplitude shape {self.amps.shape} != {shape}")
-        if self.amps.dtype != np.complex128:
-            object.__setattr__(self, "amps", self.amps.astype(np.complex128))
-        self.amps.setflags(write=False)
-
-    def axis(self, mode: str) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise ValueError(f"mode {mode!r} not in state modes {self.modes}") from None
-
-    def norm_sq(self) -> float:
-        """<psi|psi>, computed at most once per state and cached.
-
-        Caching is safe because __post_init__ makes amps read-only, so the
-        value cannot go stale. Operations that already know the norm of
-        their output (a norm-preserving mode permutation, a beamsplitter
-        that computes it for its leakage term) fill the cache at
-        construction instead of paying for another full-array pass.
-        """
-        if self._norm_sq is None:
-            object.__setattr__(self, "_norm_sq",
-                               float(np.vdot(self.amps, self.amps).real))
-        return self._norm_sq
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        if self.modes != other.modes or self.cutoffs != other.cutoffs:
-            raise ValueError("can only add states on identical modes and cutoffs")
-        return StateVector(self.modes, self.cutoffs, self.amps + other.amps,
-                           self.tail + other.tail)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + (-1.0) * other
-
-    def __mul__(self, z: complex) -> "StateVector":
-        return StateVector(self.modes, self.cutoffs, self.amps * z,
-                           self.tail * abs(z) ** 2)
-
-    __rmul__ = __mul__
-
-
-def fock_basis_state(modes: Sequence[str], occ: Sequence[int],
-                     cutoffs: int | Sequence[int]) -> StateVector:
-    """Unit-norm basis state with a single amplitude 1 at the given occupation."""
-    modes = tuple(modes)
-    if isinstance(cutoffs, int):
-        cutoffs = (cutoffs,) * len(modes)
-    cutoffs = tuple(cutoffs)
-    occ = tuple(occ)
-    if len(occ) != len(modes):
-        raise ValueError("occupation length must equal mode count")
-    for n, nmax in zip(occ, cutoffs):
-        if not 0 <= n <= nmax:
-            raise ValueError(f"occupation {occ} exceeds cutoffs {cutoffs}")
-    amps = np.zeros(tuple(n + 1 for n in cutoffs), dtype=np.complex128)
-    amps[occ] = 1.0
-    return StateVector(modes, cutoffs, amps)
-
-
-def coherent_state(mode: str, alpha: complex, cutoff: int) -> StateVector:
-    """Truncated coherent state on one labeled mode.
-
-    Amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!), evaluated by the stable
-    recurrence c_n = c_{n-1} a / sqrt(n) (no explicit factorials, safe up to
-    the n range used here). The discarded probability 1 - sum |c_n|^2 is
-    recorded on the returned state's tail budget.
+    c_n = e^{-|a|^2/2} a^n / sqrt(n!), evaluated by the stable recurrence
+    c_n = c_{n-1} a / sqrt(n) (no explicit factorials). The array is
+    read-only; the tail is the discarded probability 1 - sum |c_n|^2.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -177,51 +84,5 @@ def coherent_state(mode: str, alpha: complex, cutoff: int) -> StateVector:
     amps[0] = math.exp(-mag_sq / 2.0)
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    return StateVector((mode,), (cutoff,), amps, tail)
-
-
-def tensor(parts: Iterable[StateVector]) -> StateVector:
-    """Tensor product of states on pairwise-disjoint mode sets, in order."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("tensor needs at least one factor")
-    modes: tuple[str, ...] = ()
-    cutoffs: tuple[int, ...] = ()
-    for p in parts:
-        overlap = set(modes) & set(p.modes)
-        if overlap:
-            raise ValueError(f"duplicate mode labels across factors: {sorted(overlap)}")
-        modes += p.modes
-        cutoffs += p.cutoffs
-    amps = reduce(np.multiply.outer, (p.amps for p in parts))
-    return StateVector(modes, cutoffs, amps, sum(p.tail for p in parts))
-
-
-def amplitude_of(state: StateVector, occ: Sequence[int]) -> complex:
-    """Stored amplitude at one occupation vector (mode order of the state)."""
-    occ = tuple(occ)
-    if len(occ) != len(state.modes):
-        raise ValueError("occupation length must equal mode count")
-    for n, nmax in zip(occ, state.cutoffs):
-        if not 0 <= n <= nmax:
-            raise ValueError(f"occupation {occ} out of range for cutoffs {state.cutoffs}")
-    return complex(state.amps[occ])
-
-
-def inner(s1: StateVector, s2: StateVector) -> complex:
-    """Inner product <s1|s2>, conjugate-linear in the first argument."""
-    if s1.modes != s2.modes or s1.cutoffs != s2.cutoffs:
-        raise ValueError("inner product requires identical modes and cutoffs")
-    return complex(np.vdot(s1.amps, s2.amps))
-
-
-def reorder_modes(state: StateVector, order: Sequence[str]) -> StateVector:
-    """Same state with its mode axes permuted into the given label order."""
-    order = tuple(order)
-    if sorted(order) != sorted(state.modes):
-        raise ValueError(f"order {order} is not a permutation of {state.modes}")
-    src = [state.axis(m) for m in order]
-    amps = np.ascontiguousarray(np.moveaxis(state.amps, src, range(len(order))))
-    cutoffs = tuple(state.cutoffs[i] for i in src)
-    return StateVector(order, cutoffs, amps, state.tail, state.norm_sq())
+    amps.setflags(write=False)
+    return amps, max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))

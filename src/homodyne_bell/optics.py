@@ -1,5 +1,6 @@
-"""Beamsplitter action on labeled mode pairs, the two-station network, and
-the station mixing of the factorized engine.
+"""The two-station network: experiment configuration, the station mixing of
+the factorized engine, and the closed-column dense network of the
+verification oracles.
 
 Reflection-phase convention, used identically at every splitter:
 
@@ -12,11 +13,19 @@ is cos^2(theta/2). Under this convention the closed-form phase-difference
 argument used by the analytic module corresponds to phi2 - phi1 of the two
 local-oscillator phases (see analytic module notes).
 
-Two engines share the exact per-block mixing. mix_station evolves input
-columns of one station (the ph port holding at most one photon), which is
-all the bell module needs. The dense 4-mode network (build_input_state,
-apply_beamsplitter, run_network) is the brute-force route the verification
-oracles compare against, independent of that factorization.
+The input holds at most one photon at each ph port: its support is
+input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2). Two
+independent constructions of a splitter act on it, both cutting every
+output mode at the per-mode cutoff N:
+
+- mix_station, which the bell module uses, applies the exact mixing block
+  of each total photon number, from a cached eigendecomposition of the
+  mixing generator;
+- station_columns writes the unitary's columns on a station's input
+  support in closed binomial form. run_network multiplies them into the
+  dense 4-mode output, the brute-force route of the verification oracles
+  (closed station columns -> dense output -> index readout in the
+  detection module). It shares no mixing code with mix_station.
 """
 
 from __future__ import annotations
@@ -28,25 +37,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    CutoffSpec,
-    StateVector,
-    POST_NETWORK_MODES,
-    PRE_NETWORK_MODES,
-    coherent_state,
-    fock_basis_state,
-    reorder_modes,
-    tensor,
-)
+from .fock import CutoffSpec, coherent_state
 
-_STATION_OUTPUTS = {("a1", "b1"): ("c1", "d1"), ("a2", "b2"): ("c2", "d2")}
-
-# Largest per-mode cutoff any engine accepts. The dense 4-mode state,
-# (N+1)^4 complex amplitudes of 16 bytes, stays within 256 MiB exactly up to
-# N = 63 (alpha_sq up to 22 at tail 1e-12), and the cached mixing blocks of
-# a station grow as N^3. alpha_sq = 50 resolves to N = 108, a 2.1 GiB dense
-# state.
+# Largest per-mode cutoff any engine accepts. The mixing blocks mix_station
+# caches grow as N^3 per angle (1.4 MiB per angle at N = 63, about 90 MiB
+# with all 4096 cache slots filled); that binds the limit. Only run_network,
+# the verify oracle, builds a dense (N+1)^4 output: verify resolves at most
+# N = 26 at the default tail (8 MiB per output), and at N = 63 one output
+# would take 256 MiB. alpha_sq = 50 resolves to N = 108.
 MAX_CUTOFF = 63
+
+# weight of the input term with k photons at Alice's ph port and 1 - k at
+# Bob's: the single photon split as (|0,1> + i|1,0>)/sqrt2 over (b1, b2)
+PAIR_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,8 @@ class ExperimentConfig:
         if n < 1 and self.max_alpha_sq > 0:
             raise ValueError("cutoff must be >= 1 when a coherent drive is present")
         if n > MAX_CUTOFF:
-            dense_gib = (n + 1) ** 4 * np.dtype(np.complex128).itemsize / 2**30
-            raise ValueError(
-                f"cutoff N={n} exceeds the limit N={MAX_CUTOFF} (a dense 4-mode "
-                f"state would need {dense_gib:.1f} GiB); lower alpha_sq")
+            raise ValueError(f"cutoff N={n} exceeds the limit N={MAX_CUTOFF}; "
+                             "lower alpha_sq")
         return max(n, 1)
 
 
@@ -97,6 +98,19 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
     """
     a = math.sqrt(alpha_sq)
     return ExperimentConfig(a, a, 0.0, dphi, CutoffSpec(n_max, tail_eps))
+
+
+def input_support(config: ExperimentConfig) -> np.ndarray:
+    """Input amplitudes on their support, indexed [a1, b1, a2, b2] with a1,
+    a2 up to the cutoff N and b1, b2 in {0, 1}: the truncated oscillators on
+    a1 and a2 times the split photon on (b1, b2). The cutoff is resolved
+    first, so a config above MAX_CUTOFF is refused before any allocation."""
+    n = config.resolve_cutoff()
+    lo1, _ = coherent_state(config.alpha1 * cmath.exp(1j * config.phi1), n)
+    lo2, _ = coherent_state(config.alpha2 * cmath.exp(1j * config.phi2), n)
+    pair = np.zeros((2, 2), dtype=np.complex128)
+    pair[0, 1], pair[1, 0] = PAIR_WEIGHTS
+    return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
 
 
 @lru_cache(maxsize=512)
@@ -125,82 +139,6 @@ def _pair_block(theta: float, total: int) -> np.ndarray:
     return block
 
 
-def _block_slices(n_lo: int, n_ph: int, max_total: int | None = None):
-    """Strided flat-index slices of each total-photon block up to max_total
-    (default: every block): within total t the valid flat indices are
-    t + m*n_ph for m = m_lo..m_hi."""
-    top = n_lo + n_ph if max_total is None else min(max_total, n_lo + n_ph)
-    for t in range(top + 1):
-        m_lo = max(0, t - n_ph)
-        m_hi = min(n_lo, t)
-        count = m_hi - m_lo + 1
-        step = max(n_ph, 1)
-        start = m_lo * (n_ph + 1) + (t - m_lo)
-        yield t, m_lo, count, slice(start, start + (count - 1) * step + 1, step)
-
-
-def _apply_blocks(mat: np.ndarray, theta: float, n_lo: int, n_ph: int,
-                  pair_axis: int, max_total: int | None = None) -> np.ndarray:
-    """Apply the pair mixing blockwise to a 2d array whose pair index runs
-    along pair_axis (0: rows, 1: columns). Every pair index belongs to
-    exactly one block, so the output is fully written; with max_total the
-    blocks above it are skipped and left zero, which is exact only when the
-    input has no amplitude there."""
-    out = np.empty_like(mat) if max_total is None else np.zeros_like(mat)
-    for t, m_lo, count, sl in _block_slices(n_lo, n_ph, max_total):
-        block = _pair_block(theta, t)[m_lo:m_lo + count, m_lo:m_lo + count]
-        if pair_axis == 0:
-            out[sl, :] = block @ mat[sl, :]
-        else:
-            out[:, sl] = mat[:, sl] @ block.T
-    return out
-
-
-def apply_beamsplitter(state: StateVector, lo_mode: str, ph_mode: str,
-                       theta: float,
-                       out_modes: tuple[str, str] | None = None) -> StateVector:
-    """Mix two labeled modes of a state with mixing angle theta.
-
-    The transform is applied exactly on every total-photon-number block of
-    the pair; output occupations beyond either mode's cutoff are dropped and
-    the dropped probability is added to the returned state's tail budget.
-    The pair is relabeled (lo, ph) -> (c, d): station inputs (a1, b1) and
-    (a2, b2) map to (c1, d1) and (c2, d2), other labels are kept unless
-    out_modes is given.
-    """
-    if lo_mode == ph_mode:
-        raise ValueError("beamsplitter needs two distinct modes")
-    i_lo = state.axis(lo_mode)
-    i_ph = state.axis(ph_mode)
-    n_lo = state.cutoffs[i_lo]
-    n_ph = state.cutoffs[i_ph]
-    dim = (n_lo + 1) * (n_ph + 1)
-    ndim = state.amps.ndim
-    shape = state.amps.shape
-
-    if (i_lo, i_ph) == (0, 1):
-        out = _apply_blocks(state.amps.reshape(dim, -1), theta, n_lo, n_ph, 0)
-        out = out.reshape(shape)
-    elif state.amps.size <= (1 << 14) and (i_lo, i_ph) == (ndim - 2, ndim - 1):
-        out = _apply_blocks(state.amps.reshape(-1, dim), theta, n_lo, n_ph, 1)
-        out = out.reshape(shape)
-    else:
-        # leading-axes path is the cache-friendly one; route everything big
-        # through it
-        work = np.ascontiguousarray(np.moveaxis(state.amps, (i_lo, i_ph), (0, 1)))
-        out = _apply_blocks(work.reshape(dim, -1), theta, n_lo, n_ph, 0)
-        out = np.moveaxis(out.reshape(work.shape), (0, 1), (i_lo, i_ph))
-
-    out_norm_sq = float(np.vdot(out, out).real)
-    dropped = max(state.norm_sq() - out_norm_sq, 0.0)
-    if out_modes is None:
-        out_modes = _STATION_OUTPUTS.get((lo_mode, ph_mode), (lo_mode, ph_mode))
-    modes = list(state.modes)
-    modes[i_lo], modes[i_ph] = out_modes
-    return StateVector(tuple(modes), state.cutoffs, out,
-                       state.tail + dropped, out_norm_sq)
-
-
 def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     """Input columns of one station mixed at angle theta.
 
@@ -208,11 +146,12 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     in column k, with b in {0, 1} and a up to the station cutoff
     columns.shape[0] - 1. Returns out[c, d, k], the amplitude of output
     occupation (c, d) for column k, both output modes cut at the station
-    cutoff exactly as apply_beamsplitter cuts them, so out[..., k] equals
-    apply_beamsplitter on column k's 2-mode state.
+    cutoff.
 
     All columns are evolved in one block pass with the pair index leading
-    and the column index trailing. The input holds at most cutoff + 1
+    and the column index trailing: within total photon number t the flat
+    pair indices c * (cutoff + 1) + d of the kept occupations are
+    t + c * cutoff for c = c_lo..c_hi. The input holds at most cutoff + 1
     photons and mixing conserves the pair's photon number, so every block
     above total cutoff + 1 has zero input and zero output; those blocks are
     skipped, which is exact and keeps their large mixing blocks out of the
@@ -224,53 +163,61 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     stride = cutoff + 1
     inputs = np.zeros((stride, stride, columns.shape[2]), dtype=np.complex128)
     inputs[:, :2] = columns
-    out = _apply_blocks(inputs.reshape(stride * stride, -1), theta, cutoff,
-                        cutoff, 0, max_total=cutoff + 1)
+    flat = inputs.reshape(stride * stride, -1)
+    out = np.zeros_like(flat)
+    for t in range(cutoff + 2):
+        c_lo, c_hi = max(0, t - cutoff), min(cutoff, t)
+        rows = slice(t + c_lo * cutoff, t + c_hi * cutoff + 1, cutoff)
+        block = _pair_block(theta, t)[c_lo:c_hi + 1, c_lo:c_hi + 1]
+        out[rows] = block @ flat[rows]
     return out.reshape(stride, stride, -1)
 
 
-def photon_pair_state(cutoff: int, mode_c: str = "b1", mode_d: str = "b2") -> StateVector:
-    """Single photon split by a balanced splitter: (|0,1> + i|1,0>)/sqrt(2)."""
-    z = 1.0 / math.sqrt(2.0)
-    return z * fock_basis_state((mode_c, mode_d), (0, 1), cutoff) \
-        + (1j * z) * fock_basis_state((mode_c, mode_d), (1, 0), cutoff)
+@lru_cache(maxsize=MAX_CUTOFF)
+def _root_binomials(cutoff: int) -> np.ndarray:
+    """sqrt(C(a, p)) for a, p = 0..cutoff (zero for p > a), read-only."""
+    table = np.sqrt([[float(math.comb(a, p)) for p in range(cutoff + 1)]
+                     for a in range(cutoff + 1)])
+    table.setflags(write=False)
+    return table
 
 
-def build_input_state(config: ExperimentConfig) -> StateVector:
-    """Full pre-measurement state on modes (a1, b1, a2, b2).
+def station_columns(theta: float, cutoff: int) -> np.ndarray:
+    """Columns of the station splitter on the input support, in closed form.
 
-    Coherent oscillators on a1 and a2, and the split single photon on
-    (b1, b2). The accumulated tail is the sum of the two coherent
-    truncation tails. The cutoff is resolved first, so a state above
-    MAX_CUTOFF is refused before anything is allocated.
+    Returns u[c, d, a, b], the amplitude of output |c, d> from input
+    |a, b> (lo count a <= cutoff, ph count b in {0, 1}), every output mode
+    cut at the cutoff:
+
+        U|a,0> = sum_p sqrt(C(a,p)) cos(theta/2)^p (i sin(theta/2))^(a-p) |p, a-p>
+        U|a,1> = (i sin(theta/2) C+ + cos(theta/2) D+) U|a,0>
+
+    Only |cutoff, 1> loses amplitude at the edge, the probability
+    (cutoff + 1) (s^2 c^(2 cutoff) + c^2 s^(2 cutoff)) with c, s the cosine
+    and sine of theta/2.
     """
-    n = config.resolve_cutoff()
-    lo1 = coherent_state("a1", config.alpha1 * cmath.exp(1j * config.phi1), n)
-    lo2 = coherent_state("a2", config.alpha2 * cmath.exp(1j * config.phi2), n)
-    full = tensor([lo1, photon_pair_state(n), lo2])
-    return reorder_modes(full, PRE_NETWORK_MODES)
+    if cutoff < 1:
+        raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
+    cos, i_sin = math.cos(theta / 2.0), 1j * math.sin(theta / 2.0)
+    roots = _root_binomials(cutoff)
+    a, p = np.nonzero(roots)
+    u = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1, 2), dtype=np.complex128)
+    u[p, a - p, a, 0] = roots[a, p] * cos ** p * i_sin ** (a - p)
+    # C+ and D+ raise one output count n by one with weight sqrt(n + 1);
+    # raised counts beyond the cutoff are dropped
+    raise_weight = np.sqrt(np.arange(1, cutoff + 1))
+    u[1:, :, :, 1] = i_sin * raise_weight[:, None, None] * u[:-1, :, :, 0]
+    u[:, 1:, :, 1] += cos * raise_weight[None, :, None] * u[:, :-1, :, 0]
+    return u
 
 
-def alice_half_network(state: StateVector, xi: float) -> StateVector:
-    """Mix Alice's (a1, b1) pair and move Bob's untouched input pair to the
-    leading axes, so the second station also hits the fast mixing path.
-    Mode order of the result is (a2, b2, c1, d1)."""
-    out = apply_beamsplitter(state, "a1", "b1", xi)
-    return reorder_modes(out, ("a2", "b2", "c1", "d1"))
-
-
-def apply_station_settings(state: StateVector, xi: float, eta: float) -> StateVector:
-    """Mix (a1, b1) with angle xi and (a2, b2) with angle eta.
-
-    Output mode order is (c1, d1, c2, d2).
-    """
-    out = apply_beamsplitter(alice_half_network(state, xi), "a2", "b2", eta)
-    return reorder_modes(out, POST_NETWORK_MODES)
-
-
-def run_network(config: ExperimentConfig, xi: float, eta: float) -> StateVector:
-    """Build the input state and run both station splitters.
-
-    Output mode order is (c1, d1, c2, d2).
-    """
-    return apply_station_settings(build_input_state(config), xi, eta)
+def run_network(config: ExperimentConfig, xi: float, eta: float) -> np.ndarray:
+    """Dense network output out[c1, d1, c2, d2]: Alice's station mixed at xi
+    and Bob's at eta, each by its closed columns, U_A X U_B^T with X the
+    input support as a matrix over (Alice's input, Bob's input)."""
+    source = input_support(config)
+    n = source.shape[0] - 1
+    dim = 2 * (n + 1)
+    u_a = station_columns(xi, n).reshape(-1, dim)
+    u_b = station_columns(eta, n).reshape(-1, dim)
+    return (u_a @ source.reshape(dim, dim) @ u_b.T).reshape((n + 1,) * 4)

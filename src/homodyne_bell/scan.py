@@ -1,4 +1,4 @@
-"""Parameter grids and derivative-free CHSH maximization over the
+"""Point evaluation and derivative-free CHSH maximization over the
 constrained setting families.
 
 Three families are searched. `paper_baseline` keeps the phase difference at
@@ -45,7 +45,6 @@ PATHS = ("analytic", "numeric")
 ALPHA_SQ_MIN = 1e-6
 ALPHA_SQ_MAX = 6.0
 
-DEFAULT_GRID_BUDGET = 1_000_000
 DEFAULT_DIAMETER_TOL = 1e-10
 DEFAULT_MAXFEV = 400
 # truncation budget used while the simplex is moving; every reported record
@@ -169,38 +168,6 @@ def evaluate_point(kind: str, values: dict[str, float], path: str,
         return analytic.ch_closed(point), analytic.chsh_closed(point)
     ch, chsh = analytic.ch_chsh_general(*_station_params(kind, values))
     return float(ch), float(chsh)
-
-
-def grid_scan(kind: str, ranges: dict[str, tuple[float, float, int]],
-              path: str | None = None, budget: int = DEFAULT_GRID_BUDGET,
-              tail_eps: float = 1e-12) -> list[ScanRecord]:
-    """Evaluate every point of the cartesian grid, row-major in parameter
-    order, deterministically indexed. Grid axes are linspace(lo, hi, steps)
-    inclusive of both ends; a single-step axis degenerates to [lo]."""
-    family = get_family(kind)
-    if set(ranges) != set(family.names):
-        raise ValueError(
-            f"ranges must cover exactly {family.names}, got {sorted(ranges)}")
-    path = path or family.default_path
-    axes = []
-    total = 1
-    for name in family.names:
-        lo, hi, steps = ranges[name]
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        axes.append(np.linspace(lo, hi, steps) if steps > 1 else np.array([lo]))
-        total *= steps
-    if total > budget:
-        raise ValueError(
-            f"grid has {total} points, exceeding the budget of {budget}; "
-            f"raise the budget to at least {total} to run it")
-    records = []
-    for index, combo in enumerate(
-            np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))):
-        values = dict(zip(family.names, (float(v) for v in combo)))
-        ch, chsh = evaluate_point(kind, values, path, tail_eps)
-        records.append(ScanRecord(index, values, ch, chsh, path))
-    return records
 
 
 def crosscheck_records(records: list[ScanRecord], fraction: float, seed: int,

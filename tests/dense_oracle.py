@@ -1,92 +1,105 @@
-"""Dense 4-mode oracles for the state split: the split, its CHSH matrix
-elements and the residual's cross-term listing, computed on full
-(N+1)^4 states propagated through optics.apply_station_settings. The
-library computes all of these on the input's two-photon support; the tests
-hold it to these brute-force forms."""
+"""Dense 4-mode oracles on plain arrays: a support array propagated through
+the closed station columns (optics.station_columns) to the full
+(N+1)^4 output, and from it the state split, its CHSH matrix elements and
+the residual's cross-term listing. The library computes the split on the
+input's two-photon support with the mixing blocks of optics.mix_station;
+the tests hold it to these brute-force forms, which share no mixing code
+with it.
 
+Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
+cutoff N; dense outputs [c1, d1, c2, d2]."""
+
+import cmath
 import math
 
 import numpy as np
 
-from homodyne_bell.bell import (
-    ChshDecomposition,
-    CrossTerm,
-    StateSplit,
-    SettingsQuadruple,
-)
-from homodyne_bell.detection import Station, _favorable_indexer
-from homodyne_bell.fock import PRE_NETWORK_MODES, StateVector, fock_basis_state
-from homodyne_bell.optics import (
-    ExperimentConfig,
-    apply_station_settings,
-    build_input_state,
-)
+from homodyne_bell.bell import ChshDecomposition, CrossTerm, StateSplit
+from homodyne_bell.fock import coherent_state
+from homodyne_bell.optics import ExperimentConfig, station_columns
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
 
 
-def ab_product_expectation(u: StateVector, v: StateVector | None = None) -> complex:
-    """Matrix element <u| A x B |v> of the product of station observables.
+def propagate(support: np.ndarray, xi: float, eta: float) -> np.ndarray:
+    """Dense output [c1, d1, c2, d2] of a support array [a1, b1, a2, b2]
+    (b1, b2 <= 1): Alice's station mixed at xi and Bob's at eta, both
+    through their closed columns, summed over every input occupation."""
+    n_a, n_b = support.shape[0], support.shape[2]
+    u_a = station_columns(xi, n_a - 1).reshape(n_a * n_a, 2 * n_a)
+    u_b = station_columns(eta, n_b - 1).reshape(n_b * n_b, 2 * n_b)
+    out = u_a @ support.reshape(2 * n_a, 2 * n_b) @ u_b.T
+    return out.reshape(n_a, n_a, n_b, n_b)
 
-    Unlike `correlator`, this is the literal quadratic/bilinear form on the
-    truncated space (it uses <u|v>, not 1, and divides by no norm), which
-    is what exact component decompositions need. With v omitted it returns
-    <u| A x B |u>.
+
+def on_support(dense: np.ndarray) -> np.ndarray:
+    """The support slice b1, b2 <= 1 of a dense input array, refused when
+    anything lies outside it."""
+    outside = np.ones(dense.shape, dtype=bool)
+    outside[:, :2, :, :2] = False
+    if np.any(dense[outside]):
+        raise ValueError("dense input has amplitude with b1 >= 2 or b2 >= 2")
+    return dense[:, :2, :, :2]
+
+
+def ab_product_expectation(u: np.ndarray, v: np.ndarray | None = None) -> complex:
+    """Matrix element <u| A x B |v> of the product of station observables
+    (1 - 2|1,0><1,0| at each station) between dense outputs.
+
+    The literal quadratic/bilinear form on the truncated space: it uses
+    <u|v>, not 1, and divides by no norm, which is what exact component
+    decompositions need. With v omitted it returns <u| A x B |u>.
     """
     if v is None:
         v = u
-    if u.modes != v.modes or u.cutoffs != v.cutoffs:
-        raise ValueError("states must share modes and cutoffs")
-    idx_a = _favorable_indexer(u, (Station.ALICE,))
-    idx_b = _favorable_indexer(u, (Station.BOB,))
-    idx_ab = _favorable_indexer(u, (Station.ALICE, Station.BOB))
-    full = np.vdot(u.amps, v.amps)
-    pa = np.vdot(u.amps[idx_a], v.amps[idx_a])
-    pb = np.vdot(u.amps[idx_b], v.amps[idx_b])
-    pab = np.vdot(u.amps[idx_ab], v.amps[idx_ab])
+    if u.shape != v.shape:
+        raise ValueError("outputs must share their cutoffs")
+    full = np.vdot(u, v)
+    pa = np.vdot(u[1, 0], v[1, 0])
+    pb = np.vdot(u[:, :, 1, 0], v[:, :, 1, 0])
+    pab = np.conj(u[1, 0, 1, 0]) * v[1, 0, 1, 0]
     return complex(full - 2.0 * pa - 2.0 * pb + 4.0 * pab)
 
 
 def dense_split_state(config: ExperimentConfig) -> StateSplit:
-    """The split built on dense 4-mode states: a StateSplit whose full, psi1
-    and lam are StateVectors on (a1, b1, a2, b2), psi1 from two Fock basis
-    states and lam = (full - c1 psi1) / lam_coeff."""
+    """The split built on dense input arrays: the tensor product of the two
+    oscillators and the split photon over all (N+1)^4 occupations, psi1
+    from two basis arrays and lam = (full - c1 psi1) / lam_coeff."""
     alpha = config.alpha1
     a2 = alpha * alpha
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
-    full = build_input_state(config)
     n = config.resolve_cutoff()
+    lo1, _ = coherent_state(config.alpha1 * cmath.exp(1j * config.phi1), n)
+    lo2, _ = coherent_state(config.alpha2 * cmath.exp(1j * config.phi2), n)
     z = 1.0 / math.sqrt(2.0)
-    t1 = fock_basis_state(PRE_NETWORK_MODES, (1, 0, 0, 1), n)
-    t2 = fock_basis_state(PRE_NETWORK_MODES, (0, 1, 1, 0), n)
-    psi1 = ((z * np.exp(1j * config.phi1)) * t1
-            + (z * 1j * np.exp(1j * config.phi2)) * t2)
-    lam = (1.0 / lam_coeff) * (full - c1 * psi1)
+    pair = np.zeros((n + 1, n + 1), dtype=complex)
+    pair[0, 1], pair[1, 0] = z, 1j * z
+    # outer product over (a1, b1, b2, a2), then the modes in input order
+    full = np.moveaxis(np.multiply.outer(np.multiply.outer(lo1, pair), lo2), 3, 2)
+    psi1 = np.zeros_like(full)
+    psi1[1, 0, 0, 1] = z * np.exp(1j * config.phi1)
+    psi1[0, 1, 1, 0] = z * 1j * np.exp(1j * config.phi2)
+    lam = (1.0 / lam_coeff) * (full + (-1.0) * (c1 * psi1))
     return StateSplit(c1, psi1, lam, lam_coeff, full)
 
 
-def dense_chsh_on_component(component: StateVector,
-                            quad: SettingsQuadruple) -> float:
-    """CHSH of <component| A x B |component>, the component propagated
-    through the dense network at each setting pair."""
-    total = 0.0
-    for sign, (x, y) in zip(_SIGNS, quad.pairs):
-        out = apply_station_settings(component, x, y)
-        total += sign * ab_product_expectation(out).real
-    return total
+def dense_chsh_on_component(component: np.ndarray, quad) -> float:
+    """CHSH of <component| A x B |component> for a support array, the
+    component propagated to the dense output at each setting pair."""
+    return sum(sign * ab_product_expectation(propagate(component, x, y)).real
+               for sign, (x, y) in zip(_SIGNS, quad.pairs))
 
 
-def dense_chsh_decomposition(config: ExperimentConfig,
-                             quad: SettingsQuadruple) -> ChshDecomposition:
-    """chsh_decomposition with the full state and both components
-    re-propagated through the dense network at every setting pair."""
+def dense_chsh_decomposition(config: ExperimentConfig, quad) -> ChshDecomposition:
+    """chsh_decomposition with the full state and both components of the
+    dense split re-propagated to the dense output at every setting pair."""
     split = dense_split_state(config)
     full = psi1_part = lam_part = interference = 0.0
     for sign, (x, y) in zip(_SIGNS, quad.pairs):
-        out_full = apply_station_settings(split.full, x, y)
-        out_psi = apply_station_settings(split.psi1, x, y)
-        out_lam = apply_station_settings(split.lam, x, y)
+        out_full = propagate(on_support(split.full), x, y)
+        out_psi = propagate(on_support(split.psi1), x, y)
+        out_lam = propagate(on_support(split.lam), x, y)
         full += sign * ab_product_expectation(out_full).real
         psi1_part += sign * ab_product_expectation(out_psi).real
         lam_part += sign * ab_product_expectation(out_lam).real
@@ -96,14 +109,14 @@ def dense_chsh_decomposition(config: ExperimentConfig,
                              split.c1, split.lam_coeff)
 
 
-def dense_cross_terms(lam: StateVector, count: int = 10) -> list[CrossTerm]:
+def dense_cross_terms(lam: np.ndarray, count: int = 10) -> list[CrossTerm]:
     """The `count` largest |<occ|lam>|^2 over every dense occupation, ties
     broken by flat (row-major) index."""
-    weights = np.abs(lam.amps.reshape(-1)) ** 2
+    weights = np.abs(lam.reshape(-1)) ** 2
     order = np.argsort(-weights, kind="stable")[:count]
     terms = []
     for flat in order:
-        occ = tuple(int(v) for v in np.unravel_index(int(flat), lam.amps.shape))
+        occ = tuple(int(v) for v in np.unravel_index(int(flat), lam.shape))
         terms.append(CrossTerm(
             occupation=occ,
             weight=float(weights[flat]),

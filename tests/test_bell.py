@@ -10,7 +10,9 @@ from dense_oracle import (
     dense_chsh_on_component,
     dense_cross_terms,
     dense_split_state,
+    on_support,
 )
+from test_optics import pair_unitary
 from homodyne_bell.bell import (
     BellRecord,
     SettingsQuadruple,
@@ -24,25 +26,13 @@ from homodyne_bell.bell import (
     split_state,
     tsirelson_two_qubit,
 )
-from homodyne_bell.detection import (
-    Station,
-    joint_favorable_prob,
-    station_favorable_prob,
-)
-from homodyne_bell.fock import (
-    PRE_NETWORK_MODES,
-    CutoffSpec,
-    StateVector,
-    coherent_state,
-    fock_basis_state,
-    tensor,
-)
+from homodyne_bell.detection import favorable_probs
+from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
-    alice_half_network,
-    apply_beamsplitter,
-    build_input_state,
     mix_station,
+    run_network,
+    station_columns,
     symmetric_config,
 )
 
@@ -110,19 +100,14 @@ def qubit_chsh_search_oracle(psi, seed, starts=24):
 
 def dense_evaluate_settings(config, xi, xi2, eta, eta2):
     """Oracle for evaluate_settings: run the dense 4-mode network at the four
-    setting pairs and read every probability off the full state, with the
+    setting pairs and read every probability off the dense output, with the
     same canonical-marginal rule (Alice's at x from (x, eta), Bob's at y
     from (xi, y))."""
-    source = build_input_state(config)
-    alice_out = {x: alice_half_network(source, x) for x in (xi, xi2)}
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
-    states = {(x, y): apply_beamsplitter(alice_out[x], "a2", "b2", y)
-              for (x, y) in pairs}
-    p_alice = {x: station_favorable_prob(states[(x, eta)], Station.ALICE)
-               for x in (xi, xi2)}
-    p_bob = {y: station_favorable_prob(states[(xi, y)], Station.BOB)
-             for y in (eta, eta2)}
-    joints = tuple(joint_favorable_prob(states[p]) for p in pairs)
+    probs = {p: favorable_probs(run_network(config, *p)) for p in pairs}
+    p_alice = {x: probs[(x, eta)][0] for x in (xi, xi2)}
+    p_bob = {y: probs[(xi, y)][1] for y in (eta, eta2)}
+    joints = tuple(probs[p][2] for p in pairs)
     correlators = tuple(1.0 - 2.0 * p_alice[x] - 2.0 * p_bob[y] + 4.0 * j
                         for (x, y), j in zip(pairs, joints))
     ch = (joints[0] + joints[1] - joints[2] + joints[3]
@@ -156,15 +141,15 @@ DENSE_SPLIT_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True
 
 
 def support_slice(state):
-    """The dense input-mode state on the split's support, b1, b2 <= 1."""
-    return state.amps[:, :2, :, :2]
+    """A dense input array on the split's support, b1, b2 <= 1."""
+    return state[:, :2, :, :2]
 
 
 def off_support(state):
     """Every dense amplitude with b1 >= 2 or b2 >= 2."""
-    mask = np.ones(state.amps.shape, dtype=bool)
+    mask = np.ones(state.shape, dtype=bool)
     mask[:, :2, :, :2] = False
-    return state.amps[mask]
+    return state[mask]
 
 
 @st.composite
@@ -201,19 +186,26 @@ class TestStationFactorization:
     def test_station_terms_match_full_beamsplitter(self, alpha_sq, phase,
                                                    theta, cutoff):
         # the full 2-mode evolution runs every block up to 2 * cutoff, so
-        # agreement shows that the blocks mix_station skips hold nothing
+        # agreement shows that the blocks mix_station skips hold nothing;
+        # the closed columns build the same terms with no blocks at all
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
-        lo = coherent_state("lo", alpha, cutoff).amps
+        lo, _ = coherent_state(alpha, cutoff)
         columns = np.zeros((cutoff + 1, 2, 2), dtype=complex)
         columns[:, 0, 0] = lo
         columns[:, 1, 1] = lo
         terms = mix_station(columns, theta)
         assert terms.shape == (cutoff + 1, cutoff + 1, 2)
+        unitary = pair_unitary(theta, cutoff, cutoff)
+        closed = station_columns(theta, cutoff)
         for k in (0, 1):
-            station = tensor([coherent_state("a1", alpha, cutoff),
-                              fock_basis_state(("b1",), (k,), cutoff)])
-            full = apply_beamsplitter(station, "a1", "b1", theta)
-            assert np.max(np.abs(terms[..., k] - full.amps)) <= 1e-15
+            station = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+            station[:, k] = lo
+            full = (unitary @ station.reshape(-1)).reshape(station.shape)
+            assert np.max(np.abs(terms[..., k] - full)) <= 1e-15
+            # mix_station's eigendecomposed blocks carry up to ~6e-15 of
+            # rounding (test_optics.TestStationColumns)
+            independent = np.tensordot(closed[:, :, :, k], lo, axes=(2, 0))
+            assert np.max(np.abs(terms[..., k] - independent)) <= 1e-14
 
     def test_station_needs_room_for_the_photon(self):
         with pytest.raises(ValueError):
@@ -268,7 +260,8 @@ class TestStateSplit:
         cfg = symmetric_config(alpha_sq, 0.8)
         split = split_state(cfg)
         recon = split.c1 * split.psi1 + split.lam_coeff * split.lam
-        assert np.linalg.norm(recon - support_slice(build_input_state(cfg))) < 1e-10
+        dense = on_support(dense_split_state(cfg).full)
+        assert np.linalg.norm(recon - dense) < 1e-10
 
     def test_orthogonality(self):
         for alpha_sq in (0.5, 1.0, 3.0):
@@ -280,7 +273,8 @@ class TestStateSplit:
         split = split_state(cfg)
         assert split.c1 == 0.0
         assert split.lam_coeff == 1.0
-        assert np.linalg.norm(split.lam - support_slice(build_input_state(cfg))) < 1e-14
+        dense = on_support(dense_split_state(cfg).full)
+        assert np.linalg.norm(split.lam - dense) < 1e-14
 
     def test_residual_amplitude_at_paired_occupation(self):
         split = split_state(symmetric_config(1.0))
@@ -373,17 +367,14 @@ class TestComponentChsh:
         dense = dense_split_state(config)
         for name in ("full", "psi1", "lam"):
             got = chsh_on_component(getattr(split, name), quad)
-            want = dense_chsh_on_component(getattr(dense, name), quad)
+            want = dense_chsh_on_component(on_support(getattr(dense, name)), quad)
             assert abs(got - want) <= 1e-12, name
         # a generic support state also couples occupations that photon
         # number keeps apart in the split's states
         rng = np.random.default_rng(seed)
         generic = rng.standard_normal(split.full.shape + (2,)) @ (1.0, 1.0j)
         generic /= np.linalg.norm(generic)
-        embedded = np.zeros(dense.full.amps.shape, dtype=complex)
-        embedded[:, :2, :, :2] = generic
-        want = dense_chsh_on_component(
-            StateVector(PRE_NETWORK_MODES, dense.full.cutoffs, embedded), quad)
+        want = dense_chsh_on_component(generic, quad)
         assert abs(chsh_on_component(generic, quad) - want) <= 1e-12
 
 

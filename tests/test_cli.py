@@ -66,6 +66,10 @@ class TestVerify:
                        for c in json.loads(loose.read_text())["checks"]}
         assert loose_resid["joint_oracle_agreement"] > \
             1e3 * tight_resid["joint_oracle_agreement"]
+        # network_unitarity is the norm lost at the cutoff edge, which grows
+        # with the weight a looser tail leaves there
+        assert loose_resid["network_unitarity"] > \
+            1e3 * tight_resid["network_unitarity"] > 0.0
         assert rc == 1  # the widened residuals exceed the default tolerance
 
     def test_bad_config_rejected(self, tmp_path):
@@ -275,6 +279,33 @@ class TestSplit:
         cfg = write_config(tmp_path, {"alpha1_sq": 1.0, "alpha2_sq": 2.0})
         assert run_cli(["split", "--config", cfg,
                         "--out", tmp_path / "s.json"]) == 2
+
+
+class TestProvenance:
+    """provenance.cutoff_n is the largest cutoff a command resolves."""
+
+    def test_optimize_reports_the_box_cutoff(self, tmp_path):
+        # the paper_baseline box reaches alpha_sq 6: N = 30 + 1
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", "paper_baseline", "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["provenance"]["cutoff_n"] == 31
+        assert payload["best"]["params"]["alpha_sq"] == 6.0
+
+    def test_verify_reports_the_draw_cutoff(self, tmp_path):
+        # verify draws alpha_sq up to 4: N = 25 + 1
+        cfg = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", cfg, "--out", out]) == 0
+        assert json.loads(out.read_text())["provenance"]["cutoff_n"] == 26
+
+    @pytest.mark.parametrize("payload,cutoff", [
+        ({}, 15), ({"alpha_sq": 4.0}, 26), ({"cutoff_n": 20}, 20)])
+    def test_split_reports_its_own_cutoff(self, tmp_path, payload, cutoff):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "split.json"
+        assert run_cli(["split", "--config", cfg, "--out", out]) == 0
+        assert json.loads(out.read_text())["provenance"]["cutoff_n"] == cutoff
 
 
 class TestDeterminism:

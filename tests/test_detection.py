@@ -4,54 +4,65 @@ import numpy as np
 import pytest
 
 from dense_oracle import ab_product_expectation
-from homodyne_bell.detection import (
-    Station,
-    correlator,
-    joint_favorable_prob,
-    outcome_distribution,
-    station_favorable_prob,
-)
-from homodyne_bell.fock import POST_NETWORK_MODES, fock_basis_state
-from homodyne_bell.optics import run_network, symmetric_config
+from homodyne_bell.bell import evaluate_settings
+from homodyne_bell.detection import favorable_probs
+from homodyne_bell.optics import input_support, run_network, station_columns, symmetric_config
 
 E_MINUS_1_HALF = 0.18393972058572116
 E_MINUS_2_HALF = 0.06766764161830635
 
 
-def enumerated_correlator(state):
-    """Oracle: classify every occupation into (+-1, +-1) and sum the signed
-    probabilities directly."""
-    amps = state.amps
-    axes = {m: state.modes.index(m) for m in POST_NETWORK_MODES}
-    total = 0.0
-    for occ in np.ndindex(amps.shape):
-        a = -1 if (occ[axes["c1"]], occ[axes["d1"]]) == (1, 0) else 1
-        b = -1 if (occ[axes["c2"]], occ[axes["d2"]]) == (1, 0) else 1
-        total += a * b * abs(amps[occ]) ** 2
-    return total
+def outcome_classes(out):
+    """Oracle: classify every output occupation into (+-1, +-1) and sum
+    |amplitude|^2 per class directly, over the output norm."""
+    weights = np.abs(out) ** 2
+    alice = np.zeros(out.shape[:2], dtype=bool)
+    alice[1, 0] = True
+    dist = {}
+    for a in (-1, 1):
+        for b in (-1, 1):
+            mask = np.multiply.outer(alice == (a == -1), alice == (b == -1))
+            dist[(a, b)] = float(np.sum(weights[mask])) / float(np.sum(weights))
+    return dist
+
+
+def enumerated_correlator(out):
+    """Oracle: sum the signed probabilities of every occupation."""
+    return sum(a * b * p for (a, b), p in outcome_classes(out).items())
+
+
+def random_network(rng, alpha_sq_hi=3.0):
+    a2 = alpha_sq_hi * rng.random() + 0.05
+    return run_network(symmetric_config(a2, rng.uniform(0, 2 * math.pi)),
+                       rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
 
 
 class TestMarginals:
     def test_vacuum_has_no_favorable_events(self):
-        vac = fock_basis_state(POST_NETWORK_MODES, (0, 0, 0, 0), 2)
-        assert station_favorable_prob(vac, Station.ALICE) == 0.0
-        assert joint_favorable_prob(vac) == 0.0
-        assert correlator(vac) == 1.0
+        vac = np.zeros((3, 3, 3, 3), dtype=complex)
+        vac[0, 0, 0, 0] = 1.0
+        p_a, p_b, p_ab, norm = favorable_probs(vac)
+        assert (p_a, p_b, p_ab, norm) == (0.0, 0.0, 0.0, 1.0)
+        assert enumerated_correlator(vac) == 1.0
 
     def test_single_photon_reflection_probability(self):
-        s = run_network(symmetric_config(0.0), math.pi / 2, 0.0)
-        assert station_favorable_prob(s, Station.ALICE) == pytest.approx(0.25, abs=1e-14)
-        assert station_favorable_prob(s, Station.BOB) == pytest.approx(0.0, abs=1e-14)
+        p_a, p_b, _, _ = favorable_probs(run_network(symmetric_config(0.0), math.pi / 2, 0.0))
+        assert p_a == pytest.approx(0.25, abs=1e-14)
+        assert p_b == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_drive_marginal(self):
         s = run_network(symmetric_config(1.0, 0.3), math.pi / 2, 1.1)
-        assert station_favorable_prob(s, Station.ALICE) == pytest.approx(
-            E_MINUS_1_HALF, abs=1e-10)
+        assert favorable_probs(s)[0] == pytest.approx(E_MINUS_1_HALF, abs=1e-10)
 
     def test_wrong_mode_set_rejected(self):
-        s = fock_basis_state(("c1", "d1"), (0, 0), 2)
+        # one station's modes only, an input support array instead of an
+        # output, and an output without room for a photon
         with pytest.raises(ValueError):
-            station_favorable_prob(s, Station.BOB)
+            favorable_probs(np.zeros((3, 3), dtype=complex))
+        with pytest.raises(ValueError):
+            favorable_probs(input_support(symmetric_config(1.0)))
+        with pytest.raises(ValueError):
+            favorable_probs(np.ones((1, 1, 1, 1), dtype=complex))
 
 
 class TestJointProbability:
@@ -60,81 +71,93 @@ class TestJointProbability:
         for _ in range(5):
             s = run_network(symmetric_config(0.0), rng.uniform(0, 2 * math.pi),
                             rng.uniform(0, 2 * math.pi))
-            assert joint_favorable_prob(s) < 1e-14
+            assert favorable_probs(s)[2] < 1e-14
 
     def test_destructive_phase_point(self):
         s = run_network(symmetric_config(1.0, math.pi / 2),
                         math.pi / 2, math.pi / 2)
-        assert joint_favorable_prob(s) < 1e-10
+        assert favorable_probs(s)[2] < 1e-10
 
     def test_constructive_phase_point(self):
         s = run_network(symmetric_config(1.0, -math.pi / 2),
                         math.pi / 2, math.pi / 2)
-        assert joint_favorable_prob(s) == pytest.approx(E_MINUS_2_HALF, abs=1e-10)
+        assert favorable_probs(s)[2] == pytest.approx(E_MINUS_2_HALF, abs=1e-10)
 
     def test_joint_bounded_by_marginals(self):
         rng = np.random.default_rng(1)
         for _ in range(8):
-            a2 = 3.0 * rng.random() + 0.05
-            s = run_network(symmetric_config(a2, rng.uniform(0, 2 * math.pi)),
-                            rng.uniform(0, 2 * math.pi),
-                            rng.uniform(0, 2 * math.pi))
-            p_ab = joint_favorable_prob(s)
-            p_a = station_favorable_prob(s, Station.ALICE)
-            p_b = station_favorable_prob(s, Station.BOB)
+            p_a, p_b, p_ab, _ = favorable_probs(random_network(rng))
             assert 0.0 <= p_ab <= min(p_a, p_b) <= 1.0
 
 
 class TestCorrelator:
+    """The correlator formula lives in the bell module's records; these hold
+    it to the dense output's outcome classes."""
+
     def test_fully_transmitting_settings(self):
-        s = run_network(symmetric_config(0.0), 0.0, 0.0)
-        assert correlator(s) == pytest.approx(1.0, abs=1e-14)
+        rec = evaluate_settings(symmetric_config(0.0), 0.0, 0.0, 0.0, 0.0)
+        assert rec.correlators[0] == pytest.approx(1.0, abs=1e-14)
+        out = run_network(symmetric_config(0.0), 0.0, 0.0)
+        assert enumerated_correlator(out) == pytest.approx(1.0, abs=1e-14)
 
     def test_linear_formula_matches_distribution_sum(self):
+        # 1 - 2 p_A - 2 p_B + 4 p_AB on the readout equals the signed sum
+        # of the four outcome classes
         rng = np.random.default_rng(2)
         for _ in range(6):
-            s = run_network(symmetric_config(2.0 * rng.random() + 0.1,
-                                             rng.uniform(0, 2 * math.pi)),
-                            rng.uniform(0, 2 * math.pi),
-                            rng.uniform(0, 2 * math.pi))
-            dist = outcome_distribution(s)
+            p_a, p_b, p_ab, _ = favorable_probs(random_network(rng, 2.0))
+            dist = {(-1, -1): p_ab, (-1, 1): p_a - p_ab, (1, -1): p_b - p_ab,
+                    (1, 1): 1.0 - p_a - p_b + p_ab}
             summed = sum(i * j * p for (i, j), p in dist.items())
-            assert correlator(s) == pytest.approx(summed, abs=1e-12)
+            assert 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab == pytest.approx(
+                summed, abs=1e-12)
 
     def test_against_enumeration_oracle(self):
+        # every record correlator (station route) against the enumerated
+        # dense output of its setting pair (brute-force route)
         rng = np.random.default_rng(3)
         for _ in range(3):
-            s = run_network(symmetric_config(1.0, rng.uniform(0, 2 * math.pi)),
-                            rng.uniform(0, 2 * math.pi),
-                            rng.uniform(0, 2 * math.pi))
-            assert correlator(s) == pytest.approx(enumerated_correlator(s), abs=1e-10)
+            cfg = symmetric_config(1.0, rng.uniform(0, 2 * math.pi))
+            angles = rng.uniform(0, 2 * math.pi, 4)
+            rec = evaluate_settings(cfg, *angles)
+            for (x, y), corr in zip(rec.settings, rec.correlators):
+                assert corr == pytest.approx(
+                    enumerated_correlator(run_network(cfg, x, y)), abs=1e-10)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(6):
-            s = run_network(symmetric_config(1.5, rng.uniform(0, 2 * math.pi)),
-                            rng.uniform(0, 2 * math.pi),
-                            rng.uniform(0, 2 * math.pi))
-            assert sum(outcome_distribution(s).values()) == pytest.approx(
-                1.0, abs=1e-10)
+            out = random_network(rng, 1.5)
+            dist = outcome_classes(out)
+            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+            p_a, p_b, p_ab, _ = favorable_probs(out)
+            assert dist[(-1, -1)] == pytest.approx(p_ab, abs=1e-14)
+            assert dist[(-1, -1)] + dist[(-1, 1)] == pytest.approx(p_a, abs=1e-14)
+            assert dist[(-1, -1)] + dist[(1, -1)] == pytest.approx(p_b, abs=1e-14)
 
 
 class TestTruncationNormalization:
     def test_probabilities_invariant_under_state_scaling(self):
         s = run_network(symmetric_config(1.2, 0.5, tail_eps=1e-4), 0.8, 2.3)
         for z in (2.0, 0.3 - 0.7j, -1j):
-            scaled = z * s
-            for station in Station:
-                assert station_favorable_prob(scaled, station) == pytest.approx(
-                    station_favorable_prob(s, station), rel=1e-13)
-            assert joint_favorable_prob(scaled) == pytest.approx(
-                joint_favorable_prob(s), rel=1e-13)
+            scaled = favorable_probs(z * s)
+            for got, want in zip(scaled[:3], favorable_probs(s)[:3]):
+                assert got == pytest.approx(want, rel=1e-13)
 
     def test_cached_norm_matches_fresh_vdot(self):
+        # the readout's norm is <psi|psi> of the output, which is the input
+        # weight kept by each station's column norms: only the edge input
+        # |N, 1> loses amplitude and the mixed columns are orthogonal
         for tail_eps in (1e-12, 1e-4):
-            s = run_network(symmetric_config(1.5, 0.4, tail_eps=tail_eps), 0.9, 2.0)
-            fresh = float(np.vdot(s.amps, s.amps).real)
-            assert s.norm_sq() == pytest.approx(fresh, rel=1e-14)
+            cfg = symmetric_config(1.5, 0.4, tail_eps=tail_eps)
+            norm = favorable_probs(run_network(cfg, 0.9, 2.0))[3]
+            n = cfg.resolve_cutoff()
+            kept = [np.sum(np.abs(station_columns(theta, n)) ** 2, axis=(0, 1)).reshape(-1)
+                    for theta in (0.9, 2.0)]
+            weights = np.abs(input_support(cfg).reshape(2 * (n + 1), -1)) ** 2
+            assert norm == pytest.approx(kept[0] @ weights @ kept[1], rel=1e-14)
+            out = run_network(cfg, 0.9, 2.0)
+            assert norm == pytest.approx(float(np.vdot(out, out).real), rel=1e-15)
 
 
 class TestNoSignalling:
@@ -144,9 +167,9 @@ class TestNoSignalling:
         for _ in range(15):
             a2 = 4.0 * (1.0 - rng.random())
             xi = rng.uniform(0, 2 * math.pi)
-            p = [station_favorable_prob(
+            p = [favorable_probs(
                 run_network(symmetric_config(a2, rng.uniform(0, 2 * math.pi)),
-                            xi, rng.uniform(0, 2 * math.pi)), Station.ALICE)
+                            xi, rng.uniform(0, 2 * math.pi)))[0]
                  for _ in range(2)]
             worst = max(worst, abs(p[0] - p[1]))
         assert worst < 1e-10
@@ -158,14 +181,14 @@ class TestProductExpectation:
         # expectation is not: they differ by exactly the factor <psi|psi>
         s = run_network(symmetric_config(1.0, 0.9), 1.3, 0.4)
         loose = run_network(symmetric_config(1.0, 0.9, tail_eps=1e-4), 1.3, 0.4)
-        assert 1.0 - loose.norm_sq() > 1e-6
+        assert 1.0 - favorable_probs(loose)[3] > 1e-6
         for state in (s, 2.0 * s, loose):
+            p_a, p_b, p_ab, norm = favorable_probs(state)
+            correlator = 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
             quad_form = ab_product_expectation(state).real
-            assert quad_form == pytest.approx(
-                correlator(state) * state.norm_sq(), rel=1e-12, abs=1e-14)
+            assert quad_form == pytest.approx(correlator * norm, rel=1e-12, abs=1e-14)
 
     def test_bilinearity(self):
-        rng = np.random.default_rng(6)
         cfg = symmetric_config(0.8, 1.1)
         u = run_network(cfg, 0.7, 1.9)
         v = run_network(cfg, 2.1, 0.3)

@@ -3,22 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from homodyne_bell.fock import (
-    CutoffSpec,
-    StateVector,
-    amplitude_of,
-    coherent_state,
-    fock_basis_state,
-    inner,
-    reorder_modes,
-    required_cutoff,
-    tensor,
-)
+from homodyne_bell.fock import CutoffSpec, coherent_state, required_cutoff
+from homodyne_bell.optics import ExperimentConfig, input_support, station_columns
+from test_optics import column_matrix
 
 # frozen from the amplitude recurrence evaluated at high precision
 C0_ALPHA1 = 0.6065306597126334
 C2_ALPHA1 = 0.4288819424803534
 E_MINUS_2 = 0.13533528323661269
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def poisson_tail(lam, n):
@@ -29,144 +22,149 @@ def poisson_tail(lam, n):
     return 1.0 - math.fsum(terms)
 
 
-def random_state(rng, modes=("m0", "m1"), cutoff=3):
-    shape = tuple(cutoff + 1 for _ in modes)
-    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    amps /= np.linalg.norm(amps)
-    return StateVector(tuple(modes), (cutoff,) * len(modes), amps)
-
-
 class TestBasisStates:
+    """Images of the Fock basis inputs |a, b <= 1> of a station."""
+
     def test_vacuum(self):
-        vac = fock_basis_state(("m0", "m1"), (0, 0), 3)
-        assert amplitude_of(vac, (0, 0)) == 1.0
-        assert vac.norm_sq() == pytest.approx(1.0, abs=0)
+        for theta in (0.0, 0.8, 3.9):
+            u = station_columns(theta, 3)
+            vac = np.zeros((4, 4))
+            vac[0, 0] = 1.0
+            assert np.array_equal(u[:, :, 0, 0], vac)
 
     def test_single_photon(self):
-        s = fock_basis_state(("m0", "m1"), (1, 0), 3)
-        assert amplitude_of(s, (1, 0)) == 1.0
-        assert amplitude_of(s, (0, 1)) == 0.0
+        # with theta = 0 the photon at the ph port stays there
+        u = station_columns(0.0, 3)
+        assert u[0, 1, 0, 1] == 1.0
+        assert u[1, 0, 0, 1] == 0.0
 
     def test_cutoff_violation_rejected(self):
+        # a station needs room for the ph-port photon
         with pytest.raises(ValueError):
-            fock_basis_state(("m0", "m1"), (4, 0), 3)
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            fock_basis_state(("m0", "m0"), (0, 0), 3)
+            station_columns(0.5, 0)
 
 
 class TestCoherentState:
     def test_zero_amplitude_is_vacuum(self):
-        s = coherent_state("a", 0.0, 5)
-        assert amplitude_of(s, (0,)) == 1.0
-        assert s.norm_sq() == pytest.approx(1.0, abs=0)
-        assert s.tail == 0.0
+        amps, tail = coherent_state(0.0, 5)
+        assert amps[0] == 1.0
+        assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=0)
+        assert tail == 0.0
 
     def test_amplitudes_alpha_one(self):
-        s = coherent_state("a", 1.0, 14)
-        assert amplitude_of(s, (0,)).real == pytest.approx(C0_ALPHA1, abs=1e-12)
-        assert amplitude_of(s, (1,)).real == pytest.approx(C0_ALPHA1, abs=1e-12)
-        assert amplitude_of(s, (2,)).real == pytest.approx(C2_ALPHA1, abs=1e-12)
+        amps, _ = coherent_state(1.0, 14)
+        assert amps[0].real == pytest.approx(C0_ALPHA1, abs=1e-12)
+        assert amps[1].real == pytest.approx(C0_ALPHA1, abs=1e-12)
+        assert amps[2].real == pytest.approx(C2_ALPHA1, abs=1e-12)
 
     def test_tail_alpha_one_cutoff_14(self):
-        s = coherent_state("a", 1.0, 14)
-        assert s.tail < 1e-12
-        assert s.tail == pytest.approx(poisson_tail(1.0, 14), abs=1e-15)
+        _, tail = coherent_state(1.0, 14)
+        assert tail < 1e-12
+        assert tail == pytest.approx(poisson_tail(1.0, 14), abs=1e-15)
 
     def test_tail_matches_norm_deficit(self):
         for alpha in (0.3, 1.0, 1.7 + 0.4j):
-            s = coherent_state("a", alpha, 12)
-            assert s.tail == pytest.approx(1.0 - s.norm_sq(), abs=1e-15)
+            amps, tail = coherent_state(alpha, 12)
+            assert tail == pytest.approx(1.0 - np.vdot(amps, amps).real, abs=1e-15)
 
     def test_drive_beyond_float_range_rejected(self):
         with pytest.raises(ValueError):
-            coherent_state("a", math.sqrt(800.0), 3)
+            coherent_state(math.sqrt(800.0), 3)
 
     def test_complex_alpha_phases(self):
         alpha = 0.8 * np.exp(1j * 0.6)
-        s = coherent_state("a", alpha, 10)
+        amps, _ = coherent_state(alpha, 10)
         expected = math.exp(-abs(alpha) ** 2 / 2) * alpha ** 3 / math.sqrt(6.0)
-        assert amplitude_of(s, (3,)) == pytest.approx(expected, abs=1e-14)
+        assert amps[3] == pytest.approx(expected, abs=1e-14)
 
 
 class TestTensor:
+    """The network input is a tensor product: oscillator on a1, split photon
+    on (b1, b2), oscillator on a2 (optics.input_support)."""
+
     def test_vacuum_product(self):
-        v = tensor([fock_basis_state(("m0",), (0,), 2),
-                    fock_basis_state(("m1",), (0,), 2)])
-        assert v.modes == ("m0", "m1")
-        assert amplitude_of(v, (0, 0)) == 1.0
+        s = input_support(ExperimentConfig(0.0, 0.0, cutoff=CutoffSpec(n_max=2)))
+        assert s.shape == (3, 2, 3, 2)
+        nonzero = {tuple(int(i) for i in occ) for occ in np.argwhere(s)}
+        assert nonzero == {(0, 0, 0, 1), (0, 1, 0, 0)}
 
     def test_basis_product(self):
-        s = tensor([fock_basis_state(("m0",), (1,), 2),
-                    fock_basis_state(("m1",), (0,), 2)])
-        assert amplitude_of(s, (1, 0)) == 1.0
+        # vacuum on Alice's oscillator: Alice's factor is a basis state
+        s = input_support(ExperimentConfig(0.0, 0.7, cutoff=CutoffSpec(n_max=9)))
+        assert not np.any(s[1:])
+        lo2, _ = coherent_state(0.7, 9)
+        assert np.max(np.abs(s[0, 0, :, 1] - INV_SQRT2 * lo2)) < 1e-15
 
     def test_coherent_pair_amplitude(self):
-        s = tensor([coherent_state("a", 1.0, 14), coherent_state("b", 1.0, 14)])
-        assert amplitude_of(s, (1, 1)).real == pytest.approx(math.exp(-1.0), abs=1e-12)
+        s = input_support(ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=14)))
+        assert s[1, 0, 1, 1].real == pytest.approx(
+            math.exp(-1.0) * INV_SQRT2, abs=1e-12)
 
     def test_norm_is_product_of_norms(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            s1 = random_state(rng, ("m0",), 4)
-            s2 = random_state(rng, ("m1", "m2"), 3)
-            prod = tensor([s1, s2])
-            assert prod.norm_sq() == pytest.approx(
-                s1.norm_sq() * s2.norm_sq(), abs=1e-12)
+            a1, a2 = rng.uniform(0.0, 2.0, 2)
+            cfg = ExperimentConfig(a1, a2, *rng.uniform(0, 2 * math.pi, 2),
+                                   cutoff=CutoffSpec(n_max=int(rng.integers(1, 12))))
+            n = cfg.resolve_cutoff()
+            s = input_support(cfg)
+            t1 = coherent_state(a1, n)[1]
+            t2 = coherent_state(a2, n)[1]
+            assert np.vdot(s, s).real == pytest.approx(
+                (1.0 - t1) * (1.0 - t2), abs=1e-12)
 
     def test_amplitudes_are_products(self):
         rng = np.random.default_rng(6)
-        s1 = random_state(rng, ("m0",), 3)
-        s2 = random_state(rng, ("m1",), 3)
-        prod = tensor([s1, s2])
-        for i in range(4):
-            for j in range(4):
-                expected = amplitude_of(s1, (i,)) * amplitude_of(s2, (j,))
-                assert amplitude_of(prod, (i, j)) == pytest.approx(expected, abs=1e-14)
-
-    def test_duplicate_mode_rejected(self):
-        with pytest.raises(ValueError):
-            tensor([fock_basis_state(("m0",), (0,), 2),
-                    fock_basis_state(("m0",), (0,), 2)])
+        cfg = ExperimentConfig(0.6, 1.3, 0.4, 2.9, CutoffSpec(n_max=3))
+        s = input_support(cfg)
+        lo1, _ = coherent_state(0.6 * np.exp(0.4j), 3)
+        lo2, _ = coherent_state(1.3 * np.exp(2.9j), 3)
+        pair = {(0, 1): INV_SQRT2, (1, 0): 1j * INV_SQRT2}
+        for _ in range(20):
+            i, j = rng.integers(0, 4, 2)
+            for (b1, b2), w in pair.items():
+                assert s[i, b1, j, b2] == pytest.approx(lo1[i] * w * lo2[j], abs=1e-15)
+            assert s[i, 0, j, 0] == 0.0 and s[i, 1, j, 1] == 0.0
 
 
 class TestInner:
+    """Overlaps of mixed station states: the splitter preserves them."""
+
     def test_vacuum_overlap(self):
-        v = fock_basis_state(("m0", "m1"), (0, 0), 2)
-        assert inner(v, v) == 1.0
+        col = column_matrix(1.7, 2)[:, 0]
+        assert np.vdot(col, col) == 1.0
 
     def test_orthogonal_basis_states(self):
-        s1 = fock_basis_state(("m0", "m1"), (1, 0), 2)
-        s2 = fock_basis_state(("m0", "m1"), (0, 1), 2)
-        assert inner(s1, s2) == 0.0
+        # distinct basis inputs stay orthogonal after mixing, the edge input
+        # included (it is the only one with cutoff + 1 photons)
+        for theta in (0.6, 2.0):
+            u = column_matrix(theta, 4)
+            gram = u.conj().T @ u
+            assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-15
 
     def test_coherent_overlap(self):
         # <alpha|beta> = exp(-(|a|^2+|b|^2)/2 + conj(a) b); real e^-2 here
-        s1 = coherent_state("a", 1.0, 40)
-        s2 = coherent_state("a", -1.0, 40)
-        assert inner(s1, s2).real == pytest.approx(E_MINUS_2, abs=1e-13)
-        assert abs(inner(s1, s2).imag) < 1e-15
+        s1, _ = coherent_state(1.0, 40)
+        s2, _ = coherent_state(-1.0, 40)
+        overlap = np.vdot(s1, s2)
+        assert overlap.real == pytest.approx(E_MINUS_2, abs=1e-13)
+        assert abs(overlap.imag) < 1e-15
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(7)
+        u = column_matrix(2.3, 5)
         for _ in range(10):
-            s1 = random_state(rng)
-            s2 = random_state(rng)
-            assert inner(s1, s2) == pytest.approx(np.conj(inner(s2, s1)), abs=1e-15)
+            v1, v2 = rng.standard_normal((2, 12, 2)) @ (1.0, 1.0j)
+            v1[-1] = v2[-1] = 0.0   # off the edge input, nothing truncates
+            mixed = np.vdot(u @ v1, u @ v2)
+            assert mixed == pytest.approx(np.vdot(v1, v2), abs=1e-13)
+            assert mixed == pytest.approx(np.conj(np.vdot(u @ v2, u @ v1)), abs=1e-15)
 
     def test_positive_on_diagonal(self):
-        rng = np.random.default_rng(8)
-        s = random_state(rng)
-        val = inner(s, s)
-        assert val.imag == 0.0
-        assert val.real >= 0.0
-
-    def test_shape_mismatch_rejected(self):
-        s1 = fock_basis_state(("m0",), (0,), 2)
-        s2 = fock_basis_state(("m1",), (0,), 2)
-        with pytest.raises(ValueError):
-            inner(s1, s2)
+        norms = np.diag(column_matrix(1.1, 3).conj().T @ column_matrix(1.1, 3))
+        assert np.all(norms.imag == 0.0)
+        assert np.all((0.0 < norms.real) & (norms.real <= 1.0 + 1e-15))
+        assert norms.real[-1] < 1.0
 
 
 class TestRequiredCutoff:
@@ -210,27 +208,11 @@ class TestCutoffSpec:
 
 
 class TestStateAlgebra:
-    def test_reorder_modes_permutes_amplitudes(self):
-        rng = np.random.default_rng(9)
-        s = random_state(rng, ("m0", "m1", "m2"), 2)
-        r = reorder_modes(s, ("m2", "m0", "m1"))
-        for occ in ((0, 1, 2), (2, 0, 1), (1, 1, 1)):
-            assert amplitude_of(r, (occ[2], occ[0], occ[1])) == amplitude_of(s, occ)
-
-    def test_add_and_scale(self):
-        s1 = fock_basis_state(("m0",), (0,), 2)
-        s2 = fock_basis_state(("m0",), (1,), 2)
-        combo = (0.6 + 0.0j) * s1 + 0.8j * s2
-        assert amplitude_of(combo, (0,)) == pytest.approx(0.6)
-        assert amplitude_of(combo, (1,)) == pytest.approx(0.8j)
-        assert combo.norm_sq() == pytest.approx(1.0, abs=1e-15)
-
     def test_amps_immutable(self):
-        s = fock_basis_state(("m0",), (0,), 2)
+        amps, _ = coherent_state(0.5, 2)
         with pytest.raises(ValueError):
-            s.amps[0] = 2.0
+            amps[0] = 2.0
 
     def test_amplitude_out_of_range_rejected(self):
-        s = fock_basis_state(("m0",), (0,), 2)
         with pytest.raises(ValueError):
-            amplitude_of(s, (3,))
+            coherent_state(0.5, -1)

@@ -1,0 +1,108 @@
+"""Route boundary: the two numeric routes stay independent.
+
+The station engine (bell on optics.mix_station) and the brute-force route
+(optics.run_network -> detection) check each other only while they share
+no mixing code and only the cli, which runs the verification oracles,
+reaches the brute-force route. An AST scan of the package sources enforces
+both.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import homodyne_bell
+
+SRC = Path(homodyne_bell.__file__).resolve().parent
+MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
+
+
+def parse_package():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def referenced_names(node):
+    """Every name a piece of code reads, as a bare name, an attribute or an
+    imported name."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+    return names
+
+
+def imported_modules(tree):
+    """Package modules a module imports (`from .x import`, `from . import x`,
+    `import homodyne_bell.x`)."""
+    modules = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.ImportFrom):
+            if sub.module:
+                modules.add(sub.module.rsplit(".", 1)[-1])
+            else:
+                modules.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Import):
+            modules.update(alias.name.rsplit(".", 1)[-1] for alias in sub.names)
+    return modules
+
+
+def reachable_names(tree, entry):
+    """Names referenced by module-level function `entry` and, transitively,
+    by the module-level functions it references."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    seen, todo, names = set(), [entry], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        found = referenced_names(functions[name])
+        names |= found
+        todo.extend(found)
+    return names
+
+
+def boundary_violations(trees):
+    problems = []
+    for name, tree in trees.items():
+        if name == "cli":
+            continue
+        if name != "optics" and "run_network" in referenced_names(tree):
+            problems.append(f"{name} references run_network")
+        if "detection" in imported_modules(tree):
+            problems.append(f"{name} imports detection")
+    shared = MIXING_ENGINE & reachable_names(trees["optics"], "run_network")
+    if shared:
+        problems.append(f"run_network reaches {sorted(shared)}")
+    return problems
+
+
+def test_route_boundary_holds():
+    assert boundary_violations(parse_package()) == []
+
+
+@pytest.mark.parametrize("module,source,problem", [
+    ("scan", "from .optics import run_network\n", "scan references run_network"),
+    ("bell", "from . import optics\nx = optics.run_network\n",
+     "bell references run_network"),
+    ("__init__", "from .detection import favorable_probs\n",
+     "__init__ imports detection"),
+    ("bell", "from . import detection\n", "bell imports detection"),
+    ("optics", "def run_network():\n    return helper()\n"
+               "def helper():\n    return _pair_block(0.1, 2)\n",
+     "run_network reaches ['_pair_block']"),
+], ids=["import", "attribute", "package_import", "module_import", "helper"])
+def test_scan_catches_a_crossing(module, source, problem):
+    trees = parse_package()
+    if module == "optics":
+        trees["optics"] = ast.parse(source)
+    else:
+        trees[module] = ast.parse(ast.unparse(trees[module]) + "\n" + source)
+    assert problem in boundary_violations(trees)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,10 @@ from homodyne_bell.scan import (
     ALPHA_SQ_MIN,
     FAMILIES,
     PATHS,
+    ScanRecord,
     crosscheck_records,
     evaluate_point,
     get_family,
-    grid_scan,
     maximize_chsh,
 )
 
@@ -89,47 +90,38 @@ class TestEvaluatePoint:
             evaluate_point("paper_baseline", {"alpha_sq": 1.0}, "analytic")
 
 
+def baseline_grid(alpha_sq, xi_plus_eta):
+    """Analytic paper_baseline records over the product of two axes,
+    row-major, built point by point with evaluate_point."""
+    records = []
+    for a in alpha_sq:
+        for t in xi_plus_eta:
+            values = {"alpha_sq": float(a), "xi_plus_eta": float(t)}
+            ch, chsh = evaluate_point("paper_baseline", values, "analytic")
+            records.append(ScanRecord(len(records), values, ch, chsh, "analytic"))
+    return records
+
+
 class TestGridScan:
-    def test_single_point_grid_matches_direct_evaluation(self):
-        ranges = {"alpha_sq": (1.0, 1.0, 1), "xi_plus_eta": (math.pi, math.pi, 1)}
-        records = grid_scan("paper_baseline", ranges)
-        assert len(records) == 1
-        ch, chsh = evaluate_point("paper_baseline", records[0].params, "analytic")
-        assert records[0].ch == ch
-        assert records[0].chsh == chsh
+    """The baseline family over a parameter grid, point by point."""
 
     def test_baseline_grid_stays_in_classical_window(self):
-        ranges = {"alpha_sq": (0.04, 2.0, 50),
-                  "xi_plus_eta": (0.0, 2 * math.pi * 49 / 50, 50)}
-        records = grid_scan("paper_baseline", ranges)
+        records = baseline_grid(np.linspace(0.04, 2.0, 50),
+                                np.linspace(0.0, 2 * math.pi * 49 / 50, 50))
         assert len(records) == 2500
         assert all(-1.0 < r.ch < 0.0 for r in records)
         assert all(r.chsh < 2.0 for r in records)
 
-    def test_row_major_indexing(self):
-        ranges = {"alpha_sq": (0.5, 1.0, 2), "xi_plus_eta": (0.0, 1.0, 3)}
-        records = grid_scan("paper_baseline", ranges)
-        assert [r.index for r in records] == list(range(6))
-        assert records[0].params["alpha_sq"] == records[2].params["alpha_sq"]
-        assert records[0].params["xi_plus_eta"] != records[1].params["xi_plus_eta"]
-
-    def test_budget_exceeded_reports_requirement(self):
-        ranges = {"alpha_sq": (0.1, 2.0, 100), "xi_plus_eta": (0.0, 6.0, 100)}
-        with pytest.raises(ValueError, match="10000"):
-            grid_scan("paper_baseline", ranges, budget=500)
-
     def test_determinism(self):
-        ranges = {"alpha_sq": (0.2, 1.5, 4), "xi_plus_eta": (0.0, 5.0, 4)}
-        first = grid_scan("paper_baseline", ranges)
-        second = grid_scan("paper_baseline", ranges)
-        assert first == second
+        records = baseline_grid(np.linspace(0.2, 1.5, 4), np.linspace(0.0, 5.0, 4))
+        first = crosscheck_records(records, fraction=0.25, seed=9)
+        assert crosscheck_records(records, fraction=0.25, seed=9) == first
 
     def test_crosscheck_residual_small(self):
-        ranges = {"alpha_sq": (0.1, 2.0, 10), "xi_plus_eta": (0.0, 6.0, 10)}
-        records = grid_scan("paper_baseline", ranges)
+        records = baseline_grid(np.linspace(0.1, 2.0, 10), np.linspace(0.0, 6.0, 10))
         count, worst = crosscheck_records(records, fraction=0.05, seed=3)
         assert count == 5
-        assert worst < 1e-9
+        assert worst <= 1e-12
 
 
 class TestMaximize:
