@@ -18,7 +18,6 @@ from .bell import (
     BellRecord,
     SettingsQuadruple,
     StateSplit,
-    chsh_on_component,
     evaluate_quadruple,
     split_state,
     tsirelson_two_qubit,
@@ -36,8 +35,8 @@ __all__ = [
     "__version__",
     "CutoffSpec", "coherent_state", "required_cutoff",
     "ExperimentConfig", "mix_station", "symmetric_config",
-    "BellRecord", "SettingsQuadruple", "StateSplit", "chsh_on_component",
-    "evaluate_quadruple", "split_state", "tsirelson_two_qubit",
+    "BellRecord", "SettingsQuadruple", "StateSplit", "evaluate_quadruple",
+    "split_state", "tsirelson_two_qubit",
     "ClosedFormPoint", "ch_closed", "chsh_closed", "joint_prob_closed",
     "local_prob_closed",
     "ScanRecord", "maximize_chsh",

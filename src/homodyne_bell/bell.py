@@ -214,25 +214,17 @@ def _station_observable(theta: float, cutoff: int) -> np.ndarray:
     return gram - 2.0 * np.outer(fav.conj(), fav)
 
 
-def _chsh_form(u: np.ndarray, v: np.ndarray, quad: SettingsQuadruple) -> complex:
+def _chsh_form(u: np.ndarray, v: np.ndarray, obs: dict,
+               quad: SettingsQuadruple) -> complex:
     """CHSH combination of <u| A x B |v> for two support arrays, the
-    stations mixed at each of the quadruple's settings. With u, v as
-    matrices over (Alice's input index, Bob's), each term is
-    vdot(u, A v B^T): the literal bilinear form on the truncated space,
-    divided by no norm. Each distinct angle is mixed once."""
-    cutoff = u.shape[0] - 1
-    dim = 2 * (cutoff + 1)
-    obs = {theta: _station_observable(theta, cutoff)
-           for theta in {theta for pair in quad.pairs for theta in pair}}
+    stations mixed at each of the quadruple's settings (obs maps each angle
+    to its _station_observable). With u, v as matrices over (Alice's input
+    index, Bob's), each term is vdot(u, A v B^T): the literal bilinear form
+    on the truncated space, divided by no norm."""
+    dim = obs[quad.xi].shape[0]
     u, v = u.reshape(dim, dim), v.reshape(dim, dim)
     return complex(sum(sign * np.vdot(u, obs[x] @ v @ obs[y].T)
                        for sign, (x, y) in zip(_SIGNS, quad.pairs)))
-
-
-def chsh_on_component(component: np.ndarray, quad: SettingsQuadruple) -> float:
-    """CHSH combination of <component| A x B |component> for a support
-    array, with the stations mixed at each of the quadruple's settings."""
-    return _chsh_form(component, component, quad).real
 
 
 @dataclass(frozen=True)
@@ -254,10 +246,13 @@ class ChshDecomposition:
                 + self.interference)
 
 
-def chsh_decomposition(config: ExperimentConfig,
+def chsh_decomposition(split: StateSplit,
                        quad: SettingsQuadruple) -> ChshDecomposition:
     """Decompose the full-state CHSH over the state split, computing the
     interference matrix elements explicitly rather than assuming them away.
+    Each part is the CHSH combination of <u| A x B |v> on the truncated
+    space; each distinct angle's station observable is mixed once for all
+    four forms.
 
     The network conserves photon number and the favorable projectors pin
     each station's photon count, so the interference between the two-photon
@@ -265,12 +260,14 @@ def chsh_decomposition(config: ExperimentConfig,
     decomposition is additive. The residual part is what breaks any
     'residual contributes the classical maximum' shortcut: it stays
     strictly below 2."""
-    split = split_state(config)
-    cross = _chsh_form(split.psi1, split.lam, quad)
+    cutoff = split.full.shape[0] - 1
+    obs = {theta: _station_observable(theta, cutoff)
+           for theta in {theta for pair in quad.pairs for theta in pair}}
+    cross = _chsh_form(split.psi1, split.lam, obs, quad)
     return ChshDecomposition(
-        _chsh_form(split.full, split.full, quad).real,
-        _chsh_form(split.psi1, split.psi1, quad).real,
-        _chsh_form(split.lam, split.lam, quad).real,
+        _chsh_form(split.full, split.full, obs, quad).real,
+        _chsh_form(split.psi1, split.psi1, obs, quad).real,
+        _chsh_form(split.lam, split.lam, obs, quad).real,
         2.0 * split.c1 * split.lam_coeff * cross.real,
         split.c1, split.lam_coeff)
 

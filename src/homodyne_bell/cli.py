@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, analytic
 from .bell import (
     SettingsQuadruple,
-    chsh_on_component,
+    chsh_decomposition,
     evaluate_quadruple,
     lambda_cross_terms,
     reference_quadruple,
@@ -31,7 +31,13 @@ from .bell import (
 )
 from .detection import favorable_probs
 from .fock import CutoffSpec
-from .optics import ExperimentConfig, input_support, run_network, symmetric_config
+from .optics import (
+    MAX_CUTOFF,
+    ExperimentConfig,
+    input_support,
+    run_network,
+    symmetric_config,
+)
 from .scan import ALPHA_SQ_MAX, FAMILIES, get_family, maximize_chsh
 
 EXIT_OK = 0
@@ -70,8 +76,6 @@ class RunConfig:
     """Run settings merged from defaults, an optional JSON file, and flags."""
 
     alpha_sq: float = 1.0
-    alpha1_sq: float | None = None
-    alpha2_sq: float | None = None
     phi1: float = 0.0
     phi2: float = math.pi / 2.0
     cutoff_eps: float = 1e-12
@@ -96,11 +100,20 @@ class RunConfig:
                 f.name, getattr(self, f.name), _RUN_CONFIG_TYPES[f.name]))
         for name in ("tol", "identity_tol", "nosignal_tol", "unitarity_tol",
                      "cutoff_eps", "diameter_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("verify_points", "verify_draws"):
+        for name in ("verify_points", "verify_draws", "grid_budget",
+                     "restarts", "maxfev"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not 0.0 <= self.crosscheck_fraction <= 1.0:
+            raise ConfigError("crosscheck_fraction must be in [0, 1], "
+                              f"got {self.crosscheck_fraction}")
+        if self.cutoff_n is not None and not 1 <= self.cutoff_n <= MAX_CUTOFF:
+            raise ConfigError(f"cutoff_n must be in [1, {MAX_CUTOFF}], "
+                              f"got {self.cutoff_n}")
         # reject a bad drive (NaN, negative, infinite, beyond the float-safe
         # range of the cutoff policy) before any command runs
         try:
@@ -109,27 +122,23 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid experiment settings: {exc}") from exc
 
-    def station_alpha_sq(self) -> tuple[float, float]:
-        a1 = self.alpha1_sq if self.alpha1_sq is not None else self.alpha_sq
-        a2 = self.alpha2_sq if self.alpha2_sq is not None else self.alpha_sq
-        return a1, a2
+    def cutoff_spec(self) -> CutoffSpec:
+        """The cutoff policy of every numeric config a command builds."""
+        return CutoffSpec(self.cutoff_n, self.cutoff_eps)
 
     def provenance_cutoff(self, alpha_sq_max: float | None = None) -> int:
-        """Per-mode cutoff reported in provenance: cutoff_n, or the one the
-        tail budget gives the largest drive a command evaluates,
-        alpha_sq_max (default: the config's stronger drive)."""
-        if self.cutoff_n is not None:
-            return self.cutoff_n
+        """Per-mode cutoff reported in provenance: the one the cutoff policy
+        gives the largest drive a command evaluates, alpha_sq_max (default:
+        the config's alpha_sq)."""
         if alpha_sq_max is None:
-            alpha_sq_max = max(self.station_alpha_sq())
-        return CutoffSpec(tail_eps=self.cutoff_eps).resolve(alpha_sq_max)
+            alpha_sq_max = self.alpha_sq
+        return self.cutoff_spec().resolve(alpha_sq_max)
 
     def experiment(self) -> ExperimentConfig:
-        a1, a2 = self.station_alpha_sq()
-        if a1 < 0 or a2 < 0:
-            raise ValueError(f"alpha_sq must be >= 0, got {a1} and {a2}")
-        return ExperimentConfig(math.sqrt(a1), math.sqrt(a2), self.phi1,
-                                self.phi2, CutoffSpec(self.cutoff_n, self.cutoff_eps))
+        if self.alpha_sq < 0:
+            raise ValueError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
+        a = math.sqrt(self.alpha_sq)
+        return ExperimentConfig(a, a, self.phi1, self.phi2, self.cutoff_spec())
 
 
 _RUN_CONFIG_TYPES = typing.get_type_hints(RunConfig)
@@ -214,7 +223,7 @@ def _check(name: str, residual: float, tol: float, n: int) -> dict:
 def run_verification(cfg: RunConfig) -> dict:
     """Run the full oracle / invariant suite and return the report payload."""
     rng = np.random.default_rng(cfg.seed)
-    eps = cfg.cutoff_eps
+    spec = cfg.cutoff_spec()
     checks = []
 
     # closed forms vs brute-force numerics over random operating points
@@ -224,7 +233,7 @@ def run_verification(cfg: RunConfig) -> dict:
         a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
         xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, 3)
         p_a, p_b, p_ab, _ = favorable_probs(
-            run_network(symmetric_config(a2, dphi, eps), xi, eta))
+            run_network(symmetric_config(a2, dphi, spec), xi, eta))
         point = analytic.ClosedFormPoint(xi, eta, dphi, a2)
         worst_joint = max(worst_joint, abs(p_ab - analytic.joint_prob_closed(point)))
         worst_local = max(worst_local,
@@ -241,7 +250,7 @@ def run_verification(cfg: RunConfig) -> dict:
     # local-probability exponent adjudication against the brute force
     corrected_resid = printed_resid = 0.0
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
-        p = favorable_probs(run_network(symmetric_config(a2, 0.7, eps), x, 0.9))[0]
+        p = favorable_probs(run_network(symmetric_config(a2, 0.7, spec), x, 0.9))[0]
         corrected_resid = max(corrected_resid,
                               abs(p - analytic.local_prob_closed(x, a2)))
         printed_resid = max(printed_resid,
@@ -265,7 +274,7 @@ def run_verification(cfg: RunConfig) -> dict:
     for a2 in (0.3, 1.0, 2.5):
         for _ in range(4):
             quad = SettingsQuadruple(*rng.uniform(0.0, 2.0 * math.pi, 2))
-            rec = evaluate_quadruple(symmetric_config(a2, REFERENCE_DPHI, eps), quad)
+            rec = evaluate_quadruple(symmetric_config(a2, REFERENCE_DPHI, spec), quad)
             worst_rec = max(worst_rec, abs(rec.chsh - (2.0 + 4.0 * rec.ch)))
     checks.append(_check("record_ch_chsh_identity", worst_rec,
                          cfg.identity_tol, 12))
@@ -293,7 +302,6 @@ def run_verification(cfg: RunConfig) -> dict:
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         a = math.sqrt(a2)
-        spec = CutoffSpec(tail_eps=eps)
         base = ExperimentConfig(a, a, phi1, phi2, spec)
         source = input_support(base)
         p_a, p_b, _, norm_sq = favorable_probs(run_network(base, xi, eta))
@@ -361,7 +369,7 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     # the top row needs the largest cutoff of any spot-check; a range the
     # numerics cannot reach is refused before the CSV is written
     symmetric_config(cfg.figure_alpha_sq_max, args.dphi,
-                     cfg.cutoff_eps).resolve_cutoff()
+                     cfg.cutoff_spec()).resolve_cutoff()
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
@@ -380,7 +388,7 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
         quad = SettingsQuadruple((total + args.xi_minus_eta) / 2.0,
                                  (total - args.xi_minus_eta) / 2.0)
         rec = evaluate_quadruple(
-            symmetric_config(alpha_sq, args.dphi, cfg.cutoff_eps), quad)
+            symmetric_config(alpha_sq, args.dphi, cfg.cutoff_spec()), quad)
         worst = max(worst, abs(rec.ch - ch))
     print(f"numeric crosscheck: {count} of {len(data)} points, "
           f"max |ch_numeric - ch_analytic| = {worst:.3e}")
@@ -398,12 +406,12 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     family = get_family(args.family)
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
                             diameter_tol=cfg.diameter_tol, maxfev=cfg.maxfev,
-                            tail_eps=cfg.cutoff_eps)
+                            cutoff=cfg.cutoff_spec())
     crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residual,
-                        cfg.tol, outcome.crosscheck_points)
+                        cfg.tol, outcome.restarts)
     payload = {
         "family": family.kind,
-        "path": outcome.best.path,
+        "path": "analytic",
         "best": {"params": outcome.best.params, "ch": outcome.best.ch,
                  "chsh": outcome.best.chsh},
         "violation_found": bool(outcome.best.chsh > 2.0 + VIOLATION_MARGIN),
@@ -423,7 +431,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
           f"(ch = {outcome.best.ch:.3e}) over "
           f"{outcome.restarts} restarts "
           f"(violation_found={payload['violation_found']})")
-    print(f"numeric crosscheck: {outcome.crosscheck_points} of "
+    print(f"numeric crosscheck: {outcome.restarts} of "
           f"{outcome.restarts} restarts, max |ch_numeric - ch_analytic| = "
           f"{outcome.crosscheck_residual:.3e}")
     if not crosscheck["passed"]:
@@ -437,18 +445,24 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
 # split
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
-    a1, a2 = cfg.station_alpha_sq()
-    if a1 != a2:
-        raise ConfigError("state split is defined only for equal oscillator "
-                          f"strengths, got alpha1_sq={a1} alpha2_sq={a2}")
     split = split_state(cfg.experiment())
     quad = reference_quadruple()
+    dec = chsh_decomposition(split, quad)
     payload = {
-        "alpha_sq": a1,
+        "alpha_sq": cfg.alpha_sq,
         "c1": split.c1,
         "lam_coeff": split.lam_coeff,
         "psi1_tsirelson": tsirelson_two_qubit(split.psi1),
-        "chsh_lambda_reference_settings": chsh_on_component(split.lam, quad),
+        "chsh_lambda_reference_settings": dec.lam_part,
+        # full = c1^2 psi1_part + lam_coeff^2 lam_part + interference at the
+        # reference settings
+        "chsh_decomposition": {
+            "full": dec.full,
+            "psi1_part": dec.psi1_part,
+            "lam_part": dec.lam_part,
+            "interference": dec.interference,
+            "reassembled": dec.reassembled,
+        },
         "reference_settings": {
             "dphi": REFERENCE_DPHI,
             "xi_minus_eta": REFERENCE_XI_MINUS_ETA,

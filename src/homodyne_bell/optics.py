@@ -89,15 +89,15 @@ class ExperimentConfig:
 
 
 def symmetric_config(alpha_sq: float, dphi: float = 0.0,
-                     tail_eps: float = 1e-12,
-                     n_max: int | None = None) -> ExperimentConfig:
-    """Equal-strength config with phi1=0 and phi2=dphi.
+                     cutoff: CutoffSpec = CutoffSpec()) -> ExperimentConfig:
+    """Equal-strength config with phi1=0 and phi2=dphi under the cutoff
+    policy.
 
     dphi here is the phase-difference argument as the closed forms take it
     (phi2 - phi1 under this network's reflection convention).
     """
     a = math.sqrt(alpha_sq)
-    return ExperimentConfig(a, a, 0.0, dphi, CutoffSpec(n_max, tail_eps))
+    return ExperimentConfig(a, a, 0.0, dphi, cutoff)
 
 
 def input_support(config: ExperimentConfig) -> np.ndarray:

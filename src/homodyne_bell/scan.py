@@ -6,15 +6,18 @@ pi/2 and the angle difference at 3pi/4, leaving (alpha_sq, xi_plus_eta)
 free. The relaxed families free the four station angles and the per-party
 oscillator phases (`relaxed_phases`), and additionally the two per-party
 strengths (`relaxed_amplitudes`); oscillator strength never varies between
-one party's two settings. Every family has two evaluation paths: the
-closed forms of the analytic module (the default) and the truncated Fock
-numerics of the bell module.
+one party's two settings.
+
+A point of any family maps to the eight station parameters (alpha1_sq,
+alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) by station_params. The search
+runs on the closed forms of the analytic module (evaluate_point); the
+truncated Fock numerics of the bell module evaluate the same station
+parameters (numeric_point) and check the closed forms.
 
 The maximizer seeds restarts from a Latin hypercube over the search box and
 refines each with a Nelder-Mead simplex run down to a fixed simplex
-diameter. On the analytic path each restart's final point is re-evaluated
-on the numeric path at the strict truncation budget, and the largest
-|ch_numeric - ch_analytic| is part of the result. Everything is
+diameter. Each restart's final point is re-evaluated on the numerics, and
+the largest |ch_numeric - ch_analytic| is part of the result. Everything is
 deterministic given the seed; restarts are independent evaluations reduced
 in restart order.
 """
@@ -28,28 +31,15 @@ import numpy as np
 from scipy import optimize as _sciopt
 
 from . import analytic
-from .bell import (
-    REFERENCE_DPHI,
-    REFERENCE_XI_MINUS_ETA,
-    SettingsQuadruple,
-    evaluate_quadruple,
-    evaluate_settings,
-)
-from .optics import ExperimentConfig, symmetric_config
+from .bell import HALF_PI, REFERENCE_DPHI, REFERENCE_XI_MINUS_ETA, evaluate_settings
 from .fock import CutoffSpec
-
-TWO_PI = 2.0 * math.pi
-
-PATHS = ("analytic", "numeric")
+from .optics import ExperimentConfig
 
 ALPHA_SQ_MIN = 1e-6
 ALPHA_SQ_MAX = 6.0
 
 DEFAULT_DIAMETER_TOL = 1e-10
 DEFAULT_MAXFEV = 400
-# truncation budget used while the simplex is moving; every reported record
-# is re-evaluated at the strict budget afterwards
-DEFAULT_SEARCH_TAIL_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,50 +53,41 @@ class ParamSpec:
 class ConstraintFamily:
     kind: str
     params: tuple[ParamSpec, ...]
-    default_path: str
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
 
-_ANGLE = (0.0, TWO_PI)
+_ANGLE = (0.0, 2.0 * math.pi)
+_RELAXED_ANGLES = tuple(ParamSpec(name, *_ANGLE) for name in
+                        ("xi", "xi2", "eta", "eta2", "phi1", "phi2"))
 FAMILIES: dict[str, ConstraintFamily] = {
     "paper_baseline": ConstraintFamily(
         "paper_baseline",
         (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
          ParamSpec("xi_plus_eta", *_ANGLE)),
-        default_path="analytic",
     ),
     "relaxed_phases": ConstraintFamily(
         "relaxed_phases",
-        (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-         ParamSpec("xi", *_ANGLE), ParamSpec("xi2", *_ANGLE),
-         ParamSpec("eta", *_ANGLE), ParamSpec("eta2", *_ANGLE),
-         ParamSpec("phi1", *_ANGLE), ParamSpec("phi2", *_ANGLE)),
-        default_path="analytic",
+        (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),) + _RELAXED_ANGLES,
     ),
     "relaxed_amplitudes": ConstraintFamily(
         "relaxed_amplitudes",
         (ParamSpec("alpha1_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-         ParamSpec("alpha2_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-         ParamSpec("xi", *_ANGLE), ParamSpec("xi2", *_ANGLE),
-         ParamSpec("eta", *_ANGLE), ParamSpec("eta2", *_ANGLE),
-         ParamSpec("phi1", *_ANGLE), ParamSpec("phi2", *_ANGLE)),
-        default_path="analytic",
+         ParamSpec("alpha2_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX)) + _RELAXED_ANGLES,
     ),
 }
 
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One evaluated point: free parameters, CH/CHSH values, and provenance."""
+    """One evaluated point: free parameters and its CH/CHSH values."""
 
     index: int
     params: dict[str, float]
     ch: float
     chsh: float
-    path: str
 
 
 def get_family(kind: str) -> ConstraintFamily:
@@ -117,15 +98,20 @@ def get_family(kind: str) -> ConstraintFamily:
             f"unknown family {kind!r}; choose from {sorted(FAMILIES)}") from None
 
 
-def baseline_angles(xi_plus_eta: float,
-                    xi_minus_eta: float = REFERENCE_XI_MINUS_ETA) -> tuple[float, float]:
-    return ((xi_plus_eta + xi_minus_eta) / 2.0,
-            (xi_plus_eta - xi_minus_eta) / 2.0)
-
-
-def _station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
-    """(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) of a relaxed
-    family point."""
+def station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
+    """(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) of a family
+    point. A paper_baseline point is the standard quadruple at phase
+    difference REFERENCE_DPHI: xi, eta = (t +- REFERENCE_XI_MINUS_ETA)/2
+    with t = xi_plus_eta, each second setting pi/2 off."""
+    missing = set(get_family(kind).names) - set(values)
+    if missing:
+        raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
+    if kind == "paper_baseline":
+        a_sq, total = values["alpha_sq"], values["xi_plus_eta"]
+        xi = (total + REFERENCE_XI_MINUS_ETA) / 2.0
+        eta = (total - REFERENCE_XI_MINUS_ETA) / 2.0
+        return (a_sq, a_sq, 0.0, REFERENCE_DPHI,
+                xi, xi + HALF_PI, eta, eta + HALF_PI)
     if kind == "relaxed_phases":
         a1_sq = a2_sq = values["alpha_sq"]
     else:
@@ -134,61 +120,27 @@ def _station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
             values["xi"], values["xi2"], values["eta"], values["eta2"])
 
 
-def _numeric_point(kind: str, values: dict[str, float],
-                   tail_eps: float) -> tuple[float, float]:
-    """CH and CHSH of one family point from the truncated Fock numerics."""
+def evaluate_point(kind: str, values: dict[str, float]) -> tuple[float, float]:
+    """CH and CHSH of one family point in closed form: the paper's expanded
+    ch_closed/chsh_closed for paper_baseline, ch_chsh_general otherwise."""
+    params = station_params(kind, values)
     if kind == "paper_baseline":
-        xi, eta = baseline_angles(values["xi_plus_eta"])
-        config = symmetric_config(values["alpha_sq"], REFERENCE_DPHI, tail_eps)
-        record = evaluate_quadruple(config, SettingsQuadruple(xi, eta))
-        return record.ch, record.chsh
-    a1_sq, a2_sq, phi1, phi2, xi, xi2, eta, eta2 = _station_params(kind, values)
-    config = ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
-                              CutoffSpec(tail_eps=tail_eps))
-    record = evaluate_settings(config, xi, xi2, eta, eta2)
-    return record.ch, record.chsh
-
-
-def evaluate_point(kind: str, values: dict[str, float], path: str,
-                   tail_eps: float = 1e-12) -> tuple[float, float]:
-    """CH and CHSH of one family point along the requested path; tail_eps
-    is the truncation budget of the numeric path."""
-    family = get_family(kind)
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}; choose from {list(PATHS)}")
-    missing = set(family.names) - set(values)
-    if missing:
-        raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
-    if path == "numeric":
-        return _numeric_point(kind, values, tail_eps)
-    if kind == "paper_baseline":
-        xi, eta = baseline_angles(values["xi_plus_eta"])
-        point = analytic.ClosedFormPoint(xi, eta, REFERENCE_DPHI,
-                                         values["alpha_sq"])
+        a_sq, _, _, dphi, xi, _, eta, _ = params
+        point = analytic.ClosedFormPoint(xi, eta, dphi, a_sq)
         return analytic.ch_closed(point), analytic.chsh_closed(point)
-    ch, chsh = analytic.ch_chsh_general(*_station_params(kind, values))
+    ch, chsh = analytic.ch_chsh_general(*params)
     return float(ch), float(chsh)
 
 
-def crosscheck_records(records: list[ScanRecord], fraction: float, seed: int,
-                       kind: str = "paper_baseline",
-                       tail_eps: float = 1e-12) -> tuple[int, float]:
-    """Re-evaluate a seeded random subsample of analytic records along the
-    numeric path; returns (sample size, max |ch_numeric - ch_analytic|).
-    The numeric values come from the numeric path's own helper, so the
-    check adds no evaluate_point calls."""
-    analytic_records = [r for r in records if r.path == "analytic"]
-    if not analytic_records:
-        return 0, 0.0
-    count = max(1, int(math.ceil(fraction * len(analytic_records))))
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(analytic_records), size=count, replace=False)
-    worst = 0.0
-    for i in sorted(int(p) for p in picks):
-        rec = analytic_records[i]
-        ch_num, _ = _numeric_point(kind, rec.params, tail_eps)
-        worst = max(worst, abs(ch_num - rec.ch))
-    return count, worst
+def numeric_point(kind: str, values: dict[str, float],
+                  cutoff: CutoffSpec = CutoffSpec()) -> tuple[float, float]:
+    """CH and CHSH of one family point from the truncated Fock numerics
+    (bell.evaluate_settings) under the cutoff policy."""
+    a1_sq, a2_sq, phi1, phi2, xi, xi2, eta, eta2 = station_params(kind, values)
+    config = ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
+                              cutoff)
+    record = evaluate_settings(config, xi, xi2, eta, eta2)
+    return record.ch, record.chsh
 
 
 @dataclass(frozen=True)
@@ -197,10 +149,8 @@ class OptimizeOutcome:
     the search budget actually used (the claim is only as strong as the
     budget, so the budget is part of the result).
 
-    crosscheck_points restart records of an analytic search were
-    re-evaluated on the numeric path at the strict truncation budget, and
-    crosscheck_residual is their largest |ch_numeric - ch_analytic| (0 and
-    0.0 on the numeric path)."""
+    crosscheck_residual is the largest |ch_numeric - ch_analytic| over the
+    restart records."""
 
     best: ScanRecord
     trace: tuple[ScanRecord, ...]
@@ -209,28 +159,23 @@ class OptimizeOutcome:
     seed: int
     diameter_tol: float
     maxfev: int
-    search_tail_eps: float
-    crosscheck_points: int
     crosscheck_residual: float
 
 
 def maximize_chsh(kind: str, restarts: int, seed: int,
-                  path: str | None = None,
                   diameter_tol: float = DEFAULT_DIAMETER_TOL,
                   maxfev: int = DEFAULT_MAXFEV,
-                  tail_eps: float = 1e-12,
-                  search_tail_eps: float = DEFAULT_SEARCH_TAIL_EPS) -> OptimizeOutcome:
-    """Maximize CHSH over a family's search box.
+                  cutoff: CutoffSpec = CutoffSpec()) -> OptimizeOutcome:
+    """Maximize CHSH over a family's search box on the closed forms.
 
     Each restart starts from one Latin-hypercube sample and refines with a
     bounded Nelder-Mead simplex, stopping once the simplex diameter falls
-    below diameter_tol (or at maxfev evaluations). The numeric path runs
-    with the relaxed search_tail_eps while the simplex is moving; every
-    reported record is then re-evaluated at the strict tail_eps, so record
-    values carry the full truncation budget. On the analytic path every
-    restart record is also re-evaluated on the numeric path at tail_eps
-    (crosscheck_records at fraction 1). Deterministic for a fixed seed:
-    restarts run and are recorded in sample order.
+    below diameter_tol (or at maxfev evaluations). Each restart's final
+    point becomes a record through one more evaluate_point call, so a
+    search calls evaluate_point exactly evaluations + restarts times, and
+    is re-evaluated by numeric_point under the cutoff policy.
+    Deterministic for a fixed seed: restarts run and are recorded in sample
+    order.
     """
     # imported here, its only use: scipy.stats is about half of the cli's
     # import time
@@ -239,7 +184,6 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     family = get_family(kind)
-    path = path or family.default_path
     lo = np.array([p.lo for p in family.params])
     hi = np.array([p.hi for p in family.params])
     sampler = qmc.LatinHypercube(d=len(family.params), seed=seed)
@@ -250,11 +194,11 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     def negative_chsh(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        values = dict(zip(family.names, (float(v) for v in x)))
-        _, chsh = evaluate_point(kind, values, path, search_tail_eps)
+        _, chsh = evaluate_point(kind, dict(zip(family.names, map(float, x))))
         return -chsh
 
     trace = []
+    residual = 0.0
     for r in range(restarts):
         result = _sciopt.minimize(
             negative_chsh, starts[r], method="Nelder-Mead",
@@ -262,14 +206,10 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
             options={"xatol": diameter_tol, "fatol": float("inf"),
                      "maxfev": maxfev},
         )
-        values = dict(zip(family.names, (float(v) for v in result.x)))
-        # kept on the analytic path too, where tail_eps changes nothing: a
-        # search then calls evaluate_point exactly evaluations + restarts
-        # times on every path, the count perfbench's traced run checks
-        ch, chsh = evaluate_point(kind, values, path, tail_eps)
-        trace.append(ScanRecord(r, values, ch, chsh, path))
+        values = dict(zip(family.names, map(float, result.x)))
+        ch, chsh = evaluate_point(kind, values)
+        trace.append(ScanRecord(r, values, ch, chsh))
+        residual = max(residual, abs(numeric_point(kind, values, cutoff)[0] - ch))
     best = max(trace, key=lambda rec: (rec.chsh, -rec.index))
-    checked, residual = crosscheck_records(trace, 1.0, seed, kind, tail_eps)
     return OptimizeOutcome(best, tuple(trace), evaluations, restarts, seed,
-                           diameter_tol, maxfev, search_tail_eps,
-                           checked, residual)
+                           diameter_tol, maxfev, residual)

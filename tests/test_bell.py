@@ -6,18 +6,20 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize as sciopt
 
 from dense_oracle import (
+    ab_product_expectation,
     dense_chsh_decomposition,
     dense_chsh_on_component,
     dense_cross_terms,
     dense_split_state,
     on_support,
+    propagate,
 )
 from test_optics import pair_unitary
 from homodyne_bell.bell import (
     BellRecord,
     SettingsQuadruple,
+    StateSplit,
     chsh_decomposition,
-    chsh_on_component,
     evaluate_quadruple,
     evaluate_settings,
     lambda_cross_terms,
@@ -332,7 +334,7 @@ class TestLambdaCrossTerms:
     def test_ties_keep_dense_order(self, alpha_sq):
         # many occupations tie in weight here; a contraction in another
         # order perturbs the last bits and swaps tied entries
-        cfg = symmetric_config(alpha_sq, HALF_PI, tail_eps=1e-6)
+        cfg = symmetric_config(alpha_sq, HALF_PI, CutoffSpec(tail_eps=1e-6))
         terms = lambda_cross_terms(split_state(cfg), count=10)
         assert terms == dense_cross_terms(dense_split_state(cfg).lam, count=10)
         weights = [t.weight for t in terms]
@@ -340,56 +342,65 @@ class TestLambdaCrossTerms:
 
 
 class TestComponentChsh:
+    """The component parts of chsh_decomposition: the CHSH combination of
+    <u| A x B |u> for the split's full state, psi1 and lam."""
+
     def test_photon_only_with_transmitting_settings(self):
-        component = split_state(symmetric_config(0.0)).full
-        assert chsh_on_component(component, SettingsQuadruple(0.0, 0.0)) == \
-            pytest.approx(1.0, abs=1e-12)
+        dec = chsh_decomposition(split_state(symmetric_config(0.0)),
+                                 SettingsQuadruple(0.0, 0.0))
+        assert dec.full == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha_sq", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_residual_stays_classical_at_reference_settings(self, alpha_sq):
         split = split_state(symmetric_config(alpha_sq, HALF_PI))
-        value = chsh_on_component(split.lam, reference_quadruple())
-        assert value < 2.0
+        assert chsh_decomposition(split, reference_quadruple()).lam_part < 2.0
 
     def test_entangled_component_within_quantum_bound(self):
         rng = np.random.default_rng(21)
-        psi1 = split_state(symmetric_config(1.0, 0.7)).psi1
+        split = split_state(symmetric_config(1.0, 0.7))
         for _ in range(4):
             quad = SettingsQuadruple(rng.uniform(0, 2 * math.pi),
                                      rng.uniform(0, 2 * math.pi))
-            value = chsh_on_component(psi1, quad)
+            value = chsh_decomposition(split, quad).psi1_part
             assert -TWO_SQRT2 - 1e-12 <= value <= TWO_SQRT2 + 1e-12
 
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives(), quad=QUADS, seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_oracle(self, config, quad, seed):
-        split = split_state(config)
+        dec = chsh_decomposition(split_state(config), quad)
         dense = dense_split_state(config)
-        for name in ("full", "psi1", "lam"):
-            got = chsh_on_component(getattr(split, name), quad)
+        for name, part in (("full", "full"), ("psi1", "psi1_part"),
+                           ("lam", "lam_part")):
             want = dense_chsh_on_component(on_support(getattr(dense, name)), quad)
-            assert abs(got - want) <= 1e-12, name
-        # a generic support state also couples occupations that photon
-        # number keeps apart in the split's states
+            assert abs(getattr(dec, part) - want) <= 1e-12, name
+        # generic support states also couple occupations that photon number
+        # keeps apart in the split's states; with c1 = 1/2 and lam_coeff = 1
+        # the interference is Re <u| A x B |v>
         rng = np.random.default_rng(seed)
-        generic = rng.standard_normal(split.full.shape + (2,)) @ (1.0, 1.0j)
-        generic /= np.linalg.norm(generic)
-        want = dense_chsh_on_component(generic, quad)
-        assert abs(chsh_on_component(generic, quad) - want) <= 1e-12
+        shape = (2,) + on_support(dense.full).shape + (2,)
+        u, v = rng.standard_normal(shape) @ (1.0, 1.0j)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        dec = chsh_decomposition(StateSplit(0.5, u, v, 1.0, u), quad)
+        assert abs(dec.full - dense_chsh_on_component(u, quad)) <= 1e-12
+        assert abs(dec.lam_part - dense_chsh_on_component(v, quad)) <= 1e-12
+        cross = sum(sign * ab_product_expectation(propagate(u, x, y),
+                                                  propagate(v, x, y)).real
+                    for sign, (x, y) in zip((1.0, 1.0, -1.0, 1.0), quad.pairs))
+        assert abs(dec.interference - cross) <= 1e-12
 
 
 class TestDecomposition:
     @pytest.mark.parametrize("alpha_sq", [0.5, 1.0, 2.0])
     def test_parts_reassemble_to_full(self, alpha_sq):
         cfg = symmetric_config(alpha_sq, HALF_PI)
-        dec = chsh_decomposition(cfg, reference_quadruple())
+        dec = chsh_decomposition(split_state(cfg), reference_quadruple())
         assert abs(dec.full - dec.reassembled) < 1e-9
         assert dec.lam_part < 2.0
 
     def test_matches_record_value(self):
         cfg = symmetric_config(1.0, HALF_PI)
         quad = reference_quadruple()
-        dec = chsh_decomposition(cfg, quad)
+        dec = chsh_decomposition(split_state(cfg), quad)
         rec = evaluate_quadruple(cfg, quad)
         assert dec.full == pytest.approx(rec.chsh, abs=1e-9)
 
@@ -400,7 +411,7 @@ class TestDecomposition:
         for _ in range(4):
             cfg = symmetric_config(1.0 + rng.random(),
                                    rng.uniform(0, 2 * math.pi))
-            dec = chsh_decomposition(cfg, SettingsQuadruple(
+            dec = chsh_decomposition(split_state(cfg), SettingsQuadruple(
                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
             assert abs(dec.interference) < 1e-12
             assert abs(dec.full - dec.reassembled) < 1e-9
@@ -408,7 +419,7 @@ class TestDecomposition:
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives(), quad=QUADS)
     def test_matches_dense_oracle(self, config, quad):
-        dec = chsh_decomposition(config, quad)
+        dec = chsh_decomposition(split_state(config), quad)
         ref = dense_chsh_decomposition(config, quad)
         for name in ("full", "psi1_part", "lam_part", "interference"):
             assert abs(getattr(dec, name) - getattr(ref, name)) <= 1e-12, name

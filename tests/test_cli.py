@@ -92,7 +92,7 @@ class TestVerify:
         {"seed": 1.5},              # int field, non-integral float
         {"restarts": False},
         {"cutoff_n": "x"},          # int | None field
-        {"alpha1_sq": [1.0]},       # float | None field
+        {"cutoff_eps": [1.0]},      # float field, a list
     ])
     def test_wrong_type_rejected(self, tmp_path, capsys, payload):
         cfg = write_config(tmp_path, payload)
@@ -102,8 +102,7 @@ class TestVerify:
         assert not out.exists()
 
     def test_integral_float_and_null_accepted(self):
-        cfg = RunConfig(seed=5.0, verify_points=3.0, cutoff_n=None,
-                        alpha1_sq=None, tol=1)
+        cfg = RunConfig(seed=5.0, verify_points=3.0, cutoff_n=None, tol=1)
         assert (cfg.seed, cfg.verify_points) == (5, 3)
         assert isinstance(cfg.seed, int)
 
@@ -120,6 +119,65 @@ class TestVerify:
         assert run_cli(["verify", "--config", path, "--out", out]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRunKnobRange:
+    @pytest.mark.parametrize("command,payload", [
+        (["optimize", "--family", "paper_baseline"], {"maxfev": 0}),
+        (["optimize", "--family", "paper_baseline"], {"maxfev": -5}),
+        (["optimize", "--family", "paper_baseline"], {"restarts": 0}),
+        (["figure", "--grid", "4x4"], {"seed": -1}),
+        (["figure", "--grid", "4x4"], {"grid_budget": 0}),
+        (["figure", "--grid", "4x4"], {"crosscheck_fraction": 2.0}),
+        (["figure", "--grid", "4x4"], {"crosscheck_fraction": -0.5}),
+        (["figure", "--grid", "4x4"], {"crosscheck_fraction": float("nan")}),
+        (["verify"], {"cutoff_n": 0}),
+        (["verify"], {"cutoff_n": 100}),
+        (["verify"], {"tol": float("nan")}),
+        (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
+    ], ids=["maxfev-0", "maxfev-neg", "restarts", "seed", "grid_budget",
+            "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
+            "cutoff_n-100", "tol-nan", "diameter_tol-nan"])
+    def test_rejected_at_load(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", cfg, "--out", out]) == 2
+        assert f"{next(iter(payload))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_values_checked_too(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["figure", "--grid", "4x4", "--seed", "-1",
+                        "--out", out]) == 2
+        assert not out.exists()
+
+
+class TestCutoffHonoured:
+    """An explicit cutoff_n is the cutoff every command runs at."""
+
+    def test_verify_fails_at_a_coarse_cutoff(self, tmp_path):
+        cfg = write_config(tmp_path, {"cutoff_n": 3, "verify_points": 5,
+                                      "verify_draws": 3})
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", cfg, "--out", out]) == 1
+        report = json.loads(out.read_text())
+        assert report["provenance"]["cutoff_n"] == 3
+        resid = {c["name"]: c["max_residual"] for c in report["checks"]}
+        assert resid["joint_oracle_agreement"] > 1e-6
+
+    def test_optimize_crosscheck_fails_at_a_coarse_cutoff(self, tmp_path):
+        cfg = write_config(tmp_path, {"cutoff_n": 3})
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", "paper_baseline",
+                        "--config", cfg, "--restarts", "2", "--out", out]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["numeric_crosscheck"]["passed"] is False
+        assert payload["provenance"]["cutoff_n"] == 3
+
+    def test_figure_crosscheck_fails_at_a_coarse_cutoff(self, tmp_path):
+        cfg = write_config(tmp_path, {"cutoff_n": 3})
+        assert run_cli(["figure", "--config", cfg, "--grid", "4x4",
+                        "--out", tmp_path / "g.csv"]) == 1
 
 
 class TestDriveRange:
@@ -275,7 +333,23 @@ class TestSplit:
         assert "N=108" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reports_chsh_decomposition(self, tmp_path):
+        out = tmp_path / "split.json"
+        assert run_cli(["split", "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        dec = payload["chsh_decomposition"]
+        assert dec["interference"] == 0.0
+        assert dec["lam_part"] == payload["chsh_lambda_reference_settings"]
+        assert dec["psi1_part"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-8)
+        c1, lam_coeff = payload["c1"], payload["lam_coeff"]
+        assert dec["reassembled"] == pytest.approx(
+            c1 ** 2 * dec["psi1_part"] + lam_coeff ** 2 * dec["lam_part"], abs=1e-8)
+        assert dec["full"] == pytest.approx(dec["reassembled"], abs=1e-8)
+        assert dec["lam_part"] < 2.0
+
     def test_asymmetric_drive_rejected(self, tmp_path):
+        # the config has one drive strength; per-station strengths are not
+        # config keys
         cfg = write_config(tmp_path, {"alpha1_sq": 1.0, "alpha2_sq": 2.0})
         assert run_cli(["split", "--config", cfg,
                         "--out", tmp_path / "s.json"]) == 2

@@ -6,6 +6,7 @@ import pytest
 from dense_oracle import ab_product_expectation
 from homodyne_bell.bell import evaluate_settings
 from homodyne_bell.detection import favorable_probs
+from homodyne_bell.fock import CutoffSpec
 from homodyne_bell.optics import input_support, run_network, station_columns, symmetric_config
 
 E_MINUS_1_HALF = 0.18393972058572116
@@ -138,7 +139,7 @@ class TestCorrelator:
 
 class TestTruncationNormalization:
     def test_probabilities_invariant_under_state_scaling(self):
-        s = run_network(symmetric_config(1.2, 0.5, tail_eps=1e-4), 0.8, 2.3)
+        s = run_network(symmetric_config(1.2, 0.5, CutoffSpec(tail_eps=1e-4)), 0.8, 2.3)
         for z in (2.0, 0.3 - 0.7j, -1j):
             scaled = favorable_probs(z * s)
             for got, want in zip(scaled[:3], favorable_probs(s)[:3]):
@@ -149,7 +150,7 @@ class TestTruncationNormalization:
         # weight kept by each station's column norms: only the edge input
         # |N, 1> loses amplitude and the mixed columns are orthogonal
         for tail_eps in (1e-12, 1e-4):
-            cfg = symmetric_config(1.5, 0.4, tail_eps=tail_eps)
+            cfg = symmetric_config(1.5, 0.4, CutoffSpec(tail_eps=tail_eps))
             norm = favorable_probs(run_network(cfg, 0.9, 2.0))[3]
             n = cfg.resolve_cutoff()
             kept = [np.sum(np.abs(station_columns(theta, n)) ** 2, axis=(0, 1)).reshape(-1)
@@ -180,7 +181,7 @@ class TestProductExpectation:
         # the correlator is conditional on the truncated space, the product
         # expectation is not: they differ by exactly the factor <psi|psi>
         s = run_network(symmetric_config(1.0, 0.9), 1.3, 0.4)
-        loose = run_network(symmetric_config(1.0, 0.9, tail_eps=1e-4), 1.3, 0.4)
+        loose = run_network(symmetric_config(1.0, 0.9, CutoffSpec(tail_eps=1e-4)), 1.3, 0.4)
         assert 1.0 - favorable_probs(loose)[3] > 1e-6
         for state in (s, 2.0 * s, loose):
             p_a, p_b, p_ab, norm = favorable_probs(state)

@@ -5,23 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
+from homodyne_bell.bell import REFERENCE_DPHI, SettingsQuadruple, evaluate_quadruple
+from homodyne_bell.fock import CutoffSpec
+from homodyne_bell.optics import symmetric_config
 from homodyne_bell.scan import (
+    ALPHA_SQ_MAX,
     ALPHA_SQ_MIN,
     FAMILIES,
-    PATHS,
     ScanRecord,
-    crosscheck_records,
     evaluate_point,
     get_family,
     maximize_chsh,
+    numeric_point,
+    station_params,
 )
 
 HALF_PI = math.pi / 2.0
 RELAXED = ("relaxed_phases", "relaxed_amplitudes")
 ANGLES = st.floats(0.0, 2.0 * math.pi)
 # the box of both relaxed families up to alpha_sq 4 (cutoff <= 26 at the
-# strict budget), so the numeric path stays quick
+# strict budget), so the numerics stay quick
 STRENGTHS = st.floats(ALPHA_SQ_MIN, 4.0)
+TAIL_EPS = st.sampled_from((1e-12, 1e-6, 1e-4))
 
 
 @st.composite
@@ -51,20 +56,57 @@ class TestFamilies:
         assert not any(n.startswith("alpha1_sq_") for n in names)
 
 
+BASELINE_POINTS = st.fixed_dictionaries({
+    "alpha_sq": st.floats(ALPHA_SQ_MIN, ALPHA_SQ_MAX),
+    "xi_plus_eta": ANGLES})
+
+
+class TestStationParams:
+    def test_baseline_is_the_standard_quadruple(self):
+        values = {"alpha_sq": 1.5, "xi_plus_eta": 2.0}
+        xi = (2.0 + 3 * math.pi / 4) / 2
+        eta = (2.0 - 3 * math.pi / 4) / 2
+        assert station_params("paper_baseline", values) == (
+            1.5, 1.5, 0.0, HALF_PI, xi, xi + HALF_PI, eta, eta + HALF_PI)
+
+    def test_relaxed_phases_shares_one_strength(self):
+        values = {"alpha_sq": 0.7, "xi": 1.0, "xi2": 2.0, "eta": 3.0,
+                  "eta2": 4.0, "phi1": 5.0, "phi2": 6.0}
+        assert station_params("relaxed_phases", values) == (
+            0.7, 0.7, 5.0, 6.0, 1.0, 2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_missing_parameter_rejected_by_every_evaluator(self, kind):
+        values = {name: 0.5 for name in FAMILIES[kind].names[1:]}
+        for evaluate in (station_params, evaluate_point, numeric_point):
+            with pytest.raises(ValueError, match="missing parameters"):
+                evaluate(kind, values)
+
+
 class TestEvaluatePoint:
     def test_baseline_analytic_matches_closed_form(self):
         values = {"alpha_sq": 1.0, "xi_plus_eta": math.pi}
-        ch, chsh = evaluate_point("paper_baseline", values, "analytic")
+        ch, chsh = evaluate_point("paper_baseline", values)
         xi = (math.pi + 3 * math.pi / 4) / 2
         eta = (math.pi - 3 * math.pi / 4) / 2
         point = ClosedFormPoint(xi, eta, HALF_PI, 1.0)
         assert ch == pytest.approx(ch_closed(point), abs=0)
         assert chsh == pytest.approx(chsh_closed(point), abs=0)
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(values=BASELINE_POINTS)
+    def test_baseline_is_the_expanded_closed_form(self, values):
+        # the paper's expanded forms, not the general ones: bit for bit
+        xi = (values["xi_plus_eta"] + 3 * math.pi / 4) / 2
+        eta = (values["xi_plus_eta"] - 3 * math.pi / 4) / 2
+        point = ClosedFormPoint(xi, eta, REFERENCE_DPHI, values["alpha_sq"])
+        assert evaluate_point("paper_baseline", values) == \
+            (ch_closed(point), chsh_closed(point))
+
     def test_baseline_numeric_agrees_with_analytic(self):
         values = {"alpha_sq": 0.8, "xi_plus_eta": 2.4}
-        ch_a, _ = evaluate_point("paper_baseline", values, "analytic")
-        ch_n, _ = evaluate_point("paper_baseline", values, "numeric")
+        ch_a, _ = evaluate_point("paper_baseline", values)
+        ch_n, _ = numeric_point("paper_baseline", values)
         assert ch_n == pytest.approx(ch_a, abs=1e-9)
 
     @pytest.mark.parametrize("kind", RELAXED)
@@ -72,22 +114,30 @@ class TestEvaluatePoint:
     @given(data=st.data())
     def test_relaxed_analytic_agrees_with_numeric(self, kind, data):
         values = data.draw(relaxed_points(kind))
-        ch_a, chsh_a = evaluate_point(kind, values, "analytic")
-        ch_n, _ = evaluate_point(kind, values, "numeric")
+        ch_a, chsh_a = evaluate_point(kind, values)
+        ch_n, _ = numeric_point(kind, values)
         assert abs(ch_a - ch_n) <= 1e-12
         assert chsh_a == 2.0 + 4.0 * ch_a
 
-    @pytest.mark.parametrize("kind", sorted(FAMILIES))
-    def test_unknown_path_rejected(self, kind):
-        values = {name: 0.5 for name in FAMILIES[kind].names}
-        for path in PATHS:
-            evaluate_point(kind, values, path)
-        with pytest.raises(ValueError, match="unknown path"):
-            evaluate_point(kind, values, "numerical")
-
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_point("paper_baseline", {"alpha_sq": 1.0}, "analytic")
+            evaluate_point("paper_baseline", {"alpha_sq": 1.0})
+
+
+class TestNumericPoint:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(values=BASELINE_POINTS, tail_eps=TAIL_EPS)
+    def test_baseline_is_the_symmetric_quadruple_record(self, values, tail_eps):
+        # one numeric evaluator for every family: on paper_baseline it is
+        # the standard quadruple of symmetric_config, bit for bit
+        spec = CutoffSpec(tail_eps=tail_eps)
+        xi = (values["xi_plus_eta"] + 3 * math.pi / 4) / 2
+        eta = (values["xi_plus_eta"] - 3 * math.pi / 4) / 2
+        record = evaluate_quadruple(
+            symmetric_config(values["alpha_sq"], REFERENCE_DPHI, spec),
+            SettingsQuadruple(xi, eta))
+        assert numeric_point("paper_baseline", values, spec) == \
+            (record.ch, record.chsh)
 
 
 def baseline_grid(alpha_sq, xi_plus_eta):
@@ -97,8 +147,8 @@ def baseline_grid(alpha_sq, xi_plus_eta):
     for a in alpha_sq:
         for t in xi_plus_eta:
             values = {"alpha_sq": float(a), "xi_plus_eta": float(t)}
-            ch, chsh = evaluate_point("paper_baseline", values, "analytic")
-            records.append(ScanRecord(len(records), values, ch, chsh, "analytic"))
+            ch, chsh = evaluate_point("paper_baseline", values)
+            records.append(ScanRecord(len(records), values, ch, chsh))
     return records
 
 
@@ -112,15 +162,10 @@ class TestGridScan:
         assert all(-1.0 < r.ch < 0.0 for r in records)
         assert all(r.chsh < 2.0 for r in records)
 
-    def test_determinism(self):
-        records = baseline_grid(np.linspace(0.2, 1.5, 4), np.linspace(0.0, 5.0, 4))
-        first = crosscheck_records(records, fraction=0.25, seed=9)
-        assert crosscheck_records(records, fraction=0.25, seed=9) == first
-
     def test_crosscheck_residual_small(self):
         records = baseline_grid(np.linspace(0.1, 2.0, 10), np.linspace(0.0, 6.0, 10))
-        count, worst = crosscheck_records(records, fraction=0.05, seed=3)
-        assert count == 5
+        worst = max(abs(numeric_point("paper_baseline", r.params)[0] - r.ch)
+                    for r in records[::20])
         assert worst <= 1e-12
 
 
@@ -150,26 +195,21 @@ class TestMaximize:
         out = maximize_chsh("relaxed_phases", restarts=2, seed=77, maxfev=60)
         assert len(out.trace) == 2
         assert out.best.chsh < 2.0 + 1e-6
-        assert out.best.path == "analytic"
-        numeric = maximize_chsh("relaxed_phases", restarts=2, seed=77,
-                                maxfev=60, path="numeric")
-        assert len(numeric.trace) == 2
-        assert numeric.best.chsh < 2.0 + 1e-6
-        assert numeric.best.path == "numeric"
-        assert (numeric.crosscheck_points, numeric.crosscheck_residual) == (0, 0.0)
 
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_analytic_search_crosschecks_every_restart(self, kind):
         out = maximize_chsh(kind, restarts=3, seed=5, maxfev=40)
-        assert out.crosscheck_points == 3
         assert 0.0 < out.crosscheck_residual <= 1e-12
-        for rec in out.trace:
-            ch_n, _ = evaluate_point(kind, rec.params, "numeric")
-            assert abs(ch_n - rec.ch) <= out.crosscheck_residual
+        residuals = [abs(numeric_point(kind, rec.params)[0] - rec.ch)
+                     for rec in out.trace]
+        assert max(residuals) == out.crosscheck_residual
 
-    def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError, match="unknown path"):
-            maximize_chsh("relaxed_phases", restarts=1, seed=1, path="exact")
+    def test_crosscheck_uses_the_cutoff_policy(self):
+        # at a per-mode cutoff of 3 the numerics miss most of the drive's
+        # photon-number distribution
+        out = maximize_chsh("paper_baseline", restarts=2, seed=5, maxfev=40,
+                            cutoff=CutoffSpec(n_max=3))
+        assert out.crosscheck_residual > 1e-6
 
 
 class TestSmallDriveLimit:
@@ -178,7 +218,7 @@ class TestSmallDriveLimit:
         # cos(eta) - sin(xi) = 1 - sqrt(2)/2
         limit = 1.0 - math.sin(3 * math.pi / 4)
         values = {"alpha_sq": 1e-8, "xi_plus_eta": 3 * math.pi / 4}
-        _, chsh_a = evaluate_point("paper_baseline", values, "analytic")
+        _, chsh_a = evaluate_point("paper_baseline", values)
         assert abs(chsh_a - limit) < 1e-6
-        _, chsh_n = evaluate_point("paper_baseline", values, "numeric")
+        _, chsh_n = numeric_point("paper_baseline", values)
         assert abs(chsh_n - limit) < 1e-6
