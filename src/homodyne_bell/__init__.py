@@ -24,10 +24,10 @@ from .bell import (
 )
 from .analytic import (
     ClosedFormPoint,
+    ch_chsh_general,
     ch_closed,
     chsh_closed,
-    joint_prob_closed,
-    local_prob_closed,
+    probs_general,
 )
 from .scan import ScanRecord, maximize_chsh
 
@@ -37,7 +37,7 @@ __all__ = [
     "ExperimentConfig", "mix_station", "symmetric_config",
     "BellRecord", "SettingsQuadruple", "StateSplit", "evaluate_quadruple",
     "split_state", "tsirelson_two_qubit",
-    "ClosedFormPoint", "ch_closed", "chsh_closed", "joint_prob_closed",
-    "local_prob_closed",
+    "ClosedFormPoint", "ch_chsh_general", "ch_closed", "chsh_closed",
+    "probs_general",
     "ScanRecord", "maximize_chsh",
 ]

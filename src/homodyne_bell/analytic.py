@@ -1,11 +1,8 @@
 """Closed-form detection probabilities and Bell quantities.
 
-Two sets of forms live here. The symmetric ones (`joint_prob_closed`,
-`local_prob_closed`, `ch_closed`, `chsh_closed`) take one strength alpha_sq,
-a phase difference dphi and the standard quadruple (second settings pi/2
-off). The general ones (`ch_chsh_general`) take each station's strength
-alpha1_sq, alpha2_sq, both oscillator phases phi1, phi2 and four free
-angles, vectorized over numpy arrays:
+One general set of forms carries every closed-form probability: each
+station has its own strength alpha1_sq, alpha2_sq and oscillator phase
+phi1, phi2, and the angles are free. Vectorized over numpy arrays:
 
     P(-1,-1|x,y) = 1/2 e^{-alpha1^2-alpha2^2}
                    |i alpha1 e^{i phi1} cos(x/2) sin(y/2)
@@ -13,24 +10,25 @@ angles, vectorized over numpy arrays:
     P_A(-1|x)    = 1/2 e^{-alpha1^2} (alpha1^2 cos^2(x/2) + sin^2(x/2))
     P_B(-1|y)    = 1/2 e^{-alpha2^2} (alpha2^2 cos^2(y/2) + sin^2(y/2))
 
-At alpha1 = alpha2 the joint form expands to the symmetric one with
-dphi = phi2 - phi1, and the local forms are `local_prob_closed`, so the
-general forms reduce to the symmetric ones on the standard quadruple.
+`probs_general` returns the three probabilities of one setting pair, in the
+order detection.favorable_probs reads them off the brute-force network;
+`ch_chsh_general` assembles CH and CHSH of four setting pairs. Together
+with the truncated Fock numerics they are the two independent routes to
+every quantity, checked against each other by the verify command and the
+test suite.
 
-These expressions are the second, independent route to every quantity the
-brute-force Fock numerics produce; the two are cross-validated against each
-other by the verify command and the test suite.
-
-Convention note: the phase-difference argument dphi of these forms equals
-phi2 - phi1 of the numeric network's oscillator phases (pinned by the
-reflection-phase convention in the optics module; the verify report records
-this choice).
-
-Exponent note: the local probability here carries e^{-alpha_sq}. The
-e^{-2 alpha_sq} variant (kept below as `local_prob_printed_variant`) is
+Beside them live the paper's printed expressions, kept as the objects the
+verify command tests: the expanded `ch_closed` and `chsh_closed` of the
+standard quadruple (one strength alpha_sq, phase difference dphi, second
+settings pi/2 off), and `local_prob_printed_variant`, the local
+probability with the printed e^{-2 alpha_sq} exponent. That exponent is
 inconsistent with the joint probability and the assembled CH form; the
-brute-force oracle adjudicates between the two and the verify command
-records the decision.
+brute-force oracle adjudicates between it and the e^{-alpha_sq} of
+P_A above, and the verify command records the decision.
+
+Convention note: the phase difference dphi of the printed forms equals
+phi2 - phi1 of the oscillator phases (pinned by the reflection-phase
+convention in the optics module; the verify report records this choice).
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-HALF_PI = math.pi / 2.0
 
 # Wire-format key/value used in reports for the adjudicated local-probability
 # exponent (see module docstring).
@@ -51,7 +47,7 @@ LOCAL_EXPONENT_PRINTED = "e^{-2alpha^2}"
 
 @dataclass(frozen=True)
 class ClosedFormPoint:
-    """One evaluation point of the closed forms."""
+    """One evaluation point of the printed forms ch_closed and chsh_closed."""
 
     xi: float
     eta: float
@@ -64,22 +60,6 @@ class ClosedFormPoint:
                 raise ValueError(f"{name} must be finite")
         if self.alpha_sq < 0:
             raise ValueError("alpha_sq must be >= 0")
-
-
-def joint_prob_closed(p: ClosedFormPoint) -> float:
-    """Joint favorable probability P(-1,-1 | xi, eta, dphi)."""
-    v = 0.25 * p.alpha_sq * math.exp(-2.0 * p.alpha_sq) * (
-        1.0 - math.cos(p.eta) * math.cos(p.xi)
-        - math.sin(p.eta) * math.sin(p.xi) * math.sin(p.dphi)
-    )
-    return min(max(v, 0.0), 1.0)
-
-
-def local_prob_closed(x: float, alpha_sq: float) -> float:
-    """Single-station favorable probability P(-1 | x) at mixing angle x."""
-    return 0.5 * math.exp(-alpha_sq) * (
-        alpha_sq * math.cos(x / 2.0) ** 2 + math.sin(x / 2.0) ** 2
-    )
 
 
 def local_prob_printed_variant(x: float, alpha_sq: float) -> float:
@@ -105,22 +85,6 @@ def ch_closed(p: ClosedFormPoint) -> float:
         + ea2 * (1.0 - a2) * (math.cos(p.eta) - math.sin(p.xi))
         + 2.0 * a2
         - 2.0 * ea2 * (a2 + 1.0)
-    )
-
-
-def ch_assembled(p: ClosedFormPoint) -> float:
-    """Same CH value assembled term by term from the closed-form
-    probabilities; algebraically identical to ch_closed."""
-    def joint(x, y):
-        return joint_prob_closed(ClosedFormPoint(x, y, p.dphi, p.alpha_sq))
-
-    return (
-        joint(p.xi, p.eta)
-        + joint(p.xi + HALF_PI, p.eta)
-        - joint(p.xi, p.eta + HALF_PI)
-        + joint(p.xi + HALF_PI, p.eta + HALF_PI)
-        - local_prob_closed(p.xi + HALF_PI, p.alpha_sq)
-        - local_prob_closed(p.eta, p.alpha_sq)
     )
 
 
@@ -155,6 +119,30 @@ def _station(lo, angle):
     return lo * np.cos(half), np.sin(half)
 
 
+def _drives(alpha1_sq, alpha2_sq, phi1, phi2):
+    """Both strengths as float arrays, refused unless finite and >= 0, and
+    each station's oscillator amplitude alpha e^{i phi}."""
+    alpha1_sq = np.asarray(alpha1_sq, dtype=float)
+    alpha2_sq = np.asarray(alpha2_sq, dtype=float)
+    for name, value in (("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq)):
+        if not np.all(np.isfinite(value) & (value >= 0.0)):
+            raise ValueError(f"{name} must be finite and >= 0")
+    lo1 = np.sqrt(alpha1_sq) * np.exp(1j * np.asarray(phi1))
+    lo2 = np.sqrt(alpha2_sq) * np.exp(1j * np.asarray(phi2))
+    return alpha1_sq, alpha2_sq, lo1, lo2
+
+
+def probs_general(alpha1_sq, alpha2_sq, phi1, phi2, x, y):
+    """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) of the setting pair (x, y) at
+    independent station strengths and phases, in closed form: the triple,
+    in the order, that detection.favorable_probs reads off the dense
+    network. Arguments broadcast as in ch_chsh_general."""
+    alpha1_sq, alpha2_sq, lo1, lo2 = _drives(alpha1_sq, alpha2_sq, phi1, phi2)
+    alice, bob = _station(lo1, x), _station(lo2, y)
+    return (_local_prob(alice, alpha1_sq), _local_prob(bob, alpha2_sq),
+            _joint_prob(alice, bob, np.exp(-alpha1_sq - alpha2_sq)))
+
+
 def ch_chsh_general(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
     """CH and CHSH of the setting pairs (xi, eta), (xi2, eta), (xi, eta2),
     (xi2, eta2) at independent station strengths and phases, in closed form.
@@ -164,13 +152,7 @@ def ch_chsh_general(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
     and chsh = 2 + 4 ch. Arguments broadcast as numpy arrays; scalars give
     0-d arrays.
     """
-    alpha1_sq = np.asarray(alpha1_sq, dtype=float)
-    alpha2_sq = np.asarray(alpha2_sq, dtype=float)
-    for name, value in (("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq)):
-        if not np.all(np.isfinite(value) & (value >= 0.0)):
-            raise ValueError(f"{name} must be finite and >= 0")
-    lo1 = np.sqrt(alpha1_sq) * np.exp(1j * np.asarray(phi1))
-    lo2 = np.sqrt(alpha2_sq) * np.exp(1j * np.asarray(phi2))
+    alpha1_sq, alpha2_sq, lo1, lo2 = _drives(alpha1_sq, alpha2_sq, phi1, phi2)
     alice, alice2 = _station(lo1, xi), _station(lo1, xi2)
     bob, bob2 = _station(lo2, eta), _station(lo2, eta2)
     damping = np.exp(-alpha1_sq - alpha2_sq)

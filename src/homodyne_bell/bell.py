@@ -310,13 +310,6 @@ def lambda_cross_terms(split: StateSplit, count: int = 10) -> list[CrossTerm]:
     return terms
 
 
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
-
 def logical_qubit_amplitudes(state: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     """Project a support array [a1, b1, a2, b2] onto the per-station
     single-photon qubit encoding |1,0> -> logical 0, |0,1> -> logical 1, as
@@ -339,14 +332,9 @@ def logical_qubit_amplitudes(state: np.ndarray, atol: float = 1e-9) -> np.ndarra
 
 def tsirelson_two_qubit(state: np.ndarray) -> float:
     """Maximum CHSH value of a two-qubit pure state over all qubit
-    measurements: 2 sqrt(m1 + m2) with m1, m2 the two largest eigenvalues
-    of T^T T, where T is the 3x3 spin correlation matrix."""
+    measurements: 2 sqrt(1 + C^2) with C = 2 |psi00 psi11 - psi01 psi10| /
+    |psi|^2 its concurrence, which is the Horodecki value 2 sqrt(m1 + m2)
+    of the spin correlation matrix on pure states."""
     psi = logical_qubit_amplitudes(state)
-    nrm = np.sqrt(np.sum(np.abs(psi) ** 2))
-    psi = psi / nrm
-    t = np.empty((3, 3))
-    for i, si in enumerate(_PAULIS):
-        for j, sj in enumerate(_PAULIS):
-            t[i, j] = np.einsum("ab,aA,bB,AB->", psi.conj(), si, sj, psi).real
-    lams = np.linalg.eigvalsh(t.T @ t)[::-1]
-    return 2.0 * math.sqrt(max(lams[0], 0.0) + max(lams[1], 0.0))
+    concurrence = 2.0 * abs(np.linalg.det(psi)) / np.sum(np.abs(psi) ** 2)
+    return 2.0 * math.sqrt(1.0 + concurrence ** 2)

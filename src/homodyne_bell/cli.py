@@ -26,13 +26,13 @@ from .bell import (
     reference_quadruple,
     split_state,
     tsirelson_two_qubit,
+    HALF_PI,
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
 from .detection import favorable_probs
 from .fock import CutoffSpec
 from .optics import (
-    MAX_CUTOFF,
     ExperimentConfig,
     input_support,
     run_network,
@@ -111,16 +111,16 @@ class RunConfig:
         if not 0.0 <= self.crosscheck_fraction <= 1.0:
             raise ConfigError("crosscheck_fraction must be in [0, 1], "
                               f"got {self.crosscheck_fraction}")
-        if self.cutoff_n is not None and not 1 <= self.cutoff_n <= MAX_CUTOFF:
-            raise ConfigError(f"cutoff_n must be in [1, {MAX_CUTOFF}], "
-                              f"got {self.cutoff_n}")
         # reject a bad drive (NaN, negative, infinite, beyond the float-safe
-        # range of the cutoff policy) before any command runs
+        # range) or a cutoff the cutoff policy refuses before any command
+        # runs; the policy's n_max and tail_eps are cutoff_n and cutoff_eps
         try:
             self.experiment()
             self.provenance_cutoff()
         except ValueError as exc:
-            raise ConfigError(f"invalid experiment settings: {exc}") from exc
+            msg = str(exc).replace("n_max", "cutoff_n").replace(
+                "tail_eps", "cutoff_eps")
+            raise ConfigError(f"invalid experiment settings: {msg}") from exc
 
     def cutoff_spec(self) -> CutoffSpec:
         """The cutoff policy of every numeric config a command builds."""
@@ -226,19 +226,21 @@ def run_verification(cfg: RunConfig) -> dict:
     spec = cfg.cutoff_spec()
     checks = []
 
-    # closed forms vs brute-force numerics over random operating points
+    # general closed forms vs brute-force numerics over random operating
+    # points: the stronger station's alpha_sq on (0, max], the other's below
+    # it, a fair coin for which station is the stronger, free phases
     worst_joint = worst_local = 0.0
     worst_margin = 0.0
     for _ in range(cfg.verify_points):
-        a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
-        xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, 3)
-        p_a, p_b, p_ab, _ = favorable_probs(
-            run_network(symmetric_config(a2, dphi, spec), xi, eta))
-        point = analytic.ClosedFormPoint(xi, eta, dphi, a2)
-        worst_joint = max(worst_joint, abs(p_ab - analytic.joint_prob_closed(point)))
-        worst_local = max(worst_local,
-                          abs(p_a - analytic.local_prob_closed(xi, a2)),
-                          abs(p_b - analytic.local_prob_closed(eta, a2)))
+        strong = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
+        weak = strong * rng.random()
+        a1_sq, a2_sq = (strong, weak) if rng.random() < 0.5 else (weak, strong)
+        phi1, phi2, xi, eta = rng.uniform(0.0, 2.0 * math.pi, 4)
+        p_a, p_b, p_ab, _ = favorable_probs(run_network(ExperimentConfig(
+            math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2, spec), xi, eta))
+        c_a, c_b, c_ab = analytic.probs_general(a1_sq, a2_sq, phi1, phi2, xi, eta)
+        worst_joint = max(worst_joint, abs(p_ab - c_ab))
+        worst_local = max(worst_local, abs(p_a - c_a), abs(p_b - c_b))
         worst_margin = max(worst_margin, p_ab - min(p_a, p_b))
     checks.append(_check("joint_oracle_agreement", worst_joint, cfg.tol,
                          cfg.verify_points))
@@ -251,8 +253,8 @@ def run_verification(cfg: RunConfig) -> dict:
     corrected_resid = printed_resid = 0.0
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
         p = favorable_probs(run_network(symmetric_config(a2, 0.7, spec), x, 0.9))[0]
-        corrected_resid = max(corrected_resid,
-                              abs(p - analytic.local_prob_closed(x, a2)))
+        corrected = analytic.probs_general(a2, a2, 0.0, 0.7, x, 0.9)[0]
+        corrected_resid = max(corrected_resid, abs(p - corrected))
         printed_resid = max(printed_resid,
                             abs(p - analytic.local_prob_printed_variant(x, a2)))
     corrected_wins = corrected_resid <= cfg.tol < printed_resid
@@ -279,16 +281,17 @@ def run_verification(cfg: RunConfig) -> dict:
     checks.append(_check("record_ch_chsh_identity", worst_rec,
                          cfg.identity_tol, 12))
 
-    # exact identities, closed forms
-    worst_pair = worst_asm = worst_exp = 0.0
-    for _ in range(500):
-        point = analytic.ClosedFormPoint(rng.uniform(0.0, 2.0 * math.pi),
-                                         rng.uniform(0.0, 2.0 * math.pi),
-                                         rng.uniform(0.0, 2.0 * math.pi),
-                                         VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random()))
-        ch = analytic.ch_closed(point)
-        worst_asm = max(worst_asm, abs(ch - analytic.ch_assembled(point)))
-        worst_exp = max(worst_exp, abs(analytic.chsh_closed(point) - (2.0 + 4.0 * ch)))
+    # exact identities, closed forms: the paper's expanded CH against the
+    # general forms on the standard quadruple, and CHSH against CH
+    xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, (3, 500))
+    a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random(500))
+    points = [analytic.ClosedFormPoint(*p) for p in zip(xi, eta, dphi, a2)]
+    ch = np.array([analytic.ch_closed(p) for p in points])
+    chsh = np.array([analytic.chsh_closed(p) for p in points])
+    general, _ = analytic.ch_chsh_general(a2, a2, 0.0, dphi, xi, xi + HALF_PI,
+                                          eta, eta + HALF_PI)
+    worst_asm = float(np.max(np.abs(ch - general)))
+    worst_exp = float(np.max(np.abs(chsh - (2.0 + 4.0 * ch))))
     checks.append(_check("closed_form_assembly_identity", worst_asm,
                          cfg.identity_tol, 500))
     checks.append(_check("closed_form_expanded_identity", worst_exp,
@@ -368,8 +371,7 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     data = list(figure_rows(cfg, args.dphi, args.xi_minus_eta, rows, cols))
     # the top row needs the largest cutoff of any spot-check; a range the
     # numerics cannot reach is refused before the CSV is written
-    symmetric_config(cfg.figure_alpha_sq_max, args.dphi,
-                     cfg.cutoff_spec()).resolve_cutoff()
+    cfg.cutoff_spec().resolve(cfg.figure_alpha_sq_max)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
@@ -448,6 +450,10 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     split = split_state(cfg.experiment())
     quad = reference_quadruple()
     dec = chsh_decomposition(split, quad)
+    # the probability the truncated input drops at the cutoff
+    norm_loss = _check("input_norm_loss",
+                       1.0 - float(np.vdot(split.full, split.full).real),
+                       cfg.tol, 1)
     payload = {
         "alpha_sq": cfg.alpha_sq,
         "c1": split.c1,
@@ -479,12 +485,17 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
             }
             for term in lambda_cross_terms(split, count=10)
         ],
+        "input_norm_loss": norm_loss,
         "provenance": provenance(cfg, args),
     }
     write_json(args.out, payload)
     print(f"c1 = {split.c1:.9g}, psi1 tsirelson = "
           f"{payload['psi1_tsirelson']:.9g}, chsh(lambda) = "
           f"{payload['chsh_lambda_reference_settings']:.9g}")
+    if not norm_loss["passed"]:
+        print("split check failed: the cutoff drops more of the input state "
+              "than tol", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
     return EXIT_OK
 
 

@@ -17,6 +17,11 @@ import numpy as np
 # e^{-|a|^2/2} underflows long before this; reject absurd drive strengths.
 _MAX_ALPHA_SQ = 700.0
 
+# Largest per-mode cutoff any engine accepts. The verify oracle's dense
+# (N+1)^4 output binds it: 256 MiB at N = 63 (verify resolves at most N = 26
+# at the default tail, 8 MiB per output). alpha_sq = 50 resolves to N = 108.
+MAX_CUTOFF = 63
+
 
 def required_cutoff(alpha_sq: float, tail_eps: float) -> int:
     """Smallest N whose Poisson(alpha_sq) tail beyond N is strictly below tail_eps.
@@ -49,22 +54,29 @@ class CutoffSpec:
     ``n_max=None`` derives the cutoff from the largest coherent amplitude in
     play: required_cutoff(alpha_sq, tail_eps) plus one slot of headroom for
     the single injected photon, so that mode mixing at the edge leaks less
-    than tail_eps per station.
+    than tail_eps per station. An explicit n_max outside [1, MAX_CUTOFF] is
+    refused here, a derived one above MAX_CUTOFF by resolve.
     """
 
     n_max: int | None = None
     tail_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
+        if self.n_max is not None and not 1 <= self.n_max <= MAX_CUTOFF:
+            raise ValueError(f"n_max must be in [1, {MAX_CUTOFF}], "
+                             f"got N={self.n_max}")
         if not 0.0 < self.tail_eps < 1.0:
             raise ValueError("tail_eps must be in (0, 1)")
 
     def resolve(self, alpha_sq: float) -> int:
+        """Per-mode cutoff N for the largest drive alpha_sq in play."""
         if self.n_max is not None:
             return self.n_max
-        return required_cutoff(alpha_sq, self.tail_eps) + 1
+        n = required_cutoff(alpha_sq, self.tail_eps) + 1
+        if n > MAX_CUTOFF:
+            raise ValueError(f"cutoff N={n} exceeds the limit N={MAX_CUTOFF}; "
+                             "lower alpha_sq")
+        return n
 
 
 def coherent_state(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:

@@ -37,15 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import CutoffSpec, coherent_state
-
-# Largest per-mode cutoff any engine accepts. The mixing blocks mix_station
-# caches grow as N^3 per angle (1.4 MiB per angle at N = 63, about 90 MiB
-# with all 4096 cache slots filled); that binds the limit. Only run_network,
-# the verify oracle, builds a dense (N+1)^4 output: verify resolves at most
-# N = 26 at the default tail (8 MiB per output), and at N = 63 one output
-# would take 256 MiB. alpha_sq = 50 resolves to N = 108.
-MAX_CUTOFF = 63
+from .fock import MAX_CUTOFF, CutoffSpec, coherent_state
 
 # weight of the input term with k photons at Alice's ph port and 1 - k at
 # Bob's: the single photon split as (|0,1> + i|1,0>)/sqrt2 over (b1, b2)
@@ -78,14 +70,8 @@ class ExperimentConfig:
         return max(self.alpha1, self.alpha2) ** 2
 
     def resolve_cutoff(self) -> int:
-        """Per-mode cutoff N of every engine, refused above MAX_CUTOFF."""
-        n = self.cutoff.resolve(self.max_alpha_sq)
-        if n < 1 and self.max_alpha_sq > 0:
-            raise ValueError("cutoff must be >= 1 when a coherent drive is present")
-        if n > MAX_CUTOFF:
-            raise ValueError(f"cutoff N={n} exceeds the limit N={MAX_CUTOFF}; "
-                             "lower alpha_sq")
-        return max(n, 1)
+        """Per-mode cutoff N of every engine (fock.CutoffSpec's policy)."""
+        return self.cutoff.resolve(self.max_alpha_sq)
 
 
 def symmetric_config(alpha_sq: float, dphi: float = 0.0,
@@ -128,7 +114,10 @@ def _mixing_eig(total: int):
     return lam, vec
 
 
-@lru_cache(maxsize=4096)
+# Searches rarely revisit an angle, so the cache mostly holds blocks that
+# are not asked for again; 256 slots bound what it keeps (a block holds
+# (total + 1)^2 complex entries, 66 KiB at total 64).
+@lru_cache(maxsize=256)
 def _pair_block(theta: float, total: int) -> np.ndarray:
     """Exact two-mode mixing unitary on the total-photon subspace, basis
     ordered by the lo-mode count m = 0..total."""

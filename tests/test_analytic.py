@@ -1,20 +1,16 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homodyne_bell import analytic
 from homodyne_bell.analytic import (
     ClosedFormPoint,
-    ch_assembled,
     ch_chsh_general,
     ch_closed,
     chsh_closed,
-    joint_prob_closed,
-    local_prob_closed,
     local_prob_printed_variant,
+    probs_general,
 )
 from homodyne_bell.bell import evaluate_settings
 from homodyne_bell.detection import favorable_probs
@@ -43,41 +39,55 @@ def random_points(n, seed):
                               4.0 * (1.0 - rng.random()))
 
 
+def standard_quadruple_ch(p):
+    """CH of ch_closed's quadruple from the general forms."""
+    ch, _ = ch_chsh_general(p.alpha_sq, p.alpha_sq, 0.0, p.dphi, p.xi,
+                            p.xi + HALF_PI, p.eta, p.eta + HALF_PI)
+    return ch
+
+
 class TestJointProb:
     def test_zero_drive(self):
-        assert joint_prob_closed(ClosedFormPoint(1.0, 2.0, 0.5, 0.0)) == 0.0
+        assert probs_general(0.0, 0.0, 0.0, 0.5, 1.0, 2.0)[2] == 0.0
 
     def test_destructive_point(self):
-        assert joint_prob_closed(
-            ClosedFormPoint(HALF_PI, HALF_PI, HALF_PI, 1.0)) == 0.0
+        # exactly zero in exact arithmetic; cos and sin of pi/4 differ by
+        # one ulp, so the amplitude cancels to ~1e-17
+        assert probs_general(1.0, 1.0, 0.0, HALF_PI, HALF_PI, HALF_PI)[2] == \
+            pytest.approx(0.0, abs=1e-32)
 
     def test_constructive_point(self):
-        assert joint_prob_closed(
-            ClosedFormPoint(HALF_PI, HALF_PI, -HALF_PI, 1.0)) == pytest.approx(
-            E_MINUS_2_HALF, abs=1e-15)
+        assert probs_general(1.0, 1.0, 0.0, -HALF_PI, HALF_PI, HALF_PI)[2] == \
+            pytest.approx(E_MINUS_2_HALF, abs=1e-15)
 
     def test_always_a_probability(self):
-        for p in random_points(300, 10):
-            assert 0.0 <= joint_prob_closed(p) <= 1.0
+        rng = np.random.default_rng(10)
+        strengths = 4.0 * (1.0 - rng.random((2, 300)))
+        p_a, p_b, p_ab = probs_general(*strengths,
+                                       *rng.uniform(0, 2 * math.pi, (4, 300)))
+        assert np.all((0.0 <= p_ab) & (p_ab <= np.minimum(p_a, p_b)))
+        assert np.all(np.maximum(p_a, p_b) <= 1.0)
 
 
 class TestLocalProb:
     def test_zero_drive_transmitting(self):
-        assert local_prob_closed(0.0, 0.0) == 0.0
+        assert probs_general(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[0] == 0.0
 
     def test_zero_drive_balanced(self):
-        assert local_prob_closed(HALF_PI, 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert probs_general(0.0, 0.0, 0.0, 0.0, HALF_PI, 0.0)[0] == \
+            pytest.approx(0.25, abs=1e-15)
 
     def test_unit_drive_balanced(self):
-        assert local_prob_closed(HALF_PI, 1.0) == pytest.approx(
-            E_MINUS_1_HALF, abs=1e-15)
+        assert probs_general(1.0, 1.0, 0.0, 0.0, HALF_PI, 0.0)[0] == \
+            pytest.approx(E_MINUS_1_HALF, abs=1e-15)
 
     def test_variants_differ_by_drive_damping(self):
         # the two candidate exponents disagree by e^{-alpha_sq}; keep them
         # clearly distinguishable where the adjudication samples
         assert local_prob_printed_variant(HALF_PI, 1.0) == pytest.approx(
             E_MINUS_2_HALF, abs=1e-15)
-        ratio = local_prob_printed_variant(1.1, 1.0) / local_prob_closed(1.1, 1.0)
+        corrected = probs_general(1.0, 1.0, 0.0, 0.0, 1.1, 0.0)[0]
+        ratio = local_prob_printed_variant(1.1, 1.0) / corrected
         assert ratio == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
@@ -92,7 +102,7 @@ class TestChClosed:
 
     def test_assembly_identity(self):
         for p in random_points(500, 11):
-            assert abs(ch_closed(p) - ch_assembled(p)) < 1e-12
+            assert abs(ch_closed(p) - standard_quadruple_ch(p)) < 1e-12
 
     def test_depends_on_angle_sum(self):
         # same xi - eta = 3pi/4, different xi + eta: the value must move
@@ -147,12 +157,17 @@ ANGLES = st.floats(0.0, 2.0 * math.pi)
 STRENGTHS = st.floats(0.0, 4.0)
 
 
-def general_probs(a1_sq, a2_sq, phi1, phi2, x, y):
-    """(P(-1,-1|x,y), P_A(-1|x), P_B(-1|y)) from the general forms."""
-    alice = analytic._station(math.sqrt(a1_sq) * cmath.exp(1j * phi1), x)
-    bob = analytic._station(math.sqrt(a2_sq) * cmath.exp(1j * phi2), y)
-    return (analytic._joint_prob(alice, bob, math.exp(-a1_sq - a2_sq)),
-            analytic._local_prob(alice, a1_sq), analytic._local_prob(bob, a2_sq))
+def paper_joint(x, y, dphi, alpha_sq):
+    """The paper's joint probability P(-1,-1|x,y) at equal strengths: the
+    reference the general form reduces to at alpha1 = alpha2."""
+    return 0.25 * alpha_sq * math.exp(-2.0 * alpha_sq) * (
+        1.0 - math.cos(y) * math.cos(x) - math.sin(y) * math.sin(x) * math.sin(dphi))
+
+
+def paper_local(x, alpha_sq):
+    """The local probability P(-1|x) with the corrected e^{-alpha_sq}."""
+    return 0.5 * math.exp(-alpha_sq) * (
+        alpha_sq * math.cos(x / 2.0) ** 2 + math.sin(x / 2.0) ** 2)
 
 
 def strict_config(a1_sq, a2_sq, phi1, phi2):
@@ -176,7 +191,7 @@ class TestGeneralForms:
     def test_probabilities_match_dense_network(self, a1_sq, a2_sq, phases, x, y):
         num_a, num_b, num_joint, _ = favorable_probs(
             run_network(strict_config(a1_sq, a2_sq, *phases), x, y))
-        joint, p_a, p_b = general_probs(a1_sq, a2_sq, *phases, x, y)
+        p_a, p_b, joint = probs_general(a1_sq, a2_sq, *phases, x, y)
         assert abs(joint - num_joint) <= 1e-12
         assert abs(p_a - num_a) <= 1e-12
         assert abs(p_b - num_b) <= 1e-12
@@ -186,10 +201,10 @@ class TestGeneralForms:
     def test_reduce_to_symmetric_forms(self, alpha_sq, phases, x, y):
         phi1, phi2 = phases
         point = ClosedFormPoint(x, y, phi2 - phi1, alpha_sq)
-        joint, p_a, p_b = general_probs(alpha_sq, alpha_sq, phi1, phi2, x, y)
-        assert abs(joint - joint_prob_closed(point)) <= 1e-15
-        assert abs(p_a - local_prob_closed(x, alpha_sq)) <= 1e-15
-        assert abs(p_b - local_prob_closed(y, alpha_sq)) <= 1e-15
+        p_a, p_b, joint = probs_general(alpha_sq, alpha_sq, phi1, phi2, x, y)
+        assert abs(joint - paper_joint(x, y, phi2 - phi1, alpha_sq)) <= 1e-15
+        assert abs(p_a - paper_local(x, alpha_sq)) <= 1e-15
+        assert abs(p_b - paper_local(y, alpha_sq)) <= 1e-15
         ch, chsh = ch_chsh_general(alpha_sq, alpha_sq, phi1, phi2,
                                    x, x + HALF_PI, y, y + HALF_PI)
         assert abs(ch - ch_closed(point)) <= 1e-15
@@ -202,12 +217,18 @@ class TestGeneralForms:
         ch, chsh = ch_chsh_general(a1_sq, a2_sq, *rest)
         assert ch.shape == chsh.shape == (50,)
         assert np.array_equal(chsh, 2.0 + 4.0 * ch)
+        probs = probs_general(a1_sq, a2_sq, *rest[:4])
+        assert all(p.shape == (50,) for p in probs)
         for k in range(50):
             one, _ = ch_chsh_general(a1_sq[k], a2_sq[k], *rest[:, k])
             assert one == ch[k]
+            assert probs_general(a1_sq[k], a2_sq[k], *rest[:4, k]) == \
+                tuple(p[k] for p in probs)
 
     @pytest.mark.parametrize("a1_sq,a2_sq", [(-0.1, 1.0), (1.0, math.nan),
                                              (math.inf, 1.0)])
     def test_rejects_bad_drive(self, a1_sq, a2_sq):
         with pytest.raises(ValueError):
             ch_chsh_general(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(ValueError):
+            probs_general(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.3)

@@ -426,7 +426,36 @@ class TestDecomposition:
         assert (dec.c1, dec.lam_coeff) == (ref.c1, ref.lam_coeff)
 
 
+PAULIS = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+          np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+          np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+
+
+def pauli_tsirelson(psi):
+    """Horodecki's maximal CHSH of a two-qubit pure state psi[a, b]:
+    2 sqrt(m1 + m2), m1, m2 the two largest eigenvalues of T^T T with T the
+    3x3 spin correlation matrix."""
+    psi = psi / np.linalg.norm(psi)
+    t = np.array([[np.einsum("ab,aA,bB,AB->", psi.conj(), si, sj, psi).real
+                   for sj in PAULIS] for si in PAULIS])
+    lams = np.linalg.eigvalsh(t.T @ t)[::-1]
+    return 2.0 * math.sqrt(max(lams[0], 0.0) + max(lams[1], 0.0))
+
+
+AMPLITUDE = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
 class TestTsirelson:
+    @PROPERTY_SETTINGS
+    @given(amps=st.tuples(AMPLITUDE, AMPLITUDE, AMPLITUDE, AMPLITUDE).filter(
+        lambda amps: sum(re * re + im * im for re, im in amps) > 1e-3))
+    def test_matches_pauli_correlation_form(self, amps):
+        psi = np.array([complex(*a) for a in amps]).reshape(2, 2)
+        state = support_state({(1, 0, 1, 0): psi[0, 0], (1, 0, 0, 1): psi[0, 1],
+                               (0, 1, 1, 0): psi[1, 0], (0, 1, 0, 1): psi[1, 1]})
+        assert tsirelson_two_qubit(state) == pytest.approx(
+            pauli_tsirelson(psi), abs=1e-12)
+
     def test_product_state_reaches_classical_bound(self):
         product = support_state({(1, 0, 1, 0): 1.0})
         assert tsirelson_two_qubit(product) == pytest.approx(2.0, abs=1e-12)

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homodyne_bell
+from homodyne_bell import analytic
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed
-from homodyne_bell.cli import RunConfig, main
+from homodyne_bell.cli import RunConfig, main, run_verification
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
 
@@ -71,6 +73,20 @@ class TestVerify:
         assert loose_resid["network_unitarity"] > \
             1e3 * tight_resid["network_unitarity"] > 0.0
         assert rc == 1  # the widened residuals exceed the default tolerance
+
+    def test_oracle_checks_the_general_forms(self, monkeypatch):
+        # a flipped sign on the joint cross term of the general forms must
+        # fail the brute-force oracle
+        def flipped(alice, bob, damping):
+            amp = 1j * alice[0] * bob[1] + alice[1] * bob[0]
+            return 0.5 * damping * np.abs(amp) ** 2
+
+        monkeypatch.setattr(analytic, "_joint_prob", flipped)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["joint_oracle_agreement"]["passed"] is False
+        assert checks["joint_oracle_agreement"]["max_residual"] > 1e-3
+        assert checks["local_oracle_agreement"]["passed"] is True
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
@@ -190,6 +206,17 @@ class TestDriveRange:
         out = tmp_path / "out"
         assert run_cli([*command, "--config", cfg, "--out", out]) == 2
         assert "float-safe" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["figure", "--grid", "4x4"], ["split"],
+        ["optimize", "--family", "paper_baseline", "--restarts", "1"]])
+    def test_drive_beyond_cutoff_limit_rejected(self, tmp_path, capsys, command):
+        # alpha_sq 50 resolves to N=108, above the cutoff policy's N=63
+        cfg = write_config(tmp_path, {"alpha_sq": 50})
+        out = tmp_path / "out"
+        assert run_cli([*command, "--config", cfg, "--out", out]) == 2
+        assert "N=108" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -346,6 +373,25 @@ class TestSplit:
             c1 ** 2 * dec["psi1_part"] + lam_coeff ** 2 * dec["lam_part"], abs=1e-8)
         assert dec["full"] == pytest.approx(dec["reassembled"], abs=1e-8)
         assert dec["lam_part"] < 2.0
+
+    def test_reports_input_norm_loss(self, tmp_path):
+        out = tmp_path / "split.json"
+        assert run_cli(["split", "--out", out]) == 0
+        check = json.loads(out.read_text())["input_norm_loss"]
+        assert check["name"] == "input_norm_loss"
+        assert check["passed"] is True
+        assert 0.0 < check["max_residual"] <= 1e-12
+        assert check["tolerance"] == 1e-9
+
+    def test_coarse_cutoff_fails_its_norm_check(self, tmp_path, capsys):
+        # at N = 1 the input keeps only the oscillators' 0- and 1-photon terms
+        cfg = write_config(tmp_path, {"cutoff_n": 1})
+        out = tmp_path / "split.json"
+        assert run_cli(["split", "--config", cfg, "--out", out]) == 1
+        check = json.loads(out.read_text())["input_norm_loss"]
+        assert check["passed"] is False
+        assert check["max_residual"] > 0.4
+        assert "split check failed" in capsys.readouterr().err
 
     def test_asymmetric_drive_rejected(self, tmp_path):
         # the config has one drive strength; per-station strengths are not

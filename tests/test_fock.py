@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from homodyne_bell.fock import CutoffSpec, coherent_state, required_cutoff
+from homodyne_bell import optics
+from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec, coherent_state, required_cutoff
 from homodyne_bell.optics import ExperimentConfig, input_support, station_columns
 from test_optics import column_matrix
 
@@ -205,6 +206,18 @@ class TestCutoffSpec:
             CutoffSpec(n_max=-1)
         with pytest.raises(ValueError):
             CutoffSpec(tail_eps=2.0)
+
+    def test_limit_held_by_the_policy(self):
+        # an explicit cutoff outside [1, MAX_CUTOFF] is refused when the
+        # spec is built, a derived one above the limit when it is resolved
+        assert CutoffSpec(n_max=1).resolve(0.0) == 1
+        assert CutoffSpec(n_max=MAX_CUTOFF).resolve(1.0) == MAX_CUTOFF
+        for n_max in (0, MAX_CUTOFF + 1):
+            with pytest.raises(ValueError, match=f"N={n_max}"):
+                CutoffSpec(n_max=n_max)
+        with pytest.raises(ValueError, match="N=108"):
+            CutoffSpec().resolve(50.0)
+        assert optics.MAX_CUTOFF is MAX_CUTOFF
 
 
 class TestStateAlgebra:

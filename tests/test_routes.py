@@ -1,10 +1,11 @@
-"""Route boundary: the two numeric routes stay independent.
+"""Route boundary: the routes stay independent.
 
 The station engine (bell on optics.mix_station) and the brute-force route
 (optics.run_network -> detection) check each other only while they share
 no mixing code and only the cli, which runs the verification oracles,
-reaches the brute-force route. An AST scan of the package sources enforces
-both.
+reaches the brute-force route. The closed forms (analytic) check both only
+while they import no package module. An AST scan of the package sources
+enforces all three.
 """
 
 import ast
@@ -81,6 +82,9 @@ def boundary_violations(trees):
     shared = MIXING_ENGINE & reachable_names(trees["optics"], "run_network")
     if shared:
         problems.append(f"run_network reaches {sorted(shared)}")
+    package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
+    for module in sorted(imported_modules(trees["analytic"]) & package):
+        problems.append(f"analytic imports {module}")
     return problems
 
 
@@ -98,7 +102,10 @@ def test_route_boundary_holds():
     ("optics", "def run_network():\n    return helper()\n"
                "def helper():\n    return _pair_block(0.1, 2)\n",
      "run_network reaches ['_pair_block']"),
-], ids=["import", "attribute", "package_import", "module_import", "helper"])
+    ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
+    ("analytic", "from . import fock\n", "analytic imports fock"),
+], ids=["import", "attribute", "package_import", "module_import", "helper",
+        "analytic_import", "analytic_module_import"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":
