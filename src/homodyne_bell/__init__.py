@@ -6,8 +6,9 @@ cross-validated against each other; plus constrained CHSH maximization
 (scan) and a CLI (cli). The numerics mix each station's input terms and
 contract them into Bell records (bell on optics.mix_station); the
 verification oracles check both against a brute-force route that shares no
-mixing code with it (closed station columns -> dense output -> index
-readout, optics.run_network and detection, used only by the cli).
+mixing code with it (closed station columns -> factored network ->
+Born-rule readout, optics.run_network and detection, used only by the
+cli).
 """
 
 __version__ = "0.1.0"

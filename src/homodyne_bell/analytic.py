@@ -135,7 +135,7 @@ def _drives(alpha1_sq, alpha2_sq, phi1, phi2):
 def probs_general(alpha1_sq, alpha2_sq, phi1, phi2, x, y):
     """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) of the setting pair (x, y) at
     independent station strengths and phases, in closed form: the triple,
-    in the order, that detection.favorable_probs reads off the dense
+    in the order, that detection.favorable_probs reads off the brute-force
     network. Arguments broadcast as in ch_chsh_general."""
     alpha1_sq, alpha2_sq, lo1, lo2 = _drives(alpha1_sq, alpha2_sq, phi1, phi2)
     alice, bob = _station(lo1, x), _station(lo2, y)

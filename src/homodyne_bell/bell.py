@@ -1,7 +1,7 @@
 """CH and CHSH assembly, the entangled/residual state split, and the
 two-qubit maximal-CHSH check for the entangled component.
 
-Everything here runs on station vectors, not on the dense 4-mode output.
+Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
 w = optics.PAIR_WEIGHTS, and both beamsplitters are local, so the output
 is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
@@ -14,9 +14,9 @@ The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
 each setting's station observable 1 - 2|1,0><1,0|, written on a station's
-input support from one mix_station pass. Nothing here uses the dense
-network of the verification oracles (optics.run_network and the detection
-readout), which stays an independent brute-force route.
+input support from one mix_station pass. Nothing here uses the
+closed-column network of the verification oracles (optics.run_network and
+the detection readout), which stays an independent brute-force route.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -126,7 +126,7 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     (xi2, eta2) with signs +, +, -, + and assemble the record.
 
     Each distinct station setting is evolved once (optics.mix_station at
-    the dense network's cutoff config.resolve_cutoff()) and every pair is a
+    the per-mode cutoff config.resolve_cutoff()) and every pair is a
     contraction of the station vectors. Canonical marginals: Alice's at
     setting x comes from pair (x, eta) and Bob's at y from pair (xi, y).
     """

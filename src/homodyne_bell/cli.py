@@ -34,7 +34,6 @@ from .detection import favorable_probs
 from .fock import CutoffSpec
 from .optics import (
     ExperimentConfig,
-    input_support,
     run_network,
     symmetric_config,
 )
@@ -281,17 +280,17 @@ def run_verification(cfg: RunConfig) -> dict:
     checks.append(_check("record_ch_chsh_identity", worst_rec,
                          cfg.identity_tol, 12))
 
-    # exact identities, closed forms: the paper's expanded CH against the
-    # general forms on the standard quadruple, and CHSH against CH
+    # exact identities, closed forms: the paper's expanded CH and CHSH
+    # against the general forms on the standard quadruple
     xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, (3, 500))
     a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random(500))
     points = [analytic.ClosedFormPoint(*p) for p in zip(xi, eta, dphi, a2)]
     ch = np.array([analytic.ch_closed(p) for p in points])
     chsh = np.array([analytic.chsh_closed(p) for p in points])
-    general, _ = analytic.ch_chsh_general(a2, a2, 0.0, dphi, xi, xi + HALF_PI,
-                                          eta, eta + HALF_PI)
-    worst_asm = float(np.max(np.abs(ch - general)))
-    worst_exp = float(np.max(np.abs(chsh - (2.0 + 4.0 * ch))))
+    general_ch, general_chsh = analytic.ch_chsh_general(
+        a2, a2, 0.0, dphi, xi, xi + HALF_PI, eta, eta + HALF_PI)
+    worst_asm = float(np.max(np.abs(ch - general_ch)))
+    worst_exp = float(np.max(np.abs(chsh - general_chsh)))
     checks.append(_check("closed_form_assembly_identity", worst_asm,
                          cfg.identity_tol, 500))
     checks.append(_check("closed_form_expanded_identity", worst_exp,
@@ -305,9 +304,9 @@ def run_verification(cfg: RunConfig) -> dict:
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         a = math.sqrt(a2)
-        base = ExperimentConfig(a, a, phi1, phi2, spec)
-        source = input_support(base)
-        p_a, p_b, _, norm_sq = favorable_probs(run_network(base, xi, eta))
+        network = run_network(ExperimentConfig(a, a, phi1, phi2, spec), xi, eta)
+        p_a, p_b, _, norm_sq = favorable_probs(network)
+        source = network[1]
         alt_bob = favorable_probs(run_network(
             ExperimentConfig(a, a, phi1, phi2_alt, spec), xi, eta_alt))
         alt_alice = favorable_probs(run_network(

@@ -17,9 +17,11 @@ import numpy as np
 # e^{-|a|^2/2} underflows long before this; reject absurd drive strengths.
 _MAX_ALPHA_SQ = 700.0
 
-# Largest per-mode cutoff any engine accepts. The verify oracle's dense
-# (N+1)^4 output binds it: 256 MiB at N = 63 (verify resolves at most N = 26
-# at the default tail, 8 MiB per output). alpha_sq = 50 resolves to N = 108.
+# Largest per-mode cutoff any engine accepts. No engine builds an (N+1)^4
+# array: the largest left are one station's closed columns in the verify
+# oracle (optics.station_columns, 2 (N+1)^3 amplitudes, 8.4 MB at N = 63) and
+# mix_station's column arrays and mixing blocks. verify resolves at most
+# N = 26 at the default tail; alpha_sq = 50 resolves to N = 108.
 MAX_CUTOFF = 63
 
 

@@ -1,6 +1,6 @@
 """The two-station network: experiment configuration, the station mixing of
-the factorized engine, and the closed-column dense network of the
-verification oracles.
+the factorized engine, and the closed-column network of the verification
+oracles.
 
 Reflection-phase convention, used identically at every splitter:
 
@@ -22,10 +22,11 @@ output mode at the per-mode cutoff N:
   of each total photon number, from a cached eigendecomposition of the
   mixing generator;
 - station_columns writes the unitary's columns on a station's input
-  support in closed binomial form. run_network multiplies them into the
-  dense 4-mode output, the brute-force route of the verification oracles
-  (closed station columns -> dense output -> index readout in the
-  detection module). It shares no mixing code with mix_station.
+  support in closed binomial form. run_network returns them with the input
+  support as the factors (U_A, X, U_B) of the output U_A X U_B^T, the
+  brute-force route of the verification oracles (closed station columns
+  -> factored network -> Born-rule readout in the detection module). It
+  shares no mixing code with mix_station.
 """
 
 from __future__ import annotations
@@ -200,13 +201,17 @@ def station_columns(theta: float, cutoff: int) -> np.ndarray:
     return u
 
 
-def run_network(config: ExperimentConfig, xi: float, eta: float) -> np.ndarray:
-    """Dense network output out[c1, d1, c2, d2]: Alice's station mixed at xi
-    and Bob's at eta, each by its closed columns, U_A X U_B^T with X the
-    input support as a matrix over (Alice's input, Bob's input)."""
+def run_network(config: ExperimentConfig, xi: float,
+                eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The network in factored form (u_a, x, u_b): Alice's station mixed at
+    xi and Bob's at eta, each by its closed columns as a ((N+1)^2, 2(N+1))
+    matrix (row c * (N+1) + d is output |c, d>, column 2a + b input
+    |a, b>), and x the input support as a (2(N+1), 2(N+1)) matrix over
+    (Alice's input, Bob's input). The output amplitude of |c1, d1, c2, d2>
+    is entry (c1 * (N+1) + d1, c2 * (N+1) + d2) of u_a @ x @ u_b.T, which
+    is never built: detection.favorable_probs contracts the factors."""
     source = input_support(config)
     n = source.shape[0] - 1
     dim = 2 * (n + 1)
-    u_a = station_columns(xi, n).reshape(-1, dim)
-    u_b = station_columns(eta, n).reshape(-1, dim)
-    return (u_a @ source.reshape(dim, dim) @ u_b.T).reshape((n + 1,) * 4)
+    return (station_columns(xi, n).reshape(-1, dim), source.reshape(dim, dim),
+            station_columns(eta, n).reshape(-1, dim))

@@ -88,6 +88,22 @@ class TestVerify:
         assert checks["joint_oracle_agreement"]["max_residual"] > 1e-3
         assert checks["local_oracle_agreement"]["passed"] is True
 
+    def test_expanded_identity_checks_the_general_chsh(self, monkeypatch):
+        # a CHSH off 2 + 4 ch in the general forms must fail the printed
+        # expanded CHSH's check, and only it
+        general = analytic.ch_chsh_general
+
+        def shifted(*args):
+            ch, _ = general(*args)
+            return ch, 2.0 + 4.0 * ch + 1e-9
+
+        monkeypatch.setattr(analytic, "ch_chsh_general", shifted)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["closed_form_expanded_identity"]["passed"] is False
+        assert checks["closed_form_expanded_identity"]["max_residual"] > 5e-10
+        assert checks["closed_form_assembly_identity"]["passed"] is True
+
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
         assert run_cli(["verify", "--config", cfg]) == 2

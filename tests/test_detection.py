@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dense_oracle import ab_product_expectation
+from dense_oracle import ab_product_expectation, dense_favorable_probs, dense_output
+from homodyne_bell.analytic import probs_general
 from homodyne_bell.bell import evaluate_settings
 from homodyne_bell.detection import favorable_probs
-from homodyne_bell.fock import CutoffSpec
-from homodyne_bell.optics import input_support, run_network, station_columns, symmetric_config
+from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec
+from homodyne_bell.optics import (
+    ExperimentConfig,
+    input_support,
+    run_network,
+    station_columns,
+    symmetric_config,
+)
 
 E_MINUS_1_HALF = 0.18393972058572116
 E_MINUS_2_HALF = 0.06766764161830635
@@ -32,6 +41,20 @@ def enumerated_correlator(out):
     return sum(a * b * p for (a, b), p in outcome_classes(out).items())
 
 
+def scaled(network, z):
+    """The factored network of z times its output: the input scaled."""
+    u_a, x, u_b = network
+    return u_a, z * x, u_b
+
+
+def vacuum_network(cutoff):
+    """Factored network of the vacuum input through splitters at angle 0."""
+    u = station_columns(0.0, cutoff).reshape((cutoff + 1) ** 2, -1)
+    x = np.zeros((2 * (cutoff + 1),) * 2, dtype=complex)
+    x[0, 0] = 1.0
+    return u, x, u
+
+
 def random_network(rng, alpha_sq_hi=3.0):
     a2 = alpha_sq_hi * rng.random() + 0.05
     return run_network(symmetric_config(a2, rng.uniform(0, 2 * math.pi)),
@@ -40,11 +63,10 @@ def random_network(rng, alpha_sq_hi=3.0):
 
 class TestMarginals:
     def test_vacuum_has_no_favorable_events(self):
-        vac = np.zeros((3, 3, 3, 3), dtype=complex)
-        vac[0, 0, 0, 0] = 1.0
+        vac = vacuum_network(2)
         p_a, p_b, p_ab, norm = favorable_probs(vac)
         assert (p_a, p_b, p_ab, norm) == (0.0, 0.0, 0.0, 1.0)
-        assert enumerated_correlator(vac) == 1.0
+        assert enumerated_correlator(dense_output(vac)) == 1.0
 
     def test_single_photon_reflection_probability(self):
         p_a, p_b, _, _ = favorable_probs(run_network(symmetric_config(0.0), math.pi / 2, 0.0))
@@ -56,14 +78,18 @@ class TestMarginals:
         assert favorable_probs(s)[0] == pytest.approx(E_MINUS_1_HALF, abs=1e-10)
 
     def test_wrong_mode_set_rejected(self):
-        # one station's modes only, an input support array instead of an
-        # output, and an output without room for a photon
+        # factors of different cutoffs, the input support array instead of
+        # its matrix, and stations without room for a photon
+        u_a, x, u_b = run_network(symmetric_config(1.0), 0.4, 1.3)
+        small_u, small_x, _ = vacuum_network(2)
+        for network in ((u_a, small_x, u_b), (small_u, x, u_b), (u_a, x, small_u),
+                        (u_a, input_support(symmetric_config(1.0)), u_b),
+                        (u_a, x[:, :-1], u_b), (u_a.T, x, u_b)):
+            with pytest.raises(ValueError):
+                favorable_probs(network)
+        no_room = np.ones((1, 2), dtype=complex)
         with pytest.raises(ValueError):
-            favorable_probs(np.zeros((3, 3), dtype=complex))
-        with pytest.raises(ValueError):
-            favorable_probs(input_support(symmetric_config(1.0)))
-        with pytest.raises(ValueError):
-            favorable_probs(np.ones((1, 1, 1, 1), dtype=complex))
+            favorable_probs((no_room, np.ones((2, 2), dtype=complex), no_room))
 
 
 class TestJointProbability:
@@ -98,7 +124,7 @@ class TestCorrelator:
     def test_fully_transmitting_settings(self):
         rec = evaluate_settings(symmetric_config(0.0), 0.0, 0.0, 0.0, 0.0)
         assert rec.correlators[0] == pytest.approx(1.0, abs=1e-14)
-        out = run_network(symmetric_config(0.0), 0.0, 0.0)
+        out = dense_output(run_network(symmetric_config(0.0), 0.0, 0.0))
         assert enumerated_correlator(out) == pytest.approx(1.0, abs=1e-14)
 
     def test_linear_formula_matches_distribution_sum(self):
@@ -122,16 +148,16 @@ class TestCorrelator:
             angles = rng.uniform(0, 2 * math.pi, 4)
             rec = evaluate_settings(cfg, *angles)
             for (x, y), corr in zip(rec.settings, rec.correlators):
-                assert corr == pytest.approx(
-                    enumerated_correlator(run_network(cfg, x, y)), abs=1e-10)
+                assert corr == pytest.approx(enumerated_correlator(
+                    dense_output(run_network(cfg, x, y))), abs=1e-10)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(6):
-            out = random_network(rng, 1.5)
-            dist = outcome_classes(out)
+            network = random_network(rng, 1.5)
+            dist = outcome_classes(dense_output(network))
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-            p_a, p_b, p_ab, _ = favorable_probs(out)
+            p_a, p_b, p_ab, _ = favorable_probs(network)
             assert dist[(-1, -1)] == pytest.approx(p_ab, abs=1e-14)
             assert dist[(-1, -1)] + dist[(-1, 1)] == pytest.approx(p_a, abs=1e-14)
             assert dist[(-1, -1)] + dist[(1, -1)] == pytest.approx(p_b, abs=1e-14)
@@ -141,8 +167,8 @@ class TestTruncationNormalization:
     def test_probabilities_invariant_under_state_scaling(self):
         s = run_network(symmetric_config(1.2, 0.5, CutoffSpec(tail_eps=1e-4)), 0.8, 2.3)
         for z in (2.0, 0.3 - 0.7j, -1j):
-            scaled = favorable_probs(z * s)
-            for got, want in zip(scaled[:3], favorable_probs(s)[:3]):
+            for got, want in zip(favorable_probs(scaled(s, z))[:3],
+                                 favorable_probs(s)[:3]):
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_cached_norm_matches_fresh_vdot(self):
@@ -157,7 +183,7 @@ class TestTruncationNormalization:
                     for theta in (0.9, 2.0)]
             weights = np.abs(input_support(cfg).reshape(2 * (n + 1), -1)) ** 2
             assert norm == pytest.approx(kept[0] @ weights @ kept[1], rel=1e-14)
-            out = run_network(cfg, 0.9, 2.0)
+            out = dense_output(run_network(cfg, 0.9, 2.0))
             assert norm == pytest.approx(float(np.vdot(out, out).real), rel=1e-15)
 
 
@@ -183,17 +209,54 @@ class TestProductExpectation:
         s = run_network(symmetric_config(1.0, 0.9), 1.3, 0.4)
         loose = run_network(symmetric_config(1.0, 0.9, CutoffSpec(tail_eps=1e-4)), 1.3, 0.4)
         assert 1.0 - favorable_probs(loose)[3] > 1e-6
-        for state in (s, 2.0 * s, loose):
+        for state in (s, scaled(s, 2.0), loose):
             p_a, p_b, p_ab, norm = favorable_probs(state)
             correlator = 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
-            quad_form = ab_product_expectation(state).real
+            quad_form = ab_product_expectation(dense_output(state)).real
             assert quad_form == pytest.approx(correlator * norm, rel=1e-12, abs=1e-14)
 
     def test_bilinearity(self):
         cfg = symmetric_config(0.8, 1.1)
-        u = run_network(cfg, 0.7, 1.9)
-        v = run_network(cfg, 2.1, 0.3)
+        u = dense_output(run_network(cfg, 0.7, 1.9))
+        v = dense_output(run_network(cfg, 2.1, 0.3))
         z = 0.6 - 0.3j
         lhs = ab_product_expectation(u, z * v)
         rhs = z * ab_product_expectation(u, v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestReadoutEquivalence:
+    """The contraction of the factors against the index readout of the
+    dense output they multiply into."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a1_sq=st.floats(0.0, 4.0), a2_sq=st.floats(0.0, 4.0),
+           angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 4),
+           tail_eps=st.sampled_from((1e-12, 1e-4)))
+    def test_matches_dense_readout(self, a1_sq, a2_sq, angles, tail_eps):
+        # the loose tail leaves weight on the edge input |N, 1>, whose
+        # column loses amplitude: the norm must carry that loss
+        phi1, phi2, xi, eta = angles
+        network = run_network(ExperimentConfig(
+            math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
+            CutoffSpec(tail_eps=tail_eps)), xi, eta)
+        got, want = favorable_probs(network), dense_favorable_probs(network)
+        assert max(abs(g - w) for g, w in zip(got[:3], want[:3])) <= 1e-14
+        assert abs(got[3] - want[3]) <= 1e-13
+
+
+class TestScale:
+    def test_readout_at_max_cutoff_stays_small(self):
+        # the dense output at N = 63 would take 256 MiB; the factors and
+        # their Gram matrices take about a tenth of that
+        cfg = ExperimentConfig(1.1, 0.8, 0.3, 1.9, CutoffSpec(n_max=MAX_CUTOFF))
+        tracemalloc.start()
+        try:
+            p_a, p_b, p_ab, norm = favorable_probs(run_network(cfg, 0.7, 2.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        want = probs_general(1.1 ** 2, 0.8 ** 2, 0.3, 1.9, 0.7, 2.2)
+        assert max(abs(g - w) for g, w in zip((p_a, p_b, p_ab), want)) <= 1e-12
+        assert norm == pytest.approx(1.0, abs=1e-12)

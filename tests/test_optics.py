@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from dense_oracle import dense_output
+from homodyne_bell.detection import favorable_probs
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     MAX_CUTOFF,
@@ -161,10 +163,13 @@ class TestStationColumns:
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
 
     def test_run_network_leaves_mixing_caches_alone(self):
-        run_network(symmetric_config(0.4, 0.3), 0.9, 2.2)
+        favorable_probs(run_network(symmetric_config(0.4, 0.3), 0.9, 2.2))
         before = _pair_block.cache_info(), _mixing_eig.cache_info()
-        out = run_network(symmetric_config(1.7, 1.1), 0.123456789, 2.3456789)
-        assert out.shape == (symmetric_config(1.7).resolve_cutoff() + 1,) * 4
+        u_a, x, u_b = run_network(symmetric_config(1.7, 1.1), 0.123456789, 2.3456789)
+        favorable_probs((u_a, x, u_b))
+        stride = symmetric_config(1.7).resolve_cutoff() + 1
+        assert (u_a.shape, x.shape, u_b.shape) == (
+            (stride ** 2, 2 * stride), (2 * stride,) * 2, (stride ** 2, 2 * stride))
         assert (_pair_block.cache_info(), _mixing_eig.cache_info()) == before
 
 
@@ -272,9 +277,10 @@ class TestInputState:
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
     def test_cutoff_limit(self):
-        # a dense (N+1)^4 output fits in 256 MiB exactly up to N = 63
+        # at N = 63 one station's closed columns, 2 (N+1)^3 amplitudes, are
+        # the largest array of the verify oracle: 8 MiB
         assert MAX_CUTOFF == 63
-        assert 64 ** 4 * 16 <= 256 * 2**20 < 65 ** 4 * 16
+        assert station_columns(0.3, MAX_CUTOFF).nbytes == 2 * 64 ** 3 * 16 == 8 * 2**20
         at_limit = ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=63))
         assert at_limit.resolve_cutoff() == 63
         with pytest.raises(ValueError, match="N=64"):
@@ -309,11 +315,11 @@ def embedded(support):
 class TestNetwork:
     def test_zero_angles_relabel_only(self):
         cfg = symmetric_config(0.7, 0.9)
-        after = run_network(cfg, 0.0, 0.0)
+        after = dense_output(run_network(cfg, 0.0, 0.0))
         assert np.max(np.abs(after - embedded(input_support(cfg)))) < 1e-13
 
     def test_single_photon_station_action(self):
-        s = run_network(symmetric_config(0.0), math.pi / 2, 0.0)
+        s = dense_output(run_network(symmetric_config(0.0), math.pi / 2, 0.0))
         # photon component of b1 splits over (c1, d1); b2 passes to d2
         assert s[1, 0, 0, 0] == pytest.approx(-0.5, abs=1e-14)
         assert s[0, 1, 0, 0] == pytest.approx(0.5j, abs=1e-14)
@@ -325,8 +331,8 @@ class TestNetwork:
             a2 = 4.0 * (1.0 - rng.random())
             cfg = symmetric_config(a2, rng.uniform(0, 2 * math.pi))
             s_in = input_support(cfg)
-            s_out = run_network(cfg, rng.uniform(0, 2 * math.pi),
-                                rng.uniform(0, 2 * math.pi))
+            s_out = dense_output(run_network(cfg, rng.uniform(0, 2 * math.pi),
+                                             rng.uniform(0, 2 * math.pi)))
             norm_out = np.vdot(s_out, s_out).real
             assert abs(norm_out - np.vdot(s_in, s_in).real) < 1e-10
             assert 1.0 - norm_out < 1e-10
@@ -354,4 +360,5 @@ class TestNetwork:
         a_k, b_k = mix_station(terms_a, xi), mix_station(terms_b, eta)
         factorized = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, a_k, b_k)
         # 6.7e-16 at most over 300 random points of this range
-        assert np.max(np.abs(run_network(cfg, xi, eta) - factorized)) <= 2e-15
+        assert np.max(np.abs(dense_output(run_network(cfg, xi, eta))
+                             - factorized)) <= 2e-15

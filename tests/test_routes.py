@@ -2,10 +2,11 @@
 
 The station engine (bell on optics.mix_station) and the brute-force route
 (optics.run_network -> detection) check each other only while they share
-no mixing code and only the cli, which runs the verification oracles,
-reaches the brute-force route. The closed forms (analytic) check both only
-while they import no package module. An AST scan of the package sources
-enforces all three.
+no mixing code, the brute-force readout shares none of the station
+engine's contraction (bell's pair weights and pair probabilities), and
+only the cli, which runs the verification oracles, reaches the brute-force
+route. The closed forms (analytic) check both only while they import no
+package module. An AST scan of the package sources enforces all four.
 """
 
 import ast
@@ -17,6 +18,8 @@ import homodyne_bell
 
 SRC = Path(homodyne_bell.__file__).resolve().parent
 MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
+# the rank-2 pair structure the station engine contracts through
+PAIR_READOUT = {"PAIR_WEIGHTS", "_WEIGHT_PAIRS", "_pair_probabilities"}
 
 
 def parse_package():
@@ -82,6 +85,10 @@ def boundary_violations(trees):
     shared = MIXING_ENGINE & reachable_names(trees["optics"], "run_network")
     if shared:
         problems.append(f"run_network reaches {sorted(shared)}")
+    if "bell" in imported_modules(trees["detection"]):
+        problems.append("detection imports bell")
+    for name in sorted(PAIR_READOUT & referenced_names(trees["detection"])):
+        problems.append(f"detection names {name}")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
     for module in sorted(imported_modules(trees["analytic"]) & package):
         problems.append(f"analytic imports {module}")
@@ -104,8 +111,12 @@ def test_route_boundary_holds():
      "run_network reaches ['_pair_block']"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
+    ("detection", "from . import bell\n", "detection imports bell"),
+    ("detection", "from .optics import PAIR_WEIGHTS\n",
+     "detection names PAIR_WEIGHTS"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
-        "analytic_import", "analytic_module_import"])
+        "analytic_import", "analytic_module_import", "detection_import",
+        "detection_pair_weights"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":
