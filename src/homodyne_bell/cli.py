@@ -240,7 +240,10 @@ def run_verification(cfg: RunConfig) -> dict:
         c_a, c_b, c_ab = analytic.probs_general(a1_sq, a2_sq, phi1, phi2, xi, eta)
         worst_joint = max(worst_joint, abs(p_ab - c_ab))
         worst_local = max(worst_local, abs(p_a - c_a), abs(p_b - c_b))
-        worst_margin = max(worst_margin, p_ab - min(p_a, p_b))
+        # the readout gives p_ab <= min(p_a, p_b) by construction, so the
+        # bound tests the closed forms' triple
+        worst_margin = max(worst_margin, p_ab - min(p_a, p_b),
+                           float(c_ab - min(c_a, c_b)))
     checks.append(_check("joint_oracle_agreement", worst_joint, cfg.tol,
                          cfg.verify_points))
     checks.append(_check("local_oracle_agreement", worst_local, cfg.tol,

@@ -18,9 +18,11 @@ input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2). Two
 independent constructions of a splitter act on it, both cutting every
 output mode at the per-mode cutoff N:
 
-- mix_station, which the bell module uses, applies the exact mixing block
-  of each total photon number, from a cached eigendecomposition of the
-  mixing generator;
+- mix_station, which the bell module uses, mixes every total photon
+  number at once: one batched contraction of the phases with a per-cutoff
+  table of the mixing generator's eigendecomposition (its eigenvalues and
+  the eigenvector products of the two block columns a station input
+  reaches);
 - station_columns writes the unitary's columns on a station's input
   support in closed binomial form. run_network returns them with the input
   support as the factors (U_A, X, U_B) of the output U_A X U_B^T, the
@@ -115,18 +117,45 @@ def _mixing_eig(total: int):
     return lam, vec
 
 
-# Searches rarely revisit an angle, so the cache mostly holds blocks that
-# are not asked for again; 256 slots bound what it keeps (a block holds
-# (total + 1)^2 complex entries, 66 KiB at total 64).
-@lru_cache(maxsize=256)
-def _pair_block(theta: float, total: int) -> np.ndarray:
-    """Exact two-mode mixing unitary on the total-photon subspace, basis
-    ordered by the lo-mode count m = 0..total."""
-    lam, vec = _mixing_eig(total)
-    phases = np.exp(1j * (theta / 2.0) * lam)
-    block = (vec * phases) @ vec.T
-    block.setflags(write=False)
-    return block
+# The mixing table of one cutoff: (N+2)^2 eigenvalues, 2 (N+1)(N+2)^2
+# eigenvector products (557 KB at N = 31, 4.3 MB at N = 63) and the gather
+# indices; an engine touches a few cutoffs, so one slot per cutoff bounds
+# the cache.
+@lru_cache(maxsize=MAX_CUTOFF)
+def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Angle-free mixing table of a station cut at `cutoff`, read-only.
+
+    Within total photon number t the mixing block is
+    vec diag(e^{i theta lam / 2}) vec^T in the eigenbasis of _mixing_eig(t),
+    indexed by the lo-mode count. A station input holds at most one ph
+    photon, so it reaches only block columns m = t (ph count 0) and
+    m = t - 1 (ph count 1), and t <= cutoff + 1. Returns
+
+    - lam[t, j]: the eigenvalues of total t, zero-padded to (N+2, N+2);
+    - prod[t, 2c + s, j] = vec[c, j] vec[t - s, j] for output rows c <= N,
+      zero where c > t or the input count t - s falls outside [0, N];
+    - dest, src: output pair (c, d) with c + d <= N + 1 at flat index
+      dest = c (N+1) + d is read from row src = (c + d)(N+1) + c of the
+      mixed (t, c) rows.
+    """
+    stride, totals = cutoff + 1, cutoff + 2
+    lam = np.zeros((totals, totals))
+    prod = np.zeros((totals, stride, 2, totals))
+    for t in range(totals):
+        lam_t, vec = _mixing_eig(t)
+        lam[t, :t + 1] = lam_t
+        rows = vec[:min(t, cutoff) + 1]
+        if t <= cutoff:
+            prod[t, :len(rows), 0, :t + 1] = rows * vec[t]
+        if t >= 1:
+            prod[t, :len(rows), 1, :t + 1] = rows * vec[t - 1]
+    c, d = np.divmod(np.arange(stride * stride), stride)
+    dest = np.flatnonzero(c + d <= cutoff + 1)
+    src = (c + d)[dest] * stride + c[dest]
+    prod = prod.reshape(totals, 2 * stride, totals)
+    for array in (lam, prod, dest, src):
+        array.setflags(write=False)
+    return lam, prod, dest, src
 
 
 def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
@@ -138,29 +167,33 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     occupation (c, d) for column k, both output modes cut at the station
     cutoff.
 
-    All columns are evolved in one block pass with the pair index leading
-    and the column index trailing: within total photon number t the flat
-    pair indices c * (cutoff + 1) + d of the kept occupations are
-    t + c * cutoff for c = c_lo..c_hi. The input holds at most cutoff + 1
-    photons and mixing conserves the pair's photon number, so every block
-    above total cutoff + 1 has zero input and zero output; those blocks are
-    skipped, which is exact and keeps their large mixing blocks out of the
-    cache.
+    All totals t <= cutoff + 1 are mixed in one batched pass over the
+    cutoff's _pair_block table, with no loop over t: one real product of
+    the eigenvector products with the phases e^{i theta lam / 2}, as
+    (cos, sin) pairs, gives the two block columns M[t, c, s] each total's
+    input reaches, one product with the inputs x[t, s, k] =
+    columns[t - s, s, k] gives the mixed rows (t, c), and one gather puts
+    them at out[c, t - c, k]. That is O(N^3) per angle. The input holds at
+    most cutoff + 1 photons and mixing conserves the pair's photon number,
+    so every output of total above cutoff + 1 is exactly zero, and so is
+    every product of two columns' outputs at different totals.
     """
     cutoff = columns.shape[0] - 1
     if cutoff < 1:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
-    stride = cutoff + 1
-    inputs = np.zeros((stride, stride, columns.shape[2]), dtype=np.complex128)
-    inputs[:, :2] = columns
-    flat = inputs.reshape(stride * stride, -1)
-    out = np.zeros_like(flat)
-    for t in range(cutoff + 2):
-        c_lo, c_hi = max(0, t - cutoff), min(cutoff, t)
-        rows = slice(t + c_lo * cutoff, t + c_hi * cutoff + 1, cutoff)
-        block = _pair_block(theta, t)[c_lo:c_hi + 1, c_lo:c_hi + 1]
-        out[rows] = block @ flat[rows]
-    return out.reshape(stride, stride, -1)
+    stride, width = cutoff + 1, columns.shape[2]
+    lam, prod, dest, src = _pair_block(cutoff)
+    # complex entries are read as their (re, im) pairs and back: the phases
+    # e^{i theta lam / 2} as (cos, sin), the product as the block columns
+    trig = np.exp((0.5j * theta) * lam).view(np.float64).reshape(lam.shape + (2,))
+    block = (prod @ trig).view(np.complex128).reshape(cutoff + 2, stride, 2)
+    inputs = np.zeros((cutoff + 2, 2, width), dtype=np.complex128)
+    inputs[:-1, 0] = columns[:, 0]
+    inputs[1:, 1] = columns[:, 1]
+    mixed = (block @ inputs).reshape(-1, width)
+    out = np.zeros((stride * stride, width), dtype=np.complex128)
+    out[dest] = mixed[src]
+    return out.reshape(stride, stride, width)
 
 
 @lru_cache(maxsize=MAX_CUTOFF)

@@ -5,8 +5,8 @@ station columns (optics.station_columns) to that output; and from it the
 state split, its CHSH matrix elements and the residual's cross-term
 listing. The library reads the network's probabilities off its factors
 without building the output, and computes the split on the input's
-two-photon support with the mixing blocks of optics.mix_station; the tests
-hold both to these brute-force forms.
+two-photon support with optics.mix_station; the tests hold both to these
+brute-force forms.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""

@@ -204,7 +204,7 @@ class TestStationFactorization:
             station[:, k] = lo
             full = (unitary @ station.reshape(-1)).reshape(station.shape)
             assert np.max(np.abs(terms[..., k] - full)) <= 1e-15
-            # mix_station's eigendecomposed blocks carry up to ~6e-15 of
+            # mix_station's eigendecomposed mixing carries up to ~6e-15 of
             # rounding (test_optics.TestStationColumns)
             independent = np.tensordot(closed[:, :, :, k], lo, axes=(2, 0))
             assert np.max(np.abs(terms[..., k] - independent)) <= 1e-14
@@ -415,6 +415,15 @@ class TestDecomposition:
                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
             assert abs(dec.interference) < 1e-12
             assert abs(dec.full - dec.reassembled) < 1e-9
+        # at split's default phases the station observables' blocks of
+        # different photon number are exact zeros, and so is the
+        # interference the split report prints
+        for alpha_sq in (0.3, 1.0, 2.5):
+            split = split_state(symmetric_config(alpha_sq))
+            quads = [reference_quadruple()] + [
+                SettingsQuadruple(*rng.uniform(0, 2 * math.pi, 2)) for _ in range(3)]
+            for quad in quads:
+                assert chsh_decomposition(split, quad).interference == 0.0
 
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives(), quad=QUADS)

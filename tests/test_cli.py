@@ -104,6 +104,21 @@ class TestVerify:
         assert checks["closed_form_expanded_identity"]["max_residual"] > 5e-10
         assert checks["closed_form_assembly_identity"]["passed"] is True
 
+    def test_joint_bound_checks_the_general_forms(self, monkeypatch):
+        # the readout keeps p_ab <= min(p_a, p_b) by construction, so a
+        # doubled closed-form joint must fail the bound on the closed forms
+        joint = analytic._joint_prob
+
+        def doubled(alice, bob, damping):
+            return 2.0 * joint(alice, bob, damping)
+
+        monkeypatch.setattr(analytic, "_joint_prob", doubled)
+        report = run_verification(RunConfig(verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["joint_within_marginals"]["passed"] is False
+        assert checks["joint_within_marginals"]["max_residual"] > 1e-2
+        assert checks["local_oracle_agreement"]["passed"] is True
+
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
         assert run_cli(["verify", "--config", cfg]) == 2

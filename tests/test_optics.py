@@ -28,6 +28,14 @@ CUTOFFS = st.integers(1, 12)
 COLUMN_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
+def mixing_block(theta, total):
+    """Full mixing unitary on the pair's `total`-photon subspace, basis
+    ordered by the lo-mode count: vec e^{i theta lam / 2} vec^T from the
+    generator's eigendecomposition."""
+    lam, vec = _mixing_eig(total)
+    return (vec * np.exp(0.5j * theta * lam)) @ vec.T
+
+
 def pair_unitary(theta, n_lo, n_ph):
     """Truncated two-mode mixing unitary on the (n_lo+1)(n_ph+1) pair space,
     flat index m*(n_ph+1) + n with m the lo-mode count.
@@ -35,15 +43,16 @@ def pair_unitary(theta, n_lo, n_ph):
     Block diagonal in the pair's total photon number; each block is the
     exact untruncated transform with out-of-range rows and columns removed,
     so the matrix drops exactly the amplitude that exact mixing would push
-    beyond a cutoff. This is the explicit matrix form of what
-    mix_station applies block by block (there only up to total cutoff + 1).
+    beyond a cutoff. This is the explicit matrix form of what mix_station
+    applies to a station input (there only up to total cutoff + 1, and only
+    to the two block columns such an input reaches).
     """
     rows, cols, data = [], [], []
     stride = n_ph + 1
     for t in range(n_lo + n_ph + 1):
         m_lo = max(0, t - n_ph)
         m_hi = min(n_lo, t)
-        block = _pair_block(theta, t)[m_lo:m_hi + 1, m_lo:m_hi + 1]
+        block = mixing_block(theta, t)[m_lo:m_hi + 1, m_lo:m_hi + 1]
         flat = np.arange(m_lo, m_hi + 1) * stride + (t - np.arange(m_lo, m_hi + 1))
         p_idx, m_idx = np.meshgrid(flat, flat, indexing="ij")
         rows.append(p_idx.ravel())
@@ -53,6 +62,16 @@ def pair_unitary(theta, n_lo, n_ph):
     return sparse.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim, dim))
+
+
+def full_block_mix(columns, theta):
+    """mix_station's output from the full pair unitary, every block up to
+    total 2 * cutoff applied to the columns placed in the pair space."""
+    stride = columns.shape[0]
+    inputs = np.zeros((stride, stride, columns.shape[2]), dtype=complex)
+    inputs[:, :2] = columns
+    flat = pair_unitary(theta, stride - 1, stride - 1) @ inputs.reshape(stride ** 2, -1)
+    return flat.reshape(inputs.shape)
 
 
 def mixing_matrix_oracle(theta, n_lo, n_ph):
@@ -133,16 +152,58 @@ class TestPairUnitary:
                     assert np.vdot(col, col).real == pytest.approx(1.0, abs=1e-12)
 
 
+MIX_CUTOFFS = st.sampled_from(list(range(1, 13)) + [26, 31, 63])
+
+
+class TestMixStation:
+    """The batched mixer against the full mixing blocks, applied block by
+    block to the whole pair space."""
+
+    @COLUMN_SETTINGS
+    @given(theta=ANGLES, cutoff=MIX_CUTOFFS,
+           width=st.sampled_from(("one", "two", "support")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_blocks(self, theta, cutoff, width, seed):
+        k = {"one": 1, "two": 2, "support": 2 * (cutoff + 1)}[width]
+        columns = np.random.default_rng(seed).standard_normal(
+            (cutoff + 1, 2, k, 2)) @ (1.0, 1.0j)
+        columns /= np.linalg.norm(columns.reshape(-1, k), axis=0)
+        mixed = mix_station(columns, theta)
+        assert mixed.shape == (cutoff + 1, cutoff + 1, k)
+        assert np.max(np.abs(mixed - full_block_mix(columns, theta))) <= 1e-14
+
+    @COLUMN_SETTINGS
+    @given(theta=ANGLES, cutoff=MIX_CUTOFFS)
+    def test_different_totals_exactly_orthogonal(self, theta, cutoff):
+        # photon number is conserved exactly: outputs of inputs at
+        # different totals a + b share no nonzero entry
+        u = mixed_basis(theta, cutoff)
+        total = (np.arange(cutoff + 1)[:, None] + np.arange(2)).reshape(-1)
+        apart = total[:, None] != total[None, :]
+        assert np.all((u.conj().T @ u)[apart] == 0.0)
+        occ = np.arange(cutoff + 1)
+        out_total = (occ[:, None] + occ).reshape(-1)
+        assert np.all(u[out_total[:, None] != total[None, :]] == 0.0)
+
+    def test_one_table_per_cutoff(self):
+        _pair_block.cache_clear()
+        columns = np.ones((11, 2, 2), dtype=complex)
+        for theta in np.linspace(0.0, 2.0 * math.pi, 50):
+            mix_station(columns, theta)
+        info = _pair_block.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 49)
+
+
 class TestStationColumns:
     """The closed columns against the two other constructions of the same
-    splitter: mix_station's cached mixing blocks and the creation-operator
-    oracle."""
+    splitter: mix_station's batched eigendecomposition and the
+    creation-operator oracle."""
 
     @COLUMN_SETTINGS
     @given(theta=ANGLES, cutoff=CUTOFFS)
     def test_match_mix_station(self, theta, cutoff):
         # against a 40-digit reference the closed columns are within 6e-16
-        # up to cutoff 12 and mix_station's eigendecomposed blocks within
+        # up to cutoff 12 and mix_station's eigendecomposed mixing within
         # 6e-15, which sets this bound
         assert np.max(np.abs(column_matrix(theta, cutoff)
                              - mixed_basis(theta, cutoff))) <= 1e-14

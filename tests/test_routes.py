@@ -1,12 +1,13 @@
 """Route boundary: the routes stay independent.
 
 The station engine (bell on optics.mix_station) and the brute-force route
-(optics.run_network -> detection) check each other only while they share
-no mixing code, the brute-force readout shares none of the station
-engine's contraction (bell's pair weights and pair probabilities), and
-only the cli, which runs the verification oracles, reaches the brute-force
-route. The closed forms (analytic) check both only while they import no
-package module. An AST scan of the package sources enforces all four.
+(optics.run_network -> detection) check each other only while neither
+reaches the other's mixing code, the brute-force readout shares none of
+the station engine's contraction (bell's pair weights and pair
+probabilities), and only the cli, which runs the verification oracles,
+reaches the brute-force route. The closed forms (analytic) check both only
+while they import no package module. An AST scan of the package sources
+enforces all four.
 """
 
 import ast
@@ -18,6 +19,8 @@ import homodyne_bell
 
 SRC = Path(homodyne_bell.__file__).resolve().parent
 MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
+# the closed columns of the brute-force route
+CLOSED_COLUMNS = {"station_columns", "_root_binomials"}
 # the rank-2 pair structure the station engine contracts through
 PAIR_READOUT = {"PAIR_WEIGHTS", "_WEIGHT_PAIRS", "_pair_probabilities"}
 
@@ -85,6 +88,10 @@ def boundary_violations(trees):
     shared = MIXING_ENGINE & reachable_names(trees["optics"], "run_network")
     if shared:
         problems.append(f"run_network reaches {sorted(shared)}")
+    for entry in ("mix_station", "_pair_block"):
+        shared = CLOSED_COLUMNS & reachable_names(trees["optics"], entry)
+        if shared:
+            problems.append(f"{entry} reaches {sorted(shared)}")
     if "bell" in imported_modules(trees["detection"]):
         problems.append("detection imports bell")
     for name in sorted(PAIR_READOUT & referenced_names(trees["detection"])):
@@ -107,14 +114,18 @@ def test_route_boundary_holds():
      "__init__ imports detection"),
     ("bell", "from . import detection\n", "bell imports detection"),
     ("optics", "def run_network():\n    return helper()\n"
-               "def helper():\n    return _pair_block(0.1, 2)\n",
+               "def helper():\n    return _pair_block(2)\n",
      "run_network reaches ['_pair_block']"),
+    ("optics", "def mix_station(columns, theta):\n    return _pair_block(1)\n"
+               "def _pair_block(cutoff):\n    return _root_binomials(cutoff)\n",
+     "_pair_block reaches ['_root_binomials']"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
     ("detection", "from . import bell\n", "detection imports bell"),
     ("detection", "from .optics import PAIR_WEIGHTS\n",
      "detection names PAIR_WEIGHTS"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
+        "mixer_reaches_closed_columns",
         "analytic_import", "analytic_module_import", "detection_import",
         "detection_pair_weights"])
 def test_scan_catches_a_crossing(module, source, problem):
