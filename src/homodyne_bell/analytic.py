@@ -34,7 +34,7 @@ convention in the optics module; the verify report records this choice).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
 
 import numpy as np
 
@@ -45,21 +45,36 @@ LOCAL_EXPONENT_CORRECTED = "e^{-alpha^2}"
 LOCAL_EXPONENT_PRINTED = "e^{-2alpha^2}"
 
 
-@dataclass(frozen=True)
-class ClosedFormPoint:
-    """One evaluation point of the printed forms ch_closed and chsh_closed."""
-
+class _PointFields(typing.NamedTuple):
     xi: float
     eta: float
     dphi: float
     alpha_sq: float
 
-    def __post_init__(self):
-        for name in ("xi", "eta", "dphi", "alpha_sq"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.alpha_sq < 0:
+
+class ClosedFormPoint(_PointFields):
+    """One evaluation point of the printed forms ch_closed and chsh_closed:
+    an immutable, hashable (xi, eta, dphi, alpha_sq) tuple, refused unless
+    every field is finite and alpha_sq >= 0. A plain tuple subclass rather
+    than a dataclass, because the figure grid builds one per cell."""
+
+    __slots__ = ()
+
+    def __new__(cls, xi: float, eta: float, dphi: float, alpha_sq: float):
+        if not (math.isfinite(xi) and math.isfinite(eta)
+                and math.isfinite(dphi) and math.isfinite(alpha_sq)):
+            # name the first field that is not finite
+            for name, value in zip(cls._fields, (xi, eta, dphi, alpha_sq)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
+        if alpha_sq < 0:
             raise ValueError("alpha_sq must be >= 0")
+        return tuple.__new__(cls, (xi, eta, dphi, alpha_sq))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks too
+        return cls(*iterable)
 
 
 def local_prob_printed_variant(x: float, alpha_sq: float) -> float:

@@ -199,7 +199,11 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     psi1 = np.zeros_like(full)
     psi1[1, 0, 0, 1] = z * np.exp(1j * config.phi1)
     psi1[0, 1, 1, 0] = z * 1j * np.exp(1j * config.phi2)
-    lam = (1.0 / lam_coeff) * (full + (-1.0) * (c1 * psi1))
+    # full's two psi1 entries are c1 psi1's in exact arithmetic; zeroing
+    # them, rather than subtracting c1 psi1, leaves exact zeros there at
+    # every phase
+    lam = (1.0 / lam_coeff) * full
+    lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
     return StateSplit(c1, psi1, lam, lam_coeff, full)
 
 

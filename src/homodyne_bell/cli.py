@@ -31,7 +31,7 @@ from .bell import (
     REFERENCE_XI_MINUS_ETA,
 )
 from .detection import favorable_probs
-from .fock import CutoffSpec
+from .fock import MAX_ALPHA_SQ, CutoffSpec
 from .optics import (
     ExperimentConfig,
     run_network,
@@ -110,6 +110,13 @@ class RunConfig:
         if not 0.0 <= self.crosscheck_fraction <= 1.0:
             raise ConfigError("crosscheck_fraction must be in [0, 1], "
                               f"got {self.crosscheck_fraction}")
+        # figure streams its rows into the open CSV, so a range the closed
+        # forms or the spot-checks cannot evaluate is refused here, not
+        # mid-grid
+        if not 0.0 <= self.figure_alpha_sq_max <= MAX_ALPHA_SQ:
+            raise ConfigError(
+                f"figure_alpha_sq_max must be in [0, {MAX_ALPHA_SQ:g}], "
+                f"got {self.figure_alpha_sq_max}")
         # reject a bad drive (NaN, negative, infinite, beyond the float-safe
         # range) or a cutoff the cutoff policy refuses before any command
         # runs; the policy's n_max and tail_eps are cutoff_n and cutoff_eps
@@ -352,49 +359,80 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 # figure
 
 def figure_rows(cfg: RunConfig, dphi: float, xi_minus_eta: float,
-                rows: int, cols: int):
-    """Row-major grid over alpha_sq in (0, max] and xi_plus_eta in [0, 2pi)."""
+                rows: int, cols: int, picks: list[int]):
+    """Stream the grid over alpha_sq in (0, max] (rows) and xi_plus_eta in
+    [0, 2pi) (columns), one alpha_sq row at a time, row-major.
+
+    Each row yields its CSV text block and the (alpha_sq, xi, eta, ch) of
+    every flat (row-major) index in `picks` that falls in it. Every cell
+    makes one ClosedFormPoint and exactly one analytic.ch_closed call; its
+    chsh is written as 2 + 4 ch, which equals chsh_closed to the last bit
+    (both evaluate the same bracket, and the factors 1/4 and 4 are powers
+    of two). Each column's (xi, eta) and formatted xi_plus_eta, and each
+    row's formatted alpha_sq, are computed once.
+    """
+    columns = []
+    for j in range(cols):
+        total = 2.0 * math.pi * j / cols
+        columns.append(((total + xi_minus_eta) / 2.0,
+                        (total - xi_minus_eta) / 2.0, f",{total:.9g},"))
+    picked_cols: dict[int, list[int]] = {}
+    for index in picks:
+        picked_cols.setdefault(index // cols, []).append(index % cols)
+    point, ch_closed = analytic.ClosedFormPoint, analytic.ch_closed
     for i in range(rows):
         alpha_sq = cfg.figure_alpha_sq_max * (i + 1) / rows
-        for j in range(cols):
-            total = 2.0 * math.pi * j / cols
-            xi = (total + xi_minus_eta) / 2.0
-            eta = (total - xi_minus_eta) / 2.0
-            point = analytic.ClosedFormPoint(xi, eta, dphi, alpha_sq)
-            yield (alpha_sq, total, analytic.ch_closed(point),
-                   analytic.chsh_closed(point))
+        chs = [ch_closed(point(xi, eta, dphi, alpha_sq))
+               for xi, eta, _ in columns]
+        head = f"{alpha_sq:.9g}"
+        text = "".join([f"{head}{total}{ch:.9g},{2.0 + 4.0 * ch:.9g}\n"
+                        for (_, _, total), ch in zip(columns, chs)])
+        yield text, [(alpha_sq, *columns[j][:2], chs[j])
+                     for j in picked_cols.get(i, ())]
 
 
 def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
+    """Write the CH/CHSH grid as CSV, then recompute a seeded sample of its
+    cells with the numeric engine and fail when they disagree.
+
+    The angles are checked before the CSV is opened, since its rows are
+    streamed into the open file. The sample's ch values are the ones
+    written: the grid calls analytic.ch_closed exactly rows * cols times,
+    and the spot-checks never call it again.
+    """
     rows, cols = args.grid
-    if rows * cols > cfg.grid_budget:
-        raise ConfigError(f"grid has {rows * cols} points, exceeding the "
+    points = rows * cols
+    if points > cfg.grid_budget:
+        raise ConfigError(f"grid has {points} points, exceeding the "
                           f"budget of {cfg.grid_budget}")
-    data = list(figure_rows(cfg, args.dphi, args.xi_minus_eta, rows, cols))
+    for name in ("dphi", "xi_minus_eta"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"{name} must be finite")
     # the top row needs the largest cutoff of any spot-check; a range the
     # numerics cannot reach is refused before the CSV is written
     cfg.cutoff_spec().resolve(cfg.figure_alpha_sq_max)
+    count = max(1, math.ceil(cfg.crosscheck_fraction * points))
+    rng = np.random.default_rng(cfg.seed)
+    picks = sorted(int(p) for p in rng.choice(points, count, replace=False))
+    sample = []
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for alpha_sq, total, ch, chsh in data:
-                fh.write(f"{alpha_sq:.9g},{total:.9g},{ch:.9g},{chsh:.9g}\n")
+            for text, picked in figure_rows(cfg, args.dphi, args.xi_minus_eta,
+                                            rows, cols, picks):
+                fh.write(text)
+                sample.extend(picked)
     except OSError as exc:
         raise ConfigError(f"cannot write {args.out}: {exc}") from exc
 
     # mandatory numeric spot-check of the analytic grid
-    count = max(1, math.ceil(cfg.crosscheck_fraction * len(data)))
-    rng = np.random.default_rng(cfg.seed)
-    picks = sorted(int(p) for p in rng.choice(len(data), count, replace=False))
     worst = 0.0
-    for idx in picks:
-        alpha_sq, total, ch, _ = data[idx]
-        quad = SettingsQuadruple((total + args.xi_minus_eta) / 2.0,
-                                 (total - args.xi_minus_eta) / 2.0)
+    for alpha_sq, xi, eta, ch in sample:
         rec = evaluate_quadruple(
-            symmetric_config(alpha_sq, args.dphi, cfg.cutoff_spec()), quad)
+            symmetric_config(alpha_sq, args.dphi, cfg.cutoff_spec()),
+            SettingsQuadruple(xi, eta))
         worst = max(worst, abs(rec.ch - ch))
-    print(f"numeric crosscheck: {count} of {len(data)} points, "
+    print(f"numeric crosscheck: {count} of {points} points, "
           f"max |ch_numeric - ch_analytic| = {worst:.3e}")
     if worst > cfg.tol:
         print("figure crosscheck failed: numeric and analytic paths disagree",

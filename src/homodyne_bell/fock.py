@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # e^{-|a|^2/2} underflows long before this; reject absurd drive strengths.
-_MAX_ALPHA_SQ = 700.0
+MAX_ALPHA_SQ = 700.0
 
 # Largest per-mode cutoff any engine accepts. No engine builds an (N+1)^4
 # array: the largest left are one station's closed columns in the verify
@@ -37,9 +37,9 @@ def required_cutoff(alpha_sq: float, tail_eps: float) -> int:
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     if not 0.0 < tail_eps < 1.0:
         raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps}")
-    if alpha_sq > _MAX_ALPHA_SQ:
+    if alpha_sq > MAX_ALPHA_SQ:
         raise ValueError(f"alpha_sq={alpha_sq} exceeds the float-safe range "
-                         f"(at most {_MAX_ALPHA_SQ:g})")
+                         f"(at most {MAX_ALPHA_SQ:g})")
     term = math.exp(-alpha_sq)
     cum = term
     n = 0
@@ -92,9 +92,9 @@ def coherent_state(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     mag_sq = abs(alpha) ** 2
-    if mag_sq > _MAX_ALPHA_SQ:
+    if mag_sq > MAX_ALPHA_SQ:
         raise ValueError(f"|alpha|^2={mag_sq} exceeds the float-safe range "
-                         f"(at most {_MAX_ALPHA_SQ:g})")
+                         f"(at most {MAX_ALPHA_SQ:g})")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     amps[0] = math.exp(-mag_sq / 2.0)
     for n in range(1, cutoff + 1):

@@ -85,7 +85,8 @@ def ab_product_expectation(u: np.ndarray, v: np.ndarray | None = None) -> comple
 def dense_split_state(config: ExperimentConfig) -> StateSplit:
     """The split built on dense input arrays: the tensor product of the two
     oscillators and the split photon over all (N+1)^4 occupations, psi1
-    from two basis arrays and lam = (full - c1 psi1) / lam_coeff."""
+    from two basis arrays and lam = full with psi1's two entries zeroed,
+    divided by lam_coeff."""
     alpha = config.alpha1
     a2 = alpha * alpha
     c1 = alpha * math.exp(-a2)
@@ -101,7 +102,8 @@ def dense_split_state(config: ExperimentConfig) -> StateSplit:
     psi1 = np.zeros_like(full)
     psi1[1, 0, 0, 1] = z * np.exp(1j * config.phi1)
     psi1[0, 1, 1, 0] = z * 1j * np.exp(1j * config.phi2)
-    lam = (1.0 / lam_coeff) * (full + (-1.0) * (c1 * psi1))
+    lam = (1.0 / lam_coeff) * full
+    lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
     return StateSplit(c1, psi1, lam, lam_coeff, full)
 
 

@@ -130,6 +130,15 @@ class TestChshClosed:
         for p in random_points(500, 12):
             assert abs(chsh_closed(p) - (2.0 + 4.0 * ch_closed(p))) < 1e-12
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(xi=st.floats(-10.0, 10.0), eta=st.floats(-10.0, 10.0),
+           dphi=st.floats(-10.0, 10.0), alpha_sq=st.floats(0.0, 6.0))
+    def test_equals_ch_relation_to_the_last_bit(self, xi, eta, dphi, alpha_sq):
+        # both forms scale the same bracket, by 1/4 and 1, so 2 + 4 ch
+        # rounds to the same float: figure writes its chsh column this way
+        p = ClosedFormPoint(xi, eta, dphi, alpha_sq)
+        assert chsh_closed(p) == 2.0 + 4.0 * ch_closed(p)
+
     def test_never_violates_classical_bound(self):
         rng = np.random.default_rng(13)
         worst = -4.0
@@ -144,12 +153,34 @@ class TestChshClosed:
 
 class TestClosedFormPoint:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ClosedFormPoint(math.nan, 0.0, 0.0, 1.0)
+        for field, name in enumerate(("xi", "eta", "dphi", "alpha_sq")):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = [0.0, 0.0, 0.0, 1.0]
+                values[field] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    ClosedFormPoint(*values)
 
     def test_rejects_negative_drive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^alpha_sq must be >= 0$"):
             ClosedFormPoint(0.0, 0.0, 0.0, -1.0)
+
+    def test_immutable_hashable_tuple(self):
+        p = ClosedFormPoint(0.1, 0.2, 0.3, 0.4)
+        assert ClosedFormPoint._fields == ("xi", "eta", "dphi", "alpha_sq")
+        assert (p.xi, p.eta, p.dphi, p.alpha_sq) == (0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(AttributeError):
+            p.xi = 1.0
+        assert hash(p) == hash(ClosedFormPoint(0.1, 0.2, 0.3, 0.4))
+        # a tuple subclass: equal to the plain tuple of its fields
+        assert p == (0.1, 0.2, 0.3, 0.4)
+
+    def test_replace_is_checked(self):
+        p = ClosedFormPoint(0.1, 0.2, 0.3, 0.4)
+        assert p._replace(alpha_sq=2.0) == ClosedFormPoint(0.1, 0.2, 0.3, 2.0)
+        with pytest.raises(ValueError, match="^alpha_sq must be >= 0$"):
+            p._replace(alpha_sq=-1.0)
+        with pytest.raises(ValueError, match="^dphi must be finite$"):
+            p._replace(dphi=math.nan)
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)

@@ -425,6 +425,15 @@ class TestDecomposition:
             for quad in quads:
                 assert chsh_decomposition(split, quad).interference == 0.0
 
+    @PROPERTY_SETTINGS
+    @given(config=equal_drives(), quad=QUADS)
+    def test_interference_exactly_zero_at_any_phase(self, config, quad):
+        # lam is exactly zero on psi1's two entries, so no rounding of the
+        # split leaks into the cross form, whatever the oscillator phases
+        split = split_state(config)
+        assert split.lam[1, 0, 0, 1] == split.lam[0, 1, 1, 0] == 0.0
+        assert chsh_decomposition(split, quad).interference == 0.0
+
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives(), quad=QUADS)
     def test_matches_dense_oracle(self, config, quad):

@@ -11,7 +11,7 @@ import pytest
 
 import homodyne_bell
 from homodyne_bell import analytic
-from homodyne_bell.analytic import ClosedFormPoint, ch_closed
+from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import RunConfig, main, run_verification
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
@@ -104,6 +104,17 @@ class TestVerify:
         assert checks["closed_form_expanded_identity"]["max_residual"] > 5e-10
         assert checks["closed_form_assembly_identity"]["passed"] is True
 
+    def test_assembly_identity_checks_the_printed_ch(self, monkeypatch):
+        # a printed CH off the general forms must fail the assembly check,
+        # and only it: the expanded check reads chsh_closed
+        printed = analytic.ch_closed
+        monkeypatch.setattr(analytic, "ch_closed", lambda p: printed(p) + 1e-9)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["closed_form_assembly_identity"]["passed"] is False
+        assert checks["closed_form_assembly_identity"]["max_residual"] > 5e-10
+        assert checks["closed_form_expanded_identity"]["passed"] is True
+
     def test_joint_bound_checks_the_general_forms(self, monkeypatch):
         # the readout keeps p_ab <= min(p_a, p_b) by construction, so a
         # doubled closed-form joint must fail the bound on the closed forms
@@ -182,9 +193,16 @@ class TestRunKnobRange:
         (["verify"], {"cutoff_n": 100}),
         (["verify"], {"tol": float("nan")}),
         (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
+        # figure streams its rows, so a range that would fail mid-grid is
+        # refused at load; an explicit cutoff_n skips the cutoff policy's
+        # own range checks
+        (["figure", "--grid", "4x4"], {"figure_alpha_sq_max": -1.0, "cutoff_n": 20}),
+        (["figure", "--grid", "4x4"], {"figure_alpha_sq_max": float("nan")}),
+        (["figure", "--grid", "4x4"], {"figure_alpha_sq_max": 1e3, "cutoff_n": 20}),
     ], ids=["maxfev-0", "maxfev-neg", "restarts", "seed", "grid_budget",
             "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
-            "cutoff_n-100", "tol-nan", "diameter_tol-nan"])
+            "cutoff_n-100", "tol-nan", "diameter_tol-nan",
+            "alpha_sq_max-neg", "alpha_sq_max-nan", "alpha_sq_max-huge"])
     def test_rejected_at_load(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
@@ -316,6 +334,64 @@ class TestFigure:
                         "--out", out]) == 2
         assert "exceeds the limit N=63" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--dphi", "nan"),
+                                            ("--xi-minus-eta", "inf")])
+    def test_bad_angle_rejected_before_writing(self, tmp_path, capsys,
+                                               flag, value):
+        # rows stream into the open CSV, so the angles are checked first
+        out = tmp_path / "g.csv"
+        assert run_cli(["figure", "--grid", "4x4", flag, value,
+                        "--out", out]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matches_a_per_point_reference(self, tmp_path):
+        # the streamed grid, chsh written as 2 + 4 ch, against the plain
+        # loop over ch_closed and chsh_closed, byte for byte
+        rows, cols, dphi, xi_minus_eta = 5, 7, 0.4, -1.3
+        lines = ["alpha_sq,xi_plus_eta,ch,chsh"]
+        for i in range(rows):
+            alpha_sq = 2.0 * (i + 1) / rows
+            for j in range(cols):
+                total = 2.0 * math.pi * j / cols
+                p = ClosedFormPoint((total + xi_minus_eta) / 2.0,
+                                    (total - xi_minus_eta) / 2.0, dphi, alpha_sq)
+                lines.append(f"{alpha_sq:.9g},{total:.9g},"
+                             f"{ch_closed(p):.9g},{chsh_closed(p):.9g}")
+        out = tmp_path / "g.csv"
+        assert run_cli(["figure", "--grid", f"{rows}x{cols}", "--dphi", dphi,
+                        "--xi-minus-eta", xi_minus_eta, "--out", out]) == 0
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_one_ch_closed_call_per_point(self, tmp_path, monkeypatch):
+        # the benchmark's traced check counts one analytic.ch_closed span per
+        # grid point; the spot-checks reuse the grid's values
+        calls = {"ch_closed": 0, "chsh_closed": 0}
+
+        def counted(name):
+            original = getattr(analytic, name)
+
+            def wrapper(p):
+                calls[name] += 1
+                return original(p)
+            monkeypatch.setattr(analytic, name, wrapper)
+
+        counted("ch_closed")
+        counted("chsh_closed")
+        cfg = write_config(tmp_path, {"crosscheck_fraction": 0.1})
+        assert run_cli(["figure", "--config", cfg, "--grid", "7x11",
+                        "--out", tmp_path / "g.csv"]) == 0
+        assert calls == {"ch_closed": 77, "chsh_closed": 0}
+
+    def test_spot_checks_compare_the_written_values(self, tmp_path, capsys,
+                                                    monkeypatch):
+        printed = analytic.ch_closed
+        monkeypatch.setattr(analytic, "ch_closed", lambda p: printed(p) + 1e-6)
+        assert run_cli(["figure", "--grid", "6x6",
+                        "--out", tmp_path / "g.csv"]) == 1
+        assert "figure crosscheck failed" in capsys.readouterr().err
 
 
 class TestOptimize:
