@@ -2,20 +2,21 @@
 
 One general set of forms carries every closed-form probability: each
 station has its own strength alpha1_sq, alpha2_sq and oscillator phase
-phi1, phi2, and the angles are free. Vectorized over numpy arrays:
+phi1, phi2, and the angles are free. With D = phi1 - phi2, c_x = cos(x/2)
+and s_x = sin(x/2) they are real (the joint kept a sum of two squares:
+expanded, it cancels only to about 1e-17 where it vanishes):
 
-    P(-1,-1|x,y) = 1/2 e^{-alpha1^2-alpha2^2}
-                   |i alpha1 e^{i phi1} cos(x/2) sin(y/2)
-                    - alpha2 e^{i phi2} sin(x/2) cos(y/2)|^2
-    P_A(-1|x)    = 1/2 e^{-alpha1^2} (alpha1^2 cos^2(x/2) + sin^2(x/2))
-    P_B(-1|y)    = 1/2 e^{-alpha2^2} (alpha2^2 cos^2(y/2) + sin^2(y/2))
+    P(-1,-1|x,y) = 1/2 e^{-alpha1^2-alpha2^2} [(alpha1 sin(D) c_x s_y
+                   + alpha2 s_x c_y)^2 + (alpha1 cos(D) c_x s_y)^2]
+    P_A(-1|x)    = 1/2 e^{-alpha1^2} (alpha1^2 c_x^2 + s_x^2)
+    P_B(-1|y)    = 1/2 e^{-alpha2^2} (alpha2^2 c_y^2 + s_y^2)
 
-`probs_general` returns the three probabilities of one setting pair, in the
-order detection.favorable_probs reads them off the brute-force network;
-`ch_chsh_general` assembles CH and CHSH of four setting pairs. Together
-with the truncated Fock numerics they are the two independent routes to
-every quantity, checked against each other by the verify command and the
-test suite.
+One body evaluates them, with `math` on plain floats in `probs_point`
+(the triple verify checks against detection.favorable_probs on the
+brute-force network) and `ch_chsh_point` (CH and CHSH of four setting
+pairs, which the search runs), and with `numpy` on arrays in
+`probs_general` and `ch_chsh_general`. With the Fock numerics they are
+the two independent routes to every quantity, checked against each other.
 
 Beside them live the paper's printed expressions, kept as the objects the
 verify command tests: the expanded `ch_closed` and `chsh_closed` of the
@@ -55,8 +56,8 @@ class _PointFields(typing.NamedTuple):
 class ClosedFormPoint(_PointFields):
     """One evaluation point of the printed forms ch_closed and chsh_closed:
     an immutable, hashable (xi, eta, dphi, alpha_sq) tuple, refused unless
-    every field is finite and alpha_sq >= 0. A plain tuple subclass rather
-    than a dataclass, because the figure grid builds one per cell."""
+    every field is finite and 0 <= alpha_sq <= 700 (fock.MAX_ALPHA_SQ). A
+    tuple subclass, not a dataclass: the figure grid builds one per cell."""
 
     __slots__ = ()
 
@@ -67,8 +68,9 @@ class ClosedFormPoint(_PointFields):
             for name, value in zip(cls._fields, (xi, eta, dphi, alpha_sq)):
                 if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite")
-        if alpha_sq < 0:
-            raise ValueError("alpha_sq must be >= 0")
+        if not 0.0 <= alpha_sq <= 700.0:  # e^{alpha_sq} overflows near 709.8
+            raise ValueError("alpha_sq must be >= 0" if alpha_sq < 0 else
+                             "alpha_sq must be <= 700")
         return tuple.__new__(cls, (xi, eta, dphi, alpha_sq))
 
     @classmethod
@@ -116,62 +118,58 @@ def chsh_closed(p: ClosedFormPoint) -> float:
     )
 
 
-def _joint_prob(alice, bob, damping):
-    """General P(-1,-1|x,y) from each station's (alpha e^{i phi} cos(angle/2),
-    sin(angle/2)) pair; damping is e^{-alpha1^2-alpha2^2}."""
-    amp = 1j * alice[0] * bob[1] - alice[1] * bob[0]
-    return 0.5 * damping * np.abs(amp) ** 2
+def _probs(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):
+    """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) on m, math or numpy."""
+    a_x, s_x = m.sqrt(alpha1_sq) * m.cos(0.5 * x), m.sin(0.5 * x)
+    b_y, s_y = m.sqrt(alpha2_sq) * m.cos(0.5 * y), m.sin(0.5 * y)
+    left, dphi = a_x * s_y, phi1 - phi2
+    real, imag = left * m.sin(dphi) + s_x * b_y, left * m.cos(dphi)
+    return (0.5 * m.exp(-alpha1_sq) * (a_x * a_x + s_x * s_x),
+            0.5 * m.exp(-alpha2_sq) * (b_y * b_y + s_y * s_y),
+            0.5 * m.exp(-alpha1_sq - alpha2_sq) * (real * real + imag * imag))
 
 
-def _local_prob(station, alpha_sq):
-    """General P(-1|x) of one station from the same pair."""
-    return 0.5 * np.exp(-alpha_sq) * (np.abs(station[0]) ** 2 + station[1] ** 2)
+def _ch(m, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
+    """CH of the four setting pairs from _probs."""
+    drives = (m, alpha1_sq, alpha2_sq, phi1, phi2)
+    _, p_b, first = _probs(*drives, xi, eta)
+    p_a, _, second = _probs(*drives, xi2, eta)
+    return (first + second - _probs(*drives, xi, eta2)[2]
+            + _probs(*drives, xi2, eta2)[2] - p_a - p_b)
 
 
-def _station(lo, angle):
-    """(lo cos(angle/2), sin(angle/2)) of one setting, lo = alpha e^{i phi}."""
-    half = np.multiply(0.5, angle)
-    return lo * np.cos(half), np.sin(half)
-
-
-def _drives(alpha1_sq, alpha2_sq, phi1, phi2):
-    """Both strengths as float arrays, refused unless finite and >= 0, and
-    each station's oscillator amplitude alpha e^{i phi}."""
-    alpha1_sq = np.asarray(alpha1_sq, dtype=float)
-    alpha2_sq = np.asarray(alpha2_sq, dtype=float)
+def _check_drives(alpha1_sq, alpha2_sq, every=bool):
+    """Refuse a drive unless finite and >= 0 (every: np.all on arrays)."""
     for name, value in (("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq)):
-        if not np.all(np.isfinite(value) & (value >= 0.0)):
+        if not every((0.0 <= value) & (value < math.inf)):
             raise ValueError(f"{name} must be finite and >= 0")
-    lo1 = np.sqrt(alpha1_sq) * np.exp(1j * np.asarray(phi1))
-    lo2 = np.sqrt(alpha2_sq) * np.exp(1j * np.asarray(phi2))
-    return alpha1_sq, alpha2_sq, lo1, lo2
+
+
+def probs_point(alpha1_sq, alpha2_sq, phi1, phi2, x, y):
+    """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) of the setting pair (x, y) at
+    independent station strengths and phases, on plain floats."""
+    _check_drives(alpha1_sq, alpha2_sq)
+    return _probs(math, alpha1_sq, alpha2_sq, phi1, phi2, x, y)
+
+
+def ch_chsh_point(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
+    """CH and CHSH of the setting pairs (xi, eta), (xi2, eta), (xi, eta2),
+    (xi2, eta2) on plain floats: CH = P(xi,eta) + P(xi2,eta) - P(xi,eta2)
+    + P(xi2,eta2) - P_A(xi2) - P_B(eta), as in bell.evaluate_settings, and
+    chsh = 2 + 4 ch."""
+    _check_drives(alpha1_sq, alpha2_sq)
+    ch = _ch(math, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2)
+    return ch, 2.0 + 4.0 * ch
 
 
 def probs_general(alpha1_sq, alpha2_sq, phi1, phi2, x, y):
-    """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) of the setting pair (x, y) at
-    independent station strengths and phases, in closed form: the triple,
-    in the order, that detection.favorable_probs reads off the brute-force
-    network. Arguments broadcast as in ch_chsh_general."""
-    alpha1_sq, alpha2_sq, lo1, lo2 = _drives(alpha1_sq, alpha2_sq, phi1, phi2)
-    alice, bob = _station(lo1, x), _station(lo2, y)
-    return (_local_prob(alice, alpha1_sq), _local_prob(bob, alpha2_sq),
-            _joint_prob(alice, bob, np.exp(-alpha1_sq - alpha2_sq)))
+    """probs_point broadcast over numpy arrays."""
+    _check_drives(alpha1_sq, alpha2_sq, np.all)
+    return _probs(np, alpha1_sq, alpha2_sq, phi1, phi2, x, y)
 
 
 def ch_chsh_general(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
-    """CH and CHSH of the setting pairs (xi, eta), (xi2, eta), (xi, eta2),
-    (xi2, eta2) at independent station strengths and phases, in closed form.
-
-    CH = P(xi,eta) + P(xi2,eta) - P(xi,eta2) + P(xi2,eta2) - P_A(xi2)
-    - P_B(eta), the quadruple and marginals bell.evaluate_settings uses,
-    and chsh = 2 + 4 ch. Arguments broadcast as numpy arrays; scalars give
-    0-d arrays.
-    """
-    alpha1_sq, alpha2_sq, lo1, lo2 = _drives(alpha1_sq, alpha2_sq, phi1, phi2)
-    alice, alice2 = _station(lo1, xi), _station(lo1, xi2)
-    bob, bob2 = _station(lo2, eta), _station(lo2, eta2)
-    damping = np.exp(-alpha1_sq - alpha2_sq)
-    ch = (_joint_prob(alice, bob, damping) + _joint_prob(alice2, bob, damping)
-          - _joint_prob(alice, bob2, damping) + _joint_prob(alice2, bob2, damping)
-          - _local_prob(alice2, alpha1_sq) - _local_prob(bob, alpha2_sq))
+    """ch_chsh_point broadcast over numpy arrays."""
+    _check_drives(alpha1_sq, alpha2_sq, np.all)
+    ch = _ch(np, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2)
     return ch, 2.0 + 4.0 * ch

@@ -244,13 +244,13 @@ def run_verification(cfg: RunConfig) -> dict:
         phi1, phi2, xi, eta = rng.uniform(0.0, 2.0 * math.pi, 4)
         p_a, p_b, p_ab, _ = favorable_probs(run_network(ExperimentConfig(
             math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2, spec), xi, eta))
-        c_a, c_b, c_ab = analytic.probs_general(a1_sq, a2_sq, phi1, phi2, xi, eta)
+        c_a, c_b, c_ab = analytic.probs_point(a1_sq, a2_sq, phi1, phi2, xi, eta)
         worst_joint = max(worst_joint, abs(p_ab - c_ab))
         worst_local = max(worst_local, abs(p_a - c_a), abs(p_b - c_b))
         # the readout gives p_ab <= min(p_a, p_b) by construction, so the
         # bound tests the closed forms' triple
         worst_margin = max(worst_margin, p_ab - min(p_a, p_b),
-                           float(c_ab - min(c_a, c_b)))
+                           c_ab - min(c_a, c_b))
     checks.append(_check("joint_oracle_agreement", worst_joint, cfg.tol,
                          cfg.verify_points))
     checks.append(_check("local_oracle_agreement", worst_local, cfg.tol,
@@ -262,7 +262,7 @@ def run_verification(cfg: RunConfig) -> dict:
     corrected_resid = printed_resid = 0.0
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
         p = favorable_probs(run_network(symmetric_config(a2, 0.7, spec), x, 0.9))[0]
-        corrected = analytic.probs_general(a2, a2, 0.0, 0.7, x, 0.9)[0]
+        corrected = analytic.probs_point(a2, a2, 0.0, 0.7, x, 0.9)[0]
         corrected_resid = max(corrected_resid, abs(p - corrected))
         printed_resid = max(printed_resid,
                             abs(p - analytic.local_prob_printed_variant(x, a2)))

@@ -33,7 +33,7 @@ def required_cutoff(alpha_sq: float, tail_eps: float) -> int:
     number alpha_sq is Poisson, so this is the minimal per-mode cutoff that
     keeps the discarded probability of one coherent input under tail_eps.
     """
-    if alpha_sq < 0:
+    if not alpha_sq >= 0:  # written so that NaN is refused too
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
     if not 0.0 < tail_eps < 1.0:
         raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps}")

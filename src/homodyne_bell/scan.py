@@ -10,9 +10,9 @@ one party's two settings.
 
 A point of any family maps to the eight station parameters (alpha1_sq,
 alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) by station_params. The search
-runs on the closed forms of the analytic module (evaluate_point); the
-truncated Fock numerics of the bell module evaluate the same station
-parameters (numeric_point) and check the closed forms.
+runs on the plain-float closed forms of the analytic module, one
+evaluate_point call per evaluation; the truncated Fock numerics of the bell
+module evaluate the same parameters (numeric_point) and check them.
 
 The maximizer seeds restarts from a Latin hypercube over the search box and
 refines each with a Nelder-Mead simplex run down to a fixed simplex
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -54,7 +55,7 @@ class ConstraintFamily:
     kind: str
     params: tuple[ParamSpec, ...]
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
@@ -122,14 +123,13 @@ def station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
 
 def evaluate_point(kind: str, values: dict[str, float]) -> tuple[float, float]:
     """CH and CHSH of one family point in closed form: the paper's expanded
-    ch_closed/chsh_closed for paper_baseline, ch_chsh_general otherwise."""
+    ch_closed/chsh_closed for paper_baseline, ch_chsh_point otherwise."""
     params = station_params(kind, values)
     if kind == "paper_baseline":
         a_sq, _, _, dphi, xi, _, eta, _ = params
         point = analytic.ClosedFormPoint(xi, eta, dphi, a_sq)
         return analytic.ch_closed(point), analytic.chsh_closed(point)
-    ch, chsh = analytic.ch_chsh_general(*params)
-    return float(ch), float(chsh)
+    return analytic.ch_chsh_point(*params)
 
 
 def numeric_point(kind: str, values: dict[str, float],
@@ -197,12 +197,12 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
         _, chsh = evaluate_point(kind, dict(zip(family.names, map(float, x))))
         return -chsh
 
+    bounds = _sciopt.Bounds(lo, hi)
     trace = []
     residual = 0.0
     for r in range(restarts):
         result = _sciopt.minimize(
-            negative_chsh, starts[r], method="Nelder-Mead",
-            bounds=_sciopt.Bounds(lo, hi),
+            negative_chsh, starts[r], method="Nelder-Mead", bounds=bounds,
             options={"xatol": diameter_tol, "fatol": float("inf"),
                      "maxfev": maxfev},
         )

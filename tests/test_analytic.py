@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homodyne_bell import fock
 from homodyne_bell.analytic import (
     ClosedFormPoint,
     ch_chsh_general,
+    ch_chsh_point,
     ch_closed,
     chsh_closed,
     local_prob_printed_variant,
     probs_general,
+    probs_point,
 )
 from homodyne_bell.bell import evaluate_settings
 from homodyne_bell.detection import favorable_probs
@@ -51,8 +54,9 @@ class TestJointProb:
         assert probs_general(0.0, 0.0, 0.0, 0.5, 1.0, 2.0)[2] == 0.0
 
     def test_destructive_point(self):
-        # exactly zero in exact arithmetic; cos and sin of pi/4 differ by
-        # one ulp, so the amplitude cancels to ~1e-17
+        # exactly zero in exact arithmetic; of the two squares only
+        # (cos(pi/2) c_x s_y)^2 ~ 1e-33 is left, where the expanded form
+        # would cancel only to ~1e-17
         assert probs_general(1.0, 1.0, 0.0, HALF_PI, HALF_PI, HALF_PI)[2] == \
             pytest.approx(0.0, abs=1e-32)
 
@@ -174,6 +178,16 @@ class TestClosedFormPoint:
         # a tuple subclass: equal to the plain tuple of its fields
         assert p == (0.1, 0.2, 0.3, 0.4)
 
+    def test_drive_bound_is_the_fock_bound(self):
+        # the printed forms' e^{alpha_sq} overflows near 709.8; analytic
+        # does not import fock, so its copy of the bound is pinned here
+        p = ClosedFormPoint(0.0, 0.0, 0.0, fock.MAX_ALPHA_SQ)
+        assert math.isfinite(ch_closed(p)) and math.isfinite(chsh_closed(p))
+        with pytest.raises(ValueError, match="^alpha_sq must be <= 700$"):
+            ClosedFormPoint(0.0, 0.0, 0.0, math.nextafter(fock.MAX_ALPHA_SQ, 1e3))
+        with pytest.raises(ValueError, match="^alpha_sq must be <= 700$"):
+            ClosedFormPoint(0.0, 0.0, 0.0, 1e308)
+
     def test_replace_is_checked(self):
         p = ClosedFormPoint(0.1, 0.2, 0.3, 0.4)
         assert p._replace(alpha_sq=2.0) == ClosedFormPoint(0.1, 0.2, 0.3, 2.0)
@@ -263,3 +277,45 @@ class TestGeneralForms:
             ch_chsh_general(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
         with pytest.raises(ValueError):
             probs_general(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.3)
+        name = "alpha1_sq" if a1_sq != 1.0 else "alpha2_sq"
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+            ch_chsh_point(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
+            probs_point(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.3)
+
+
+SEARCH_STRENGTHS = st.floats(0.0, 6.0)
+FREE = st.floats(-10.0, 10.0)
+
+
+class TestPointForms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a1_sq=SEARCH_STRENGTHS, a2_sq=SEARCH_STRENGTHS,
+           rest=st.tuples(*[FREE] * 6))
+    def test_equal_the_array_forms(self, a1_sq, a2_sq, rest):
+        ch, chsh = ch_chsh_point(a1_sq, a2_sq, *rest)
+        want_ch, want_chsh = ch_chsh_general(a1_sq, a2_sq, *rest)
+        assert type(ch) is float and type(chsh) is float
+        assert abs(ch - want_ch) <= 1e-15
+        assert abs(chsh - want_chsh) <= 1e-15
+        assert chsh == 2.0 + 4.0 * ch
+        probs = probs_point(a1_sq, a2_sq, *rest[:4])
+        for got, want in zip(probs, probs_general(a1_sq, a2_sq, *rest[:4])):
+            assert abs(got - want) <= 1e-15
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(strengths=st.tuples(SEARCH_STRENGTHS, SEARCH_STRENGTHS),
+           phases=st.tuples(FREE, FREE), shift=FREE,
+           angles=st.tuples(*[FREE] * 4))
+    def test_phases_enter_linearly_through_sin_of_difference(
+            self, strengths, phases, shift, angles):
+        # CH = (1 + s)/2 CH(s = 1) + (1 - s)/2 CH(s = -1), s = sin(phi1 - phi2)
+        phi1, phi2 = phases
+        ch, _ = ch_chsh_point(*strengths, phi1, phi2, *angles)
+        shifted, _ = ch_chsh_point(*strengths, phi1 + shift, phi2 + shift,
+                                   *angles)
+        assert abs(shifted - ch) <= 1e-15
+        plus, _ = ch_chsh_point(*strengths, HALF_PI, 0.0, *angles)
+        minus, _ = ch_chsh_point(*strengths, -HALF_PI, 0.0, *angles)
+        s = math.sin(phi1 - phi2)
+        assert abs(ch - (0.5 * (1.0 + s) * plus + 0.5 * (1.0 - s) * minus)) <= 1e-15

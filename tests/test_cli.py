@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import homodyne_bell
@@ -77,11 +76,14 @@ class TestVerify:
     def test_oracle_checks_the_general_forms(self, monkeypatch):
         # a flipped sign on the joint cross term of the general forms must
         # fail the brute-force oracle
-        def flipped(alice, bob, damping):
-            amp = 1j * alice[0] * bob[1] + alice[1] * bob[0]
-            return 0.5 * damping * np.abs(amp) ** 2
+        probs = analytic._probs
 
-        monkeypatch.setattr(analytic, "_joint_prob", flipped)
+        def flipped(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):
+            # phi1 - phi2 -> phi2 - phi1 flips sin(phi1 - phi2), the sign
+            # of the cross term, and leaves the locals alone
+            return probs(m, alpha1_sq, alpha2_sq, phi2, phi1, x, y)
+
+        monkeypatch.setattr(analytic, "_probs", flipped)
         report = run_verification(RunConfig(verify_points=5, verify_draws=2))
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["joint_oracle_agreement"]["passed"] is False
@@ -118,12 +120,13 @@ class TestVerify:
     def test_joint_bound_checks_the_general_forms(self, monkeypatch):
         # the readout keeps p_ab <= min(p_a, p_b) by construction, so a
         # doubled closed-form joint must fail the bound on the closed forms
-        joint = analytic._joint_prob
+        probs = analytic._probs
 
-        def doubled(alice, bob, damping):
-            return 2.0 * joint(alice, bob, damping)
+        def doubled(*args):
+            p_a, p_b, p_ab = probs(*args)
+            return p_a, p_b, 2.0 * p_ab
 
-        monkeypatch.setattr(analytic, "_joint_prob", doubled)
+        monkeypatch.setattr(analytic, "_probs", doubled)
         report = run_verification(RunConfig(verify_draws=2))
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["joint_within_marginals"]["passed"] is False

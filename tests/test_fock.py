@@ -192,6 +192,10 @@ class TestRequiredCutoff:
         with pytest.raises(ValueError):
             required_cutoff(800.0, 1e-12)
 
+    def test_nan_drive_refused(self):
+        with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
+            required_cutoff(math.nan, 1e-12)
+
 
 class TestCutoffSpec:
     def test_explicit_cutoff_wins(self):
@@ -200,6 +204,10 @@ class TestCutoffSpec:
     def test_derived_cutoff_has_photon_headroom(self):
         assert CutoffSpec(tail_eps=1e-12).resolve(1.0) == 15
         assert CutoffSpec(tail_eps=1e-12).resolve(0.0) == 1
+
+    def test_nan_drive_refused(self):
+        with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
+            CutoffSpec().resolve(math.nan)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homodyne_bell import analytic
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.bell import REFERENCE_DPHI, SettingsQuadruple, evaluate_quadruple
 from homodyne_bell.fock import CutoffSpec
@@ -203,6 +204,25 @@ class TestMaximize:
         residuals = [abs(numeric_point(kind, rec.params)[0] - rec.ch)
                      for rec in out.trace]
         assert max(residuals) == out.crosscheck_residual
+
+    @pytest.mark.parametrize("kind", RELAXED)
+    def test_relaxed_search_runs_on_plain_floats(self, kind, monkeypatch):
+        # the search's evaluations must stay on the plain-float form, not
+        # fall back to the numpy array form
+        def refused(*args):
+            raise AssertionError("ch_chsh_general called by the search")
+
+        calls = []
+        point = analytic.ch_chsh_point
+
+        def counted(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(analytic, "ch_chsh_general", refused)
+        monkeypatch.setattr(analytic, "ch_chsh_point", counted)
+        out = maximize_chsh(kind, restarts=2, seed=3, maxfev=30)
+        assert len(calls) == out.evaluations + out.restarts
 
     def test_crosscheck_uses_the_cutoff_policy(self):
         # at a per-mode cutoff of 3 the numerics miss most of the drive's
