@@ -47,6 +47,9 @@ PHASE_CONVENTION = "phi2 - phi1"
 VIOLATION_MARGIN = 1e-6
 # verify draws alpha_sq from (0, VERIFY_ALPHA_SQ_MAX]
 VERIFY_ALPHA_SQ_MAX = 4.0
+# optimize draws a restarts x dimension hypercube before its first restart,
+# so the count is capped where the config is loaded
+MAX_RESTARTS = 100_000
 CSV_HEADER = "alpha_sq,xi_plus_eta,ch,chsh"
 
 
@@ -105,6 +108,8 @@ class RunConfig:
                      "restarts", "maxfev"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.restarts > MAX_RESTARTS:
+            raise ConfigError(f"restarts must be <= {MAX_RESTARTS}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.crosscheck_fraction <= 1.0:
@@ -280,15 +285,27 @@ def run_verification(cfg: RunConfig) -> dict:
                    "brute force favors the printed exponent; the network "
                    "convention needs re-derivation before results are used"})
 
-    # exact identities, numeric records
-    worst_rec = 0.0
+    # numeric records: the identity checks only their assembly (it holds for
+    # any joints and marginals), so each record's four joints and two
+    # canonical marginals are also held against the closed forms, which
+    # checks the station engine itself
+    worst_rec = worst_station = 0.0
     for a2 in (0.3, 1.0, 2.5):
         for _ in range(4):
             quad = SettingsQuadruple(*rng.uniform(0.0, 2.0 * math.pi, 2))
             rec = evaluate_quadruple(symmetric_config(a2, REFERENCE_DPHI, spec), quad)
             worst_rec = max(worst_rec, abs(rec.chsh - (2.0 + 4.0 * rec.ch)))
+            closed = [analytic.probs_point(a2, a2, 0.0, REFERENCE_DPHI, x, y)
+                      for x, y in rec.settings]
+            # local_alice is at the second pair's x, local_bob at the first's y
+            worst_station = max(worst_station,
+                                abs(rec.local_alice - closed[1][0]),
+                                abs(rec.local_bob - closed[0][1]),
+                                *(abs(j - c[2]) for j, c in zip(rec.joints, closed)))
     checks.append(_check("record_ch_chsh_identity", worst_rec,
                          cfg.identity_tol, 12))
+    checks.append(_check("station_closed_form_agreement", worst_station,
+                         cfg.tol, 12))
 
     # exact identities, closed forms: the paper's expanded CH and CHSH
     # against the general forms on the standard quadruple

@@ -20,6 +20,10 @@ diameter. Each restart's final point is re-evaluated on the numerics, and
 the largest |ch_numeric - ch_analytic| is part of the result. Everything is
 deterministic given the seed; restarts are independent evaluations reduced
 in restart order.
+
+The hypercube is drawn in numpy (latin_hypercube) and reproduces
+scipy.stats.qmc.LatinHypercube draw for draw. scipy.optimize is imported
+only when a search runs, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from . import analytic
 from .bell import HALF_PI, REFERENCE_DPHI, REFERENCE_XI_MINUS_ETA, evaluate_settings
@@ -143,6 +146,19 @@ def numeric_point(kind: str, values: dict[str, float],
     return record.ch, record.chsh
 
 
+def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """n points of a Latin hypercube in [0, 1)^d: each column holds one
+    point in each stratum [k/n, (k+1)/n). The same draws, in the same
+    order, as scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n=n),
+    so the result equals it bit for bit."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(size=(n, d))
+    strata = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in strata:
+        rng.shuffle(row)
+    return (strata.T - offsets) / n
+
+
 @dataclass(frozen=True)
 class OptimizeOutcome:
     """Best record of a multi-restart search plus its full restart trace and
@@ -177,17 +193,16 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     Deterministic for a fixed seed: restarts run and are recorded in sample
     order.
     """
-    # imported here, its only use: scipy.stats is about half of the cli's
-    # import time
-    from scipy.stats import qmc
+    # imported here, its only use, so that importing the package or running
+    # any other command loads no scipy
+    from scipy import optimize as _sciopt
 
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     family = get_family(kind)
     lo = np.array([p.lo for p in family.params])
     hi = np.array([p.hi for p in family.params])
-    sampler = qmc.LatinHypercube(d=len(family.params), seed=seed)
-    starts = lo + sampler.random(n=restarts) * (hi - lo)
+    starts = lo + latin_hypercube(restarts, len(family.params), seed) * (hi - lo)
 
     evaluations = 0
 

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import homodyne_bell
-from homodyne_bell import analytic
+from homodyne_bell import analytic, bell
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
-from homodyne_bell.cli import RunConfig, main, run_verification
+from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
 
@@ -133,6 +133,24 @@ class TestVerify:
         assert checks["joint_within_marginals"]["max_residual"] > 1e-2
         assert checks["local_oracle_agreement"]["passed"] is True
 
+    def test_station_check_catches_a_faulty_engine(self, monkeypatch):
+        # a station engine with wrong marginals and joints still assembles
+        # records with chsh = 2 + 4 ch exactly, so only the comparison with
+        # the closed forms can fail it
+        pair_probabilities = bell._pair_probabilities
+
+        def faulty(alice, bob):
+            p_a, p_b, p_ab = pair_probabilities(alice, bob)
+            return 0.9 * p_a, 1.1 * p_b, 2.0 * p_ab
+
+        monkeypatch.setattr(bell, "_pair_probabilities", faulty)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["station_closed_form_agreement"]["passed"] is False
+        assert checks["station_closed_form_agreement"]["max_residual"] > 1e-2
+        assert checks["station_closed_form_agreement"]["points"] == 12
+        assert checks["record_ch_chsh_identity"]["passed"] is True
+
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
         assert run_cli(["verify", "--config", cfg]) == 2
@@ -187,6 +205,8 @@ class TestRunKnobRange:
         (["optimize", "--family", "paper_baseline"], {"maxfev": 0}),
         (["optimize", "--family", "paper_baseline"], {"maxfev": -5}),
         (["optimize", "--family", "paper_baseline"], {"restarts": 0}),
+        (["optimize", "--family", "paper_baseline"],
+         {"restarts": MAX_RESTARTS + 1}),
         (["figure", "--grid", "4x4"], {"seed": -1}),
         (["figure", "--grid", "4x4"], {"grid_budget": 0}),
         (["figure", "--grid", "4x4"], {"crosscheck_fraction": 2.0}),
@@ -202,7 +222,8 @@ class TestRunKnobRange:
         (["figure", "--grid", "4x4"], {"figure_alpha_sq_max": -1.0, "cutoff_n": 20}),
         (["figure", "--grid", "4x4"], {"figure_alpha_sq_max": float("nan")}),
         (["figure", "--grid", "4x4"], {"figure_alpha_sq_max": 1e3, "cutoff_n": 20}),
-    ], ids=["maxfev-0", "maxfev-neg", "restarts", "seed", "grid_budget",
+    ], ids=["maxfev-0", "maxfev-neg", "restarts", "restarts-huge", "seed",
+            "grid_budget",
             "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
             "cutoff_n-100", "tol-nan", "diameter_tol-nan",
             "alpha_sq_max-neg", "alpha_sq_max-nan", "alpha_sq_max-huge"])
@@ -218,6 +239,17 @@ class TestRunKnobRange:
         assert run_cli(["figure", "--grid", "4x4", "--seed", "-1",
                         "--out", out]) == 2
         assert not out.exists()
+
+    def test_restarts_flag_capped(self, tmp_path, capsys):
+        # refused at load, before the hypercube of starts is drawn
+        out = tmp_path / "out"
+        assert run_cli(["optimize", "--family", "paper_baseline",
+                        "--restarts", 10 ** 12, "--out", out]) == 2
+        assert f"restarts must be <= {MAX_RESTARTS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_restarts_cap_accepted(self):
+        assert RunConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
 
 
 class TestCutoffHonoured:
@@ -563,13 +595,39 @@ class TestDeterminism:
 
 
 class TestEntryPoint:
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is imported lazily by the optimizer; it is about half
-        # of the cli's import time
-        result = run_python(["-c", "import sys, homodyne_bell.cli; "
-                                   "print('scipy.stats' in sys.modules)"])
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        # scipy loads only when a search runs, and then only scipy.optimize:
+        # the Latin hypercube of starts is drawn in numpy
+        config = write_config(tmp_path, QUICK_CONFIG)
+        script = f"""
+import json, sys
+import homodyne_bell.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+stages = {{"import": loaded()}}
+for name, argv in [
+        ("verify", ["verify", "--config", {config!r}]),
+        ("figure", ["figure", "--grid", "3x3"]),
+        ("split", ["split"]),
+        ("optimize", ["optimize", "--family", "paper_baseline",
+                      "--restarts", "1"])]:
+    code = cli.main([*argv, "--out", {str(tmp_path / "out")!r}])
+    stages[name] = [code, loaded()]
+print(json.dumps(stages))
+"""
+        result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        stages = json.loads(result.stdout.strip().splitlines()[-1])
+        assert stages.pop("import") == []
+        optimize_code, optimize_loaded = stages.pop("optimize")
+        for name, (code, loaded) in stages.items():
+            assert (name, code, loaded) == (name, 0, [])
+        assert optimize_code == 0
+        assert "scipy.optimize" in optimize_loaded
+        assert not any(m.split(".")[:2] == ["scipy", "stats"]
+                       for m in optimize_loaded)
 
     def test_module_invocation(self, tmp_path):
         result = run_python(["-m", "homodyne_bell.cli", "figure",

@@ -8,6 +8,9 @@ probabilities), and only the cli, which runs the verification oracles,
 reaches the brute-force route. The closed forms (analytic) check both only
 while they import no package module. An AST scan of the package sources
 enforces all four.
+
+The same scan keeps scipy off the import path: no package module imports
+it outside a function body, so only a command that uses it loads it.
 """
 
 import ast
@@ -59,6 +62,22 @@ def imported_modules(tree):
     return modules
 
 
+def module_level_imports(tree):
+    """Top-level names of the modules a module imports outside any function
+    body, that is, when the module itself is imported."""
+    modules, todo = set(), [tree]
+    while todo:
+        for sub in ast.iter_child_nodes(todo.pop()):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(sub, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in sub.names)
+            elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
+                modules.add(sub.module.split(".")[0])
+            todo.append(sub)
+    return modules
+
+
 def reachable_names(tree, entry):
     """Names referenced by module-level function `entry` and, transitively,
     by the module-level functions it references."""
@@ -99,6 +118,9 @@ def boundary_violations(trees):
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
     for module in sorted(imported_modules(trees["analytic"]) & package):
         problems.append(f"analytic imports {module}")
+    for name, tree in trees.items():
+        if "scipy" in module_level_imports(tree):
+            problems.append(f"{name} imports scipy at module level")
     return problems
 
 
@@ -124,10 +146,13 @@ def test_route_boundary_holds():
     ("detection", "from . import bell\n", "detection imports bell"),
     ("detection", "from .optics import PAIR_WEIGHTS\n",
      "detection names PAIR_WEIGHTS"),
+    ("scan", "from scipy import optimize\n", "scan imports scipy at module level"),
+    ("cli", "if True:\n    import scipy.stats.qmc\n",
+     "cli imports scipy at module level"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "mixer_reaches_closed_columns",
         "analytic_import", "analytic_module_import", "detection_import",
-        "detection_pair_weights"])
+        "detection_pair_weights", "scipy_import", "scipy_nested_import"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":
@@ -135,3 +160,13 @@ def test_scan_catches_a_crossing(module, source, problem):
     else:
         trees[module] = ast.parse(ast.unparse(trees[module]) + "\n" + source)
     assert problem in boundary_violations(trees)
+
+
+def test_scipy_allowed_inside_a_function():
+    # scan imports scipy.optimize inside maximize_chsh, its only use
+    trees = parse_package()
+    assert "scipy" in imported_modules(trees["scan"])
+    assert "scipy" not in module_level_imports(trees["scan"])
+    trees["analytic"] = ast.parse(ast.unparse(trees["analytic"])
+                                  + "\ndef f():\n    import scipy\n")
+    assert boundary_violations(trees) == []

@@ -16,6 +16,7 @@ from homodyne_bell.scan import (
     ScanRecord,
     evaluate_point,
     get_family,
+    latin_hypercube,
     maximize_chsh,
     numeric_point,
     station_params,
@@ -242,3 +243,27 @@ class TestSmallDriveLimit:
         assert abs(chsh_a - limit) < 1e-6
         _, chsh_n = numeric_point("paper_baseline", values)
         assert abs(chsh_n - limit) < 1e-6
+
+
+class TestLatinHypercube:
+    @pytest.mark.parametrize("d", [1, 2, 7, 8])
+    @pytest.mark.parametrize("n", [1, 4, 32, 33])
+    @pytest.mark.parametrize("seed", [0, 1, 20240801, 2 ** 31 - 1])
+    def test_is_scipys_draw(self, d, n, seed):
+        # maximize_chsh's starts, and so every optimize output, are the
+        # ones scipy's sampler draws for the seed
+        from scipy.stats import qmc
+
+        expected = qmc.LatinHypercube(d=d, seed=seed).random(n=n)
+        got = latin_hypercube(n, d, seed)
+        assert got.shape == expected.shape == (n, d)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 9), st.integers(0, 2 ** 63))
+    def test_one_point_per_stratum(self, n, d, seed):
+        sample = latin_hypercube(n, d, seed)
+        assert sample.shape == (n, d)
+        assert np.all((sample >= 0.0) & (sample < 1.0))
+        strata = np.sort(np.floor(sample * n).astype(int), axis=0)
+        assert np.array_equal(strata, np.tile(np.arange(n)[:, None], (1, d)))
