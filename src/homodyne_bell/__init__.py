@@ -13,6 +13,15 @@ cli).
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the user has chosen a thread count: the products
+# here are small, and spare threads spin more CPU than they save in wall
+# time. Set before the first numpy import, which reads these variables.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
 from .fock import CutoffSpec, coherent_state, required_cutoff
 from .optics import ExperimentConfig, mix_station, symmetric_config
 from .bell import (

@@ -57,7 +57,10 @@ class ClosedFormPoint(_PointFields):
     """One evaluation point of the printed forms ch_closed and chsh_closed:
     an immutable, hashable (xi, eta, dphi, alpha_sq) tuple, refused unless
     every field is finite and 0 <= alpha_sq <= 700 (fock.MAX_ALPHA_SQ). A
-    tuple subclass, not a dataclass: the figure grid builds one per cell."""
+    tuple subclass, not a dataclass: the figure grid builds one per cell.
+    The grid checks each of its rows and columns once through this
+    constructor and builds its cells with tuple.__new__, which skips the
+    checks; every other caller goes through them."""
 
     __slots__ = ()
 
@@ -87,32 +90,32 @@ def local_prob_printed_variant(x: float, alpha_sq: float) -> float:
     )
 
 
-def ch_closed(p: ClosedFormPoint) -> float:
+def ch_closed(p: typing.Sequence[float]) -> float:
     """CH value of the standard settings quadruple, in closed form.
 
     The quadruple is (xi, eta), (xi+pi/2, eta), (xi, eta+pi/2),
     (xi+pi/2, eta+pi/2) with signs +, +, -, + minus the two local terms
-    P(-1|xi+pi/2) and P(-1|eta).
+    P(-1|xi+pi/2) and P(-1|eta). p is unpacked as (xi, eta, dphi,
+    alpha_sq): a ClosedFormPoint, or any 4-sequence the caller has checked.
     """
-    a2 = p.alpha_sq
-    ea2 = math.exp(a2)
+    xi, eta, dphi, a2 = p
+    ea2, d = math.exp(a2), xi - eta
     return 0.25 * math.exp(-2.0 * a2) * (
-        a2 * (1.0 + math.sin(p.dphi))
-        * (math.sin(p.xi - p.eta) - math.cos(p.xi - p.eta))
-        + ea2 * (1.0 - a2) * (math.cos(p.eta) - math.sin(p.xi))
+        a2 * (1.0 + math.sin(dphi)) * (math.sin(d) - math.cos(d))
+        + ea2 * (1.0 - a2) * (math.cos(eta) - math.sin(xi))
         + 2.0 * a2
         - 2.0 * ea2 * (a2 + 1.0)
     )
 
 
-def chsh_closed(p: ClosedFormPoint) -> float:
-    """CHSH value of the standard quadruple, in expanded closed form."""
-    a2 = p.alpha_sq
-    ea2 = math.exp(a2)
+def chsh_closed(p: typing.Sequence[float]) -> float:
+    """CHSH value of the standard quadruple, in expanded closed form; p as
+    in ch_closed."""
+    xi, eta, dphi, a2 = p
+    ea2, d = math.exp(a2), xi - eta
     return 2.0 + math.exp(-2.0 * a2) * (
-        a2 * (1.0 + math.sin(p.dphi))
-        * (math.sin(p.xi - p.eta) - math.cos(p.xi - p.eta))
-        + ea2 * (1.0 - a2) * (math.cos(p.eta) - math.sin(p.xi))
+        a2 * (1.0 + math.sin(dphi)) * (math.sin(d) - math.cos(d))
+        + ea2 * (1.0 - a2) * (math.cos(eta) - math.sin(xi))
         + 2.0 * a2
         - 2.0 * ea2 * (a2 + 1.0)
     )

@@ -9,6 +9,7 @@ deterministic for a fixed seed; floats are emitted at 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -385,27 +386,37 @@ def figure_rows(cfg: RunConfig, dphi: float, xi_minus_eta: float,
     makes one ClosedFormPoint and exactly one analytic.ch_closed call; its
     chsh is written as 2 + 4 ch, which equals chsh_closed to the last bit
     (both evaluate the same bracket, and the factors 1/4 and 4 are powers
-    of two). Each column's (xi, eta) and formatted xi_plus_eta, and each
-    row's formatted alpha_sq, are computed once.
+    of two).
+
+    A cell's fields are those of its column (xi, eta) and its row (dphi,
+    alpha_sq), so each column and each row passes ClosedFormPoint's checks
+    once and the cells are built without repeating them. Each row's text
+    comes from one %-template of the grid, with every column's formatted
+    xi_plus_eta built in; it writes the same text as per-cell .9g
+    f-strings.
     """
-    columns = []
+    point = analytic.ClosedFormPoint
+    angles, formats = [], []
     for j in range(cols):
         total = 2.0 * math.pi * j / cols
-        columns.append(((total + xi_minus_eta) / 2.0,
-                        (total - xi_minus_eta) / 2.0, f",{total:.9g},"))
+        xi, eta = (total + xi_minus_eta) / 2.0, (total - xi_minus_eta) / 2.0
+        point(xi, eta, dphi, 0.0)  # the column's checks
+        angles.append((xi, eta))
+        formats.append(f"%s,{total:.9g},%.9g,%.9g\n")
+    template = "".join(formats)
     picked_cols: dict[int, list[int]] = {}
     for index in picks:
         picked_cols.setdefault(index // cols, []).append(index % cols)
-    point, ch_closed = analytic.ClosedFormPoint, analytic.ch_closed
+    cell, ch_closed = functools.partial(tuple.__new__, point), analytic.ch_closed
     for i in range(rows):
         alpha_sq = cfg.figure_alpha_sq_max * (i + 1) / rows
-        chs = [ch_closed(point(xi, eta, dphi, alpha_sq))
-               for xi, eta, _ in columns]
-        head = f"{alpha_sq:.9g}"
-        text = "".join([f"{head}{total}{ch:.9g},{2.0 + 4.0 * ch:.9g}\n"
-                        for (_, _, total), ch in zip(columns, chs)])
-        yield text, [(alpha_sq, *columns[j][:2], chs[j])
-                     for j in picked_cols.get(i, ())]
+        point(0.0, 0.0, dphi, alpha_sq)  # the row's checks
+        chs = [ch_closed(cell((xi, eta, dphi, alpha_sq))) for xi, eta in angles]
+        values = [f"{alpha_sq:.9g}"] * (3 * cols)
+        values[1::3] = chs
+        values[2::3] = [2.0 + 4.0 * ch for ch in chs]
+        yield template % tuple(values), [(alpha_sq, *angles[j], chs[j])
+                                         for j in picked_cols.get(i, ())]
 
 
 def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -196,12 +196,35 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     return out.reshape(stride, stride, width)
 
 
+# One table per cutoff, about 160 KB at N = 63.
 @lru_cache(maxsize=MAX_CUTOFF)
-def _root_binomials(cutoff: int) -> np.ndarray:
-    """sqrt(C(a, p)) for a, p = 0..cutoff (zero for p > a), read-only."""
-    table = np.sqrt([[float(math.comb(a, p)) for p in range(cutoff + 1)]
-                     for a in range(cutoff + 1)])
-    table.setflags(write=False)
+def _column_support(cutoff: int):
+    """Angle-free index table of station_columns at `cutoff`, read-only.
+
+    Its entries are the inputs |a, 0> and their outputs |p, q = a - p>
+    with p <= a <= cutoff. Returns (p, q, roots, ph0, up_c, weight_c,
+    ph1_c, up_d, weight_d, ph1_d): the counts, roots = sqrt(C(a, p)) and
+    ph0, the flat index of u[p, q, a, 0]; then for each raise (C+ to
+    |p + 1, q>, D+ to |p, q + 1>) the entries whose raised count stays
+    <= cutoff, their weight sqrt(raised count) and the flat index of the
+    raised u[.., .., a, 1].
+    """
+    a, p = np.tril_indices(cutoff + 1)
+    q, stride = a - p, cutoff + 1
+    roots = np.sqrt([float(math.comb(n, k))
+                     for n, k in zip(a.tolist(), p.tolist())])
+
+    def flat(c, d, b):
+        return ((c * stride + d) * stride + a) * 2 + b
+
+    def lift(count, index):
+        kept = np.flatnonzero(count < cutoff)
+        return kept, np.sqrt(count[kept] + 1.0), index[kept]
+
+    table = (p, q, roots, flat(p, q, 0),
+             *lift(p, flat(p + 1, q, 1)), *lift(q, flat(p, q + 1, 1)))
+    for array in table:
+        array.setflags(write=False)
     return table
 
 
@@ -218,20 +241,24 @@ def station_columns(theta: float, cutoff: int) -> np.ndarray:
     Only |cutoff, 1> loses amplitude at the edge, the probability
     (cutoff + 1) (s^2 c^(2 cutoff) + c^2 s^(2 cutoff)) with c, s the cosine
     and sine of theta/2.
+
+    The array is dense, but only its O(N^2) nonzero entries are written,
+    through the cutoff's _column_support table: the |a, 0> columns, then
+    their C+ and D+ raises that stay within the cutoff.
     """
     if cutoff < 1:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
     cos, i_sin = math.cos(theta / 2.0), 1j * math.sin(theta / 2.0)
-    roots = _root_binomials(cutoff)
-    a, p = np.nonzero(roots)
-    u = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1, 2), dtype=np.complex128)
-    u[p, a - p, a, 0] = roots[a, p] * cos ** p * i_sin ** (a - p)
+    p, q, roots, ph0, up_c, weight_c, ph1_c, up_d, weight_d, ph1_d = \
+        _column_support(cutoff)
+    u = np.zeros(2 * (cutoff + 1) ** 3, dtype=np.complex128)
+    lowered = roots * cos ** p * i_sin ** q
+    u[ph0] = lowered
     # C+ and D+ raise one output count n by one with weight sqrt(n + 1);
-    # raised counts beyond the cutoff are dropped
-    raise_weight = np.sqrt(np.arange(1, cutoff + 1))
-    u[1:, :, :, 1] = i_sin * raise_weight[:, None, None] * u[:-1, :, :, 0]
-    u[:, 1:, :, 1] += cos * raise_weight[None, :, None] * u[:, :-1, :, 0]
-    return u
+    # no two entries of one raise share an output, so each is written once
+    u[ph1_c] = i_sin * weight_c * lowered[up_c]
+    u[ph1_d] += cos * weight_d * lowered[up_d]
+    return u.reshape(cutoff + 1, cutoff + 1, cutoff + 1, 2)
 
 
 def run_network(config: ExperimentConfig, xi: float,

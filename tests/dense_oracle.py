@@ -148,3 +148,19 @@ def dense_cross_terms(lam: np.ndarray, count: int = 10) -> list[CrossTerm]:
             bob_minus_one_reachable=(occ[2] + occ[3] == 1),
         ))
     return terms
+
+
+def dense_station_columns(theta: float, cutoff: int) -> np.ndarray:
+    """optics.station_columns built densely: the |a, 0> columns on their
+    support, then both raises of the |a, 1> columns over the whole
+    (N+1)^3 array, shifted by one output count and cut at the cutoff."""
+    cos, i_sin = math.cos(theta / 2.0), 1j * math.sin(theta / 2.0)
+    roots = np.sqrt([[float(math.comb(a, p)) for p in range(cutoff + 1)]
+                     for a in range(cutoff + 1)])
+    a, p = np.nonzero(roots)
+    u = np.zeros((cutoff + 1, cutoff + 1, cutoff + 1, 2), dtype=np.complex128)
+    u[p, a - p, a, 0] = roots[a, p] * cos ** p * i_sin ** (a - p)
+    raise_weight = np.sqrt(np.arange(1, cutoff + 1))
+    u[1:, :, :, 1] = i_sin * raise_weight[:, None, None] * u[:-1, :, :, 0]
+    u[:, 1:, :, 1] += cos * raise_weight[None, :, None] * u[:, :-1, :, 0]
+    return u

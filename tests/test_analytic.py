@@ -155,6 +155,53 @@ class TestChshClosed:
         assert worst < 2.0
 
 
+def attribute_ch(p):
+    """ch_closed as written when it read its point by attribute: eight
+    reads and xi - eta computed twice. The reference of the bit test."""
+    a2 = p.alpha_sq
+    ea2 = math.exp(a2)
+    return 0.25 * math.exp(-2.0 * a2) * (
+        a2 * (1.0 + math.sin(p.dphi))
+        * (math.sin(p.xi - p.eta) - math.cos(p.xi - p.eta))
+        + ea2 * (1.0 - a2) * (math.cos(p.eta) - math.sin(p.xi))
+        + 2.0 * a2
+        - 2.0 * ea2 * (a2 + 1.0)
+    )
+
+
+def attribute_chsh(p):
+    """chsh_closed in the same attribute form."""
+    a2 = p.alpha_sq
+    ea2 = math.exp(a2)
+    return 2.0 + math.exp(-2.0 * a2) * (
+        a2 * (1.0 + math.sin(p.dphi))
+        * (math.sin(p.xi - p.eta) - math.cos(p.xi - p.eta))
+        + ea2 * (1.0 - a2) * (math.cos(p.eta) - math.sin(p.xi))
+        + 2.0 * a2
+        - 2.0 * ea2 * (a2 + 1.0)
+    )
+
+
+WIDE_ANGLES = st.floats(-1e3, 1e3)
+
+
+class TestPrintedFormBits:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(xi=WIDE_ANGLES, eta=WIDE_ANGLES, dphi=WIDE_ANGLES,
+           alpha_sq=st.floats(0.0, 700.0))
+    def test_equal_to_the_attribute_form(self, xi, eta, dphi, alpha_sq):
+        # unpacking once runs the same float operations in the same order
+        p = ClosedFormPoint(xi, eta, dphi, alpha_sq)
+        assert ch_closed(p) == attribute_ch(p)
+        assert chsh_closed(p) == attribute_chsh(p)
+
+    def test_any_four_sequence(self):
+        p = ClosedFormPoint(REF_XI, REF_ETA, HALF_PI, 1.0)
+        for seq in (tuple(p), list(p)):
+            assert ch_closed(seq) == ch_closed(p) == CH_REF
+            assert chsh_closed(seq) == chsh_closed(p)
+
+
 class TestClosedFormPoint:
     def test_rejects_non_finite(self):
         for field, name in enumerate(("xi", "eta", "dphi", "alpha_sq")):
@@ -187,6 +234,26 @@ class TestClosedFormPoint:
             ClosedFormPoint(0.0, 0.0, 0.0, math.nextafter(fock.MAX_ALPHA_SQ, 1e3))
         with pytest.raises(ValueError, match="^alpha_sq must be <= 700$"):
             ClosedFormPoint(0.0, 0.0, 0.0, 1e308)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(field=st.integers(0, 3),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           values=st.tuples(WIDE_ANGLES, WIDE_ANGLES, WIDE_ANGLES,
+                            st.floats(0.0, 700.0)))
+    def test_rejects_any_non_finite_field(self, field, bad, values):
+        # the figure grid builds its cells without these checks; the public
+        # constructor keeps every one
+        values = list(values)
+        values[field] = bad
+        name = ClosedFormPoint._fields[field]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ClosedFormPoint(*values)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(alpha_sq=st.floats(700.0, exclude_min=True, allow_infinity=False))
+    def test_rejects_any_drive_above_the_bound(self, alpha_sq):
+        with pytest.raises(ValueError, match="^alpha_sq must be <= 700$"):
+            ClosedFormPoint(0.0, 0.0, 0.0, alpha_sq)
 
     def test_replace_is_checked(self):
         p = ClosedFormPoint(0.1, 0.2, 0.3, 0.4)

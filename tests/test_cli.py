@@ -4,16 +4,20 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
-from homodyne_bell import analytic, bell
+from homodyne_bell import analytic, bell, cli
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
+# figure angles of either sign, from tiny to large magnitude
+FIGURE_ANGLES = st.floats(-1e6, 1e6)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -382,23 +386,50 @@ class TestFigure:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_matches_a_per_point_reference(self, tmp_path):
-        # the streamed grid, chsh written as 2 + 4 ch, against the plain
-        # loop over ch_closed and chsh_closed, byte for byte
-        rows, cols, dphi, xi_minus_eta = 5, 7, 0.4, -1.3
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 13),
+           dphi=FIGURE_ANGLES, xi_minus_eta=FIGURE_ANGLES, degrees=st.booleans())
+    def test_matches_a_per_point_reference(self, tmp_path, rows, cols, dphi,
+                                           xi_minus_eta, degrees):
+        # the streamed grid (unchecked cells, one row template, chsh
+        # written as 2 + 4 ch) against the plain loop over checked points,
+        # ch_closed, chsh_closed and per-cell f-strings, byte for byte
+        angle = math.radians if degrees else float
         lines = ["alpha_sq,xi_plus_eta,ch,chsh"]
         for i in range(rows):
             alpha_sq = 2.0 * (i + 1) / rows
             for j in range(cols):
                 total = 2.0 * math.pi * j / cols
-                p = ClosedFormPoint((total + xi_minus_eta) / 2.0,
-                                    (total - xi_minus_eta) / 2.0, dphi, alpha_sq)
+                p = ClosedFormPoint((total + angle(xi_minus_eta)) / 2.0,
+                                    (total - angle(xi_minus_eta)) / 2.0,
+                                    angle(dphi), alpha_sq)
                 lines.append(f"{alpha_sq:.9g},{total:.9g},"
                              f"{ch_closed(p):.9g},{chsh_closed(p):.9g}")
         out = tmp_path / "g.csv"
-        assert run_cli(["figure", "--grid", f"{rows}x{cols}", "--dphi", dphi,
-                        "--xi-minus-eta", xi_minus_eta, "--out", out]) == 0
+        argv = ["figure", "--grid", f"{rows}x{cols}", f"--dphi={dphi!r}",
+                f"--xi-minus-eta={xi_minus_eta!r}", "--out", out]
+        assert run_cli(argv + ["--degrees"] * degrees) == 0
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_rows_refuse_what_the_constructor_refuses(self):
+        # cells skip ClosedFormPoint's checks only because every row and
+        # column passed them; figure_rows called directly still refuses
+        # what cmd_figure and RunConfig would have refused first
+        def grid(figure_alpha_sq_max=2.0, dphi=0.5, xi_minus_eta=0.25):
+            cfg = types.SimpleNamespace(figure_alpha_sq_max=figure_alpha_sq_max)
+            return list(cli.figure_rows(cfg, dphi, xi_minus_eta, 2, 3, []))
+        assert [text.count("\n") for text, _ in grid()] == [3, 3]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^dphi must be finite$"):
+                grid(dphi=bad)
+            with pytest.raises(ValueError, match="^xi must be finite$"):
+                grid(xi_minus_eta=bad)
+            with pytest.raises(ValueError, match="^alpha_sq must be finite$"):
+                grid(figure_alpha_sq_max=bad)
+        with pytest.raises(ValueError, match="^alpha_sq must be <= 700$"):
+            # the top row reaches the range's end
+            grid(figure_alpha_sq_max=701.0)
 
     def test_one_ch_closed_call_per_point(self, tmp_path, monkeypatch):
         # the benchmark's traced check counts one analytic.ch_closed span per
@@ -628,6 +659,29 @@ print(json.dumps(stages))
         assert "scipy.optimize" in optimize_loaded
         assert not any(m.split(".")[:2] == ["scipy", "stats"]
                        for m in optimize_loaded)
+
+    @pytest.mark.parametrize("preset", [None, "OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"])
+    def test_one_blas_thread_unless_chosen(self, monkeypatch, preset):
+        # the package pins BLAS to one thread before numpy loads, unless the
+        # user has set any of the thread counts, which are then left alone
+        names = homodyne_bell.BLAS_THREAD_VARS
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        if preset:
+            monkeypatch.setenv(preset, "2")
+        script = ("import json, os, sys\n"
+                  "import homodyne_bell.cli\n"
+                  "assert 'numpy' in sys.modules\n"
+                  f"print(json.dumps([os.environ.get(n) for n in {names!r}]))\n")
+        result = run_python(["-c", script])
+        assert result.returncode == 0, result.stderr
+        seen = dict(zip(names, json.loads(result.stdout)))
+        if preset is None:
+            assert seen == dict.fromkeys(names, "1")
+        else:
+            assert seen == {name: "2" if name == preset else None
+                            for name in names}
 
     def test_module_invocation(self, tmp_path):
         result = run_python(["-m", "homodyne_bell.cli", "figure",

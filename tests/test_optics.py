@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from dense_oracle import dense_output
+from dense_oracle import dense_output, dense_station_columns
 from homodyne_bell.detection import favorable_probs
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     MAX_CUTOFF,
     PAIR_WEIGHTS,
     ExperimentConfig,
+    _column_support,
     _mixing_eig,
     _pair_block,
     input_support,
@@ -222,6 +223,34 @@ class TestStationColumns:
         u = column_matrix(theta, cutoff)[:, :-1]
         gram = u.conj().T @ u
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
+
+    def test_equal_to_the_dense_construction(self):
+        # the support writes are the dense raises' own float operations, so
+        # every entry is equal, not just close
+        angles = (0.0, math.pi, 2.0 * math.pi, -math.pi, -2.0 * math.pi,
+                  0.7, -0.7, 3.9, -5.1, 1e3, -1e3)
+        for cutoff in range(1, 40):
+            for theta in angles:
+                assert np.array_equal(station_columns(theta, cutoff),
+                                      dense_station_columns(theta, cutoff)), \
+                    (cutoff, theta)
+
+    @COLUMN_SETTINGS
+    @given(theta=st.floats(-1e4, 1e4), cutoff=st.integers(1, MAX_CUTOFF))
+    def test_equal_to_the_dense_construction_anywhere(self, theta, cutoff):
+        assert np.array_equal(station_columns(theta, cutoff),
+                              dense_station_columns(theta, cutoff))
+
+    def test_support_table_cached_and_read_only(self):
+        table = _column_support(6)
+        assert _column_support(6) is table
+        assert not any(array.flags.writeable for array in table)
+        # the table holds the (N+1)(N+2)/2 entries of the |a, 0> columns
+        assert len(table[0]) == 7 * 8 // 2
+        u = station_columns(0.4, 6)
+        u[...] = 0.0
+        assert np.array_equal(station_columns(0.4, 6),
+                              dense_station_columns(0.4, 6))
 
     def test_run_network_leaves_mixing_caches_alone(self):
         favorable_probs(run_network(symmetric_config(0.4, 0.3), 0.9, 2.2))

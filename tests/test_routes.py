@@ -23,7 +23,7 @@ import homodyne_bell
 SRC = Path(homodyne_bell.__file__).resolve().parent
 MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
 # the closed columns of the brute-force route
-CLOSED_COLUMNS = {"station_columns", "_root_binomials"}
+CLOSED_COLUMNS = {"station_columns", "_column_support"}
 # the rank-2 pair structure the station engine contracts through
 PAIR_READOUT = {"PAIR_WEIGHTS", "_WEIGHT_PAIRS", "_pair_probabilities"}
 
@@ -139,8 +139,8 @@ def test_route_boundary_holds():
                "def helper():\n    return _pair_block(2)\n",
      "run_network reaches ['_pair_block']"),
     ("optics", "def mix_station(columns, theta):\n    return _pair_block(1)\n"
-               "def _pair_block(cutoff):\n    return _root_binomials(cutoff)\n",
-     "_pair_block reaches ['_root_binomials']"),
+               "def _pair_block(cutoff):\n    return _column_support(cutoff)\n",
+     "_pair_block reaches ['_column_support']"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
     ("detection", "from . import bell\n", "detection imports bell"),
