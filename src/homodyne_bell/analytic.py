@@ -14,18 +14,22 @@ expanded, it cancels only to about 1e-17 where it vanishes):
 One body evaluates them, with `math` on plain floats in `probs_point`
 (the triple verify checks against detection.favorable_probs on the
 brute-force network) and `ch_chsh_point` (CH and CHSH of four setting
-pairs, which the search runs), and with `numpy` on arrays in
-`probs_general` and `ch_chsh_general`. With the Fock numerics they are
-the two independent routes to every quantity, checked against each other.
+pairs, which the search runs for every family), and with `numpy` on arrays
+in `probs_general` and `ch_chsh_general`. They take the eight station
+parameters (alpha1_sq, alpha2_sq, phi1, phi2, then the angles) in the
+order and units of optics.ExperimentConfig and bell.evaluate_settings.
+With the Fock numerics they are the two independent routes to every
+quantity, checked against each other.
 
 Beside them live the paper's printed expressions, kept as the objects the
-verify command tests: the expanded `ch_closed` and `chsh_closed` of the
-standard quadruple (one strength alpha_sq, phase difference dphi, second
-settings pi/2 off), and `local_prob_printed_variant`, the local
-probability with the printed e^{-2 alpha_sq} exponent. That exponent is
-inconsistent with the joint probability and the assembled CH form; the
-brute-force oracle adjudicates between it and the e^{-alpha_sq} of
-P_A above, and the verify command records the decision.
+verify command tests and the figure grid writes, never searched on: the
+expanded `ch_closed` and `chsh_closed` of the standard quadruple (one
+strength alpha_sq, phase difference dphi, second settings pi/2 off), and
+`local_prob_printed_variant`, the local probability with the printed
+e^{-2 alpha_sq} exponent. That exponent is inconsistent with the joint
+probability and the assembled CH form; the brute-force oracle adjudicates
+between it and the e^{-alpha_sq} of P_A above, and the verify command
+records the decision.
 
 Convention note: the phase difference dphi of the printed forms equals
 phi2 - phi1 of the oscillator phases (pinned by the reflection-phase
@@ -56,11 +60,9 @@ class _PointFields(typing.NamedTuple):
 class ClosedFormPoint(_PointFields):
     """One evaluation point of the printed forms ch_closed and chsh_closed:
     an immutable, hashable (xi, eta, dphi, alpha_sq) tuple, refused unless
-    every field is finite and 0 <= alpha_sq <= 700 (fock.MAX_ALPHA_SQ). A
-    tuple subclass, not a dataclass: the figure grid builds one per cell.
-    The grid checks each of its rows and columns once through this
-    constructor and builds its cells with tuple.__new__, which skips the
-    checks; every other caller goes through them."""
+    every field is finite and 0 <= alpha_sq <= 700 (fock.MAX_ALPHA_SQ).
+    The figure grid checks each of its rows and columns once through this
+    constructor and passes its cells to ch_closed as plain tuples."""
 
     __slots__ = ()
 

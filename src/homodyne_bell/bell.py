@@ -50,25 +50,35 @@ _SIGNS = (1.0, 1.0, -1.0, 1.0)
 
 @dataclass(frozen=True)
 class SettingsQuadruple:
-    """Base settings (xi, eta); each station's second setting is +pi/2 off."""
+    """Base settings (xi, eta); each station's second setting is +pi/2 off.
+
+    from_sum_difference builds one from (xi + eta, xi - eta), and settings
+    gives its four angles in evaluate_settings' order. The fields may be
+    numpy arrays, a batch of quadruples."""
 
     xi: float
     eta: float
 
+    @classmethod
+    def from_sum_difference(cls, xi_plus_eta: float,
+                            xi_minus_eta: float) -> SettingsQuadruple:
+        return cls((xi_plus_eta + xi_minus_eta) / 2.0,
+                   (xi_plus_eta - xi_minus_eta) / 2.0)
+
+    @property
+    def settings(self) -> tuple[float, float, float, float]:
+        """(xi, xi2, eta, eta2) = (xi, xi + pi/2, eta, eta + pi/2)."""
+        return self.xi, self.xi + HALF_PI, self.eta, self.eta + HALF_PI
+
     @property
     def pairs(self) -> tuple[tuple[float, float], ...]:
-        return (
-            (self.xi, self.eta),
-            (self.xi + HALF_PI, self.eta),
-            (self.xi, self.eta + HALF_PI),
-            (self.xi + HALF_PI, self.eta + HALF_PI),
-        )
+        xi, xi2, eta, eta2 = self.settings
+        return (xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2)
 
 
 def reference_quadruple() -> SettingsQuadruple:
-    xi = (REFERENCE_XI_PLUS_ETA + REFERENCE_XI_MINUS_ETA) / 2.0
-    eta = (REFERENCE_XI_PLUS_ETA - REFERENCE_XI_MINUS_ETA) / 2.0
-    return SettingsQuadruple(xi, eta)
+    return SettingsQuadruple.from_sum_difference(REFERENCE_XI_PLUS_ETA,
+                                                 REFERENCE_XI_MINUS_ETA)
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,10 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     setting x comes from pair (x, eta) and Bob's at y from pair (xi, y).
     """
     n = config.resolve_cutoff()
-    alice_in = _oscillator_columns(config.alpha1 * cmath.exp(1j * config.phi1), n)
-    bob_in = _oscillator_columns(config.alpha2 * cmath.exp(1j * config.phi2), n)
+    alice_in = _oscillator_columns(
+        math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1), n)
+    bob_in = _oscillator_columns(
+        math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2), n)
     alice = {x: _station_vectors(mix_station(alice_in, x)) for x in (xi, xi2)}
     # Bob's ph port holds the photon in term 0 and none in term 1
     bob = {y: _station_vectors(mix_station(bob_in, y)[..., ::-1])
@@ -157,8 +169,7 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
 
 def evaluate_quadruple(config: ExperimentConfig,
                        quad: SettingsQuadruple) -> BellRecord:
-    return evaluate_settings(config, quad.xi, quad.xi + HALF_PI,
-                             quad.eta, quad.eta + HALF_PI)
+    return evaluate_settings(config, *quad.settings)
 
 
 @dataclass(frozen=True)
@@ -186,13 +197,12 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     psi1 = (e^{i phi1} |1,0,0,1> + i e^{i phi2} |0,1,1,0>) / sqrt(2) carries
     exactly the two single-photon-per-station terms, so lam is orthogonal
     to it by construction. full is optics.input_support. Defined only for
-    alpha1 == alpha2.
+    alpha1_sq == alpha2_sq.
     """
-    if config.alpha1 != config.alpha2:
+    if config.alpha1_sq != config.alpha2_sq:
         raise ValueError("state split requires equal oscillator strengths")
-    alpha = config.alpha1
-    a2 = alpha * alpha
-    c1 = alpha * math.exp(-a2)
+    a2 = config.alpha1_sq
+    c1 = math.sqrt(a2) * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
     full = input_support(config)
     z = 1.0 / math.sqrt(2.0)

@@ -9,12 +9,11 @@ deterministic for a fixed seed; floats are emitted at 9 significant digits.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .bell import (
     reference_quadruple,
     split_state,
     tsirelson_two_qubit,
-    HALF_PI,
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
@@ -147,16 +145,16 @@ class RunConfig:
         return self.cutoff_spec().resolve(alpha_sq_max)
 
     def experiment(self) -> ExperimentConfig:
-        if self.alpha_sq < 0:
-            raise ValueError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
-        a = math.sqrt(self.alpha_sq)
-        return ExperimentConfig(a, a, self.phi1, self.phi2, self.cutoff_spec())
+        return ExperimentConfig(self.alpha_sq, self.alpha_sq, self.phi1,
+                                self.phi2, self.cutoff_spec())
 
 
 _RUN_CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, overridden by the config file, overridden by the flags,
+    checked once: a flag replaces a bad file value before any check."""
     values: dict = {}
     if args.config is not None:
         try:
@@ -171,15 +169,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(payload)
-    cfg = RunConfig(**values)
-    # flags override file values
-    overrides = {}
-    for flag, key in (("tol", "tol"), ("cutoff_eps", "cutoff_eps"),
-                      ("seed", "seed"), ("restarts", "restarts")):
-        flag_value = getattr(args, flag, None)
+    for key in ("tol", "cutoff_eps", "seed", "restarts"):
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            overrides[key] = flag_value
-    return replace(cfg, **overrides) if overrides else cfg
+            values[key] = flag_value
+    return RunConfig(**values)
 
 
 def _round9(obj):
@@ -248,8 +242,8 @@ def run_verification(cfg: RunConfig) -> dict:
         weak = strong * rng.random()
         a1_sq, a2_sq = (strong, weak) if rng.random() < 0.5 else (weak, strong)
         phi1, phi2, xi, eta = rng.uniform(0.0, 2.0 * math.pi, 4)
-        p_a, p_b, p_ab, _ = favorable_probs(run_network(ExperimentConfig(
-            math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2, spec), xi, eta))
+        p_a, p_b, p_ab, _ = favorable_probs(run_network(
+            ExperimentConfig(a1_sq, a2_sq, phi1, phi2, spec), xi, eta))
         c_a, c_b, c_ab = analytic.probs_point(a1_sq, a2_sq, phi1, phi2, xi, eta)
         worst_joint = max(worst_joint, abs(p_ab - c_ab))
         worst_local = max(worst_local, abs(p_a - c_a), abs(p_b - c_b))
@@ -316,7 +310,7 @@ def run_verification(cfg: RunConfig) -> dict:
     ch = np.array([analytic.ch_closed(p) for p in points])
     chsh = np.array([analytic.chsh_closed(p) for p in points])
     general_ch, general_chsh = analytic.ch_chsh_general(
-        a2, a2, 0.0, dphi, xi, xi + HALF_PI, eta, eta + HALF_PI)
+        a2, a2, 0.0, dphi, *SettingsQuadruple(xi, eta).settings)
     worst_asm = float(np.max(np.abs(ch - general_ch)))
     worst_exp = float(np.max(np.abs(chsh - general_chsh)))
     checks.append(_check("closed_form_assembly_identity", worst_asm,
@@ -331,14 +325,13 @@ def run_verification(cfg: RunConfig) -> dict:
         a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
-        a = math.sqrt(a2)
-        network = run_network(ExperimentConfig(a, a, phi1, phi2, spec), xi, eta)
+        network = run_network(ExperimentConfig(a2, a2, phi1, phi2, spec), xi, eta)
         p_a, p_b, _, norm_sq = favorable_probs(network)
         source = network[1]
         alt_bob = favorable_probs(run_network(
-            ExperimentConfig(a, a, phi1, phi2_alt, spec), xi, eta_alt))
+            ExperimentConfig(a2, a2, phi1, phi2_alt, spec), xi, eta_alt))
         alt_alice = favorable_probs(run_network(
-            ExperimentConfig(a, a, phi1_alt, phi2, spec), xi_alt, eta))
+            ExperimentConfig(a2, a2, phi1_alt, phi2, spec), xi_alt, eta))
         worst_nosig = max(worst_nosig, abs(p_a - alt_bob[0]),
                           abs(p_b - alt_alice[1]))
         worst_norm = max(worst_norm,
@@ -383,35 +376,34 @@ def figure_rows(cfg: RunConfig, dphi: float, xi_minus_eta: float,
 
     Each row yields its CSV text block and the (alpha_sq, xi, eta, ch) of
     every flat (row-major) index in `picks` that falls in it. Every cell
-    makes one ClosedFormPoint and exactly one analytic.ch_closed call; its
-    chsh is written as 2 + 4 ch, which equals chsh_closed to the last bit
-    (both evaluate the same bracket, and the factors 1/4 and 4 are powers
-    of two).
+    makes exactly one analytic.ch_closed call; its chsh is written as
+    2 + 4 ch, which equals chsh_closed to the last bit (both evaluate the
+    same bracket, and the factors 1/4 and 4 are powers of two).
 
     A cell's fields are those of its column (xi, eta) and its row (dphi,
     alpha_sq), so each column and each row passes ClosedFormPoint's checks
-    once and the cells are built without repeating them. Each row's text
-    comes from one %-template of the grid, with every column's formatted
-    xi_plus_eta built in; it writes the same text as per-cell .9g
-    f-strings.
+    once and each cell goes to ch_closed as a plain (xi, eta, dphi,
+    alpha_sq) tuple. Each row's text comes from one %-template of the grid,
+    with every column's formatted xi_plus_eta built in; it writes the same
+    text as per-cell .9g f-strings.
     """
     point = analytic.ClosedFormPoint
     angles, formats = [], []
     for j in range(cols):
         total = 2.0 * math.pi * j / cols
-        xi, eta = (total + xi_minus_eta) / 2.0, (total - xi_minus_eta) / 2.0
-        point(xi, eta, dphi, 0.0)  # the column's checks
-        angles.append((xi, eta))
+        quad = SettingsQuadruple.from_sum_difference(total, xi_minus_eta)
+        point(quad.xi, quad.eta, dphi, 0.0)  # the column's checks
+        angles.append((quad.xi, quad.eta))
         formats.append(f"%s,{total:.9g},%.9g,%.9g\n")
     template = "".join(formats)
     picked_cols: dict[int, list[int]] = {}
     for index in picks:
         picked_cols.setdefault(index // cols, []).append(index % cols)
-    cell, ch_closed = functools.partial(tuple.__new__, point), analytic.ch_closed
+    ch_closed = analytic.ch_closed
     for i in range(rows):
         alpha_sq = cfg.figure_alpha_sq_max * (i + 1) / rows
         point(0.0, 0.0, dphi, alpha_sq)  # the row's checks
-        chs = [ch_closed(cell((xi, eta, dphi, alpha_sq))) for xi, eta in angles]
+        chs = [ch_closed((xi, eta, dphi, alpha_sq)) for xi, eta in angles]
         values = [f"{alpha_sq:.9g}"] * (3 * cols)
         values[1::3] = chs
         values[2::3] = [2.0 + 4.0 * ch for ch in chs]
@@ -543,16 +535,7 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
             "xi": quad.xi,
             "eta": quad.eta,
         },
-        "cross_terms": [
-            {
-                "occupation": list(term.occupation),
-                "weight": term.weight,
-                "magnitude": term.magnitude,
-                "alice_minus_one_reachable": term.alice_minus_one_reachable,
-                "bob_minus_one_reachable": term.bob_minus_one_reachable,
-            }
-            for term in lambda_cross_terms(split, count=10)
-        ],
+        "cross_terms": [asdict(term) for term in lambda_cross_terms(split, count=10)],
         "input_norm_loss": norm_loss,
         "provenance": provenance(cfg, args),
     }
@@ -634,10 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_run_config(args)
         return args.handler(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -51,30 +51,29 @@ PAIR_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 class ExperimentConfig:
     """Local-oscillator drive of the two stations plus the cutoff policy.
 
-    alpha1/alpha2 are non-negative magnitudes; phi1/phi2 the oscillator
-    phases. The phase difference is always derived, never stored.
+    alpha1_sq/alpha2_sq are the drive strengths |alpha|^2, the units of the
+    closed forms and the search; phi1/phi2 the oscillator phases. The
+    magnitude sqrt(alpha_sq) is taken only where a coherent amplitude is
+    built, and the phase difference is always derived, never stored.
     """
 
-    alpha1: float
-    alpha2: float
+    alpha1_sq: float
+    alpha2_sq: float
     phi1: float = 0.0
     phi2: float = 0.0
     cutoff: CutoffSpec = CutoffSpec()
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "phi1", "phi2"):
+        for name in ("alpha1_sq", "alpha2_sq", "phi1", "phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("oscillator magnitudes must be non-negative")
-
-    @property
-    def max_alpha_sq(self) -> float:
-        return max(self.alpha1, self.alpha2) ** 2
+        if self.alpha1_sq < 0 or self.alpha2_sq < 0:
+            raise ValueError("alpha1_sq and alpha2_sq must be >= 0, got "
+                             f"{self.alpha1_sq}, {self.alpha2_sq}")
 
     def resolve_cutoff(self) -> int:
         """Per-mode cutoff N of every engine (fock.CutoffSpec's policy)."""
-        return self.cutoff.resolve(self.max_alpha_sq)
+        return self.cutoff.resolve(max(self.alpha1_sq, self.alpha2_sq))
 
 
 def symmetric_config(alpha_sq: float, dphi: float = 0.0,
@@ -85,8 +84,7 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
     dphi here is the phase-difference argument as the closed forms take it
     (phi2 - phi1 under this network's reflection convention).
     """
-    a = math.sqrt(alpha_sq)
-    return ExperimentConfig(a, a, 0.0, dphi, cutoff)
+    return ExperimentConfig(alpha_sq, alpha_sq, 0.0, dphi, cutoff)
 
 
 def input_support(config: ExperimentConfig) -> np.ndarray:
@@ -95,8 +93,10 @@ def input_support(config: ExperimentConfig) -> np.ndarray:
     a1 and a2 times the split photon on (b1, b2). The cutoff is resolved
     first, so a config above MAX_CUTOFF is refused before any allocation."""
     n = config.resolve_cutoff()
-    lo1, _ = coherent_state(config.alpha1 * cmath.exp(1j * config.phi1), n)
-    lo2, _ = coherent_state(config.alpha2 * cmath.exp(1j * config.phi2), n)
+    lo1, _ = coherent_state(math.sqrt(config.alpha1_sq)
+                            * cmath.exp(1j * config.phi1), n)
+    lo2, _ = coherent_state(math.sqrt(config.alpha2_sq)
+                            * cmath.exp(1j * config.phi2), n)
     pair = np.zeros((2, 2), dtype=np.complex128)
     pair[0, 1], pair[1, 0] = PAIR_WEIGHTS
     return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]

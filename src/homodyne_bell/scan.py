@@ -8,11 +8,13 @@ oscillator phases (`relaxed_phases`), and additionally the two per-party
 strengths (`relaxed_amplitudes`); oscillator strength never varies between
 one party's two settings.
 
-A point of any family maps to the eight station parameters (alpha1_sq,
-alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) by station_params. The search
-runs on the plain-float closed forms of the analytic module, one
-evaluate_point call per evaluation; the truncated Fock numerics of the bell
-module evaluate the same parameters (numeric_point) and check them.
+A point of any family maps to the eight station parameters p = (alpha1_sq,
+alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) by station_params, the one
+parameter layer of both routes. The search runs on the plain-float closed
+forms, analytic.ch_chsh_point(*p), one evaluate_point call per evaluation
+for every family; the truncated Fock numerics check them on the same p as
+bell.evaluate_settings(ExperimentConfig(*p[:4], cutoff), *p[4:])
+(numeric_point). The paper's printed forms are only tested, by verify.
 
 The maximizer seeds restarts from a Latin hypercube over the search box and
 refines each with a Nelder-Mead simplex run down to a fixed simplex
@@ -35,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from . import analytic
-from .bell import HALF_PI, REFERENCE_DPHI, REFERENCE_XI_MINUS_ETA, evaluate_settings
+from .bell import (REFERENCE_DPHI, REFERENCE_XI_MINUS_ETA, SettingsQuadruple,
+                   evaluate_settings)
 from .fock import CutoffSpec
 from .optics import ExperimentConfig
 
@@ -104,18 +107,17 @@ def get_family(kind: str) -> ConstraintFamily:
 
 def station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
     """(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) of a family
-    point. A paper_baseline point is the standard quadruple at phase
-    difference REFERENCE_DPHI: xi, eta = (t +- REFERENCE_XI_MINUS_ETA)/2
-    with t = xi_plus_eta, each second setting pi/2 off."""
+    point. A paper_baseline point is the standard quadruple
+    (bell.SettingsQuadruple) of xi_plus_eta and REFERENCE_XI_MINUS_ETA at
+    phase difference REFERENCE_DPHI."""
     missing = set(get_family(kind).names) - set(values)
     if missing:
         raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
     if kind == "paper_baseline":
-        a_sq, total = values["alpha_sq"], values["xi_plus_eta"]
-        xi = (total + REFERENCE_XI_MINUS_ETA) / 2.0
-        eta = (total - REFERENCE_XI_MINUS_ETA) / 2.0
-        return (a_sq, a_sq, 0.0, REFERENCE_DPHI,
-                xi, xi + HALF_PI, eta, eta + HALF_PI)
+        a_sq = values["alpha_sq"]
+        quad = SettingsQuadruple.from_sum_difference(values["xi_plus_eta"],
+                                                     REFERENCE_XI_MINUS_ETA)
+        return (a_sq, a_sq, 0.0, REFERENCE_DPHI, *quad.settings)
     if kind == "relaxed_phases":
         a1_sq = a2_sq = values["alpha_sq"]
     else:
@@ -125,24 +127,17 @@ def station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
 
 
 def evaluate_point(kind: str, values: dict[str, float]) -> tuple[float, float]:
-    """CH and CHSH of one family point in closed form: the paper's expanded
-    ch_closed/chsh_closed for paper_baseline, ch_chsh_point otherwise."""
-    params = station_params(kind, values)
-    if kind == "paper_baseline":
-        a_sq, _, _, dphi, xi, _, eta, _ = params
-        point = analytic.ClosedFormPoint(xi, eta, dphi, a_sq)
-        return analytic.ch_closed(point), analytic.chsh_closed(point)
-    return analytic.ch_chsh_point(*params)
+    """CH and CHSH of one family point in closed form: ch_chsh_point of its
+    station parameters, for every family."""
+    return analytic.ch_chsh_point(*station_params(kind, values))
 
 
 def numeric_point(kind: str, values: dict[str, float],
                   cutoff: CutoffSpec = CutoffSpec()) -> tuple[float, float]:
     """CH and CHSH of one family point from the truncated Fock numerics
     (bell.evaluate_settings) under the cutoff policy."""
-    a1_sq, a2_sq, phi1, phi2, xi, xi2, eta, eta2 = station_params(kind, values)
-    config = ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
-                              cutoff)
-    record = evaluate_settings(config, xi, xi2, eta, eta2)
+    params = station_params(kind, values)
+    record = evaluate_settings(ExperimentConfig(*params[:4], cutoff), *params[4:])
     return record.ch, record.chsh
 
 

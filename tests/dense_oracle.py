@@ -87,13 +87,14 @@ def dense_split_state(config: ExperimentConfig) -> StateSplit:
     oscillators and the split photon over all (N+1)^4 occupations, psi1
     from two basis arrays and lam = full with psi1's two entries zeroed,
     divided by lam_coeff."""
-    alpha = config.alpha1
-    a2 = alpha * alpha
+    a2 = config.alpha1_sq
+    alpha = math.sqrt(a2)
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
     n = config.resolve_cutoff()
-    lo1, _ = coherent_state(config.alpha1 * cmath.exp(1j * config.phi1), n)
-    lo2, _ = coherent_state(config.alpha2 * cmath.exp(1j * config.phi2), n)
+    lo1, _ = coherent_state(alpha * cmath.exp(1j * config.phi1), n)
+    lo2, _ = coherent_state(math.sqrt(config.alpha2_sq)
+                            * cmath.exp(1j * config.phi2), n)
     z = 1.0 / math.sqrt(2.0)
     pair = np.zeros((n + 1, n + 1), dtype=complex)
     pair[0, 1], pair[1, 0] = z, 1j * z

@@ -283,8 +283,7 @@ def paper_local(x, alpha_sq):
 
 
 def strict_config(a1_sq, a2_sq, phi1, phi2):
-    return ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
-                            CutoffSpec(tail_eps=1e-12))
+    return ExperimentConfig(a1_sq, a2_sq, phi1, phi2, CutoffSpec(tail_eps=1e-12))
 
 
 class TestGeneralForms:

@@ -130,10 +130,10 @@ TAIL_EPS = st.sampled_from((1e-12, 1e-6, 1e-4))
 
 @st.composite
 def equal_drives(draw):
-    """Symmetric ExperimentConfig (the split needs alpha1 == alpha2) with
-    free phases."""
-    alpha = math.sqrt(draw(ALPHA_SQ))
-    return ExperimentConfig(alpha, alpha, draw(ANGLES), draw(ANGLES),
+    """Symmetric ExperimentConfig (the split needs alpha1_sq == alpha2_sq)
+    with free phases."""
+    alpha_sq = draw(ALPHA_SQ)
+    return ExperimentConfig(alpha_sq, alpha_sq, draw(ANGLES), draw(ANGLES),
                             CutoffSpec(tail_eps=draw(TAIL_EPS)))
 
 
@@ -156,11 +156,10 @@ def off_support(state):
 
 @st.composite
 def unequal_drives(draw):
-    """ExperimentConfig with alpha1 != alpha2 and free phases."""
+    """ExperimentConfig with alpha1_sq != alpha2_sq and free phases."""
     a1_sq = draw(ALPHA_SQ)
     a2_sq = draw(ALPHA_SQ.filter(lambda v: v != a1_sq))
-    return ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq),
-                            draw(ANGLES), draw(ANGLES),
+    return ExperimentConfig(a1_sq, a2_sq, draw(ANGLES), draw(ANGLES),
                             CutoffSpec(tail_eps=draw(TAIL_EPS)))
 
 
@@ -212,6 +211,29 @@ class TestStationFactorization:
     def test_station_needs_room_for_the_photon(self):
         with pytest.raises(ValueError):
             mix_station(np.ones((1, 2, 1)), 0.3)
+
+
+class TestSettingsQuadruple:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(total=st.floats(-1e6, 1e6), difference=st.floats(-1e6, 1e6))
+    def test_constructor_is_the_written_out_arithmetic(self, total, difference):
+        quad = SettingsQuadruple.from_sum_difference(total, difference)
+        xi, eta = (total + difference) / 2.0, (total - difference) / 2.0
+        assert (quad.xi, quad.eta) == (xi, eta)
+        assert quad.settings == (xi, xi + HALF_PI, eta, eta + HALF_PI)
+        assert quad.pairs == ((xi, eta), (xi + HALF_PI, eta),
+                              (xi, eta + HALF_PI), (xi + HALF_PI, eta + HALF_PI))
+
+    def test_reference_quadruple_unchanged(self):
+        # (pi +- 3 pi / 4) / 2, as floats
+        quad = reference_quadruple()
+        assert (quad.xi, quad.eta) == (2.748893571891069, 0.39269908169872414)
+
+    def test_settings_of_an_array_batch(self):
+        xi, eta = np.array([0.1, 2.0]), np.array([1.5, -3.0])
+        settings_ = SettingsQuadruple(xi, eta).settings
+        for got, want in zip(settings_, (xi, xi + HALF_PI, eta, eta + HALF_PI)):
+            assert np.array_equal(got, want)
 
 
 class TestBellRecords:

@@ -252,6 +252,28 @@ class TestRunKnobRange:
         assert f"restarts must be <= {MAX_RESTARTS}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,payload,flag", [
+        (["split"], {"tol": -1}, ["--tol", "1e-9"]),
+        (["optimize", "--family", "paper_baseline"], {"restarts": 200_000},
+         ["--restarts", "2"]),
+    ], ids=["split-tol", "optimize-restarts"])
+    def test_flag_replaces_a_bad_file_value(self, tmp_path, command, payload, flag):
+        # the flags are merged into the file's values before either is checked
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.json"
+        assert run_cli([*command, "--config", cfg, *flag, "--out", out]) == 0
+        report = json.loads(out.read_text())
+        used = {"tol": report["provenance"]["tolerances"]["oracle"],
+                "restarts": report.get("restarts")}
+        assert used[next(iter(payload))] == float(flag[1])
+
+    def test_bad_flag_over_a_good_file_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"tol": 1e-9})
+        out = tmp_path / "out"
+        assert run_cli(["split", "--config", cfg, "--tol", "-1", "--out", out]) == 2
+        assert "tol must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_restarts_cap_accepted(self):
         assert RunConfig(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
 

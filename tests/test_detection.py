@@ -238,8 +238,7 @@ class TestReadoutEquivalence:
         # column loses amplitude: the norm must carry that loss
         phi1, phi2, xi, eta = angles
         network = run_network(ExperimentConfig(
-            math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
-            CutoffSpec(tail_eps=tail_eps)), xi, eta)
+            a1_sq, a2_sq, phi1, phi2, CutoffSpec(tail_eps=tail_eps)), xi, eta)
         got, want = favorable_probs(network), dense_favorable_probs(network)
         assert max(abs(g - w) for g, w in zip(got[:3], want[:3])) <= 1e-14
         assert abs(got[3] - want[3]) <= 1e-13
@@ -249,7 +248,7 @@ class TestScale:
     def test_readout_at_max_cutoff_stays_small(self):
         # the dense output at N = 63 would take 256 MiB; the factors and
         # their Gram matrices take about a tenth of that
-        cfg = ExperimentConfig(1.1, 0.8, 0.3, 1.9, CutoffSpec(n_max=MAX_CUTOFF))
+        cfg = ExperimentConfig(1.21, 0.64, 0.3, 1.9, CutoffSpec(n_max=MAX_CUTOFF))
         tracemalloc.start()
         try:
             p_a, p_b, p_ab, norm = favorable_probs(run_network(cfg, 0.7, 2.2))
@@ -257,6 +256,6 @@ class TestScale:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        want = probs_general(1.1 ** 2, 0.8 ** 2, 0.3, 1.9, 0.7, 2.2)
+        want = probs_general(1.21, 0.64, 0.3, 1.9, 0.7, 2.2)
         assert max(abs(g - w) for g, w in zip((p_a, p_b, p_ab), want)) <= 1e-12
         assert norm == pytest.approx(1.0, abs=1e-12)

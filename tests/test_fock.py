@@ -91,7 +91,7 @@ class TestTensor:
 
     def test_basis_product(self):
         # vacuum on Alice's oscillator: Alice's factor is a basis state
-        s = input_support(ExperimentConfig(0.0, 0.7, cutoff=CutoffSpec(n_max=9)))
+        s = input_support(ExperimentConfig(0.0, 0.49, cutoff=CutoffSpec(n_max=9)))
         assert not np.any(s[1:])
         lo2, _ = coherent_state(0.7, 9)
         assert np.max(np.abs(s[0, 0, :, 1] - INV_SQRT2 * lo2)) < 1e-15
@@ -105,7 +105,7 @@ class TestTensor:
         rng = np.random.default_rng(5)
         for _ in range(10):
             a1, a2 = rng.uniform(0.0, 2.0, 2)
-            cfg = ExperimentConfig(a1, a2, *rng.uniform(0, 2 * math.pi, 2),
+            cfg = ExperimentConfig(a1 ** 2, a2 ** 2, *rng.uniform(0, 2 * math.pi, 2),
                                    cutoff=CutoffSpec(n_max=int(rng.integers(1, 12))))
             n = cfg.resolve_cutoff()
             s = input_support(cfg)
@@ -116,7 +116,7 @@ class TestTensor:
 
     def test_amplitudes_are_products(self):
         rng = np.random.default_rng(6)
-        cfg = ExperimentConfig(0.6, 1.3, 0.4, 2.9, CutoffSpec(n_max=3))
+        cfg = ExperimentConfig(0.6 ** 2, 1.3 ** 2, 0.4, 2.9, CutoffSpec(n_max=3))
         s = input_support(cfg)
         lo1, _ = coherent_state(0.6 * np.exp(0.4j), 3)
         lo2, _ = coherent_state(1.3 * np.exp(2.9j), 3)

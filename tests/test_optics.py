@@ -381,6 +381,17 @@ class TestInputState:
         with pytest.raises(ValueError, match="N=108"):
             input_support(symmetric_config(50.0))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(a1_sq=st.floats(0.0, 20.0), a2_sq=st.floats(0.0, 20.0),
+           tail_eps=st.sampled_from((1e-12, 1e-6, 1e-4)))
+    def test_cutoff_resolves_at_the_stronger_drive(self, a1_sq, a2_sq, tail_eps):
+        # the drives are alpha^2, the units the cutoff policy takes
+        spec = CutoffSpec(tail_eps=tail_eps)
+        assert ExperimentConfig(a1_sq, a1_sq, cutoff=spec).resolve_cutoff() == \
+            spec.resolve(a1_sq)
+        assert ExperimentConfig(a1_sq, a2_sq, cutoff=spec).resolve_cutoff() == \
+            spec.resolve(max(a1_sq, a2_sq))
+
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(-1.0, 1.0)
@@ -388,10 +399,11 @@ class TestInputState:
     @pytest.mark.parametrize("field", ["alpha1", "alpha2", "phi1", "phi2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
+        # positional: the drive fields are alpha1_sq and alpha2_sq
         values = {"alpha1": 1.0, "alpha2": 1.0, "phi1": 0.0, "phi2": 0.0}
         values[field] = value
-        with pytest.raises(ValueError, match="finite"):
-            ExperimentConfig(**values)
+        with pytest.raises(ValueError, match=f"^{field}(_sq)? must be finite"):
+            ExperimentConfig(*values.values())
 
 
 def embedded(support):
@@ -437,11 +449,11 @@ class TestNetwork:
         # built from mix_station's station terms: the same state reached by
         # two constructions that share no mixing code
         phi1, phi2, xi, eta = phases
-        cfg = ExperimentConfig(math.sqrt(a1_sq), math.sqrt(a2_sq), phi1, phi2,
+        cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
                                CutoffSpec(tail_eps=tail_eps))
         n = cfg.resolve_cutoff()
-        lo1 = coherent_state(cfg.alpha1 * np.exp(1j * phi1), n)[0]
-        lo2 = coherent_state(cfg.alpha2 * np.exp(1j * phi2), n)[0]
+        lo1 = coherent_state(math.sqrt(a1_sq) * np.exp(1j * phi1), n)[0]
+        lo2 = coherent_state(math.sqrt(a2_sq) * np.exp(1j * phi2), n)[0]
         terms_a = np.zeros((n + 1, 2, 2), dtype=complex)
         terms_b = np.zeros((n + 1, 2, 2), dtype=complex)
         for k in (0, 1):

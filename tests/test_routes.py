@@ -9,6 +9,11 @@ reaches the brute-force route. The closed forms (analytic) check both only
 while they import no package module. An AST scan of the package sources
 enforces all four.
 
+The same scan keeps one parameter layer: the paper's printed forms are
+named only where they are defined (analytic), tested and written (cli)
+and exported (__init__), so no search runs on them, and only bell reads
+HALF_PI, the offset of the standard quadruple (bell.SettingsQuadruple).
+
 The same scan keeps scipy off the import path: no package module imports
 it outside a function body, so only a command that uses it loads it.
 """
@@ -26,6 +31,9 @@ MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
 CLOSED_COLUMNS = {"station_columns", "_column_support"}
 # the rank-2 pair structure the station engine contracts through
 PAIR_READOUT = {"PAIR_WEIGHTS", "_WEIGHT_PAIRS", "_pair_probabilities"}
+PRINTED_FORMS = {"ClosedFormPoint", "ch_closed", "chsh_closed",
+                 "local_prob_printed_variant"}
+PRINTED_FORM_READERS = {"analytic", "cli", "__init__"}
 
 
 def parse_package():
@@ -121,6 +129,12 @@ def boundary_violations(trees):
     for name, tree in trees.items():
         if "scipy" in module_level_imports(tree):
             problems.append(f"{name} imports scipy at module level")
+        names = referenced_names(tree)
+        if name not in PRINTED_FORM_READERS:
+            for form in sorted(PRINTED_FORMS & names):
+                problems.append(f"{name} names {form}")
+        if name != "bell" and "HALF_PI" in names:
+            problems.append(f"{name} reads HALF_PI")
     return problems
 
 
@@ -149,10 +163,17 @@ def test_route_boundary_holds():
     ("scan", "from scipy import optimize\n", "scan imports scipy at module level"),
     ("cli", "if True:\n    import scipy.stats.qmc\n",
      "cli imports scipy at module level"),
+    ("scan", "from .analytic import ch_closed\n", "scan names ch_closed"),
+    ("bell", "def f(analytic):\n    return analytic.ClosedFormPoint\n",
+     "bell names ClosedFormPoint"),
+    ("cli", "from .bell import HALF_PI\n", "cli reads HALF_PI"),
+    ("scan", "from . import bell\nx = bell.HALF_PI\n", "scan reads HALF_PI"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "mixer_reaches_closed_columns",
         "analytic_import", "analytic_module_import", "detection_import",
-        "detection_pair_weights", "scipy_import", "scipy_nested_import"])
+        "detection_pair_weights", "scipy_import", "scipy_nested_import",
+        "printed_form_import", "printed_form_attribute", "half_pi_import",
+        "half_pi_attribute"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":

@@ -6,9 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from homodyne_bell import analytic
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
-from homodyne_bell.bell import REFERENCE_DPHI, SettingsQuadruple, evaluate_quadruple
+from homodyne_bell.bell import (
+    REFERENCE_DPHI,
+    SettingsQuadruple,
+    evaluate_quadruple,
+    evaluate_settings,
+)
 from homodyne_bell.fock import CutoffSpec
-from homodyne_bell.optics import symmetric_config
+from homodyne_bell.optics import ExperimentConfig, symmetric_config
 from homodyne_bell.scan import (
     ALPHA_SQ_MAX,
     ALPHA_SQ_MIN,
@@ -63,6 +68,34 @@ BASELINE_POINTS = st.fixed_dictionaries({
     "xi_plus_eta": ANGLES})
 
 
+def family_points(kind):
+    return BASELINE_POINTS if kind == "paper_baseline" else relaxed_points(kind)
+
+
+class TestOneParameterLayer:
+    """Both routes evaluate a family point on its eight station parameters
+    p: the closed forms as ch_chsh_point(*p), the numerics as
+    evaluate_settings(ExperimentConfig(*p[:4], cutoff), *p[4:])."""
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_search_evaluates_the_station_params(self, kind, data):
+        values = data.draw(family_points(kind))
+        assert evaluate_point(kind, values) == \
+            analytic.ch_chsh_point(*station_params(kind, values))
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data(), tail_eps=TAIL_EPS)
+    def test_numerics_evaluate_the_station_params(self, kind, data, tail_eps):
+        values = data.draw(family_points(kind))
+        spec = CutoffSpec(tail_eps=tail_eps)
+        p = station_params(kind, values)
+        record = evaluate_settings(ExperimentConfig(*p[:4], spec), *p[4:])
+        assert numeric_point(kind, values, spec) == (record.ch, record.chsh)
+
+
 class TestStationParams:
     def test_baseline_is_the_standard_quadruple(self):
         values = {"alpha_sq": 1.5, "xi_plus_eta": 2.0}
@@ -92,18 +125,22 @@ class TestEvaluatePoint:
         xi = (math.pi + 3 * math.pi / 4) / 2
         eta = (math.pi - 3 * math.pi / 4) / 2
         point = ClosedFormPoint(xi, eta, HALF_PI, 1.0)
-        assert ch == pytest.approx(ch_closed(point), abs=0)
-        assert chsh == pytest.approx(chsh_closed(point), abs=0)
+        assert abs(ch - ch_closed(point)) <= 1e-15
+        assert abs(chsh - chsh_closed(point)) <= 4e-15
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(values=BASELINE_POINTS)
     def test_baseline_is_the_expanded_closed_form(self, values):
-        # the paper's expanded forms, not the general ones: bit for bit
+        # the search runs on the general forms for every family; on
+        # paper_baseline they are the paper's expanded forms to rounding.
+        # Both chsh are 2 + 4 ch, so their bound is four times ch's (20000
+        # random points reached 2.8e-16 on ch and 1.1e-15 on chsh)
         xi = (values["xi_plus_eta"] + 3 * math.pi / 4) / 2
         eta = (values["xi_plus_eta"] - 3 * math.pi / 4) / 2
         point = ClosedFormPoint(xi, eta, REFERENCE_DPHI, values["alpha_sq"])
-        assert evaluate_point("paper_baseline", values) == \
-            (ch_closed(point), chsh_closed(point))
+        ch, chsh = evaluate_point("paper_baseline", values)
+        assert abs(ch - ch_closed(point)) <= 1e-15
+        assert abs(chsh - chsh_closed(point)) <= 4e-15
 
     def test_baseline_numeric_agrees_with_analytic(self):
         values = {"alpha_sq": 0.8, "xi_plus_eta": 2.4}
