@@ -1,14 +1,14 @@
 """Simulator and verifier for single-photon homodyne Bell tests.
 
 Two independent evaluation routes for the same experiment: truncated
-Fock-space numerics (fock, optics, bell) and closed forms (analytic),
-cross-validated against each other; plus constrained CHSH maximization
-(scan) and a CLI (cli). The numerics mix each station's input terms and
-contract them into Bell records (bell on optics.mix_station); the
-verification oracles check both against a brute-force route that shares no
-mixing code with it (closed station columns -> factored network ->
-Born-rule readout, optics.run_network and detection, used only by the
-cli).
+Fock-space numerics (fock, optics, detection, bell) and closed forms
+(analytic), cross-validated against each other and sharing no code; plus
+constrained CHSH maximization (scan) and a CLI (cli). The numerics mix
+each station's two input terms and read them out through one Born-rule
+readout (detection): the station engine mixes them with
+optics.mix_station and assembles Bell records (bell); the verification
+oracles mix them with closed station columns that share no mixing code
+with it (optics.run_network, used only by the cli).
 """
 
 __version__ = "0.1.0"

@@ -5,18 +5,18 @@ Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
 w = optics.PAIR_WEIGHTS, and both beamsplitters are local, so the output
 is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
-station (optics.mix_station), every mode truncated at the per-mode cutoff.
-Every record probability is a contraction of those vectors through their
-favorable amplitudes and 2x2 Gram matrices, conditional on the truncated
-space (divided by the output norm).
+station (optics.station_inputs mixed by optics.mix_station), every mode
+truncated at the per-mode cutoff. Every record probability comes from the
+detection module's readout of those terms, the one the verification
+oracles use too; bell defines no readout of its own.
 
 The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
 each setting's station observable 1 - 2|1,0><1,0|, written on a station's
-input support from one mix_station pass. Nothing here uses the
-closed-column network of the verification oracles (optics.run_network and
-the detection readout), which stays an independent brute-force route.
+input support from one mix_station pass and detection.station_vectors.
+Nothing here uses the closed columns of the verification oracles
+(optics.run_network), which stay an independent brute-force splitter.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -28,14 +28,13 @@ to the truncation budget.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_state
-from .optics import PAIR_WEIGHTS, ExperimentConfig, input_support, mix_station
+from .detection import pair_probabilities, station_vectors
+from .optics import ExperimentConfig, input_support, mix_station, station_inputs
 
 HALF_PI = math.pi / 2.0
 
@@ -99,58 +98,24 @@ class BellRecord:
     chsh: float
 
 
-_WEIGHT_PAIRS = np.outer(PAIR_WEIGHTS.conj(), PAIR_WEIGHTS)
-
-
-def _oscillator_columns(alpha: complex, cutoff: int) -> np.ndarray:
-    """mix_station input columns of a station's two input terms: the
-    truncated oscillator |alpha> on the lo port with k photons on the ph
-    port in column k."""
-    lo, _ = coherent_state(alpha, cutoff)
-    columns = np.zeros((cutoff + 1, 2, 2), dtype=np.complex128)
-    columns[:, 0, 0] = lo
-    columns[:, 1, 1] = lo
-    return columns
-
-
-def _station_vectors(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix <V_k|V_l> of a station's output columns V_k =
-    terms[..., k], and their favorable (1, 0) amplitudes."""
-    flat = terms.reshape(-1, terms.shape[-1])
-    return flat.conj().T @ flat, terms[1, 0]
-
-
-def _pair_probabilities(alice, bob) -> tuple[float, float, float]:
-    """(p_A, p_B, p_AB) of sum_k w_k A_k (x) B_k, each divided by its norm."""
-    (gram_a, a), (gram_b, b) = alice, bob
-    norm = np.sum(_WEIGHT_PAIRS * gram_a * gram_b).real
-    p_a = np.sum(_WEIGHT_PAIRS * np.outer(a.conj(), a) * gram_b).real
-    p_b = np.sum(_WEIGHT_PAIRS * gram_a * np.outer(b.conj(), b)).real
-    p_ab = abs(np.sum(PAIR_WEIGHTS * a * b)) ** 2
-    return float(p_a / norm), float(p_b / norm), float(p_ab / norm)
-
-
 def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
                       eta: float, eta2: float) -> BellRecord:
     """Evaluate the four setting pairs (xi, eta), (xi2, eta), (xi, eta2),
     (xi2, eta2) with signs +, +, -, + and assemble the record.
 
     Each distinct station setting is evolved once (optics.mix_station at
-    the per-mode cutoff config.resolve_cutoff()) and every pair is a
-    contraction of the station vectors. Canonical marginals: Alice's at
-    setting x comes from pair (x, eta) and Bob's at y from pair (xi, y).
+    the per-mode cutoff config.resolve_cutoff()) and every pair is read out
+    from the station vectors by detection.pair_probabilities. Canonical
+    marginals: Alice's at setting x comes from pair (x, eta) and Bob's at y
+    from pair (xi, y).
     """
-    n = config.resolve_cutoff()
-    alice_in = _oscillator_columns(
-        math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1), n)
-    bob_in = _oscillator_columns(
-        math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2), n)
-    alice = {x: _station_vectors(mix_station(alice_in, x)) for x in (xi, xi2)}
+    alice_in, bob_in = station_inputs(config)
+    alice = {x: station_vectors(mix_station(alice_in, x)) for x in (xi, xi2)}
     # Bob's ph port holds the photon in term 0 and none in term 1
-    bob = {y: _station_vectors(mix_station(bob_in, y)[..., ::-1])
+    bob = {y: station_vectors(mix_station(bob_in, y)[..., ::-1])
            for y in (eta, eta2)}
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
-    probs = {(x, y): _pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
+    probs = {(x, y): pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
 
     # one canonical marginal per distinct setting
     p_alice = {x: probs[(x, eta)][0] for x in (xi, xi2)}
@@ -223,7 +188,7 @@ def _station_observable(theta: float, cutoff: int) -> np.ndarray:
     flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
     mixed basis inputs and f their favorable amplitudes."""
     dim = 2 * (cutoff + 1)
-    gram, fav = _station_vectors(
+    gram, fav = station_vectors(
         mix_station(np.eye(dim).reshape(cutoff + 1, 2, dim), theta))
     return gram - 2.0 * np.outer(fav.conj(), fav)
 

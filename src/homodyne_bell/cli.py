@@ -33,6 +33,7 @@ from .detection import favorable_probs
 from .fock import MAX_ALPHA_SQ, CutoffSpec
 from .optics import (
     ExperimentConfig,
+    input_support,
     run_network,
     symmetric_config,
 )
@@ -319,15 +320,15 @@ def run_verification(cfg: RunConfig) -> dict:
                          cfg.identity_tol, 500))
 
     # physics invariants: no-signalling, and the norm the network loses at
-    # the cutoff edge
+    # the cutoff edge, the readout's norm against the input's
     worst_nosig = worst_norm = 0.0
     for _ in range(cfg.verify_draws):
         a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
-        network = run_network(ExperimentConfig(a2, a2, phi1, phi2, spec), xi, eta)
-        p_a, p_b, _, norm_sq = favorable_probs(network)
-        source = network[1]
+        config = ExperimentConfig(a2, a2, phi1, phi2, spec)
+        p_a, p_b, _, norm_sq = favorable_probs(run_network(config, xi, eta))
+        source = input_support(config)
         alt_bob = favorable_probs(run_network(
             ExperimentConfig(a2, a2, phi1, phi2_alt, spec), xi, eta_alt))
         alt_alice = favorable_probs(run_network(
@@ -349,8 +350,9 @@ def run_verification(cfg: RunConfig) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    prov = provenance(cfg, args, VERIFY_ALPHA_SQ_MAX)  # resolved before the checks
     report = run_verification(cfg)
-    report["provenance"] = provenance(cfg, args, VERIFY_ALPHA_SQ_MAX)
+    report["provenance"] = prov
     report["provenance"][analytic.LOCAL_EXPONENT_DECISION_KEY] = \
         report[analytic.LOCAL_EXPONENT_DECISION_KEY]
     for check in report["checks"]:
@@ -466,6 +468,7 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     family = get_family(args.family)
+    prov = provenance(cfg, args, ALPHA_SQ_MAX)  # resolved before the search
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
                             diameter_tol=cfg.diameter_tol, maxfev=cfg.maxfev,
                             cutoff=cfg.cutoff_spec())
@@ -486,7 +489,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "numeric_crosscheck": crosscheck,
         "trace": [{"restart": rec.index, "params": rec.params,
                    "ch": rec.ch, "chsh": rec.chsh} for rec in outcome.trace],
-        "provenance": provenance(cfg, args, ALPHA_SQ_MAX),
+        "provenance": prov,
     }
     write_json(args.out, payload)
     print(f"{family.kind}: best chsh = {outcome.best.chsh:.9g} "

@@ -1,54 +1,56 @@
-"""Born-rule readout of the factored network, the last step of the
-brute-force route: closed station columns -> factored network
-(optics.run_network) -> the probabilities read here.
+"""Born-rule readout, the one home of every detection probability.
 
-A station's favorable event is exactly one photon at its counting port c
-and none at its veto port d; that outcome is assigned -1, everything else
-+1. The network comes as the factors (U_A, X, U_B) of the output
-out = U_A X U_B^T, whose row f = N + 1 is Alice's favorable occupation
-|1, 0> and whose column f is Bob's. The favorable weights are contractions
-of the factors, so the (N+1)^4 output is never built:
+Both beamsplitters are local, so the output is sum_k w_k A_k (x) B_k with
+w = optics.PAIR_WEIGHTS and A_k, B_k each station's two mixed input terms.
+Both routes hand their terms here: the station engine (bell on
+optics.mix_station) and the closed-column network of the verification
+oracles (optics.run_network). station_vectors reduces a station to the
+Gram matrix G of its terms and their favorable amplitudes f at
+(c, d) = (1, 0), exactly one photon at the counting port and none at the
+veto port, the -1 outcome. With W = conj(w) w^T each weight is a rank-2
+contraction, and the (N+1)^4 output is never built:
 
-    <psi|psi>      = ||out||^2       = vdot(X, G_A X G_B^T),  G = U^H U
-    p_A <psi|psi>  = ||out[f, :]||^2 = ||U_B (U_A[f] X)||^2
-    p_B <psi|psi>  = ||out[:, f]||^2 = ||U_A (X U_B[f])||^2
-    p_AB <psi|psi> = |out[f, f]|^2   = |U_A[f] X U_B[f]|^2
+    <psi|psi>      = sum W G_A G_B
+    p_A <psi|psi>  = sum W conj(f_A) f_A^T G_B
+    p_B <psi|psi>  = sum W G_A conj(f_B) f_B^T
+    p_AB <psi|psi> = |sum_k w_k f_A[k] f_B[k]|^2
 
-X is read as a general matrix and the columns are not taken to be
-unitary: each station's Gram matrix G carries what its columns lose at the
-cutoff edge into the norm.
-
-Probabilities are Born-rule probabilities conditional on the truncated
-space: each is divided by <psi|psi>, so an output that lost probability to
-photon-number truncation still gives p_A, p_B, p_AB and their complements
-one shared normalization.
+G carries what the columns lose at the cutoff edge into the norm, and each
+probability is divided by <psi|psi>: conditional on the truncated space,
+so p_A, p_B, p_AB and their complements share one normalization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .optics import PAIR_WEIGHTS
 
-def favorable_probs(network: tuple[np.ndarray, np.ndarray, np.ndarray]
+WEIGHT_PAIRS = np.outer(PAIR_WEIGHTS.conj(), PAIR_WEIGHTS)
+
+
+def station_vectors(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix <V_k|V_l> of a station's output columns V_k =
+    terms[..., k], and their favorable (1, 0) amplitudes."""
+    flat = terms.reshape(-1, terms.shape[-1])
+    return flat.conj().T @ flat, terms[1, 0]
+
+
+def pair_probabilities(alice, bob) -> tuple[float, float, float, float]:
+    """(p_A, p_B, p_AB, <psi|psi>) of sum_k w_k A_k (x) B_k from the two
+    stations' station_vectors: the favorable probability at Alice, at Bob
+    and at both at once, each divided by the norm, and the norm."""
+    (gram_a, a), (gram_b, b) = alice, bob
+    norm = np.sum(WEIGHT_PAIRS * gram_a * gram_b).real
+    p_a = np.sum(WEIGHT_PAIRS * np.outer(a.conj(), a) * gram_b).real
+    p_b = np.sum(WEIGHT_PAIRS * gram_a * np.outer(b.conj(), b)).real
+    p_ab = abs(np.sum(PAIR_WEIGHTS * a * b)) ** 2
+    return float(p_a / norm), float(p_b / norm), float(p_ab / norm), float(norm)
+
+
+def favorable_probs(network: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[float, float, float, float]:
-    """(p_A, p_B, p_AB, <psi|psi>) of a factored network (u_a, x, u_b) as
-    optics.run_network returns it: the favorable probability at Alice, at
-    Bob and at both at once, each conditional on the truncated space, and
-    the norm they are divided by."""
-    u_a, x, u_b = network
-    stride = x.shape[0] // 2 if x.ndim == 2 else 0
-    if (stride < 2 or x.shape != (2 * stride,) * 2
-            or u_a.shape != (stride * stride, 2 * stride) or u_b.shape != u_a.shape):
-        raise ValueError("expected factors u_a, u_b of shape ((N+1)^2, 2(N+1)) "
-                         "and x of shape (2(N+1), 2(N+1)) with one cutoff N >= 1, "
-                         f"got {u_a.shape}, {x.shape}, {u_b.shape}")
-    fav = stride  # flat output index of (c, d) = (1, 0)
-    gram_a = u_a.conj().T @ u_a
-    gram_b = u_b.conj().T @ u_b
-    norm_sq = float(np.vdot(x, gram_a @ x @ gram_b.T).real)
-    alice_row = u_b @ (u_a[fav] @ x)
-    bob_column = u_a @ (x @ u_b[fav])
-    p_a = float(np.vdot(alice_row, alice_row).real) / norm_sq
-    p_b = float(np.vdot(bob_column, bob_column).real) / norm_sq
-    p_ab = float(abs(u_a[fav] @ x @ u_b[fav]) ** 2) / norm_sq
-    return p_a, p_b, p_ab, norm_sq
+    """pair_probabilities of a network (alice_terms, bob_terms) as
+    optics.run_network returns it."""
+    alice, bob = network
+    return pair_probabilities(station_vectors(alice), station_vectors(bob))

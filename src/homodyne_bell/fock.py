@@ -10,7 +10,9 @@ together with the probability they drop.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,6 +27,10 @@ MAX_ALPHA_SQ = 700.0
 # the default tail; alpha_sq = 50 resolves to N = 108.
 MAX_CUTOFF = 63
 
+# Smallest tail budget required_cutoff resolves: below it the Poisson terms
+# that make up such a tail leave the normal double range.
+MIN_TAIL_EPS = 1e-280
+
 
 def required_cutoff(alpha_sq: float, tail_eps: float) -> int:
     """Smallest N whose Poisson(alpha_sq) tail beyond N is strictly below tail_eps.
@@ -32,22 +38,29 @@ def required_cutoff(alpha_sq: float, tail_eps: float) -> int:
     The photon-number distribution of a coherent state with mean photon
     number alpha_sq is Poisson, so this is the minimal per-mode cutoff that
     keeps the discarded probability of one coherent input under tail_eps.
+    Each tail is summed smallest terms first: 1 - sum(p_0..p_N) stalls at
+    the rounding of 1, about 1e-16, below many budgets.
     """
     if not alpha_sq >= 0:  # written so that NaN is refused too
         raise ValueError(f"alpha_sq must be >= 0, got {alpha_sq}")
-    if not 0.0 < tail_eps < 1.0:
-        raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps}")
+    if not MIN_TAIL_EPS <= tail_eps < 1.0:
+        raise ValueError(f"tail_eps must be in [{MIN_TAIL_EPS:g}, 1), got {tail_eps}")
     if alpha_sq > MAX_ALPHA_SQ:
         raise ValueError(f"alpha_sq={alpha_sq} exceeds the float-safe range "
                          f"(at most {MAX_ALPHA_SQ:g})")
+    # p_0..p_n up to n past 2 alpha_sq, where the terms at least halve, and
+    # p_n below 1e-14 tail_eps, which bounds all the terms left out
     term = math.exp(-alpha_sq)
-    cum = term
-    n = 0
-    while 1.0 - cum >= tail_eps:
+    terms = [term]
+    n, halving, floor = 0, 2.0 * alpha_sq, 1e-14 * tail_eps
+    while n <= halving or term > floor:
         n += 1
         term *= alpha_sq / n
-        cum += term
-    return n
+        terms.append(term)
+    # tails[j] is the tail beyond n - j - 1, to a relative error below
+    # 1e-12, so a tail within that of tail_eps counts as reaching it
+    tails = list(accumulate(reversed(terms)))
+    return max(0, n - bisect_left(tails, tail_eps * (1.0 - 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,9 @@ class CutoffSpec:
         if self.n_max is not None and not 1 <= self.n_max <= MAX_CUTOFF:
             raise ValueError(f"n_max must be in [1, {MAX_CUTOFF}], "
                              f"got N={self.n_max}")
-        if not 0.0 < self.tail_eps < 1.0:
-            raise ValueError("tail_eps must be in (0, 1)")
+        if not MIN_TAIL_EPS <= self.tail_eps < 1.0:
+            raise ValueError(f"tail_eps must be in [{MIN_TAIL_EPS:g}, 1), "
+                             f"got {self.tail_eps}")
 
     def resolve(self, alpha_sq: float) -> int:
         """Per-mode cutoff N for the largest drive alpha_sq in play."""

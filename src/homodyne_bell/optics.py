@@ -14,8 +14,9 @@ argument used by the analytic module corresponds to phi2 - phi1 of the two
 local-oscillator phases (see analytic module notes).
 
 The input holds at most one photon at each ph port: its support is
-input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2). Two
-independent constructions of a splitter act on it, both cutting every
+input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2), and
+station_inputs gives each station's two input terms as splitter columns.
+Two independent constructions of a splitter act on them, both cutting every
 output mode at the per-mode cutoff N:
 
 - mix_station, which the bell module uses, mixes every total photon
@@ -24,11 +25,10 @@ output mode at the per-mode cutoff N:
   the eigenvector products of the two block columns a station input
   reaches);
 - station_columns writes the unitary's columns on a station's input
-  support in closed binomial form. run_network returns them with the input
-  support as the factors (U_A, X, U_B) of the output U_A X U_B^T, the
-  brute-force route of the verification oracles (closed station columns
-  -> factored network -> Born-rule readout in the detection module). It
-  shares no mixing code with mix_station.
+  support in closed binomial form. run_network applies them to the
+  station inputs, the brute-force route of the verification oracles
+  (closed station columns -> mixed station terms -> the detection
+  module's readout). It shares no mixing code with mix_station.
 """
 
 from __future__ import annotations
@@ -87,19 +87,36 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
     return ExperimentConfig(alpha_sq, alpha_sq, 0.0, dphi, cutoff)
 
 
+def _oscillators(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Both stations' truncated oscillators at the per-mode cutoff N. The
+    cutoff is resolved first, so a config above MAX_CUTOFF is refused
+    before any allocation."""
+    n = config.resolve_cutoff()
+    return (coherent_state(math.sqrt(config.alpha1_sq)
+                           * cmath.exp(1j * config.phi1), n)[0],
+            coherent_state(math.sqrt(config.alpha2_sq)
+                           * cmath.exp(1j * config.phi2), n)[0])
+
+
 def input_support(config: ExperimentConfig) -> np.ndarray:
     """Input amplitudes on their support, indexed [a1, b1, a2, b2] with a1,
     a2 up to the cutoff N and b1, b2 in {0, 1}: the truncated oscillators on
-    a1 and a2 times the split photon on (b1, b2). The cutoff is resolved
-    first, so a config above MAX_CUTOFF is refused before any allocation."""
-    n = config.resolve_cutoff()
-    lo1, _ = coherent_state(math.sqrt(config.alpha1_sq)
-                            * cmath.exp(1j * config.phi1), n)
-    lo2, _ = coherent_state(math.sqrt(config.alpha2_sq)
-                            * cmath.exp(1j * config.phi2), n)
+    a1 and a2 times the split photon on (b1, b2)."""
+    lo1, lo2 = _oscillators(config)
     pair = np.zeros((2, 2), dtype=np.complex128)
     pair[0, 1], pair[1, 0] = PAIR_WEIGHTS
     return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
+
+
+def station_inputs(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Both stations' input terms as splitter columns, each (N+1, 2, 2):
+    column k holds the truncated oscillator on the lo port with k photons
+    on the ph port. Bob's term k of sum_k w_k A_k (x) B_k holds 1 - k
+    photons, so his mixed columns are read reversed."""
+    lo = np.array(_oscillators(config))
+    columns = np.zeros(lo.shape + (2, 2), dtype=np.complex128)
+    columns[..., 0, 0] = columns[..., 1, 1] = lo
+    return columns[0], columns[1]
 
 
 @lru_cache(maxsize=512)
@@ -262,16 +279,15 @@ def station_columns(theta: float, cutoff: int) -> np.ndarray:
 
 
 def run_network(config: ExperimentConfig, xi: float,
-                eta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The network in factored form (u_a, x, u_b): Alice's station mixed at
-    xi and Bob's at eta, each by its closed columns as a ((N+1)^2, 2(N+1))
-    matrix (row c * (N+1) + d is output |c, d>, column 2a + b input
-    |a, b>), and x the input support as a (2(N+1), 2(N+1)) matrix over
-    (Alice's input, Bob's input). The output amplitude of |c1, d1, c2, d2>
-    is entry (c1 * (N+1) + d1, c2 * (N+1) + d2) of u_a @ x @ u_b.T, which
-    is never built: detection.favorable_probs contracts the factors."""
-    source = input_support(config)
-    n = source.shape[0] - 1
+                eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The network as its two stations' mixed input terms (alice, bob),
+    each (N+1, N+1, 2): entry [c, d, k] is the amplitude of output |c, d>
+    in term k of sum_k w_k A_k (x) B_k, Alice's station mixed at xi and
+    Bob's at eta by their closed columns. detection.favorable_probs reads
+    it out."""
+    alice_in, bob_in = station_inputs(config)
+    n = alice_in.shape[0] - 1
     dim = 2 * (n + 1)
-    return (station_columns(xi, n).reshape(-1, dim), source.reshape(dim, dim),
-            station_columns(eta, n).reshape(-1, dim))
+    alice = station_columns(xi, n).reshape(-1, dim) @ alice_in.reshape(dim, 2)
+    bob = station_columns(eta, n).reshape(-1, dim) @ bob_in.reshape(dim, 2)
+    return alice.reshape(n + 1, n + 1, 2), bob.reshape(n + 1, n + 1, 2)[..., ::-1]

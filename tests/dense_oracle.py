@@ -1,12 +1,12 @@
-"""Dense 4-mode oracles on plain arrays: the full (N+1)^4 output of a
-factored network and its index readout, the reference for
-detection.favorable_probs; a support array propagated through the closed
-station columns (optics.station_columns) to that output; and from it the
-state split, its CHSH matrix elements and the residual's cross-term
-listing. The library reads the network's probabilities off its factors
-without building the output, and computes the split on the input's
-two-photon support with optics.mix_station; the tests hold both to these
-brute-force forms.
+"""Dense 4-mode oracles on plain arrays: a support array propagated
+through the closed station columns (optics.station_columns) to the full
+(N+1)^4 output, and its index readout, the reference for the detection
+module's rank-2 readout; from the same output the state split, its CHSH
+matrix elements and the residual's cross-term listing. The library reads
+every probability off each station's two mixed input terms without
+building the output, and computes the split on the input's two-photon
+support with optics.mix_station; the tests hold both to these brute-force
+forms.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""
@@ -23,19 +23,10 @@ from homodyne_bell.optics import ExperimentConfig, station_columns
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
 
 
-def dense_output(network) -> np.ndarray:
-    """The dense output out[c1, d1, c2, d2] = U_A X U_B^T of a factored
-    network (u_a, x, u_b), as optics.run_network returns it."""
-    u_a, x, u_b = network
-    n_a, n_b = x.shape[0] // 2, x.shape[1] // 2
-    return (u_a @ x @ u_b.T).reshape(n_a, n_a, n_b, n_b)
-
-
-def dense_favorable_probs(network) -> tuple[float, float, float, float]:
-    """(p_A, p_B, p_AB, <psi|psi>) read off the dense output by index: the
-    slices out[1, 0] (Alice) and out[:, :, 1, 0] (Bob), the entry
-    out[1, 0, 1, 0] (both), each over the norm vdot(out, out)."""
-    out = dense_output(network)
+def dense_favorable_probs(out: np.ndarray) -> tuple[float, float, float, float]:
+    """(p_A, p_B, p_AB, <psi|psi>) read off a dense output out[c1, d1, c2, d2]
+    by index: the slices out[1, 0] (Alice) and out[:, :, 1, 0] (Bob), the
+    entry out[1, 0, 1, 0] (both), each over the norm vdot(out, out)."""
     norm_sq = float(np.vdot(out, out).real)
     p_a = float(np.sum(np.abs(out[1, 0]) ** 2)) / norm_sq
     p_b = float(np.sum(np.abs(out[:, :, 1, 0]) ** 2)) / norm_sq
@@ -46,11 +37,14 @@ def dense_favorable_probs(network) -> tuple[float, float, float, float]:
 def propagate(support: np.ndarray, xi: float, eta: float) -> np.ndarray:
     """Dense output [c1, d1, c2, d2] of a support array [a1, b1, a2, b2]
     (b1, b2 <= 1): Alice's station mixed at xi and Bob's at eta, both
-    through their closed columns, summed over every input occupation."""
+    through their closed columns as matrices U (row c * (N+1) + d, column
+    2a + b), out = U_A X U_B^T with X the support as a matrix over
+    (Alice's input, Bob's input)."""
     n_a, n_b = support.shape[0], support.shape[2]
-    return dense_output((station_columns(xi, n_a - 1).reshape(n_a * n_a, 2 * n_a),
-                         support.reshape(2 * n_a, 2 * n_b),
-                         station_columns(eta, n_b - 1).reshape(n_b * n_b, 2 * n_b)))
+    u_a = station_columns(xi, n_a - 1).reshape(n_a * n_a, 2 * n_a)
+    u_b = station_columns(eta, n_b - 1).reshape(n_b * n_b, 2 * n_b)
+    out = u_a @ support.reshape(2 * n_a, 2 * n_b) @ u_b.T
+    return out.reshape(n_a, n_a, n_b, n_b)
 
 
 def on_support(dense: np.ndarray) -> np.ndarray:

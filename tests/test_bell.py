@@ -10,6 +10,7 @@ from dense_oracle import (
     dense_chsh_decomposition,
     dense_chsh_on_component,
     dense_cross_terms,
+    dense_favorable_probs,
     dense_split_state,
     on_support,
     propagate,
@@ -28,12 +29,11 @@ from homodyne_bell.bell import (
     split_state,
     tsirelson_two_qubit,
 )
-from homodyne_bell.detection import favorable_probs
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
+    input_support,
     mix_station,
-    run_network,
     station_columns,
     symmetric_config,
 )
@@ -102,11 +102,12 @@ def qubit_chsh_search_oracle(psi, seed, starts=24):
 
 def dense_evaluate_settings(config, xi, xi2, eta, eta2):
     """Oracle for evaluate_settings: run the dense 4-mode network at the four
-    setting pairs and read every probability off the dense output, with the
-    same canonical-marginal rule (Alice's at x from (x, eta), Bob's at y
-    from (xi, y))."""
+    setting pairs and read every probability off the dense output by index,
+    with the same canonical-marginal rule (Alice's at x from (x, eta),
+    Bob's at y from (xi, y))."""
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
-    probs = {p: favorable_probs(run_network(config, *p)) for p in pairs}
+    support = input_support(config)
+    probs = {p: dense_favorable_probs(propagate(support, *p)) for p in pairs}
     p_alice = {x: probs[(x, eta)][0] for x in (xi, xi2)}
     p_bob = {y: probs[(xi, y)][1] for y in (eta, eta2)}
     joints = tuple(probs[p][2] for p in pairs)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
-from homodyne_bell import analytic, bell, cli
+from homodyne_bell import analytic, bell, cli, detection, optics
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
 
@@ -30,13 +30,14 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def run_python(args):
+def run_python(args, timeout=None):
     """A fresh interpreter that imports the package under test, whether it
     is installed or found through pytest's pythonpath setting."""
     src = str(Path(homodyne_bell.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=timeout)
 
 
 class TestVerify:
@@ -141,19 +142,52 @@ class TestVerify:
         # a station engine with wrong marginals and joints still assembles
         # records with chsh = 2 + 4 ch exactly, so only the comparison with
         # the closed forms can fail it
-        pair_probabilities = bell._pair_probabilities
+        pair_probabilities = bell.pair_probabilities
 
         def faulty(alice, bob):
-            p_a, p_b, p_ab = pair_probabilities(alice, bob)
-            return 0.9 * p_a, 1.1 * p_b, 2.0 * p_ab
+            p_a, p_b, p_ab, norm = pair_probabilities(alice, bob)
+            return 0.9 * p_a, 1.1 * p_b, 2.0 * p_ab, norm
 
-        monkeypatch.setattr(bell, "_pair_probabilities", faulty)
+        # bell's binding of the readout only: the oracle's stays sound
+        monkeypatch.setattr(bell, "pair_probabilities", faulty)
         report = run_verification(RunConfig(verify_points=5, verify_draws=2))
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["station_closed_form_agreement"]["passed"] is False
         assert checks["station_closed_form_agreement"]["max_residual"] > 1e-2
         assert checks["station_closed_form_agreement"]["points"] == 12
         assert checks["record_ch_chsh_identity"]["passed"] is True
+        assert checks["joint_oracle_agreement"]["passed"] is True
+
+    def test_no_signalling_catches_a_faulty_readout(self, monkeypatch):
+        # an oracle readout that takes Alice's marginal as the exclusive
+        # event, Alice favorable and Bob not, lets it follow Bob's setting
+        pair_probabilities = detection.pair_probabilities
+
+        def exclusive(alice, bob):
+            p_a, p_b, p_ab, norm = pair_probabilities(alice, bob)
+            return p_a - p_ab, p_b, p_ab, norm
+
+        monkeypatch.setattr(detection, "pair_probabilities", exclusive)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=4))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["no_signalling"]["passed"] is False
+        assert checks["no_signalling"]["max_residual"] > 1e-4
+        assert checks["station_closed_form_agreement"]["passed"] is True
+
+    def test_unitarity_catches_a_lossy_network(self, monkeypatch):
+        # closed columns that each lose the same small fraction: every
+        # probability is conditional on the truncated space, so only the
+        # readout's norm against the input's sees the loss
+        columns = optics.station_columns
+        monkeypatch.setattr(optics, "station_columns",
+                            lambda theta, cutoff: (1.0 - 1e-6) * columns(theta, cutoff))
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["network_unitarity"]["passed"] is False
+        assert checks["network_unitarity"]["max_residual"] > 1e-6
+        for name in ("joint_oracle_agreement", "local_oracle_agreement",
+                     "no_signalling"):
+            assert checks[name]["passed"] is True, name
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
@@ -327,6 +361,47 @@ class TestDriveRange:
         out = tmp_path / "out"
         assert run_cli([*command, "--config", cfg, "--out", out]) == 2
         assert "N=108" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTinyTail:
+    """A cutoff budget at or below the rounding of 1 resolves, or is refused
+    with exit 2, before any work; it never hangs."""
+
+    @pytest.mark.parametrize("command,payload", [
+        (["verify"], QUICK_CONFIG), (["split"], {"alpha_sq": 4})],
+        ids=["verify", "split"])
+    def test_budget_below_double_rounding_resolves(self, tmp_path, command, payload):
+        # both resolve at alpha_sq 4: the Poisson(4) tail first drops below
+        # 1e-16 beyond 29 photons, plus the photon's slot
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out.json"
+        result = run_python(["-m", "homodyne_bell.cli", *command, "--config", cfg,
+                             "--cutoff-eps", "1e-16", "--out", str(out)], timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(out.read_text())["provenance"]["cutoff_n"] == 30
+
+    def test_unresolvable_budget_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["verify", "--cutoff-eps", "1e-300", "--out", out]) == 2
+        assert "cutoff_eps must be in" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,target,eps", [
+        (["verify"], "run_verification", "1e-55"),
+        (["optimize", "--family", "paper_baseline"], "maximize_chsh", "1e-45")],
+        ids=["verify", "optimize"])
+    def test_largest_drive_resolved_before_work(self, tmp_path, capsys, monkeypatch,
+                                                command, target, eps):
+        # the config's alpha_sq = 1 resolves within the limit, the largest
+        # drive the command draws (4 for verify, 6 for optimize) does not
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{target} ran")
+
+        monkeypatch.setattr(cli, target, forbidden)
+        out = tmp_path / "out"
+        assert run_cli([*command, "--cutoff-eps", eps, "--out", out]) == 2
+        assert "exceeds the limit N=63" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homodyne_bell import optics
-from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec, coherent_state, required_cutoff
+from homodyne_bell.fock import (
+    MAX_ALPHA_SQ,
+    MAX_CUTOFF,
+    MIN_TAIL_EPS,
+    CutoffSpec,
+    coherent_state,
+    required_cutoff,
+)
 from homodyne_bell.optics import ExperimentConfig, input_support, station_columns
+from test_cli import run_python
 from test_optics import column_matrix
 
 # frozen from the amplitude recurrence evaluated at high precision
@@ -21,6 +30,16 @@ def poisson_tail(lam, n):
     for k in range(1, n + 1):
         terms.append(terms[-1] * lam / k)
     return 1.0 - math.fsum(terms)
+
+
+def exact_poisson_tail(lam, n):
+    """Poisson tail beyond n at 60 digits: the regularized lower incomplete
+    gamma function P(n + 1, lam), with 1 beyond n = -1."""
+    mpmath = pytest.importorskip("mpmath")
+    if n < 0:
+        return 1
+    with mpmath.workdps(60):
+        return mpmath.gammainc(n + 1, 0, lam, regularized=True)
 
 
 class TestBasisStates:
@@ -195,6 +214,40 @@ class TestRequiredCutoff:
     def test_nan_drive_refused(self):
         with pytest.raises(ValueError, match="alpha_sq must be >= 0"):
             required_cutoff(math.nan, 1e-12)
+
+    @pytest.mark.parametrize("alpha_sq,tail_eps", [(4.0, 1e-16), (1.0, 1e-40)])
+    def test_budget_below_double_rounding_terminates(self, alpha_sq, tail_eps):
+        # 1 - sum(p_0..p_N) stalls at about 3e-16 for alpha_sq 4 and reads 0
+        # for alpha_sq 1 at N = 18, whose tail is still about 3e-18; a fresh
+        # interpreter, so a loop that never ends fails the timeout
+        script = ("from homodyne_bell.fock import required_cutoff\n"
+                  f"print(required_cutoff({alpha_sq!r}, {tail_eps!r}))\n")
+        result = run_python(["-c", script], timeout=30)
+        assert result.returncode == 0, result.stderr
+        n = int(result.stdout)
+        assert n == required_cutoff(alpha_sq, tail_eps)
+        assert exact_poisson_tail(alpha_sq, n) < tail_eps
+        assert exact_poisson_tail(alpha_sq, n - 1) >= tail_eps
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(alpha_sq=st.floats(0.0, MAX_ALPHA_SQ),
+           log_eps=st.floats(math.log10(MIN_TAIL_EPS), -1e-3))
+    def test_smallest_cutoff_under_budget(self, alpha_sq, log_eps):
+        # the whole accepted range, against the exact tail
+        tail_eps = 10.0 ** log_eps
+        n = required_cutoff(alpha_sq, tail_eps)
+        assert exact_poisson_tail(alpha_sq, n) < tail_eps
+        assert exact_poisson_tail(alpha_sq, n - 1) >= tail_eps
+
+    def test_unresolvable_budget_refused(self):
+        for tail_eps in (MIN_TAIL_EPS / 2, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="tail_eps must be in"):
+                required_cutoff(1.0, tail_eps)
+            with pytest.raises(ValueError, match="tail_eps must be in"):
+                CutoffSpec(tail_eps=tail_eps)
+        # the bound itself is resolved
+        n = required_cutoff(MAX_ALPHA_SQ, MIN_TAIL_EPS)
+        assert exact_poisson_tail(MAX_ALPHA_SQ, n) < MIN_TAIL_EPS
 
 
 class TestCutoffSpec:

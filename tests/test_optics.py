@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from dense_oracle import dense_output, dense_station_columns
+from dense_oracle import dense_station_columns, propagate
 from homodyne_bell.detection import favorable_probs
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
@@ -255,11 +255,7 @@ class TestStationColumns:
     def test_run_network_leaves_mixing_caches_alone(self):
         favorable_probs(run_network(symmetric_config(0.4, 0.3), 0.9, 2.2))
         before = _pair_block.cache_info(), _mixing_eig.cache_info()
-        u_a, x, u_b = run_network(symmetric_config(1.7, 1.1), 0.123456789, 2.3456789)
-        favorable_probs((u_a, x, u_b))
-        stride = symmetric_config(1.7).resolve_cutoff() + 1
-        assert (u_a.shape, x.shape, u_b.shape) == (
-            (stride ** 2, 2 * stride), (2 * stride,) * 2, (stride ** 2, 2 * stride))
+        favorable_probs(run_network(symmetric_config(1.7, 1.1), 0.123456789, 2.3456789))
         assert (_pair_block.cache_info(), _mixing_eig.cache_info()) == before
 
 
@@ -417,11 +413,11 @@ def embedded(support):
 class TestNetwork:
     def test_zero_angles_relabel_only(self):
         cfg = symmetric_config(0.7, 0.9)
-        after = dense_output(run_network(cfg, 0.0, 0.0))
+        after = propagate(input_support(cfg), 0.0, 0.0)
         assert np.max(np.abs(after - embedded(input_support(cfg)))) < 1e-13
 
     def test_single_photon_station_action(self):
-        s = dense_output(run_network(symmetric_config(0.0), math.pi / 2, 0.0))
+        s = propagate(input_support(symmetric_config(0.0)), math.pi / 2, 0.0)
         # photon component of b1 splits over (c1, d1); b2 passes to d2
         assert s[1, 0, 0, 0] == pytest.approx(-0.5, abs=1e-14)
         assert s[0, 1, 0, 0] == pytest.approx(0.5j, abs=1e-14)
@@ -433,8 +429,8 @@ class TestNetwork:
             a2 = 4.0 * (1.0 - rng.random())
             cfg = symmetric_config(a2, rng.uniform(0, 2 * math.pi))
             s_in = input_support(cfg)
-            s_out = dense_output(run_network(cfg, rng.uniform(0, 2 * math.pi),
-                                             rng.uniform(0, 2 * math.pi)))
+            s_out = propagate(s_in, rng.uniform(0, 2 * math.pi),
+                              rng.uniform(0, 2 * math.pi))
             norm_out = np.vdot(s_out, s_out).real
             assert abs(norm_out - np.vdot(s_in, s_in).real) < 1e-10
             assert 1.0 - norm_out < 1e-10
@@ -462,5 +458,24 @@ class TestNetwork:
         a_k, b_k = mix_station(terms_a, xi), mix_station(terms_b, eta)
         factorized = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, a_k, b_k)
         # 6.7e-16 at most over 300 random points of this range
-        assert np.max(np.abs(dense_output(run_network(cfg, xi, eta))
+        assert np.max(np.abs(propagate(input_support(cfg), xi, eta)
                              - factorized)) <= 2e-15
+
+    @COLUMN_SETTINGS
+    @given(a1_sq=st.floats(0.0, 2.0), a2_sq=st.floats(0.0, 2.0),
+           phases=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES),
+           tail_eps=st.sampled_from((1e-12, 1e-4)))
+    def test_run_network_terms_assemble_the_dense_output(
+            self, a1_sq, a2_sq, phases, tail_eps):
+        # run_network's station terms, Bob's read reversed, weighted by the
+        # pair weights: the dense output of the closed columns on the
+        # input support
+        phi1, phi2, xi, eta = phases
+        cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
+                               CutoffSpec(tail_eps=tail_eps))
+        alice, bob = run_network(cfg, xi, eta)
+        n = cfg.resolve_cutoff()
+        assert alice.shape == bob.shape == (n + 1, n + 1, 2)
+        assembled = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, alice, bob)
+        assert np.max(np.abs(propagate(input_support(cfg), xi, eta)
+                             - assembled)) <= 1e-15

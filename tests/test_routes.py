@@ -1,13 +1,14 @@
 """Route boundary: the routes stay independent.
 
-The station engine (bell on optics.mix_station) and the brute-force route
-(optics.run_network -> detection) check each other only while neither
-reaches the other's mixing code, the brute-force readout shares none of
-the station engine's contraction (bell's pair weights and pair
-probabilities), and only the cli, which runs the verification oracles,
-reaches the brute-force route. The closed forms (analytic) check both only
-while they import no package module. An AST scan of the package sources
-enforces all four.
+The closed-form route and the Fock route share no code: analytic imports
+no package module, and no Fock module (fock, optics, detection, bell)
+imports analytic. Within the Fock route the two splitters, mix_station for
+the station engine and the closed columns of the brute-force network
+(optics.run_network), check each other only while neither reaches the
+other's mixing code; both hand their station terms to the one readout in
+detection. Only the cli, which runs the verification oracles, reaches the
+brute-force network. An AST scan of the package sources enforces all
+three.
 
 The same scan keeps one parameter layer: the paper's printed forms are
 named only where they are defined (analytic), tested and written (cli)
@@ -29,8 +30,7 @@ SRC = Path(homodyne_bell.__file__).resolve().parent
 MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
 # the closed columns of the brute-force route
 CLOSED_COLUMNS = {"station_columns", "_column_support"}
-# the rank-2 pair structure the station engine contracts through
-PAIR_READOUT = {"PAIR_WEIGHTS", "_WEIGHT_PAIRS", "_pair_probabilities"}
+FOCK_ROUTE = ("fock", "optics", "detection", "bell")
 PRINTED_FORMS = {"ClosedFormPoint", "ch_closed", "chsh_closed",
                  "local_prob_printed_variant"}
 PRINTED_FORM_READERS = {"analytic", "cli", "__init__"}
@@ -110,8 +110,6 @@ def boundary_violations(trees):
             continue
         if name != "optics" and "run_network" in referenced_names(tree):
             problems.append(f"{name} references run_network")
-        if "detection" in imported_modules(tree):
-            problems.append(f"{name} imports detection")
     shared = MIXING_ENGINE & reachable_names(trees["optics"], "run_network")
     if shared:
         problems.append(f"run_network reaches {sorted(shared)}")
@@ -119,13 +117,12 @@ def boundary_violations(trees):
         shared = CLOSED_COLUMNS & reachable_names(trees["optics"], entry)
         if shared:
             problems.append(f"{entry} reaches {sorted(shared)}")
-    if "bell" in imported_modules(trees["detection"]):
-        problems.append("detection imports bell")
-    for name in sorted(PAIR_READOUT & referenced_names(trees["detection"])):
-        problems.append(f"detection names {name}")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
     for module in sorted(imported_modules(trees["analytic"]) & package):
         problems.append(f"analytic imports {module}")
+    for name in FOCK_ROUTE:
+        if "analytic" in imported_modules(trees[name]):
+            problems.append(f"{name} imports analytic")
     for name, tree in trees.items():
         if "scipy" in module_level_imports(tree):
             problems.append(f"{name} imports scipy at module level")
@@ -146,9 +143,8 @@ def test_route_boundary_holds():
     ("scan", "from .optics import run_network\n", "scan references run_network"),
     ("bell", "from . import optics\nx = optics.run_network\n",
      "bell references run_network"),
-    ("__init__", "from .detection import favorable_probs\n",
-     "__init__ imports detection"),
-    ("bell", "from . import detection\n", "bell imports detection"),
+    ("fock", "import homodyne_bell.analytic\n", "fock imports analytic"),
+    ("bell", "from . import analytic\n", "bell imports analytic"),
     ("optics", "def run_network():\n    return helper()\n"
                "def helper():\n    return _pair_block(2)\n",
      "run_network reaches ['_pair_block']"),
@@ -157,9 +153,9 @@ def test_route_boundary_holds():
      "_pair_block reaches ['_column_support']"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
-    ("detection", "from . import bell\n", "detection imports bell"),
-    ("detection", "from .optics import PAIR_WEIGHTS\n",
-     "detection names PAIR_WEIGHTS"),
+    ("detection", "from .analytic import probs_point\n",
+     "detection imports analytic"),
+    ("optics", "from .analytic import probs_point\n", "optics imports analytic"),
     ("scan", "from scipy import optimize\n", "scan imports scipy at module level"),
     ("cli", "if True:\n    import scipy.stats.qmc\n",
      "cli imports scipy at module level"),
@@ -171,7 +167,7 @@ def test_route_boundary_holds():
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "mixer_reaches_closed_columns",
         "analytic_import", "analytic_module_import", "detection_import",
-        "detection_pair_weights", "scipy_import", "scipy_nested_import",
+        "optics_import", "scipy_import", "scipy_nested_import",
         "printed_form_import", "printed_form_attribute", "half_pi_import",
         "half_pi_attribute"])
 def test_scan_catches_a_crossing(module, source, problem):
