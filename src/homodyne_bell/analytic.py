@@ -13,7 +13,7 @@ expanded, it cancels only to about 1e-17 where it vanishes):
 
 One body evaluates them, with `math` on plain floats in `probs_point`
 (the triple verify checks against the Fock route's readout of its
-closed-column network) and `ch_chsh_point` (CH and CHSH of four setting
+network, optics.run_network) and `ch_chsh_point` (CH and CHSH of four setting
 pairs, which the search runs for every family), and with `numpy` on arrays
 in `probs_general` and `ch_chsh_general`. They take the eight station
 parameters (alpha1_sq, alpha2_sq, phi1, phi2, then the angles) in the

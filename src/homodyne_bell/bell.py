@@ -7,16 +7,15 @@ w = optics.PAIR_WEIGHTS, and both beamsplitters are local, so the output
 is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
 station (optics.station_inputs mixed by optics.mix_station), every mode
 truncated at the per-mode cutoff. Every record probability comes from the
-detection module's readout of those terms, the one the verification
-oracles use too; bell defines no readout of its own.
+detection module's readout of those terms; the verification oracles'
+network (optics.run_network) mixes through the same splitter and reads
+out through the same readout, and bell defines neither of its own.
 
 The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
 each setting's station observable 1 - 2|1,0><1,0|, written on a station's
 input support from one mix_station pass and detection.station_vectors.
-Nothing here uses the closed columns of the verification oracles
-(optics.run_network), which stay an independent brute-force splitter.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured

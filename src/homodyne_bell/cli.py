@@ -102,8 +102,9 @@ class RunConfig:
                 f.name, getattr(self, f.name), _RUN_CONFIG_TYPES[f.name]))
         for name in ("tol", "identity_tol", "nosignal_tol", "unitarity_tol",
                      "cutoff_eps", "diameter_tol"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ConfigError(f"{name} must be > 0")
+            # an infinite tolerance would pass its checks vacuously
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be > 0 and finite")
         for name in ("verify_points", "verify_draws", "grid_budget",
                      "restarts", "maxfev"):
             if getattr(self, name) < 1:

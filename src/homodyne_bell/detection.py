@@ -1,14 +1,13 @@
 """Born-rule readout, the one home of every detection probability.
 
 Both beamsplitters are local, so the output is sum_k w_k A_k (x) B_k with
-w = optics.PAIR_WEIGHTS and A_k, B_k each station's two mixed input terms.
-Both routes hand their terms here: the station engine (bell on
-optics.mix_station) and the closed-column network of the verification
-oracles (optics.run_network). station_vectors reduces a station to the
-Gram matrix G of its terms and their favorable amplitudes f at
-(c, d) = (1, 0), exactly one photon at the counting port and none at the
-veto port, the -1 outcome. With W = conj(w) w^T each weight is a rank-2
-contraction, and the (N+1)^4 output is never built:
+w = optics.PAIR_WEIGHTS and A_k, B_k each station's two mixed input terms,
+mixed by optics.mix_station for the station engine (bell) and for the
+verification oracles' network (optics.run_network) alike. station_vectors
+reduces a station to the Gram matrix G of its terms and their favorable
+amplitudes f at (c, d) = (1, 0), exactly one photon at the counting port
+and none at the veto port, the -1 outcome. With W = conj(w) w^T each
+weight is a rank-2 contraction, and the (N+1)^4 output is never built:
 
     <psi|psi>      = sum W G_A G_B
     p_A <psi|psi>  = sum W conj(f_A) f_A^T G_B

@@ -20,11 +20,11 @@ import numpy as np
 MAX_ALPHA_SQ = 700.0
 
 # Largest per-mode cutoff any engine accepts. No engine builds an (N+1)^4
-# array: the largest left are one station's closed columns in the verify
-# oracle (optics.station_columns, 2 (N+1)^3 amplitudes, 8.4 MB at N = 63),
-# mix_station's column arrays and its per-cutoff mixing table (2 (N+1)(N+2)^2
-# eigenvector products, 4.3 MB at N = 63). verify resolves at most N = 26 at
-# the default tail; alpha_sq = 50 resolves to N = 108.
+# array: the largest left are split's mix_station of a station's 2 (N+1)
+# basis columns (2 (N+1)^3 amplitudes, 8.4 MB at N = 63) and mix_station's
+# per-cutoff mixing table (2 (N+1)(N+2)^2 eigenvector products, 4.3 MB at
+# N = 63). verify resolves at most N = 26 at the default tail; alpha_sq = 50
+# resolves to N = 108.
 MAX_CUTOFF = 63
 
 # Smallest tail budget required_cutoff resolves: below it the Poisson terms

@@ -1,6 +1,5 @@
-"""The two-station network: experiment configuration, the station mixing of
-the factorized engine, and the closed-column network of the verification
-oracles.
+"""The two-station network: experiment configuration and the station
+splitter.
 
 Reflection-phase convention, used identically at every splitter:
 
@@ -16,19 +15,12 @@ local-oscillator phases (see analytic module notes).
 The input holds at most one photon at each ph port: its support is
 input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2), and
 station_inputs gives each station's two input terms as splitter columns.
-Two independent constructions of a splitter act on them, both cutting every
-output mode at the per-mode cutoff N:
-
-- mix_station, which the bell module uses, mixes every total photon
-  number at once: one batched contraction of the phases with a per-cutoff
-  table of the mixing generator's eigendecomposition (its eigenvalues and
-  the eigenvector products of the two block columns a station input
-  reaches);
-- station_columns writes the unitary's columns on a station's input
-  support in closed binomial form. run_network applies them to the
-  station inputs, the brute-force route of the verification oracles
-  (closed station columns -> mixed station terms -> the detection
-  module's readout). It shares no mixing code with mix_station.
+mix_station mixes them, every output mode cut at the per-mode cutoff N:
+one batched contraction of the phases with a per-cutoff table of the
+mixing generator's eigendecomposition (its eigenvalues and the eigenvector
+products of the two block columns a station input reaches). The station
+engine (bell) and the verification oracles' network (run_network) both
+mix through it.
 """
 
 from __future__ import annotations
@@ -213,81 +205,12 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     return out.reshape(stride, stride, width)
 
 
-# One table per cutoff, about 160 KB at N = 63.
-@lru_cache(maxsize=MAX_CUTOFF)
-def _column_support(cutoff: int):
-    """Angle-free index table of station_columns at `cutoff`, read-only.
-
-    Its entries are the inputs |a, 0> and their outputs |p, q = a - p>
-    with p <= a <= cutoff. Returns (p, q, roots, ph0, up_c, weight_c,
-    ph1_c, up_d, weight_d, ph1_d): the counts, roots = sqrt(C(a, p)) and
-    ph0, the flat index of u[p, q, a, 0]; then for each raise (C+ to
-    |p + 1, q>, D+ to |p, q + 1>) the entries whose raised count stays
-    <= cutoff, their weight sqrt(raised count) and the flat index of the
-    raised u[.., .., a, 1].
-    """
-    a, p = np.tril_indices(cutoff + 1)
-    q, stride = a - p, cutoff + 1
-    roots = np.sqrt([float(math.comb(n, k))
-                     for n, k in zip(a.tolist(), p.tolist())])
-
-    def flat(c, d, b):
-        return ((c * stride + d) * stride + a) * 2 + b
-
-    def lift(count, index):
-        kept = np.flatnonzero(count < cutoff)
-        return kept, np.sqrt(count[kept] + 1.0), index[kept]
-
-    table = (p, q, roots, flat(p, q, 0),
-             *lift(p, flat(p + 1, q, 1)), *lift(q, flat(p, q + 1, 1)))
-    for array in table:
-        array.setflags(write=False)
-    return table
-
-
-def station_columns(theta: float, cutoff: int) -> np.ndarray:
-    """Columns of the station splitter on the input support, in closed form.
-
-    Returns u[c, d, a, b], the amplitude of output |c, d> from input
-    |a, b> (lo count a <= cutoff, ph count b in {0, 1}), every output mode
-    cut at the cutoff:
-
-        U|a,0> = sum_p sqrt(C(a,p)) cos(theta/2)^p (i sin(theta/2))^(a-p) |p, a-p>
-        U|a,1> = (i sin(theta/2) C+ + cos(theta/2) D+) U|a,0>
-
-    Only |cutoff, 1> loses amplitude at the edge, the probability
-    (cutoff + 1) (s^2 c^(2 cutoff) + c^2 s^(2 cutoff)) with c, s the cosine
-    and sine of theta/2.
-
-    The array is dense, but only its O(N^2) nonzero entries are written,
-    through the cutoff's _column_support table: the |a, 0> columns, then
-    their C+ and D+ raises that stay within the cutoff.
-    """
-    if cutoff < 1:
-        raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
-    cos, i_sin = math.cos(theta / 2.0), 1j * math.sin(theta / 2.0)
-    p, q, roots, ph0, up_c, weight_c, ph1_c, up_d, weight_d, ph1_d = \
-        _column_support(cutoff)
-    u = np.zeros(2 * (cutoff + 1) ** 3, dtype=np.complex128)
-    lowered = roots * cos ** p * i_sin ** q
-    u[ph0] = lowered
-    # C+ and D+ raise one output count n by one with weight sqrt(n + 1);
-    # no two entries of one raise share an output, so each is written once
-    u[ph1_c] = i_sin * weight_c * lowered[up_c]
-    u[ph1_d] += cos * weight_d * lowered[up_d]
-    return u.reshape(cutoff + 1, cutoff + 1, cutoff + 1, 2)
-
-
 def run_network(config: ExperimentConfig, xi: float,
                 eta: float) -> tuple[np.ndarray, np.ndarray]:
     """The network as its two stations' mixed input terms (alice, bob),
     each (N+1, N+1, 2): entry [c, d, k] is the amplitude of output |c, d>
     in term k of sum_k w_k A_k (x) B_k, Alice's station mixed at xi and
-    Bob's at eta by their closed columns. detection.favorable_probs reads
-    it out."""
+    Bob's at eta by mix_station, Bob's terms reversed as in
+    bell.evaluate_settings. detection.favorable_probs reads it out."""
     alice_in, bob_in = station_inputs(config)
-    n = alice_in.shape[0] - 1
-    dim = 2 * (n + 1)
-    alice = station_columns(xi, n).reshape(-1, dim) @ alice_in.reshape(dim, 2)
-    bob = station_columns(eta, n).reshape(-1, dim) @ bob_in.reshape(dim, 2)
-    return alice.reshape(n + 1, n + 1, 2), bob.reshape(n + 1, n + 1, 2)[..., ::-1]
+    return mix_station(alice_in, xi), mix_station(bob_in, eta)[..., ::-1]

@@ -1,12 +1,12 @@
-"""Dense 4-mode oracles on plain arrays: a support array propagated
-through the closed station columns (optics.station_columns) to the full
-(N+1)^4 output, and its index readout, the reference for the detection
-module's rank-2 readout; from the same output the state split, its CHSH
-matrix elements and the residual's cross-term listing. The library reads
-every probability off each station's two mixed input terms without
-building the output, and computes the split on the input's two-photon
-support with optics.mix_station; the tests hold both to these brute-force
-forms.
+"""Dense 4-mode oracles on plain arrays, built on no splitter of the
+library: a support array propagated through the closed binomial station
+columns (dense_station_columns) to the full (N+1)^4 output, and its index
+readout, the reference for the detection module's rank-2 readout; from the
+same output the state split, its CHSH matrix elements and the residual's
+cross-term listing. The library mixes every station with optics.mix_station
+and reads every probability off each station's two mixed input terms
+without building the output, and computes the split on the input's
+two-photon support; the tests hold both to these brute-force forms.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""
@@ -18,7 +18,7 @@ import numpy as np
 
 from homodyne_bell.bell import ChshDecomposition, CrossTerm, StateSplit
 from homodyne_bell.fock import coherent_state
-from homodyne_bell.optics import ExperimentConfig, station_columns
+from homodyne_bell.optics import ExperimentConfig
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
 
@@ -41,8 +41,8 @@ def propagate(support: np.ndarray, xi: float, eta: float) -> np.ndarray:
     2a + b), out = U_A X U_B^T with X the support as a matrix over
     (Alice's input, Bob's input)."""
     n_a, n_b = support.shape[0], support.shape[2]
-    u_a = station_columns(xi, n_a - 1).reshape(n_a * n_a, 2 * n_a)
-    u_b = station_columns(eta, n_b - 1).reshape(n_b * n_b, 2 * n_b)
+    u_a = dense_station_columns(xi, n_a - 1).reshape(n_a * n_a, 2 * n_a)
+    u_b = dense_station_columns(eta, n_b - 1).reshape(n_b * n_b, 2 * n_b)
     out = u_a @ support.reshape(2 * n_a, 2 * n_b) @ u_b.T
     return out.reshape(n_a, n_a, n_b, n_b)
 
@@ -146,9 +146,18 @@ def dense_cross_terms(lam: np.ndarray, count: int = 10) -> list[CrossTerm]:
 
 
 def dense_station_columns(theta: float, cutoff: int) -> np.ndarray:
-    """optics.station_columns built densely: the |a, 0> columns on their
-    support, then both raises of the |a, 1> columns over the whole
-    (N+1)^3 array, shifted by one output count and cut at the cutoff."""
+    """Columns of the station splitter on the input support, in closed
+    binomial form: u[c, d, a, b] is the amplitude of output |c, d> from
+    input |a, b> (lo count a <= cutoff, ph count b in {0, 1}), every output
+    mode cut at the cutoff:
+
+        U|a,0> = sum_p sqrt(C(a,p)) cos(theta/2)^p (i sin(theta/2))^(a-p) |p, a-p>
+        U|a,1> = (i sin(theta/2) C+ + cos(theta/2) D+) U|a,0>
+
+    The |a, 0> columns are written on their support, then both raises of
+    the |a, 1> columns over the whole (N+1)^3 array, shifted by one output
+    count and cut at the cutoff. Only |cutoff, 1> loses amplitude at the
+    edge."""
     cos, i_sin = math.cos(theta / 2.0), 1j * math.sin(theta / 2.0)
     roots = np.sqrt([[float(math.comb(a, p)) for p in range(cutoff + 1)]
                      for a in range(cutoff + 1)])

@@ -12,6 +12,7 @@ from dense_oracle import (
     dense_cross_terms,
     dense_favorable_probs,
     dense_split_state,
+    dense_station_columns,
     on_support,
     propagate,
 )
@@ -34,7 +35,6 @@ from homodyne_bell.optics import (
     ExperimentConfig,
     input_support,
     mix_station,
-    station_columns,
     symmetric_config,
 )
 
@@ -189,7 +189,8 @@ class TestStationFactorization:
                                                    theta, cutoff):
         # the full 2-mode evolution runs every block up to 2 * cutoff, so
         # agreement shows that the blocks mix_station skips hold nothing;
-        # the closed columns build the same terms with no blocks at all
+        # the closed binomial columns build the same terms with no blocks
+        # at all
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
         lo, _ = coherent_state(alpha, cutoff)
         columns = np.zeros((cutoff + 1, 2, 2), dtype=complex)
@@ -198,7 +199,7 @@ class TestStationFactorization:
         terms = mix_station(columns, theta)
         assert terms.shape == (cutoff + 1, cutoff + 1, 2)
         unitary = pair_unitary(theta, cutoff, cutoff)
-        closed = station_columns(theta, cutoff)
+        closed = dense_station_columns(theta, cutoff)
         for k in (0, 1):
             station = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
             station[:, k] = lo

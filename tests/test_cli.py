@@ -95,6 +95,64 @@ class TestVerify:
         assert checks["joint_oracle_agreement"]["max_residual"] > 1e-3
         assert checks["local_oracle_agreement"]["passed"] is True
 
+    def test_local_oracle_catches_shifted_marginals(self, monkeypatch):
+        # an oracle readout whose marginals are off by a constant leaves the
+        # joints alone, and no-signalling compares marginals shifted alike
+        pair_probabilities = detection.pair_probabilities
+
+        def shifted(alice, bob):
+            p_a, p_b, p_ab, norm = pair_probabilities(alice, bob)
+            return p_a + 1e-6, p_b + 1e-6, p_ab, norm
+
+        monkeypatch.setattr(detection, "pair_probabilities", shifted)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["local_oracle_agreement"]["passed"] is False
+        assert checks["local_oracle_agreement"]["max_residual"] > 5e-7
+        for name in ("joint_oracle_agreement", "no_signalling",
+                     "station_closed_form_agreement"):
+            assert checks[name]["passed"] is True, name
+
+    def test_adjudication_escalates_when_the_printed_exponent_wins(self, monkeypatch):
+        # closed forms with the two local exponents swapped: the brute force
+        # matches the printed variant, and the corrected local misses it
+        probs_point = analytic.probs_point
+        printed = analytic.local_prob_printed_variant
+
+        def printed_exponent(alpha1_sq, alpha2_sq, *angles):
+            p_a, p_b, p_ab = probs_point(alpha1_sq, alpha2_sq, *angles)
+            return p_a * math.exp(-alpha1_sq), p_b, p_ab
+
+        monkeypatch.setattr(analytic, "probs_point", printed_exponent)
+        monkeypatch.setattr(analytic, "local_prob_printed_variant",
+                            lambda x, a2: printed(x, a2) * math.exp(a2))
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        check = {c["name"]: c for c in report["checks"]}["local_exponent_adjudication"]
+        assert check["passed"] is False
+        assert check["max_residual"] > 1e-3
+        assert check["printed_variant_residual"] <= 1e-9
+        assert check["decision"] == report["eq10_exponent_decision"] == "e^{-2alpha^2}"
+        assert "printed exponent" in check["escalation"]
+
+    def test_adjudication_fails_when_neither_exponent_wins(self, monkeypatch):
+        # a closed-form local off by a relative 1e-6 misses the brute force
+        # by more than tol, and the printed variant by far more: neither
+        # exponent wins
+        probs_point = analytic.probs_point
+
+        def off(*args):
+            p_a, p_b, p_ab = probs_point(*args)
+            return p_a * (1.0 + 1e-6), p_b, p_ab
+
+        monkeypatch.setattr(analytic, "probs_point", off)
+        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+        check = {c["name"]: c for c in report["checks"]}["local_exponent_adjudication"]
+        assert check["passed"] is False
+        assert check["max_residual"] > 1e-8
+        assert check["printed_variant_residual"] > 1e-3
+        assert check["decision"] == "e^{-alpha^2}"
+        assert check["escalation"] is None
+
     def test_expanded_identity_checks_the_general_chsh(self, monkeypatch):
         # a CHSH off 2 + 4 ch in the general forms must fail the printed
         # expanded CHSH's check, and only it
@@ -175,19 +233,22 @@ class TestVerify:
         assert checks["station_closed_form_agreement"]["passed"] is True
 
     def test_unitarity_catches_a_lossy_network(self, monkeypatch):
-        # closed columns that each lose the same small fraction: every
+        # a splitter whose columns each lose the same small fraction: every
         # probability is conditional on the truncated space, so only the
         # readout's norm against the input's sees the loss
-        columns = optics.station_columns
-        monkeypatch.setattr(optics, "station_columns",
-                            lambda theta, cutoff: (1.0 - 1e-6) * columns(theta, cutoff))
+        mix_station = optics.mix_station
+
+        def lossy(columns, theta):
+            return (1.0 - 1e-6) * mix_station(columns, theta)
+
+        # the oracle network's binding of the splitter only: bell binds its
+        # own, so the station engine stays sound
+        monkeypatch.setattr(optics, "mix_station", lossy)
         report = run_verification(RunConfig(verify_points=5, verify_draws=2))
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["network_unitarity"]["passed"] is False
         assert checks["network_unitarity"]["max_residual"] > 1e-6
-        for name in ("joint_oracle_agreement", "local_oracle_agreement",
-                     "no_signalling"):
-            assert checks[name]["passed"] is True, name
+        assert [name for name, c in checks.items() if not c["passed"]] == \
+            ["network_unitarity"]
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
@@ -253,6 +314,13 @@ class TestRunKnobRange:
         (["verify"], {"cutoff_n": 0}),
         (["verify"], {"cutoff_n": 100}),
         (["verify"], {"tol": float("nan")}),
+        # an infinite tolerance would pass its check vacuously
+        (["verify"], {"identity_tol": math.inf, "nosignal_tol": math.inf,
+                      "unitarity_tol": math.inf}),
+        (["verify"], {"nosignal_tol": math.inf}),
+        (["verify"], {"unitarity_tol": math.inf}),
+        (["figure", "--grid", "4x4"], {"tol": math.inf}),
+        (["optimize", "--family", "paper_baseline"], {"diameter_tol": math.inf}),
         (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
         # figure streams its rows, so a range that would fail mid-grid is
         # refused at load; an explicit cutoff_n skips the cutoff policy's
@@ -263,7 +331,9 @@ class TestRunKnobRange:
     ], ids=["maxfev-0", "maxfev-neg", "restarts", "restarts-huge", "seed",
             "grid_budget",
             "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
-            "cutoff_n-100", "tol-nan", "diameter_tol-nan",
+            "cutoff_n-100", "tol-nan", "verify_tols-inf", "nosignal_tol-inf",
+            "unitarity_tol-inf", "figure_tol-inf", "diameter_tol-inf",
+            "diameter_tol-nan",
             "alpha_sq_max-neg", "alpha_sq_max-nan", "alpha_sq_max-huge"])
     def test_rejected_at_load(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
@@ -276,6 +346,18 @@ class TestRunKnobRange:
         out = tmp_path / "out"
         assert run_cli(["figure", "--grid", "4x4", "--seed", "-1",
                         "--out", out]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["figure", "--grid", "4x4"],
+        ["optimize", "--family", "paper_baseline"], ["split"],
+    ], ids=["verify", "figure", "optimize", "split"])
+    def test_infinite_tol_flag_rejected(self, tmp_path, capsys, command):
+        # no residual exceeds inf: every numeric check would pass vacuously,
+        # and verify's adjudication would fail for want of a winner
+        out = tmp_path / "out"
+        assert run_cli([*command, "--tol", "inf", "--out", out]) == 2
+        assert "tol must be > 0 and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_restarts_flag_capped(self, tmp_path, capsys):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import ab_product_expectation, dense_favorable_probs, propagate
+from dense_oracle import (
+    ab_product_expectation,
+    dense_favorable_probs,
+    dense_station_columns,
+    propagate,
+)
 from homodyne_bell.analytic import probs_general
 from homodyne_bell.bell import evaluate_settings
 from homodyne_bell.detection import favorable_probs
@@ -14,7 +19,6 @@ from homodyne_bell.optics import (
     ExperimentConfig,
     input_support,
     run_network,
-    station_columns,
     symmetric_config,
 )
 
@@ -165,7 +169,8 @@ class TestTruncationNormalization:
             cfg = symmetric_config(1.5, 0.4, CutoffSpec(tail_eps=tail_eps))
             norm = favorable_probs(run_network(cfg, 0.9, 2.0))[3]
             n = cfg.resolve_cutoff()
-            kept = [np.sum(np.abs(station_columns(theta, n)) ** 2, axis=(0, 1)).reshape(-1)
+            kept = [np.sum(np.abs(dense_station_columns(theta, n)) ** 2,
+                           axis=(0, 1)).reshape(-1)
                     for theta in (0.9, 2.0)]
             weights = np.abs(input_support(cfg).reshape(2 * (n + 1), -1)) ** 2
             assert norm == pytest.approx(kept[0] @ weights @ kept[1], rel=1e-14)
@@ -234,8 +239,8 @@ class TestReadoutEquivalence:
 
 class TestScale:
     def test_readout_at_max_cutoff_stays_small(self):
-        # the dense output at N = 63 would take 256 MiB; the closed columns
-        # and the station terms take about a tenth of that
+        # the dense output at N = 63 would take 256 MiB; mix_station's
+        # mixing table and the station terms take a small part of that
         cfg = ExperimentConfig(1.21, 0.64, 0.3, 1.9, CutoffSpec(n_max=MAX_CUTOFF))
         tracemalloc.start()
         try:

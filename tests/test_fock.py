@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import dense_station_columns
 from homodyne_bell import optics
 from homodyne_bell.fock import (
     MAX_ALPHA_SQ,
@@ -13,9 +14,9 @@ from homodyne_bell.fock import (
     coherent_state,
     required_cutoff,
 )
-from homodyne_bell.optics import ExperimentConfig, input_support, station_columns
+from homodyne_bell.optics import ExperimentConfig, input_support
 from test_cli import run_python
-from test_optics import column_matrix
+from test_optics import mixed_basis, mixed_columns
 
 # frozen from the amplitude recurrence evaluated at high precision
 C0_ALPHA1 = 0.6065306597126334
@@ -47,21 +48,22 @@ class TestBasisStates:
 
     def test_vacuum(self):
         for theta in (0.0, 0.8, 3.9):
-            u = station_columns(theta, 3)
+            u = mixed_columns(theta, 3)
             vac = np.zeros((4, 4))
             vac[0, 0] = 1.0
             assert np.array_equal(u[:, :, 0, 0], vac)
 
     def test_single_photon(self):
-        # with theta = 0 the photon at the ph port stays there
-        u = station_columns(0.0, 3)
+        # with theta = 0 the photon at the ph port stays there, exactly in
+        # the closed columns (mix_station rounds the 1 by an ulp)
+        u = dense_station_columns(0.0, 3)
         assert u[0, 1, 0, 1] == 1.0
         assert u[1, 0, 0, 1] == 0.0
 
     def test_cutoff_violation_rejected(self):
         # a station needs room for the ph-port photon
         with pytest.raises(ValueError):
-            station_columns(0.5, 0)
+            mixed_columns(0.5, 0)
 
 
 class TestCoherentState:
@@ -151,14 +153,14 @@ class TestInner:
     """Overlaps of mixed station states: the splitter preserves them."""
 
     def test_vacuum_overlap(self):
-        col = column_matrix(1.7, 2)[:, 0]
+        col = mixed_basis(1.7, 2)[:, 0]
         assert np.vdot(col, col) == 1.0
 
     def test_orthogonal_basis_states(self):
         # distinct basis inputs stay orthogonal after mixing, the edge input
         # included (it is the only one with cutoff + 1 photons)
         for theta in (0.6, 2.0):
-            u = column_matrix(theta, 4)
+            u = mixed_basis(theta, 4)
             gram = u.conj().T @ u
             assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-15
 
@@ -172,7 +174,7 @@ class TestInner:
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(7)
-        u = column_matrix(2.3, 5)
+        u = mixed_basis(2.3, 5)
         for _ in range(10):
             v1, v2 = rng.standard_normal((2, 12, 2)) @ (1.0, 1.0j)
             v1[-1] = v2[-1] = 0.0   # off the edge input, nothing truncates
@@ -181,7 +183,7 @@ class TestInner:
             assert mixed == pytest.approx(np.conj(np.vdot(u @ v2, u @ v1)), abs=1e-15)
 
     def test_positive_on_diagonal(self):
-        norms = np.diag(column_matrix(1.1, 3).conj().T @ column_matrix(1.1, 3))
+        norms = np.diag(mixed_basis(1.1, 3).conj().T @ mixed_basis(1.1, 3))
         assert np.all(norms.imag == 0.0)
         assert np.all((0.0 < norms.real) & (norms.real <= 1.0 + 1e-15))
         assert norms.real[-1] < 1.0

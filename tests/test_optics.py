@@ -7,19 +7,16 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from dense_oracle import dense_station_columns, propagate
-from homodyne_bell.detection import favorable_probs
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     MAX_CUTOFF,
     PAIR_WEIGHTS,
     ExperimentConfig,
-    _column_support,
     _mixing_eig,
     _pair_block,
     input_support,
     mix_station,
     run_network,
-    station_columns,
     symmetric_config,
 )
 
@@ -101,9 +98,10 @@ def mixing_matrix_oracle(theta, n_lo, n_ph):
 
 
 def column_matrix(theta, cutoff):
-    """station_columns as a matrix: row c*(cutoff+1) + d is output |c, d>,
-    column 2a + b is input |a, b> (b <= 1)."""
-    return station_columns(theta, cutoff).reshape((cutoff + 1) ** 2, -1)
+    """The closed columns dense_station_columns as a matrix: row
+    c*(cutoff+1) + d is output |c, d>, column 2a + b is input |a, b>
+    (b <= 1)."""
+    return dense_station_columns(theta, cutoff).reshape((cutoff + 1) ** 2, -1)
 
 
 def support_index(cutoff):
@@ -112,12 +110,17 @@ def support_index(cutoff):
     return [a * (cutoff + 1) + b for a in range(cutoff + 1) for b in (0, 1)]
 
 
-def mixed_basis(theta, cutoff):
+def mixed_columns(theta, cutoff):
     """mix_station of every basis input |a, b <= 1>, laid out like
-    column_matrix."""
+    dense_station_columns: u[c, d, a, b]."""
     dim = 2 * (cutoff + 1)
     basis = np.eye(dim).reshape(cutoff + 1, 2, dim)
-    return mix_station(basis, theta).reshape((cutoff + 1) ** 2, dim)
+    return mix_station(basis, theta).reshape((cutoff + 1,) * 3 + (2,))
+
+
+def mixed_basis(theta, cutoff):
+    """mixed_columns laid out like column_matrix."""
+    return mixed_columns(theta, cutoff).reshape((cutoff + 1) ** 2, -1)
 
 
 def edge_leakage(theta, cutoff):
@@ -196,9 +199,10 @@ class TestMixStation:
 
 
 class TestStationColumns:
-    """The closed columns against the two other constructions of the same
-    splitter: mix_station's batched eigendecomposition and the
-    creation-operator oracle."""
+    """mix_station's columns on the input support against two references
+    that share no code with it: the closed binomial columns
+    (dense_oracle.dense_station_columns) and the creation-operator
+    oracle."""
 
     @COLUMN_SETTINGS
     @given(theta=ANGLES, cutoff=CUTOFFS)
@@ -220,51 +224,17 @@ class TestStationColumns:
     @given(theta=ANGLES, cutoff=CUTOFFS)
     def test_unitary_on_interior_columns(self, theta, cutoff):
         # every column but the edge input |cutoff, 1> keeps all its amplitude
-        u = column_matrix(theta, cutoff)[:, :-1]
+        u = mixed_basis(theta, cutoff)[:, :-1]
         gram = u.conj().T @ u
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
 
-    def test_equal_to_the_dense_construction(self):
-        # the support writes are the dense raises' own float operations, so
-        # every entry is equal, not just close
-        angles = (0.0, math.pi, 2.0 * math.pi, -math.pi, -2.0 * math.pi,
-                  0.7, -0.7, 3.9, -5.1, 1e3, -1e3)
-        for cutoff in range(1, 40):
-            for theta in angles:
-                assert np.array_equal(station_columns(theta, cutoff),
-                                      dense_station_columns(theta, cutoff)), \
-                    (cutoff, theta)
-
-    @COLUMN_SETTINGS
-    @given(theta=st.floats(-1e4, 1e4), cutoff=st.integers(1, MAX_CUTOFF))
-    def test_equal_to_the_dense_construction_anywhere(self, theta, cutoff):
-        assert np.array_equal(station_columns(theta, cutoff),
-                              dense_station_columns(theta, cutoff))
-
-    def test_support_table_cached_and_read_only(self):
-        table = _column_support(6)
-        assert _column_support(6) is table
-        assert not any(array.flags.writeable for array in table)
-        # the table holds the (N+1)(N+2)/2 entries of the |a, 0> columns
-        assert len(table[0]) == 7 * 8 // 2
-        u = station_columns(0.4, 6)
-        u[...] = 0.0
-        assert np.array_equal(station_columns(0.4, 6),
-                              dense_station_columns(0.4, 6))
-
-    def test_run_network_leaves_mixing_caches_alone(self):
-        favorable_probs(run_network(symmetric_config(0.4, 0.3), 0.9, 2.2))
-        before = _pair_block.cache_info(), _mixing_eig.cache_info()
-        favorable_probs(run_network(symmetric_config(1.7, 1.1), 0.123456789, 2.3456789))
-        assert (_pair_block.cache_info(), _mixing_eig.cache_info()) == before
-
 
 class TestApplyBeamsplitter:
-    """The splitter's action on a station, as its closed columns (the
-    dense network used to apply it mode pair by mode pair)."""
+    """The splitter's action on a station, as mix_station's columns on the
+    input support."""
 
     def test_theta_zero_is_relabeled_identity(self):
-        u = station_columns(0.0, 4)
+        u = mixed_columns(0.0, 4)
         for a in range(5):
             for b in (0, 1):
                 expected = np.zeros((5, 5))
@@ -272,14 +242,14 @@ class TestApplyBeamsplitter:
                 assert np.max(np.abs(u[:, :, a, b] - expected)) < 1e-14
 
     def test_single_photon_balanced_split(self):
-        u = station_columns(math.pi / 2, 3)
+        u = mixed_columns(math.pi / 2, 3)
         assert u[1, 0, 0, 1] == pytest.approx(1j * INV_SQRT2, abs=1e-14)
         assert u[0, 1, 0, 1] == pytest.approx(INV_SQRT2, abs=1e-14)
 
     def test_coherent_input_splits_into_coherent_product(self):
         beta, theta, cutoff = 1.0, 1.1, 14
         lo, _ = coherent_state(beta, cutoff)
-        out = np.tensordot(station_columns(theta, cutoff)[..., 0], lo, axes=(2, 0))
+        out = np.tensordot(mixed_columns(theta, cutoff)[..., 0], lo, axes=(2, 0))
         expected = np.multiply.outer(
             coherent_state(cos(theta / 2.0) * beta, cutoff)[0],
             coherent_state(1j * sin(theta / 2.0) * beta, cutoff)[0])
@@ -293,7 +263,7 @@ class TestApplyBeamsplitter:
     @COLUMN_SETTINGS
     @given(theta=ANGLES, cutoff=CUTOFFS)
     def test_photon_reflects_with_sin_half_probability(self, theta, cutoff):
-        u = station_columns(theta, cutoff)
+        u = mixed_columns(theta, cutoff)
         assert abs(u[1, 0, 0, 1]) ** 2 == pytest.approx(
             sin(theta / 2.0) ** 2, abs=1e-15)
         assert abs(u[0, 1, 0, 1]) ** 2 == pytest.approx(
@@ -306,13 +276,13 @@ class TestApplyBeamsplitter:
         identity = np.eye((cutoff + 1) ** 2)[:, support_index(cutoff)]
         for theta in (0.9, 2.4):
             back = mixing_matrix_oracle(-theta, cutoff, cutoff) \
-                @ column_matrix(theta, cutoff)
+                @ mixed_basis(theta, cutoff)
             assert np.max(np.abs(back - identity)[:, :-1]) < 1e-12
 
     @COLUMN_SETTINGS
     @given(theta=ANGLES, cutoff=CUTOFFS, seed=st.integers(0, 2**32 - 1))
     def test_pair_total_distribution_invariant(self, theta, cutoff, seed):
-        u = station_columns(theta, cutoff)
+        u = mixed_columns(theta, cutoff)
         occ = np.arange(cutoff + 1)
         out_total = occ[:, None] + occ[None, :]
         for a in range(cutoff + 1):
@@ -320,7 +290,7 @@ class TestApplyBeamsplitter:
                 # photon number is conserved column by column
                 assert not np.any(u[..., a, b][out_total != a + b])
         vec = interior_support_state(np.random.default_rng(seed), cutoff)
-        out = (column_matrix(theta, cutoff) @ vec).reshape(cutoff + 1, cutoff + 1)
+        out = (mixed_basis(theta, cutoff) @ vec).reshape(cutoff + 1, cutoff + 1)
         in_total = (occ[:, None] + np.arange(2)[None, :]).reshape(-1)
         for total in range(cutoff + 2):
             before = np.sum(np.abs(vec[in_total == total]) ** 2)
@@ -333,7 +303,7 @@ class TestApplyBeamsplitter:
         # a photon on top of a saturated mode leaks at the cutoff edge, by
         # exactly the computed amount; no other column loses anything
         # (each norm sums up to cutoff + 2 squares, each rounded at 2 ulp)
-        norms = np.sum(np.abs(column_matrix(theta, cutoff)) ** 2, axis=0)
+        norms = np.sum(np.abs(mixed_basis(theta, cutoff)) ** 2, axis=0)
         assert 1.0 - norms[-1] == pytest.approx(edge_leakage(theta, cutoff),
                                                 abs=(cutoff + 2) * 4.4e-16)
         assert np.max(np.abs(norms[:-1] - 1.0)) <= 1e-14
@@ -363,10 +333,10 @@ class TestInputState:
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
     def test_cutoff_limit(self):
-        # at N = 63 one station's closed columns, 2 (N+1)^3 amplitudes, are
-        # the largest array of the verify oracle: 8 MiB
+        # at N = 63 split's mix_station of a station's 2 (N+1) basis
+        # columns, 2 (N+1)^3 amplitudes, is the largest array left: 8 MiB
         assert MAX_CUTOFF == 63
-        assert station_columns(0.3, MAX_CUTOFF).nbytes == 2 * 64 ** 3 * 16 == 8 * 2**20
+        assert mixed_columns(0.3, MAX_CUTOFF).nbytes == 2 * 64 ** 3 * 16 == 8 * 2**20
         at_limit = ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=63))
         assert at_limit.resolve_cutoff() == 63
         with pytest.raises(ValueError, match="N=64"):

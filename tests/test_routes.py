@@ -1,14 +1,14 @@
-"""Route boundary: the routes stay independent.
+"""Route boundary: the routes stay independent, and the Fock route has one
+splitter.
 
 The closed-form route and the Fock route share no code: analytic imports
 no package module, and no Fock module (fock, optics, detection, bell)
-imports analytic. Within the Fock route the two splitters, mix_station for
-the station engine and the closed columns of the brute-force network
-(optics.run_network), check each other only while neither reaches the
-other's mixing code; both hand their station terms to the one readout in
-detection. Only the cli, which runs the verification oracles, reaches the
-brute-force network. An AST scan of the package sources enforces all
-three.
+imports analytic. Within the Fock route there is one splitter,
+mix_station: the verification oracles' network (optics.run_network) must
+reach it rather than build station columns of its own, and hands its
+station terms to the one readout in detection, as the station engine does.
+Only the cli, which runs the verification oracles, reaches that network.
+An AST scan of the package sources enforces all three.
 
 The same scan keeps one parameter layer: the paper's printed forms are
 named only where they are defined (analytic), tested and written (cli)
@@ -27,9 +27,6 @@ import pytest
 import homodyne_bell
 
 SRC = Path(homodyne_bell.__file__).resolve().parent
-MIXING_ENGINE = {"_pair_block", "_mixing_eig", "mix_station"}
-# the closed columns of the brute-force route
-CLOSED_COLUMNS = {"station_columns", "_column_support"}
 FOCK_ROUTE = ("fock", "optics", "detection", "bell")
 PRINTED_FORMS = {"ClosedFormPoint", "ch_closed", "chsh_closed",
                  "local_prob_printed_variant"}
@@ -110,13 +107,8 @@ def boundary_violations(trees):
             continue
         if name != "optics" and "run_network" in referenced_names(tree):
             problems.append(f"{name} references run_network")
-    shared = MIXING_ENGINE & reachable_names(trees["optics"], "run_network")
-    if shared:
-        problems.append(f"run_network reaches {sorted(shared)}")
-    for entry in ("mix_station", "_pair_block"):
-        shared = CLOSED_COLUMNS & reachable_names(trees["optics"], entry)
-        if shared:
-            problems.append(f"{entry} reaches {sorted(shared)}")
+    if "mix_station" not in reachable_names(trees["optics"], "run_network"):
+        problems.append("run_network does not reach mix_station")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
     for module in sorted(imported_modules(trees["analytic"]) & package):
         problems.append(f"analytic imports {module}")
@@ -145,12 +137,11 @@ def test_route_boundary_holds():
      "bell references run_network"),
     ("fock", "import homodyne_bell.analytic\n", "fock imports analytic"),
     ("bell", "from . import analytic\n", "bell imports analytic"),
-    ("optics", "def run_network():\n    return helper()\n"
-               "def helper():\n    return _pair_block(2)\n",
-     "run_network reaches ['_pair_block']"),
-    ("optics", "def mix_station(columns, theta):\n    return _pair_block(1)\n"
-               "def _pair_block(cutoff):\n    return _column_support(cutoff)\n",
-     "_pair_block reaches ['_column_support']"),
+    ("optics", "def run_network(config, xi, eta):\n"
+               "    return helper(xi) @ config, helper(eta) @ config\n"
+               "def helper(theta):\n    return closed_columns(theta)\n"
+               "def mix_station(columns, theta):\n    return _pair_block(1)\n",
+     "run_network does not reach mix_station"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
     ("detection", "from .analytic import probs_point\n",
@@ -165,7 +156,6 @@ def test_route_boundary_holds():
     ("cli", "from .bell import HALF_PI\n", "cli reads HALF_PI"),
     ("scan", "from . import bell\nx = bell.HALF_PI\n", "scan reads HALF_PI"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
-        "mixer_reaches_closed_columns",
         "analytic_import", "analytic_module_import", "detection_import",
         "optics_import", "scipy_import", "scipy_nested_import",
         "printed_form_import", "printed_form_attribute", "half_pi_import",
