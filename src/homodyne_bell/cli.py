@@ -308,7 +308,13 @@ def run_verification(cfg: RunConfig) -> dict:
     # against the general forms on the standard quadruple
     xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, (3, 500))
     a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random(500))
-    points = [analytic.ClosedFormPoint(*p) for p in zip(xi, eta, dphi, a2)]
+    # ClosedFormPoint's checks bound each field from below and above, so
+    # the drawn arrays pass them once, at their least and greatest values,
+    # and each point goes to the printed forms as a plain-float tuple
+    fields = (xi, eta, dphi, a2)
+    analytic.ClosedFormPoint(*(float(f.min()) for f in fields))
+    analytic.ClosedFormPoint(*(float(f.max()) for f in fields))
+    points = list(zip(*(f.tolist() for f in fields)))
     ch = np.array([analytic.ch_closed(p) for p in points])
     chsh = np.array([analytic.chsh_closed(p) for p in points])
     general_ch, general_chsh = analytic.ch_chsh_general(

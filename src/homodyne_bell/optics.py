@@ -18,7 +18,8 @@ station_inputs gives each station's two input terms as splitter columns.
 mix_station mixes them, every output mode cut at the per-mode cutoff N:
 one batched contraction of the phases with a per-cutoff table of the
 mixing generator's eigendecomposition (its eigenvalues and the eigenvector
-products of the two block columns a station input reaches). The station
+products of the two block columns a station input reaches), then one
+gather of the mixed rows into the output occupations. The station
 engine (bell) and the verification oracles' network (run_network) both
 mix through it.
 """
@@ -105,9 +106,10 @@ def station_inputs(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     column k holds the truncated oscillator on the lo port with k photons
     on the ph port. Bob's term k of sum_k w_k A_k (x) B_k holds 1 - k
     photons, so his mixed columns are read reversed."""
-    lo = np.array(_oscillators(config))
-    columns = np.zeros(lo.shape + (2, 2), dtype=np.complex128)
-    columns[..., 0, 0] = columns[..., 1, 1] = lo
+    lo1, lo2 = _oscillators(config)
+    columns = np.zeros((2, len(lo1), 2, 2), dtype=np.complex128)
+    columns[0, :, 0, 0] = columns[0, :, 1, 1] = lo1
+    columns[1, :, 0, 0] = columns[1, :, 1, 1] = lo2
     return columns[0], columns[1]
 
 
@@ -128,10 +130,10 @@ def _mixing_eig(total: int):
 
 # The mixing table of one cutoff: (N+2)^2 eigenvalues, 2 (N+1)(N+2)^2
 # eigenvector products (557 KB at N = 31, 4.3 MB at N = 63) and the gather
-# indices; an engine touches a few cutoffs, so one slot per cutoff bounds
+# index; an engine touches a few cutoffs, so one slot per cutoff bounds
 # the cache.
 @lru_cache(maxsize=MAX_CUTOFF)
-def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angle-free mixing table of a station cut at `cutoff`, read-only.
 
     Within total photon number t the mixing block is
@@ -143,9 +145,11 @@ def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     - lam[t, j]: the eigenvalues of total t, zero-padded to (N+2, N+2);
     - prod[t, 2c + s, j] = vec[c, j] vec[t - s, j] for output rows c <= N,
       zero where c > t or the input count t - s falls outside [0, N];
-    - dest, src: output pair (c, d) with c + d <= N + 1 at flat index
-      dest = c (N+1) + d is read from row src = (c + d)(N+1) + c of the
-      mixed (t, c) rows.
+    - take[c (N+1) + d]: the row of the mixed (t, c) rows that output
+      pair (c, d) reads in one gather, (c + d)(N+1) + c where
+      c + d <= N + 1. Every other output reads row 1, (t, c) = (0, 1),
+      which is exactly zero: prod[0, 2 + s] is zero, since no total-0
+      input reaches c = 1.
     """
     stride, totals = cutoff + 1, cutoff + 2
     lam = np.zeros((totals, totals))
@@ -159,12 +163,11 @@ def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
         if t >= 1:
             prod[t, :len(rows), 1, :t + 1] = rows * vec[t - 1]
     c, d = np.divmod(np.arange(stride * stride), stride)
-    dest = np.flatnonzero(c + d <= cutoff + 1)
-    src = (c + d)[dest] * stride + c[dest]
+    take = np.where(c + d <= cutoff + 1, (c + d) * stride + c, 1)
     prod = prod.reshape(totals, 2 * stride, totals)
-    for array in (lam, prod, dest, src):
+    for array in (lam, prod, take):
         array.setflags(write=False)
-    return lam, prod, dest, src
+    return lam, prod, take
 
 
 def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
@@ -181,17 +184,19 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     the eigenvector products with the phases e^{i theta lam / 2}, as
     (cos, sin) pairs, gives the two block columns M[t, c, s] each total's
     input reaches, one product with the inputs x[t, s, k] =
-    columns[t - s, s, k] gives the mixed rows (t, c), and one gather puts
-    them at out[c, t - c, k]. That is O(N^3) per angle. The input holds at
-    most cutoff + 1 photons and mixing conserves the pair's photon number,
-    so every output of total above cutoff + 1 is exactly zero, and so is
-    every product of two columns' outputs at different totals.
+    columns[t - s, s, k] gives the mixed rows (t, c), and one gather (the
+    table's take index) reads out[c, d, k] from row (c + d, c). That is
+    O(N^3) per angle. The input holds at most cutoff + 1 photons and mixing
+    conserves the pair's photon number, so every output of total above
+    cutoff + 1 is exactly zero (the gather reads it from a row that is
+    zero by construction), and so is every product of two columns' outputs
+    at different totals.
     """
     cutoff = columns.shape[0] - 1
     if cutoff < 1:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
     stride, width = cutoff + 1, columns.shape[2]
-    lam, prod, dest, src = _pair_block(cutoff)
+    lam, prod, take = _pair_block(cutoff)
     # complex entries are read as their (re, im) pairs and back: the phases
     # e^{i theta lam / 2} as (cos, sin), the product as the block columns
     trig = np.exp((0.5j * theta) * lam).view(np.float64).reshape(lam.shape + (2,))
@@ -200,9 +205,7 @@ def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
     inputs[:-1, 0] = columns[:, 0]
     inputs[1:, 1] = columns[:, 1]
     mixed = (block @ inputs).reshape(-1, width)
-    out = np.zeros((stride * stride, width), dtype=np.complex128)
-    out[dest] = mixed[src]
-    return out.reshape(stride, stride, width)
+    return mixed.take(take, axis=0).reshape(stride, stride, width)
 
 
 def run_network(config: ExperimentConfig, xi: float,

@@ -13,7 +13,7 @@ from dense_oracle import (
 )
 from homodyne_bell.analytic import probs_general
 from homodyne_bell.bell import evaluate_settings
-from homodyne_bell.detection import favorable_probs
+from homodyne_bell.detection import favorable_probs, pair_probabilities
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec
 from homodyne_bell.optics import (
     ExperimentConfig,
@@ -235,6 +235,26 @@ class TestReadoutEquivalence:
         want = dense_favorable_probs(dense(cfg, xi, eta))
         assert max(abs(g - w) for g, w in zip(got[:3], want[:3])) <= 1e-14
         assert abs(got[3] - want[3]) <= 1e-13
+
+
+class TestStationShape:
+    """pair_probabilities reads two terms per station from plain lists, so
+    it must refuse any other shape rather than read part of it."""
+
+    GOOD = (np.eye(2, dtype=complex), np.array([0.3, 0.4j]))
+
+    @pytest.mark.parametrize("gram_shape,fav_shape", [
+        ((3, 3), (3,)),     # a three-term station
+        ((1, 2, 2), (2,)),  # a batch of one Gram matrix
+        ((2, 2), (1, 2)),   # a batch of one favorable vector
+        ((4,), (2,)),       # a flattened Gram matrix
+    ])
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_refuses_other_shapes(self, gram_shape, fav_shape, side):
+        bad = (np.ones(gram_shape, dtype=complex), np.ones(fav_shape, dtype=complex))
+        stations = (bad, self.GOOD) if side == "alice" else (self.GOOD, bad)
+        with pytest.raises(ValueError, match=r"needs a \(2, 2\) Gram matrix"):
+            pair_probabilities(*stations)
 
 
 class TestScale:

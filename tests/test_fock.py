@@ -1,11 +1,13 @@
+import cmath
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_station_columns
-from homodyne_bell import optics
+from homodyne_bell import fock, optics
 from homodyne_bell.fock import (
     MAX_ALPHA_SQ,
     MAX_CUTOFF,
@@ -98,6 +100,32 @@ class TestCoherentState:
         amps, _ = coherent_state(alpha, 10)
         expected = math.exp(-abs(alpha) ** 2 / 2) * alpha ** 3 / math.sqrt(6.0)
         assert amps[3] == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [math.nan, complex(1.0, math.nan),
+                                       math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_alpha_refused_before_allocating(self, alpha, monkeypatch):
+        # max(0, nan) is 0, so a NaN amplitude would report no loss; the
+        # refusal comes before any numpy call
+        monkeypatch.setattr(fock, "np", types.SimpleNamespace())
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_state(alpha, 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(alpha_sq=st.sampled_from((1e-6, 1.0, 4.0, 22.0)),
+           phase=st.floats(0.0, 2.0 * math.pi), cutoff=st.integers(0, 63))
+    def test_matches_40_digit_reference(self, alpha_sq, phase, cutoff):
+        mpmath = pytest.importorskip("mpmath")
+        alpha = math.sqrt(alpha_sq) * cmath.exp(1j * phase)
+        amps, tail = coherent_state(alpha, cutoff)
+        with mpmath.workdps(40):
+            a = mpmath.mpc(alpha.real, alpha.imag)
+            ref = [mpmath.exp(-abs(a) ** 2 / 2) * a ** n
+                   / mpmath.sqrt(mpmath.factorial(n)) for n in range(cutoff + 1)]
+            rel = max(abs(mpmath.mpc(c.real, c.imag) - r) / abs(r)
+                      for c, r in zip(amps.tolist(), ref))
+            ref_tail = 1 - mpmath.fsum(abs(r) ** 2 for r in ref)
+        assert rel <= 1e-14
+        assert abs(tail - float(ref_tail)) <= 1e-15
 
 
 class TestTensor:

@@ -72,6 +72,26 @@ def full_block_mix(columns, theta):
     return flat.reshape(inputs.shape)
 
 
+def scatter_mix(columns, theta):
+    """mix_station's mixed (t, c) rows as it computes them, and its output
+    as the scatter it made before its one gather: zeros, then
+    out[c, d] = mixed row (c + d, c) at every c + d <= N + 1."""
+    cutoff = columns.shape[0] - 1
+    stride, width = cutoff + 1, columns.shape[2]
+    lam, prod, _ = _pair_block(cutoff)
+    trig = np.exp((0.5j * theta) * lam).view(np.float64).reshape(lam.shape + (2,))
+    block = (prod @ trig).view(np.complex128).reshape(cutoff + 2, stride, 2)
+    inputs = np.zeros((cutoff + 2, 2, width), dtype=np.complex128)
+    inputs[:-1, 0] = columns[:, 0]
+    inputs[1:, 1] = columns[:, 1]
+    mixed = (block @ inputs).reshape(-1, width)
+    c, d = np.divmod(np.arange(stride * stride), stride)
+    dest = np.flatnonzero(c + d <= cutoff + 1)
+    out = np.zeros((stride * stride, width), dtype=np.complex128)
+    out[dest] = mixed[(c + d)[dest] * stride + c[dest]]
+    return mixed, out.reshape(stride, stride, width)
+
+
 def mixing_matrix_oracle(theta, n_lo, n_ph):
     """Independent construction of the pair mixing unitary from the
     creation-operator rule, expanded binomially:
@@ -188,6 +208,21 @@ class TestMixStation:
         occ = np.arange(cutoff + 1)
         out_total = (occ[:, None] + occ).reshape(-1)
         assert np.all(u[out_total[:, None] != total[None, :]] == 0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(theta=ANGLES, cutoff=st.integers(1, MAX_CUTOFF),
+           width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_gather_equals_the_scatter(self, theta, cutoff, width, seed):
+        columns = np.random.default_rng(seed).standard_normal(
+            (cutoff + 1, 2, width, 2)) @ (1.0, 1.0j)
+        mixed, scattered = scatter_mix(columns, theta)
+        # bit for bit, the sign of every zero included
+        assert mix_station(columns, theta).tobytes() == scattered.tobytes()
+        # the outputs past total cutoff + 1 read one row, exactly zero
+        occ = np.arange(cutoff + 1)
+        outside = (occ[:, None] + occ > cutoff + 1).reshape(-1)
+        rows = np.unique(_pair_block(cutoff)[2][outside])
+        assert np.all(mixed[rows] == 0.0)
 
     def test_one_table_per_cutoff(self):
         _pair_block.cache_clear()
