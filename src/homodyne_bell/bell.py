@@ -110,9 +110,7 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     """
     alice_in, bob_in = station_inputs(config)
     alice = {x: station_vectors(mix_station(alice_in, x)) for x in (xi, xi2)}
-    # Bob's ph port holds the photon in term 0 and none in term 1
-    bob = {y: station_vectors(mix_station(bob_in, y)[..., ::-1])
-           for y in (eta, eta2)}
+    bob = {y: station_vectors(mix_station(bob_in, y)) for y in (eta, eta2)}
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
     probs = {(x, y): pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
 

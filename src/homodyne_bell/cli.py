@@ -1,5 +1,6 @@
-"""Command-line interface: verification suite, figure-grid emission,
-constrained CHSH maximization, and state-split reports.
+"""Command-line interface: the verification suite (its check table is
+CHECK_GROUPS), figure-grid emission, constrained CHSH maximization, and
+state-split reports.
 
 Subcommands: verify, figure, optimize, split. Exit codes are stable:
 0 success, 1 verification failure, 2 configuration error. All outputs are
@@ -47,6 +48,10 @@ PHASE_CONVENTION = "phi2 - phi1"
 VIOLATION_MARGIN = 1e-6
 # verify draws alpha_sq from (0, VERIFY_ALPHA_SQ_MAX]
 VERIFY_ALPHA_SQ_MAX = 4.0
+# verify's fixed tolerances; only the oracle's tol is a setting
+IDENTITY_TOL = 1e-12
+NOSIGNAL_TOL = 1e-10
+UNITARITY_TOL = 1e-10
 # optimize draws a restarts x dimension hypercube before its first restart,
 # so the count is capped where the config is loaded
 MAX_RESTARTS = 100_000
@@ -83,9 +88,6 @@ class RunConfig:
     cutoff_eps: float = 1e-12
     cutoff_n: int | None = None
     tol: float = 1e-9
-    identity_tol: float = 1e-12
-    nosignal_tol: float = 1e-10
-    unitarity_tol: float = 1e-10
     seed: int = 20240801
     verify_points: int = 100
     verify_draws: int = 50
@@ -100,8 +102,7 @@ class RunConfig:
         for f in fields(self):
             object.__setattr__(self, f.name, _typed_value(
                 f.name, getattr(self, f.name), _RUN_CONFIG_TYPES[f.name]))
-        for name in ("tol", "identity_tol", "nosignal_tol", "unitarity_tol",
-                     "cutoff_eps", "diameter_tol"):
+        for name in ("tol", "cutoff_eps", "diameter_tol"):
             # an infinite tolerance would pass its checks vacuously
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ConfigError(f"{name} must be > 0 and finite")
@@ -209,9 +210,9 @@ def provenance(cfg: RunConfig, args: argparse.Namespace,
         "cutoff_n": cfg.provenance_cutoff(alpha_sq_max),
         "tolerances": {
             "oracle": cfg.tol,
-            "identity": cfg.identity_tol,
-            "no_signalling": cfg.nosignal_tol,
-            "unitarity": cfg.unitarity_tol,
+            "identity": IDENTITY_TOL,
+            "no_signalling": NOSIGNAL_TOL,
+            "unitarity": UNITARITY_TOL,
         },
         analytic.LOCAL_EXPONENT_DECISION_KEY: analytic.LOCAL_EXPONENT_CORRECTED,
         "phase_difference_convention": PHASE_CONVENTION,
@@ -228,17 +229,11 @@ def _check(name: str, residual: float, tol: float, n: int) -> dict:
             "max_residual": residual, "tolerance": tol, "points": n}
 
 
-def run_verification(cfg: RunConfig) -> dict:
-    """Run the full oracle / invariant suite and return the report payload."""
-    rng = np.random.default_rng(cfg.seed)
+def _network_oracle_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
+    """Closed forms against the brute-force network at random points: free
+    phases, the stronger station's alpha_sq on (0, max], the other's below."""
     spec = cfg.cutoff_spec()
-    checks = []
-
-    # general closed forms vs brute-force numerics over random operating
-    # points: the stronger station's alpha_sq on (0, max], the other's below
-    # it, a fair coin for which station is the stronger, free phases
-    worst_joint = worst_local = 0.0
-    worst_margin = 0.0
+    worst_joint = worst_local = worst_margin = 0.0
     for _ in range(cfg.verify_points):
         strong = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
         weak = strong * rng.random()
@@ -253,14 +248,14 @@ def run_verification(cfg: RunConfig) -> dict:
         # bound tests the closed forms' triple
         worst_margin = max(worst_margin, p_ab - min(p_a, p_b),
                            c_ab - min(c_a, c_b))
-    checks.append(_check("joint_oracle_agreement", worst_joint, cfg.tol,
-                         cfg.verify_points))
-    checks.append(_check("local_oracle_agreement", worst_local, cfg.tol,
-                         cfg.verify_points))
-    checks.append(_check("joint_within_marginals", worst_margin, 1e-15,
-                         cfg.verify_points))
+    return [_check("joint_oracle_agreement", worst_joint, cfg.tol, cfg.verify_points),
+            _check("local_oracle_agreement", worst_local, cfg.tol, cfg.verify_points),
+            _check("joint_within_marginals", worst_margin, 1e-15, cfg.verify_points)]
 
-    # local-probability exponent adjudication against the brute force
+
+def _exponent_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
+    """The local-probability exponent adjudicated by the brute force."""
+    spec = cfg.cutoff_spec()
     corrected_resid = printed_resid = 0.0
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
         p = favorable_probs(run_network(symmetric_config(a2, 0.7, spec), x, 0.9))[0]
@@ -272,20 +267,18 @@ def run_verification(cfg: RunConfig) -> dict:
     printed_wins = printed_resid <= cfg.tol < corrected_resid
     decision = (analytic.LOCAL_EXPONENT_CORRECTED if corrected_resid <= printed_resid
                 else analytic.LOCAL_EXPONENT_PRINTED)
-    checks.append({"name": "local_exponent_adjudication",
-                   "passed": bool(corrected_wins),
-                   "max_residual": corrected_resid, "tolerance": cfg.tol,
-                   "points": 3,
-                   "decision": decision,
-                   "printed_variant_residual": printed_resid,
-                   "escalation": None if (corrected_wins or not printed_wins) else
-                   "brute force favors the printed exponent; the network "
-                   "convention needs re-derivation before results are used"})
+    return [{"name": "local_exponent_adjudication", "passed": bool(corrected_wins),
+             "max_residual": corrected_resid, "tolerance": cfg.tol, "points": 3,
+             "decision": decision, "printed_variant_residual": printed_resid,
+             "escalation": None if (corrected_wins or not printed_wins) else
+             "brute force favors the printed exponent; the network "
+             "convention needs re-derivation before results are used"}]
 
-    # numeric records: the identity checks only their assembly (it holds for
-    # any joints and marginals), so each record's four joints and two
-    # canonical marginals are also held against the closed forms, which
-    # checks the station engine itself
+
+def _station_record_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
+    """Numeric records: their identity checks only the assembly, so each
+    record's joints and canonical marginals are also held to the closed forms."""
+    spec = cfg.cutoff_spec()
     worst_rec = worst_station = 0.0
     for a2 in (0.3, 1.0, 2.5):
         for _ in range(4):
@@ -299,13 +292,13 @@ def run_verification(cfg: RunConfig) -> dict:
                                 abs(rec.local_alice - closed[1][0]),
                                 abs(rec.local_bob - closed[0][1]),
                                 *(abs(j - c[2]) for j, c in zip(rec.joints, closed)))
-    checks.append(_check("record_ch_chsh_identity", worst_rec,
-                         cfg.identity_tol, 12))
-    checks.append(_check("station_closed_form_agreement", worst_station,
-                         cfg.tol, 12))
+    return [_check("record_ch_chsh_identity", worst_rec, IDENTITY_TOL, 12),
+            _check("station_closed_form_agreement", worst_station, cfg.tol, 12)]
 
-    # exact identities, closed forms: the paper's expanded CH and CHSH
-    # against the general forms on the standard quadruple
+
+def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
+    """Exact identities of the closed forms: the paper's expanded CH and
+    CHSH against the general forms on the standard quadruple."""
     xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, (3, 500))
     a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random(500))
     # ClosedFormPoint's checks bound each field from below and above, so
@@ -319,15 +312,16 @@ def run_verification(cfg: RunConfig) -> dict:
     chsh = np.array([analytic.chsh_closed(p) for p in points])
     general_ch, general_chsh = analytic.ch_chsh_general(
         a2, a2, 0.0, dphi, *SettingsQuadruple(xi, eta).settings)
-    worst_asm = float(np.max(np.abs(ch - general_ch)))
-    worst_exp = float(np.max(np.abs(chsh - general_chsh)))
-    checks.append(_check("closed_form_assembly_identity", worst_asm,
-                         cfg.identity_tol, 500))
-    checks.append(_check("closed_form_expanded_identity", worst_exp,
-                         cfg.identity_tol, 500))
+    return [_check("closed_form_assembly_identity",
+                   float(np.max(np.abs(ch - general_ch))), IDENTITY_TOL, 500),
+            _check("closed_form_expanded_identity",
+                   float(np.max(np.abs(chsh - general_chsh))), IDENTITY_TOL, 500)]
 
-    # physics invariants: no-signalling, and the norm the network loses at
-    # the cutoff edge, the readout's norm against the input's
+
+def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
+    """Physics invariants: no-signalling, and the norm the network loses at
+    the cutoff edge, the readout's norm against the input's."""
+    spec = cfg.cutoff_spec()
     worst_nosig = worst_norm = 0.0
     for _ in range(cfg.verify_draws):
         a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
@@ -344,16 +338,22 @@ def run_verification(cfg: RunConfig) -> dict:
                           abs(p_b - alt_alice[1]))
         worst_norm = max(worst_norm,
                          abs(norm_sq - float(np.vdot(source, source).real)))
-    checks.append(_check("no_signalling", worst_nosig, cfg.nosignal_tol,
-                         cfg.verify_draws))
-    checks.append(_check("network_unitarity", worst_norm, cfg.unitarity_tol,
-                         cfg.verify_draws))
+    return [_check("no_signalling", worst_nosig, NOSIGNAL_TOL, cfg.verify_draws),
+            _check("network_unitarity", worst_norm, UNITARITY_TOL, cfg.verify_draws)]
 
-    return {
-        "checks": checks,
-        analytic.LOCAL_EXPONENT_DECISION_KEY: decision,
-        "phase_difference_convention": PHASE_CONVENTION,
-    }
+
+# verify's check table, in report order: each group draws from the one rng
+CHECK_GROUPS = (_network_oracle_checks, _exponent_checks, _station_record_checks,
+                _printed_form_checks, _invariant_checks)
+
+
+def run_verification(cfg: RunConfig) -> dict:
+    """The CHECK_GROUPS' report payload, drawn from one rng at cfg.seed."""
+    rng = np.random.default_rng(cfg.seed)
+    checks = [check for group in CHECK_GROUPS for check in group(cfg, rng)]
+    decision = next(c["decision"] for c in checks if "decision" in c)
+    return {"checks": checks, analytic.LOCAL_EXPONENT_DECISION_KEY: decision,
+            "phase_difference_convention": PHASE_CONVENTION}
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:

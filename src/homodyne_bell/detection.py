@@ -1,7 +1,7 @@
 """Born-rule readout, the one home of every detection probability.
 
 Both beamsplitters are local, so the output is sum_k w_k A_k (x) B_k with
-w = optics.PAIR_WEIGHTS and A_k, B_k each station's two mixed input terms,
+w = optics.PAIR_WEIGHTS and A_k, B_k the terms of optics.station_inputs,
 mixed by optics.mix_station for the station engine (bell) and for the
 verification oracles' network (optics.run_network) alike. station_vectors
 reduces a station to the Gram matrix G of its terms and their favorable

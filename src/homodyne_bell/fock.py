@@ -114,10 +114,11 @@ def coherent_state(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
         raise ValueError("cutoff must be >= 0")
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    mag_sq = abs(alpha) ** 2
-    if mag_sq > MAX_ALPHA_SQ:
-        raise ValueError(f"|alpha|^2={mag_sq} exceeds the float-safe range "
-                         f"(at most {MAX_ALPHA_SQ:g})")
+    mag = abs(alpha)
+    if mag > MAX_ALPHA_SQ or mag ** 2 > MAX_ALPHA_SQ:  # no square overflows
+        raise ValueError(f"|alpha|={mag:g} exceeds the float-safe range "
+                         f"(|alpha|^2 at most {MAX_ALPHA_SQ:g})")
+    mag_sq = mag ** 2
     n = np.arange(1.0, cutoff + 1)
     factors = np.empty((2, cutoff + 1), dtype=np.complex128)
     factors[0, 0] = math.exp(-mag_sq / 2.0)

@@ -102,14 +102,14 @@ def input_support(config: ExperimentConfig) -> np.ndarray:
 
 
 def station_inputs(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Both stations' input terms as splitter columns, each (N+1, 2, 2):
-    column k holds the truncated oscillator on the lo port with k photons
-    on the ph port. Bob's term k of sum_k w_k A_k (x) B_k holds 1 - k
-    photons, so his mixed columns are read reversed."""
+    """Both stations' input terms as splitter columns, each (N+1, 2, 2), in
+    the term order of sum_k w_k A_k (x) B_k: column k holds the truncated
+    oscillator on the lo port, with k photons on Alice's ph port and
+    1 - k on Bob's."""
     lo1, lo2 = _oscillators(config)
     columns = np.zeros((2, len(lo1), 2, 2), dtype=np.complex128)
     columns[0, :, 0, 0] = columns[0, :, 1, 1] = lo1
-    columns[1, :, 0, 0] = columns[1, :, 1, 1] = lo2
+    columns[1, :, 1, 0] = columns[1, :, 0, 1] = lo2
     return columns[0], columns[1]
 
 
@@ -213,7 +213,7 @@ def run_network(config: ExperimentConfig, xi: float,
     """The network as its two stations' mixed input terms (alice, bob),
     each (N+1, N+1, 2): entry [c, d, k] is the amplitude of output |c, d>
     in term k of sum_k w_k A_k (x) B_k, Alice's station mixed at xi and
-    Bob's at eta by mix_station, Bob's terms reversed as in
-    bell.evaluate_settings. detection.favorable_probs reads it out."""
+    Bob's at eta by mix_station, as in bell.evaluate_settings.
+    detection.favorable_probs reads it out."""
     alice_in, bob_in = station_inputs(config)
-    return mix_station(alice_in, xi), mix_station(bob_in, eta)[..., ::-1]
+    return mix_station(alice_in, xi), mix_station(bob_in, eta)

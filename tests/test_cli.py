@@ -40,6 +40,110 @@ def run_python(args, timeout=None):
                           timeout=timeout)
 
 
+# the planted faults' config: at the default seed each fault below fails
+# exactly its row's checks
+FAULT_CONFIG = {"verify_points": 100, "verify_draws": 4}
+CLOSED_FORM_CHECKS = {"joint_oracle_agreement", "station_closed_form_agreement",
+                      "closed_form_assembly_identity",
+                      "closed_form_expanded_identity"}
+
+
+def plant(module, name, edit):
+    """A patch (module, name, value) that passes module.name's result
+    through edit."""
+    original = getattr(module, name)
+    return module, name, lambda *args: edit(original(*args))
+
+
+def _phases_swapped(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y,
+                    probs=analytic._probs):
+    # phi1 - phi2 -> phi2 - phi1 flips sin(phi1 - phi2), the sign of the
+    # joint's cross term, and leaves the locals alone
+    return probs(m, alpha1_sq, alpha2_sq, phi2, phi1, x, y)
+
+
+def _printed_exponent(alpha1_sq, alpha2_sq, *angles,
+                      probs_point=analytic.probs_point):
+    p_a, p_b, p_ab = probs_point(alpha1_sq, alpha2_sq, *angles)
+    return p_a * math.exp(-alpha1_sq), p_b, p_ab
+
+
+def _corrected_variant(x, alpha_sq, printed=analytic.local_prob_printed_variant):
+    return printed(x, alpha_sq) * math.exp(alpha_sq)
+
+
+CORRECTED = analytic.LOCAL_EXPONENT_CORRECTED
+# each row: the patches of one planted fault, the exact set of checks it
+# fails, and the local-exponent decision the report then makes
+PLANTED_FAULTS = [
+    pytest.param([(analytic, "_probs", _phases_swapped)], CLOSED_FORM_CHECKS,
+                 CORRECTED, id="general-joint-phases-swapped"),
+    # the readout keeps p_ab <= min(p_a, p_b) by construction, so the
+    # bound fails on the closed forms' doubled joint
+    pytest.param([plant(analytic, "_probs", lambda p: (p[0], p[1], 2.0 * p[2]))],
+                 CLOSED_FORM_CHECKS | {"joint_within_marginals"}, CORRECTED,
+                 id="general-joint-doubled"),
+    # oracle marginals off by a constant leave the joints alone, and
+    # no-signalling compares marginals shifted alike
+    pytest.param([plant(detection, "pair_probabilities",
+                        lambda p: (p[0] + 1e-6, p[1] + 1e-6, p[2], p[3]))],
+                 {"local_oracle_agreement", "local_exponent_adjudication"},
+                 CORRECTED, id="oracle-marginals-shifted"),
+    # Alice's oracle marginal taken as the exclusive event, Alice favorable
+    # and Bob not, follows Bob's setting
+    pytest.param([plant(detection, "pair_probabilities",
+                        lambda p: (p[0] - p[2], p[1], p[2], p[3]))],
+                 {"local_oracle_agreement", "joint_within_marginals",
+                  "local_exponent_adjudication", "no_signalling"},
+                 CORRECTED, id="oracle-marginal-exclusive"),
+    # the two local exponents swapped: the brute force matches the printed
+    # variant, and the corrected local misses it
+    pytest.param([(analytic, "probs_point", _printed_exponent),
+                  (analytic, "local_prob_printed_variant", _corrected_variant)],
+                 {"local_oracle_agreement", "joint_within_marginals",
+                  "local_exponent_adjudication", "station_closed_form_agreement"},
+                 analytic.LOCAL_EXPONENT_PRINTED, id="printed-exponent-wins"),
+    # a local off by a relative 1e-6 misses the brute force by more than
+    # tol, and the printed variant by far more: neither exponent wins
+    pytest.param([plant(analytic, "probs_point",
+                        lambda p: (p[0] * (1.0 + 1e-6), p[1], p[2]))],
+                 {"local_oracle_agreement", "local_exponent_adjudication",
+                  "station_closed_form_agreement"},
+                 CORRECTED, id="neither-exponent-wins"),
+    pytest.param([plant(analytic, "ch_chsh_general",
+                        lambda r: (r[0], 2.0 + 4.0 * r[0] + 1e-9))],
+                 {"closed_form_expanded_identity"}, CORRECTED,
+                 id="general-chsh-shifted"),
+    # the expanded check reads chsh_closed, not ch_closed
+    pytest.param([plant(analytic, "ch_closed", lambda ch: ch + 1e-9)],
+                 {"closed_form_assembly_identity"}, CORRECTED,
+                 id="printed-ch-shifted"),
+    # a station engine with wrong marginals and joints still assembles
+    # chsh = 2 + 4 ch exactly; bell's binding of the readout only, so the
+    # oracle's stays sound
+    pytest.param([plant(bell, "pair_probabilities",
+                        lambda p: (0.9 * p[0], 1.1 * p[1], 2.0 * p[2], p[3]))],
+                 {"station_closed_form_agreement"}, CORRECTED,
+                 id="station-engine-faulty"),
+    # a splitter whose columns each lose the same small fraction: every
+    # probability is conditional on the truncated space, so only the norm
+    # sees it; optics' binding only, so the station engine stays sound
+    pytest.param([plant(optics, "mix_station", lambda out: (1.0 - 1e-6) * out)],
+                 {"network_unitarity"}, CORRECTED, id="network-lossy"),
+    # a wrong CHSH sign leaves every probability alone
+    pytest.param([(bell, "_SIGNS", (1.0, 1.0, -1.0, -1.0))],
+                 {"record_ch_chsh_identity"}, CORRECTED, id="chsh-sign-wrong"),
+]
+
+
+@pytest.fixture(scope="module")
+def default_report(tmp_path_factory):
+    """The verify report at every default setting."""
+    out = tmp_path_factory.mktemp("verify") / "report.json"
+    assert run_cli(["verify", "--out", out]) == 0
+    return json.loads(out.read_text())
+
+
 class TestVerify:
     def test_default_checks_pass(self, tmp_path):
         cfg = write_config(tmp_path, QUICK_CONFIG)
@@ -78,177 +182,53 @@ class TestVerify:
             1e3 * tight_resid["network_unitarity"] > 0.0
         assert rc == 1  # the widened residuals exceed the default tolerance
 
-    def test_oracle_checks_the_general_forms(self, monkeypatch):
-        # a flipped sign on the joint cross term of the general forms must
-        # fail the brute-force oracle
-        probs = analytic._probs
-
-        def flipped(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):
-            # phi1 - phi2 -> phi2 - phi1 flips sin(phi1 - phi2), the sign
-            # of the cross term, and leaves the locals alone
-            return probs(m, alpha1_sq, alpha2_sq, phi2, phi1, x, y)
-
-        monkeypatch.setattr(analytic, "_probs", flipped)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
+    @pytest.mark.parametrize("patches,failing,decision", PLANTED_FAULTS)
+    def test_planted_fault_fails_its_checks(self, monkeypatch, patches, failing,
+                                            decision):
+        for module, name, value in patches:
+            monkeypatch.setattr(module, name, value)
+        report = run_verification(RunConfig(**FAULT_CONFIG))
         checks = {c["name"]: c for c in report["checks"]}
-        assert checks["joint_oracle_agreement"]["passed"] is False
-        assert checks["joint_oracle_agreement"]["max_residual"] > 1e-3
-        assert checks["local_oracle_agreement"]["passed"] is True
+        assert {name for name, c in checks.items() if not c["passed"]} == failing
+        adjudication = checks["local_exponent_adjudication"]
+        assert adjudication["decision"] == report["eq10_exponent_decision"] == decision
+        if decision == analytic.LOCAL_EXPONENT_CORRECTED:
+            assert adjudication["escalation"] is None
+        else:
+            assert "printed exponent" in adjudication["escalation"]
 
-    def test_local_oracle_catches_shifted_marginals(self, monkeypatch):
-        # an oracle readout whose marginals are off by a constant leaves the
-        # joints alone, and no-signalling compares marginals shifted alike
-        pair_probabilities = detection.pair_probabilities
+    def test_every_check_has_a_planted_fault(self, default_report):
+        # a check that no planted fault fails could pass whatever it checks
+        planted = set().union(*(row.values[1] for row in PLANTED_FAULTS))
+        assert planted == {c["name"] for c in default_report["checks"]}
 
-        def shifted(alice, bob):
-            p_a, p_b, p_ab, norm = pair_probabilities(alice, bob)
-            return p_a + 1e-6, p_b + 1e-6, p_ab, norm
+    def test_default_report_names_tolerances_and_points(self, default_report):
+        assert [(c["name"], c["tolerance"], c["points"])
+                for c in default_report["checks"]] == [
+            ("joint_oracle_agreement", 1e-9, 100),
+            ("local_oracle_agreement", 1e-9, 100),
+            ("joint_within_marginals", 1e-15, 100),
+            ("local_exponent_adjudication", 1e-9, 3),
+            ("record_ch_chsh_identity", 1e-12, 12),
+            ("station_closed_form_agreement", 1e-9, 12),
+            ("closed_form_assembly_identity", 1e-12, 500),
+            ("closed_form_expanded_identity", 1e-12, 500),
+            ("no_signalling", 1e-10, 50),
+            ("network_unitarity", 1e-10, 50)]
+        assert default_report["provenance"]["tolerances"] == {
+            "oracle": 1e-9, "identity": 1e-12, "no_signalling": 1e-10,
+            "unitarity": 1e-10}
 
-        monkeypatch.setattr(detection, "pair_probabilities", shifted)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["local_oracle_agreement"]["passed"] is False
-        assert checks["local_oracle_agreement"]["max_residual"] > 5e-7
-        for name in ("joint_oracle_agreement", "no_signalling",
-                     "station_closed_form_agreement"):
-            assert checks[name]["passed"] is True, name
-
-    def test_adjudication_escalates_when_the_printed_exponent_wins(self, monkeypatch):
-        # closed forms with the two local exponents swapped: the brute force
-        # matches the printed variant, and the corrected local misses it
-        probs_point = analytic.probs_point
-        printed = analytic.local_prob_printed_variant
-
-        def printed_exponent(alpha1_sq, alpha2_sq, *angles):
-            p_a, p_b, p_ab = probs_point(alpha1_sq, alpha2_sq, *angles)
-            return p_a * math.exp(-alpha1_sq), p_b, p_ab
-
-        monkeypatch.setattr(analytic, "probs_point", printed_exponent)
-        monkeypatch.setattr(analytic, "local_prob_printed_variant",
-                            lambda x, a2: printed(x, a2) * math.exp(a2))
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        check = {c["name"]: c for c in report["checks"]}["local_exponent_adjudication"]
-        assert check["passed"] is False
-        assert check["max_residual"] > 1e-3
-        assert check["printed_variant_residual"] <= 1e-9
-        assert check["decision"] == report["eq10_exponent_decision"] == "e^{-2alpha^2}"
-        assert "printed exponent" in check["escalation"]
-
-    def test_adjudication_fails_when_neither_exponent_wins(self, monkeypatch):
-        # a closed-form local off by a relative 1e-6 misses the brute force
-        # by more than tol, and the printed variant by far more: neither
-        # exponent wins
-        probs_point = analytic.probs_point
-
-        def off(*args):
-            p_a, p_b, p_ab = probs_point(*args)
-            return p_a * (1.0 + 1e-6), p_b, p_ab
-
-        monkeypatch.setattr(analytic, "probs_point", off)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        check = {c["name"]: c for c in report["checks"]}["local_exponent_adjudication"]
-        assert check["passed"] is False
-        assert check["max_residual"] > 1e-8
-        assert check["printed_variant_residual"] > 1e-3
-        assert check["decision"] == "e^{-alpha^2}"
-        assert check["escalation"] is None
-
-    def test_expanded_identity_checks_the_general_chsh(self, monkeypatch):
-        # a CHSH off 2 + 4 ch in the general forms must fail the printed
-        # expanded CHSH's check, and only it
-        general = analytic.ch_chsh_general
-
-        def shifted(*args):
-            ch, _ = general(*args)
-            return ch, 2.0 + 4.0 * ch + 1e-9
-
-        monkeypatch.setattr(analytic, "ch_chsh_general", shifted)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["closed_form_expanded_identity"]["passed"] is False
-        assert checks["closed_form_expanded_identity"]["max_residual"] > 5e-10
-        assert checks["closed_form_assembly_identity"]["passed"] is True
-
-    def test_assembly_identity_checks_the_printed_ch(self, monkeypatch):
-        # a printed CH off the general forms must fail the assembly check,
-        # and only it: the expanded check reads chsh_closed
-        printed = analytic.ch_closed
-        monkeypatch.setattr(analytic, "ch_closed", lambda p: printed(p) + 1e-9)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["closed_form_assembly_identity"]["passed"] is False
-        assert checks["closed_form_assembly_identity"]["max_residual"] > 5e-10
-        assert checks["closed_form_expanded_identity"]["passed"] is True
-
-    def test_joint_bound_checks_the_general_forms(self, monkeypatch):
-        # the readout keeps p_ab <= min(p_a, p_b) by construction, so a
-        # doubled closed-form joint must fail the bound on the closed forms
-        probs = analytic._probs
-
-        def doubled(*args):
-            p_a, p_b, p_ab = probs(*args)
-            return p_a, p_b, 2.0 * p_ab
-
-        monkeypatch.setattr(analytic, "_probs", doubled)
-        report = run_verification(RunConfig(verify_draws=2))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["joint_within_marginals"]["passed"] is False
-        assert checks["joint_within_marginals"]["max_residual"] > 1e-2
-        assert checks["local_oracle_agreement"]["passed"] is True
-
-    def test_station_check_catches_a_faulty_engine(self, monkeypatch):
-        # a station engine with wrong marginals and joints still assembles
-        # records with chsh = 2 + 4 ch exactly, so only the comparison with
-        # the closed forms can fail it
-        pair_probabilities = bell.pair_probabilities
-
-        def faulty(alice, bob):
-            p_a, p_b, p_ab, norm = pair_probabilities(alice, bob)
-            return 0.9 * p_a, 1.1 * p_b, 2.0 * p_ab, norm
-
-        # bell's binding of the readout only: the oracle's stays sound
-        monkeypatch.setattr(bell, "pair_probabilities", faulty)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["station_closed_form_agreement"]["passed"] is False
-        assert checks["station_closed_form_agreement"]["max_residual"] > 1e-2
-        assert checks["station_closed_form_agreement"]["points"] == 12
-        assert checks["record_ch_chsh_identity"]["passed"] is True
-        assert checks["joint_oracle_agreement"]["passed"] is True
-
-    def test_no_signalling_catches_a_faulty_readout(self, monkeypatch):
-        # an oracle readout that takes Alice's marginal as the exclusive
-        # event, Alice favorable and Bob not, lets it follow Bob's setting
-        pair_probabilities = detection.pair_probabilities
-
-        def exclusive(alice, bob):
-            p_a, p_b, p_ab, norm = pair_probabilities(alice, bob)
-            return p_a - p_ab, p_b, p_ab, norm
-
-        monkeypatch.setattr(detection, "pair_probabilities", exclusive)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=4))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["no_signalling"]["passed"] is False
-        assert checks["no_signalling"]["max_residual"] > 1e-4
-        assert checks["station_closed_form_agreement"]["passed"] is True
-
-    def test_unitarity_catches_a_lossy_network(self, monkeypatch):
-        # a splitter whose columns each lose the same small fraction: every
-        # probability is conditional on the truncated space, so only the
-        # readout's norm against the input's sees the loss
-        mix_station = optics.mix_station
-
-        def lossy(columns, theta):
-            return (1.0 - 1e-6) * mix_station(columns, theta)
-
-        # the oracle network's binding of the splitter only: bell binds its
-        # own, so the station engine stays sound
-        monkeypatch.setattr(optics, "mix_station", lossy)
-        report = run_verification(RunConfig(verify_points=5, verify_draws=2))
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["network_unitarity"]["max_residual"] > 1e-6
-        assert [name for name, c in checks.items() if not c["passed"]] == \
-            ["network_unitarity"]
+    @pytest.mark.parametrize("key", ["identity_tol", "nosignal_tol",
+                                     "unitarity_tol"])
+    def test_fixed_tolerance_keys_rejected(self, tmp_path, capsys, key):
+        # only the oracle's tol is a setting; the identity, no-signalling
+        # and unitarity tolerances are fixed
+        cfg = write_config(tmp_path, {key: 1.0})
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"no_such_key": 1})
@@ -315,10 +295,6 @@ class TestRunKnobRange:
         (["verify"], {"cutoff_n": 100}),
         (["verify"], {"tol": float("nan")}),
         # an infinite tolerance would pass its check vacuously
-        (["verify"], {"identity_tol": math.inf, "nosignal_tol": math.inf,
-                      "unitarity_tol": math.inf}),
-        (["verify"], {"nosignal_tol": math.inf}),
-        (["verify"], {"unitarity_tol": math.inf}),
         (["figure", "--grid", "4x4"], {"tol": math.inf}),
         (["optimize", "--family", "paper_baseline"], {"diameter_tol": math.inf}),
         (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
@@ -331,8 +307,7 @@ class TestRunKnobRange:
     ], ids=["maxfev-0", "maxfev-neg", "restarts", "restarts-huge", "seed",
             "grid_budget",
             "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
-            "cutoff_n-100", "tol-nan", "verify_tols-inf", "nosignal_tol-inf",
-            "unitarity_tol-inf", "figure_tol-inf", "diameter_tol-inf",
+            "cutoff_n-100", "tol-nan", "figure_tol-inf", "diameter_tol-inf",
             "diameter_tol-nan",
             "alpha_sq_max-neg", "alpha_sq_max-nan", "alpha_sq_max-huge"])
     def test_rejected_at_load(self, tmp_path, capsys, command, payload):

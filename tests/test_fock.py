@@ -95,6 +95,12 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(math.sqrt(800.0), 3)
 
+    @pytest.mark.parametrize("alpha", [1e160, 1e200, complex(0.0, 1e160)])
+    def test_huge_drive_refused_before_squaring(self, alpha):
+        # |alpha|^2 would overflow to an OverflowError before the range check
+        with pytest.raises(ValueError, match="exceeds the float-safe range"):
+            coherent_state(alpha, 3)
+
     def test_complex_alpha_phases(self):
         alpha = 0.8 * np.exp(1j * 0.6)
         amps, _ = coherent_state(alpha, 10)

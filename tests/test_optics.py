@@ -472,9 +472,9 @@ class TestNetwork:
            tail_eps=st.sampled_from((1e-12, 1e-4)))
     def test_run_network_terms_assemble_the_dense_output(
             self, a1_sq, a2_sq, phases, tail_eps):
-        # run_network's station terms, Bob's read reversed, weighted by the
-        # pair weights: the dense output of the closed columns on the
-        # input support
+        # run_network's station terms, weighted by the pair weights in
+        # station_inputs' term order: the dense output of the closed columns
+        # on the input support
         phi1, phi2, xi, eta = phases
         cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
                                CutoffSpec(tail_eps=tail_eps))
