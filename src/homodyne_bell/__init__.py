@@ -4,11 +4,12 @@ Two independent evaluation routes for the same experiment: truncated
 Fock-space numerics (fock, optics, detection, bell) and closed forms
 (analytic), cross-validated against each other and sharing no code; plus
 constrained CHSH maximization (scan) and a CLI (cli). The numerics mix
-each station's two input terms with one splitter (optics.mix_station) and
-read them out through one Born-rule readout (detection): the station
-engine assembles Bell records from them (bell), and the verification
-oracles' network (optics.run_network, used only by the cli) checks the
-closed forms against them.
+what each station holds, its truncated oscillator with 0 or 1 photon on
+the ph port, with one splitter (optics.mix_station), one pass over all of
+a network's settings, and read every setting out through one Born-rule
+readout (detection): the station engine assembles Bell records from them
+(bell), and the verification oracles' network (optics.run_network, used
+only by the cli) checks the closed forms against them.
 """
 
 __version__ = "0.1.0"

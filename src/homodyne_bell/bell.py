@@ -5,9 +5,11 @@ Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
 w = optics.PAIR_WEIGHTS, and both beamsplitters are local, so the output
 is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
-station (optics.station_inputs mixed by optics.mix_station), every mode
-truncated at the per-mode cutoff. Every record probability comes from the
-detection module's readout of those terms; the verification oracles'
+station, every mode truncated at the per-mode cutoff. A record mixes its
+four settings' oscillators (optics.station_inputs) in one
+optics.mix_station pass and reads every setting's terms at once
+(detection.station_vectors); every record probability comes from the
+detection module's readout of those terms. The verification oracles'
 network (optics.run_network) mixes through the same splitter and reads
 out through the same readout, and bell defines neither of its own.
 
@@ -15,7 +17,8 @@ The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
 each setting's station observable 1 - 2|1,0><1,0|, written on a station's
-input support from one mix_station pass and detection.station_vectors.
+input support from one mix_station pass over its unit oscillators
+(optics.support_inputs) and detection.station_vectors.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import pair_probabilities, station_vectors
-from .optics import ExperimentConfig, input_support, mix_station, station_inputs
+from .optics import (ExperimentConfig, input_support, mix_station, station_inputs,
+                     support_inputs)
 
 HALF_PI = math.pi / 2.0
 
@@ -102,15 +106,17 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     """Evaluate the four setting pairs (xi, eta), (xi2, eta), (xi, eta2),
     (xi2, eta2) with signs +, +, -, + and assemble the record.
 
-    Each distinct station setting is evolved once (optics.mix_station at
-    the per-mode cutoff config.resolve_cutoff()) and every pair is read out
-    from the station vectors by detection.pair_probabilities. Canonical
+    All four settings are mixed in one optics.mix_station pass at the
+    per-mode cutoff config.resolve_cutoff(), read in one
+    detection.station_vectors call, and every pair is read out from the
+    station vectors by detection.pair_probabilities. Canonical
     marginals: Alice's at setting x comes from pair (x, eta) and Bob's at y
     from pair (xi, y).
     """
-    alice_in, bob_in = station_inputs(config)
-    alice = {x: station_vectors(mix_station(alice_in, x)) for x in (xi, xi2)}
-    bob = {y: station_vectors(mix_station(bob_in, y)) for y in (eta, eta2)}
+    lo, terms = station_inputs(config, 2, 2)
+    grams, favs = station_vectors(mix_station(lo, (xi, xi2, eta, eta2)), terms)
+    alice = {x: (grams[i], favs[i]) for i, x in enumerate((xi, xi2))}
+    bob = {y: (grams[i], favs[i]) for i, y in enumerate((eta, eta2), 2)}
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
     probs = {(x, y): pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
 
@@ -183,10 +189,11 @@ def _station_observable(theta: float, cutoff: int) -> np.ndarray:
     """Station observable 1 - 2|1,0><1,0| after mixing at theta, as a
     matrix on the station's input support |a, b> (a <= cutoff, b <= 1,
     flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
-    mixed basis inputs and f their favorable amplitudes."""
-    dim = 2 * (cutoff + 1)
-    gram, fav = station_vectors(
-        mix_station(np.eye(dim).reshape(cutoff + 1, 2, dim), theta))
+    mixed basis inputs and f their favorable amplitudes, from one pass of
+    the unit oscillators |a>, all at theta."""
+    lo, terms = support_inputs(cutoff)
+    (gram,), (fav,) = station_vectors(
+        mix_station(lo, np.full(cutoff + 1, theta)), terms)
     return gram - 2.0 * np.outer(fav.conj(), fav)
 
 

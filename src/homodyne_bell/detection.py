@@ -1,13 +1,16 @@
 """Born-rule readout, the one home of every detection probability.
 
 Both beamsplitters are local, so the output is sum_k w_k A_k (x) B_k with
-w = optics.PAIR_WEIGHTS and A_k, B_k the terms of optics.station_inputs,
-mixed by optics.mix_station for the station engine (bell) and for the
-verification oracles' network (optics.run_network) alike. station_vectors
-reduces a station to the Gram matrix G of its terms and their favorable
-amplitudes f at (c, d) = (1, 0), exactly one photon at the counting port
-and none at the veto port, the -1 outcome. With W = conj(w) w^T each
-weight is a rank-2 contraction, and the (N+1)^4 output is never built:
+w = optics.PAIR_WEIGHTS and A_k, B_k each station's terms: the images of
+its oscillator with k or 1 - k ph photons, mixed by optics.mix_station in
+one pass over all of a network's settings, for the station engine (bell)
+and for the verification oracles' network (optics.run_network) alike.
+station_vectors reads every setting of a pass at once, reducing each to
+the Gram matrix G of its terms, in the term order optics.station_inputs
+decides, and their favorable amplitudes f at (c, d) = (1, 0), exactly one
+photon at the counting port and none at the veto port, the -1 outcome.
+With W = conj(w) w^T each weight is a rank-2 contraction, and the
+(N+1)^4 output is never built:
 
     <psi|psi>      = sum W G_A G_B
     p_A <psi|psi>  = sum W conj(f_A) f_A^T G_B
@@ -21,6 +24,8 @@ so p_A, p_B, p_AB and their complements share one normalization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .optics import PAIR_WEIGHTS
@@ -31,11 +36,21 @@ WEIGHT_PAIRS = np.outer(PAIR_WEIGHTS.conj(), PAIR_WEIGHTS).ravel().tolist()
 _WEIGHTS = PAIR_WEIGHTS.tolist()
 
 
-def station_vectors(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix <V_k|V_l> of a station's output columns V_k =
-    terms[..., k], and their favorable (1, 0) amplitudes."""
-    flat = terms.reshape(-1, terms.shape[-1])
-    return flat.conj().T @ flat, terms[1, 0]
+def station_vectors(images: np.ndarray, terms: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Every setting of one optics.mix_station pass read at once: the Gram
+    matrices <V_k|V_l> of each setting's terms V_k and their favorable
+    (1, 0) amplitudes.
+
+    Column j of images.reshape(N+1, N+1, -1) is one image, and terms[i, k]
+    the column of setting i's term k (optics.station_inputs). One Gram
+    matmul over all of the pass's columns, then one index each for the
+    settings' blocks and for the favorable row, give grams[i] (m, m) and
+    favs[i] (m,) for the m terms of setting i."""
+    flat = images.reshape(-1, images.shape[2] * images.shape[3])
+    gram = flat.conj().T @ flat
+    return (gram[terms[:, :, None], terms[:, None, :]],
+            images[1, 0].reshape(-1)[terms])
 
 
 def _weighted_sum(x, y) -> float:
@@ -55,7 +70,8 @@ def pair_probabilities(alice, bob) -> tuple[float, float, float, float]:
     stations' station_vectors: the favorable probability at Alice, at Bob
     and at both at once, each divided by the norm, and the norm. Each
     station must hold two terms, a (2, 2) Gram matrix and a (2,) favorable
-    vector; the sums run on plain Python complex numbers."""
+    vector; the sums run on plain Python complex numbers. A norm that is 0
+    or not finite (a state with no weight within the cutoff) is refused."""
     for gram, fav in (alice, bob):
         if gram.shape != (2, 2) or fav.shape != (2,):
             raise ValueError("a station needs a (2, 2) Gram matrix and a (2,) "
@@ -64,6 +80,11 @@ def pair_probabilities(alice, bob) -> tuple[float, float, float, float]:
     gram_a, gram_b = gram_a.ravel().tolist(), gram_b.ravel().tolist()
     (a0, a1), (b0, b1), (w0, w1) = a.tolist(), b.tolist(), _WEIGHTS
     norm = _weighted_sum(gram_a, gram_b)
+    if not 0.0 < norm < math.inf:  # written so that NaN is refused too
+        raise ValueError(f"the truncated norm <psi|psi> = {norm!r} leaves no "
+                         "probability to condition on: the state has no finite "
+                         "weight within the per-mode cutoff N; raise the cutoff "
+                         "(cutoff_n) or lower alpha_sq")
     p_a = _weighted_sum(_outer(a0, a1), gram_b)
     p_b = _weighted_sum(gram_a, _outer(b0, b1))
     p_ab = abs(w0 * a0 * b0 + w1 * a1 * b1) ** 2
@@ -72,7 +93,7 @@ def pair_probabilities(alice, bob) -> tuple[float, float, float, float]:
 
 def favorable_probs(network: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[float, float, float, float]:
-    """pair_probabilities of a network (alice_terms, bob_terms) as
-    optics.run_network returns it."""
-    alice, bob = network
-    return pair_probabilities(station_vectors(alice), station_vectors(bob))
+    """pair_probabilities of a network (images, terms) as
+    optics.run_network returns it: Alice's setting, then Bob's."""
+    grams, favs = station_vectors(*network)
+    return pair_probabilities((grams[0], favs[0]), (grams[1], favs[1]))

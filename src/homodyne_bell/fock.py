@@ -21,11 +21,11 @@ import numpy as np
 MAX_ALPHA_SQ = 700.0
 
 # Largest per-mode cutoff any engine accepts. No engine builds an (N+1)^4
-# array: the largest left are split's mix_station of a station's 2 (N+1)
-# basis columns (2 (N+1)^3 amplitudes, 8.4 MB at N = 63) and mix_station's
-# per-cutoff mixing table (2 (N+1)(N+2)^2 eigenvector products, 4.3 MB at
-# N = 63). verify resolves at most N = 26 at the default tail; alpha_sq = 50
-# resolves to N = 108.
+# array: the largest left are split's station observable, one mix_station
+# pass per angle over the N + 1 unit oscillators (2 (N+1)^3 amplitudes,
+# 8.4 MB at N = 63), and mix_station's per-cutoff mixing table
+# (2 (N+1)(N+2)^2 eigenvector products, 4.3 MB at N = 63). verify resolves
+# at most N = 26 at the default tail; alpha_sq = 50 resolves to N = 108.
 MAX_CUTOFF = 63
 
 # Smallest tail budget required_cutoff resolves: below it the Poisson terms
@@ -97,7 +97,8 @@ class CutoffSpec:
         return n
 
 
-def coherent_state(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
+def coherent_state(alpha, cutoff: int
+                   ) -> tuple[np.ndarray, float | tuple[float, ...]]:
     """Truncated coherent amplitudes c_0..c_cutoff and their dropped tail.
 
     c_n = e^{-|a|^2/2} a^n / sqrt(n!), the running product (cumprod, no
@@ -107,24 +108,36 @@ def coherent_state(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
     as the running product of e^{-|a|^2}, |a|^2 / 1, ..., |a|^2 / cutoff
     on real numbers. A rounding error in |a|^2 moves that sum only by
     p_cutoff times the error but every c_n by |a|^2 / 2 times it, so
-    1 - sum |c_n|^2 would miss the tail by about 4e-15 at |a|^2 = 22. A
-    non-finite alpha is refused before any allocation.
+    1 - sum |c_n|^2 would miss the tail by about 4e-15 at |a|^2 = 22.
+
+    alpha is one amplitude, or a tuple or list of them (one per station):
+    then every row comes from the same cumprod, amps is (len(alpha),
+    cutoff + 1) and the tail a tuple, each row bit for bit the row of a
+    call with that amplitude alone. A non-finite alpha is refused before
+    any allocation.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    mag = abs(alpha)
-    if mag > MAX_ALPHA_SQ or mag ** 2 > MAX_ALPHA_SQ:  # no square overflows
-        raise ValueError(f"|alpha|={mag:g} exceeds the float-safe range "
-                         f"(|alpha|^2 at most {MAX_ALPHA_SQ:g})")
-    mag_sq = mag ** 2
+    several = isinstance(alpha, (tuple, list))
+    alphas = tuple(alpha) if several else (alpha,)
+    mag_sq = []
+    for a in alphas:
+        if not cmath.isfinite(a):
+            raise ValueError(f"alpha must be finite, got {a}")
+        mag = abs(a)
+        if mag > MAX_ALPHA_SQ or mag ** 2 > MAX_ALPHA_SQ:  # no square overflows
+            raise ValueError(f"|alpha|={mag:g} exceeds the float-safe range "
+                             f"(|alpha|^2 at most {MAX_ALPHA_SQ:g})")
+        mag_sq.append(mag ** 2)
     n = np.arange(1.0, cutoff + 1)
-    factors = np.empty((2, cutoff + 1), dtype=np.complex128)
-    factors[0, 0] = math.exp(-mag_sq / 2.0)
-    factors[1, 0] = math.exp(-mag_sq)
-    factors[0, 1:] = alpha / np.sqrt(n)
-    factors[1, 1:] = mag_sq / n
-    amps, poisson = factors.cumprod(axis=1)
+    factors = np.empty((len(alphas), 2, cutoff + 1), dtype=np.complex128)
+    factors[:, 0, 0] = [math.exp(-m / 2.0) for m in mag_sq]
+    factors[:, 1, 0] = [math.exp(-m) for m in mag_sq]
+    factors[:, 0, 1:] = np.divide.outer(alphas, np.sqrt(n))
+    factors[:, 1, 1:] = np.divide.outer(mag_sq, n)
+    running = factors.cumprod(axis=2)
+    amps = running[:, 0]
     amps.setflags(write=False)
-    return amps, max(0.0, 1.0 - float(poisson.real.sum()))
+    tails = tuple(max(0.0, 1.0 - tail)
+                  for tail in running[:, 1].real.sum(axis=1).tolist())
+    return (amps, tails) if several else (amps[0], tails[0])

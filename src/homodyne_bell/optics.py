@@ -13,15 +13,20 @@ argument used by the analytic module corresponds to phi2 - phi1 of the two
 local-oscillator phases (see analytic module notes).
 
 The input holds at most one photon at each ph port: its support is
-input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2), and
-station_inputs gives each station's two input terms as splitter columns.
-mix_station mixes them, every output mode cut at the per-mode cutoff N:
-one batched contraction of the phases with a per-cutoff table of the
-mixing generator's eigendecomposition (its eigenvalues and the eigenvector
-products of the two block columns a station input reaches), then one
-gather of the mixed rows into the output occupations. The station
-engine (bell) and the verification oracles' network (run_network) both
-mix through it.
+input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2), and what a
+station holds is its truncated oscillator on the lo port with 0 or 1
+photon on the ph port. mix_station takes one oscillator per setting and
+the angles of all of a pass's settings, and returns every setting's images
+of lo (x) |0> and lo (x) |1> in one pass, every output mode cut at the
+per-mode cutoff N: the mixing generator's spectrum is exact, so one real
+product of a per-cutoff eigenvector table with every setting's phases
+gives the block columns a station input reaches, one elementwise product
+applies the input, and one gather places the mixed rows into the output
+occupations. station_inputs gives a pass's oscillators and its term
+columns, where the term order of sum_k w_k A_k (x) B_k is decided: the
+station engine (bell) mixes all four settings of a record in one pass, and
+the verification oracles' network (run_network) both stations' settings in
+one.
 """
 
 from __future__ import annotations
@@ -80,15 +85,14 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
     return ExperimentConfig(alpha_sq, alpha_sq, 0.0, dphi, cutoff)
 
 
-def _oscillators(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Both stations' truncated oscillators at the per-mode cutoff N. The
-    cutoff is resolved first, so a config above MAX_CUTOFF is refused
-    before any allocation."""
+def _oscillators(config: ExperimentConfig) -> np.ndarray:
+    """Both stations' truncated oscillators at the per-mode cutoff N, rows
+    (Alice, Bob) of one coherent_state call. The cutoff is resolved first,
+    so a config above MAX_CUTOFF is refused before any allocation."""
     n = config.resolve_cutoff()
-    return (coherent_state(math.sqrt(config.alpha1_sq)
-                           * cmath.exp(1j * config.phi1), n)[0],
-            coherent_state(math.sqrt(config.alpha2_sq)
-                           * cmath.exp(1j * config.phi2), n)[0])
+    return coherent_state((math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1),
+                           math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)),
+                          n)[0]
 
 
 def input_support(config: ExperimentConfig) -> np.ndarray:
@@ -101,16 +105,38 @@ def input_support(config: ExperimentConfig) -> np.ndarray:
     return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
 
 
-def station_inputs(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Both stations' input terms as splitter columns, each (N+1, 2, 2), in
-    the term order of sum_k w_k A_k (x) B_k: column k holds the truncated
-    oscillator on the lo port, with k photons on Alice's ph port and
-    1 - k on Bob's."""
-    lo1, lo2 = _oscillators(config)
-    columns = np.zeros((2, len(lo1), 2, 2), dtype=np.complex128)
-    columns[0, :, 0, 0] = columns[0, :, 1, 1] = lo1
-    columns[1, :, 1, 0] = columns[1, :, 0, 1] = lo2
-    return columns[0], columns[1]
+@lru_cache(maxsize=16)
+def _term_columns(alice: int, bob: int) -> np.ndarray:
+    """The term columns of a pass over `alice` settings of Alice's station
+    and then `bob` of Bob's: row i lists, in the term order of
+    sum_k w_k A_k (x) B_k, the columns s * (alice + bob) + i of
+    mix_station's output, reshaped to (N+1, N+1, -1), that hold setting
+    i's terms. Alice's term k holds k ph photons and Bob's 1 - k, so his
+    row lists the ph-1 image first. Read-only."""
+    settings = alice + bob
+    ph = np.array([(0, 1)] * alice + [(1, 0)] * bob, dtype=np.intp).reshape(-1, 2)
+    columns = ph * settings + np.arange(settings)[:, None]
+    columns.setflags(write=False)
+    return columns
+
+
+def station_inputs(config: ExperimentConfig, alice: int,
+                   bob: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs of one mix_station pass over `alice` settings of Alice's
+    station and then `bob` of Bob's: each setting's truncated oscillator,
+    (alice + bob, N + 1), and the pass's term columns (_term_columns), by
+    which detection.station_vectors reads each setting's terms."""
+    return (_oscillators(config).repeat((alice, bob), axis=0),
+            _term_columns(alice, bob))
+
+
+def support_inputs(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs of one mix_station pass over a station's input support at
+    `cutoff`: the unit oscillators |a>, a = 0..cutoff, one per setting, and
+    one row of term columns listing the pass's images in the support's
+    flat order 2a + b (the image of |a, b> is column b (cutoff + 1) + a)."""
+    stride = cutoff + 1
+    return np.eye(stride), np.arange(2 * stride).reshape(2, stride).T.reshape(1, -1)
 
 
 @lru_cache(maxsize=512)
@@ -128,92 +154,100 @@ def _mixing_eig(total: int):
     return lam, vec
 
 
-# The mixing table of one cutoff: (N+2)^2 eigenvalues, 2 (N+1)(N+2)^2
-# eigenvector products (557 KB at N = 31, 4.3 MB at N = 63) and the gather
-# index; an engine touches a few cutoffs, so one slot per cutoff bounds
-# the cache.
+# The mixing table of one cutoff: 2 (N+1)(N+2)^2 eigenvector products
+# (4.3 MB at N = 63), the phase exponents and two indices; an engine
+# touches a few cutoffs, so one slot per cutoff bounds the cache.
 @lru_cache(maxsize=MAX_CUTOFF)
-def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Angle-free mixing table of a station cut at `cutoff`, read-only.
 
-    Within total photon number t the mixing block is
-    vec diag(e^{i theta lam / 2}) vec^T in the eigenbasis of _mixing_eig(t),
-    indexed by the lo-mode count. A station input holds at most one ph
-    photon, so it reaches only block columns m = t (ph count 0) and
-    m = t - 1 (ph count 1), and t <= cutoff + 1. Returns
+    Within total photon number t the mixing generator is 2 J_x of spin
+    t / 2: its eigenvalues are exactly 2j - t, j = 0..t, so with the
+    eigenvectors vec of _mixing_eig(t) the mixing block, indexed by the
+    lo-mode count, is e^{-i theta t / 2} vec diag(e^{i theta j}) vec^T. A
+    station input holds at most one ph photon, so it reaches only block
+    columns m = t (ph count 0) and m = t - 1 (ph count 1), and
+    t <= cutoff + 1. Returns
 
-    - lam[t, j]: the eigenvalues of total t, zero-padded to (N+2, N+2);
-    - prod[t, 2c + s, j] = vec[c, j] vec[t - s, j] for output rows c <= N,
-      zero where c > t or the input count t - s falls outside [0, N];
+    - prod[(t, c, s), j] = vec[c, j] vec[t - s, j] for output rows c <= N,
+      as a (N+2)(N+1)2 x (N+2) matrix, zero where c > t or the input
+      count t - s falls outside [0, N];
+    - exponents: i j for j = 0..N+1, then -i t / 2 for t = 0..N+1, the
+      phases' exponents per unit angle;
+    - source[t, s] = t - s clipped to [0, N]: the lo count of input (t, s),
+      clipped only where prod is zero;
     - take[c (N+1) + d]: the row of the mixed (t, c) rows that output
       pair (c, d) reads in one gather, (c + d)(N+1) + c where
       c + d <= N + 1. Every other output reads row 1, (t, c) = (0, 1),
-      which is exactly zero: prod[0, 2 + s] is zero, since no total-0
+      which is exactly zero: prod[(0, 1, s)] is zero, since no total-0
       input reaches c = 1.
     """
     stride, totals = cutoff + 1, cutoff + 2
-    lam = np.zeros((totals, totals))
     prod = np.zeros((totals, stride, 2, totals))
     for t in range(totals):
-        lam_t, vec = _mixing_eig(t)
-        lam[t, :t + 1] = lam_t
+        vec = _mixing_eig(t)[1]
         rows = vec[:min(t, cutoff) + 1]
         if t <= cutoff:
             prod[t, :len(rows), 0, :t + 1] = rows * vec[t]
         if t >= 1:
             prod[t, :len(rows), 1, :t + 1] = rows * vec[t - 1]
+    prod = prod.reshape(-1, totals)
+    steps = np.arange(totals)
+    exponents = np.concatenate((1j * steps, -0.5j * steps))
+    source = np.clip(steps[:, None] - np.arange(2), 0, cutoff)
     c, d = np.divmod(np.arange(stride * stride), stride)
     take = np.where(c + d <= cutoff + 1, (c + d) * stride + c, 1)
-    prod = prod.reshape(totals, 2 * stride, totals)
-    for array in (lam, prod, take):
+    for array in (prod, exponents, source, take):
         array.setflags(write=False)
-    return lam, prod, take
+    return prod, exponents, source, take
 
 
-def mix_station(columns: np.ndarray, theta: float) -> np.ndarray:
-    """Input columns of one station mixed at angle theta.
+def mix_station(lo: np.ndarray, angles) -> np.ndarray:
+    """The images of lo (x) |0> and lo (x) |1> for every setting of one
+    pass, each setting's oscillator mixed at its angle.
 
-    columns[a, b, k] is the amplitude of input occupation (lo = a, ph = b)
-    in column k, with b in {0, 1} and a up to the station cutoff
-    columns.shape[0] - 1. Returns out[c, d, k], the amplitude of output
-    occupation (c, d) for column k, both output modes cut at the station
-    cutoff.
+    lo[i] is setting i's oscillator on the lo port, amplitudes up to the
+    station cutoff lo.shape[1] - 1, and angles[i] its angle. Returns
+    out[c, d, s, i], the amplitude of output occupation (c, d) in the image
+    of lo[i] (x) |s> at angles[i], both output modes cut at the station
+    cutoff; column s * len(angles) + i of out.reshape(N+1, N+1, -1).
 
-    All totals t <= cutoff + 1 are mixed in one batched pass over the
-    cutoff's _pair_block table, with no loop over t: one real product of
-    the eigenvector products with the phases e^{i theta lam / 2}, as
-    (cos, sin) pairs, gives the two block columns M[t, c, s] each total's
-    input reaches, one product with the inputs x[t, s, k] =
-    columns[t - s, s, k] gives the mixed rows (t, c), and one gather (the
-    table's take index) reads out[c, d, k] from row (c + d, c). That is
-    O(N^3) per angle. The input holds at most cutoff + 1 photons and mixing
-    conserves the pair's photon number, so every output of total above
-    cutoff + 1 is exactly zero (the gather reads it from a row that is
-    zero by construction), and so is every product of two columns' outputs
-    at different totals.
+    Every setting and every total t <= cutoff + 1 is mixed in one pass over
+    the cutoff's _pair_block table, with no loop: one real product of the
+    eigenvector products with the phases e^{i theta j} of every angle, as
+    (cos, sin) pairs, gives each total's two block columns M[t, c, s] up
+    to the phase e^{-i theta t / 2}; one elementwise product with that phase
+    and the input lo[t - s] gives the mixed rows (t, c), and one gather
+    (the table's take index) reads out[c, d] from row (c + d, c). That is
+    O(N^3) per setting. The settings of a pass share only the one product:
+    its BLAS kernel depends on the pass's width, so a setting's images
+    match those of a one-setting pass to rounding, not always bit for bit.
+    The input holds at most cutoff + 1 photons and mixing conserves the
+    pair's photon number, so every output of total above cutoff + 1 is
+    exactly zero (the gather reads it from a row that is zero by
+    construction), and so is every product of two images' outputs at
+    different totals.
     """
-    cutoff = columns.shape[0] - 1
-    if cutoff < 1:
+    settings, stride = lo.shape
+    if stride < 2:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
-    stride, width = cutoff + 1, columns.shape[2]
-    lam, prod, take = _pair_block(cutoff)
-    # complex entries are read as their (re, im) pairs and back: the phases
-    # e^{i theta lam / 2} as (cos, sin), the product as the block columns
-    trig = np.exp((0.5j * theta) * lam).view(np.float64).reshape(lam.shape + (2,))
-    block = (prod @ trig).view(np.complex128).reshape(cutoff + 2, stride, 2)
-    inputs = np.zeros((cutoff + 2, 2, width), dtype=np.complex128)
-    inputs[:-1, 0] = columns[:, 0]
-    inputs[1:, 1] = columns[:, 1]
-    mixed = (block @ inputs).reshape(-1, width)
-    return mixed.take(take, axis=0).reshape(stride, stride, width)
+    totals = stride + 1
+    prod, exponents, source, take = _pair_block(stride - 1)
+    phases = np.exp(np.multiply.outer(exponents, angles))
+    # the phases e^{i theta j} read as (cos, sin) pairs, and the product
+    # read back as complex block columns
+    mixed = (prod @ phases[:totals].view(np.float64)).view(np.complex128)
+    mixed = mixed.reshape(totals, stride, 2, settings)
+    mixed *= (lo.T[source] * phases[totals:, None])[:, None]
+    return mixed.reshape(totals * stride, 2 * settings).take(take, axis=0).reshape(
+        stride, stride, 2, settings)
 
 
 def run_network(config: ExperimentConfig, xi: float,
                 eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The network as its two stations' mixed input terms (alice, bob),
-    each (N+1, N+1, 2): entry [c, d, k] is the amplitude of output |c, d>
-    in term k of sum_k w_k A_k (x) B_k, Alice's station mixed at xi and
-    Bob's at eta by mix_station, as in bell.evaluate_settings.
+    """The network as (images, terms): one mix_station pass, Alice's
+    station at xi and Bob's at eta, and its term columns
+    (station_inputs(config, 1, 1)), as in bell.evaluate_settings.
     detection.favorable_probs reads it out."""
-    alice_in, bob_in = station_inputs(config)
-    return mix_station(alice_in, xi), mix_station(bob_in, eta)
+    lo, terms = station_inputs(config, 1, 1)
+    return mix_station(lo, (xi, eta)), terms

@@ -17,6 +17,7 @@ from dense_oracle import (
     propagate,
 )
 from test_optics import pair_unitary
+from homodyne_bell import bell, optics
 from homodyne_bell.bell import (
     BellRecord,
     SettingsQuadruple,
@@ -193,26 +194,55 @@ class TestStationFactorization:
         # at all
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
         lo, _ = coherent_state(alpha, cutoff)
-        columns = np.zeros((cutoff + 1, 2, 2), dtype=complex)
-        columns[:, 0, 0] = lo
-        columns[:, 1, 1] = lo
-        terms = mix_station(columns, theta)
-        assert terms.shape == (cutoff + 1, cutoff + 1, 2)
+        images = mix_station(lo[None], (theta,))
+        assert images.shape == (cutoff + 1, cutoff + 1, 2, 1)
         unitary = pair_unitary(theta, cutoff, cutoff)
         closed = dense_station_columns(theta, cutoff)
-        for k in (0, 1):
+        for s in (0, 1):
             station = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-            station[:, k] = lo
+            station[:, s] = lo
             full = (unitary @ station.reshape(-1)).reshape(station.shape)
-            assert np.max(np.abs(terms[..., k] - full)) <= 1e-15
+            assert np.max(np.abs(images[:, :, s, 0] - full)) <= 1e-15
             # mix_station's eigendecomposed mixing carries up to ~6e-15 of
             # rounding (test_optics.TestStationColumns)
-            independent = np.tensordot(closed[:, :, :, k], lo, axes=(2, 0))
-            assert np.max(np.abs(terms[..., k] - independent)) <= 1e-14
+            independent = np.tensordot(closed[:, :, :, s], lo, axes=(2, 0))
+            assert np.max(np.abs(images[:, :, s, 0] - independent)) <= 1e-14
 
     def test_station_needs_room_for_the_photon(self):
         with pytest.raises(ValueError):
-            mix_station(np.ones((1, 2, 1)), 0.3)
+            mix_station(np.ones((1, 1)), (0.3,))
+
+
+class TestOnePassPerNetwork:
+    """Every setting of a network is mixed in one mix_station pass: a
+    record's four settings in one call, the verify oracle's network in
+    one, split's station observable in one per distinct angle. A loop over
+    angles that comes back fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"bell": 0, "optics": 0}
+        for name, module in (("bell", bell), ("optics", optics)):
+            def counted(lo, angles, _mix=module.mix_station, _name=name):
+                counts[_name] += 1
+                return _mix(lo, angles)
+            monkeypatch.setattr(module, "mix_station", counted)
+        return counts
+
+    @pytest.mark.parametrize("angles", [(0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.5, 0.5)],
+                             ids=["distinct", "repeated"])
+    def test_one_call_per_record(self, calls, angles):
+        evaluate_settings(ExperimentConfig(1.3, 0.4, 0.2, 1.1), *angles)
+        assert calls == {"bell": 1, "optics": 0}
+
+    def test_one_call_per_network(self, calls):
+        optics.run_network(ExperimentConfig(1.3, 0.4, 0.2, 1.1), 0.7, 2.1)
+        assert calls == {"bell": 0, "optics": 1}
+
+    def test_one_call_per_observable_angle(self, calls):
+        quad = reference_quadruple()
+        chsh_decomposition(split_state(symmetric_config(0.6, 0.3)), quad)
+        assert calls == {"bell": len(set(quad.settings)), "optics": 0}
 
 
 class TestSettingsQuadruple:

@@ -528,6 +528,18 @@ class TestFigure:
         assert "exceeds the limit N=63" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spot_check_without_weight_in_the_cutoff_refused(self, tmp_path,
+                                                            capsys):
+        # at alpha_sq 700 and N = 1 every truncated amplitude underflows to
+        # 0, so the spot-check's norm is 0: a config error, not a traceback
+        cfg = write_config(tmp_path, {"cutoff_n": 1, "figure_alpha_sq_max": 700,
+                                      "crosscheck_fraction": 1.0})
+        assert run_cli(["figure", "--config", cfg, "--grid", "2x2",
+                        "--out", tmp_path / "g.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the truncated norm")
+        assert "per-mode cutoff" in err
+
     @pytest.mark.parametrize("flag,value", [("--dphi", "nan"),
                                             ("--xi-minus-eta", "inf")])
     def test_bad_angle_rejected_before_writing(self, tmp_path, capsys,

@@ -19,6 +19,7 @@ from homodyne_bell.optics import (
     ExperimentConfig,
     input_support,
     run_network,
+    station_inputs,
     symmetric_config,
 )
 
@@ -46,9 +47,9 @@ def enumerated_correlator(out):
 
 
 def scaled(network, z):
-    """The network of z times its output: Alice's terms scaled."""
-    alice, bob = network
-    return z * alice, bob
+    """The network of z times its output: Alice's images scaled."""
+    images, terms = network
+    return images * np.array([z, 1.0]), terms
 
 
 def dense(config, xi, eta):
@@ -66,9 +67,10 @@ def random_point(rng, alpha_sq_hi=3.0):
 class TestMarginals:
     def test_vacuum_has_no_favorable_events(self):
         # both terms of both stations hold |0, 0>
-        vac = np.zeros((3, 3, 2), dtype=complex)
+        vac = np.zeros((3, 3, 2, 2), dtype=complex)
         vac[0, 0] = 1.0
-        p_a, p_b, p_ab, norm = favorable_probs((vac, vac))
+        terms = station_inputs(symmetric_config(0.0), 1, 1)[1]
+        p_a, p_b, p_ab, norm = favorable_probs((vac, terms))
         assert (p_a, p_b, p_ab) == (0.0, 0.0, 0.0)
         assert norm == pytest.approx(1.0, abs=1e-15)
 
@@ -255,6 +257,15 @@ class TestStationShape:
         stations = (bad, self.GOOD) if side == "alice" else (self.GOOD, bad)
         with pytest.raises(ValueError, match=r"needs a \(2, 2\) Gram matrix"):
             pair_probabilities(*stations)
+
+
+    @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf])
+    def test_refuses_a_norm_without_weight(self, scale):
+        # a state with no weight within the cutoff would divide by zero
+        gram = np.diag([scale, scale]).astype(complex)
+        fav = np.zeros(2, dtype=complex)
+        with pytest.raises(ValueError, match="truncated norm"):
+            pair_probabilities((gram, fav), self.GOOD)
 
 
 class TestScale:

@@ -107,6 +107,22 @@ class TestCoherentState:
         expected = math.exp(-abs(alpha) ** 2 / 2) * alpha ** 3 / math.sqrt(6.0)
         assert amps[3] == pytest.approx(expected, abs=1e-14)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(alpha_sq=st.tuples(st.floats(0.0, 22.0), st.floats(0.0, 22.0)),
+           phases=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+           cutoff=st.integers(0, 63))
+    def test_stations_in_one_build_match_one_at_a_time(self, alpha_sq, phases,
+                                                       cutoff):
+        # both stations' rows come from one cumprod, bit for bit the rows
+        # and tails of one call per station
+        alphas = [math.sqrt(a) * cmath.exp(1j * p) for a, p in zip(alpha_sq, phases)]
+        amps, tails = coherent_state(alphas, cutoff)
+        assert amps.shape == (2, cutoff + 1) and not amps.flags.writeable
+        for row, tail, alpha in zip(amps, tails, alphas):
+            alone, alone_tail = coherent_state(alpha, cutoff)
+            assert row.tobytes() == alone.tobytes()
+            assert tail == alone_tail
+
     @pytest.mark.parametrize("alpha", [math.nan, complex(1.0, math.nan),
                                        math.inf, complex(0.5, -math.inf)])
     def test_non_finite_alpha_refused_before_allocating(self, alpha, monkeypatch):

@@ -17,6 +17,7 @@ from homodyne_bell.optics import (
     input_support,
     mix_station,
     run_network,
+    station_inputs,
     symmetric_config,
 )
 
@@ -62,34 +63,47 @@ def pair_unitary(theta, n_lo, n_ph):
         shape=(dim, dim))
 
 
-def full_block_mix(columns, theta):
-    """mix_station's output from the full pair unitary, every block up to
-    total 2 * cutoff applied to the columns placed in the pair space."""
-    stride = columns.shape[0]
-    inputs = np.zeros((stride, stride, columns.shape[2]), dtype=complex)
-    inputs[:, :2] = columns
-    flat = pair_unitary(theta, stride - 1, stride - 1) @ inputs.reshape(stride ** 2, -1)
-    return flat.reshape(inputs.shape)
+def full_block_images(lo, angles):
+    """mix_station's images from the full pair unitary: every block up to
+    total 2 * cutoff applied to lo[i] (x) |s> placed in the pair space,
+    laid out like mix_station's out[c, d, s, i]."""
+    settings, stride = lo.shape
+    out = np.zeros((stride, stride, 2, settings), dtype=complex)
+    unitaries = {theta: pair_unitary(theta, stride - 1, stride - 1)
+                 for theta in set(angles)}
+    for i, theta in enumerate(angles):
+        unitary = unitaries[theta]
+        for s in (0, 1):
+            inputs = np.zeros((stride, stride), dtype=complex)
+            inputs[:, s] = lo[i]
+            out[:, :, s, i] = (unitary @ inputs.reshape(-1)).reshape(stride, stride)
+    return out
 
 
-def scatter_mix(columns, theta):
-    """mix_station's mixed (t, c) rows as it computes them, and its output
-    as the scatter it made before its one gather: zeros, then
-    out[c, d] = mixed row (c + d, c) at every c + d <= N + 1."""
-    cutoff = columns.shape[0] - 1
-    stride, width = cutoff + 1, columns.shape[2]
-    lam, prod, _ = _pair_block(cutoff)
-    trig = np.exp((0.5j * theta) * lam).view(np.float64).reshape(lam.shape + (2,))
-    block = (prod @ trig).view(np.complex128).reshape(cutoff + 2, stride, 2)
-    inputs = np.zeros((cutoff + 2, 2, width), dtype=np.complex128)
-    inputs[:-1, 0] = columns[:, 0]
-    inputs[1:, 1] = columns[:, 1]
-    mixed = (block @ inputs).reshape(-1, width)
+def scatter_mix(lo, angles):
+    """mix_station's mixed (t, c, s) rows as it computes them, and its
+    output as the scatter of those rows, without its one gather: zeros,
+    then out[c, d] = mixed row (c + d, c) at every c + d <= N + 1."""
+    settings, stride = lo.shape
+    cutoff, totals = stride - 1, stride + 1
+    prod, exponents, source, _ = _pair_block(cutoff)
+    phases = np.exp(np.multiply.outer(exponents, angles))
+    mixed = (prod @ phases[:totals].view(np.float64)).view(np.complex128)
+    mixed = mixed.reshape(totals, stride, 2, settings)
+    mixed *= (lo.T[source] * phases[totals:, None])[:, None]
+    mixed = mixed.reshape(totals * stride, 2 * settings)
     c, d = np.divmod(np.arange(stride * stride), stride)
     dest = np.flatnonzero(c + d <= cutoff + 1)
-    out = np.zeros((stride * stride, width), dtype=np.complex128)
+    out = np.zeros((stride * stride, 2 * settings), dtype=np.complex128)
     out[dest] = mixed[(c + d)[dest] * stride + c[dest]]
-    return mixed, out.reshape(stride, stride, width)
+    return mixed, out.reshape(stride, stride, 2, settings)
+
+
+def random_oscillators(seed, settings, cutoff):
+    """Unit-norm random complex oscillators, one row per setting."""
+    lo = np.random.default_rng(seed).standard_normal(
+        (settings, cutoff + 1, 2)) @ (1.0, 1.0j)
+    return lo / np.linalg.norm(lo, axis=1, keepdims=True)
 
 
 def mixing_matrix_oracle(theta, n_lo, n_ph):
@@ -131,11 +145,12 @@ def support_index(cutoff):
 
 
 def mixed_columns(theta, cutoff):
-    """mix_station of every basis input |a, b <= 1>, laid out like
-    dense_station_columns: u[c, d, a, b]."""
-    dim = 2 * (cutoff + 1)
-    basis = np.eye(dim).reshape(cutoff + 1, 2, dim)
-    return mix_station(basis, theta).reshape((cutoff + 1,) * 3 + (2,))
+    """mix_station of every basis input |a, b <= 1> (one pass over the unit
+    oscillators |a>, all at theta), laid out like dense_station_columns:
+    u[c, d, a, b]."""
+    stride = cutoff + 1
+    images = mix_station(np.eye(stride), np.full(stride, theta))
+    return images.transpose(0, 1, 3, 2)
 
 
 def mixed_basis(theta, cutoff):
@@ -180,21 +195,39 @@ MIX_CUTOFFS = st.sampled_from(list(range(1, 13)) + [26, 31, 63])
 
 
 class TestMixStation:
-    """The batched mixer against the full mixing blocks, applied block by
+    """The one-pass mixer against the full mixing blocks, applied block by
     block to the whole pair space."""
 
     @COLUMN_SETTINGS
-    @given(theta=ANGLES, cutoff=MIX_CUTOFFS,
-           width=st.sampled_from(("one", "two", "support")),
+    @given(angles=st.lists(ANGLES, min_size=1, max_size=4), cutoff=MIX_CUTOFFS,
+           unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_blocks(self, angles, cutoff, unit, seed):
+        if unit:
+            # split's pass: the unit oscillators |a>, all at one angle
+            lo, angles = np.eye(cutoff + 1), [angles[0]] * (cutoff + 1)
+        else:
+            lo = random_oscillators(seed, len(angles), cutoff)
+        images = mix_station(lo, angles)
+        assert images.shape == (cutoff + 1, cutoff + 1, 2, len(angles))
+        assert np.max(np.abs(images - full_block_images(lo, angles))) <= 1e-14
+
+    @COLUMN_SETTINGS
+    @given(angles=st.lists(ANGLES, min_size=2, max_size=6),
+           cutoff=st.integers(1, MAX_CUTOFF), real=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_full_blocks(self, theta, cutoff, width, seed):
-        k = {"one": 1, "two": 2, "support": 2 * (cutoff + 1)}[width]
-        columns = np.random.default_rng(seed).standard_normal(
-            (cutoff + 1, 2, k, 2)) @ (1.0, 1.0j)
-        columns /= np.linalg.norm(columns.reshape(-1, k), axis=0)
-        mixed = mix_station(columns, theta)
-        assert mixed.shape == (cutoff + 1, cutoff + 1, k)
-        assert np.max(np.abs(mixed - full_block_mix(columns, theta))) <= 1e-14
+    def test_one_pass_equals_one_setting_passes(self, angles, cutoff, real, seed):
+        # each setting's phases, input product and gather are its own, bit
+        # for bit; the one product of the eigenvector table with every
+        # setting's phases is a BLAS dgemm whose kernel depends on the
+        # product's width, so a pass's block columns may differ from a
+        # one-setting pass's in the last bits of the sum over j
+        lo = random_oscillators(seed, len(angles), cutoff)
+        if real:
+            lo = np.ascontiguousarray(lo.real)
+        images = mix_station(lo, angles)
+        for i, theta in enumerate(angles):
+            alone = mix_station(lo[i:i + 1], (theta,))[..., 0]
+            assert np.max(np.abs(images[..., i] - alone)) <= 1e-15
 
     @COLUMN_SETTINGS
     @given(theta=ANGLES, cutoff=MIX_CUTOFFS)
@@ -210,25 +243,36 @@ class TestMixStation:
         assert np.all(u[out_total[:, None] != total[None, :]] == 0.0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(theta=ANGLES, cutoff=st.integers(1, MAX_CUTOFF),
-           width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_gather_equals_the_scatter(self, theta, cutoff, width, seed):
-        columns = np.random.default_rng(seed).standard_normal(
-            (cutoff + 1, 2, width, 2)) @ (1.0, 1.0j)
-        mixed, scattered = scatter_mix(columns, theta)
-        # bit for bit, the sign of every zero included
-        assert mix_station(columns, theta).tobytes() == scattered.tobytes()
-        # the outputs past total cutoff + 1 read one row, exactly zero
+    @given(angles=st.lists(ANGLES, min_size=1, max_size=4),
+           cutoff=st.integers(1, MAX_CUTOFF), seed=st.integers(0, 2**32 - 1))
+    def test_gather_equals_the_scatter(self, angles, cutoff, seed):
+        lo = random_oscillators(seed, len(angles), cutoff)
+        mixed, scattered = scatter_mix(lo, angles)
+        images = mix_station(lo, angles)
         occ = np.arange(cutoff + 1)
-        outside = (occ[:, None] + occ > cutoff + 1).reshape(-1)
-        rows = np.unique(_pair_block(cutoff)[2][outside])
+        outside = occ[:, None] + occ > cutoff + 1
+        # bit for bit on the support, the sign of every zero included
+        assert images[~outside].tobytes() == scattered[~outside].tobytes()
+        # the outputs past total cutoff + 1 read one row, exactly zero (of
+        # either sign: the row is scaled by its input like any other)
+        rows = np.unique(_pair_block(cutoff)[3][outside.reshape(-1)])
         assert np.all(mixed[rows] == 0.0)
+        assert np.all(images[outside] == 0.0)
+
+    def test_generator_spectrum_is_exact(self):
+        # the phases e^{i theta j} e^{-i theta t / 2} rest on the generator
+        # of every total t a station reaches having the eigenvalues 2j - t
+        # of 2 J_x at spin t / 2, in eigh's ascending order
+        for total in range(MAX_CUTOFF + 2):
+            lam, _ = _mixing_eig(total)
+            exact = 2.0 * np.arange(total + 1) - total
+            assert np.max(np.abs(lam - exact)) <= 1e-12, total
 
     def test_one_table_per_cutoff(self):
         _pair_block.cache_clear()
-        columns = np.ones((11, 2, 2), dtype=complex)
+        lo = np.ones((1, 11), dtype=complex)
         for theta in np.linspace(0.0, 2.0 * math.pi, 50):
-            mix_station(columns, theta)
+            mix_station(lo, (theta,))
         info = _pair_block.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 49)
 
@@ -368,8 +412,8 @@ class TestInputState:
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
     def test_cutoff_limit(self):
-        # at N = 63 split's mix_station of a station's 2 (N+1) basis
-        # columns, 2 (N+1)^3 amplitudes, is the largest array left: 8 MiB
+        # at N = 63 split's mix_station pass over the N + 1 unit
+        # oscillators, 2 (N+1)^3 amplitudes, is the largest array left: 8 MiB
         assert MAX_CUTOFF == 63
         assert mixed_columns(0.3, MAX_CUTOFF).nbytes == 2 * 64 ** 3 * 16 == 8 * 2**20
         at_limit = ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=63))
@@ -405,6 +449,14 @@ class TestInputState:
         values[field] = value
         with pytest.raises(ValueError, match=f"^{field}(_sq)? must be finite"):
             ExperimentConfig(*values.values())
+
+
+def station_terms(network):
+    """The two stations' terms (alice, bob), each [c, d, k], read off a
+    network (images, terms) by its term columns."""
+    images, terms = network
+    flat = images.reshape(images.shape[:2] + (-1,))
+    return flat[..., terms[0]], flat[..., terms[1]]
 
 
 def embedded(support):
@@ -455,12 +507,9 @@ class TestNetwork:
         n = cfg.resolve_cutoff()
         lo1 = coherent_state(math.sqrt(a1_sq) * np.exp(1j * phi1), n)[0]
         lo2 = coherent_state(math.sqrt(a2_sq) * np.exp(1j * phi2), n)[0]
-        terms_a = np.zeros((n + 1, 2, 2), dtype=complex)
-        terms_b = np.zeros((n + 1, 2, 2), dtype=complex)
-        for k in (0, 1):
-            terms_a[:, k, k] = lo1
-            terms_b[:, 1 - k, k] = lo2
-        a_k, b_k = mix_station(terms_a, xi), mix_station(terms_b, eta)
+        images = mix_station(np.stack((lo1, lo2)), (xi, eta))
+        # term k holds k photons at Alice's ph port and 1 - k at Bob's
+        a_k, b_k = images[:, :, :, 0], images[:, :, ::-1, 1]
         factorized = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, a_k, b_k)
         # 6.7e-16 at most over 300 random points of this range
         assert np.max(np.abs(propagate(input_support(cfg), xi, eta)
@@ -478,9 +527,22 @@ class TestNetwork:
         phi1, phi2, xi, eta = phases
         cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
                                CutoffSpec(tail_eps=tail_eps))
-        alice, bob = run_network(cfg, xi, eta)
+        alice, bob = station_terms(run_network(cfg, xi, eta))
         n = cfg.resolve_cutoff()
         assert alice.shape == bob.shape == (n + 1, n + 1, 2)
         assembled = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, alice, bob)
         assert np.max(np.abs(propagate(input_support(cfg), xi, eta)
                              - assembled)) <= 1e-15
+
+    @COLUMN_SETTINGS
+    @given(alice=st.integers(1, 3), bob=st.integers(0, 3))
+    def test_term_order(self, alice, bob):
+        # Alice's term k holds k ph photons and Bob's 1 - k, each setting's
+        # two terms in its own two columns of the pass
+        settings_ = alice + bob
+        lo, terms = station_inputs(symmetric_config(0.5), alice, bob)
+        assert lo.shape[0] == settings_
+        assert terms.shape == (settings_, 2)
+        ph, setting = np.divmod(terms, settings_)
+        assert np.array_equal(setting, np.repeat(np.arange(settings_), 2).reshape(-1, 2))
+        assert np.array_equal(ph, [(0, 1)] * alice + [(1, 0)] * bob)
