@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import pair_probabilities, station_vectors
+from .detection import pair_probabilities, plain_station, station_vectors
 from .optics import (ExperimentConfig, input_support, mix_station, station_inputs,
                      support_inputs)
 
@@ -108,15 +108,17 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
 
     All four settings are mixed in one optics.mix_station pass at the
     per-mode cutoff config.resolve_cutoff(), read in one
-    detection.station_vectors call, and every pair is read out from the
-    station vectors by detection.pair_probabilities. Canonical
+    detection.station_vectors call, each setting's station is converted to
+    plain numbers once (detection.plain_station), and every pair is read
+    out from two of them by detection.pair_probabilities. Canonical
     marginals: Alice's at setting x comes from pair (x, eta) and Bob's at y
     from pair (xi, y).
     """
     lo, terms = station_inputs(config, 2, 2)
     grams, favs = station_vectors(mix_station(lo, (xi, xi2, eta, eta2)), terms)
-    alice = {x: (grams[i], favs[i]) for i, x in enumerate((xi, xi2))}
-    bob = {y: (grams[i], favs[i]) for i, y in enumerate((eta, eta2), 2)}
+    stations = [plain_station(gram, fav) for gram, fav in zip(grams, favs)]
+    alice = dict(zip((xi, xi2), stations[:2]))
+    bob = dict(zip((eta, eta2), stations[2:]))
     pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
     probs = {(x, y): pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
 

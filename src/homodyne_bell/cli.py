@@ -10,8 +10,10 @@ deterministic for a fixed seed; floats are emitted at 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -427,7 +429,9 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     The angles are checked before the CSV is opened, since its rows are
     streamed into the open file. The sample's ch values are the ones
     written: the grid calls analytic.ch_closed exactly rows * cols times,
-    and the spot-checks never call it again.
+    and the spot-checks never call it again. The rows go to a temporary
+    file beside --out, which replaces --out only once the spot-checks pass
+    and is removed otherwise, so a failed run leaves no grid behind.
     """
     rows, cols = args.grid
     points = rows * cols
@@ -444,30 +448,41 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     picks = sorted(int(p) for p in rng.choice(points, count, replace=False))
     sample = []
+    head, tail = os.path.split(args.out)
+    partial = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for text, picked in figure_rows(cfg, args.dphi, args.xi_minus_eta,
-                                            rows, cols, picks):
-                fh.write(text)
-                sample.extend(picked)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+        try:
+            with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(CSV_HEADER + "\n")
+                for text, picked in figure_rows(cfg, args.dphi,
+                                                args.xi_minus_eta, rows, cols,
+                                                picks):
+                    fh.write(text)
+                    sample.extend(picked)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
 
-    # mandatory numeric spot-check of the analytic grid
-    worst = 0.0
-    for alpha_sq, xi, eta, ch in sample:
-        rec = evaluate_quadruple(
-            symmetric_config(alpha_sq, args.dphi, cfg.cutoff_spec()),
-            SettingsQuadruple(xi, eta))
-        worst = max(worst, abs(rec.ch - ch))
-    print(f"numeric crosscheck: {count} of {points} points, "
-          f"max |ch_numeric - ch_analytic| = {worst:.3e}")
-    if worst > cfg.tol:
-        print("figure crosscheck failed: numeric and analytic paths disagree",
-              file=sys.stderr)
-        return EXIT_VERIFICATION_FAILURE
-    return EXIT_OK
+        # mandatory numeric spot-check of the analytic grid
+        worst = 0.0
+        for alpha_sq, xi, eta, ch in sample:
+            rec = evaluate_quadruple(
+                symmetric_config(alpha_sq, args.dphi, cfg.cutoff_spec()),
+                SettingsQuadruple(xi, eta))
+            worst = max(worst, abs(rec.ch - ch))
+        print(f"numeric crosscheck: {count} of {points} points, "
+              f"max |ch_numeric - ch_analytic| = {worst:.3e}")
+        if worst > cfg.tol:
+            print("figure crosscheck failed: numeric and analytic paths "
+                  "disagree", file=sys.stderr)
+            return EXIT_VERIFICATION_FAILURE
+        try:
+            os.replace(partial, args.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+        return EXIT_OK
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
 
 
 # ---------------------------------------------------------------------------

@@ -65,20 +65,27 @@ def _outer(v0, v1) -> tuple[complex, complex, complex, complex]:
     return c0 * v0, c0 * v1, c1 * v0, c1 * v1
 
 
+def plain_station(gram: np.ndarray, fav: np.ndarray
+                  ) -> tuple[list[complex], list[complex]]:
+    """One station of station_vectors as pair_probabilities reads it: its
+    Gram matrix flattened row-major and its favorable vector, as plain
+    Python complex numbers. The station must hold two terms, a (2, 2) Gram
+    matrix and a (2,) favorable vector; any other shape is refused rather
+    than read in part."""
+    if gram.shape != (2, 2) or fav.shape != (2,):
+        raise ValueError("a station needs a (2, 2) Gram matrix and a (2,) "
+                         f"favorable vector, got {gram.shape} and {fav.shape}")
+    return gram.ravel().tolist(), fav.tolist()
+
+
 def pair_probabilities(alice, bob) -> tuple[float, float, float, float]:
     """(p_A, p_B, p_AB, <psi|psi>) of sum_k w_k A_k (x) B_k from the two
-    stations' station_vectors: the favorable probability at Alice, at Bob
-    and at both at once, each divided by the norm, and the norm. Each
-    station must hold two terms, a (2, 2) Gram matrix and a (2,) favorable
-    vector; the sums run on plain Python complex numbers. A norm that is 0
-    or not finite (a state with no weight within the cutoff) is refused."""
-    for gram, fav in (alice, bob):
-        if gram.shape != (2, 2) or fav.shape != (2,):
-            raise ValueError("a station needs a (2, 2) Gram matrix and a (2,) "
-                             f"favorable vector, got {gram.shape} and {fav.shape}")
-    (gram_a, a), (gram_b, b) = alice, bob
-    gram_a, gram_b = gram_a.ravel().tolist(), gram_b.ravel().tolist()
-    (a0, a1), (b0, b1), (w0, w1) = a.tolist(), b.tolist(), _WEIGHTS
+    stations' plain_station readouts: the favorable probability at Alice,
+    at Bob and at both at once, each divided by the norm, and the norm.
+    The sums run on plain Python complex numbers, so a station converted
+    once serves every pair it is in. A norm that is 0 or not finite (a
+    state with no weight within the cutoff) is refused."""
+    (gram_a, (a0, a1)), (gram_b, (b0, b1)), (w0, w1) = alice, bob, _WEIGHTS
     norm = _weighted_sum(gram_a, gram_b)
     if not 0.0 < norm < math.inf:  # written so that NaN is refused too
         raise ValueError(f"the truncated norm <psi|psi> = {norm!r} leaves no "
@@ -96,4 +103,5 @@ def favorable_probs(network: tuple[np.ndarray, np.ndarray]
     """pair_probabilities of a network (images, terms) as
     optics.run_network returns it: Alice's setting, then Bob's."""
     grams, favs = station_vectors(*network)
-    return pair_probabilities((grams[0], favs[0]), (grams[1], favs[1]))
+    return pair_probabilities(plain_station(grams[0], favs[0]),
+                              plain_station(grams[1], favs[1]))

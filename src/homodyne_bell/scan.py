@@ -24,15 +24,21 @@ deterministic given the seed; restarts are independent evaluations reduced
 in restart order.
 
 The hypercube is drawn in numpy (latin_hypercube) and reproduces
-scipy.stats.qmc.LatinHypercube draw for draw. scipy.optimize is imported
-only when a search runs, so importing the package loads no scipy.
+scipy.stats.qmc.LatinHypercube draw for draw. The simplex runs on plain
+Python floats (_nelder_mead), a port of scipy.optimize.minimize's bounded,
+non-adaptive Nelder-Mead that passes the same points to the objective in
+the same order and ends on the same x, so the package runs without scipy.
+Vertices are ranked as numpy.argsort ranks them: by a stable sort when no
+two values tie, and by numpy.argsort itself when two do, since numpy's
+default sort need not be stable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -154,6 +160,128 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (strata.T - offsets) / n
 
 
+# the trial points' c (see _nelder_mead) and the shrink factor sigma
+_REFLECT, _EXPAND, _CONTRACT, _CONTRACT_INSIDE = 1, 2, 0.5, -0.5
+_SHRINK = 0.5
+_NONZDELT = 1 + 0.05  # an initial vertex's nonzero coordinate times this
+_ZDELT = 0.00025      # or this in place of a zero coordinate
+
+
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out before the objective was called."""
+
+
+def _clip(x: list[float], lo: list[float], hi: list[float]) -> list[float]:
+    """numpy.clip(x, lo, hi) for lo < hi, signed zeros and NaN included: a
+    value equal to a bound becomes the bound."""
+    return [a if v <= a else (b if v >= b else v) for v, a, b in zip(x, lo, hi)]
+
+
+def _argsort(values: list[float]) -> list[int]:
+    """numpy.argsort(values): a stable sort when no two values tie (the
+    order is then unique), numpy.argsort itself when two do or one is NaN,
+    since numpy's default sort breaks ties in an order of its own."""
+    if len(set(values)) == len(values) and not any(map(math.isnan, values)):
+        return sorted(range(len(values)), key=values.__getitem__)
+    return np.argsort(np.array(values)).tolist()
+
+
+def _nelder_mead(f, x0: list[float], lo: list[float], hi: list[float],
+                 xatol: float, maxfev: int) -> tuple[list[float], int]:
+    """Minimize f over the box [lo, hi] from x0; returns the best vertex and
+    the number of f calls.
+
+    A port of scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+    bounds=Bounds(lo, hi), options={"xatol": xatol, "fatol": inf,
+    "maxfev": maxfev}) to plain floats: it passes f the same points in the
+    same order, at most maxfev of them, and returns the same x. f gets each
+    point as a list it must not modify.
+
+    Every arithmetic step is scipy's, with its non-adaptive coefficients:
+    reflection rho = 1, expansion chi = 2, contraction psi = 1/2, shrink
+    sigma = 1/2. The centroid xbar of all vertices but the worst is a
+    running sum over the vertices, divided by the dimension (builtin sum
+    may compensate). A trial point is (1 + c) xbar - c worst with c = rho,
+    rho chi, psi rho or -psi, which rounds as scipy's expression for each
+    does (x - (-y) is x + y exactly), and is clipped to the box. A step is
+    accepted on scipy's < and <= comparisons, and the vertices are ranked
+    after every step, the initial simplex twice, as scipy ranks them. The
+    search stops once every coordinate of every vertex is within xatol of
+    the best vertex's and no difference of the best value and another is
+    NaN (scipy's fatol = inf test). When the budget runs out inside a step,
+    the simplex keeps what scipy keeps: the unevaluated vertices of an
+    initial simplex keep f = inf, and a shrink keeps its moved vertex with
+    the old value.
+    """
+    n = len(x0)
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return f(x)
+
+    def trial(c, xbar, worst):
+        x = _clip([(1 + c) * m - c * w for m, w in zip(xbar, worst)], lo, hi)
+        return x, evaluate(x)
+
+    def ranked(sim, fsim):
+        order = _argsort(fsim)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    x0 = _clip(x0, lo, hi)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = _NONZDELT * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    # vertices pushed past an upper bound are reflected inside, then clipped
+    sim = [_clip([2 * h - v if v > h else v for v, h in zip(row, hi)], lo, hi)
+           for row in sim]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = ranked(*ranked(sim, fsim))
+
+    while calls < maxfev:
+        best = sim[0]
+        if (all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best))
+                and not any(math.isnan(fsim[0] - g) for g in fsim[1:])):
+            break
+        try:
+            xbar = [reduce(operator.add, col) / n for col in zip(*sim[:-1])]
+            worst = sim[-1]
+            xr, fxr = trial(_REFLECT, xbar, worst)
+            if fxr < fsim[0]:
+                xe, fxe = trial(_EXPAND, xbar, worst)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc, fxc = trial(_CONTRACT, xbar, worst)
+                    shrink = not fxc <= fxr
+                else:
+                    xc, fxc = trial(_CONTRACT_INSIDE, xbar, worst)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = _clip([b + _SHRINK * (v - b)
+                                        for v, b in zip(sim[j], best)], lo, hi)
+                        fsim[j] = evaluate(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = ranked(sim, fsim)
+    return sim[0], calls
+
+
 @dataclass(frozen=True)
 class OptimizeOutcome:
     """Best record of a multi-restart search plus its full restart trace and
@@ -180,43 +308,35 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     """Maximize CHSH over a family's search box on the closed forms.
 
     Each restart starts from one Latin-hypercube sample and refines with a
-    bounded Nelder-Mead simplex, stopping once the simplex diameter falls
-    below diameter_tol (or at maxfev evaluations). Each restart's final
-    point becomes a record through one more evaluate_point call, so a
-    search calls evaluate_point exactly evaluations + restarts times, and
-    is re-evaluated by numeric_point under the cutoff policy.
+    bounded Nelder-Mead simplex (_nelder_mead, scipy's search on plain
+    floats), stopping once the simplex diameter falls below diameter_tol
+    (or at maxfev evaluations). Each restart's final point becomes a record
+    through one more evaluate_point call, so a search calls evaluate_point
+    exactly evaluations + restarts times, and is re-evaluated by
+    numeric_point under the cutoff policy.
     Deterministic for a fixed seed: restarts run and are recorded in sample
     order.
     """
-    # imported here, its only use, so that importing the package or running
-    # any other command loads no scipy
-    from scipy import optimize as _sciopt
-
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     family = get_family(kind)
     lo = np.array([p.lo for p in family.params])
     hi = np.array([p.hi for p in family.params])
     starts = lo + latin_hypercube(restarts, len(family.params), seed) * (hi - lo)
+    lo, hi = lo.tolist(), hi.tolist()
 
-    evaluations = 0
-
-    def negative_chsh(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        _, chsh = evaluate_point(kind, dict(zip(family.names, map(float, x))))
+    def negative_chsh(x: list[float]) -> float:
+        _, chsh = evaluate_point(kind, dict(zip(family.names, x)))
         return -chsh
 
-    bounds = _sciopt.Bounds(lo, hi)
+    evaluations = 0
     trace = []
     residual = 0.0
-    for r in range(restarts):
-        result = _sciopt.minimize(
-            negative_chsh, starts[r], method="Nelder-Mead", bounds=bounds,
-            options={"xatol": diameter_tol, "fatol": float("inf"),
-                     "maxfev": maxfev},
-        )
-        values = dict(zip(family.names, map(float, result.x)))
+    for r, start in enumerate(starts.tolist()):
+        x, calls = _nelder_mead(negative_chsh, start, lo, hi, diameter_tol,
+                                maxfev)
+        evaluations += calls
+        values = dict(zip(family.names, x))
         ch, chsh = evaluate_point(kind, values)
         trace.append(ScanRecord(r, values, ch, chsh))
         residual = max(residual, abs(numeric_point(kind, values, cutoff)[0] - ch))

@@ -14,6 +14,7 @@ import homodyne_bell
 from homodyne_bell import analytic, bell, cli, detection, optics
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
+from homodyne_bell.scan import FAMILIES
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
 # figure angles of either sign, from tiny to large magnitude
@@ -528,6 +529,36 @@ class TestFigure:
         assert "exceeds the limit N=63" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload,code", [
+        # at N = 1 the numerics miss the closed forms by far more than tol
+        ({"cutoff_n": 1, "crosscheck_fraction": 1.0}, 1),
+        # at alpha_sq 700 and N = 1 no spot-check state has weight left
+        ({"cutoff_n": 1, "figure_alpha_sq_max": 700,
+          "crosscheck_fraction": 1.0}, 2),
+    ], ids=["crosscheck-failed", "crosscheck-refused"])
+    def test_failed_run_leaves_no_grid(self, tmp_path, payload, code):
+        # the rows are written before the spot-checks run: a run that fails
+        # or refuses them leaves no grid and no temporary file at --out
+        cfg = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run_cli(["figure", "--config", cfg, "--grid", "2x2",
+                        "--out", out_dir / "g.csv"]) == code
+        assert list(out_dir.iterdir()) == []
+        # and an earlier grid there is left as it was
+        (out_dir / "g.csv").write_text("earlier\n")
+        assert run_cli(["figure", "--config", cfg, "--grid", "2x2",
+                        "--out", out_dir / "g.csv"]) == code
+        assert [(p.name, p.read_text()) for p in out_dir.iterdir()] == [
+            ("g.csv", "earlier\n")]
+
+    def test_passed_run_leaves_only_the_grid(self, tmp_path):
+        out = tmp_path / "g.csv"
+        out.write_text("earlier\n")
+        assert run_cli(["figure", "--grid", "3x3", "--out", out]) == 0
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text().startswith("alpha_sq,xi_plus_eta,ch,chsh\n")
+
     def test_spot_check_without_weight_in_the_cutoff_refused(self, tmp_path,
                                                             capsys):
         # at alpha_sq 700 and N = 1 every truncated amplitude underflows to
@@ -792,10 +823,11 @@ class TestDeterminism:
 
 
 class TestEntryPoint:
-    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
-        # scipy loads only when a search runs, and then only scipy.optimize:
-        # the Latin hypercube of starts is drawn in numpy
-        config = write_config(tmp_path, QUICK_CONFIG)
+    def test_no_command_loads_scipy(self, tmp_path):
+        # scipy is a test dependency only: the Latin hypercube of starts is
+        # drawn in numpy and the Nelder-Mead runs on plain floats, so no
+        # command, optimize of every family included, loads any of it
+        config = write_config(tmp_path, {**QUICK_CONFIG, "maxfev": 60})
         script = f"""
 import json, sys
 import homodyne_bell.cli as cli
@@ -803,28 +835,25 @@ import homodyne_bell.cli as cli
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-stages = {{"import": loaded()}}
+stages = {{"import": [0, loaded()]}}
 for name, argv in [
-        ("verify", ["verify", "--config", {config!r}]),
+        ("verify", ["verify"]),
         ("figure", ["figure", "--grid", "3x3"]),
         ("split", ["split"]),
-        ("optimize", ["optimize", "--family", "paper_baseline",
-                      "--restarts", "1"])]:
-    code = cli.main([*argv, "--out", {str(tmp_path / "out")!r}])
+        *((f"optimize {{family}}", ["optimize", "--family", family,
+                                   "--restarts", "2"])
+          for family in {sorted(FAMILIES)!r})]:
+    code = cli.main([*argv, "--config", {config!r},
+                     "--out", {str(tmp_path / "out")!r}])
     stages[name] = [code, loaded()]
 print(json.dumps(stages))
 """
         result = run_python(["-c", script])
         assert result.returncode == 0, result.stderr
         stages = json.loads(result.stdout.strip().splitlines()[-1])
-        assert stages.pop("import") == []
-        optimize_code, optimize_loaded = stages.pop("optimize")
+        assert len(stages) == 4 + len(FAMILIES)
         for name, (code, loaded) in stages.items():
             assert (name, code, loaded) == (name, 0, [])
-        assert optimize_code == 0
-        assert "scipy.optimize" in optimize_loaded
-        assert not any(m.split(".")[:2] == ["scipy", "stats"]
-                       for m in optimize_loaded)
 
     @pytest.mark.parametrize("preset", [None, "OPENBLAS_NUM_THREADS",
                                         "OMP_NUM_THREADS", "MKL_NUM_THREADS"])

@@ -13,7 +13,8 @@ from dense_oracle import (
 )
 from homodyne_bell.analytic import probs_general
 from homodyne_bell.bell import evaluate_settings
-from homodyne_bell.detection import favorable_probs, pair_probabilities
+from homodyne_bell.detection import (favorable_probs, pair_probabilities,
+                                     plain_station)
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec
 from homodyne_bell.optics import (
     ExperimentConfig,
@@ -240,8 +241,9 @@ class TestReadoutEquivalence:
 
 
 class TestStationShape:
-    """pair_probabilities reads two terms per station from plain lists, so
-    it must refuse any other shape rather than read part of it."""
+    """pair_probabilities reads two terms per station from the plain lists
+    of plain_station, so the conversion must refuse any other shape rather
+    than hand on part of it."""
 
     GOOD = (np.eye(2, dtype=complex), np.array([0.3, 0.4j]))
 
@@ -256,7 +258,7 @@ class TestStationShape:
         bad = (np.ones(gram_shape, dtype=complex), np.ones(fav_shape, dtype=complex))
         stations = (bad, self.GOOD) if side == "alice" else (self.GOOD, bad)
         with pytest.raises(ValueError, match=r"needs a \(2, 2\) Gram matrix"):
-            pair_probabilities(*stations)
+            [plain_station(*station) for station in stations]
 
 
     @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf])
@@ -265,7 +267,8 @@ class TestStationShape:
         gram = np.diag([scale, scale]).astype(complex)
         fav = np.zeros(2, dtype=complex)
         with pytest.raises(ValueError, match="truncated norm"):
-            pair_probabilities((gram, fav), self.GOOD)
+            pair_probabilities(plain_station(gram, fav),
+                               plain_station(*self.GOOD))
 
 
 class TestScale:

@@ -15,8 +15,10 @@ named only where they are defined (analytic), tested and written (cli)
 and exported (__init__), so no search runs on them, and only bell reads
 HALF_PI, the offset of the standard quadruple (bell.SettingsQuadruple).
 
-The same scan keeps scipy off the import path: no package module imports
-it outside a function body, so only a command that uses it loads it.
+The same scan keeps scipy out of the package: no package module imports
+it, at module level or inside a function body, so no command loads it.
+scipy is a test dependency only, the oracle the search's Nelder-Mead port
+is held to.
 """
 
 import ast
@@ -67,19 +69,15 @@ def imported_modules(tree):
     return modules
 
 
-def module_level_imports(tree):
-    """Top-level names of the modules a module imports outside any function
-    body, that is, when the module itself is imported."""
-    modules, todo = set(), [tree]
-    while todo:
-        for sub in ast.iter_child_nodes(todo.pop()):
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(sub, ast.Import):
-                modules.update(alias.name.split(".")[0] for alias in sub.names)
-            elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
-                modules.add(sub.module.split(".")[0])
-            todo.append(sub)
+def absolute_imports(tree):
+    """Top-level names of the modules a module imports by absolute name,
+    anywhere in it, function bodies included."""
+    modules = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in sub.names)
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
+            modules.add(sub.module.split(".")[0])
     return modules
 
 
@@ -116,8 +114,8 @@ def boundary_violations(trees):
         if "analytic" in imported_modules(trees[name]):
             problems.append(f"{name} imports analytic")
     for name, tree in trees.items():
-        if "scipy" in module_level_imports(tree):
-            problems.append(f"{name} imports scipy at module level")
+        if "scipy" in absolute_imports(tree):
+            problems.append(f"{name} imports scipy")
         names = referenced_names(tree)
         if name not in PRINTED_FORM_READERS:
             for form in sorted(PRINTED_FORMS & names):
@@ -147,9 +145,8 @@ def test_route_boundary_holds():
     ("detection", "from .analytic import probs_point\n",
      "detection imports analytic"),
     ("optics", "from .analytic import probs_point\n", "optics imports analytic"),
-    ("scan", "from scipy import optimize\n", "scan imports scipy at module level"),
-    ("cli", "if True:\n    import scipy.stats.qmc\n",
-     "cli imports scipy at module level"),
+    ("scan", "from scipy import optimize\n", "scan imports scipy"),
+    ("cli", "if True:\n    import scipy.stats.qmc\n", "cli imports scipy"),
     ("scan", "from .analytic import ch_closed\n", "scan names ch_closed"),
     ("bell", "def f(analytic):\n    return analytic.ClosedFormPoint\n",
      "bell names ClosedFormPoint"),
@@ -169,11 +166,17 @@ def test_scan_catches_a_crossing(module, source, problem):
     assert problem in boundary_violations(trees)
 
 
-def test_scipy_allowed_inside_a_function():
-    # scan imports scipy.optimize inside maximize_chsh, its only use
+def test_scipy_refused_inside_a_function():
+    # an import deferred into a function body still loads scipy when the
+    # function runs, so the scan refuses it as well
     trees = parse_package()
-    assert "scipy" in imported_modules(trees["scan"])
-    assert "scipy" not in module_level_imports(trees["scan"])
+    assert not any("scipy" in absolute_imports(tree) for tree in trees.values())
     trees["analytic"] = ast.parse(ast.unparse(trees["analytic"])
                                   + "\ndef f():\n    import scipy\n")
-    assert boundary_violations(trees) == []
+    trees["scan"] = ast.parse(
+        ast.unparse(trees["scan"])
+        + "\nclass Search:\n    def run(self):\n"
+          "        def inner():\n            from scipy.optimize import minimize\n")
+    problems = boundary_violations(trees)
+    assert "analytic imports scipy" in problems
+    assert "scan imports scipy" in problems
