@@ -431,7 +431,9 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     written: the grid calls analytic.ch_closed exactly rows * cols times,
     and the spot-checks never call it again. The rows go to a temporary
     file beside --out, which replaces --out only once the spot-checks pass
-    and is removed otherwise, so a failed run leaves no grid behind.
+    and is removed otherwise, so a failed run leaves no grid behind. When
+    --out is a symlink, the file it points to is replaced; a device or FIFO
+    at --out is written in place.
     """
     rows, cols = args.grid
     points = rows * cols
@@ -448,8 +450,13 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     picks = sorted(int(p) for p in rng.choice(points, count, replace=False))
     sample = []
-    head, tail = os.path.split(args.out)
-    partial = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    # a regular file, or none, is replaced through a temporary file beside
+    # it (behind any symlink); a device or FIFO is written in place
+    target = os.path.realpath(args.out)
+    staged = os.path.isfile(target) or not os.path.exists(target)
+    head, tail = os.path.split(target)
+    partial = (os.path.join(head, f".{tail}.{os.getpid()}.tmp") if staged
+               else target)
     try:
         try:
             with open(partial, "w", encoding="utf-8", newline="\n") as fh:
@@ -475,14 +482,16 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
             print("figure crosscheck failed: numeric and analytic paths "
                   "disagree", file=sys.stderr)
             return EXIT_VERIFICATION_FAILURE
-        try:
-            os.replace(partial, args.out)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+        if staged:
+            try:
+                os.replace(partial, target)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
         return EXIT_OK
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
+        if staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ scipy.stats.qmc.LatinHypercube draw for draw. The simplex runs on plain
 Python floats (_nelder_mead), a port of scipy.optimize.minimize's bounded,
 non-adaptive Nelder-Mead that passes the same points to the objective in
 the same order and ends on the same x, so the package runs without scipy.
-Vertices are ranked as numpy.argsort ranks them: by a stable sort when no
-two values tie, and by numpy.argsort itself when two do, since numpy's
-default sort need not be stable.
+Vertices are ranked by numpy.argsort itself, as scipy ranks them: numpy's
+default sort need not be stable, and a stable sort breaks ties otherwise.
 """
 
 from __future__ import annotations
@@ -178,11 +177,8 @@ def _clip(x: list[float], lo: list[float], hi: list[float]) -> list[float]:
 
 
 def _argsort(values: list[float]) -> list[int]:
-    """numpy.argsort(values): a stable sort when no two values tie (the
-    order is then unique), numpy.argsort itself when two do or one is NaN,
-    since numpy's default sort breaks ties in an order of its own."""
-    if len(set(values)) == len(values) and not any(map(math.isnan, values)):
-        return sorted(range(len(values)), key=values.__getitem__)
+    """numpy.argsort(values), the ranking scipy uses; numpy's default sort
+    need not be stable, so a stable sort would break ties otherwise."""
     return np.argsort(np.array(values)).tolist()
 
 
@@ -309,7 +305,8 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
 
     Each restart starts from one Latin-hypercube sample and refines with a
     bounded Nelder-Mead simplex (_nelder_mead, scipy's search on plain
-    floats), stopping once the simplex diameter falls below diameter_tol
+    floats, its vertices ranked by numpy.argsort as scipy ranks them, ties
+    included), stopping once the simplex diameter falls below diameter_tol
     (or at maxfev evaluations). Each restart's final point becomes a record
     through one more evaluate_point call, so a search calls evaluate_point
     exactly evaluations + restarts times, and is re-evaluated by

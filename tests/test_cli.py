@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import types
@@ -558,6 +559,40 @@ class TestFigure:
         assert run_cli(["figure", "--grid", "3x3", "--out", out]) == 0
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_text().startswith("alpha_sq,xi_plus_eta,ch,chsh\n")
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_symlink_target_replaced_not_the_link(self, tmp_path, code):
+        cfg = write_config(tmp_path, {} if code == 0 else
+                           {"cutoff_n": 1, "crosscheck_fraction": 1.0})
+        real = tmp_path / "data" / "g.csv"
+        real.parent.mkdir()
+        real.write_text("earlier\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert run_cli(["figure", "--config", cfg, "--grid", "2x2",
+                        "--out", link]) == code
+        assert link.is_symlink() and link.resolve() == real
+        assert list(real.parent.iterdir()) == [real]
+        text = real.read_text()
+        if code == 0:
+            assert text.startswith("alpha_sq,xi_plus_eta,ch,chsh\n")
+        else:
+            assert text == "earlier\n"
+
+    def test_fifo_written_in_place(self, tmp_path):
+        # a FIFO cannot be replaced by a file; its reader gets the rows
+        fifo = tmp_path / "g.csv"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli(["figure", "--grid", "2x2", "--out", fifo]) == 0
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+        assert text.startswith("alpha_sq,xi_plus_eta,ch,chsh\n")
+        assert text.count("\n") == 5
 
     def test_spot_check_without_weight_in_the_cutoff_refused(self, tmp_path,
                                                             capsys):

@@ -193,12 +193,6 @@ class TestTies:
         assert port_search(f, x0, lo, hi, 1e-6, 300) != want
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0, math.inf, math.nan,
-                                     0.5, 2.0)), min_size=1, max_size=12))
-    def test_argsort_is_numpys(self, values):
-        assert scan._argsort(values) == np.argsort(np.array(values)).tolist()
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(allow_nan=True), min_size=1, max_size=9),
            st.floats(-1.0, 0.0), st.floats(0.5, 7.0))
     def test_clip_is_numpys(self, x, lo, hi):
