@@ -48,6 +48,8 @@ REFERENCE_XI_MINUS_ETA = 3.0 * math.pi / 4.0
 REFERENCE_XI_PLUS_ETA = math.pi
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
+CROSS_TERM_COUNT = 10
+LOGICAL_SUBSPACE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,31 +112,27 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     per-mode cutoff config.resolve_cutoff(), read in one
     detection.station_vectors call, each setting's station is converted to
     plain numbers once (detection.plain_station), and every pair is read
-    out from two of them by detection.pair_probabilities. Canonical
-    marginals: Alice's at setting x comes from pair (x, eta) and Bob's at y
-    from pair (xi, y).
+    out from two of them by detection.pair_probabilities, all by position,
+    so equal angles stay separate settings. Canonical marginals: Alice's at
+    xi and xi2 come from pairs 1 and 2, Bob's at eta and eta2 from 1 and 3.
     """
     lo, terms = station_inputs(config, 2, 2)
     grams, favs = station_vectors(mix_station(lo, (xi, xi2, eta, eta2)), terms)
-    stations = [plain_station(gram, fav) for gram, fav in zip(grams, favs)]
-    alice = dict(zip((xi, xi2), stations[:2]))
-    bob = dict(zip((eta, eta2), stations[2:]))
-    pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
-    probs = {(x, y): pair_probabilities(alice[x], bob[y]) for (x, y) in pairs}
+    a, a2, b, b2 = (plain_station(gram, fav) for gram, fav in zip(grams, favs))
+    probs = [pair_probabilities(x, y)
+             for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
 
-    # one canonical marginal per distinct setting
-    p_alice = {x: probs[(x, eta)][0] for x in (xi, xi2)}
-    p_bob = {y: probs[(xi, y)][1] for y in (eta, eta2)}
-    joints = tuple(probs[p][2] for p in pairs)
+    # one canonical marginal per setting
+    pa, pa2, pb, pb2 = probs[0][0], probs[1][0], probs[0][1], probs[2][1]
+    joints = tuple(pair[2] for pair in probs)
     correlators = tuple(
-        1.0 - 2.0 * p_alice[x] - 2.0 * p_bob[y] + 4.0 * j
-        for (x, y), j in zip(pairs, joints)
+        1.0 - 2.0 * x - 2.0 * y + 4.0 * j
+        for x, y, j in zip((pa, pa2, pa, pa2), (pb, pb, pb2, pb2), joints)
     )
-    ch = (joints[0] + joints[1] - joints[2] + joints[3]
-          - p_alice[xi2] - p_bob[eta])
+    ch = joints[0] + joints[1] - joints[2] + joints[3] - pa2 - pb
     chsh = sum(s * e for s, e in zip(_SIGNS, correlators))
-    return BellRecord(pairs, joints, p_alice[xi2], p_bob[eta],
-                      correlators, ch, chsh)
+    return BellRecord(((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2)), joints,
+                      pa2, pb, correlators, ch, chsh)
 
 
 def evaluate_quadruple(config: ExperimentConfig,
@@ -270,8 +268,8 @@ class CrossTerm:
     bob_minus_one_reachable: bool
 
 
-def lambda_cross_terms(split: StateSplit, count: int = 10) -> list[CrossTerm]:
-    """The `count` largest |<occ|lam>|^2 contributions, largest first.
+def lambda_cross_terms(split: StateSplit) -> list[CrossTerm]:
+    """The CROSS_TERM_COUNT largest |<occ|lam>|^2 contributions, largest first.
 
     Ties are broken by the row-major occupation index of the dense
     (N+1)^4 state so the listing is deterministic. Row-major order of the
@@ -280,7 +278,7 @@ def lambda_cross_terms(split: StateSplit, count: int = 10) -> list[CrossTerm]:
     """
     lam = split.lam
     weights = np.abs(lam.reshape(-1)) ** 2
-    order = np.argsort(-weights, kind="stable")[:count]
+    order = np.argsort(-weights, kind="stable")[:CROSS_TERM_COUNT]
     shape = lam.shape
     terms = []
     for flat in order:
@@ -295,11 +293,11 @@ def lambda_cross_terms(split: StateSplit, count: int = 10) -> list[CrossTerm]:
     return terms
 
 
-def logical_qubit_amplitudes(state: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def logical_qubit_amplitudes(state: np.ndarray) -> np.ndarray:
     """Project a support array [a1, b1, a2, b2] onto the per-station
     single-photon qubit encoding |1,0> -> logical 0, |0,1> -> logical 1, as
     a 2x2 amplitude matrix (rows Alice, columns Bob). Rejects states with
-    support outside that subspace."""
+    more than LOGICAL_SUBSPACE_ATOL probability outside that subspace."""
     if state.ndim != 4 or state.shape[1::2] != (2, 2):
         raise ValueError("expected a support array [a1, b1, a2, b2] with b1, b2 <= 1")
     basis = ((1, 0), (0, 1))
@@ -308,7 +306,7 @@ def logical_qubit_amplitudes(state: np.ndarray, atol: float = 1e-9) -> np.ndarra
         for j, occ_b in enumerate(basis):
             psi[i, j] = state[occ_a + occ_b]
     off_support = float(np.vdot(state, state).real) - float(np.sum(np.abs(psi) ** 2))
-    if off_support > atol:
+    if off_support > LOGICAL_SUBSPACE_ATOL:
         raise ValueError(
             f"state has probability {off_support:.3e} outside the "
             "single-photon logical subspace")

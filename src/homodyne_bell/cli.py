@@ -564,12 +564,12 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
             "reassembled": dec.reassembled,
         },
         "reference_settings": {
-            "dphi": REFERENCE_DPHI,
+            "dphi": cfg.phi2 - cfg.phi1,
             "xi_minus_eta": REFERENCE_XI_MINUS_ETA,
             "xi": quad.xi,
             "eta": quad.eta,
         },
-        "cross_terms": [asdict(term) for term in lambda_cross_terms(split, count=10)],
+        "cross_terms": [asdict(term) for term in lambda_cross_terms(split)],
         "input_norm_loss": norm_loss,
         "provenance": provenance(cfg, args),
     }

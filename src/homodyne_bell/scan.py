@@ -8,9 +8,10 @@ oscillator phases (`relaxed_phases`), and additionally the two per-party
 strengths (`relaxed_amplitudes`); oscillator strength never varies between
 one party's two settings.
 
-A point of any family maps to the eight station parameters p = (alpha1_sq,
-alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) by station_params, the one
-parameter layer of both routes. The search runs on the plain-float closed
+A point of a family is its values in the family's params order, a simplex
+vertex as it is. station_params unpacks it into the eight station
+parameters p = (alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2), the
+one parameter layer of both routes. The search runs on the plain-float closed
 forms, analytic.ch_chsh_point(*p), one evaluate_point call per evaluation
 for every family; the truncated Fock numerics check them on the same p as
 bell.evaluate_settings(ExperimentConfig(*p[:4], cutoff), *p[4:])
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -110,38 +112,37 @@ def get_family(kind: str) -> ConstraintFamily:
             f"unknown family {kind!r}; choose from {sorted(FAMILIES)}") from None
 
 
-def station_params(kind: str, values: dict[str, float]) -> tuple[float, ...]:
+def station_params(kind: str, x: Sequence[float]) -> tuple[float, ...]:
     """(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2) of a family
     point. A paper_baseline point is the standard quadruple
     (bell.SettingsQuadruple) of xi_plus_eta and REFERENCE_XI_MINUS_ETA at
-    phase difference REFERENCE_DPHI."""
-    missing = set(get_family(kind).names) - set(values)
-    if missing:
-        raise ValueError(f"missing parameters for {kind}: {sorted(missing)}")
+    phase difference REFERENCE_DPHI. A point of the wrong length raises
+    ValueError."""
     if kind == "paper_baseline":
-        a_sq = values["alpha_sq"]
-        quad = SettingsQuadruple.from_sum_difference(values["xi_plus_eta"],
+        a_sq, xi_plus_eta = x
+        quad = SettingsQuadruple.from_sum_difference(xi_plus_eta,
                                                      REFERENCE_XI_MINUS_ETA)
         return (a_sq, a_sq, 0.0, REFERENCE_DPHI, *quad.settings)
     if kind == "relaxed_phases":
-        a1_sq = a2_sq = values["alpha_sq"]
-    else:
-        a1_sq, a2_sq = values["alpha1_sq"], values["alpha2_sq"]
-    return (a1_sq, a2_sq, values["phi1"], values["phi2"],
-            values["xi"], values["xi2"], values["eta"], values["eta2"])
+        a_sq, xi, xi2, eta, eta2, phi1, phi2 = x
+        return (a_sq, a_sq, phi1, phi2, xi, xi2, eta, eta2)
+    if kind == "relaxed_amplitudes":
+        a1_sq, a2_sq, xi, xi2, eta, eta2, phi1, phi2 = x
+        return (a1_sq, a2_sq, phi1, phi2, xi, xi2, eta, eta2)
+    raise ValueError(f"unknown family {kind!r}")
 
 
-def evaluate_point(kind: str, values: dict[str, float]) -> tuple[float, float]:
+def evaluate_point(kind: str, x: Sequence[float]) -> tuple[float, float]:
     """CH and CHSH of one family point in closed form: ch_chsh_point of its
     station parameters, for every family."""
-    return analytic.ch_chsh_point(*station_params(kind, values))
+    return analytic.ch_chsh_point(*station_params(kind, x))
 
 
-def numeric_point(kind: str, values: dict[str, float],
+def numeric_point(kind: str, x: Sequence[float],
                   cutoff: CutoffSpec = CutoffSpec()) -> tuple[float, float]:
     """CH and CHSH of one family point from the truncated Fock numerics
     (bell.evaluate_settings) under the cutoff policy."""
-    params = station_params(kind, values)
+    params = station_params(kind, x)
     record = evaluate_settings(ExperimentConfig(*params[:4], cutoff), *params[4:])
     return record.ch, record.chsh
 
@@ -291,7 +292,6 @@ class OptimizeOutcome:
     trace: tuple[ScanRecord, ...]
     evaluations: int
     restarts: int
-    seed: int
     diameter_tol: float
     maxfev: int
     crosscheck_residual: float
@@ -307,10 +307,11 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     bounded Nelder-Mead simplex (_nelder_mead, scipy's search on plain
     floats, its vertices ranked by numpy.argsort as scipy ranks them, ties
     included), stopping once the simplex diameter falls below diameter_tol
-    (or at maxfev evaluations). Each restart's final point becomes a record
-    through one more evaluate_point call, so a search calls evaluate_point
-    exactly evaluations + restarts times, and is re-evaluated by
-    numeric_point under the cutoff policy.
+    (or at maxfev evaluations); each vertex is passed to evaluate_point as
+    it is. Each restart's final point becomes a record, named once, through
+    one more evaluate_point call, so a search calls evaluate_point exactly
+    evaluations + restarts times, and is re-evaluated by numeric_point
+    under the cutoff policy.
     Deterministic for a fixed seed: restarts run and are recorded in sample
     order.
     """
@@ -323,8 +324,7 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     lo, hi = lo.tolist(), hi.tolist()
 
     def negative_chsh(x: list[float]) -> float:
-        _, chsh = evaluate_point(kind, dict(zip(family.names, x)))
-        return -chsh
+        return -evaluate_point(kind, x)[1]
 
     evaluations = 0
     trace = []
@@ -333,10 +333,9 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
         x, calls = _nelder_mead(negative_chsh, start, lo, hi, diameter_tol,
                                 maxfev)
         evaluations += calls
-        values = dict(zip(family.names, x))
-        ch, chsh = evaluate_point(kind, values)
-        trace.append(ScanRecord(r, values, ch, chsh))
-        residual = max(residual, abs(numeric_point(kind, values, cutoff)[0] - ch))
+        ch, chsh = evaluate_point(kind, x)
+        trace.append(ScanRecord(r, dict(zip(family.names, x)), ch, chsh))
+        residual = max(residual, abs(numeric_point(kind, x, cutoff)[0] - ch))
     best = max(trace, key=lambda rec: (rec.chsh, -rec.index))
-    return OptimizeOutcome(best, tuple(trace), evaluations, restarts, seed,
+    return OptimizeOutcome(best, tuple(trace), evaluations, restarts,
                            diameter_tol, maxfev, residual)

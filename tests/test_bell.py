@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize as sciopt
 
 from dense_oracle import (
@@ -17,7 +17,7 @@ from dense_oracle import (
     propagate,
 )
 from test_optics import pair_unitary
-from homodyne_bell import bell, optics
+from homodyne_bell import analytic, bell, optics
 from homodyne_bell.bell import (
     BellRecord,
     SettingsQuadruple,
@@ -31,6 +31,7 @@ from homodyne_bell.bell import (
     split_state,
     tsirelson_two_qubit,
 )
+from homodyne_bell.cli import IDENTITY_TOL, RunConfig
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
@@ -303,6 +304,26 @@ class TestBellRecords:
         assert rec.chsh == pytest.approx(chsh, abs=0)
 
 
+class TestCoincidentSettings:
+    """evaluate_settings(cfg, x, x, y, y): both of a party's settings at one
+    angle, which happens where the simplex clips a vertex to the box bound
+    2pi. The record keeps four stations and four pairs by position."""
+
+    @PROPERTY_SETTINGS
+    @given(a1_sq=ALPHA_SQ, a2_sq=ALPHA_SQ, phases=st.tuples(ANGLES, ANGLES),
+           x=ANGLES, y=ANGLES)
+    @example(a1_sq=1.0, a2_sq=1.0, phases=(0.0, HALF_PI), x=2 * math.pi,
+             y=2 * math.pi)
+    @example(a1_sq=0.3, a2_sq=1.7, phases=(2 * math.pi, 0.4), x=2 * math.pi,
+             y=0.0)
+    def test_identity_and_closed_form(self, a1_sq, a2_sq, phases, x, y):
+        rec = evaluate_settings(ExperimentConfig(a1_sq, a2_sq, *phases), x, x, y, y)
+        assert rec.settings == ((x, y),) * 4
+        assert abs(rec.chsh - (2.0 + 4.0 * rec.ch)) <= IDENTITY_TOL
+        ch, _ = analytic.ch_chsh_point(a1_sq, a2_sq, *phases, x, x, y, y)
+        assert abs(rec.ch - ch) <= RunConfig().tol
+
+
 class TestStateSplit:
     @pytest.mark.parametrize("alpha_sq", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_entangled_weight(self, alpha_sq):
@@ -361,7 +382,7 @@ class TestStateSplit:
 class TestLambdaCrossTerms:
     def test_mixed_outcome_term_present(self):
         split = split_state(symmetric_config(1.0))
-        terms = lambda_cross_terms(split, count=10)
+        terms = lambda_cross_terms(split)
         by_occ = {t.occupation: t for t in terms}
         assert (1, 0, 1, 1) in by_occ
         term = by_occ[(1, 0, 1, 1)]
@@ -371,8 +392,8 @@ class TestLambdaCrossTerms:
 
     def test_terms_sorted_and_deterministic(self):
         split = split_state(symmetric_config(1.0))
-        first = lambda_cross_terms(split, count=10)
-        second = lambda_cross_terms(split, count=10)
+        first = lambda_cross_terms(split)
+        second = lambda_cross_terms(split)
         assert [t.occupation for t in first] == [t.occupation for t in second]
         weights = [t.weight for t in first]
         assert weights == sorted(weights, reverse=True)
@@ -381,16 +402,18 @@ class TestLambdaCrossTerms:
     @given(config=equal_drives())
     def test_matches_dense_listing(self, config):
         split = split_state(config)
-        assert lambda_cross_terms(split, count=10) == \
-            dense_cross_terms(dense_split_state(config).lam, count=10)
+        assert lambda_cross_terms(split) == \
+            dense_cross_terms(dense_split_state(config).lam,
+                              count=bell.CROSS_TERM_COUNT)
 
     @pytest.mark.parametrize("alpha_sq", [1e-6, 6.0])
     def test_ties_keep_dense_order(self, alpha_sq):
         # many occupations tie in weight here; a contraction in another
         # order perturbs the last bits and swaps tied entries
         cfg = symmetric_config(alpha_sq, HALF_PI, CutoffSpec(tail_eps=1e-6))
-        terms = lambda_cross_terms(split_state(cfg), count=10)
-        assert terms == dense_cross_terms(dense_split_state(cfg).lam, count=10)
+        terms = lambda_cross_terms(split_state(cfg))
+        assert terms == dense_cross_terms(dense_split_state(cfg).lam,
+                                          count=bell.CROSS_TERM_COUNT)
         weights = [t.weight for t in terms]
         assert len(set(weights)) < len(weights)
 
@@ -567,6 +590,19 @@ class TestTsirelson:
         vacuum_mix = support_state({(0, 0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             tsirelson_two_qubit(vacuum_mix)
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_off_subspace_tolerance_is_the_module_constant(self, scale, accepted):
+        # a vacuum term carrying scale * LOGICAL_SUBSPACE_ATOL of probability
+        atol = bell.LOGICAL_SUBSPACE_ATOL
+        assert atol == 1e-9
+        state = two_term_state(0.6, 0.8)
+        state[0, 0, 0, 0] = math.sqrt(scale * atol)
+        if accepted:
+            assert logical_qubit_amplitudes(state)[0, 1] == 0.6
+        else:
+            with pytest.raises(ValueError, match="outside the single-photon"):
+                logical_qubit_amplitudes(state)
 
     def test_rejects_arrays_off_the_support_layout(self):
         dense = np.zeros((3, 3, 3, 3), dtype=complex)

@@ -757,8 +757,8 @@ class TestSplit:
         assert term["bob_minus_one_reachable"] is False
 
     def test_oversized_dense_state_rejected(self, tmp_path, capsys):
-        # alpha_sq 50 resolves to cutoff 108: a 2.1 GiB 4-mode state, which
-        # is refused before anything of that size is allocated
+        # alpha_sq 50 resolves to cutoff 108, above fock.MAX_CUTOFF = 63,
+        # so the run is refused before any state is built
         cfg = write_config(tmp_path, {"alpha_sq": 50})
         out = tmp_path / "s.json"
         assert run_cli(["split", "--config", cfg, "--out", out]) == 2
@@ -797,6 +797,27 @@ class TestSplit:
         assert check["passed"] is False
         assert check["max_residual"] > 0.4
         assert "split check failed" in capsys.readouterr().err
+
+    def test_reference_dphi_is_the_config_phase_difference(self, tmp_path):
+        # the state is built at phi2 - phi1, and the report says so; at the
+        # default phases that is REFERENCE_DPHI exactly
+        assert RunConfig().phi2 - RunConfig().phi1 == bell.REFERENCE_DPHI
+        reports = []
+        for i, phases in enumerate(({}, {"phi1": 0.3, "phi2": 1.0})):
+            out = tmp_path / f"split{i}.json"
+            assert run_cli(["split", "--config", write_config(tmp_path, phases),
+                            "--out", out]) == 0
+            reports.append(json.loads(out.read_text()))
+        default, moved = reports
+        # floats are emitted at 9 significant digits
+        assert default["reference_settings"]["dphi"] == pytest.approx(
+            bell.REFERENCE_DPHI, abs=1e-8)
+        assert moved["reference_settings"]["dphi"] == pytest.approx(0.7, abs=1e-8)
+        # the phases move the state's CHSH at the reference settings
+        assert default["chsh_decomposition"]["full"] == pytest.approx(
+            1.18193879, abs=1e-8)
+        assert moved["chsh_decomposition"]["full"] == pytest.approx(
+            1.11384455, abs=1e-8)
 
     def test_asymmetric_drive_rejected(self, tmp_path):
         # the config has one drive strength; per-station strengths are not

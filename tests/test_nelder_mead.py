@@ -36,8 +36,8 @@ def start(kind, seed):
 
 
 def negative_chsh(kind):
-    names = FAMILIES[kind].names
-    return lambda x: -evaluate_point(kind, dict(zip(names, x)))[1]
+    """maximize_chsh's objective: the vertex is the family point."""
+    return lambda x: -evaluate_point(kind, x)[1]
 
 
 def tied(f, step=0.02):
@@ -229,6 +229,8 @@ class TestMaximize:
             out.evaluations,
             bits([list(rec.params.values()) for rec in out.trace]))
         for rec in out.trace:
-            assert (rec.ch, rec.chsh) == evaluate_point(kind, rec.params)
+            assert (rec.ch, rec.chsh) == evaluate_point(
+                kind, list(rec.params.values()))
         assert out.crosscheck_residual == max(
-            abs(numeric_point(kind, rec.params)[0] - rec.ch) for rec in out.trace)
+            abs(numeric_point(kind, list(rec.params.values()))[0] - rec.ch)
+            for rec in out.trace)

@@ -3,7 +3,9 @@
 perfbench's traced run reads names in the package (optics._pair_block and
 _mixing_eig, the detection module) and checks span counts of run_network,
 evaluate_quadruple, ch_closed and evaluate_point against counts the program
-reports. A source change that breaks any of these fails here.
+reports. It also calls scan.maximize_chsh(kind, restarts, seed, maxfev=...)
+on the program and on its frozen baseline alike, so that signature is
+pinned too. A source change that breaks any of these fails here.
 """
 
 import subprocess

@@ -38,12 +38,14 @@ TAIL_EPS = st.sampled_from((1e-12, 1e-6, 1e-4))
 
 @st.composite
 def relaxed_points(draw, kind):
+    """A point of a relaxed family: its values in the family's params
+    order."""
     values = {name: draw(ANGLES) for name in
               ("xi", "xi2", "eta", "eta2", "phi1", "phi2")}
     strengths = (("alpha_sq",) if kind == "relaxed_phases"
                  else ("alpha1_sq", "alpha2_sq"))
     values.update({name: draw(STRENGTHS) for name in strengths})
-    return values
+    return [values[name] for name in FAMILIES[kind].names]
 
 
 class TestFamilies:
@@ -63,9 +65,8 @@ class TestFamilies:
         assert not any(n.startswith("alpha1_sq_") for n in names)
 
 
-BASELINE_POINTS = st.fixed_dictionaries({
-    "alpha_sq": st.floats(ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-    "xi_plus_eta": ANGLES})
+# (alpha_sq, xi_plus_eta)
+BASELINE_POINTS = st.tuples(st.floats(ALPHA_SQ_MIN, ALPHA_SQ_MAX), ANGLES)
 
 
 def family_points(kind):
@@ -98,30 +99,46 @@ class TestOneParameterLayer:
 
 class TestStationParams:
     def test_baseline_is_the_standard_quadruple(self):
-        values = {"alpha_sq": 1.5, "xi_plus_eta": 2.0}
         xi = (2.0 + 3 * math.pi / 4) / 2
         eta = (2.0 - 3 * math.pi / 4) / 2
-        assert station_params("paper_baseline", values) == (
+        assert station_params("paper_baseline", [1.5, 2.0]) == (
             1.5, 1.5, 0.0, HALF_PI, xi, xi + HALF_PI, eta, eta + HALF_PI)
 
     def test_relaxed_phases_shares_one_strength(self):
-        values = {"alpha_sq": 0.7, "xi": 1.0, "xi2": 2.0, "eta": 3.0,
-                  "eta2": 4.0, "phi1": 5.0, "phi2": 6.0}
+        # (alpha_sq, xi, xi2, eta, eta2, phi1, phi2)
+        values = [0.7, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         assert station_params("relaxed_phases", values) == (
             0.7, 0.7, 5.0, 6.0, 1.0, 2.0, 3.0, 4.0)
 
+    def test_relaxed_amplitudes_one_strength_per_party(self):
+        # (alpha1_sq, alpha2_sq, xi, xi2, eta, eta2, phi1, phi2)
+        values = [0.7, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert station_params("relaxed_amplitudes", values) == (
+            0.7, 0.9, 5.0, 6.0, 1.0, 2.0, 3.0, 4.0)
+
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_missing_parameter_rejected_by_every_evaluator(self, kind):
-        values = {name: 0.5 for name in FAMILIES[kind].names[1:]}
+        # a short vector: one value too few
+        values = [0.5] * (len(FAMILIES[kind].params) - 1)
         for evaluate in (station_params, evaluate_point, numeric_point):
-            with pytest.raises(ValueError, match="missing parameters"):
+            with pytest.raises(ValueError, match="not enough values"):
                 evaluate(kind, values)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_extra_value_rejected_by_every_evaluator(self, kind):
+        values = [0.5] * (len(FAMILIES[kind].params) + 1)
+        for evaluate in (station_params, evaluate_point, numeric_point):
+            with pytest.raises(ValueError, match="too many values"):
+                evaluate(kind, values)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            station_params("everything_free", [0.5] * 8)
 
 
 class TestEvaluatePoint:
     def test_baseline_analytic_matches_closed_form(self):
-        values = {"alpha_sq": 1.0, "xi_plus_eta": math.pi}
-        ch, chsh = evaluate_point("paper_baseline", values)
+        ch, chsh = evaluate_point("paper_baseline", [1.0, math.pi])
         xi = (math.pi + 3 * math.pi / 4) / 2
         eta = (math.pi - 3 * math.pi / 4) / 2
         point = ClosedFormPoint(xi, eta, HALF_PI, 1.0)
@@ -135,15 +152,16 @@ class TestEvaluatePoint:
         # paper_baseline they are the paper's expanded forms to rounding.
         # Both chsh are 2 + 4 ch, so their bound is four times ch's (20000
         # random points reached 2.8e-16 on ch and 1.1e-15 on chsh)
-        xi = (values["xi_plus_eta"] + 3 * math.pi / 4) / 2
-        eta = (values["xi_plus_eta"] - 3 * math.pi / 4) / 2
-        point = ClosedFormPoint(xi, eta, REFERENCE_DPHI, values["alpha_sq"])
+        alpha_sq, xi_plus_eta = values
+        xi = (xi_plus_eta + 3 * math.pi / 4) / 2
+        eta = (xi_plus_eta - 3 * math.pi / 4) / 2
+        point = ClosedFormPoint(xi, eta, REFERENCE_DPHI, alpha_sq)
         ch, chsh = evaluate_point("paper_baseline", values)
         assert abs(ch - ch_closed(point)) <= 1e-15
         assert abs(chsh - chsh_closed(point)) <= 4e-15
 
     def test_baseline_numeric_agrees_with_analytic(self):
-        values = {"alpha_sq": 0.8, "xi_plus_eta": 2.4}
+        values = [0.8, 2.4]
         ch_a, _ = evaluate_point("paper_baseline", values)
         ch_n, _ = numeric_point("paper_baseline", values)
         assert ch_n == pytest.approx(ch_a, abs=1e-9)
@@ -160,7 +178,7 @@ class TestEvaluatePoint:
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_point("paper_baseline", {"alpha_sq": 1.0})
+            evaluate_point("paper_baseline", [1.0])
 
 
 class TestNumericPoint:
@@ -170,10 +188,11 @@ class TestNumericPoint:
         # one numeric evaluator for every family: on paper_baseline it is
         # the standard quadruple of symmetric_config, bit for bit
         spec = CutoffSpec(tail_eps=tail_eps)
-        xi = (values["xi_plus_eta"] + 3 * math.pi / 4) / 2
-        eta = (values["xi_plus_eta"] - 3 * math.pi / 4) / 2
+        alpha_sq, xi_plus_eta = values
+        xi = (xi_plus_eta + 3 * math.pi / 4) / 2
+        eta = (xi_plus_eta - 3 * math.pi / 4) / 2
         record = evaluate_quadruple(
-            symmetric_config(values["alpha_sq"], REFERENCE_DPHI, spec),
+            symmetric_config(alpha_sq, REFERENCE_DPHI, spec),
             SettingsQuadruple(xi, eta))
         assert numeric_point("paper_baseline", values, spec) == \
             (record.ch, record.chsh)
@@ -185,9 +204,10 @@ def baseline_grid(alpha_sq, xi_plus_eta):
     records = []
     for a in alpha_sq:
         for t in xi_plus_eta:
-            values = {"alpha_sq": float(a), "xi_plus_eta": float(t)}
+            values = [float(a), float(t)]
             ch, chsh = evaluate_point("paper_baseline", values)
-            records.append(ScanRecord(len(records), values, ch, chsh))
+            records.append(ScanRecord(len(records), dict(zip(
+                FAMILIES["paper_baseline"].names, values)), ch, chsh))
     return records
 
 
@@ -203,7 +223,8 @@ class TestGridScan:
 
     def test_crosscheck_residual_small(self):
         records = baseline_grid(np.linspace(0.1, 2.0, 10), np.linspace(0.0, 6.0, 10))
-        worst = max(abs(numeric_point("paper_baseline", r.params)[0] - r.ch)
+        worst = max(abs(numeric_point("paper_baseline",
+                                      list(r.params.values()))[0] - r.ch)
                     for r in records[::20])
         assert worst <= 1e-12
 
@@ -239,7 +260,8 @@ class TestMaximize:
     def test_analytic_search_crosschecks_every_restart(self, kind):
         out = maximize_chsh(kind, restarts=3, seed=5, maxfev=40)
         assert 0.0 < out.crosscheck_residual <= 1e-12
-        residuals = [abs(numeric_point(kind, rec.params)[0] - rec.ch)
+        residuals = [abs(numeric_point(kind, list(rec.params.values()))[0]
+                         - rec.ch)
                      for rec in out.trace]
         assert max(residuals) == out.crosscheck_residual
 
@@ -275,7 +297,7 @@ class TestSmallDriveLimit:
         # along eta = 0, xi = 3pi/4 the zero-drive limit is
         # cos(eta) - sin(xi) = 1 - sqrt(2)/2
         limit = 1.0 - math.sin(3 * math.pi / 4)
-        values = {"alpha_sq": 1e-8, "xi_plus_eta": 3 * math.pi / 4}
+        values = [1e-8, 3 * math.pi / 4]
         _, chsh_a = evaluate_point("paper_baseline", values)
         assert abs(chsh_a - limit) < 1e-6
         _, chsh_n = numeric_point("paper_baseline", values)
