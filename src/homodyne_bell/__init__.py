@@ -6,10 +6,11 @@ Fock-space numerics (fock, optics, detection, bell) and closed forms
 constrained CHSH maximization (scan) and a CLI (cli). The numerics mix
 what each station holds, its truncated oscillator with 0 or 1 photon on
 the ph port, with one splitter (optics.mix_station), one pass over all of
-a network's settings, and read every setting out through one Born-rule
-readout (detection): the station engine assembles Bell records from them
-(bell), and the verification oracles' network (optics.run_network, used
-only by the cli) checks the closed forms against them.
+a network's settings, and read every setting of a pass out with one call
+of the Born-rule readout (detection.read_pass), which also decides the
+term order: the station engine assembles Bell records from them (bell),
+and the verification oracles' network (optics.run_network, used only by
+the cli) returns the probabilities the closed forms are checked against.
 """
 
 __version__ = "0.1.0"

@@ -12,10 +12,10 @@ expanded, it cancels only to about 1e-17 where it vanishes):
     P_B(-1|y)    = 1/2 e^{-alpha2^2} (alpha2^2 c_y^2 + s_y^2)
 
 One body evaluates them, with `math` on plain floats in `probs_point`
-(the triple verify checks against the Fock route's readout of its
-network, optics.run_network) and `ch_chsh_point` (CH and CHSH of four setting
-pairs, which the search runs for every family), and with `numpy` on arrays
-in `probs_general` and `ch_chsh_general`. They take the eight station
+(the triple verify checks against the probabilities of the Fock route's
+network, optics.run_network) and `ch_chsh_point` (CH and CHSH of four
+setting pairs, which the search runs for every family), and with `numpy`
+on arrays in `probs_general` and `ch_chsh_general`. They take the eight station
 parameters (alpha1_sq, alpha2_sq, phi1, phi2, then the angles) in the
 order and units of optics.ExperimentConfig and bell.evaluate_settings.
 With the Fock numerics they are the two independent routes to every

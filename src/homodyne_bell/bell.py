@@ -3,22 +3,22 @@ two-qubit maximal-CHSH check for the entangled component.
 
 Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
-w = optics.PAIR_WEIGHTS, and both beamsplitters are local, so the output
-is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of each
-station, every mode truncated at the per-mode cutoff. A record mixes its
-four settings' oscillators (optics.station_inputs) in one
+w = detection.PAIR_WEIGHTS, and both beamsplitters are local, so the
+output is sum_k w_k A_k (x) B_k with A_k, B_k the two mixed input terms of
+each station, every mode truncated at the per-mode cutoff. A record mixes
+its four settings' oscillators (optics.oscillators) in one
 optics.mix_station pass and reads every setting's terms at once
-(detection.station_vectors); every record probability comes from the
-detection module's readout of those terms. The verification oracles'
-network (optics.run_network) mixes through the same splitter and reads
-out through the same readout, and bell defines neither of its own.
+(detection.read_pass); every record probability comes from the detection
+module's readout of those terms. The verification oracles' network
+(optics.run_network) mixes through the same splitter and reads out through
+the same readout, and bell defines neither of its own.
 
 The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
 each setting's station observable 1 - 2|1,0><1,0|, written on a station's
-input support from one mix_station pass over its unit oscillators
-(optics.support_inputs) and detection.station_vectors.
+input support from the Gram matrix of one mix_station pass over its unit
+oscillators.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import pair_probabilities, plain_station, station_vectors
-from .optics import (ExperimentConfig, input_support, mix_station, station_inputs,
-                     support_inputs)
+from .detection import pair_probabilities, read_pass
+from .optics import ExperimentConfig, input_support, mix_station, oscillators
 
 HALF_PI = math.pi / 2.0
 
@@ -109,16 +108,15 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     (xi2, eta2) with signs +, +, -, + and assemble the record.
 
     All four settings are mixed in one optics.mix_station pass at the
-    per-mode cutoff config.resolve_cutoff(), read in one
-    detection.station_vectors call, each setting's station is converted to
-    plain numbers once (detection.plain_station), and every pair is read
-    out from two of them by detection.pair_probabilities, all by position,
-    so equal angles stay separate settings. Canonical marginals: Alice's at
-    xi and xi2 come from pairs 1 and 2, Bob's at eta and eta2 from 1 and 3.
+    per-mode cutoff config.resolve_cutoff() and read in one
+    detection.read_pass call, which converts each setting's station to
+    plain numbers once, and every pair is read out from two of them by
+    detection.pair_probabilities, all by position, so equal angles stay
+    separate settings. Canonical marginals: Alice's at xi and xi2 come from
+    pairs 1 and 2, Bob's at eta and eta2 from 1 and 3.
     """
-    lo, terms = station_inputs(config, 2, 2)
-    grams, favs = station_vectors(mix_station(lo, (xi, xi2, eta, eta2)), terms)
-    a, a2, b, b2 = (plain_station(gram, fav) for gram, fav in zip(grams, favs))
+    a, a2, b, b2 = read_pass(mix_station(oscillators(config).repeat(2, axis=0),
+                                         (xi, xi2, eta, eta2)), 2)
     probs = [pair_probabilities(x, y)
              for x, y in ((a, b), (a2, b), (a, b2), (a2, b2))]
 
@@ -190,10 +188,15 @@ def _station_observable(theta: float, cutoff: int) -> np.ndarray:
     matrix on the station's input support |a, b> (a <= cutoff, b <= 1,
     flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
     mixed basis inputs and f their favorable amplitudes, from one pass of
-    the unit oscillators |a>, all at theta."""
-    lo, terms = support_inputs(cutoff)
-    (gram,), (fav,) = station_vectors(
-        mix_station(lo, np.full(cutoff + 1, theta)), terms)
+    the unit oscillators |a>, all at theta. The pass holds the image of
+    |a, b> in column b (cutoff + 1) + a, so order lists the columns in
+    support order."""
+    stride = cutoff + 1
+    images = mix_station(np.eye(stride), np.full(stride, theta))
+    flat = images.reshape(-1, 2 * stride)
+    order = np.arange(2 * stride).reshape(2, stride).T.reshape(-1)
+    gram = (flat.conj().T @ flat)[order[:, None], order]
+    fav = images[1, 0].reshape(-1)[order]
     return gram - 2.0 * np.outer(fav.conj(), fav)
 
 

@@ -32,7 +32,6 @@ from .bell import (
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
-from .detection import favorable_probs
 from .fock import MAX_ALPHA_SQ, CutoffSpec
 from .optics import (
     ExperimentConfig,
@@ -98,13 +97,12 @@ class RunConfig:
     crosscheck_fraction: float = 0.01
     restarts: int = 32
     maxfev: int = 2000
-    diameter_tol: float = 1e-10
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _typed_value(
                 f.name, getattr(self, f.name), _RUN_CONFIG_TYPES[f.name]))
-        for name in ("tol", "cutoff_eps", "diameter_tol"):
+        for name in ("tol", "cutoff_eps"):
             # an infinite tolerance would pass its checks vacuously
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ConfigError(f"{name} must be > 0 and finite")
@@ -241,8 +239,8 @@ def _network_oracle_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dic
         weak = strong * rng.random()
         a1_sq, a2_sq = (strong, weak) if rng.random() < 0.5 else (weak, strong)
         phi1, phi2, xi, eta = rng.uniform(0.0, 2.0 * math.pi, 4)
-        p_a, p_b, p_ab, _ = favorable_probs(run_network(
-            ExperimentConfig(a1_sq, a2_sq, phi1, phi2, spec), xi, eta))
+        p_a, p_b, p_ab, _ = run_network(
+            ExperimentConfig(a1_sq, a2_sq, phi1, phi2, spec), xi, eta)
         c_a, c_b, c_ab = analytic.probs_point(a1_sq, a2_sq, phi1, phi2, xi, eta)
         worst_joint = max(worst_joint, abs(p_ab - c_ab))
         worst_local = max(worst_local, abs(p_a - c_a), abs(p_b - c_b))
@@ -260,7 +258,7 @@ def _exponent_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     spec = cfg.cutoff_spec()
     corrected_resid = printed_resid = 0.0
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
-        p = favorable_probs(run_network(symmetric_config(a2, 0.7, spec), x, 0.9))[0]
+        p = run_network(symmetric_config(a2, 0.7, spec), x, 0.9)[0]
         corrected = analytic.probs_point(a2, a2, 0.0, 0.7, x, 0.9)[0]
         corrected_resid = max(corrected_resid, abs(p - corrected))
         printed_resid = max(printed_resid,
@@ -330,12 +328,12 @@ def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         config = ExperimentConfig(a2, a2, phi1, phi2, spec)
-        p_a, p_b, _, norm_sq = favorable_probs(run_network(config, xi, eta))
+        p_a, p_b, _, norm_sq = run_network(config, xi, eta)
         source = input_support(config)
-        alt_bob = favorable_probs(run_network(
-            ExperimentConfig(a2, a2, phi1, phi2_alt, spec), xi, eta_alt))
-        alt_alice = favorable_probs(run_network(
-            ExperimentConfig(a2, a2, phi1_alt, phi2, spec), xi_alt, eta))
+        alt_bob = run_network(ExperimentConfig(a2, a2, phi1, phi2_alt, spec),
+                              xi, eta_alt)
+        alt_alice = run_network(ExperimentConfig(a2, a2, phi1_alt, phi2, spec),
+                                xi_alt, eta)
         worst_nosig = max(worst_nosig, abs(p_a - alt_bob[0]),
                           abs(p_b - alt_alice[1]))
         worst_norm = max(worst_norm,
@@ -501,8 +499,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     family = get_family(args.family)
     prov = provenance(cfg, args, ALPHA_SQ_MAX)  # resolved before the search
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
-                            diameter_tol=cfg.diameter_tol, maxfev=cfg.maxfev,
-                            cutoff=cfg.cutoff_spec())
+                            maxfev=cfg.maxfev, cutoff=cfg.cutoff_spec())
     crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residual,
                         cfg.tol, outcome.restarts)
     payload = {

@@ -22,11 +22,10 @@ per-mode cutoff N: the mixing generator's spectrum is exact, so one real
 product of a per-cutoff eigenvector table with every setting's phases
 gives the block columns a station input reaches, one elementwise product
 applies the input, and one gather places the mixed rows into the output
-occupations. station_inputs gives a pass's oscillators and its term
-columns, where the term order of sum_k w_k A_k (x) B_k is decided: the
-station engine (bell) mixes all four settings of a record in one pass, and
-the verification oracles' network (run_network) both stations' settings in
-one.
+occupations. The station engine (bell) mixes all four settings of a record
+in one pass, and the verification oracles' network (run_network) both
+stations' settings in one; detection.read_pass reads either pass out in
+the term order detection decides.
 """
 
 from __future__ import annotations
@@ -38,11 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass
 from .fock import MAX_CUTOFF, CutoffSpec, coherent_state
-
-# weight of the input term with k photons at Alice's ph port and 1 - k at
-# Bob's: the single photon split as (|0,1> + i|1,0>)/sqrt2 over (b1, b2)
-PAIR_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -85,10 +81,11 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
     return ExperimentConfig(alpha_sq, alpha_sq, 0.0, dphi, cutoff)
 
 
-def _oscillators(config: ExperimentConfig) -> np.ndarray:
+def oscillators(config: ExperimentConfig) -> np.ndarray:
     """Both stations' truncated oscillators at the per-mode cutoff N, rows
-    (Alice, Bob) of one coherent_state call. The cutoff is resolved first,
-    so a config above MAX_CUTOFF is refused before any allocation."""
+    (Alice, Bob) of one coherent_state call; a mix_station pass takes each
+    row once per setting of its station. The cutoff is resolved first, so a
+    config above MAX_CUTOFF is refused before any allocation."""
     n = config.resolve_cutoff()
     return coherent_state((math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1),
                            math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)),
@@ -99,44 +96,10 @@ def input_support(config: ExperimentConfig) -> np.ndarray:
     """Input amplitudes on their support, indexed [a1, b1, a2, b2] with a1,
     a2 up to the cutoff N and b1, b2 in {0, 1}: the truncated oscillators on
     a1 and a2 times the split photon on (b1, b2)."""
-    lo1, lo2 = _oscillators(config)
+    lo1, lo2 = oscillators(config)
     pair = np.zeros((2, 2), dtype=np.complex128)
     pair[0, 1], pair[1, 0] = PAIR_WEIGHTS
     return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
-
-
-@lru_cache(maxsize=16)
-def _term_columns(alice: int, bob: int) -> np.ndarray:
-    """The term columns of a pass over `alice` settings of Alice's station
-    and then `bob` of Bob's: row i lists, in the term order of
-    sum_k w_k A_k (x) B_k, the columns s * (alice + bob) + i of
-    mix_station's output, reshaped to (N+1, N+1, -1), that hold setting
-    i's terms. Alice's term k holds k ph photons and Bob's 1 - k, so his
-    row lists the ph-1 image first. Read-only."""
-    settings = alice + bob
-    ph = np.array([(0, 1)] * alice + [(1, 0)] * bob, dtype=np.intp).reshape(-1, 2)
-    columns = ph * settings + np.arange(settings)[:, None]
-    columns.setflags(write=False)
-    return columns
-
-
-def station_inputs(config: ExperimentConfig, alice: int,
-                   bob: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs of one mix_station pass over `alice` settings of Alice's
-    station and then `bob` of Bob's: each setting's truncated oscillator,
-    (alice + bob, N + 1), and the pass's term columns (_term_columns), by
-    which detection.station_vectors reads each setting's terms."""
-    return (_oscillators(config).repeat((alice, bob), axis=0),
-            _term_columns(alice, bob))
-
-
-def support_inputs(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """The inputs of one mix_station pass over a station's input support at
-    `cutoff`: the unit oscillators |a>, a = 0..cutoff, one per setting, and
-    one row of term columns listing the pass's images in the support's
-    flat order 2a + b (the image of |a, b> is column b (cutoff + 1) + a)."""
-    stride = cutoff + 1
-    return np.eye(stride), np.arange(2 * stride).reshape(2, stride).T.reshape(1, -1)
 
 
 @lru_cache(maxsize=512)
@@ -244,10 +207,10 @@ def mix_station(lo: np.ndarray, angles) -> np.ndarray:
 
 
 def run_network(config: ExperimentConfig, xi: float,
-                eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The network as (images, terms): one mix_station pass, Alice's
-    station at xi and Bob's at eta, and its term columns
-    (station_inputs(config, 1, 1)), as in bell.evaluate_settings.
-    detection.favorable_probs reads it out."""
-    lo, terms = station_inputs(config, 1, 1)
-    return mix_station(lo, (xi, eta)), terms
+                eta: float) -> tuple[float, float, float, float]:
+    """(p_A, p_B, p_AB, <psi|psi>) of the network with Alice's station at
+    xi and Bob's at eta (detection.pair_probabilities): both settings mixed
+    in one mix_station pass and read out by detection.read_pass, as in
+    bell.evaluate_settings."""
+    alice, bob = read_pass(mix_station(oscillators(config), (xi, eta)), 1)
+    return pair_probabilities(alice, bob)

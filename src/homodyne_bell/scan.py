@@ -18,11 +18,13 @@ bell.evaluate_settings(ExperimentConfig(*p[:4], cutoff), *p[4:])
 (numeric_point). The paper's printed forms are only tested, by verify.
 
 The maximizer seeds restarts from a Latin hypercube over the search box and
-refines each with a Nelder-Mead simplex run down to a fixed simplex
-diameter. Each restart's final point is re-evaluated on the numerics, and
-the largest |ch_numeric - ch_analytic| is part of the result. Everything is
-deterministic given the seed; restarts are independent evaluations reduced
-in restart order.
+refines each with a Nelder-Mead simplex until every vertex is within a
+fixed tolerance of the best vertex in every coordinate (scipy's xatol),
+which is not a bound on the simplex diameter, although the tolerance keeps
+the name diameter_tol. Each restart's final point is re-evaluated on the
+numerics, and the largest |ch_numeric - ch_analytic| is part of the
+result. Everything is deterministic given the seed; restarts are
+independent evaluations reduced in restart order.
 
 The hypercube is drawn in numpy (latin_hypercube) and reproduces
 scipy.stats.qmc.LatinHypercube draw for draw. The simplex runs on plain
@@ -306,12 +308,12 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     Each restart starts from one Latin-hypercube sample and refines with a
     bounded Nelder-Mead simplex (_nelder_mead, scipy's search on plain
     floats, its vertices ranked by numpy.argsort as scipy ranks them, ties
-    included), stopping once the simplex diameter falls below diameter_tol
-    (or at maxfev evaluations); each vertex is passed to evaluate_point as
-    it is. Each restart's final point becomes a record, named once, through
-    one more evaluate_point call, so a search calls evaluate_point exactly
-    evaluations + restarts times, and is re-evaluated by numeric_point
-    under the cutoff policy.
+    included), stopping once every vertex is within diameter_tol of the best
+    vertex in every coordinate (its xatol) or at maxfev evaluations; each
+    vertex is passed to evaluate_point as it is. Each restart's final point
+    becomes a record, named once, through one more evaluate_point call, so
+    a search calls evaluate_point exactly evaluations + restarts times, and
+    is re-evaluated by numeric_point under the cutoff policy.
     Deterministic for a fixed seed: restarts run and are recorded in sample
     order.
     """

@@ -16,7 +16,6 @@ from homodyne_bell.analytic import (
     probs_point,
 )
 from homodyne_bell.bell import evaluate_settings
-from homodyne_bell.detection import favorable_probs
 from homodyne_bell.fock import CutoffSpec
 from homodyne_bell.optics import ExperimentConfig, run_network
 
@@ -300,8 +299,8 @@ class TestGeneralForms:
     @given(a1_sq=st.floats(0.0, 1.0), a2_sq=st.floats(0.0, 1.0),
            phases=st.tuples(ANGLES, ANGLES), x=ANGLES, y=ANGLES)
     def test_probabilities_match_dense_network(self, a1_sq, a2_sq, phases, x, y):
-        num_a, num_b, num_joint, _ = favorable_probs(
-            run_network(strict_config(a1_sq, a2_sq, *phases), x, y))
+        num_a, num_b, num_joint, _ = run_network(
+            strict_config(a1_sq, a2_sq, *phases), x, y)
         p_a, p_b, joint = probs_general(a1_sq, a2_sq, *phases, x, y)
         assert abs(joint - num_joint) <= 1e-12
         assert abs(p_a - num_a) <= 1e-12

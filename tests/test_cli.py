@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
-from homodyne_bell import analytic, bell, cli, detection, optics
+from homodyne_bell import analytic, bell, cli, optics
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
 from homodyne_bell.scan import FAMILIES
@@ -86,14 +86,15 @@ PLANTED_FAULTS = [
                  CLOSED_FORM_CHECKS | {"joint_within_marginals"}, CORRECTED,
                  id="general-joint-doubled"),
     # oracle marginals off by a constant leave the joints alone, and
-    # no-signalling compares marginals shifted alike
-    pytest.param([plant(detection, "pair_probabilities",
+    # no-signalling compares marginals shifted alike; the oracle's binding
+    # of the readout is optics', where run_network reads its pass out
+    pytest.param([plant(optics, "pair_probabilities",
                         lambda p: (p[0] + 1e-6, p[1] + 1e-6, p[2], p[3]))],
                  {"local_oracle_agreement", "local_exponent_adjudication"},
                  CORRECTED, id="oracle-marginals-shifted"),
     # Alice's oracle marginal taken as the exclusive event, Alice favorable
     # and Bob not, follows Bob's setting
-    pytest.param([plant(detection, "pair_probabilities",
+    pytest.param([plant(optics, "pair_probabilities",
                         lambda p: (p[0] - p[2], p[1], p[2], p[3]))],
                  {"local_oracle_agreement", "joint_within_marginals",
                   "local_exponent_adjudication", "no_signalling"},
@@ -222,10 +223,12 @@ class TestVerify:
             "unitarity": 1e-10}
 
     @pytest.mark.parametrize("key", ["identity_tol", "nosignal_tol",
-                                     "unitarity_tol"])
+                                     "unitarity_tol", "diameter_tol"])
     def test_fixed_tolerance_keys_rejected(self, tmp_path, capsys, key):
         # only the oracle's tol is a setting; the identity, no-signalling
-        # and unitarity tolerances are fixed
+        # and unitarity tolerances are fixed, and so is the search's simplex
+        # tolerance (scan.DEFAULT_DIAMETER_TOL); every command loads its
+        # config alike, so verify refuses the key as optimize does
         cfg = write_config(tmp_path, {key: 1.0})
         out = tmp_path / "report.json"
         assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
@@ -298,8 +301,6 @@ class TestRunKnobRange:
         (["verify"], {"tol": float("nan")}),
         # an infinite tolerance would pass its check vacuously
         (["figure", "--grid", "4x4"], {"tol": math.inf}),
-        (["optimize", "--family", "paper_baseline"], {"diameter_tol": math.inf}),
-        (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
         # figure streams its rows, so a range that would fail mid-grid is
         # refused at load; an explicit cutoff_n skips the cutoff policy's
         # own range checks
@@ -309,8 +310,7 @@ class TestRunKnobRange:
     ], ids=["maxfev-0", "maxfev-neg", "restarts", "restarts-huge", "seed",
             "grid_budget",
             "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
-            "cutoff_n-100", "tol-nan", "figure_tol-inf", "diameter_tol-inf",
-            "diameter_tol-nan",
+            "cutoff_n-100", "tol-nan", "figure_tol-inf",
             "alpha_sq_max-neg", "alpha_sq_max-nan", "alpha_sq_max-huge"])
     def test_rejected_at_load(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)

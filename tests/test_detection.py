@@ -13,14 +13,14 @@ from dense_oracle import (
 )
 from homodyne_bell.analytic import probs_general
 from homodyne_bell.bell import evaluate_settings
-from homodyne_bell.detection import (favorable_probs, pair_probabilities,
-                                     plain_station)
+from homodyne_bell.detection import pair_probabilities, read_pass
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec
 from homodyne_bell.optics import (
     ExperimentConfig,
     input_support,
+    mix_station,
+    oscillators,
     run_network,
-    station_inputs,
     symmetric_config,
 )
 
@@ -47,10 +47,11 @@ def enumerated_correlator(out):
     return sum(a * b * p for (a, b), p in outcome_classes(out).items())
 
 
-def scaled(network, z):
-    """The network of z times its output: Alice's images scaled."""
-    images, terms = network
-    return images * np.array([z, 1.0]), terms
+def scaled_network(config, xi, eta, z):
+    """run_network(config, xi, eta) on z times its output: Alice's images
+    scaled."""
+    images = mix_station(oscillators(config), (xi, eta))
+    return pair_probabilities(*read_pass(images * np.array([z, 1.0]), 1))
 
 
 def dense(config, xi, eta):
@@ -70,19 +71,18 @@ class TestMarginals:
         # both terms of both stations hold |0, 0>
         vac = np.zeros((3, 3, 2, 2), dtype=complex)
         vac[0, 0] = 1.0
-        terms = station_inputs(symmetric_config(0.0), 1, 1)[1]
-        p_a, p_b, p_ab, norm = favorable_probs((vac, terms))
+        p_a, p_b, p_ab, norm = pair_probabilities(*read_pass(vac, 1))
         assert (p_a, p_b, p_ab) == (0.0, 0.0, 0.0)
         assert norm == pytest.approx(1.0, abs=1e-15)
 
     def test_single_photon_reflection_probability(self):
-        p_a, p_b, _, _ = favorable_probs(run_network(symmetric_config(0.0), math.pi / 2, 0.0))
+        p_a, p_b, _, _ = run_network(symmetric_config(0.0), math.pi / 2, 0.0)
         assert p_a == pytest.approx(0.25, abs=1e-14)
         assert p_b == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_drive_marginal(self):
         s = run_network(symmetric_config(1.0, 0.3), math.pi / 2, 1.1)
-        assert favorable_probs(s)[0] == pytest.approx(E_MINUS_1_HALF, abs=1e-10)
+        assert s[0] == pytest.approx(E_MINUS_1_HALF, abs=1e-10)
 
 
 class TestJointProbability:
@@ -91,22 +91,22 @@ class TestJointProbability:
         for _ in range(5):
             s = run_network(symmetric_config(0.0), rng.uniform(0, 2 * math.pi),
                             rng.uniform(0, 2 * math.pi))
-            assert favorable_probs(s)[2] < 1e-14
+            assert s[2] < 1e-14
 
     def test_destructive_phase_point(self):
         s = run_network(symmetric_config(1.0, math.pi / 2),
                         math.pi / 2, math.pi / 2)
-        assert favorable_probs(s)[2] < 1e-10
+        assert s[2] < 1e-10
 
     def test_constructive_phase_point(self):
         s = run_network(symmetric_config(1.0, -math.pi / 2),
                         math.pi / 2, math.pi / 2)
-        assert favorable_probs(s)[2] == pytest.approx(E_MINUS_2_HALF, abs=1e-10)
+        assert s[2] == pytest.approx(E_MINUS_2_HALF, abs=1e-10)
 
     def test_joint_bounded_by_marginals(self):
         rng = np.random.default_rng(1)
         for _ in range(8):
-            p_a, p_b, p_ab, _ = favorable_probs(run_network(*random_point(rng)))
+            p_a, p_b, p_ab, _ = run_network(*random_point(rng))
             assert 0.0 <= p_ab <= min(p_a, p_b) <= 1.0
 
 
@@ -125,7 +125,7 @@ class TestCorrelator:
         # of the four outcome classes
         rng = np.random.default_rng(2)
         for _ in range(6):
-            p_a, p_b, p_ab, _ = favorable_probs(run_network(*random_point(rng, 2.0)))
+            p_a, p_b, p_ab, _ = run_network(*random_point(rng, 2.0))
             dist = {(-1, -1): p_ab, (-1, 1): p_a - p_ab, (1, -1): p_b - p_ab,
                     (1, 1): 1.0 - p_a - p_b + p_ab}
             summed = sum(i * j * p for (i, j), p in dist.items())
@@ -150,7 +150,7 @@ class TestCorrelator:
             point = random_point(rng, 1.5)
             dist = outcome_classes(dense(*point))
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-            p_a, p_b, p_ab, _ = favorable_probs(run_network(*point))
+            p_a, p_b, p_ab, _ = run_network(*point)
             assert dist[(-1, -1)] == pytest.approx(p_ab, abs=1e-14)
             assert dist[(-1, -1)] + dist[(-1, 1)] == pytest.approx(p_a, abs=1e-14)
             assert dist[(-1, -1)] + dist[(1, -1)] == pytest.approx(p_b, abs=1e-14)
@@ -158,10 +158,10 @@ class TestCorrelator:
 
 class TestTruncationNormalization:
     def test_probabilities_invariant_under_state_scaling(self):
-        s = run_network(symmetric_config(1.2, 0.5, CutoffSpec(tail_eps=1e-4)), 0.8, 2.3)
+        point = (symmetric_config(1.2, 0.5, CutoffSpec(tail_eps=1e-4)), 0.8, 2.3)
         for z in (2.0, 0.3 - 0.7j, -1j):
-            for got, want in zip(favorable_probs(scaled(s, z))[:3],
-                                 favorable_probs(s)[:3]):
+            for got, want in zip(scaled_network(*point, z)[:3],
+                                 run_network(*point)[:3]):
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_cached_norm_matches_fresh_vdot(self):
@@ -170,7 +170,7 @@ class TestTruncationNormalization:
         # |N, 1> loses amplitude and the mixed columns are orthogonal
         for tail_eps in (1e-12, 1e-4):
             cfg = symmetric_config(1.5, 0.4, CutoffSpec(tail_eps=tail_eps))
-            norm = favorable_probs(run_network(cfg, 0.9, 2.0))[3]
+            norm = run_network(cfg, 0.9, 2.0)[3]
             n = cfg.resolve_cutoff()
             kept = [np.sum(np.abs(dense_station_columns(theta, n)) ** 2,
                            axis=(0, 1)).reshape(-1)
@@ -188,9 +188,8 @@ class TestNoSignalling:
         for _ in range(15):
             a2 = 4.0 * (1.0 - rng.random())
             xi = rng.uniform(0, 2 * math.pi)
-            p = [favorable_probs(
-                run_network(symmetric_config(a2, rng.uniform(0, 2 * math.pi)),
-                            xi, rng.uniform(0, 2 * math.pi)))[0]
+            p = [run_network(symmetric_config(a2, rng.uniform(0, 2 * math.pi)),
+                             xi, rng.uniform(0, 2 * math.pi))[0]
                  for _ in range(2)]
             worst = max(worst, abs(p[0] - p[1]))
         assert worst < 1e-10
@@ -202,10 +201,9 @@ class TestProductExpectation:
         # expectation is not: they differ by exactly the factor <psi|psi>
         tight = symmetric_config(1.0, 0.9)
         loose = symmetric_config(1.0, 0.9, CutoffSpec(tail_eps=1e-4))
-        assert 1.0 - favorable_probs(run_network(loose, 1.3, 0.4))[3] > 1e-6
+        assert 1.0 - run_network(loose, 1.3, 0.4)[3] > 1e-6
         for cfg, z in ((tight, 1.0), (tight, 2.0), (loose, 1.0)):
-            p_a, p_b, p_ab, norm = favorable_probs(
-                scaled(run_network(cfg, 1.3, 0.4), z))
+            p_a, p_b, p_ab, norm = scaled_network(cfg, 1.3, 0.4, z)
             correlator = 1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab
             quad_form = ab_product_expectation(
                 propagate(z * input_support(cfg), 1.3, 0.4)).real
@@ -234,41 +232,62 @@ class TestReadoutEquivalence:
         # column loses amplitude: the norm must carry that loss
         phi1, phi2, xi, eta = angles
         cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2, CutoffSpec(tail_eps=tail_eps))
-        got = favorable_probs(run_network(cfg, xi, eta))
+        got = run_network(cfg, xi, eta)
         want = dense_favorable_probs(dense(cfg, xi, eta))
         assert max(abs(g - w) for g, w in zip(got[:3], want[:3])) <= 1e-14
         assert abs(got[3] - want[3]) <= 1e-13
 
+    @pytest.mark.parametrize("alice,bob", [(1, 1), (2, 2), (1, 3), (3, 1)],
+                             ids=["1-1", "2-2", "1-3", "3-1"])
+    def test_pass_layouts_match_dense_readout(self, alice, bob):
+        # every (Alice, Bob) pair of settings read_pass gives from one pass,
+        # Alice's settings first: Bob's terms must be read in the reverse
+        # term order, and every setting from its own columns
+        rng = np.random.default_rng([alice, bob])
+        for _ in range(3):
+            cfg = ExperimentConfig(*rng.uniform(0.0, 3.0, 2),
+                                   *rng.uniform(0.0, 2.0 * math.pi, 2),
+                                   CutoffSpec(tail_eps=1e-4))
+            xis = rng.uniform(0.0, 2.0 * math.pi, alice)
+            etas = rng.uniform(0.0, 2.0 * math.pi, bob)
+            lo = oscillators(cfg).repeat((alice, bob), axis=0)
+            stations = read_pass(mix_station(lo, (*xis, *etas)), alice)
+            assert len(stations) == alice + bob
+            for i, xi in enumerate(xis):
+                for j, eta in enumerate(etas):
+                    got = pair_probabilities(stations[i], stations[alice + j])
+                    want = dense_favorable_probs(dense(cfg, xi, eta))
+                    assert max(abs(g - w) for g, w in zip(got[:3], want[:3])) <= 1e-14
+                    assert abs(got[3] - want[3]) <= 1e-13
+
 
 class TestStationShape:
-    """pair_probabilities reads two terms per station from the plain lists
-    of plain_station, so the conversion must refuse any other shape rather
-    than hand on part of it."""
+    """pair_probabilities unpacks each station into the four Gram entries
+    and two favorable amplitudes read_pass gives it, so a station of any
+    other shape is refused rather than read in part."""
 
-    GOOD = (np.eye(2, dtype=complex), np.array([0.3, 0.4j]))
+    GOOD = ([1.0, 0.0, 0.0, 1.0], [0.3, 0.4j])
 
     @pytest.mark.parametrize("gram_shape,fav_shape", [
-        ((3, 3), (3,)),     # a three-term station
-        ((1, 2, 2), (2,)),  # a batch of one Gram matrix
-        ((2, 2), (1, 2)),   # a batch of one favorable vector
-        ((4,), (2,)),       # a flattened Gram matrix
+        ((9,), (3,)),      # a three-term station
+        ((1, 4), (2,)),    # a batch of one Gram matrix
+        ((4,), (1, 2)),    # a batch of one favorable vector
+        ((2, 2), (2,)),    # a Gram matrix left unflattened
     ])
     @pytest.mark.parametrize("side", ["alice", "bob"])
     def test_refuses_other_shapes(self, gram_shape, fav_shape, side):
-        bad = (np.ones(gram_shape, dtype=complex), np.ones(fav_shape, dtype=complex))
+        bad = (np.ones(gram_shape, dtype=complex).tolist(),
+               np.ones(fav_shape, dtype=complex).tolist())
         stations = (bad, self.GOOD) if side == "alice" else (self.GOOD, bad)
-        with pytest.raises(ValueError, match=r"needs a \(2, 2\) Gram matrix"):
-            [plain_station(*station) for station in stations]
-
+        with pytest.raises(ValueError, match="values to unpack"):
+            pair_probabilities(*stations)
 
     @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf])
     def test_refuses_a_norm_without_weight(self, scale):
         # a state with no weight within the cutoff would divide by zero
-        gram = np.diag([scale, scale]).astype(complex)
-        fav = np.zeros(2, dtype=complex)
+        gram = [complex(scale), 0j, 0j, complex(scale)]
         with pytest.raises(ValueError, match="truncated norm"):
-            pair_probabilities(plain_station(gram, fav),
-                               plain_station(*self.GOOD))
+            pair_probabilities((gram, [0j, 0j]), self.GOOD)
 
 
 class TestScale:
@@ -278,7 +297,7 @@ class TestScale:
         cfg = ExperimentConfig(1.21, 0.64, 0.3, 1.9, CutoffSpec(n_max=MAX_CUTOFF))
         tracemalloc.start()
         try:
-            p_a, p_b, p_ab, norm = favorable_probs(run_network(cfg, 0.7, 2.2))
+            p_a, p_b, p_ab, norm = run_network(cfg, 0.7, 2.2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

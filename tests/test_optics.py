@@ -7,17 +7,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from dense_oracle import dense_station_columns, propagate
+from homodyne_bell.detection import PAIR_WEIGHTS, read_pass
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     MAX_CUTOFF,
-    PAIR_WEIGHTS,
     ExperimentConfig,
     _mixing_eig,
     _pair_block,
     input_support,
     mix_station,
-    run_network,
-    station_inputs,
     symmetric_config,
 )
 
@@ -451,14 +449,6 @@ class TestInputState:
             ExperimentConfig(*values.values())
 
 
-def station_terms(network):
-    """The two stations' terms (alice, bob), each [c, d, k], read off a
-    network (images, terms) by its term columns."""
-    images, terms = network
-    flat = images.reshape(images.shape[:2] + (-1,))
-    return flat[..., terms[0]], flat[..., terms[1]]
-
-
 def embedded(support):
     """A support array [a1, b1, a2, b2] placed in the dense (N+1)^4 array."""
     n = support.shape[0] - 1
@@ -516,33 +506,18 @@ class TestNetwork:
                              - factorized)) <= 2e-15
 
     @COLUMN_SETTINGS
-    @given(a1_sq=st.floats(0.0, 2.0), a2_sq=st.floats(0.0, 2.0),
-           phases=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES),
-           tail_eps=st.sampled_from((1e-12, 1e-4)))
-    def test_run_network_terms_assemble_the_dense_output(
-            self, a1_sq, a2_sq, phases, tail_eps):
-        # run_network's station terms, weighted by the pair weights in
-        # station_inputs' term order: the dense output of the closed columns
-        # on the input support
-        phi1, phi2, xi, eta = phases
-        cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
-                               CutoffSpec(tail_eps=tail_eps))
-        alice, bob = station_terms(run_network(cfg, xi, eta))
-        n = cfg.resolve_cutoff()
-        assert alice.shape == bob.shape == (n + 1, n + 1, 2)
-        assembled = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, alice, bob)
-        assert np.max(np.abs(propagate(input_support(cfg), xi, eta)
-                             - assembled)) <= 1e-15
-
-    @COLUMN_SETTINGS
     @given(alice=st.integers(1, 3), bob=st.integers(0, 3))
     def test_term_order(self, alice, bob):
-        # Alice's term k holds k ph photons and Bob's 1 - k, each setting's
-        # two terms in its own two columns of the pass
+        # Alice's term k is the image of lo (x) |k> and Bob's of
+        # lo (x) |1 - k>, each setting's two terms read from its own two
+        # columns s * settings + i of the pass: here the only nonzero
+        # amplitudes, all distinct, sit at the favorable occupation
         settings_ = alice + bob
-        lo, terms = station_inputs(symmetric_config(0.5), alice, bob)
-        assert lo.shape[0] == settings_
-        assert terms.shape == (settings_, 2)
-        ph, setting = np.divmod(terms, settings_)
-        assert np.array_equal(setting, np.repeat(np.arange(settings_), 2).reshape(-1, 2))
-        assert np.array_equal(ph, [(0, 1)] * alice + [(1, 0)] * bob)
+        images = np.zeros((2, 2, 2, settings_), dtype=complex)
+        images[1, 0] = (np.arange(2 * settings_) + 1j).reshape(2, settings_)
+        stations = read_pass(images, alice)
+        assert len(stations) == settings_
+        for i, (gram, fav) in enumerate(stations):
+            ph = (0, 1) if i < alice else (1, 0)
+            assert fav == [images[1, 0, s, i] for s in ph]
+            assert gram == [x.conjugate() * y for x in fav for y in fav]

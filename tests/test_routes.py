@@ -5,10 +5,12 @@ The closed-form route and the Fock route share no code: analytic imports
 no package module, and no Fock module (fock, optics, detection, bell)
 imports analytic. Within the Fock route there is one splitter,
 mix_station: the verification oracles' network (optics.run_network) must
-reach it rather than build station columns of its own, and hands its
-station terms to the one readout in detection, as the station engine does.
+reach it rather than build station columns of its own, and reads its pass
+out through the one readout in detection, as the station engine does.
 Only the cli, which runs the verification oracles, reaches that network.
-An AST scan of the package sources enforces all three.
+detection, the home of the readout and of the term order, imports no
+package module: the modules that mix read out through it, not the other
+way round. An AST scan of the package sources enforces all four.
 
 The same scan keeps one parameter layer: the paper's printed forms are
 named only where they are defined (analytic), tested and written (cli)
@@ -108,8 +110,9 @@ def boundary_violations(trees):
     if "mix_station" not in reachable_names(trees["optics"], "run_network"):
         problems.append("run_network does not reach mix_station")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
-    for module in sorted(imported_modules(trees["analytic"]) & package):
-        problems.append(f"analytic imports {module}")
+    for name in ("analytic", "detection"):
+        for module in sorted(imported_modules(trees[name]) & package):
+            problems.append(f"{name} imports {module}")
     for name in FOCK_ROUTE:
         if "analytic" in imported_modules(trees[name]):
             problems.append(f"{name} imports analytic")
@@ -144,6 +147,7 @@ def test_route_boundary_holds():
     ("analytic", "from . import fock\n", "analytic imports fock"),
     ("detection", "from .analytic import probs_point\n",
      "detection imports analytic"),
+    ("detection", "from .optics import mix_station\n", "detection imports optics"),
     ("optics", "from .analytic import probs_point\n", "optics imports analytic"),
     ("scan", "from scipy import optimize\n", "scan imports scipy"),
     ("cli", "if True:\n    import scipy.stats.qmc\n", "cli imports scipy"),
@@ -154,6 +158,7 @@ def test_route_boundary_holds():
     ("scan", "from . import bell\nx = bell.HALF_PI\n", "scan reads HALF_PI"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "analytic_import", "analytic_module_import", "detection_import",
+        "detection_package_import",
         "optics_import", "scipy_import", "scipy_nested_import",
         "printed_form_import", "printed_form_attribute", "half_pi_import",
         "half_pi_attribute"])
