@@ -223,12 +223,12 @@ class TestVerify:
             "unitarity": 1e-10}
 
     @pytest.mark.parametrize("key", ["identity_tol", "nosignal_tol",
-                                     "unitarity_tol", "diameter_tol"])
+                                     "unitarity_tol"])
     def test_fixed_tolerance_keys_rejected(self, tmp_path, capsys, key):
         # only the oracle's tol is a setting; the identity, no-signalling
-        # and unitarity tolerances are fixed, and so is the search's simplex
-        # tolerance (scan.DEFAULT_DIAMETER_TOL); every command loads its
-        # config alike, so verify refuses the key as optimize does
+        # and unitarity tolerances are fixed, as is the search's simplex
+        # tolerance (scan.DEFAULT_DIAMETER_TOL, its old key is refused in
+        # TestRunKnobRange)
         cfg = write_config(tmp_path, {key: 1.0})
         out = tmp_path / "report.json"
         assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
@@ -301,6 +301,10 @@ class TestRunKnobRange:
         (["verify"], {"tol": float("nan")}),
         # an infinite tolerance would pass its check vacuously
         (["figure", "--grid", "4x4"], {"tol": math.inf}),
+        # diameter_tol is no longer a setting: with any value, a config that
+        # names it is refused as an unknown key
+        (["optimize", "--family", "paper_baseline"], {"diameter_tol": math.inf}),
+        (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
         # figure streams its rows, so a range that would fail mid-grid is
         # refused at load; an explicit cutoff_n skips the cutoff policy's
         # own range checks
@@ -310,13 +314,17 @@ class TestRunKnobRange:
     ], ids=["maxfev-0", "maxfev-neg", "restarts", "restarts-huge", "seed",
             "grid_budget",
             "fraction-high", "fraction-neg", "fraction-nan", "cutoff_n-0",
-            "cutoff_n-100", "tol-nan", "figure_tol-inf",
+            "cutoff_n-100", "tol-nan", "figure_tol-inf", "diameter_tol-inf",
+            "diameter_tol-nan",
             "alpha_sq_max-neg", "alpha_sq_max-nan", "alpha_sq_max-huge"])
     def test_rejected_at_load(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert run_cli([*command, "--config", cfg, "--out", out]) == 2
-        assert f"{next(iter(payload))} must be" in capsys.readouterr().err
+        key = next(iter(payload))
+        reason = ("unknown config keys" if key == "diameter_tol"
+                  else f"{key} must be")
+        assert reason in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_values_checked_too(self, tmp_path):
