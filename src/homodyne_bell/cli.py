@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import __version__, analytic
+from . import __version__, analytic, scan
 from .bell import (
     SettingsQuadruple,
     chsh_decomposition,
@@ -49,13 +49,19 @@ PHASE_CONVENTION = "phi2 - phi1"
 VIOLATION_MARGIN = 1e-6
 # verify draws alpha_sq from (0, VERIFY_ALPHA_SQ_MAX]
 VERIFY_ALPHA_SQ_MAX = 4.0
-# verify's fixed tolerances; only the oracle's tol is a setting
+# fixed tolerances, none a setting; ORACLE_TOL bounds numeric vs closed form
+ORACLE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 NOSIGNAL_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 # optimize draws a restarts x dimension hypercube before its first restart,
 # so the count is capped where the config is loaded
 MAX_RESTARTS = 100_000
+# figure refuses a grid of more points than this before the CSV is opened
+MAX_GRID_POINTS = 1_000_000
+# and a larger |xi_minus_eta| (radians): its spot-checks' rounding grows with
+# it, to worst residuals of 3.7e-13 at 1e6 and 2.4e-9 > ORACLE_TOL at 1e9
+MAX_XI_MINUS_ETA = 1e6
 CSV_HEADER = "alpha_sq,xi_plus_eta,ch,chsh"
 
 
@@ -88,26 +94,20 @@ class RunConfig:
     phi2: float = math.pi / 2.0
     cutoff_eps: float = 1e-12
     cutoff_n: int | None = None
-    tol: float = 1e-9
     seed: int = 20240801
     verify_points: int = 100
     verify_draws: int = 50
-    grid_budget: int = 1_000_000
     figure_alpha_sq_max: float = 2.0
     crosscheck_fraction: float = 0.01
     restarts: int = 32
-    maxfev: int = 2000
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _typed_value(
                 f.name, getattr(self, f.name), _RUN_CONFIG_TYPES[f.name]))
-        for name in ("tol", "cutoff_eps"):
-            # an infinite tolerance would pass its checks vacuously
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ConfigError(f"{name} must be > 0 and finite")
-        for name in ("verify_points", "verify_draws", "grid_budget",
-                     "restarts", "maxfev"):
+        if not 0 < self.cutoff_eps < math.inf:  # NaN fails too
+            raise ConfigError("cutoff_eps must be > 0 and finite")
+        for name in ("verify_points", "verify_draws", "restarts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.restarts > MAX_RESTARTS:
@@ -172,7 +172,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(payload)
-    for key in ("tol", "cutoff_eps", "seed", "restarts"):
+    for key in ("cutoff_eps", "seed", "restarts"):
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
@@ -209,7 +209,7 @@ def provenance(cfg: RunConfig, args: argparse.Namespace,
         "cutoff_eps": cfg.cutoff_eps,
         "cutoff_n": cfg.provenance_cutoff(alpha_sq_max),
         "tolerances": {
-            "oracle": cfg.tol,
+            "oracle": ORACLE_TOL,
             "identity": IDENTITY_TOL,
             "no_signalling": NOSIGNAL_TOL,
             "unitarity": UNITARITY_TOL,
@@ -248,9 +248,10 @@ def _network_oracle_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dic
         # bound tests the closed forms' triple
         worst_margin = max(worst_margin, p_ab - min(p_a, p_b),
                            c_ab - min(c_a, c_b))
-    return [_check("joint_oracle_agreement", worst_joint, cfg.tol, cfg.verify_points),
-            _check("local_oracle_agreement", worst_local, cfg.tol, cfg.verify_points),
-            _check("joint_within_marginals", worst_margin, 1e-15, cfg.verify_points)]
+    n = cfg.verify_points
+    return [_check("joint_oracle_agreement", worst_joint, ORACLE_TOL, n),
+            _check("local_oracle_agreement", worst_local, ORACLE_TOL, n),
+            _check("joint_within_marginals", worst_margin, 1e-15, n)]
 
 
 def _exponent_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
@@ -263,12 +264,12 @@ def _exponent_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         corrected_resid = max(corrected_resid, abs(p - corrected))
         printed_resid = max(printed_resid,
                             abs(p - analytic.local_prob_printed_variant(x, a2)))
-    corrected_wins = corrected_resid <= cfg.tol < printed_resid
-    printed_wins = printed_resid <= cfg.tol < corrected_resid
+    corrected_wins = corrected_resid <= ORACLE_TOL < printed_resid
+    printed_wins = printed_resid <= ORACLE_TOL < corrected_resid
     decision = (analytic.LOCAL_EXPONENT_CORRECTED if corrected_resid <= printed_resid
                 else analytic.LOCAL_EXPONENT_PRINTED)
     return [{"name": "local_exponent_adjudication", "passed": bool(corrected_wins),
-             "max_residual": corrected_resid, "tolerance": cfg.tol, "points": 3,
+             "max_residual": corrected_resid, "tolerance": ORACLE_TOL, "points": 3,
              "decision": decision, "printed_variant_residual": printed_resid,
              "escalation": None if (corrected_wins or not printed_wins) else
              "brute force favors the printed exponent; the network "
@@ -293,7 +294,7 @@ def _station_record_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dic
                                 abs(rec.local_bob - closed[0][1]),
                                 *(abs(j - c[2]) for j, c in zip(rec.joints, closed)))
     return [_check("record_ch_chsh_identity", worst_rec, IDENTITY_TOL, 12),
-            _check("station_closed_form_agreement", worst_station, cfg.tol, 12)]
+            _check("station_closed_form_agreement", worst_station, ORACLE_TOL, 12)]
 
 
 def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
@@ -435,12 +436,14 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
     """
     rows, cols = args.grid
     points = rows * cols
-    if points > cfg.grid_budget:
+    if points > MAX_GRID_POINTS:
         raise ConfigError(f"grid has {points} points, exceeding the "
-                          f"budget of {cfg.grid_budget}")
+                          f"budget of {MAX_GRID_POINTS}")
     for name in ("dphi", "xi_minus_eta"):
         if not math.isfinite(getattr(args, name)):
             raise ConfigError(f"{name} must be finite")
+    if abs(args.xi_minus_eta) > MAX_XI_MINUS_ETA:
+        raise ConfigError(f"|xi_minus_eta| must be <= {MAX_XI_MINUS_ETA:g}")
     # the top row needs the largest cutoff of any spot-check; a range the
     # numerics cannot reach is refused before the CSV is written
     cfg.cutoff_spec().resolve(cfg.figure_alpha_sq_max)
@@ -476,7 +479,7 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
             worst = max(worst, abs(rec.ch - ch))
         print(f"numeric crosscheck: {count} of {points} points, "
               f"max |ch_numeric - ch_analytic| = {worst:.3e}")
-        if worst > cfg.tol:
+        if worst > ORACLE_TOL:
             print("figure crosscheck failed: numeric and analytic paths "
                   "disagree", file=sys.stderr)
             return EXIT_VERIFICATION_FAILURE
@@ -499,9 +502,9 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     family = get_family(args.family)
     prov = provenance(cfg, args, ALPHA_SQ_MAX)  # resolved before the search
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
-                            maxfev=cfg.maxfev, cutoff=cfg.cutoff_spec())
+                            cutoff=cfg.cutoff_spec())
     crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residual,
-                        cfg.tol, outcome.restarts)
+                        ORACLE_TOL, outcome.restarts)
     payload = {
         "family": family.kind,
         "path": "analytic",
@@ -512,7 +515,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "restarts": outcome.restarts,
         "evaluations": outcome.evaluations,
         "search_box": {p.name: [p.lo, p.hi] for p in family.params},
-        "simplex_diameter_tol": outcome.diameter_tol,
+        "simplex_diameter_tol": scan.DEFAULT_DIAMETER_TOL,
         "maxfev_per_restart": outcome.maxfev,
         "numeric_crosscheck": crosscheck,
         "trace": [{"restart": rec.index, "params": rec.params,
@@ -544,7 +547,7 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     # the probability the truncated input drops at the cutoff
     norm_loss = _check("input_norm_loss",
                        1.0 - float(np.vdot(split.full, split.full).real),
-                       cfg.tol, 1)
+                       ORACLE_TOL, 1)
     payload = {
         "alpha_sq": cfg.alpha_sq,
         "c1": split.c1,
@@ -576,7 +579,7 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
           f"{payload['chsh_lambda_reference_settings']:.9g}")
     if not norm_loss["passed"]:
         print("split check failed: the cutoff drops more of the input state "
-              "than tol", file=sys.stderr)
+              "than the oracle tolerance", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
     return EXIT_OK
 
@@ -603,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, default_out: str):
         p.add_argument("--config", help="JSON run-config file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="oracle agreement tolerance")
         p.add_argument("--cutoff-eps", dest="cutoff_eps", type=float,
                        default=None, help="per-mode truncation tail budget")
         p.add_argument("--seed", type=int, default=None)

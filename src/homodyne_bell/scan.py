@@ -18,10 +18,10 @@ bell.evaluate_settings(ExperimentConfig(*p[:4], cutoff), *p[4:])
 (numeric_point). The paper's printed forms are only tested, by verify.
 
 The maximizer seeds restarts from a Latin hypercube over the search box and
-refines each with a Nelder-Mead simplex until every vertex is within a
-fixed tolerance of the best vertex in every coordinate (scipy's xatol),
-which is not a bound on the simplex diameter, although the tolerance keeps
-the name diameter_tol. Each restart's final point is re-evaluated on the
+refines each with a Nelder-Mead simplex until every vertex is within the
+constant DEFAULT_DIAMETER_TOL of the best vertex in every coordinate
+(scipy's xatol; not a diameter bound, though the optimize report names it
+simplex_diameter_tol). Each restart's final point is re-evaluated on the
 numerics, and the largest |ch_numeric - ch_analytic| is part of the
 result. Everything is deterministic given the seed; restarts are
 independent evaluations reduced in restart order.
@@ -55,7 +55,7 @@ ALPHA_SQ_MIN = 1e-6
 ALPHA_SQ_MAX = 6.0
 
 DEFAULT_DIAMETER_TOL = 1e-10
-DEFAULT_MAXFEV = 400
+DEFAULT_MAXFEV = 2000
 
 
 @dataclass(frozen=True)
@@ -294,13 +294,11 @@ class OptimizeOutcome:
     trace: tuple[ScanRecord, ...]
     evaluations: int
     restarts: int
-    diameter_tol: float
     maxfev: int
     crosscheck_residual: float
 
 
 def maximize_chsh(kind: str, restarts: int, seed: int,
-                  diameter_tol: float = DEFAULT_DIAMETER_TOL,
                   maxfev: int = DEFAULT_MAXFEV,
                   cutoff: CutoffSpec = CutoffSpec()) -> OptimizeOutcome:
     """Maximize CHSH over a family's search box on the closed forms.
@@ -308,14 +306,14 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     Each restart starts from one Latin-hypercube sample and refines with a
     bounded Nelder-Mead simplex (_nelder_mead, scipy's search on plain
     floats, its vertices ranked by numpy.argsort as scipy ranks them, ties
-    included), stopping once every vertex is within diameter_tol of the best
-    vertex in every coordinate (its xatol) or at maxfev evaluations; each
-    vertex is passed to evaluate_point as it is. Each restart's final point
-    becomes a record, named once, through one more evaluate_point call, so
-    a search calls evaluate_point exactly evaluations + restarts times, and
-    is re-evaluated by numeric_point under the cutoff policy.
-    Deterministic for a fixed seed: restarts run and are recorded in sample
-    order.
+    included), stopping once every vertex is within DEFAULT_DIAMETER_TOL of
+    the best vertex in every coordinate (its xatol) or at maxfev
+    evaluations; each vertex is passed to evaluate_point as it is. Each
+    restart's final point becomes a record, named once, through one more
+    evaluate_point call, so a search calls evaluate_point exactly
+    evaluations + restarts times, and is re-evaluated by numeric_point under
+    the cutoff policy. Deterministic for a fixed seed: restarts run and are
+    recorded in sample order.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -332,12 +330,12 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     trace = []
     residual = 0.0
     for r, start in enumerate(starts.tolist()):
-        x, calls = _nelder_mead(negative_chsh, start, lo, hi, diameter_tol,
-                                maxfev)
+        x, calls = _nelder_mead(negative_chsh, start, lo, hi,
+                                DEFAULT_DIAMETER_TOL, maxfev)
         evaluations += calls
         ch, chsh = evaluate_point(kind, x)
         trace.append(ScanRecord(r, dict(zip(family.names, x)), ch, chsh))
         residual = max(residual, abs(numeric_point(kind, x, cutoff)[0] - ch))
     best = max(trace, key=lambda rec: (rec.chsh, -rec.index))
-    return OptimizeOutcome(best, tuple(trace), evaluations, restarts,
-                           diameter_tol, maxfev, residual)
+    return OptimizeOutcome(best, tuple(trace), evaluations, restarts, maxfev,
+                           residual)

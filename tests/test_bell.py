@@ -31,7 +31,7 @@ from homodyne_bell.bell import (
     split_state,
     tsirelson_two_qubit,
 )
-from homodyne_bell.cli import IDENTITY_TOL, RunConfig
+from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
@@ -321,7 +321,7 @@ class TestCoincidentSettings:
         assert rec.settings == ((x, y),) * 4
         assert abs(rec.chsh - (2.0 + 4.0 * rec.ch)) <= IDENTITY_TOL
         ch, _ = analytic.ch_chsh_point(a1_sq, a2_sq, *phases, x, x, y, y)
-        assert abs(rec.ch - ch) <= RunConfig().tol
+        assert abs(rec.ch - ch) <= ORACLE_TOL
 
 
 class TestStateSplit:

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
-from homodyne_bell import analytic, bell, cli, optics
+from homodyne_bell import analytic, bell, cli, optics, scan
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
 from homodyne_bell.scan import FAMILIES
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
-# figure angles of either sign, from tiny to large magnitude
+# figure angles of either sign, from tiny magnitude to cli.MAX_XI_MINUS_ETA
 FIGURE_ANGLES = st.floats(-1e6, 1e6)
 
 
@@ -107,7 +107,7 @@ PLANTED_FAULTS = [
                   "local_exponent_adjudication", "station_closed_form_agreement"},
                  analytic.LOCAL_EXPONENT_PRINTED, id="printed-exponent-wins"),
     # a local off by a relative 1e-6 misses the brute force by more than
-    # tol, and the printed variant by far more: neither exponent wins
+    # ORACLE_TOL, and the printed variant by far more: neither exponent wins
     pytest.param([plant(analytic, "probs_point",
                         lambda p: (p[0] * (1.0 + 1e-6), p[1], p[2]))],
                  {"local_oracle_agreement", "local_exponent_adjudication",
@@ -159,12 +159,17 @@ class TestVerify:
         assert report["provenance"]["eq10_exponent_decision"] == "e^{-alpha^2}"
 
     def test_overtight_tolerance_fails(self, tmp_path):
+        # the fixed ORACLE_TOL is overtight for a 1e-7 tail budget: a
+        # truncation error of a few times the bound fails the oracle checks
         cfg = write_config(tmp_path, QUICK_CONFIG)
         out = tmp_path / "report.json"
-        assert run_cli(["verify", "--config", cfg, "--tol", "1e-15",
+        assert run_cli(["verify", "--config", cfg, "--cutoff-eps", "1e-7",
                         "--out", out]) == 1
-        report = json.loads(out.read_text())
-        assert not all(c["passed"] for c in report["checks"])
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("local_oracle_agreement", "station_closed_form_agreement"):
+            assert checks[name]["passed"] is False
+            assert checks[name]["tolerance"] == cli.ORACLE_TOL
+            assert checks[name]["max_residual"] < 10 * cli.ORACLE_TOL
 
     def test_loose_cutoff_widens_residuals(self, tmp_path):
         cfg = write_config(tmp_path, QUICK_CONFIG)
@@ -225,10 +230,10 @@ class TestVerify:
     @pytest.mark.parametrize("key", ["identity_tol", "nosignal_tol",
                                      "unitarity_tol"])
     def test_fixed_tolerance_keys_rejected(self, tmp_path, capsys, key):
-        # only the oracle's tol is a setting; the identity, no-signalling
-        # and unitarity tolerances are fixed, as is the search's simplex
-        # tolerance (scan.DEFAULT_DIAMETER_TOL, its old key is refused in
-        # TestRunKnobRange)
+        # no tolerance is a setting: the identity, no-signalling and
+        # unitarity tolerances are fixed, as are the oracle's (ORACLE_TOL)
+        # and the search's simplex tolerance (scan.DEFAULT_DIAMETER_TOL);
+        # the old tol and diameter_tol keys are refused in TestRunKnobRange
         cfg = write_config(tmp_path, {key: 1.0})
         out = tmp_path / "report.json"
         assert run_cli(["verify", "--config", cfg, "--out", out]) == 2
@@ -248,8 +253,8 @@ class TestVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize("payload", [
-        {"tol": "x"},               # float field
-        {"tol": True},              # bool is not a number here
+        {"phi1": "x"},              # float field
+        {"cutoff_eps": True},       # bool is not a number here
         {"verify_points": "x"},     # int field
         {"seed": "x"},
         {"seed": 1.5},              # int field, non-integral float
@@ -265,8 +270,8 @@ class TestVerify:
         assert not out.exists()
 
     def test_integral_float_and_null_accepted(self):
-        cfg = RunConfig(seed=5.0, verify_points=3.0, cutoff_n=None, tol=1)
-        assert (cfg.seed, cfg.verify_points) == (5, 3)
+        cfg = RunConfig(seed=5.0, verify_points=3.0, cutoff_n=None, alpha_sq=1)
+        assert (cfg.seed, cfg.verify_points, cfg.alpha_sq) == (5, 3, 1.0)
         assert isinstance(cfg.seed, int)
 
     def test_degrees_flag_rejected(self):
@@ -284,6 +289,12 @@ class TestVerify:
         assert not out.exists()
 
 
+# keys of bounds and budgets that are module constants (cli.ORACLE_TOL,
+# cli.MAX_GRID_POINTS, scan.DEFAULT_MAXFEV, scan.DEFAULT_DIAMETER_TOL): a
+# config that names one is refused as an unknown key, whatever its value
+REMOVED_KEYS = {"tol", "grid_budget", "maxfev", "diameter_tol"}
+
+
 class TestRunKnobRange:
     @pytest.mark.parametrize("command,payload", [
         (["optimize", "--family", "paper_baseline"], {"maxfev": 0}),
@@ -299,10 +310,7 @@ class TestRunKnobRange:
         (["verify"], {"cutoff_n": 0}),
         (["verify"], {"cutoff_n": 100}),
         (["verify"], {"tol": float("nan")}),
-        # an infinite tolerance would pass its check vacuously
         (["figure", "--grid", "4x4"], {"tol": math.inf}),
-        # diameter_tol is no longer a setting: with any value, a config that
-        # names it is refused as an unknown key
         (["optimize", "--family", "paper_baseline"], {"diameter_tol": math.inf}),
         (["optimize", "--family", "paper_baseline"], {"diameter_tol": float("nan")}),
         # figure streams its rows, so a range that would fail mid-grid is
@@ -322,7 +330,7 @@ class TestRunKnobRange:
         out = tmp_path / "out"
         assert run_cli([*command, "--config", cfg, "--out", out]) == 2
         key = next(iter(payload))
-        reason = ("unknown config keys" if key == "diameter_tol"
+        reason = ("unknown config keys" if key in REMOVED_KEYS
                   else f"{key} must be")
         assert reason in capsys.readouterr().err
         assert not out.exists()
@@ -338,11 +346,13 @@ class TestRunKnobRange:
         ["optimize", "--family", "paper_baseline"], ["split"],
     ], ids=["verify", "figure", "optimize", "split"])
     def test_infinite_tol_flag_rejected(self, tmp_path, capsys, command):
-        # no residual exceeds inf: every numeric check would pass vacuously,
-        # and verify's adjudication would fail for want of a winner
+        # the oracle's tolerance is ORACLE_TOL, so no flag sets it, to inf or
+        # to anything else
         out = tmp_path / "out"
-        assert run_cli([*command, "--tol", "inf", "--out", out]) == 2
-        assert "tol must be > 0 and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            run_cli([*command, "--tol", "inf", "--out", out])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_restarts_flag_capped(self, tmp_path, capsys):
@@ -354,25 +364,26 @@ class TestRunKnobRange:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,payload,flag", [
-        (["split"], {"tol": -1}, ["--tol", "1e-9"]),
+        (["split"], {"cutoff_eps": -1}, ["--cutoff-eps", "1e-10"]),
         (["optimize", "--family", "paper_baseline"], {"restarts": 200_000},
          ["--restarts", "2"]),
-    ], ids=["split-tol", "optimize-restarts"])
+    ], ids=["split-cutoff_eps", "optimize-restarts"])
     def test_flag_replaces_a_bad_file_value(self, tmp_path, command, payload, flag):
         # the flags are merged into the file's values before either is checked
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out.json"
         assert run_cli([*command, "--config", cfg, *flag, "--out", out]) == 0
         report = json.loads(out.read_text())
-        used = {"tol": report["provenance"]["tolerances"]["oracle"],
+        used = {"cutoff_eps": report["provenance"]["cutoff_eps"],
                 "restarts": report.get("restarts")}
         assert used[next(iter(payload))] == float(flag[1])
 
     def test_bad_flag_over_a_good_file_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"tol": 1e-9})
+        cfg = write_config(tmp_path, {"cutoff_eps": 1e-10})
         out = tmp_path / "out"
-        assert run_cli(["split", "--config", cfg, "--tol", "-1", "--out", out]) == 2
-        assert "tol must be > 0" in capsys.readouterr().err
+        assert run_cli(["split", "--config", cfg, "--cutoff-eps", "-1",
+                        "--out", out]) == 2
+        assert "cutoff_eps must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_restarts_cap_accepted(self):
@@ -524,10 +535,37 @@ class TestFigure:
         assert run_cli(["figure", "--grid", "4x4",
                         "--out", tmp_path / "missing" / "grid.csv"]) == 2
 
-    def test_budget_guard(self, tmp_path):
-        cfg = write_config(tmp_path, {"grid_budget": 100})
-        assert run_cli(["figure", "--config", cfg, "--grid", "50x50",
-                        "--out", tmp_path / "g.csv"]) == 2
+    def test_budget_guard(self, tmp_path, capsys):
+        # one point over MAX_GRID_POINTS is refused before the CSV is opened
+        assert cli.MAX_GRID_POINTS == 1000 * 1000
+        out = tmp_path / "g.csv"
+        assert run_cli(["figure", "--grid", "1001x1000", "--out", out]) == 2
+        assert ("grid has 1001000 points, exceeding the budget of 1000000"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("angle,degrees", [
+        ("1e10", False), ("-1e10", False), ("1e308", False), ("1e308", True)])
+    def test_large_angle_refused_before_writing(self, tmp_path, capsys,
+                                                angle, degrees):
+        # the spot-checks cannot represent such angles: at 1e10 their
+        # residual passes ORACLE_TOL from rounding alone, and at 1e308 the
+        # numerics overflow; the bound applies to the angle in radians
+        out = tmp_path / "g.csv"
+        assert run_cli(["figure", "--grid", "4x4", f"--xi-minus-eta={angle}",
+                        *["--degrees"] * degrees, "--out", out]) == 2
+        assert "|xi_minus_eta| must be <= 1e+06" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("angle,degrees", [
+        ("1e6", False), ("-1e6", False), ("5e7", True)])
+    def test_largest_angle_accepted(self, tmp_path, angle, degrees):
+        # the bound is 1e6 radians, so 5e7 degrees (872665 radians) is in
+        assert cli.MAX_XI_MINUS_ETA == 1e6
+        out = tmp_path / "g.csv"
+        assert run_cli(["figure", "--grid", "4x4", f"--xi-minus-eta={angle}",
+                        *["--degrees"] * degrees, "--out", out]) == 0
+        assert out.read_text().startswith("alpha_sq,xi_plus_eta,ch,chsh\n")
 
     def test_range_beyond_cutoff_limit_rejected(self, tmp_path, capsys):
         # alpha_sq 30 needs N=77 for its spot-checks, above the N=63 limit
@@ -539,7 +577,8 @@ class TestFigure:
         assert not out.exists()
 
     @pytest.mark.parametrize("payload,code", [
-        # at N = 1 the numerics miss the closed forms by far more than tol
+        # at N = 1 the numerics miss the closed forms by far more than
+        # ORACLE_TOL
         ({"cutoff_n": 1, "crosscheck_fraction": 1.0}, 1),
         # at alpha_sq 700 and N = 1 no spot-check state has weight left
         ({"cutoff_n": 1, "figure_alpha_sq_max": 700,
@@ -715,9 +754,8 @@ class TestOptimize:
     @pytest.mark.parametrize("family", ["paper_baseline", "relaxed_phases",
                                         "relaxed_amplitudes"])
     def test_reports_numeric_crosscheck(self, tmp_path, family):
-        cfg = write_config(tmp_path, {"maxfev": 60})
         out = tmp_path / "opt.json"
-        assert run_cli(["optimize", "--family", family, "--config", cfg,
+        assert run_cli(["optimize", "--family", family,
                         "--restarts", "2", "--out", out]) == 0
         payload = json.loads(out.read_text())
         assert payload["path"] == "analytic"
@@ -728,20 +766,33 @@ class TestOptimize:
         assert payload["violation_found"] is False
 
     def test_crosscheck_beyond_tolerance_fails(self, tmp_path):
-        cfg = write_config(tmp_path, {"maxfev": 60, "tol": 1e-30})
+        # at a per-mode cutoff of 2 the numerics miss the closed forms by
+        # far more than ORACLE_TOL
+        cfg = write_config(tmp_path, {"cutoff_n": 2})
         out = tmp_path / "opt.json"
         assert run_cli(["optimize", "--family", "relaxed_amplitudes",
                         "--config", cfg, "--restarts", "1", "--out", out]) == 1
-        assert json.loads(out.read_text())["numeric_crosscheck"]["passed"] is False
+        check = json.loads(out.read_text())["numeric_crosscheck"]
+        assert check["passed"] is False
+        assert check["tolerance"] == cli.ORACLE_TOL < check["max_residual"]
 
     def test_stdout_shows_ch(self, tmp_path, capsys):
         # chsh at 9 digits can read 2 for a value just below the bound
-        cfg = write_config(tmp_path, {"maxfev": 60})
         out = tmp_path / "opt.json"
-        assert run_cli(["optimize", "--family", "relaxed_phases", "--config", cfg,
+        assert run_cli(["optimize", "--family", "relaxed_phases",
                         "--restarts", "1", "--out", out]) == 0
         ch = json.loads(out.read_text())["best"]["ch"]
         assert f"(ch = {ch:.3e}) over 1 restarts" in capsys.readouterr().out
+
+    def test_reports_the_fixed_search_budget(self, tmp_path):
+        # the report's budget is scan's, the one every search runs with
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", "paper_baseline",
+                        "--restarts", "2", "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["maxfev_per_restart"] == scan.DEFAULT_MAXFEV == 2000
+        assert payload["simplex_diameter_tol"] == scan.DEFAULT_DIAMETER_TOL
+        assert payload["evaluations"] <= 2 * scan.DEFAULT_MAXFEV
 
     def test_unknown_family_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -891,7 +942,7 @@ class TestEntryPoint:
         # scipy is a test dependency only: the Latin hypercube of starts is
         # drawn in numpy and the Nelder-Mead runs on plain floats, so no
         # command, optimize of every family included, loads any of it
-        config = write_config(tmp_path, {**QUICK_CONFIG, "maxfev": 60})
+        config = write_config(tmp_path, QUICK_CONFIG)
         script = f"""
 import json, sys
 import homodyne_bell.cli as cli
