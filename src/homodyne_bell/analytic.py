@@ -21,6 +21,16 @@ order and units of optics.ExperimentConfig and bell.evaluate_settings.
 With the Fock numerics they are the two independent routes to every
 quantity, checked against each other.
 
+The body is cut along the forms' factors, so a setting shared by two
+pairs is evaluated once: _station gives a setting's (alpha c_x, s_x),
+_shared what every pair shares (each station's alpha and e^{-alpha^2}/2,
+and the joint's e^{-alpha1^2-alpha2^2}/2, sin D and cos D), and _local and
+_joint assemble a probability from them. CH over four setting pairs thus
+takes 15 calls of sqrt, exp, sin and cos, not the 44 of four one-pair
+evaluations, and every operation is the one-pair body's, in its order: the
+results keep its bits (tests/test_analytic.py holds that body as the
+reference).
+
 Beside them live the paper's printed expressions, kept as the objects the
 verify command tests and the figure grid writes, never searched on: the
 expanded `ch_closed` and `chsh_closed` of the standard quadruple (one
@@ -123,24 +133,54 @@ def chsh_closed(p: typing.Sequence[float]) -> float:
     )
 
 
+def _shared(m, alpha1_sq, alpha2_sq, phi1, phi2):
+    """What every setting pair shares: each station's sqrt(alpha_sq) and
+    e^{-alpha_sq}/2, and the joint's (e^{-alpha1_sq-alpha2_sq}/2, sin D,
+    cos D) with D = phi1 - phi2."""
+    dphi = phi1 - phi2
+    return (m.sqrt(alpha1_sq), 0.5 * m.exp(-alpha1_sq),
+            m.sqrt(alpha2_sq), 0.5 * m.exp(-alpha2_sq),
+            (0.5 * m.exp(-alpha1_sq - alpha2_sq), m.sin(dphi), m.cos(dphi)))
+
+
+def _station(m, root, x):
+    """A setting's factors (sqrt(alpha_sq) cos(x/2), sin(x/2)), root =
+    sqrt(alpha_sq)."""
+    return root * m.cos(0.5 * x), m.sin(0.5 * x)
+
+
+def _local(half, setting):
+    """P(-1|x) from the setting's _station factors, half = e^{-alpha_sq}/2."""
+    c_x, s_x = setting
+    return half * (c_x * c_x + s_x * s_x)
+
+
+def _joint(shared, a, b):
+    """P(-1,-1|x,y) from the joint's _shared factors and the _station
+    factors of Alice's setting x (a) and Bob's y (b)."""
+    (half, sin_d, cos_d), (a_x, s_x), (b_y, s_y) = shared, a, b
+    left = a_x * s_y
+    real, imag = left * sin_d + s_x * b_y, left * cos_d
+    return half * (real * real + imag * imag)
+
+
 def _probs(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):
     """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) on m, math or numpy."""
-    a_x, s_x = m.sqrt(alpha1_sq) * m.cos(0.5 * x), m.sin(0.5 * x)
-    b_y, s_y = m.sqrt(alpha2_sq) * m.cos(0.5 * y), m.sin(0.5 * y)
-    left, dphi = a_x * s_y, phi1 - phi2
-    real, imag = left * m.sin(dphi) + s_x * b_y, left * m.cos(dphi)
-    return (0.5 * m.exp(-alpha1_sq) * (a_x * a_x + s_x * s_x),
-            0.5 * m.exp(-alpha2_sq) * (b_y * b_y + s_y * s_y),
-            0.5 * m.exp(-alpha1_sq - alpha2_sq) * (real * real + imag * imag))
+    root1, half1, root2, half2, joint = _shared(m, alpha1_sq, alpha2_sq,
+                                                phi1, phi2)
+    a, b = _station(m, root1, x), _station(m, root2, y)
+    return _local(half1, a), _local(half2, b), _joint(joint, a, b)
 
 
 def _ch(m, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
-    """CH of the four setting pairs from _probs."""
-    drives = (m, alpha1_sq, alpha2_sq, phi1, phi2)
-    _, p_b, first = _probs(*drives, xi, eta)
-    p_a, _, second = _probs(*drives, xi2, eta)
-    return (first + second - _probs(*drives, xi, eta2)[2]
-            + _probs(*drives, xi2, eta2)[2] - p_a - p_b)
+    """CH of the four setting pairs, each setting's factors taken once."""
+    root1, half1, root2, half2, joint = _shared(m, alpha1_sq, alpha2_sq,
+                                                phi1, phi2)
+    a, a2 = _station(m, root1, xi), _station(m, root1, xi2)
+    b, b2 = _station(m, root2, eta), _station(m, root2, eta2)
+    return (_joint(joint, a, b) + _joint(joint, a2, b)
+            - _joint(joint, a, b2) + _joint(joint, a2, b2)
+            - _local(half1, a2) - _local(half2, b))
 
 
 def _check_drives(alpha1_sq, alpha2_sq, every=bool):

@@ -21,6 +21,17 @@ G carries what the columns lose at the cutoff edge into the norm, and each
 probability is divided by <psi|psi>: conditional on the truncated space,
 so p_A, p_B, p_AB and their complements share one normalization.
 
+G comes from a real product, the float64 view of the images times its
+transpose (numpy runs it as BLAS dsyrk), never from the complex
+flat^H flat (zgemm). Both cost about the same, but OpenBLAS's complex
+kernel leaves the CPU in a state, likely dirty upper halves of the AVX-512
+registers, that slows every libm call after it (sin, cos, exp) until some
+numpy vector loop happens to run. On a 2-vCPU AVX-512 Xeon VM with
+OpenBLAS 0.3.31 and one thread, analytic.ch_chsh_point took 2.3 us after
+the real product of a record's pass and 5.5 us after the complex one, and
+math.sin 5 to 7 times as long. The search evaluates the closed forms
+right after each record, so no complex BLAS product belongs on its path.
+
 The module imports no other module of the package.
 """
 
@@ -50,18 +61,34 @@ def read_pass(images: np.ndarray, alice: int
     The pass's first `alice` settings are Alice's and the rest Bob's.
     Column s * S + i of images.reshape(N+1, N+1, -1), S settings, is
     setting i's image of lo (x) |s>, so Alice's term k is column k S + i
-    and Bob's column (1 - k) S + i. One Gram matmul over all of the pass's
-    columns gives every setting's entries."""
+    and Bob's column (1 - k) S + i. One real Gram product over the float64
+    view of all of the pass's columns gives every setting's entries: the
+    complex product would cost the same (about 7 us at N = 15) but slow
+    the plain-float closed forms run after it more than twofold (module
+    docstring). Each G is exactly Hermitian with a real diagonal."""
     settings = images.shape[3]
-    flat = images.reshape(-1, 2 * settings)
-    gram = (flat.conj().T @ flat).tolist()
+    two = 2 * settings
+    parts = np.ascontiguousarray(images).reshape(-1, two).view(np.float64)
+    r = parts.T @ parts
+    # column k's real and imaginary parts are parts' columns 2k and 2k + 1,
+    # so <V_k|V_l> = r[2k, 2l] + r[2k+1, 2l+1] + i (r[2k, 2l+1] - r[2k+1, 2l]).
+    # Setting i's terms are columns i and S + i: its entries lie on r's
+    # diagonal and on three diagonals of the block r[:2S, 2S:]
+    cross = r[:two, two:]
+    sq, real, up, down = (r.diagonal().tolist(), cross.diagonal().tolist(),
+                          cross.diagonal(1).tolist(), cross.diagonal(-1).tolist())
     fav = images[1, 0].reshape(-1).tolist()
     stations = []
     for i in range(settings):
-        k0, k1 = (i, settings + i) if i < alice else (settings + i, i)
-        row0, row1 = gram[k0], gram[k1]
-        stations.append(([row0[k0], row0[k1], row1[k0], row1[k1]],
-                         [fav[k0], fav[k1]]))
+        a, b = 2 * i, two + 2 * i  # r's rows of columns i and S + i
+        g00, g11 = complex(sq[a] + sq[a + 1]), complex(sq[b] + sq[b + 1])
+        g01 = complex(real[a] + real[a + 1], up[a] - down[a])
+        if i < alice:
+            stations.append(([g00, g01, g01.conjugate(), g11],
+                             [fav[i], fav[settings + i]]))
+        else:
+            stations.append(([g11, g01.conjugate(), g01, g00],
+                             [fav[settings + i], fav[i]]))
     return stations
 
 

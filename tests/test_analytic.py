@@ -384,3 +384,57 @@ class TestPointForms:
         minus, _ = ch_chsh_point(*strengths, -HALF_PI, 0.0, *angles)
         s = math.sin(phi1 - phi2)
         assert abs(ch - (0.5 * (1.0 + s) * plus + 0.5 * (1.0 - s) * minus)) <= 1e-15
+
+
+def reference_probs(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):
+    """The closed forms of one setting pair in one body, every factor taken
+    afresh: the reference the shared-factor forms keep bit for bit."""
+    a_x, s_x = m.sqrt(alpha1_sq) * m.cos(0.5 * x), m.sin(0.5 * x)
+    b_y, s_y = m.sqrt(alpha2_sq) * m.cos(0.5 * y), m.sin(0.5 * y)
+    left, dphi = a_x * s_y, phi1 - phi2
+    real, imag = left * m.sin(dphi) + s_x * b_y, left * m.cos(dphi)
+    return (0.5 * m.exp(-alpha1_sq) * (a_x * a_x + s_x * s_x),
+            0.5 * m.exp(-alpha2_sq) * (b_y * b_y + s_y * s_y),
+            0.5 * m.exp(-alpha1_sq - alpha2_sq) * (real * real + imag * imag))
+
+
+def reference_ch(m, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
+    """CH from four reference_probs calls, one per setting pair."""
+    drives = (m, alpha1_sq, alpha2_sq, phi1, phi2)
+    _, p_b, first = reference_probs(*drives, xi, eta)
+    p_a, _, second = reference_probs(*drives, xi2, eta)
+    return (first + second - reference_probs(*drives, xi, eta2)[2]
+            + reference_probs(*drives, xi2, eta2)[2] - p_a - p_b)
+
+
+# every drive the forms accept (fock.MAX_ALPHA_SQ), and angles as large as
+# any command passes
+ALL_STRENGTHS = st.floats(0.0, 700.0)
+WIDE = st.floats(-1e6, 1e6)
+
+
+class TestSharedFactorBits:
+    """Each setting's factors are taken once per call and shared between
+    the pairs it is in; every result keeps the bits of the one-pair body."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(strengths=st.tuples(ALL_STRENGTHS, ALL_STRENGTHS),
+           rest=st.tuples(*[WIDE] * 6))
+    def test_point_forms(self, strengths, rest):
+        want = reference_ch(math, *strengths, *rest)
+        assert ch_chsh_point(*strengths, *rest) == (want, 2.0 + 4.0 * want)
+        assert probs_point(*strengths, *rest[:4]) == \
+            reference_probs(math, *strengths, *rest[:4])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(ALL_STRENGTHS, ALL_STRENGTHS,
+                                   *[WIDE] * 6), min_size=1, max_size=40))
+    def test_array_forms(self, rows):
+        args = np.array(rows).T
+        want = reference_ch(np, *args)
+        ch, chsh = ch_chsh_general(*args)
+        assert np.array_equal(ch, want)
+        assert np.array_equal(chsh, 2.0 + 4.0 * want)
+        for got, ref in zip(probs_general(*args[:6]),
+                            reference_probs(np, *args[:6])):
+            assert np.array_equal(got, ref)

@@ -57,11 +57,11 @@ def plant(module, name, edit):
     return module, name, lambda *args: edit(original(*args))
 
 
-def _phases_swapped(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y,
-                    probs=analytic._probs):
+def _phases_swapped(shared, a, b, joint=analytic._joint):
     # phi1 - phi2 -> phi2 - phi1 flips sin(phi1 - phi2), the sign of the
     # joint's cross term, and leaves the locals alone
-    return probs(m, alpha1_sq, alpha2_sq, phi2, phi1, x, y)
+    half, sin_d, cos_d = shared
+    return joint((half, -sin_d, cos_d), a, b)
 
 
 def _printed_exponent(alpha1_sq, alpha2_sq, *angles,
@@ -78,11 +78,13 @@ CORRECTED = analytic.LOCAL_EXPONENT_CORRECTED
 # each row: the patches of one planted fault, the exact set of checks it
 # fails, and the local-exponent decision the report then makes
 PLANTED_FAULTS = [
-    pytest.param([(analytic, "_probs", _phases_swapped)], CLOSED_FORM_CHECKS,
+    # _joint is every closed-form joint's, probs_point's and ch_chsh_point's
+    # alike, on plain floats and on arrays
+    pytest.param([(analytic, "_joint", _phases_swapped)], CLOSED_FORM_CHECKS,
                  CORRECTED, id="general-joint-phases-swapped"),
     # the readout keeps p_ab <= min(p_a, p_b) by construction, so the
     # bound fails on the closed forms' doubled joint
-    pytest.param([plant(analytic, "_probs", lambda p: (p[0], p[1], 2.0 * p[2]))],
+    pytest.param([plant(analytic, "_joint", lambda p: 2.0 * p)],
                  CLOSED_FORM_CHECKS | {"joint_within_marginals"}, CORRECTED,
                  id="general-joint-doubled"),
     # oracle marginals off by a constant leave the joints alone, and

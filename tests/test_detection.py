@@ -261,6 +261,69 @@ class TestReadoutEquivalence:
                     assert abs(got[3] - want[3]) <= 1e-13
 
 
+def complex_readout(images, alice):
+    """read_pass's readout from the complex Gram matrix flat^H flat: for
+    setting i the entries of its terms (k0, k1), Alice's (i, S + i) and
+    Bob's (S + i, i), flattened row-major, and their (1, 0) amplitudes."""
+    settings = images.shape[3]
+    flat = images.reshape(-1, 2 * settings)
+    gram, fav = flat.conj().T @ flat, images[1, 0].reshape(-1)
+    stations = []
+    for i in range(settings):
+        k0, k1 = (i, settings + i) if i < alice else (settings + i, i)
+        stations.append((gram[np.ix_([k0, k1], [k0, k1])].ravel(), fav[[k0, k1]]))
+    return stations
+
+
+class TestRealGram:
+    """read_pass forms its Gram matrix from the real view of the images, a
+    real product, with its term order and values those of the complex one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, MAX_CUTOFF), settings_=st.integers(1, 8),
+           alice=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+           decades=st.integers(-150, 150))
+    def test_matches_the_complex_product(self, n, settings_, alice, seed,
+                                         decades):
+        rng = np.random.default_rng(seed)
+        shape = (n + 1, n + 1, 2, settings_)
+        images = 10.0 ** decades * (rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape))
+        alice = min(alice, settings_)
+        got = read_pass(images, alice)
+        want = complex_readout(images, alice)
+        assert len(got) == settings_
+        for (gram, amps), (want_gram, want_amps) in zip(got, want):
+            assert all(type(g) is complex for g in gram + amps)
+            assert amps == want_amps.tolist()
+            # each entry within 32 ulps of its Cauchy-Schwarz scale: the two
+            # products sum the same 2 (N+1)^2 terms in different orders
+            # (up to 9 ulps apart over 2000 random passes), while a wrong
+            # sign, index or term order moves an entry by about its scale
+            g00, g11 = want_gram[0].real, want_gram[3].real
+            cross = math.sqrt(g00) * math.sqrt(g11)
+            scale = np.array([g00, cross, cross, g11])
+            assert np.all(np.abs(np.array(gram) - want_gram)
+                          <= 32.0 * np.spacing(scale))
+            # exactly Hermitian, with a real diagonal
+            assert gram[2] == gram[1].conjugate()
+            assert gram[0].imag == 0.0 and gram[3].imag == 0.0
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_images(self, layout):
+        cfg = ExperimentConfig(1.3, 0.8, 0.4, 2.1, CutoffSpec(tail_eps=1e-4))
+        lo = oscillators(cfg).repeat((2, 2), axis=0)
+        images = mix_station(lo, (0.3, 1.7, 0.9, 2.6))
+        if layout == "fortran":
+            other = np.asfortranarray(images)
+        else:
+            other = np.zeros(images.shape[:3] + (2 * images.shape[3],),
+                             dtype=complex)[..., ::2]
+            other[...] = images
+        assert not other.flags.c_contiguous
+        assert read_pass(other, 2) == read_pass(images, 2)
+
+
 class TestStationShape:
     """pair_probabilities unpacks each station into the four Gram entries
     and two favorable amplitudes read_pass gives it, so a station of any
