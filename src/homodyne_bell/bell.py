@@ -16,9 +16,9 @@ the same readout, and bell defines neither of its own.
 The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
-each setting's station observable 1 - 2|1,0><1,0|, written on a station's
-input support from the Gram matrix of one mix_station pass over its unit
-oscillators.
+each setting's station observable 1 - 2|1,0><1,0|, read by
+detection.station_blocks, one block per station photon total, from one
+mix_station pass of an all-ones oscillator per distinct angle.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import pair_probabilities, read_pass
+from .detection import pair_probabilities, read_pass, station_blocks
 from .optics import ExperimentConfig, input_support, mix_station, oscillators
 
 HALF_PI = math.pi / 2.0
@@ -183,30 +183,13 @@ def split_state(config: ExperimentConfig) -> StateSplit:
     return StateSplit(c1, psi1, lam, lam_coeff, full)
 
 
-def _station_observable(theta: float, cutoff: int) -> np.ndarray:
-    """Station observable 1 - 2|1,0><1,0| after mixing at theta, as a
-    matrix on the station's input support |a, b> (a <= cutoff, b <= 1,
-    flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
-    mixed basis inputs and f their favorable amplitudes, from one pass of
-    the unit oscillators |a>, all at theta. The pass holds the image of
-    |a, b> in column b (cutoff + 1) + a, so order lists the columns in
-    support order."""
-    stride = cutoff + 1
-    images = mix_station(np.eye(stride), np.full(stride, theta))
-    flat = images.reshape(-1, 2 * stride)
-    order = np.arange(2 * stride).reshape(2, stride).T.reshape(-1)
-    gram = (flat.conj().T @ flat)[order[:, None], order]
-    fav = images[1, 0].reshape(-1)[order]
-    return gram - 2.0 * np.outer(fav.conj(), fav)
-
-
 def _chsh_form(u: np.ndarray, v: np.ndarray, obs: dict,
                quad: SettingsQuadruple) -> complex:
     """CHSH combination of <u| A x B |v> for two support arrays, the
     stations mixed at each of the quadruple's settings (obs maps each angle
-    to its _station_observable). With u, v as matrices over (Alice's input
-    index, Bob's), each term is vdot(u, A v B^T): the literal bilinear form
-    on the truncated space, divided by no norm."""
+    to its station observable on the input support). With u, v as matrices
+    over (Alice's input index, Bob's), each term is vdot(u, A v B^T): the
+    literal bilinear form on the truncated space, divided by no norm."""
     dim = obs[quad.xi].shape[0]
     u, v = u.reshape(dim, dim), v.reshape(dim, dim)
     return complex(sum(sign * np.vdot(u, obs[x] @ v @ obs[y].T)
@@ -237,8 +220,8 @@ def chsh_decomposition(split: StateSplit,
     """Decompose the full-state CHSH over the state split, computing the
     interference matrix elements explicitly rather than assuming them away.
     Each part is the CHSH combination of <u| A x B |v> on the truncated
-    space; each distinct angle's station observable is mixed once for all
-    four forms.
+    space; one mix_station pass over the distinct angles gives every station
+    observable (detection.station_blocks), shared by all four forms.
 
     The network conserves photon number and the favorable projectors pin
     each station's photon count, so the interference between the two-photon
@@ -246,9 +229,15 @@ def chsh_decomposition(split: StateSplit,
     decomposition is additive. The residual part is what breaks any
     'residual contributes the classical maximum' shortcut: it stays
     strictly below 2."""
-    cutoff = split.full.shape[0] - 1
-    obs = {theta: _station_observable(theta, cutoff)
-           for theta in {theta for pair in quad.pairs for theta in pair}}
+    angles = list(dict.fromkeys(quad.settings))
+    blocks = station_blocks(mix_station(np.ones((len(angles), split.full.shape[0])),
+                                        angles))
+    # block t's inputs |t, 0>, |t - 1, 1> have the support's flat indices 2t,
+    # 2t - 1: padded by one at each end, blocks are tiles, members reversed
+    count, totals = blocks.shape[:2]
+    padded = np.zeros((count, totals, 2, totals, 2), dtype=complex)
+    padded[:, range(totals), :, range(totals)] = blocks[:, :, ::-1, ::-1].swapaxes(0, 1)
+    obs = dict(zip(angles, padded.reshape(count, 2 * totals, -1)[:, 1:-1, 1:-1]))
     cross = _chsh_form(split.psi1, split.lam, obs, quad)
     return ChshDecomposition(
         _chsh_form(split.full, split.full, obs, quad).real,

@@ -1,5 +1,5 @@
-"""Born-rule readout, the one home of every detection probability and of
-the term order.
+"""Born-rule readout, the one home of every detection probability, of
+the favorable outcome (1, 0) and of the term order.
 
 Both beamsplitters are local, so the output is sum_k w_k A_k (x) B_k with
 w = PAIR_WEIGHTS and A_k, B_k each station's terms: Alice's term k is the
@@ -31,6 +31,9 @@ OpenBLAS 0.3.31 and one thread, analytic.ch_chsh_point took 2.3 us after
 the real product of a record's pass and 5.5 us after the complex one, and
 math.sin 5 to 7 times as long. The search evaluates the closed forms
 right after each record, so no complex BLAS product belongs on its path.
+
+station_blocks reads the state split's station observables, one 2x2 block
+per station photon total, from a pass of all-ones oscillators.
 
 The module imports no other module of the package.
 """
@@ -90,6 +93,32 @@ def read_pass(images: np.ndarray, alice: int
             stations.append(([g11, g01.conjugate(), g01, g00],
                              [fav[settings + i], fav[i]]))
     return stations
+
+
+def station_blocks(images: np.ndarray) -> np.ndarray:
+    """blocks[i, t, r, s]: setting i's station observable 1 - 2|1,0><1,0|
+    between the inputs |t - r, r> and |t - s, s> of station total t = 0..N+1,
+    from a mix_station pass of all-ones oscillators, one setting per angle.
+    Mixing keeps c + d = a + b, so the pass holds the image of |t - s, s> on
+    anti-diagonal t (zero where t - s leaves [0, N]), orthogonal to other
+    totals' images. Each block is its inputs' Gram matrix, summed over the
+    anti-diagonal from real products (no complex BLAS: module docstring),
+    less 2 conj(f) f^T in block 1, the one holding the favorable (1, 0)."""
+    stride, settings = images.shape[0], images.shape[3]
+    (r0, r1), (i0, i1) = (part.reshape(-1, 2, settings).transpose(1, 0, 2)
+                          for part in (images.real, images.imag))
+    products = np.stack((r0 * r0 + i0 * i0, r1 * r1 + i1 * i1,
+                         r0 * r1 + i0 * i1, r0 * i1 - i0 * r1), axis=1)
+    # one bin per (c + d, product, setting) of row c (N+1) + d
+    kinds = 4 * settings
+    diagonal = np.add.outer(np.arange(stride), np.arange(stride)).reshape(-1, 1)
+    sums = np.bincount((diagonal * kinds + np.arange(kinds)).reshape(-1),
+                       products.reshape(-1)).reshape(-1, 4, settings)
+    g00, g11, real, imag = sums[:stride + 1].transpose(1, 0, 2)
+    blocks = np.array([[g00, real + 1j * imag], [real - 1j * imag, g11]])
+    fav = images[1, 0]
+    blocks[:, :, 1] -= 2.0 * fav.conj()[:, None] * fav
+    return blocks.transpose(3, 2, 0, 1)
 
 
 def _weighted_sum(x, y) -> float:

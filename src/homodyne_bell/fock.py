@@ -21,9 +21,7 @@ import numpy as np
 MAX_ALPHA_SQ = 700.0
 
 # Largest per-mode cutoff any engine accepts. No engine builds an (N+1)^4
-# array: the largest left are split's station observable, one mix_station
-# pass per angle over the N + 1 unit oscillators (2 (N+1)^3 amplitudes,
-# 8.4 MB at N = 63), and mix_station's per-cutoff mixing table
+# array: the largest left is mix_station's per-cutoff mixing table
 # (2 (N+1)(N+2)^2 eigenvector products, 4.3 MB at N = 63). verify resolves
 # at most N = 26 at the default tail; alpha_sq = 50 resolves to N = 108.
 MAX_CUTOFF = 63

@@ -6,7 +6,10 @@ same output the state split, its CHSH matrix elements and the residual's
 cross-term listing. The library mixes every station with optics.mix_station
 and reads every probability off each station's two mixed input terms
 without building the output, and computes the split on the input's
-two-photon support; the tests hold both to these brute-force forms.
+two-photon support; the tests hold both to these brute-force forms. One
+reference here does use mix_station: unit_oscillator_observable, the
+split's station observable input by input, which the one-pass readout
+detection.station_blocks is held to.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""
@@ -18,7 +21,7 @@ import numpy as np
 
 from homodyne_bell.bell import ChshDecomposition, CrossTerm, StateSplit
 from homodyne_bell.fock import coherent_state
-from homodyne_bell.optics import ExperimentConfig
+from homodyne_bell.optics import ExperimentConfig, mix_station
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
 
@@ -168,3 +171,21 @@ def dense_station_columns(theta: float, cutoff: int) -> np.ndarray:
     u[1:, :, :, 1] = i_sin * raise_weight[:, None, None] * u[:-1, :, :, 0]
     u[:, 1:, :, 1] += cos * raise_weight[None, :, None] * u[:, :-1, :, 0]
     return u
+
+
+def unit_oscillator_observable(theta: float, cutoff: int) -> np.ndarray:
+    """Station observable 1 - 2|1,0><1,0| after mixing at theta, as a
+    matrix on the station's input support |a, b> (a <= cutoff, b <= 1,
+    flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
+    mixed basis inputs and f their favorable amplitudes, from one
+    mix_station pass of the N + 1 unit oscillators |a>, all at theta, and
+    the complex product of all of its columns. The pass holds the image of
+    |a, b> in column b (cutoff + 1) + a, so order lists the columns in
+    support order."""
+    stride = cutoff + 1
+    images = mix_station(np.eye(stride), np.full(stride, theta))
+    flat = images.reshape(-1, 2 * stride)
+    order = np.arange(2 * stride).reshape(2, stride).T.reshape(-1)
+    gram = (flat.conj().T @ flat)[order[:, None], order]
+    fav = images[1, 0].reshape(-1)[order]
+    return gram - 2.0 * np.outer(fav.conj(), fav)

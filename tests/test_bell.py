@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dense_oracle import (
     dense_station_columns,
     on_support,
     propagate,
+    unit_oscillator_observable,
 )
 from test_optics import pair_unitary
 from homodyne_bell import analytic, bell, optics
@@ -32,9 +34,11 @@ from homodyne_bell.bell import (
     tsirelson_two_qubit,
 )
 from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
-from homodyne_bell.fock import CutoffSpec, coherent_state
+from homodyne_bell.detection import station_blocks
+from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
+    _pair_block,
     input_support,
     mix_station,
     symmetric_config,
@@ -217,8 +221,9 @@ class TestStationFactorization:
 class TestOnePassPerNetwork:
     """Every setting of a network is mixed in one mix_station pass: a
     record's four settings in one call, the verify oracle's network in
-    one, split's station observable in one per distinct angle. A loop over
-    angles that comes back fails here."""
+    one, and a decomposition's station observables, one setting per
+    distinct angle, in one. A loop over angles that comes back fails
+    here."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -240,10 +245,13 @@ class TestOnePassPerNetwork:
         optics.run_network(ExperimentConfig(1.3, 0.4, 0.2, 1.1), 0.7, 2.1)
         assert calls == {"bell": 0, "optics": 1}
 
-    def test_one_call_per_observable_angle(self, calls):
-        quad = reference_quadruple()
-        chsh_decomposition(split_state(symmetric_config(0.6, 0.3)), quad)
-        assert calls == {"bell": len(set(quad.settings)), "optics": 0}
+    def test_one_call_per_decomposition(self, calls):
+        split = split_state(symmetric_config(0.6, 0.3))
+        # four distinct angles, then two angles each met twice
+        quads = (reference_quadruple(), SettingsQuadruple(0.4, 0.4))
+        for count, quad in enumerate(quads, 1):
+            chsh_decomposition(split, quad)
+            assert calls == {"bell": count, "optics": 0}
 
 
 class TestSettingsQuadruple:
@@ -464,6 +472,59 @@ class TestComponentChsh:
                                                   propagate(v, x, y)).real
                     for sign, (x, y) in zip((1.0, 1.0, -1.0, 1.0), quad.pairs))
         assert abs(dec.interference - cross) <= 1e-12
+
+
+class TestStationObservable:
+    """detection.station_blocks, read from one pass of all-ones oscillators,
+    against the station observable built input by input from the N + 1
+    unit oscillators' pass, on the whole input support."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(angles=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi),
+                           min_size=1, max_size=4),
+           cutoff=st.integers(1, MAX_CUTOFF), repeat=st.booleans())
+    @example(angles=[0.3, 2.9, 0.3, -1.1], cutoff=MAX_CUTOFF, repeat=False)
+    def test_matches_unit_oscillator_observable(self, angles, cutoff, repeat):
+        if repeat:
+            angles = angles[:1] * len(angles)
+        blocks = station_blocks(mix_station(np.ones((len(angles), cutoff + 1)),
+                                            angles))
+        totals = cutoff + 2
+        assert blocks.shape == (len(angles), totals, 2, 2)
+        steps = range(totals)
+        for got, theta in zip(blocks, angles):
+            # block t's inputs |t, 0>, |t - 1, 1> have the support's flat
+            # indices 2t, 2t - 1: padded by one at each end, the observable's
+            # (2, 2) tiles along the diagonal are the blocks, members reversed
+            tiles = np.pad(unit_oscillator_observable(theta, cutoff), 1).reshape(
+                totals, 2, totals, 2)
+            # entries of size up to 2, each a sum of at most N + 1 products
+            # taken in another order than the complex product's: 1e-14 is
+            # some 50 ulps of 2 (measured up to 5.6e-16 at N <= 63)
+            assert np.max(np.abs(got[:, ::-1, ::-1] - tiles[steps, :, steps])) <= 1e-14
+            # and nothing couples inputs of different totals
+            tiles[steps, :, steps] = 0.0
+            assert np.max(np.abs(tiles)) <= 1e-14
+            # the two ends hold one input each
+            assert got[0, 1].tolist() == got[0, :, 1].tolist() == [0j, 0j]
+            assert got[-1, 0].tolist() == got[-1, :, 0].tolist() == [0j, 0j]
+
+    def test_peak_memory_at_max_cutoff(self):
+        # a pass of the N + 1 unit oscillators per angle would hold
+        # 2 (N+1)^3 amplitudes (8 MiB) and peak at 17 MiB; the one all-ones
+        # pass holds 2 (N+1)^2 per distinct angle (mix_station's table is
+        # cached and not counted)
+        split = split_state(ExperimentConfig(1.0, 1.0, 0.0, HALF_PI,
+                                             CutoffSpec(n_max=MAX_CUTOFF)))
+        _pair_block(MAX_CUTOFF)
+        tracemalloc.start()
+        try:
+            dec = chsh_decomposition(split, reference_quadruple())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert abs(dec.full - dec.reassembled) < 1e-9
 
 
 class TestDecomposition:

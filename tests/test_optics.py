@@ -201,8 +201,9 @@ class TestMixStation:
            unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_matches_full_blocks(self, angles, cutoff, unit, seed):
         if unit:
-            # split's pass: the unit oscillators |a>, all at one angle
-            lo, angles = np.eye(cutoff + 1), [angles[0]] * (cutoff + 1)
+            # split's pass: an all-ones oscillator at each distinct angle
+            angles = list(dict.fromkeys(angles))
+            lo = np.ones((len(angles), cutoff + 1))
         else:
             lo = random_oscillators(seed, len(angles), cutoff)
         images = mix_station(lo, angles)
@@ -410,10 +411,10 @@ class TestInputState:
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
     def test_cutoff_limit(self):
-        # at N = 63 split's mix_station pass over the N + 1 unit
-        # oscillators, 2 (N+1)^3 amplitudes, is the largest array left: 8 MiB
+        # at N = 63 mix_station's mixing table, 2 (N+1)(N+2)^2 eigenvector
+        # products, is the largest array left: 4.3 MB
         assert MAX_CUTOFF == 63
-        assert mixed_columns(0.3, MAX_CUTOFF).nbytes == 2 * 64 ** 3 * 16 == 8 * 2**20
+        assert max(a.nbytes for a in _pair_block(MAX_CUTOFF)) == 2 * 64 * 65 ** 2 * 8
         at_limit = ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=63))
         assert at_limit.resolve_cutoff() == 63
         with pytest.raises(ValueError, match="N=64"):
