@@ -34,7 +34,9 @@ reference).
 Beside them live the paper's printed expressions, kept as the objects the
 verify command tests and the figure grid writes, never searched on: the
 expanded `ch_closed` and `chsh_closed` of the standard quadruple (one
-strength alpha_sq, phase difference dphi, second settings pi/2 off), and
+strength alpha_sq, phase difference dphi, second settings pi/2 off), which
+take the module argument m like the general body (the figure grid calls
+them per cell on math, verify once on numpy arrays of all its draws), and
 `local_prob_printed_variant`, the local probability with the printed
 e^{-2 alpha_sq} exponent. That exponent is inconsistent with the joint
 probability and the assembled CH form; the brute-force oracle adjudicates
@@ -102,32 +104,33 @@ def local_prob_printed_variant(x: float, alpha_sq: float) -> float:
     )
 
 
-def ch_closed(p: typing.Sequence[float]) -> float:
+def ch_closed(p: typing.Sequence, m=math):
     """CH value of the standard settings quadruple, in closed form.
 
     The quadruple is (xi, eta), (xi+pi/2, eta), (xi, eta+pi/2),
     (xi+pi/2, eta+pi/2) with signs +, +, -, + minus the two local terms
     P(-1|xi+pi/2) and P(-1|eta). p is unpacked as (xi, eta, dphi,
-    alpha_sq): a ClosedFormPoint, or any 4-sequence the caller has checked.
+    alpha_sq): a ClosedFormPoint, or any 4-sequence the caller has checked,
+    of plain floats on m = math or of arrays, checked alike, on m = numpy.
     """
     xi, eta, dphi, a2 = p
-    ea2, d = math.exp(a2), xi - eta
-    return 0.25 * math.exp(-2.0 * a2) * (
-        a2 * (1.0 + math.sin(dphi)) * (math.sin(d) - math.cos(d))
-        + ea2 * (1.0 - a2) * (math.cos(eta) - math.sin(xi))
+    ea2, d = m.exp(a2), xi - eta
+    return 0.25 * m.exp(-2.0 * a2) * (
+        a2 * (1.0 + m.sin(dphi)) * (m.sin(d) - m.cos(d))
+        + ea2 * (1.0 - a2) * (m.cos(eta) - m.sin(xi))
         + 2.0 * a2
         - 2.0 * ea2 * (a2 + 1.0)
     )
 
 
-def chsh_closed(p: typing.Sequence[float]) -> float:
-    """CHSH value of the standard quadruple, in expanded closed form; p as
-    in ch_closed."""
+def chsh_closed(p: typing.Sequence, m=math):
+    """CHSH value of the standard quadruple, in expanded closed form; p and
+    m as in ch_closed."""
     xi, eta, dphi, a2 = p
-    ea2, d = math.exp(a2), xi - eta
-    return 2.0 + math.exp(-2.0 * a2) * (
-        a2 * (1.0 + math.sin(dphi)) * (math.sin(d) - math.cos(d))
-        + ea2 * (1.0 - a2) * (math.cos(eta) - math.sin(xi))
+    ea2, d = m.exp(a2), xi - eta
+    return 2.0 + m.exp(-2.0 * a2) * (
+        a2 * (1.0 + m.sin(dphi)) * (m.sin(d) - m.cos(d))
+        + ea2 * (1.0 - a2) * (m.cos(eta) - m.sin(xi))
         + 2.0 * a2
         - 2.0 * ea2 * (a2 + 1.0)
     )

@@ -32,13 +32,8 @@ from .bell import (
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
-from .fock import MAX_ALPHA_SQ, CutoffSpec
-from .optics import (
-    ExperimentConfig,
-    input_support,
-    run_network,
-    symmetric_config,
-)
+from .fock import MAX_ALPHA_SQ, CutoffSpec, poisson_mass
+from .optics import ExperimentConfig, run_network, symmetric_config
 from .scan import ALPHA_SQ_MAX, FAMILIES, get_family, maximize_chsh
 
 EXIT_OK = 0
@@ -304,13 +299,12 @@ def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]
     a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random(500))
     # ClosedFormPoint's checks bound each field from below and above, so
     # the drawn arrays pass them once, at their least and greatest values,
-    # and each point goes to the printed forms as a plain-float tuple
+    # and all the points go to each printed form in one call on numpy
     fields = (xi, eta, dphi, a2)
     analytic.ClosedFormPoint(*(float(f.min()) for f in fields))
     analytic.ClosedFormPoint(*(float(f.max()) for f in fields))
-    points = list(zip(*(f.tolist() for f in fields)))
-    ch = np.array([analytic.ch_closed(p) for p in points])
-    chsh = np.array([analytic.chsh_closed(p) for p in points])
+    ch = analytic.ch_closed(fields, np)
+    chsh = analytic.chsh_closed(fields, np)
     general_ch, general_chsh = analytic.ch_chsh_general(
         a2, a2, 0.0, dphi, *SettingsQuadruple(xi, eta).settings)
     return [_check("closed_form_assembly_identity",
@@ -319,9 +313,21 @@ def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]
                    float(np.max(np.abs(chsh - general_chsh))), IDENTITY_TOL, 500)]
 
 
+def _input_norm(config: ExperimentConfig) -> float:
+    """The network input's norm on the truncated space: the product of the
+    two stations' Poisson sums up to the cutoff (fock.poisson_mass), taken
+    without building the amplitudes the network mixes, so an oscillator
+    build that is off in its norm shows against it."""
+    mass_a, mass_b = poisson_mass((config.alpha1_sq, config.alpha2_sq),
+                                  config.resolve_cutoff())
+    return mass_a * mass_b
+
+
 def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     """Physics invariants: no-signalling, and the norm the network loses at
-    the cutoff edge, the readout's norm against the input's."""
+    the cutoff edge, the readout's norm against the input's (_input_norm,
+    from Poisson sums: every probability is conditional on the truncated
+    space, so only this check sees a mis-normalized oscillator)."""
     spec = cfg.cutoff_spec()
     worst_nosig = worst_norm = 0.0
     for _ in range(cfg.verify_draws):
@@ -330,15 +336,13 @@ def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         config = ExperimentConfig(a2, a2, phi1, phi2, spec)
         p_a, p_b, _, norm_sq = run_network(config, xi, eta)
-        source = input_support(config)
         alt_bob = run_network(ExperimentConfig(a2, a2, phi1, phi2_alt, spec),
                               xi, eta_alt)
         alt_alice = run_network(ExperimentConfig(a2, a2, phi1_alt, phi2, spec),
                                 xi_alt, eta)
         worst_nosig = max(worst_nosig, abs(p_a - alt_bob[0]),
                           abs(p_b - alt_alice[1]))
-        worst_norm = max(worst_norm,
-                         abs(norm_sq - float(np.vdot(source, source).real)))
+        worst_norm = max(worst_norm, abs(norm_sq - _input_norm(config)))
     return [_check("no_signalling", worst_nosig, NOSIGNAL_TOL, cfg.verify_draws),
             _check("network_unitarity", worst_norm, UNITARITY_TOL, cfg.verify_draws)]
 

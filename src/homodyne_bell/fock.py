@@ -4,7 +4,13 @@ coherent amplitudes.
 Every engine works on per-mode occupations 0..N. A coherent input loses its
 Poisson tail beyond N; required_cutoff picks the smallest N that keeps that
 tail under a budget, and coherent_state returns the truncated amplitudes
-together with the probability they drop.
+together with the probability they drop. Its two halves are separate
+calls, each with its own readers: the stations' oscillators
+(optics.oscillators) take only the amplitudes (coherent_amplitudes), and
+verify's network_unitarity check only the Poisson sums (poisson_mass), the
+input's norm taken apart from the amplitudes the network mixes. The tail
+itself is read by coherent_state's callers outside the engines: the tests,
+and users of the package's public API.
 """
 
 from __future__ import annotations
@@ -95,30 +101,25 @@ class CutoffSpec:
         return n
 
 
-def coherent_state(alpha, cutoff: int
-                   ) -> tuple[np.ndarray, float | tuple[float, ...]]:
-    """Truncated coherent amplitudes c_0..c_cutoff and their dropped tail.
+def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
+    """Truncated coherent amplitudes c_0..c_cutoff, read-only.
 
     c_n = e^{-|a|^2/2} a^n / sqrt(n!), the running product (cumprod, no
     loop and no factorials) of e^{-|a|^2/2}, a / sqrt(1), ...,
-    a / sqrt(cutoff); the array is read-only. The tail, the discarded
-    probability, is 1 - sum p_n over the Poisson terms p_n = |c_n|^2 taken
-    as the running product of e^{-|a|^2}, |a|^2 / 1, ..., |a|^2 / cutoff
-    on real numbers. A rounding error in |a|^2 moves that sum only by
-    p_cutoff times the error but every c_n by |a|^2 / 2 times it, so
-    1 - sum |c_n|^2 would miss the tail by about 4e-15 at |a|^2 = 22.
-
-    alpha is one amplitude, or a tuple or list of them (one per station):
-    then every row comes from the same cumprod, amps is (len(alpha),
-    cutoff + 1) and the tail a tuple, each row bit for bit the row of a
+    a / sqrt(cutoff). alpha is one amplitude, or a tuple or list of them
+    (one per station): then every row comes from the same cumprod and the
+    result is (len(alpha), cutoff + 1), each row bit for bit the row of a
     call with that amplitude alone. A non-finite alpha is refused before
-    any allocation.
+    any allocation. The Poisson tail is not taken here: the stations'
+    oscillators (optics.oscillators) need only the amplitudes, and the tail
+    is read by coherent_state's callers and, as poisson_mass, by the
+    verification's norm reference.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     several = isinstance(alpha, (tuple, list))
     alphas = tuple(alpha) if several else (alpha,)
-    mag_sq = []
+    heads = []
     for a in alphas:
         if not cmath.isfinite(a):
             raise ValueError(f"alpha must be finite, got {a}")
@@ -126,16 +127,42 @@ def coherent_state(alpha, cutoff: int
         if mag > MAX_ALPHA_SQ or mag ** 2 > MAX_ALPHA_SQ:  # no square overflows
             raise ValueError(f"|alpha|={mag:g} exceeds the float-safe range "
                              f"(|alpha|^2 at most {MAX_ALPHA_SQ:g})")
-        mag_sq.append(mag ** 2)
-    n = np.arange(1.0, cutoff + 1)
-    factors = np.empty((len(alphas), 2, cutoff + 1), dtype=np.complex128)
-    factors[:, 0, 0] = [math.exp(-m / 2.0) for m in mag_sq]
-    factors[:, 1, 0] = [math.exp(-m) for m in mag_sq]
-    factors[:, 0, 1:] = np.divide.outer(alphas, np.sqrt(n))
-    factors[:, 1, 1:] = np.divide.outer(mag_sq, n)
-    running = factors.cumprod(axis=2)
-    amps = running[:, 0]
+        heads.append(math.exp(-mag ** 2 / 2.0))
+    factors = np.empty((len(alphas), cutoff + 1), dtype=np.complex128)
+    factors[:, 0] = heads
+    factors[:, 1:] = np.divide.outer(alphas, np.sqrt(np.arange(1.0, cutoff + 1)))
+    amps = factors.cumprod(axis=1)
     amps.setflags(write=False)
-    tails = tuple(max(0.0, 1.0 - tail)
-                  for tail in running[:, 1].real.sum(axis=1).tolist())
-    return (amps, tails) if several else (amps[0], tails[0])
+    return amps if several else amps[0]
+
+
+def poisson_mass(alpha_sq, cutoff: int) -> list[float]:
+    """sum p_0..p_cutoff of Poisson(alpha_sq) for each of the drives
+    alpha_sq (a sequence), with no amplitude built: the terms are the
+    running product of e^{-alpha_sq}, alpha_sq / 1, ..., alpha_sq / cutoff
+    on real numbers. It equals the truncated amplitudes' norm sum |c_n|^2
+    to rounding without reading them."""
+    n = np.arange(1.0, cutoff + 1)
+    terms = np.empty((len(alpha_sq), cutoff + 1))
+    terms[:, 0] = [math.exp(-m) for m in alpha_sq]
+    terms[:, 1:] = np.divide.outer(alpha_sq, n)
+    return terms.cumprod(axis=1).sum(axis=1).tolist()
+
+
+def coherent_state(alpha, cutoff: int
+                   ) -> tuple[np.ndarray, float | tuple[float, ...]]:
+    """Truncated coherent amplitudes (coherent_amplitudes) and their
+    dropped tail.
+
+    The tail, the discarded probability, is 1 - poisson_mass(|a|^2): the
+    Poisson terms are taken on real numbers, not as |c_n|^2. A rounding
+    error in |a|^2 moves that sum only by p_cutoff times the error but
+    every c_n by |a|^2 / 2 times it, so 1 - sum |c_n|^2 would miss the
+    tail by about 4e-15 at |a|^2 = 22. alpha as in coherent_amplitudes;
+    for a tuple or list of them the tail is a tuple.
+    """
+    amps = coherent_amplitudes(alpha, cutoff)
+    several = isinstance(alpha, (tuple, list))
+    mag_sq = [abs(a) ** 2 for a in (alpha if several else (alpha,))]
+    tails = tuple(max(0.0, 1.0 - mass) for mass in poisson_mass(mag_sq, cutoff))
+    return amps, (tails if several else tails[0])

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass
-from .fock import MAX_CUTOFF, CutoffSpec, coherent_state
+from .fock import MAX_CUTOFF, CutoffSpec, coherent_amplitudes
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,17 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
 
 def oscillators(config: ExperimentConfig) -> np.ndarray:
     """Both stations' truncated oscillators at the per-mode cutoff N, rows
-    (Alice, Bob) of one coherent_state call; a mix_station pass takes each
-    row once per setting of its station. The cutoff is resolved first, so a
-    config above MAX_CUTOFF is refused before any allocation."""
+    (Alice, Bob) of one fock.coherent_amplitudes call, bit for bit
+    coherent_state's amplitudes; a mix_station pass takes each row once per
+    setting of its station. The Poisson tails are not taken: no engine
+    reads them, and the verification's norm reference takes its Poisson
+    sums from fock.poisson_mass, apart from these amplitudes. The cutoff is
+    resolved first, so a config above MAX_CUTOFF is refused before any
+    allocation."""
     n = config.resolve_cutoff()
-    return coherent_state((math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1),
-                           math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)),
-                          n)[0]
+    return coherent_amplitudes(
+        (math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1),
+         math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)), n)
 
 
 def input_support(config: ExperimentConfig) -> np.ndarray:

@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,6 +16,8 @@ import homodyne_bell
 from homodyne_bell import analytic, bell, cli, optics, scan
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
+from homodyne_bell.fock import CutoffSpec
+from homodyne_bell.optics import ExperimentConfig, input_support
 from homodyne_bell.scan import FAMILIES
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
@@ -40,6 +43,17 @@ def run_python(args, timeout=None):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=timeout)
+
+
+def count_printed_form_calls(monkeypatch):
+    """Calls of analytic.ch_closed and chsh_closed, counted from here on."""
+    calls = {"ch_closed": 0, "chsh_closed": 0}
+    for name in calls:
+        def counted(p, m=math, name=name, original=getattr(analytic, name)):
+            calls[name] += 1
+            return original(p, m)
+        monkeypatch.setattr(analytic, name, counted)
+    return calls
 
 
 # the planted faults' config: at the default seed each fault below fails
@@ -135,6 +149,13 @@ PLANTED_FAULTS = [
     # sees it; optics' binding only, so the station engine stays sound
     pytest.param([plant(optics, "mix_station", lambda out: (1.0 - 1e-6) * out)],
                  {"network_unitarity"}, CORRECTED, id="network-lossy"),
+    # oscillators built a relative 1e-6 too strong: the readout divides the
+    # norm out of every probability, and the input's norm is taken from
+    # Poisson sums, not from these amplitudes; optics' binding only
+    pytest.param([plant(optics, "coherent_amplitudes",
+                        lambda amps: (1.0 + 1e-6) * amps)],
+                 {"network_unitarity"}, CORRECTED,
+                 id="oscillators-mis-normalized"),
     # a wrong CHSH sign leaves every probability alone
     pytest.param([(bell, "_SIGNS", (1.0, 1.0, -1.0, -1.0))],
                  {"record_ch_chsh_identity"}, CORRECTED, id="chsh-sign-wrong"),
@@ -206,6 +227,46 @@ class TestVerify:
             assert adjudication["escalation"] is None
         else:
             assert "printed exponent" in adjudication["escalation"]
+
+    def test_printed_forms_called_once(self, monkeypatch):
+        # the 500 draws go to each printed form in one call on numpy
+        calls = count_printed_form_calls(monkeypatch)
+        checks = cli._printed_form_checks(RunConfig(), np.random.default_rng(0))
+        assert [c["points"] for c in checks] == [500, 500]
+        assert calls == {"ch_closed": 1, "chsh_closed": 1}
+
+    def test_array_forms_match_point_forms(self, monkeypatch):
+        # each printed form evaluated on verify's default-seed draws as
+        # arrays agrees with one math call per point to rounding
+        seen = {}
+
+        def spy(name, form):
+            def wrapper(p, m=math):
+                seen[name] = p, form(p, m)
+                return seen[name][1]
+            monkeypatch.setattr(analytic, name, wrapper)
+
+        spy("ch_closed", ch_closed)
+        spy("chsh_closed", chsh_closed)
+        run_verification(RunConfig())
+        for name, form in (("ch_closed", ch_closed), ("chsh_closed", chsh_closed)):
+            fields, values = seen[name]
+            assert values.shape == (500,)
+            points = zip(*(f.tolist() for f in fields))
+            assert max(abs(form(p) - v)
+                       for p, v in zip(points, values.tolist())) <= 1e-15
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(alpha_sq=st.tuples(st.floats(0.0, 22.0), st.floats(0.0, 22.0)),
+           phases=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+           cutoff=st.integers(1, 63))
+    def test_input_norm_matches_the_support(self, alpha_sq, phases, cutoff):
+        # network_unitarity's reference, from Poisson sums alone, is the
+        # norm of the input support the network mixes, to rounding
+        cfg = ExperimentConfig(*alpha_sq, *phases, CutoffSpec(n_max=cutoff))
+        source = input_support(cfg)
+        assert abs(cli._input_norm(cfg)
+                   - float(np.vdot(source, source).real)) <= 1e-14
 
     def test_every_check_has_a_planted_fault(self, default_report):
         # a check that no planted fault fails could pass whatever it checks
@@ -715,18 +776,7 @@ class TestFigure:
     def test_one_ch_closed_call_per_point(self, tmp_path, monkeypatch):
         # the benchmark's traced check counts one analytic.ch_closed span per
         # grid point; the spot-checks reuse the grid's values
-        calls = {"ch_closed": 0, "chsh_closed": 0}
-
-        def counted(name):
-            original = getattr(analytic, name)
-
-            def wrapper(p):
-                calls[name] += 1
-                return original(p)
-            monkeypatch.setattr(analytic, name, wrapper)
-
-        counted("ch_closed")
-        counted("chsh_closed")
+        calls = count_printed_form_calls(monkeypatch)
         cfg = write_config(tmp_path, {"crosscheck_fraction": 0.1})
         assert run_cli(["figure", "--config", cfg, "--grid", "7x11",
                         "--out", tmp_path / "g.csv"]) == 0

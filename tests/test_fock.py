@@ -14,6 +14,7 @@ from homodyne_bell.fock import (
     MIN_TAIL_EPS,
     CutoffSpec,
     coherent_state,
+    poisson_mass,
     required_cutoff,
 )
 from homodyne_bell.optics import ExperimentConfig, input_support
@@ -122,6 +123,15 @@ class TestCoherentState:
             alone, alone_tail = coherent_state(alpha, cutoff)
             assert row.tobytes() == alone.tobytes()
             assert tail == alone_tail
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(alpha_sq=st.tuples(st.floats(0.0, 22.0), st.floats(0.0, 700.0)),
+           cutoff=st.integers(0, 63))
+    def test_poisson_mass_is_the_partial_sum(self, alpha_sq, cutoff):
+        # no amplitude is built: the drives' Poisson sums up to the cutoff,
+        # 1 - the tail beyond it at 60 digits, to rounding
+        for mass, lam in zip(poisson_mass(alpha_sq, cutoff), alpha_sq):
+            assert abs(mass - (1 - float(exact_poisson_tail(lam, cutoff)))) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [math.nan, complex(1.0, math.nan),
                                        math.inf, complex(0.5, -math.inf)])

@@ -1,3 +1,4 @@
+import cmath
 import math
 from math import comb, cos, factorial, sin, sqrt
 
@@ -16,6 +17,7 @@ from homodyne_bell.optics import (
     _pair_block,
     input_support,
     mix_station,
+    oscillators,
     symmetric_config,
 )
 
@@ -435,6 +437,21 @@ class TestInputState:
             spec.resolve(a1_sq)
         assert ExperimentConfig(a1_sq, a2_sq, cutoff=spec).resolve_cutoff() == \
             spec.resolve(max(a1_sq, a2_sq))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(alpha_sq=st.tuples(st.floats(0.0, 22.0), st.floats(0.0, 22.0)),
+           phases=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+           cutoff=st.integers(1, MAX_CUTOFF))
+    def test_oscillators_are_coherent_state_amplitudes(self, alpha_sq, phases,
+                                                       cutoff):
+        # the stations' build skips the Poisson tails, and its rows are
+        # coherent_state's amplitudes bit for bit
+        cfg = ExperimentConfig(*alpha_sq, *phases, CutoffSpec(n_max=cutoff))
+        rows = oscillators(cfg)
+        assert rows.shape == (2, cutoff + 1) and not rows.flags.writeable
+        for row, a_sq, phi in zip(rows, alpha_sq, phases):
+            amps, _ = coherent_state(math.sqrt(a_sq) * cmath.exp(1j * phi), cutoff)
+            assert row.tobytes() == amps.tobytes()
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
