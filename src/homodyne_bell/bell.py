@@ -17,8 +17,9 @@ The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
 instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
 each setting's station observable 1 - 2|1,0><1,0|, read by
-detection.station_blocks, one block per station photon total, from one
-mix_station pass of an all-ones oscillator per distinct angle.
+detection.station_blocks from one mix_station pass of an all-ones
+oscillator per distinct angle: one block per station photon total, summed
+over the pass's run of output rows of that total.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -230,8 +231,9 @@ def chsh_decomposition(split: StateSplit,
     'residual contributes the classical maximum' shortcut: it stays
     strictly below 2."""
     angles = list(dict.fromkeys(quad.settings))
-    blocks = station_blocks(mix_station(np.ones((len(angles), split.full.shape[0])),
-                                        angles))
+    cutoff = split.full.shape[0] - 1
+    blocks = station_blocks(mix_station(np.ones((len(angles), cutoff + 1)), angles),
+                            cutoff)
     # block t's inputs |t, 0>, |t - 1, 1> have the support's flat indices 2t,
     # 2t - 1: padded by one at each end, blocks are tiles, members reversed
     count, totals = blocks.shape[:2]

@@ -224,15 +224,21 @@ def _check(name: str, residual: float, tol: float, n: int) -> dict:
             "max_residual": residual, "tolerance": tol, "points": n}
 
 
+def _unequal_drives(rng: np.random.Generator) -> tuple[float, float]:
+    """(alpha1_sq, alpha2_sq): a strong drive on (0, VERIFY_ALPHA_SQ_MAX] and
+    a weak one below it, at a random station each."""
+    strong = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
+    weak = strong * rng.random()
+    return (strong, weak) if rng.random() < 0.5 else (weak, strong)
+
+
 def _network_oracle_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     """Closed forms against the brute-force network at random points: free
-    phases, the stronger station's alpha_sq on (0, max], the other's below."""
+    phases and _unequal_drives."""
     spec = cfg.cutoff_spec()
     worst_joint = worst_local = worst_margin = 0.0
     for _ in range(cfg.verify_points):
-        strong = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
-        weak = strong * rng.random()
-        a1_sq, a2_sq = (strong, weak) if rng.random() < 0.5 else (weak, strong)
+        a1_sq, a2_sq = _unequal_drives(rng)
         phi1, phi2, xi, eta = rng.uniform(0.0, 2.0 * math.pi, 4)
         p_a, p_b, p_ab, _ = run_network(
             ExperimentConfig(a1_sq, a2_sq, phi1, phi2, spec), xi, eta)
@@ -324,21 +330,21 @@ def _input_norm(config: ExperimentConfig) -> float:
 
 
 def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
-    """Physics invariants: no-signalling, and the norm the network loses at
-    the cutoff edge, the readout's norm against the input's (_input_norm,
-    from Poisson sums: every probability is conditional on the truncated
-    space, so only this check sees a mis-normalized oscillator)."""
+    """Physics invariants at _unequal_drives: no-signalling, and the norm
+    lost at the cutoff edge, the readout's norm against the input's
+    (_input_norm, from Poisson sums: every probability is conditional on
+    the truncated space, so only this check sees a mis-normalized oscillator)."""
     spec = cfg.cutoff_spec()
     worst_nosig = worst_norm = 0.0
     for _ in range(cfg.verify_draws):
-        a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random())
+        a1_sq, a2_sq = _unequal_drives(rng)
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
         phi1, phi2, phi1_alt, phi2_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
-        config = ExperimentConfig(a2, a2, phi1, phi2, spec)
+        config = ExperimentConfig(a1_sq, a2_sq, phi1, phi2, spec)
         p_a, p_b, _, norm_sq = run_network(config, xi, eta)
-        alt_bob = run_network(ExperimentConfig(a2, a2, phi1, phi2_alt, spec),
+        alt_bob = run_network(ExperimentConfig(a1_sq, a2_sq, phi1, phi2_alt, spec),
                               xi, eta_alt)
-        alt_alice = run_network(ExperimentConfig(a2, a2, phi1_alt, phi2, spec),
+        alt_alice = run_network(ExperimentConfig(a1_sq, a2_sq, phi1_alt, phi2, spec),
                                 xi_alt, eta)
         worst_nosig = max(worst_nosig, abs(p_a - alt_bob[0]),
                           abs(p_b - alt_alice[1]))

@@ -1,13 +1,17 @@
-"""Born-rule readout, the one home of every detection probability, of
-the favorable outcome (1, 0) and of the term order.
+"""Born-rule readout, the one home of every detection probability, of a
+pass's output row order, of the favorable outcome (1, 0) and of the term
+order.
 
 Both beamsplitters are local, so the output is sum_k w_k A_k (x) B_k with
 w = PAIR_WEIGHTS and A_k, B_k each station's terms: Alice's term k is the
 image of her oscillator lo (x) |k> and Bob's the image of lo (x) |1 - k>,
 mixed by optics.mix_station in one pass over all of a network's settings,
 for the station engine (bell) and for the verification oracles' network
-(optics.run_network) alike. read_pass reads every setting of a pass at
-once, reducing each to the Gram matrix G of its terms and their favorable
+(optics.run_network) alike. A pass holds only the outputs (c, d) that
+conserve photon number, c + d = t <= N + 1 with c, d <= N, as rows in
+support_rows' order: by t, then by c, so each total is one run of rows
+and (1, 0) is row 2. read_pass reads every setting of a pass at once,
+reducing each to the Gram matrix G of its terms and their favorable
 amplitudes f at (c, d) = (1, 0), exactly one photon at the counting port
 and none at the veto port, the -1 outcome. With W = conj(w) w^T each
 weight is a rank-2 contraction, and the (N+1)^4 output is never built:
@@ -41,6 +45,7 @@ The module imports no other module of the package.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +58,19 @@ PAIR_WEIGHTS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 WEIGHT_PAIRS = np.outer(PAIR_WEIGHTS.conj(), PAIR_WEIGHTS).ravel().tolist()
 _WEIGHTS = PAIR_WEIGHTS.tolist()
 
+# the favorable occupation (1, 0)'s row, after (0, 0) and (0, 1)
+FAVORABLE_ROW = 2
+
+
+@lru_cache(maxsize=64)  # a slot per cutoff an engine accepts, up to 63
+def support_rows(cutoff: int) -> np.ndarray:
+    """(t, c) of every output row of a mix_station pass cut at `cutoff`, as
+    two read-only rows: row r holds the occupation (c[r], t[r] - c[r])."""
+    rows = np.array([(t, c) for t in range(cutoff + 2)
+                     for c in range(max(0, t - cutoff), min(t, cutoff) + 1)]).T.copy()
+    rows.setflags(write=False)
+    return rows
+
 
 def read_pass(images: np.ndarray, alice: int
               ) -> list[tuple[list[complex], list[complex]]]:
@@ -62,14 +80,15 @@ def read_pass(images: np.ndarray, alice: int
     Python complex numbers.
 
     The pass's first `alice` settings are Alice's and the rest Bob's.
-    Column s * S + i of images.reshape(N+1, N+1, -1), S settings, is
-    setting i's image of lo (x) |s>, so Alice's term k is column k S + i
-    and Bob's column (1 - k) S + i. One real Gram product over the float64
-    view of all of the pass's columns gives every setting's entries: the
-    complex product would cost the same (about 7 us at N = 15) but slow
+    images[r, s, i], S settings, is output row r (support_rows) of setting
+    i's image of lo (x) |s>, so Alice's term k is column k S + i of
+    images.reshape(rows, -1) and Bob's column (1 - k) S + i. One real Gram
+    product over the float64 view of all of the pass's rows gives every
+    setting's entries: the complex product would cost the same but slow
     the plain-float closed forms run after it more than twofold (module
-    docstring). Each G is exactly Hermitian with a real diagonal."""
-    settings = images.shape[3]
+    docstring). A pass's rows are C-contiguous, so the view copies
+    nothing. Each G is exactly Hermitian with a real diagonal."""
+    settings = images.shape[2]
     two = 2 * settings
     parts = np.ascontiguousarray(images).reshape(-1, two).view(np.float64)
     r = parts.T @ parts
@@ -80,7 +99,7 @@ def read_pass(images: np.ndarray, alice: int
     cross = r[:two, two:]
     sq, real, up, down = (r.diagonal().tolist(), cross.diagonal().tolist(),
                           cross.diagonal(1).tolist(), cross.diagonal(-1).tolist())
-    fav = images[1, 0].reshape(-1).tolist()
+    fav = images[FAVORABLE_ROW].reshape(-1).tolist()
     stations = []
     for i in range(settings):
         a, b = 2 * i, two + 2 * i  # r's rows of columns i and S + i
@@ -95,28 +114,24 @@ def read_pass(images: np.ndarray, alice: int
     return stations
 
 
-def station_blocks(images: np.ndarray) -> np.ndarray:
+def station_blocks(images: np.ndarray, cutoff: int) -> np.ndarray:
     """blocks[i, t, r, s]: setting i's station observable 1 - 2|1,0><1,0|
     between the inputs |t - r, r> and |t - s, s> of station total t = 0..N+1,
-    from a mix_station pass of all-ones oscillators, one setting per angle.
-    Mixing keeps c + d = a + b, so the pass holds the image of |t - s, s> on
-    anti-diagonal t (zero where t - s leaves [0, N]), orthogonal to other
-    totals' images. Each block is its inputs' Gram matrix, summed over the
-    anti-diagonal from real products (no complex BLAS: module docstring),
-    less 2 conj(f) f^T in block 1, the one holding the favorable (1, 0)."""
-    stride, settings = images.shape[0], images.shape[3]
-    (r0, r1), (i0, i1) = (part.reshape(-1, 2, settings).transpose(1, 0, 2)
+    from a mix_station pass of all-ones oscillators cut at `cutoff`, one
+    setting per angle. Mixing keeps c + d = a + b, so the pass holds the
+    image of |t - s, s> on the run of rows of total t (zero where t - s
+    leaves [0, N]), orthogonal to other totals' images. Each block is its
+    inputs' Gram matrix, summed over the run from real products (no
+    complex BLAS: module docstring), less 2 conj(f) f^T in block 1, the
+    one holding the favorable (1, 0)."""
+    (r0, r1), (i0, i1) = (part.transpose(1, 0, 2)
                           for part in (images.real, images.imag))
     products = np.stack((r0 * r0 + i0 * i0, r1 * r1 + i1 * i1,
                          r0 * r1 + i0 * i1, r0 * i1 - i0 * r1), axis=1)
-    # one bin per (c + d, product, setting) of row c (N+1) + d
-    kinds = 4 * settings
-    diagonal = np.add.outer(np.arange(stride), np.arange(stride)).reshape(-1, 1)
-    sums = np.bincount((diagonal * kinds + np.arange(kinds)).reshape(-1),
-                       products.reshape(-1)).reshape(-1, 4, settings)
-    g00, g11, real, imag = sums[:stride + 1].transpose(1, 0, 2)
+    starts = np.searchsorted(support_rows(cutoff)[0], np.arange(cutoff + 2))
+    g00, g11, real, imag = np.add.reduceat(products, starts).transpose(1, 0, 2)
     blocks = np.array([[g00, real + 1j * imag], [real - 1j * imag, g11]])
-    fav = images[1, 0]
+    fav = images[FAVORABLE_ROW]
     blocks[:, :, 1] -= 2.0 * fav.conj()[:, None] * fav
     return blocks.transpose(3, 2, 0, 1)
 

@@ -28,7 +28,8 @@ MAX_ALPHA_SQ = 700.0
 
 # Largest per-mode cutoff any engine accepts. No engine builds an (N+1)^4
 # array: the largest left is mix_station's per-cutoff mixing table
-# (2 (N+1)(N+2)^2 eigenvector products, 4.3 MB at N = 63). verify resolves
+# (2 (N+2) eigenvector products on each of the (N+1)(N+2)/2 + N
+# photon-number support rows, 2.2 MB at N = 63). verify resolves
 # at most N = 26 at the default tail; alpha_sq = 50 resolves to N = 108.
 MAX_CUTOFF = 63
 

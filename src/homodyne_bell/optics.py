@@ -18,14 +18,17 @@ station holds is its truncated oscillator on the lo port with 0 or 1
 photon on the ph port. mix_station takes one oscillator per setting and
 the angles of all of a pass's settings, and returns every setting's images
 of lo (x) |0> and lo (x) |1> in one pass, every output mode cut at the
-per-mode cutoff N: the mixing generator's spectrum is exact, so one real
-product of a per-cutoff eigenvector table with every setting's phases
-gives the block columns a station input reaches, one elementwise product
-applies the input, and one gather places the mixed rows into the output
-occupations. The station engine (bell) mixes all four settings of a record
-in one pass, and the verification oracles' network (run_network) both
-stations' settings in one; detection.read_pass reads either pass out in
-the term order detection decides.
+per-mode cutoff N. The images hold only the outputs that photon-number
+conservation lets a station input reach, in the row order detection
+decides (detection.support_rows): (N+1)(N+2)/2 + N rows, about half of
+the (N+1)^2 output square. The mixing generator's spectrum is exact, so
+one real product of a per-cutoff eigenvector table, built on those rows,
+with every setting's phases gives the block columns a station input
+reaches, and one elementwise product applies the input. The station
+engine (bell) mixes all four settings of a record in one pass, and the
+verification oracles' network (run_network) both stations' settings in
+one; detection.read_pass reads either pass out in the term order
+detection decides.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass
+from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass, support_rows
 from .fock import MAX_CUTOFF, CutoffSpec, coherent_amplitudes
 
 
@@ -121,11 +124,12 @@ def _mixing_eig(total: int):
     return lam, vec
 
 
-# The mixing table of one cutoff: 2 (N+1)(N+2)^2 eigenvector products
-# (4.3 MB at N = 63), the phase exponents and two indices; an engine
-# touches a few cutoffs, so one slot per cutoff bounds the cache.
+# The mixing table of one cutoff: 2 (N+2) eigenvector products per output
+# row of the photon-number support (2.2 MB at N = 63), the phase exponents
+# and the input index; an engine touches a few cutoffs, so one slot per
+# cutoff bounds the cache.
 @lru_cache(maxsize=MAX_CUTOFF)
-def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angle-free mixing table of a station cut at `cutoff`, read-only.
 
     Within total photon number t the mixing generator is 2 J_x of spin
@@ -136,37 +140,33 @@ def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     columns m = t (ph count 0) and m = t - 1 (ph count 1), and
     t <= cutoff + 1. Returns
 
-    - prod[(t, c, s), j] = vec[c, j] vec[t - s, j] for output rows c <= N,
-      as a (N+2)(N+1)2 x (N+2) matrix, zero where c > t or the input
-      count t - s falls outside [0, N];
+    - prod[(r, s), j] = vec[c, j] vec[t - s, j] for each output row
+      r = (t, c) of detection.support_rows, as a 2R x (N+2) matrix for R
+      rows, zero where j > t or the input count t - s falls outside
+      [0, N];
     - exponents: i j for j = 0..N+1, then -i t / 2 for t = 0..N+1, the
       phases' exponents per unit angle;
     - source[t, s] = t - s clipped to [0, N]: the lo count of input (t, s),
-      clipped only where prod is zero;
-    - take[c (N+1) + d]: the row of the mixed (t, c) rows that output
-      pair (c, d) reads in one gather, (c + d)(N+1) + c where
-      c + d <= N + 1. Every other output reads row 1, (t, c) = (0, 1),
-      which is exactly zero: prod[(0, 1, s)] is zero, since no total-0
-      input reaches c = 1.
+      clipped only where prod is zero.
     """
-    stride, totals = cutoff + 1, cutoff + 2
-    prod = np.zeros((totals, stride, 2, totals))
+    totals = cutoff + 2
+    total, c = support_rows(cutoff)
+    prod = np.zeros((len(total), 2, totals))
     for t in range(totals):
         vec = _mixing_eig(t)[1]
-        rows = vec[:min(t, cutoff) + 1]
+        run = total == t
+        rows = vec[c[run]]
         if t <= cutoff:
-            prod[t, :len(rows), 0, :t + 1] = rows * vec[t]
+            prod[run, 0, :t + 1] = rows * vec[t]
         if t >= 1:
-            prod[t, :len(rows), 1, :t + 1] = rows * vec[t - 1]
+            prod[run, 1, :t + 1] = rows * vec[t - 1]
     prod = prod.reshape(-1, totals)
     steps = np.arange(totals)
     exponents = np.concatenate((1j * steps, -0.5j * steps))
     source = np.clip(steps[:, None] - np.arange(2), 0, cutoff)
-    c, d = np.divmod(np.arange(stride * stride), stride)
-    take = np.where(c + d <= cutoff + 1, (c + d) * stride + c, 1)
-    for array in (prod, exponents, source, take):
+    for array in (prod, exponents, source):
         array.setflags(write=False)
-    return prod, exponents, source, take
+    return prod, exponents, source
 
 
 def mix_station(lo: np.ndarray, angles) -> np.ndarray:
@@ -174,40 +174,38 @@ def mix_station(lo: np.ndarray, angles) -> np.ndarray:
     pass, each setting's oscillator mixed at its angle.
 
     lo[i] is setting i's oscillator on the lo port, amplitudes up to the
-    station cutoff lo.shape[1] - 1, and angles[i] its angle. Returns
-    out[c, d, s, i], the amplitude of output occupation (c, d) in the image
-    of lo[i] (x) |s> at angles[i], both output modes cut at the station
-    cutoff; column s * len(angles) + i of out.reshape(N+1, N+1, -1).
+    station cutoff N = lo.shape[1] - 1, and angles[i] its angle. Returns
+    out[r, s, i], the amplitude of output row r = (t, c), the occupation
+    (c, t - c) of detection.support_rows, in the image of lo[i] (x) |s> at
+    angles[i], both output modes cut at N; column s * len(angles) + i of
+    out.reshape(rows, -1). The input holds at most N + 1 photons and
+    mixing conserves the pair's photon number, so these rows are every
+    output that can be nonzero: (N+1)(N+2)/2 + N of the (N+1)^2.
 
-    Every setting and every total t <= cutoff + 1 is mixed in one pass over
-    the cutoff's _pair_block table, with no loop: one real product of the
+    Every setting and every total t <= N + 1 is mixed in one pass over the
+    cutoff's _pair_block table, with no loop: one real product of the
     eigenvector products with the phases e^{i theta j} of every angle, as
-    (cos, sin) pairs, gives each total's two block columns M[t, c, s] up
-    to the phase e^{-i theta t / 2}; one elementwise product with that phase
-    and the input lo[t - s] gives the mixed rows (t, c), and one gather
-    (the table's take index) reads out[c, d] from row (c + d, c). That is
-    O(N^3) per setting. The settings of a pass share only the one product:
-    its BLAS kernel depends on the pass's width, so a setting's images
-    match those of a one-setting pass to rounding, not always bit for bit.
-    The input holds at most cutoff + 1 photons and mixing conserves the
-    pair's photon number, so every output of total above cutoff + 1 is
-    exactly zero (the gather reads it from a row that is zero by
-    construction), and so is every product of two images' outputs at
-    different totals.
+    (cos, sin) pairs, gives each row's two block columns M[(t, c), s] up
+    to the phase e^{-i theta t / 2}, and one elementwise product with that
+    phase and the input lo[t - s] gives the images. That is O(N^3) per
+    setting. The settings of a pass share only the one product: its BLAS
+    kernel depends on the pass's width, so a setting's images match those
+    of a one-setting pass to rounding, not always bit for bit.
     """
     settings, stride = lo.shape
     if stride < 2:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
     totals = stride + 1
-    prod, exponents, source, take = _pair_block(stride - 1)
+    prod, exponents, source = _pair_block(stride - 1)
+    total = support_rows(stride - 1)[0]
     phases = np.exp(np.multiply.outer(exponents, angles))
     # the phases e^{i theta j} read as (cos, sin) pairs, and the product
     # read back as complex block columns
     mixed = (prod @ phases[:totals].view(np.float64)).view(np.complex128)
-    mixed = mixed.reshape(totals, stride, 2, settings)
-    mixed *= (lo.T[source] * phases[totals:, None])[:, None]
-    return mixed.reshape(totals * stride, 2 * settings).take(take, axis=0).reshape(
-        stride, stride, 2, settings)
+    mixed = mixed.reshape(-1, 2, settings)
+    # each total's factor, repeated over its run of rows
+    mixed *= (lo.T[source] * phases[totals:, None]).take(total, axis=0)
+    return mixed
 
 
 def run_network(config: ExperimentConfig, xi: float,

@@ -9,7 +9,9 @@ without building the output, and computes the split on the input's
 two-photon support; the tests hold both to these brute-force forms. One
 reference here does use mix_station: unit_oscillator_observable, the
 split's station observable input by input, which the one-pass readout
-detection.station_blocks is held to.
+detection.station_blocks is held to. mix_station lays its images out on
+the photon-number support rows of detection.support_rows; on_square
+places them in the dense (N+1, N+1) output square the oracles index.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""
@@ -20,10 +22,21 @@ import math
 import numpy as np
 
 from homodyne_bell.bell import ChshDecomposition, CrossTerm, StateSplit
+from homodyne_bell.detection import support_rows
 from homodyne_bell.fock import coherent_state
 from homodyne_bell.optics import ExperimentConfig, mix_station
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
+
+
+def on_square(images: np.ndarray, cutoff: int) -> np.ndarray:
+    """A mix_station pass images[r, s, i] cut at `cutoff` scattered into the
+    dense square out[c, d, s, i]: row r = (t, c) of detection.support_rows
+    at (c, t - c), zeros at every other output occupation."""
+    total, c = support_rows(cutoff)
+    out = np.zeros((cutoff + 1, cutoff + 1) + images.shape[1:], dtype=images.dtype)
+    out[c, total - c] = images
+    return out
 
 
 def dense_favorable_probs(out: np.ndarray) -> tuple[float, float, float, float]:
@@ -183,7 +196,7 @@ def unit_oscillator_observable(theta: float, cutoff: int) -> np.ndarray:
     |a, b> in column b (cutoff + 1) + a, so order lists the columns in
     support order."""
     stride = cutoff + 1
-    images = mix_station(np.eye(stride), np.full(stride, theta))
+    images = on_square(mix_station(np.eye(stride), np.full(stride, theta)), cutoff)
     flat = images.reshape(-1, 2 * stride)
     order = np.arange(2 * stride).reshape(2, stride).T.reshape(-1)
     gram = (flat.conj().T @ flat)[order[:, None], order]

@@ -14,6 +14,7 @@ from dense_oracle import (
     dense_favorable_probs,
     dense_split_state,
     dense_station_columns,
+    on_square,
     on_support,
     propagate,
     unit_oscillator_observable,
@@ -34,7 +35,7 @@ from homodyne_bell.bell import (
     tsirelson_two_qubit,
 )
 from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
-from homodyne_bell.detection import station_blocks
+from homodyne_bell.detection import station_blocks, support_rows
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
@@ -200,7 +201,8 @@ class TestStationFactorization:
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
         lo, _ = coherent_state(alpha, cutoff)
         images = mix_station(lo[None], (theta,))
-        assert images.shape == (cutoff + 1, cutoff + 1, 2, 1)
+        assert images.shape == (len(support_rows(cutoff)[0]), 2, 1)
+        images = on_square(images, cutoff)
         unitary = pair_unitary(theta, cutoff, cutoff)
         closed = dense_station_columns(theta, cutoff)
         for s in (0, 1):
@@ -488,7 +490,7 @@ class TestStationObservable:
         if repeat:
             angles = angles[:1] * len(angles)
         blocks = station_blocks(mix_station(np.ones((len(angles), cutoff + 1)),
-                                            angles))
+                                            angles), cutoff)
         totals = cutoff + 2
         assert blocks.shape == (len(angles), totals, 2, 2)
         steps = range(totals)
@@ -512,8 +514,8 @@ class TestStationObservable:
     def test_peak_memory_at_max_cutoff(self):
         # a pass of the N + 1 unit oscillators per angle would hold
         # 2 (N+1)^3 amplitudes (8 MiB) and peak at 17 MiB; the one all-ones
-        # pass holds 2 (N+1)^2 per distinct angle (mix_station's table is
-        # cached and not counted)
+        # pass holds 2 ((N+1)(N+2)/2 + N) per distinct angle (mix_station's
+        # table is cached and not counted); the peak measured 1.6 MB
         split = split_state(ExperimentConfig(1.0, 1.0, 0.0, HALF_PI,
                                              CutoffSpec(n_max=MAX_CUTOFF)))
         _pair_block(MAX_CUTOFF)

@@ -268,6 +268,22 @@ class TestVerify:
         assert abs(cli._input_norm(cfg)
                    - float(np.vdot(source, source).real)) <= 1e-14
 
+    def test_invariant_draws_unequal_drives(self, monkeypatch):
+        # the invariant checks draw their drives as the oracle checks do: a
+        # strong one and a weaker one, the stronger at either station, each
+        # draw's three networks at the draw's drives
+        drives = []
+
+        def recording(config, xi, eta, _run=cli.run_network):
+            drives.append((config.alpha1_sq, config.alpha2_sq))
+            return _run(config, xi, eta)
+        monkeypatch.setattr(cli, "run_network", recording)
+        cli._invariant_checks(RunConfig(), np.random.default_rng(0))
+        draws = drives[::3]
+        assert len(draws) == 50 and drives == [d for d in draws for _ in range(3)]
+        assert all(a != b for a, b in draws)
+        assert {a > b for a, b in draws} == {True, False}
+
     def test_every_check_has_a_planted_fault(self, default_report):
         # a check that no planted fault fails could pass whatever it checks
         planted = set().union(*(row.values[1] for row in PLANTED_FAULTS))

@@ -13,7 +13,12 @@ from dense_oracle import (
 )
 from homodyne_bell.analytic import probs_general
 from homodyne_bell.bell import evaluate_settings
-from homodyne_bell.detection import pair_probabilities, read_pass
+from homodyne_bell.detection import (
+    FAVORABLE_ROW,
+    pair_probabilities,
+    read_pass,
+    support_rows,
+)
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec
 from homodyne_bell.optics import (
     ExperimentConfig,
@@ -68,9 +73,9 @@ def random_point(rng, alpha_sq_hi=3.0):
 
 class TestMarginals:
     def test_vacuum_has_no_favorable_events(self):
-        # both terms of both stations hold |0, 0>
-        vac = np.zeros((3, 3, 2, 2), dtype=complex)
-        vac[0, 0] = 1.0
+        # both terms of both stations hold |0, 0>, row 0 of a pass cut at N = 2
+        vac = np.zeros((len(support_rows(2)[0]), 2, 2), dtype=complex)
+        vac[0] = 1.0
         p_a, p_b, p_ab, norm = pair_probabilities(*read_pass(vac, 1))
         assert (p_a, p_b, p_ab) == (0.0, 0.0, 0.0)
         assert norm == pytest.approx(1.0, abs=1e-15)
@@ -265,9 +270,9 @@ def complex_readout(images, alice):
     """read_pass's readout from the complex Gram matrix flat^H flat: for
     setting i the entries of its terms (k0, k1), Alice's (i, S + i) and
     Bob's (S + i, i), flattened row-major, and their (1, 0) amplitudes."""
-    settings = images.shape[3]
+    settings = images.shape[2]
     flat = images.reshape(-1, 2 * settings)
-    gram, fav = flat.conj().T @ flat, images[1, 0].reshape(-1)
+    gram, fav = flat.conj().T @ flat, images[FAVORABLE_ROW].reshape(-1)
     stations = []
     for i in range(settings):
         k0, k1 = (i, settings + i) if i < alice else (settings + i, i)
@@ -286,7 +291,7 @@ class TestRealGram:
     def test_matches_the_complex_product(self, n, settings_, alice, seed,
                                          decades):
         rng = np.random.default_rng(seed)
-        shape = (n + 1, n + 1, 2, settings_)
+        shape = (len(support_rows(n)[0]), 2, settings_)
         images = 10.0 ** decades * (rng.standard_normal(shape)
                                     + 1j * rng.standard_normal(shape))
         alice = min(alice, settings_)
@@ -297,7 +302,8 @@ class TestRealGram:
             assert all(type(g) is complex for g in gram + amps)
             assert amps == want_amps.tolist()
             # each entry within 32 ulps of its Cauchy-Schwarz scale: the two
-            # products sum the same 2 (N+1)^2 terms in different orders
+            # products sum the same 2 (N+1)(N+2)/2 + 2N terms in different
+            # orders
             # (up to 9 ulps apart over 2000 random passes), while a wrong
             # sign, index or term order moves an entry by about its scale
             g00, g11 = want_gram[0].real, want_gram[3].real
@@ -317,7 +323,7 @@ class TestRealGram:
         if layout == "fortran":
             other = np.asfortranarray(images)
         else:
-            other = np.zeros(images.shape[:3] + (2 * images.shape[3],),
+            other = np.zeros(images.shape[:2] + (2 * images.shape[2],),
                              dtype=complex)[..., ::2]
             other[...] = images
         assert not other.flags.c_contiguous
@@ -356,7 +362,10 @@ class TestStationShape:
 class TestScale:
     def test_readout_at_max_cutoff_stays_small(self):
         # the dense output at N = 63 would take 256 MiB; mix_station's
-        # mixing table and the station terms take a small part of that
+        # mixing table (2.2 MB, built here if no earlier test did) and the
+        # station terms take a small part of that. The peak measured 3.5 MB
+        # with the table and its eigendecompositions built here, 2.5 MB with
+        # only the table built here and 0.29 MB with it cached
         cfg = ExperimentConfig(1.21, 0.64, 0.3, 1.9, CutoffSpec(n_max=MAX_CUTOFF))
         tracemalloc.start()
         try:
@@ -364,7 +373,7 @@ class TestScale:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 7 * 2**20
         want = probs_general(1.21, 0.64, 0.3, 1.9, 0.7, 2.2)
         assert max(abs(g - w) for g, w in zip((p_a, p_b, p_ab), want)) <= 1e-12
         assert norm == pytest.approx(1.0, abs=1e-12)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from dense_oracle import dense_station_columns, propagate
-from homodyne_bell.detection import PAIR_WEIGHTS, read_pass
+from dense_oracle import dense_station_columns, on_square, propagate
+from homodyne_bell.detection import (
+    FAVORABLE_ROW,
+    PAIR_WEIGHTS,
+    read_pass,
+    support_rows,
+)
 from homodyne_bell.fock import CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     MAX_CUTOFF,
@@ -80,25 +85,6 @@ def full_block_images(lo, angles):
     return out
 
 
-def scatter_mix(lo, angles):
-    """mix_station's mixed (t, c, s) rows as it computes them, and its
-    output as the scatter of those rows, without its one gather: zeros,
-    then out[c, d] = mixed row (c + d, c) at every c + d <= N + 1."""
-    settings, stride = lo.shape
-    cutoff, totals = stride - 1, stride + 1
-    prod, exponents, source, _ = _pair_block(cutoff)
-    phases = np.exp(np.multiply.outer(exponents, angles))
-    mixed = (prod @ phases[:totals].view(np.float64)).view(np.complex128)
-    mixed = mixed.reshape(totals, stride, 2, settings)
-    mixed *= (lo.T[source] * phases[totals:, None])[:, None]
-    mixed = mixed.reshape(totals * stride, 2 * settings)
-    c, d = np.divmod(np.arange(stride * stride), stride)
-    dest = np.flatnonzero(c + d <= cutoff + 1)
-    out = np.zeros((stride * stride, 2 * settings), dtype=np.complex128)
-    out[dest] = mixed[(c + d)[dest] * stride + c[dest]]
-    return mixed, out.reshape(stride, stride, 2, settings)
-
-
 def random_oscillators(seed, settings, cutoff):
     """Unit-norm random complex oscillators, one row per setting."""
     lo = np.random.default_rng(seed).standard_normal(
@@ -150,7 +136,7 @@ def mixed_columns(theta, cutoff):
     u[c, d, a, b]."""
     stride = cutoff + 1
     images = mix_station(np.eye(stride), np.full(stride, theta))
-    return images.transpose(0, 1, 3, 2)
+    return on_square(images, cutoff).transpose(0, 1, 3, 2)
 
 
 def mixed_basis(theta, cutoff):
@@ -208,8 +194,7 @@ class TestMixStation:
             lo = np.ones((len(angles), cutoff + 1))
         else:
             lo = random_oscillators(seed, len(angles), cutoff)
-        images = mix_station(lo, angles)
-        assert images.shape == (cutoff + 1, cutoff + 1, 2, len(angles))
+        images = on_square(mix_station(lo, angles), cutoff)
         assert np.max(np.abs(images - full_block_images(lo, angles))) <= 1e-14
 
     @COLUMN_SETTINGS
@@ -217,8 +202,8 @@ class TestMixStation:
            cutoff=st.integers(1, MAX_CUTOFF), real=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_one_pass_equals_one_setting_passes(self, angles, cutoff, real, seed):
-        # each setting's phases, input product and gather are its own, bit
-        # for bit; the one product of the eigenvector table with every
+        # each setting's phases and input product are its own, bit for
+        # bit; the one product of the eigenvector table with every
         # setting's phases is a BLAS dgemm whose kernel depends on the
         # product's width, so a pass's block columns may differ from a
         # one-setting pass's in the last bits of the sum over j
@@ -246,19 +231,24 @@ class TestMixStation:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(angles=st.lists(ANGLES, min_size=1, max_size=4),
            cutoff=st.integers(1, MAX_CUTOFF), seed=st.integers(0, 2**32 - 1))
-    def test_gather_equals_the_scatter(self, angles, cutoff, seed):
+    def test_rows_are_the_photon_number_support(self, angles, cutoff, seed):
+        # the rows are every output a station input can reach, c + d = t
+        # <= N + 1 with c, d <= N, ordered by total and then by c, and the
+        # favorable (1, 0) is FAVORABLE_ROW
+        occ = range(cutoff + 1)
+        support = sorted((c + d, c) for c in occ for d in occ if c + d <= cutoff + 1)
+        total, c = support_rows(cutoff)
+        assert list(zip(total.tolist(), c.tolist())) == support
+        assert support[FAVORABLE_ROW] == (1, 1)
+        assert not (total.flags.writeable or c.flags.writeable)
+        # and a pass holds exactly those rows: scattered into the dense
+        # square they are the full mixing blocks' images, which hold
+        # nothing at the other outputs
         lo = random_oscillators(seed, len(angles), cutoff)
-        mixed, scattered = scatter_mix(lo, angles)
         images = mix_station(lo, angles)
-        occ = np.arange(cutoff + 1)
-        outside = occ[:, None] + occ > cutoff + 1
-        # bit for bit on the support, the sign of every zero included
-        assert images[~outside].tobytes() == scattered[~outside].tobytes()
-        # the outputs past total cutoff + 1 read one row, exactly zero (of
-        # either sign: the row is scaled by its input like any other)
-        rows = np.unique(_pair_block(cutoff)[3][outside.reshape(-1)])
-        assert np.all(mixed[rows] == 0.0)
-        assert np.all(images[outside] == 0.0)
+        assert images.shape == (len(support), 2, len(angles))
+        assert np.max(np.abs(on_square(images, cutoff)
+                             - full_block_images(lo, angles))) <= 1e-14
 
     def test_generator_spectrum_is_exact(self):
         # the phases e^{i theta j} e^{-i theta t / 2} rest on the generator
@@ -413,10 +403,11 @@ class TestInputState:
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
     def test_cutoff_limit(self):
-        # at N = 63 mix_station's mixing table, 2 (N+1)(N+2)^2 eigenvector
-        # products, is the largest array left: 4.3 MB
+        # at N = 63 mix_station's mixing table, 2 (N+2) eigenvector products
+        # on each of the (N+1)(N+2)/2 + N support rows, is the largest array
+        # left: 2.2 MB
         assert MAX_CUTOFF == 63
-        assert max(a.nbytes for a in _pair_block(MAX_CUTOFF)) == 2 * 64 * 65 ** 2 * 8
+        assert max(a.nbytes for a in _pair_block(MAX_CUTOFF)) == 2228720
         at_limit = ExperimentConfig(1.0, 1.0, cutoff=CutoffSpec(n_max=63))
         assert at_limit.resolve_cutoff() == 63
         with pytest.raises(ValueError, match="N=64"):
@@ -515,7 +506,7 @@ class TestNetwork:
         n = cfg.resolve_cutoff()
         lo1 = coherent_state(math.sqrt(a1_sq) * np.exp(1j * phi1), n)[0]
         lo2 = coherent_state(math.sqrt(a2_sq) * np.exp(1j * phi2), n)[0]
-        images = mix_station(np.stack((lo1, lo2)), (xi, eta))
+        images = on_square(mix_station(np.stack((lo1, lo2)), (xi, eta)), n)
         # term k holds k photons at Alice's ph port and 1 - k at Bob's
         a_k, b_k = images[:, :, :, 0], images[:, :, ::-1, 1]
         factorized = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, a_k, b_k)
@@ -529,13 +520,14 @@ class TestNetwork:
         # Alice's term k is the image of lo (x) |k> and Bob's of
         # lo (x) |1 - k>, each setting's two terms read from its own two
         # columns s * settings + i of the pass: here the only nonzero
-        # amplitudes, all distinct, sit at the favorable occupation
+        # amplitudes, all distinct, sit at the favorable occupation, row
+        # FAVORABLE_ROW of a pass cut at N = 1
         settings_ = alice + bob
-        images = np.zeros((2, 2, 2, settings_), dtype=complex)
-        images[1, 0] = (np.arange(2 * settings_) + 1j).reshape(2, settings_)
+        images = np.zeros((len(support_rows(1)[0]), 2, settings_), dtype=complex)
+        images[FAVORABLE_ROW] = (np.arange(2 * settings_) + 1j).reshape(2, settings_)
         stations = read_pass(images, alice)
         assert len(stations) == settings_
         for i, (gram, fav) in enumerate(stations):
             ph = (0, 1) if i < alice else (1, 0)
-            assert fav == [images[1, 0, s, i] for s in ph]
+            assert fav == [images[FAVORABLE_ROW, s, i] for s in ph]
             assert gram == [x.conjugate() * y for x in fav for y in fav]

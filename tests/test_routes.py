@@ -10,7 +10,10 @@ out through the one readout in detection, as the station engine does.
 Only the cli, which runs the verification oracles, reaches that network.
 detection, the home of the readout and of the term order, imports no
 package module: the modules that mix read out through it, not the other
-way round. An AST scan of the package sources enforces all four.
+way round. detection also defines a pass's output row order
+(support_rows), and no other module does: optics builds its mixing table
+(_pair_block) and lays out its passes (mix_station) on the rows it reads
+from there. An AST scan of the package sources enforces all five.
 
 The same scan keeps one parameter layer: the paper's printed forms are
 named only where they are defined (analytic), tested and written (cli)
@@ -100,8 +103,19 @@ def reachable_names(tree, entry):
     return names
 
 
+def defined_functions(tree):
+    """Names of the functions a module defines, nested ones included."""
+    return {sub.name for sub in ast.walk(tree) if isinstance(sub, ast.FunctionDef)}
+
+
 def boundary_violations(trees):
     problems = []
+    for name, tree in trees.items():
+        if name != "detection" and "support_rows" in defined_functions(tree):
+            problems.append(f"{name} defines support_rows")
+    for entry in ("_pair_block", "mix_station"):
+        if "support_rows" not in reachable_names(trees["optics"], entry):
+            problems.append(f"{entry} does not read support_rows")
     for name, tree in trees.items():
         if name == "cli":
             continue
@@ -143,6 +157,21 @@ def test_route_boundary_holds():
                "def helper(theta):\n    return closed_columns(theta)\n"
                "def mix_station(columns, theta):\n    return _pair_block(1)\n",
      "run_network does not reach mix_station"),
+    ("optics", "from .detection import read_pass\n"
+               "def support_rows(cutoff):\n"
+               "    return [(t, c) for t in range(cutoff + 2) for c in range(t + 1)]\n"
+               "def _pair_block(cutoff):\n    return support_rows(cutoff)\n"
+               "def mix_station(lo, angles):\n    return support_rows(1)\n"
+               "def run_network(config, xi, eta):\n"
+               "    return read_pass(mix_station(config, xi), 1)\n",
+     "optics defines support_rows"),
+    ("optics", "from .detection import read_pass, support_rows\n"
+               "def _pair_block(cutoff):\n    return [(t, t) for t in range(cutoff)]\n"
+               "def mix_station(lo, angles):\n"
+               "    return _pair_block(1), support_rows(1)\n"
+               "def run_network(config, xi, eta):\n"
+               "    return read_pass(mix_station(config, xi), 1)\n",
+     "_pair_block does not read support_rows"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
     ("detection", "from .analytic import probs_point\n",
@@ -157,6 +186,7 @@ def test_route_boundary_holds():
     ("cli", "from .bell import HALF_PI\n", "cli reads HALF_PI"),
     ("scan", "from . import bell\nx = bell.HALF_PI\n", "scan reads HALF_PI"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
+        "row_order_copy", "row_order_inline",
         "analytic_import", "analytic_module_import", "detection_import",
         "detection_package_import",
         "optics_import", "scipy_import", "scipy_nested_import",
