@@ -15,11 +15,9 @@ the same readout, and bell defines neither of its own.
 
 The state split lives on the input's support (optics.input_support):
 occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
-instead of (N+1)^4. Its CHSH matrix elements contract those arrays through
-each setting's station observable 1 - 2|1,0><1,0|, read by
-detection.station_blocks from one mix_station pass of an all-ones
-oscillator per distinct angle: one block per station photon total, summed
-over the pass's run of output rows of that total.
+instead of (N+1)^4. Its CHSH parts contract station term matrices as
+records do, read per station photon total (detection.station_blocks) from
+one mix_station pass: the split falls along those totals.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -36,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import pair_probabilities, read_pass, station_blocks
+from .detection import (PAIR_WEIGHTS, pair_probabilities, read_pass, station_blocks,
+                        weighted_sum)
 from .optics import ExperimentConfig, input_support, mix_station, oscillators
 
 HALF_PI = math.pi / 2.0
@@ -157,44 +156,33 @@ class StateSplit:
     full: np.ndarray
 
 
-def split_state(config: ExperimentConfig) -> StateSplit:
-    """Split the symmetric input state as c1*psi1 + lam_coeff*lam.
-
-    c1 = alpha e^{-alpha^2} and lam_coeff = sqrt(1 - alpha^2 e^{-2 alpha^2}).
-    psi1 = (e^{i phi1} |1,0,0,1> + i e^{i phi2} |0,1,1,0>) / sqrt(2) carries
-    exactly the two single-photon-per-station terms, so lam is orthogonal
-    to it by construction. full is optics.input_support. Defined only for
-    alpha1_sq == alpha2_sq.
-    """
+def _split_coefficients(config: ExperimentConfig) -> tuple[float, float]:
+    """(c1, lam_coeff) = (alpha e^{-alpha^2}, sqrt(1 - alpha^2 e^{-2 alpha^2}))
+    of the split; defined only for alpha1_sq == alpha2_sq."""
     if config.alpha1_sq != config.alpha2_sq:
         raise ValueError("state split requires equal oscillator strengths")
     a2 = config.alpha1_sq
-    c1 = math.sqrt(a2) * math.exp(-a2)
-    lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
+    return math.sqrt(a2) * math.exp(-a2), math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
+
+
+def split_state(config: ExperimentConfig) -> StateSplit:
+    """Split the symmetric input state as c1*psi1 + lam_coeff*lam.
+
+    psi1 = w_0 e^{i phi1} |1,0,0,1> + w_1 e^{i phi2} |0,1,1,0> (w =
+    detection.PAIR_WEIGHTS) carries exactly the two single-photon-per-station
+    terms, so lam is orthogonal to it by construction. full is input_support.
+    """
+    c1, lam_coeff = _split_coefficients(config)
     full = input_support(config)
-    z = 1.0 / math.sqrt(2.0)
     psi1 = np.zeros_like(full)
-    psi1[1, 0, 0, 1] = z * np.exp(1j * config.phi1)
-    psi1[0, 1, 1, 0] = z * 1j * np.exp(1j * config.phi2)
+    psi1[1, 0, 0, 1], psi1[0, 1, 1, 0] = PAIR_WEIGHTS * np.exp(
+        1j * np.array((config.phi1, config.phi2)))
     # full's two psi1 entries are c1 psi1's in exact arithmetic; zeroing
     # them, rather than subtracting c1 psi1, leaves exact zeros there at
     # every phase
     lam = (1.0 / lam_coeff) * full
     lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
     return StateSplit(c1, psi1, lam, lam_coeff, full)
-
-
-def _chsh_form(u: np.ndarray, v: np.ndarray, obs: dict,
-               quad: SettingsQuadruple) -> complex:
-    """CHSH combination of <u| A x B |v> for two support arrays, the
-    stations mixed at each of the quadruple's settings (obs maps each angle
-    to its station observable on the input support). With u, v as matrices
-    over (Alice's input index, Bob's), each term is vdot(u, A v B^T): the
-    literal bilinear form on the truncated space, divided by no norm."""
-    dim = obs[quad.xi].shape[0]
-    u, v = u.reshape(dim, dim), v.reshape(dim, dim)
-    return complex(sum(sign * np.vdot(u, obs[x] @ v @ obs[y].T)
-                       for sign, (x, y) in zip(_SIGNS, quad.pairs)))
 
 
 @dataclass(frozen=True)
@@ -216,37 +204,47 @@ class ChshDecomposition:
                 + self.interference)
 
 
-def chsh_decomposition(split: StateSplit,
-                       quad: SettingsQuadruple) -> ChshDecomposition:
-    """Decompose the full-state CHSH over the state split, computing the
-    interference matrix elements explicitly rather than assuming them away.
-    Each part is the CHSH combination of <u| A x B |v> on the truncated
-    space; one mix_station pass over the distinct angles gives every station
-    observable (detection.station_blocks), shared by all four forms.
+def _chsh_contraction(alice, bob) -> float:
+    """CHSH combination of detection.weighted_sum over the quadruple's
+    pairs (alice[i], bob[j]) of the stations' flat 2x2 term matrices."""
+    return sum(sign * weighted_sum(alice[i], bob[j])
+               for sign, (i, j) in zip(_SIGNS, ((0, 0), (1, 0), (0, 1), (1, 1))))
 
-    The network conserves photon number and the favorable projectors pin
-    each station's photon count, so the interference between the two-photon
-    entangled component and the residual comes out exactly zero and the
-    decomposition is additive. The residual part is what breaks any
-    'residual contributes the classical maximum' shortcut: it stays
-    strictly below 2."""
-    angles = list(dict.fromkeys(quad.settings))
-    cutoff = split.full.shape[0] - 1
-    blocks = station_blocks(mix_station(np.ones((len(angles), cutoff + 1)), angles),
-                            cutoff)
-    # block t's inputs |t, 0>, |t - 1, 1> have the support's flat indices 2t,
-    # 2t - 1: padded by one at each end, blocks are tiles, members reversed
-    count, totals = blocks.shape[:2]
-    padded = np.zeros((count, totals, 2, totals, 2), dtype=complex)
-    padded[:, range(totals), :, range(totals)] = blocks[:, :, ::-1, ::-1].swapaxes(0, 1)
-    obs = dict(zip(angles, padded.reshape(count, 2 * totals, -1)[:, 1:-1, 1:-1]))
-    cross = _chsh_form(split.psi1, split.lam, obs, quad)
-    return ChshDecomposition(
-        _chsh_form(split.full, split.full, obs, quad).real,
-        _chsh_form(split.psi1, split.psi1, obs, quad).real,
-        _chsh_form(split.lam, split.lam, obs, quad).real,
-        2.0 * split.c1 * split.lam_coeff * cross.real,
-        split.c1, split.lam_coeff)
+
+def chsh_decomposition(config: ExperimentConfig,
+                       quad: SettingsQuadruple) -> ChshDecomposition:
+    """Decompose the full-state CHSH over split_state(config)'s split, each
+    part the CHSH combination of <u| A x B |u> on the truncated space,
+    divided by no norm, through the records' rank-2 contraction.
+
+    One mix_station pass holds each station's oscillator and its phase-only
+    oscillator 1 + e^{i phi}|1> at both its settings, read per station
+    total t by detection.station_blocks. Mixing and the favorable
+    projector keep each station's photon number, so a form is a sum over
+    pairs of station totals: psi1 is the pair (1, 1), which the phase-only
+    blocks give free of alpha, and lam every other pair. No block couples
+    the two, so the interference is exactly 0 (measured by dense
+    propagation in tests/test_bell.py, TestDecomposition). lam's part,
+    strictly below 2, breaks any 'residual contributes the classical
+    maximum' shortcut."""
+    c1, lam_coeff = _split_coefficients(config)
+    lo = oscillators(config)
+    phase = np.zeros_like(lo)
+    phase[:, 0] = 1.0
+    phase[:, 1] = np.exp(1j * np.array((config.phi1, config.phi2)))
+    xi, xi2, eta, eta2 = quad.settings
+    rows = np.stack((lo, phase), axis=1).repeat(2, axis=1).reshape(8, -1)
+    # blocks[station, oscillator, setting, t]: flat 2x2 term matrices
+    blocks = station_blocks(mix_station(rows, (xi, xi2) * 2 + (eta, eta2) * 2),
+                            lo.shape[1] - 1, 4).reshape(2, 2, 2, -1, 4)
+    # lam's pairs of totals: t != 1 with any u, then t = 1 with u != 1
+    whole, one = blocks[:, 0].sum(axis=2), blocks[:, 0, :, 1]
+    (whole_a, whole_b), (one_a, one_b), (rest_a, rest_b), psi1 = (
+        part.tolist() for part in (whole, one, whole - one, blocks[:, 1, :, 1]))
+    lam = _chsh_contraction(rest_a, whole_b) + _chsh_contraction(one_a, rest_b)
+    return ChshDecomposition(_chsh_contraction(whole_a, whole_b),
+                             _chsh_contraction(*psi1), lam / lam_coeff ** 2, 0.0,
+                             c1, lam_coeff)
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def logical_qubit_amplitudes(state: np.ndarray) -> np.ndarray:
     for i, occ_a in enumerate(basis):
         for j, occ_b in enumerate(basis):
             psi[i, j] = state[occ_a + occ_b]
-    off_support = float(np.vdot(state, state).real) - float(np.sum(np.abs(psi) ** 2))
+    off_support = float(np.sum(np.abs(state) ** 2)) - float(np.sum(np.abs(psi) ** 2))
     if off_support > LOGICAL_SUBSPACE_ATOL:
         raise ValueError(
             f"state has probability {off_support:.3e} outside the "

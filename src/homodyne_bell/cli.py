@@ -323,7 +323,8 @@ def _input_norm(config: ExperimentConfig) -> float:
     """The network input's norm on the truncated space: the product of the
     two stations' Poisson sums up to the cutoff (fock.poisson_mass), taken
     without building the amplitudes the network mixes, so an oscillator
-    build that is off in its norm shows against it."""
+    build that is off in its norm shows against it. verify's
+    network_unitarity and split's input_norm_loss both measure against it."""
     mass_a, mass_b = poisson_mass((config.alpha1_sq, config.alpha2_sq),
                                   config.resolve_cutoff())
     return mass_a * mass_b
@@ -551,13 +552,12 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
 # split
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
-    split = split_state(cfg.experiment())
+    config = cfg.experiment()
+    split = split_state(config)
     quad = reference_quadruple()
-    dec = chsh_decomposition(split, quad)
+    dec = chsh_decomposition(config, quad)
     # the probability the truncated input drops at the cutoff
-    norm_loss = _check("input_norm_loss",
-                       1.0 - float(np.vdot(split.full, split.full).real),
-                       ORACLE_TOL, 1)
+    norm_loss = _check("input_norm_loss", 1.0 - _input_norm(config), ORACLE_TOL, 1)
     payload = {
         "alpha_sq": cfg.alpha_sq,
         "c1": split.c1,

@@ -36,8 +36,9 @@ the real product of a record's pass and 5.5 us after the complex one, and
 math.sin 5 to 7 times as long. The search evaluates the closed forms
 right after each record, so no complex BLAS product belongs on its path.
 
-station_blocks reads the state split's station observables, one 2x2 block
-per station photon total, from a pass of all-ones oscillators.
+station_blocks reads any pass in the term order too, as the station
+observable's 2x2 term matrix per setting and station photon total, which
+the state split's CHSH parts contract in the same way.
 
 The module imports no other module of the package.
 """
@@ -114,16 +115,15 @@ def read_pass(images: np.ndarray, alice: int
     return stations
 
 
-def station_blocks(images: np.ndarray, cutoff: int) -> np.ndarray:
-    """blocks[i, t, r, s]: setting i's station observable 1 - 2|1,0><1,0|
-    between the inputs |t - r, r> and |t - s, s> of station total t = 0..N+1,
-    from a mix_station pass of all-ones oscillators cut at `cutoff`, one
-    setting per angle. Mixing keeps c + d = a + b, so the pass holds the
-    image of |t - s, s> on the run of rows of total t (zero where t - s
-    leaves [0, N]), orthogonal to other totals' images. Each block is its
-    inputs' Gram matrix, summed over the run from real products (no
-    complex BLAS: module docstring), less 2 conj(f) f^T in block 1, the
-    one holding the favorable (1, 0)."""
+def station_blocks(images: np.ndarray, cutoff: int, alice: int) -> np.ndarray:
+    """blocks[i, t, k, l]: setting i's station observable 1 - 2|1,0><1,0|
+    between its terms k and l on station total t = 0..N+1, from any
+    mix_station pass cut at `cutoff`, the terms in read_pass's order
+    through the `alice` count. Mixing keeps c + d = a + b, so a term's part
+    of total t, weighted by its oscillator, lies on the run of rows of
+    total t. Each block is those parts' Gram matrix, summed over the run
+    from real products (no complex BLAS: module docstring), less
+    2 conj(f) f^T in block 1, the one holding the favorable (1, 0)."""
     (r0, r1), (i0, i1) = (part.transpose(1, 0, 2)
                           for part in (images.real, images.imag))
     products = np.stack((r0 * r0 + i0 * i0, r1 * r1 + i1 * i1,
@@ -133,11 +133,12 @@ def station_blocks(images: np.ndarray, cutoff: int) -> np.ndarray:
     blocks = np.array([[g00, real + 1j * imag], [real - 1j * imag, g11]])
     fav = images[FAVORABLE_ROW]
     blocks[:, :, 1] -= 2.0 * fav.conj()[:, None] * fav
-    return blocks.transpose(3, 2, 0, 1)
+    return np.concatenate((blocks[..., :alice], blocks[::-1, ::-1, :, alice:]),
+                          axis=3).transpose(3, 2, 0, 1)
 
 
-def _weighted_sum(x, y) -> float:
-    """Re sum W * x * y over the flat 2x2 entries of x and y."""
+def weighted_sum(x, y) -> float:
+    """Re sum W * x * y over two stations' flat 2x2 term matrices x, y."""
     (w0, w1, w2, w3), (x0, x1, x2, x3), (y0, y1, y2, y3) = WEIGHT_PAIRS, x, y
     return (w0 * x0 * y0 + w1 * x1 * y1 + w2 * x2 * y2 + w3 * x3 * y3).real
 
@@ -158,13 +159,13 @@ def pair_probabilities(alice, bob) -> tuple[float, float, float, float]:
     rather than read in part, and so is a norm that is 0 or not finite (a
     state with no weight within the cutoff)."""
     (gram_a, (a0, a1)), (gram_b, (b0, b1)), (w0, w1) = alice, bob, _WEIGHTS
-    norm = _weighted_sum(gram_a, gram_b)
+    norm = weighted_sum(gram_a, gram_b)
     if not 0.0 < norm < math.inf:  # written so that NaN is refused too
         raise ValueError(f"the truncated norm <psi|psi> = {norm!r} leaves no "
                          "probability to condition on: the state has no finite "
                          "weight within the per-mode cutoff N; raise the cutoff "
                          "(cutoff_n) or lower alpha_sq")
-    p_a = _weighted_sum(_outer(a0, a1), gram_b)
-    p_b = _weighted_sum(gram_a, _outer(b0, b1))
+    p_a = weighted_sum(_outer(a0, a1), gram_b)
+    p_b = weighted_sum(gram_a, _outer(b0, b1))
     p_ab = abs(w0 * a0 * b0 + w1 * a1 * b1) ** 2
     return p_a / norm, p_b / norm, p_ab / norm, norm

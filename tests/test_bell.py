@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import optimize as sciopt
 
 from dense_oracle import (
-    ab_product_expectation,
     dense_chsh_decomposition,
     dense_chsh_on_component,
     dense_cross_terms,
@@ -24,7 +23,6 @@ from homodyne_bell import analytic, bell, optics
 from homodyne_bell.bell import (
     BellRecord,
     SettingsQuadruple,
-    StateSplit,
     chsh_decomposition,
     evaluate_quadruple,
     evaluate_settings,
@@ -35,13 +33,15 @@ from homodyne_bell.bell import (
     tsirelson_two_qubit,
 )
 from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
-from homodyne_bell.detection import station_blocks, support_rows
+from homodyne_bell.detection import (pair_probabilities, read_pass, station_blocks,
+                                      support_rows)
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec, coherent_state
 from homodyne_bell.optics import (
     ExperimentConfig,
     _pair_block,
     input_support,
     mix_station,
+    oscillators,
     symmetric_config,
 )
 
@@ -248,11 +248,11 @@ class TestOnePassPerNetwork:
         assert calls == {"bell": 0, "optics": 1}
 
     def test_one_call_per_decomposition(self, calls):
-        split = split_state(symmetric_config(0.6, 0.3))
+        config = symmetric_config(0.6, 0.3)
         # four distinct angles, then two angles each met twice
         quads = (reference_quadruple(), SettingsQuadruple(0.4, 0.4))
         for count, quad in enumerate(quads, 1):
-            chsh_decomposition(split, quad)
+            chsh_decomposition(config, quad)
             assert calls == {"bell": count, "optics": 0}
 
 
@@ -433,53 +433,69 @@ class TestComponentChsh:
     <u| A x B |u> for the split's full state, psi1 and lam."""
 
     def test_photon_only_with_transmitting_settings(self):
-        dec = chsh_decomposition(split_state(symmetric_config(0.0)),
-                                 SettingsQuadruple(0.0, 0.0))
+        dec = chsh_decomposition(symmetric_config(0.0), SettingsQuadruple(0.0, 0.0))
         assert dec.full == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("alpha_sq", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_residual_stays_classical_at_reference_settings(self, alpha_sq):
-        split = split_state(symmetric_config(alpha_sq, HALF_PI))
-        assert chsh_decomposition(split, reference_quadruple()).lam_part < 2.0
+        config = symmetric_config(alpha_sq, HALF_PI)
+        assert chsh_decomposition(config, reference_quadruple()).lam_part < 2.0
 
     def test_entangled_component_within_quantum_bound(self):
         rng = np.random.default_rng(21)
-        split = split_state(symmetric_config(1.0, 0.7))
+        config = symmetric_config(1.0, 0.7)
         for _ in range(4):
             quad = SettingsQuadruple(rng.uniform(0, 2 * math.pi),
                                      rng.uniform(0, 2 * math.pi))
-            value = chsh_decomposition(split, quad).psi1_part
+            value = chsh_decomposition(config, quad).psi1_part
             assert -TWO_SQRT2 - 1e-12 <= value <= TWO_SQRT2 + 1e-12
 
     @DENSE_SPLIT_SETTINGS
-    @given(config=equal_drives(), quad=QUADS, seed=st.integers(0, 2**32 - 1))
-    def test_matches_dense_oracle(self, config, quad, seed):
-        dec = chsh_decomposition(split_state(config), quad)
+    @given(config=equal_drives(), quad=QUADS)
+    def test_matches_dense_oracle(self, config, quad):
+        dec = chsh_decomposition(config, quad)
         dense = dense_split_state(config)
         for name, part in (("full", "full"), ("psi1", "psi1_part"),
                            ("lam", "lam_part")):
             want = dense_chsh_on_component(on_support(getattr(dense, name)), quad)
             assert abs(getattr(dec, part) - want) <= 1e-12, name
-        # generic support states also couple occupations that photon number
-        # keeps apart in the split's states; with c1 = 1/2 and lam_coeff = 1
-        # the interference is Re <u| A x B |v>
-        rng = np.random.default_rng(seed)
-        shape = (2,) + on_support(dense.full).shape + (2,)
-        u, v = rng.standard_normal(shape) @ (1.0, 1.0j)
-        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-        dec = chsh_decomposition(StateSplit(0.5, u, v, 1.0, u), quad)
-        assert abs(dec.full - dense_chsh_on_component(u, quad)) <= 1e-12
-        assert abs(dec.lam_part - dense_chsh_on_component(v, quad)) <= 1e-12
-        cross = sum(sign * ab_product_expectation(propagate(u, x, y),
-                                                  propagate(v, x, y)).real
-                    for sign, (x, y) in zip((1.0, 1.0, -1.0, 1.0), quad.pairs))
-        assert abs(dec.interference - cross) <= 1e-12
+
+    def test_zero_drive_leaves_psi1_maximally_violating(self):
+        # c1 = 0 here: psi1's part comes from the phase-only oscillators,
+        # not from full divided by c1^2
+        dec = chsh_decomposition(symmetric_config(0.0, HALF_PI), reference_quadruple())
+        assert dec.c1 == 0.0
+        assert dec.psi1_part == pytest.approx(TWO_SQRT2, abs=1e-12)
+
+    def test_unequal_drives_refused(self):
+        with pytest.raises(ValueError, match="equal oscillator strengths"):
+            chsh_decomposition(ExperimentConfig(1.0, 2.0), reference_quadruple())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cutoff=st.sampled_from((1, 2, 15, MAX_CUTOFF)),
+           alpha_sq=st.floats(0.0, 20.0), phases=st.tuples(ANGLES, ANGLES),
+           quad=QUADS)
+    def test_full_matches_record_route(self, cutoff, alpha_sq, phases, quad):
+        # the record's pass read by read_pass and pair_probabilities, at
+        # cutoffs and drives the dense oracle cannot reach: each pair's
+        # <psi| A x B |psi> is norm (1 - 2 p_A - 2 p_B + 4 p_AB)
+        config = ExperimentConfig(alpha_sq, alpha_sq, *phases,
+                                  CutoffSpec(n_max=cutoff))
+        a, a2, b, b2 = read_pass(mix_station(oscillators(config).repeat(2, axis=0),
+                                             quad.settings), 2)
+        want = 0.0
+        for sign, (x, y) in zip((1.0, 1.0, -1.0, 1.0),
+                                ((a, b), (a2, b), (a, b2), (a2, b2))):
+            p_a, p_b, p_ab, norm = pair_probabilities(x, y)
+            want += sign * norm * (1.0 - 2.0 * p_a - 2.0 * p_b + 4.0 * p_ab)
+        assert abs(chsh_decomposition(config, quad).full - want) <= 1e-14
 
 
 class TestStationObservable:
     """detection.station_blocks, read from one pass of all-ones oscillators,
     against the station observable built input by input from the N + 1
-    unit oscillators' pass, on the whole input support."""
+    unit oscillators' pass, on the whole input support, and its term order
+    at Bob's settings."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(angles=st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi),
@@ -490,7 +506,7 @@ class TestStationObservable:
         if repeat:
             angles = angles[:1] * len(angles)
         blocks = station_blocks(mix_station(np.ones((len(angles), cutoff + 1)),
-                                            angles), cutoff)
+                                            angles), cutoff, len(angles))
         totals = cutoff + 2
         assert blocks.shape == (len(angles), totals, 2, 2)
         steps = range(totals)
@@ -511,17 +527,29 @@ class TestStationObservable:
             assert got[0, 1].tolist() == got[0, :, 1].tolist() == [0j, 0j]
             assert got[-1, 0].tolist() == got[-1, :, 0].tolist() == [0j, 0j]
 
+    @pytest.mark.parametrize("alice", [0, 1, 2, 3])
+    def test_bob_blocks_in_term_order(self, alice):
+        # Bob's term k holds 1 - k ph photons, so his blocks are Alice's
+        # with both members reversed, as read_pass orders his terms
+        angles, cutoff = (0.3, 2.9, -1.1), 4
+        lo = oscillators(ExperimentConfig(0.7, 0.7, 0.4, 1.3, CutoffSpec(n_max=cutoff)))
+        images = mix_station(lo[:1].repeat(3, axis=0), angles)
+        ph_order = station_blocks(images, cutoff, 3)
+        got = station_blocks(images, cutoff, alice)
+        assert np.array_equal(got[:alice], ph_order[:alice])
+        assert np.array_equal(got[alice:], ph_order[alice:, :, ::-1, ::-1])
+
     def test_peak_memory_at_max_cutoff(self):
         # a pass of the N + 1 unit oscillators per angle would hold
-        # 2 (N+1)^3 amplitudes (8 MiB) and peak at 17 MiB; the one all-ones
-        # pass holds 2 ((N+1)(N+2)/2 + N) per distinct angle (mix_station's
-        # table is cached and not counted); the peak measured 1.6 MB
-        split = split_state(ExperimentConfig(1.0, 1.0, 0.0, HALF_PI,
-                                             CutoffSpec(n_max=MAX_CUTOFF)))
+        # 2 (N+1)^3 amplitudes (8 MiB) and peak at 17 MiB; the one pass of
+        # eight settings holds 2 ((N+1)(N+2)/2 + N) amplitudes per setting
+        # (mix_station's table is cached and not counted); the peak measured
+        # 1.7 MB
+        config = ExperimentConfig(1.0, 1.0, 0.0, HALF_PI, CutoffSpec(n_max=MAX_CUTOFF))
         _pair_block(MAX_CUTOFF)
         tracemalloc.start()
         try:
-            dec = chsh_decomposition(split, reference_quadruple())
+            dec = chsh_decomposition(config, reference_quadruple())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -533,14 +561,14 @@ class TestDecomposition:
     @pytest.mark.parametrize("alpha_sq", [0.5, 1.0, 2.0])
     def test_parts_reassemble_to_full(self, alpha_sq):
         cfg = symmetric_config(alpha_sq, HALF_PI)
-        dec = chsh_decomposition(split_state(cfg), reference_quadruple())
+        dec = chsh_decomposition(cfg, reference_quadruple())
         assert abs(dec.full - dec.reassembled) < 1e-9
         assert dec.lam_part < 2.0
 
     def test_matches_record_value(self):
         cfg = symmetric_config(1.0, HALF_PI)
         quad = reference_quadruple()
-        dec = chsh_decomposition(split_state(cfg), quad)
+        dec = chsh_decomposition(cfg, quad)
         rec = evaluate_quadruple(cfg, quad)
         assert dec.full == pytest.approx(rec.chsh, abs=1e-9)
 
@@ -551,7 +579,7 @@ class TestDecomposition:
         for _ in range(4):
             cfg = symmetric_config(1.0 + rng.random(),
                                    rng.uniform(0, 2 * math.pi))
-            dec = chsh_decomposition(split_state(cfg), SettingsQuadruple(
+            dec = chsh_decomposition(cfg, SettingsQuadruple(
                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
             assert abs(dec.interference) < 1e-12
             assert abs(dec.full - dec.reassembled) < 1e-9
@@ -559,11 +587,11 @@ class TestDecomposition:
         # different photon number are exact zeros, and so is the
         # interference the split report prints
         for alpha_sq in (0.3, 1.0, 2.5):
-            split = split_state(symmetric_config(alpha_sq))
+            config = symmetric_config(alpha_sq)
             quads = [reference_quadruple()] + [
                 SettingsQuadruple(*rng.uniform(0, 2 * math.pi, 2)) for _ in range(3)]
             for quad in quads:
-                assert chsh_decomposition(split, quad).interference == 0.0
+                assert chsh_decomposition(config, quad).interference == 0.0
 
     @PROPERTY_SETTINGS
     @given(config=equal_drives(), quad=QUADS)
@@ -572,12 +600,12 @@ class TestDecomposition:
         # split leaks into the cross form, whatever the oscillator phases
         split = split_state(config)
         assert split.lam[1, 0, 0, 1] == split.lam[0, 1, 1, 0] == 0.0
-        assert chsh_decomposition(split, quad).interference == 0.0
+        assert chsh_decomposition(config, quad).interference == 0.0
 
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives(), quad=QUADS)
     def test_matches_dense_oracle(self, config, quad):
-        dec = chsh_decomposition(split_state(config), quad)
+        dec = chsh_decomposition(config, quad)
         ref = dense_chsh_decomposition(config, quad)
         for name in ("full", "psi1_part", "lam_part", "interference"):
             assert abs(getattr(dec, name) - getattr(ref, name)) <= 1e-12, name

@@ -24,6 +24,12 @@ The same scan keeps scipy out of the package: no package module imports
 it, at module level or inside a function body, so no command loads it.
 scipy is a test dependency only, the oracle the search's Nelder-Mead port
 is held to.
+
+And it keeps complex BLAS off every path: a complex product (zgemm) slows
+the plain-float libm work after it (detection's module docstring). The @
+operator appears only in detection.read_pass and optics.mix_station, both
+products of float64 views, and no module calls numpy's other products
+(BLAS_CALLS), whose dtype the scan cannot see.
 """
 
 import ast
@@ -38,6 +44,9 @@ FOCK_ROUTE = ("fock", "optics", "detection", "bell")
 PRINTED_FORMS = {"ClosedFormPoint", "ch_closed", "chsh_closed",
                  "local_prob_printed_variant"}
 PRINTED_FORM_READERS = {"analytic", "cli", "__init__"}
+# (module, function) of the only @ products, both on float64 views
+REAL_PRODUCTS = {("detection", "read_pass"), ("optics", "mix_station")}
+BLAS_CALLS = {"vdot", "dot", "matmul", "einsum", "inner", "tensordot"}
 
 
 def parse_package():
@@ -108,6 +117,32 @@ def defined_functions(tree):
     return {sub.name for sub in ast.walk(tree) if isinstance(sub, ast.FunctionDef)}
 
 
+def matmul_owners(tree):
+    """The innermost function around each @ or @= of a module ("" at
+    module level), once per product."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                    and isinstance(child.op, ast.MatMult)):
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, "")
+    return owners
+
+
+def called_names(tree):
+    """Names of everything a module calls, as a bare name or an attribute."""
+    return {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
+            for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+            and isinstance(sub.func, (ast.Name, ast.Attribute))}
+
+
 def boundary_violations(trees):
     problems = []
     for name, tree in trees.items():
@@ -139,6 +174,11 @@ def boundary_violations(trees):
                 problems.append(f"{name} names {form}")
         if name != "bell" and "HALF_PI" in names:
             problems.append(f"{name} reads HALF_PI")
+        for owner in matmul_owners(tree):
+            if (name, owner) not in REAL_PRODUCTS:
+                problems.append(f"{name}.{owner} uses @")
+        for call in sorted(BLAS_CALLS & called_names(tree)):
+            problems.append(f"{name} calls {call}")
     return problems
 
 
@@ -185,13 +225,21 @@ def test_route_boundary_holds():
      "bell names ClosedFormPoint"),
     ("cli", "from .bell import HALF_PI\n", "cli reads HALF_PI"),
     ("scan", "from . import bell\nx = bell.HALF_PI\n", "scan reads HALF_PI"),
+    ("bell", "def norm(u, v):\n    return u @ v\n", "bell.norm uses @"),
+    ("detection", "def read_pass(images, alice):\n    r = images.T @ images\n"
+                  "    def square(x):\n        x @= x\n", "detection.square uses @"),
+    ("cli", "import numpy as np\nloss = 1.0 - np.vdot(state, state).real\n",
+     "cli calls vdot"),
+    ("bell", "from numpy import einsum\nx = einsum('ij,ij', a, b)\n",
+     "bell calls einsum"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "row_order_copy", "row_order_inline",
         "analytic_import", "analytic_module_import", "detection_import",
         "detection_package_import",
         "optics_import", "scipy_import", "scipy_nested_import",
         "printed_form_import", "printed_form_attribute", "half_pi_import",
-        "half_pi_attribute"])
+        "half_pi_attribute", "matmul_outside_real_products",
+        "matmul_nested_in_read_pass", "vdot_call", "einsum_call"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":
