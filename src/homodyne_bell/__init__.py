@@ -29,9 +29,7 @@ from .optics import ExperimentConfig, mix_station, symmetric_config
 from .bell import (
     BellRecord,
     SettingsQuadruple,
-    StateSplit,
     evaluate_quadruple,
-    split_state,
     tsirelson_two_qubit,
 )
 from .analytic import (
@@ -47,8 +45,8 @@ __all__ = [
     "__version__",
     "CutoffSpec", "coherent_state", "required_cutoff",
     "ExperimentConfig", "mix_station", "symmetric_config",
-    "BellRecord", "SettingsQuadruple", "StateSplit", "evaluate_quadruple",
-    "split_state", "tsirelson_two_qubit",
+    "BellRecord", "SettingsQuadruple", "evaluate_quadruple",
+    "tsirelson_two_qubit",
     "ClosedFormPoint", "ch_chsh_general", "ch_closed", "chsh_closed",
     "probs_general",
     "ScanRecord", "maximize_chsh",

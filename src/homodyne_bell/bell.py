@@ -1,5 +1,5 @@
-"""CH and CHSH assembly, the entangled/residual state split, and the
-two-qubit maximal-CHSH check for the entangled component.
+"""CH and CHSH assembly, the parts of the entangled/residual state split,
+and the two-qubit maximal-CHSH check for the entangled component.
 
 Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
@@ -13,11 +13,15 @@ module's readout of those terms. The verification oracles' network
 (optics.run_network) mixes through the same splitter and reads out through
 the same readout, and bell defines neither of its own.
 
-The state split lives on the input's support (optics.input_support):
-occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}, 4(N+1)^2 amplitudes
-instead of (N+1)^4. Its CHSH parts contract station term matrices as
-records do, read per station photon total (detection.station_blocks) from
-one mix_station pass: the split falls along those totals.
+The split report writes the symmetric input as c1*psi1 + lam_coeff*lam,
+psi1 the single-photon-per-station component and lam the unit-norm
+residual, and builds neither as a state. Its CHSH parts contract station
+term matrices as records do, read per station photon total
+(detection.station_blocks) from one mix_station pass: the split falls
+along those totals. psi1's Tsirelson value comes from its 2x2 logical-qubit
+amplitudes (psi1_amplitudes), and lam's cross-term listing from the
+input's support (optics.input_support), occupations (a1, b1, a2, b2) with
+b1, b2 in {0, 1}.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -48,7 +52,6 @@ REFERENCE_XI_PLUS_ETA = math.pi
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
 CROSS_TERM_COUNT = 10
-LOGICAL_SUBSPACE_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,24 +141,6 @@ def evaluate_quadruple(config: ExperimentConfig,
     return evaluate_settings(config, *quad.settings)
 
 
-@dataclass(frozen=True)
-class StateSplit:
-    """Symmetric input state full = c1*psi1 + lam_coeff*lam, split into a
-    single-photon entangled two-qubit component psi1 and the orthogonal
-    unit-norm residual lam.
-
-    full, psi1 and lam are amplitude arrays on the input's support, indexed
-    [a1, b1, a2, b2] with a1, a2 up to the cutoff N and b1, b2 in {0, 1}:
-    the input holds at most one photon at each ph port, so the dense
-    (N+1)^4 state is zero everywhere else."""
-
-    c1: float
-    psi1: np.ndarray
-    lam: np.ndarray
-    lam_coeff: float
-    full: np.ndarray
-
-
 def _split_coefficients(config: ExperimentConfig) -> tuple[float, float]:
     """(c1, lam_coeff) = (alpha e^{-alpha^2}, sqrt(1 - alpha^2 e^{-2 alpha^2}))
     of the split; defined only for alpha1_sq == alpha2_sq."""
@@ -165,24 +150,15 @@ def _split_coefficients(config: ExperimentConfig) -> tuple[float, float]:
     return math.sqrt(a2) * math.exp(-a2), math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
 
 
-def split_state(config: ExperimentConfig) -> StateSplit:
-    """Split the symmetric input state as c1*psi1 + lam_coeff*lam.
-
-    psi1 = w_0 e^{i phi1} |1,0,0,1> + w_1 e^{i phi2} |0,1,1,0> (w =
-    detection.PAIR_WEIGHTS) carries exactly the two single-photon-per-station
-    terms, so lam is orthogonal to it by construction. full is input_support.
-    """
-    c1, lam_coeff = _split_coefficients(config)
-    full = input_support(config)
-    psi1 = np.zeros_like(full)
-    psi1[1, 0, 0, 1], psi1[0, 1, 1, 0] = PAIR_WEIGHTS * np.exp(
+def psi1_amplitudes(config: ExperimentConfig) -> np.ndarray:
+    """psi1 = w_0 e^{i phi1} |1,0,0,1> + w_1 e^{i phi2} |0,1,1,0> (w =
+    detection.PAIR_WEIGHTS), the split's single-photon entangled component,
+    as a 2x2 logical-qubit amplitude matrix (rows Alice, columns Bob) in the
+    per-station encoding |1,0> -> logical 0, |0,1> -> logical 1."""
+    psi = np.zeros((2, 2), dtype=complex)
+    psi[0, 1], psi[1, 0] = PAIR_WEIGHTS * np.exp(
         1j * np.array((config.phi1, config.phi2)))
-    # full's two psi1 entries are c1 psi1's in exact arithmetic; zeroing
-    # them, rather than subtracting c1 psi1, leaves exact zeros there at
-    # every phase
-    lam = (1.0 / lam_coeff) * full
-    lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
-    return StateSplit(c1, psi1, lam, lam_coeff, full)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -213,8 +189,8 @@ def _chsh_contraction(alice, bob) -> float:
 
 def chsh_decomposition(config: ExperimentConfig,
                        quad: SettingsQuadruple) -> ChshDecomposition:
-    """Decompose the full-state CHSH over split_state(config)'s split, each
-    part the CHSH combination of <u| A x B |u> on the truncated space,
+    """Decompose the full-state CHSH over the split c1*psi1 + lam_coeff*lam,
+    each part the CHSH combination of <u| A x B |u> on the truncated space,
     divided by no norm, through the records' rank-2 contraction.
 
     One mix_station pass holds each station's oscillator and its phase-only
@@ -260,21 +236,25 @@ class CrossTerm:
     bob_minus_one_reachable: bool
 
 
-def lambda_cross_terms(split: StateSplit) -> list[CrossTerm]:
+def lambda_cross_terms(config: ExperimentConfig) -> list[CrossTerm]:
     """The CROSS_TERM_COUNT largest |<occ|lam>|^2 contributions, largest first.
 
-    Ties are broken by the row-major occupation index of the dense
-    (N+1)^4 state so the listing is deterministic. Row-major order of the
-    support array is that order restricted to the support, so a stable sort
-    of the support gives it.
+    lam is the input's support array over lam_coeff with psi1's two entries
+    zeroed: they are c1 psi1's in exact arithmetic, and zeroing them, rather
+    than subtracting c1 psi1, leaves exact zeros there at every phase. Ties
+    are broken by the row-major occupation index of the dense (N+1)^4 state
+    so the listing is deterministic. Row-major order of the support array
+    is that order restricted to the support, so a stable sort of the
+    support gives it. Unequal drives are refused, as for the split.
     """
-    lam = split.lam
+    _, lam_coeff = _split_coefficients(config)
+    lam = (1.0 / lam_coeff) * input_support(config)
+    lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
     weights = np.abs(lam.reshape(-1)) ** 2
     order = np.argsort(-weights, kind="stable")[:CROSS_TERM_COUNT]
-    shape = lam.shape
     terms = []
     for flat in order:
-        occ = tuple(int(v) for v in np.unravel_index(int(flat), shape))
+        occ = tuple(int(v) for v in np.unravel_index(int(flat), lam.shape))
         terms.append(CrossTerm(
             occupation=occ,
             weight=float(weights[flat]),
@@ -285,31 +265,11 @@ def lambda_cross_terms(split: StateSplit) -> list[CrossTerm]:
     return terms
 
 
-def logical_qubit_amplitudes(state: np.ndarray) -> np.ndarray:
-    """Project a support array [a1, b1, a2, b2] onto the per-station
-    single-photon qubit encoding |1,0> -> logical 0, |0,1> -> logical 1, as
-    a 2x2 amplitude matrix (rows Alice, columns Bob). Rejects states with
-    more than LOGICAL_SUBSPACE_ATOL probability outside that subspace."""
-    if state.ndim != 4 or state.shape[1::2] != (2, 2):
-        raise ValueError("expected a support array [a1, b1, a2, b2] with b1, b2 <= 1")
-    basis = ((1, 0), (0, 1))
-    psi = np.zeros((2, 2), dtype=complex)
-    for i, occ_a in enumerate(basis):
-        for j, occ_b in enumerate(basis):
-            psi[i, j] = state[occ_a + occ_b]
-    off_support = float(np.sum(np.abs(state) ** 2)) - float(np.sum(np.abs(psi) ** 2))
-    if off_support > LOGICAL_SUBSPACE_ATOL:
-        raise ValueError(
-            f"state has probability {off_support:.3e} outside the "
-            "single-photon logical subspace")
-    return psi
-
-
-def tsirelson_two_qubit(state: np.ndarray) -> float:
-    """Maximum CHSH value of a two-qubit pure state over all qubit
-    measurements: 2 sqrt(1 + C^2) with C = 2 |psi00 psi11 - psi01 psi10| /
+def tsirelson_two_qubit(psi: np.ndarray) -> float:
+    """Maximum CHSH value of a two-qubit pure state psi[Alice, Bob] over all
+    qubit measurements: 2 sqrt(1 + C^2) with C = 2 |psi00 psi11 - psi01 psi10| /
     |psi|^2 its concurrence, which is the Horodecki value 2 sqrt(m1 + m2)
     of the spin correlation matrix on pure states."""
-    psi = logical_qubit_amplitudes(state)
-    concurrence = 2.0 * abs(np.linalg.det(psi)) / np.sum(np.abs(psi) ** 2)
+    det = psi[0, 0] * psi[1, 1] - psi[0, 1] * psi[1, 0]
+    concurrence = 2.0 * abs(det) / np.sum(np.abs(psi) ** 2)
     return 2.0 * math.sqrt(1.0 + concurrence ** 2)

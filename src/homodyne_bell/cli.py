@@ -26,8 +26,8 @@ from .bell import (
     chsh_decomposition,
     evaluate_quadruple,
     lambda_cross_terms,
+    psi1_amplitudes,
     reference_quadruple,
-    split_state,
     tsirelson_two_qubit,
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
@@ -553,16 +553,15 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     config = cfg.experiment()
-    split = split_state(config)
     quad = reference_quadruple()
     dec = chsh_decomposition(config, quad)
     # the probability the truncated input drops at the cutoff
     norm_loss = _check("input_norm_loss", 1.0 - _input_norm(config), ORACLE_TOL, 1)
     payload = {
         "alpha_sq": cfg.alpha_sq,
-        "c1": split.c1,
-        "lam_coeff": split.lam_coeff,
-        "psi1_tsirelson": tsirelson_two_qubit(split.psi1),
+        "c1": dec.c1,
+        "lam_coeff": dec.lam_coeff,
+        "psi1_tsirelson": tsirelson_two_qubit(psi1_amplitudes(config)),
         "chsh_lambda_reference_settings": dec.lam_part,
         # full = c1^2 psi1_part + lam_coeff^2 lam_part + interference at the
         # reference settings
@@ -579,12 +578,12 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
             "xi": quad.xi,
             "eta": quad.eta,
         },
-        "cross_terms": [asdict(term) for term in lambda_cross_terms(split)],
+        "cross_terms": [asdict(term) for term in lambda_cross_terms(config)],
         "input_norm_loss": norm_loss,
         "provenance": provenance(cfg, args),
     }
     write_json(args.out, payload)
-    print(f"c1 = {split.c1:.9g}, psi1 tsirelson = "
+    print(f"c1 = {dec.c1:.9g}, psi1 tsirelson = "
           f"{payload['psi1_tsirelson']:.9g}, chsh(lambda) = "
           f"{payload['chsh_lambda_reference_settings']:.9g}")
     if not norm_loss["passed"]:

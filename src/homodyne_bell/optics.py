@@ -12,23 +12,24 @@ is cos^2(theta/2). Under this convention the closed-form phase-difference
 argument used by the analytic module corresponds to phi2 - phi1 of the two
 local-oscillator phases (see analytic module notes).
 
-The input holds at most one photon at each ph port: its support is
-input_support's (N+1, 2, N+1, 2) array over (a1, b1, a2, b2), and what a
-station holds is its truncated oscillator on the lo port with 0 or 1
-photon on the ph port. mix_station takes one oscillator per setting and
-the angles of all of a pass's settings, and returns every setting's images
-of lo (x) |0> and lo (x) |1> in one pass, every output mode cut at the
-per-mode cutoff N. The images hold only the outputs that photon-number
-conservation lets a station input reach, in the row order detection
-decides (detection.support_rows): (N+1)(N+2)/2 + N rows, about half of
-the (N+1)^2 output square. The mixing generator's spectrum is exact, so
-one real product of a per-cutoff eigenvector table, built on those rows,
-with every setting's phases gives the block columns a station input
-reaches, and one elementwise product applies the input. The station
-engine (bell) mixes all four settings of a record in one pass, and the
-verification oracles' network (run_network) both stations' settings in
-one; detection.read_pass reads either pass out in the term order
-detection decides.
+The input holds at most one photon at each ph port, so what a station
+holds is its truncated oscillator on the lo port with 0 or 1 photon on the
+ph port. No engine builds the joint input: its support array
+(input_support, (N+1, 2, N+1, 2) over (a1, b1, a2, b2)) is only the domain
+of the split's cross-term listing and the tests' reference input.
+mix_station takes one oscillator per setting and the angles of all of a
+pass's settings, and returns every setting's images of lo (x) |0> and
+lo (x) |1> in one pass, every output mode cut at the per-mode cutoff N.
+The images hold only the outputs that photon-number conservation lets a
+station input reach, in the row order detection decides
+(detection.support_rows): (N+1)(N+2)/2 + N rows, about half of the (N+1)^2
+output square. The mixing generator's spectrum is exact, so one real
+product of a per-cutoff eigenvector table, built on those rows, with every
+setting's phases gives the block columns a station input reaches, and one
+elementwise product applies the input. The station engine (bell) mixes all
+four settings of a record in one pass, and the verification oracles'
+network (run_network) both stations' settings in one; detection.read_pass
+reads either pass out in the term order detection decides.
 """
 
 from __future__ import annotations

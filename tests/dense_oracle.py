@@ -1,27 +1,30 @@
-"""Dense 4-mode oracles on plain arrays, built on no splitter of the
-library: a support array propagated through the closed binomial station
-columns (dense_station_columns) to the full (N+1)^4 output, and its index
-readout, the reference for the detection module's rank-2 readout; from the
-same output the state split, its CHSH matrix elements and the residual's
-cross-term listing. The library mixes every station with optics.mix_station
-and reads every probability off each station's two mixed input terms
-without building the output, and computes the split on the input's
-two-photon support; the tests hold both to these brute-force forms. One
-reference here does use mix_station: unit_oscillator_observable, the
-split's station observable input by input, which the one-pass readout
-detection.station_blocks is held to. mix_station lays its images out on
-the photon-number support rows of detection.support_rows; on_square
-places them in the dense (N+1, N+1) output square the oracles index.
+"""Dense 4-mode oracles on plain arrays, built on no splitter of the library:
+a support array propagated through the closed binomial station columns
+(dense_station_columns) to the full (N+1)^4 output, and its index readout,
+the reference for the detection module's rank-2 readout; from the same
+output the state split (DenseSplit), its CHSH matrix elements and the
+residual's cross-term listing. The library mixes every station with
+optics.mix_station and reads every probability off each station's two mixed
+input terms without building the output, and reads the split's pieces
+without building its states: psi1 as 2x2 logical-qubit amplitudes and lam's
+listing on the input's two-photon support; the tests hold both to these
+brute-force forms. One reference here does use mix_station:
+unit_oscillator_observable, the split's station observable input by input,
+which the one-pass readout detection.station_blocks is held to. mix_station
+lays its images out on the photon-number support rows of
+detection.support_rows; on_square places them in the dense (N+1, N+1)
+output square the oracles index.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from homodyne_bell.bell import ChshDecomposition, CrossTerm, StateSplit
+from homodyne_bell.bell import ChshDecomposition, CrossTerm
 from homodyne_bell.detection import support_rows
 from homodyne_bell.fock import coherent_state
 from homodyne_bell.optics import ExperimentConfig, mix_station
@@ -92,7 +95,19 @@ def ab_product_expectation(u: np.ndarray, v: np.ndarray | None = None) -> comple
     return complex(full - 2.0 * pa - 2.0 * pb + 4.0 * pab)
 
 
-def dense_split_state(config: ExperimentConfig) -> StateSplit:
+@dataclass(frozen=True)
+class DenseSplit:
+    """The symmetric input full = c1*psi1 + lam_coeff*lam as dense input
+    arrays [a1, b1, a2, b2], every mode up to the cutoff N."""
+
+    c1: float
+    psi1: np.ndarray
+    lam: np.ndarray
+    lam_coeff: float
+    full: np.ndarray
+
+
+def dense_split_state(config: ExperimentConfig) -> DenseSplit:
     """The split built on dense input arrays: the tensor product of the two
     oscillators and the split photon over all (N+1)^4 occupations, psi1
     from two basis arrays and lam = full with psi1's two entries zeroed,
@@ -115,7 +130,7 @@ def dense_split_state(config: ExperimentConfig) -> StateSplit:
     psi1[0, 1, 1, 0] = z * 1j * np.exp(1j * config.phi2)
     lam = (1.0 / lam_coeff) * full
     lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
-    return StateSplit(c1, psi1, lam, lam_coeff, full)
+    return DenseSplit(c1, psi1, lam, lam_coeff, full)
 
 
 def dense_chsh_on_component(component: np.ndarray, quad) -> float:

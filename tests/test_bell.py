@@ -27,9 +27,8 @@ from homodyne_bell.bell import (
     evaluate_quadruple,
     evaluate_settings,
     lambda_cross_terms,
-    logical_qubit_amplitudes,
+    psi1_amplitudes,
     reference_quadruple,
-    split_state,
     tsirelson_two_qubit,
 )
 from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
@@ -62,18 +61,14 @@ CROSS_BY_ALPHA_SQ = {0.25: 0.14947185391803652, 0.5: 0.23738137751336144,
 DAMPED_TSIRELSON = 2.8096257321932941
 
 
-def support_state(amplitudes, cutoff=2):
-    """Support array [a1, b1, a2, b2] with the given {occupation: amplitude}."""
-    state = np.zeros((cutoff + 1, 2, cutoff + 1, 2), dtype=complex)
-    for occ, amp in amplitudes.items():
-        state[occ] = amp
-    return state
+# each station's single-photon occupations |1,0>, |0,1>: logical 0 and 1
+LOGICAL_BASIS = ((1, 0), (0, 1))
+PSI1_OCCUPATIONS = {(1, 0, 0, 1), (0, 1, 1, 0)}
 
 
-def two_term_state(amp_first, amp_second, cutoff=2):
-    """State amp_first |1,0,0,1> + i amp_second |0,1,1,0> on the input modes."""
-    return support_state({(1, 0, 0, 1): amp_first,
-                          (0, 1, 1, 0): 1j * amp_second}, cutoff)
+def two_term_psi(amp_first, amp_second):
+    """Logical amplitudes of amp_first |1,0,0,1> + i amp_second |0,1,1,0>."""
+    return np.array([[0.0, amp_first], [1j * amp_second, 0.0]], dtype=complex)
 
 
 def qubit_chsh_search_oracle(psi, seed, starts=24):
@@ -148,18 +143,6 @@ def equal_drives(draw):
 QUADS = st.builds(SettingsQuadruple, ANGLES, ANGLES)
 # the dense decomposition oracle propagates three (N+1)^4 states per pair
 DENSE_SPLIT_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
-
-
-def support_slice(state):
-    """A dense input array on the split's support, b1, b2 <= 1."""
-    return state[:, :2, :, :2]
-
-
-def off_support(state):
-    """Every dense amplitude with b1 >= 2 or b2 >= 2."""
-    mask = np.ones(state.shape, dtype=bool)
-    mask[:, :2, :, :2] = False
-    return state[mask]
 
 
 @st.composite
@@ -335,64 +318,84 @@ class TestCoincidentSettings:
 
 
 class TestStateSplit:
+    """The split full = c1*psi1 + lam_coeff*lam as the report reads it: c1
+    and lam_coeff off chsh_decomposition, psi1 as logical amplitudes
+    (psi1_amplitudes) and lam through its listing (lambda_cross_terms),
+    held to the dense split."""
+
     @pytest.mark.parametrize("alpha_sq", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_entangled_weight(self, alpha_sq):
-        split = split_state(symmetric_config(alpha_sq))
-        assert split.c1 == pytest.approx(C1_BY_ALPHA_SQ[alpha_sq], abs=1e-12)
-        assert split.lam_coeff == pytest.approx(
-            math.sqrt(1.0 - split.c1 ** 2), abs=1e-12)
+        dec = chsh_decomposition(symmetric_config(alpha_sq), reference_quadruple())
+        assert dec.c1 == pytest.approx(C1_BY_ALPHA_SQ[alpha_sq], abs=1e-12)
+        assert dec.lam_coeff == pytest.approx(
+            math.sqrt(1.0 - dec.c1 ** 2), abs=1e-12)
 
     @pytest.mark.parametrize("alpha_sq", [0.1, 0.5, 1.0, 2.0, 4.0])
     def test_reconstruction(self, alpha_sq):
+        # c1 psi1 is the input on the four logical occupations, and
+        # lam_coeff times each listed magnitude the input's modulus there
         cfg = symmetric_config(alpha_sq, 0.8)
-        split = split_state(cfg)
-        recon = split.c1 * split.psi1 + split.lam_coeff * split.lam
+        dec = chsh_decomposition(cfg, reference_quadruple())
         dense = on_support(dense_split_state(cfg).full)
-        assert np.linalg.norm(recon - dense) < 1e-10
+        psi = dec.c1 * psi1_amplitudes(cfg)
+        for i, occ_a in enumerate(LOGICAL_BASIS):
+            for j, occ_b in enumerate(LOGICAL_BASIS):
+                assert abs(psi[i, j] - dense[occ_a + occ_b]) < 1e-10
+        for term in lambda_cross_terms(cfg):
+            assert abs(dec.lam_coeff * term.magnitude
+                       - abs(dense[term.occupation])) < 1e-10
 
     def test_orthogonality(self):
-        for alpha_sq in (0.5, 1.0, 3.0):
-            split = split_state(symmetric_config(alpha_sq, 1.1))
-            assert abs(np.vdot(split.psi1, split.lam)) < 1e-10
+        # lam holds nothing on psi1's two occupations; unzeroed, both would
+        # rank in its listing at these drives (from alpha^2 = 2 they would not)
+        for alpha_sq in (0.25, 0.5, 1.0, 1.5):
+            terms = lambda_cross_terms(symmetric_config(alpha_sq, 1.1))
+            assert not {t.occupation for t in terms} & PSI1_OCCUPATIONS
 
     def test_zero_drive_degenerates(self):
+        # c1 = 0: lam is the whole input, the photon split over two
+        # vacuum oscillators
         cfg = symmetric_config(0.0)
-        split = split_state(cfg)
-        assert split.c1 == 0.0
-        assert split.lam_coeff == 1.0
+        dec = chsh_decomposition(cfg, reference_quadruple())
+        assert dec.c1 == 0.0
+        assert dec.lam_coeff == 1.0
         dense = on_support(dense_split_state(cfg).full)
-        assert np.linalg.norm(split.lam - dense) < 1e-14
+        terms = lambda_cross_terms(cfg)
+        assert [t.occupation for t in terms[:2]] == [(0, 0, 0, 1), (0, 1, 0, 0)]
+        assert sum(t.weight for t in terms) == pytest.approx(1.0, abs=1e-14)
+        for term in terms:
+            assert abs(term.magnitude - abs(dense[term.occupation])) < 1e-14
 
     def test_residual_amplitude_at_paired_occupation(self):
-        split = split_state(symmetric_config(1.0))
-        amp = split.lam[1, 0, 1, 1]
-        assert amp.real == pytest.approx(CROSS_BY_ALPHA_SQ[1.0], abs=1e-12)
-        assert abs(amp.imag) < 1e-15
+        by_occ = {t.occupation: t for t in lambda_cross_terms(symmetric_config(1.0))}
+        assert by_occ[(1, 0, 1, 1)].magnitude == pytest.approx(
+            CROSS_BY_ALPHA_SQ[1.0], abs=1e-12)
 
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives())
     def test_support_holds_dense_state(self, config):
-        # the same operations in the same order: equal to the last bit on
-        # the support, and the dense states hold nothing outside it
-        split = split_state(config)
+        # the same operations in the same order: psi1's amplitudes are the
+        # dense psi1's two entries to the last bit, the dense psi1 holds
+        # nothing else, and c1, lam_coeff are the dense split's
+        psi = psi1_amplitudes(config)
         dense = dense_split_state(config)
-        assert split.full.shape == (config.resolve_cutoff() + 1, 2) * 2
-        for name in ("full", "psi1", "lam"):
-            assert np.array_equal(getattr(split, name),
-                                  support_slice(getattr(dense, name))), name
-            assert not np.any(off_support(getattr(dense, name))), name
-        assert (split.c1, split.lam_coeff) == (dense.c1, dense.lam_coeff)
+        rest = dense.psi1.copy()
+        for i, occ_a in enumerate(LOGICAL_BASIS):
+            for j, occ_b in enumerate(LOGICAL_BASIS):
+                assert psi[i, j] == dense.psi1[occ_a + occ_b]
+                rest[occ_a + occ_b] = 0.0
+        assert not np.any(rest)
+        dec = chsh_decomposition(config, reference_quadruple())
+        assert (dec.c1, dec.lam_coeff) == (dense.c1, dense.lam_coeff)
 
     def test_asymmetric_drive_rejected(self):
-        from homodyne_bell.optics import ExperimentConfig
-        with pytest.raises(ValueError):
-            split_state(ExperimentConfig(1.0, 2.0))
+        with pytest.raises(ValueError, match="equal oscillator strengths"):
+            lambda_cross_terms(ExperimentConfig(1.0, 2.0))
 
 
 class TestLambdaCrossTerms:
     def test_mixed_outcome_term_present(self):
-        split = split_state(symmetric_config(1.0))
-        terms = lambda_cross_terms(split)
+        terms = lambda_cross_terms(symmetric_config(1.0))
         by_occ = {t.occupation: t for t in terms}
         assert (1, 0, 1, 1) in by_occ
         term = by_occ[(1, 0, 1, 1)]
@@ -401,9 +404,9 @@ class TestLambdaCrossTerms:
         assert term.bob_minus_one_reachable is False
 
     def test_terms_sorted_and_deterministic(self):
-        split = split_state(symmetric_config(1.0))
-        first = lambda_cross_terms(split)
-        second = lambda_cross_terms(split)
+        config = symmetric_config(1.0)
+        first = lambda_cross_terms(config)
+        second = lambda_cross_terms(config)
         assert [t.occupation for t in first] == [t.occupation for t in second]
         weights = [t.weight for t in first]
         assert weights == sorted(weights, reverse=True)
@@ -411,8 +414,7 @@ class TestLambdaCrossTerms:
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives())
     def test_matches_dense_listing(self, config):
-        split = split_state(config)
-        assert lambda_cross_terms(split) == \
+        assert lambda_cross_terms(config) == \
             dense_cross_terms(dense_split_state(config).lam,
                               count=bell.CROSS_TERM_COUNT)
 
@@ -421,7 +423,7 @@ class TestLambdaCrossTerms:
         # many occupations tie in weight here; a contraction in another
         # order perturbs the last bits and swaps tied entries
         cfg = symmetric_config(alpha_sq, HALF_PI, CutoffSpec(tail_eps=1e-6))
-        terms = lambda_cross_terms(split_state(cfg))
+        terms = lambda_cross_terms(cfg)
         assert terms == dense_cross_terms(dense_split_state(cfg).lam,
                                           count=bell.CROSS_TERM_COUNT)
         weights = [t.weight for t in terms]
@@ -596,10 +598,8 @@ class TestDecomposition:
     @PROPERTY_SETTINGS
     @given(config=equal_drives(), quad=QUADS)
     def test_interference_exactly_zero_at_any_phase(self, config, quad):
-        # lam is exactly zero on psi1's two entries, so no rounding of the
-        # split leaks into the cross form, whatever the oscillator phases
-        split = split_state(config)
-        assert split.lam[1, 0, 0, 1] == split.lam[0, 1, 1, 0] == 0.0
+        # no block couples psi1's pair of station totals (1, 1) with lam's,
+        # whatever the oscillator phases
         assert chsh_decomposition(config, quad).interference == 0.0
 
     @DENSE_SPLIT_SETTINGS
@@ -637,27 +637,21 @@ class TestTsirelson:
         lambda amps: sum(re * re + im * im for re, im in amps) > 1e-3))
     def test_matches_pauli_correlation_form(self, amps):
         psi = np.array([complex(*a) for a in amps]).reshape(2, 2)
-        state = support_state({(1, 0, 1, 0): psi[0, 0], (1, 0, 0, 1): psi[0, 1],
-                               (0, 1, 1, 0): psi[1, 0], (0, 1, 0, 1): psi[1, 1]})
-        assert tsirelson_two_qubit(state) == pytest.approx(
+        assert tsirelson_two_qubit(psi) == pytest.approx(
             pauli_tsirelson(psi), abs=1e-12)
 
     def test_product_state_reaches_classical_bound(self):
-        product = support_state({(1, 0, 1, 0): 1.0})
+        product = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         assert tsirelson_two_qubit(product) == pytest.approx(2.0, abs=1e-12)
 
-    def test_entangled_component_saturates_quantum_bound(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            cfg = symmetric_config(1.0, 0.0)
-            psi1 = split_state(
-                symmetric_config(1.0, rng.uniform(0, 2 * math.pi))).psi1
-            assert tsirelson_two_qubit(psi1) == pytest.approx(
-                TWO_SQRT2, abs=1e-9)
-            del cfg
+    @PROPERTY_SETTINGS
+    @given(config=equal_drives())
+    def test_entangled_component_saturates_quantum_bound(self, config):
+        assert tsirelson_two_qubit(psi1_amplitudes(config)) == pytest.approx(
+            TWO_SQRT2, abs=1e-12)
 
     def test_phase_invariance(self):
-        values = [tsirelson_two_qubit(two_term_state(
+        values = [tsirelson_two_qubit(two_term_psi(
             math.cos(0.25 * math.pi) * np.exp(1j * phi1),
             math.sin(0.25 * math.pi) * np.exp(1j * phi2)))
             for phi1, phi2 in ((0.0, 0.0), (1.2, 0.4), (5.9, 3.3))]
@@ -665,38 +659,13 @@ class TestTsirelson:
 
     def test_damped_state_between_bounds(self):
         norm = math.sqrt(0.5 + 0.36)
-        state = two_term_state((1 / math.sqrt(2)) / norm, 0.6 / norm)
-        value = tsirelson_two_qubit(state)
+        value = tsirelson_two_qubit(
+            two_term_psi((1 / math.sqrt(2)) / norm, 0.6 / norm))
         assert value == pytest.approx(DAMPED_TSIRELSON, abs=1e-12)
         assert 2.0 < value < TWO_SQRT2
 
     def test_damped_state_against_search_oracle(self):
         norm = math.sqrt(0.5 + 0.36)
-        state = two_term_state((1 / math.sqrt(2)) / norm, 0.6 / norm)
-        psi = logical_qubit_amplitudes(state)
+        psi = two_term_psi((1 / math.sqrt(2)) / norm, 0.6 / norm)
         found = qubit_chsh_search_oracle(psi, seed=24)
-        assert found == pytest.approx(tsirelson_two_qubit(state), abs=1e-6)
-
-    def test_rejects_states_outside_logical_subspace(self):
-        vacuum_mix = support_state({(0, 0, 0, 0): 1.0})
-        with pytest.raises(ValueError):
-            tsirelson_two_qubit(vacuum_mix)
-
-    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
-    def test_off_subspace_tolerance_is_the_module_constant(self, scale, accepted):
-        # a vacuum term carrying scale * LOGICAL_SUBSPACE_ATOL of probability
-        atol = bell.LOGICAL_SUBSPACE_ATOL
-        assert atol == 1e-9
-        state = two_term_state(0.6, 0.8)
-        state[0, 0, 0, 0] = math.sqrt(scale * atol)
-        if accepted:
-            assert logical_qubit_amplitudes(state)[0, 1] == 0.6
-        else:
-            with pytest.raises(ValueError, match="outside the single-photon"):
-                logical_qubit_amplitudes(state)
-
-    def test_rejects_arrays_off_the_support_layout(self):
-        dense = np.zeros((3, 3, 3, 3), dtype=complex)
-        dense[1, 0, 0, 1] = 1.0
-        with pytest.raises(ValueError):
-            tsirelson_two_qubit(dense)
+        assert found == pytest.approx(tsirelson_two_qubit(psi), abs=1e-6)

@@ -21,6 +21,8 @@ from homodyne_bell.optics import ExperimentConfig, input_support
 from homodyne_bell.scan import FAMILIES
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}
+# reports written by earlier code, pinned byte for byte
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # figure angles of either sign, from tiny magnitude to cli.MAX_XI_MINUS_ETA
 FIGURE_ANGLES = st.floats(-1e6, 1e6)
 
@@ -882,6 +884,21 @@ class TestSplit:
         assert term["magnitude"] == pytest.approx(0.279747782, abs=1e-9)
         assert term["alice_minus_one_reachable"] is True
         assert term["bob_minus_one_reachable"] is False
+
+    @pytest.mark.parametrize("name, payload", [
+        ("split_default", None),
+        ("split_alpha3.5_phi0.4", {"alpha_sq": 3.5, "phi2": 0.4}),
+    ], ids=["default", "alpha3.5-phi0.4"])
+    def test_report_bytes_pinned(self, tmp_path, capsys, name, payload):
+        # the fixtures were written by an earlier commit: a byte that moves
+        # is an output change, to be listed in CHANGES.md
+        out = tmp_path / "split.json"
+        args = ["split", "--out", out]
+        if payload is not None:
+            args += ["--config", write_config(tmp_path, payload)]
+        assert run_cli(args) == 0
+        assert out.read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
+        assert capsys.readouterr().out == (FIXTURES / f"{name}.stdout").read_text()
 
     def test_oversized_dense_state_rejected(self, tmp_path, capsys):
         # alpha_sq 50 resolves to cutoff 108, above fock.MAX_CUTOFF = 63,

@@ -29,7 +29,10 @@ And it keeps complex BLAS off every path: a complex product (zgemm) slows
 the plain-float libm work after it (detection's module docstring). The @
 operator appears only in detection.read_pass and optics.mix_station, both
 products of float64 views, and no module calls numpy's other products
-(BLAS_CALLS), whose dtype the scan cannot see.
+(BLAS_CALLS), whose dtype the scan cannot see. numpy.linalg appears only
+in optics._mixing_eig, the mixing generator's eigendecomposition built
+once per photon total, so no LAPACK call (a complex LU, say) comes back
+onto the record or split paths.
 """
 
 import ast
@@ -47,6 +50,8 @@ PRINTED_FORM_READERS = {"analytic", "cli", "__init__"}
 # (module, function) of the only @ products, both on float64 views
 REAL_PRODUCTS = {("detection", "read_pass"), ("optics", "mix_station")}
 BLAS_CALLS = {"vdot", "dot", "matmul", "einsum", "inner", "tensordot"}
+# (module, function) of the only numpy.linalg use
+LINALG_USERS = {("optics", "_mixing_eig")}
 
 
 def parse_package():
@@ -117,23 +122,40 @@ def defined_functions(tree):
     return {sub.name for sub in ast.walk(tree) if isinstance(sub, ast.FunctionDef)}
 
 
-def matmul_owners(tree):
-    """The innermost function around each @ or @= of a module ("" at
-    module level), once per product."""
-    owners = []
+def owners(tree, hit):
+    """The innermost function around each node of a module for which
+    hit(node) holds ("" at module level), once per node."""
+    found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, (ast.BinOp, ast.AugAssign))
-                    and isinstance(child.op, ast.MatMult)):
-                owners.append(owner)
+            if hit(child):
+                found.append(owner)
             visit(child, owner)
 
     visit(tree, "")
-    return owners
+    return found
+
+
+def is_matmul(node):
+    """An @ or @= product."""
+    return (isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult))
+
+
+def names_linalg(node):
+    """A reference to numpy.linalg: as an attribute (np.linalg), an
+    imported name (from numpy import linalg, import numpy.linalg) or an
+    import from it (from numpy.linalg import det)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "linalg"
+    if isinstance(node, ast.alias):
+        return "linalg" in node.name.split(".")
+    return (isinstance(node, ast.ImportFrom) and node.module is not None
+            and "linalg" in node.module.split("."))
 
 
 def called_names(tree):
@@ -174,9 +196,12 @@ def boundary_violations(trees):
                 problems.append(f"{name} names {form}")
         if name != "bell" and "HALF_PI" in names:
             problems.append(f"{name} reads HALF_PI")
-        for owner in matmul_owners(tree):
+        for owner in owners(tree, is_matmul):
             if (name, owner) not in REAL_PRODUCTS:
                 problems.append(f"{name}.{owner} uses @")
+        for owner in owners(tree, names_linalg):
+            if (name, owner) not in LINALG_USERS:
+                problems.append(f"{name}.{owner} uses numpy.linalg")
         for call in sorted(BLAS_CALLS & called_names(tree)):
             problems.append(f"{name} calls {call}")
     return problems
@@ -232,6 +257,14 @@ def test_route_boundary_holds():
      "cli calls vdot"),
     ("bell", "from numpy import einsum\nx = einsum('ij,ij', a, b)\n",
      "bell calls einsum"),
+    ("bell", "import numpy as np\ndef tsirelson_two_qubit(psi):\n"
+             "    return abs(np.linalg.det(psi))\n",
+     "bell.tsirelson_two_qubit uses numpy.linalg"),
+    ("optics", "import numpy as np\ndef _mixing_eig(total):\n"
+               "    return np.linalg.eigh(total)\n"
+               "def mix_station(lo, angles):\n"
+               "    from numpy.linalg import norm\n    return norm(lo)\n",
+     "optics.mix_station uses numpy.linalg"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "row_order_copy", "row_order_inline",
         "analytic_import", "analytic_module_import", "detection_import",
@@ -239,7 +272,8 @@ def test_route_boundary_holds():
         "optics_import", "scipy_import", "scipy_nested_import",
         "printed_form_import", "printed_form_attribute", "half_pi_import",
         "half_pi_attribute", "matmul_outside_real_products",
-        "matmul_nested_in_read_pass", "vdot_call", "einsum_call"])
+        "matmul_nested_in_read_pass", "vdot_call", "einsum_call",
+        "linalg_det", "linalg_import_outside_mixing_eig"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":
