@@ -43,6 +43,20 @@ probability and the assembled CH form; the brute-force oracle adjudicates
 between it and the e^{-alpha_sq} of P_A above, and the verify command
 records the decision.
 
+The split report's numbers are closed forms too (chsh_decomposition, on
+plain floats). At one strength alpha_sq on both stations the input is
+c1*psi1 + lam_coeff*lam with c1 = alpha e^{-alpha^2} and lam_coeff =
+sqrt(1 - alpha^2 e^{-2 alpha^2}): psi1 the one-photon-per-station
+component, a maximally entangled pair of logical qubits, and lam the
+unit-norm residual. psi1's correlator is
+
+    E(x, y) = -cos x cos y - sin x sin y sin(phi2 - phi1)
+
+and its CHSH is that of the four setting pairs with signs +, +, -, +.
+Mixing and the favorable projector keep each station's photon number, so
+psi1 and lam never interfere: the full CHSH (2 + 4 CH) is c1^2 times
+psi1's part plus lam_coeff^2 times lam's, which gives lam's part.
+
 Convention note: the phase difference dphi of the printed forms equals
 phi2 - phi1 of the oscillator phases (pinned by the reflection-phase
 convention in the optics module; the verify report records this choice).
@@ -52,6 +66,7 @@ from __future__ import annotations
 
 import math
 import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,3 +236,46 @@ def ch_chsh_general(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
     _check_drives(alpha1_sq, alpha2_sq, np.all)
     ch = _ch(np, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2)
     return ch, 2.0 + 4.0 * ch
+
+
+@dataclass(frozen=True)
+class ChshDecomposition:
+    """Exact split of the full-state CHSH into component and interference
+    parts: full = c1^2 * psi1_part + lam_coeff^2 * lam_part + interference."""
+
+    full: float
+    psi1_part: float
+    lam_part: float
+    interference: float
+    c1: float
+    lam_coeff: float
+
+    @property
+    def reassembled(self) -> float:
+        return (self.c1 ** 2 * self.psi1_part
+                + self.lam_coeff ** 2 * self.lam_part
+                + self.interference)
+
+
+def _psi1_correlator(sin_dphi, x, y):
+    """E(x, y) of psi1 on plain floats, sin_dphi = sin(phi2 - phi1)."""
+    return -math.cos(x) * math.cos(y) - math.sin(x) * math.sin(y) * sin_dphi
+
+
+def chsh_decomposition(alpha_sq, phi1, phi2, xi, xi2, eta, eta2
+                       ) -> ChshDecomposition:
+    """The split's CHSH parts at the setting pairs of ch_chsh_point, both
+    stations at strength alpha_sq (module docstring): full = 2 + 4 CH, psi1's
+    part from its correlator, lam's as (full - c1^2 psi1_part) / lam_coeff^2,
+    and an interference of exactly 0. lam's part, strictly below 2 at the
+    reference settings, breaks any 'the residual contributes the classical
+    maximum' shortcut."""
+    _, full = ch_chsh_point(alpha_sq, alpha_sq, phi1, phi2, xi, xi2, eta, eta2)
+    c1 = math.sqrt(alpha_sq) * math.exp(-alpha_sq)
+    lam_coeff = math.sqrt(1.0 - alpha_sq * math.exp(-2.0 * alpha_sq))
+    sin_dphi = math.sin(phi2 - phi1)
+    psi1 = (_psi1_correlator(sin_dphi, xi, eta) + _psi1_correlator(sin_dphi, xi2, eta)
+            - _psi1_correlator(sin_dphi, xi, eta2)
+            + _psi1_correlator(sin_dphi, xi2, eta2))
+    return ChshDecomposition(full, psi1, (full - c1 ** 2 * psi1) / lam_coeff ** 2,
+                             0.0, c1, lam_coeff)

@@ -1,5 +1,5 @@
-"""CH and CHSH assembly, the parts of the entangled/residual state split,
-and the two-qubit maximal-CHSH check for the entangled component.
+"""CH and CHSH assembly, the split report's Fock-route pieces, and the
+two-qubit maximal-CHSH check for the entangled component.
 
 Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
@@ -15,10 +15,8 @@ the same readout, and bell defines neither of its own.
 
 The split report writes the symmetric input as c1*psi1 + lam_coeff*lam,
 psi1 the single-photon-per-station component and lam the unit-norm
-residual, and builds neither as a state. Its CHSH parts contract station
-term matrices as records do, read per station photon total
-(detection.station_blocks) from one mix_station pass: the split falls
-along those totals. psi1's Tsirelson value comes from its 2x2 logical-qubit
+residual; its CHSH parts are analytic's closed forms, checked by one
+record. psi1's Tsirelson value comes from its 2x2 logical-qubit
 amplitudes (psi1_amplitudes), and lam's cross-term listing from the
 input's support (optics.input_support), occupations (a1, b1, a2, b2) with
 b1, b2 in {0, 1}.
@@ -38,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (PAIR_WEIGHTS, pair_probabilities, read_pass, station_blocks,
-                        weighted_sum)
+from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass
 from .optics import ExperimentConfig, input_support, mix_station, oscillators
 
 HALF_PI = math.pi / 2.0
@@ -159,68 +156,6 @@ def psi1_amplitudes(config: ExperimentConfig) -> np.ndarray:
     psi[0, 1], psi[1, 0] = PAIR_WEIGHTS * np.exp(
         1j * np.array((config.phi1, config.phi2)))
     return psi
-
-
-@dataclass(frozen=True)
-class ChshDecomposition:
-    """Exact split of the full-state CHSH into component and interference
-    parts: full = c1^2 * psi1_part + lam_coeff^2 * lam_part + interference."""
-
-    full: float
-    psi1_part: float
-    lam_part: float
-    interference: float
-    c1: float
-    lam_coeff: float
-
-    @property
-    def reassembled(self) -> float:
-        return (self.c1 ** 2 * self.psi1_part
-                + self.lam_coeff ** 2 * self.lam_part
-                + self.interference)
-
-
-def _chsh_contraction(alice, bob) -> float:
-    """CHSH combination of detection.weighted_sum over the quadruple's
-    pairs (alice[i], bob[j]) of the stations' flat 2x2 term matrices."""
-    return sum(sign * weighted_sum(alice[i], bob[j])
-               for sign, (i, j) in zip(_SIGNS, ((0, 0), (1, 0), (0, 1), (1, 1))))
-
-
-def chsh_decomposition(config: ExperimentConfig,
-                       quad: SettingsQuadruple) -> ChshDecomposition:
-    """Decompose the full-state CHSH over the split c1*psi1 + lam_coeff*lam,
-    each part the CHSH combination of <u| A x B |u> on the truncated space,
-    divided by no norm, through the records' rank-2 contraction.
-
-    One mix_station pass holds each station's oscillator and its phase-only
-    oscillator 1 + e^{i phi}|1> at both its settings, read per station
-    total t by detection.station_blocks. Mixing and the favorable
-    projector keep each station's photon number, so a form is a sum over
-    pairs of station totals: psi1 is the pair (1, 1), which the phase-only
-    blocks give free of alpha, and lam every other pair. No block couples
-    the two, so the interference is exactly 0 (measured by dense
-    propagation in tests/test_bell.py, TestDecomposition). lam's part,
-    strictly below 2, breaks any 'residual contributes the classical
-    maximum' shortcut."""
-    c1, lam_coeff = _split_coefficients(config)
-    lo = oscillators(config)
-    phase = np.zeros_like(lo)
-    phase[:, 0] = 1.0
-    phase[:, 1] = np.exp(1j * np.array((config.phi1, config.phi2)))
-    xi, xi2, eta, eta2 = quad.settings
-    rows = np.stack((lo, phase), axis=1).repeat(2, axis=1).reshape(8, -1)
-    # blocks[station, oscillator, setting, t]: flat 2x2 term matrices
-    blocks = station_blocks(mix_station(rows, (xi, xi2) * 2 + (eta, eta2) * 2),
-                            lo.shape[1] - 1, 4).reshape(2, 2, 2, -1, 4)
-    # lam's pairs of totals: t != 1 with any u, then t = 1 with u != 1
-    whole, one = blocks[:, 0].sum(axis=2), blocks[:, 0, :, 1]
-    (whole_a, whole_b), (one_a, one_b), (rest_a, rest_b), psi1 = (
-        part.tolist() for part in (whole, one, whole - one, blocks[:, 1, :, 1]))
-    lam = _chsh_contraction(rest_a, whole_b) + _chsh_contraction(one_a, rest_b)
-    return ChshDecomposition(_chsh_contraction(whole_a, whole_b),
-                             _chsh_contraction(*psi1), lam / lam_coeff ** 2, 0.0,
-                             c1, lam_coeff)
 
 
 @dataclass(frozen=True)

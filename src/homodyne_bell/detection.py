@@ -36,10 +36,6 @@ the real product of a record's pass and 5.5 us after the complex one, and
 math.sin 5 to 7 times as long. The search evaluates the closed forms
 right after each record, so no complex BLAS product belongs on its path.
 
-station_blocks reads any pass in the term order too, as the station
-observable's 2x2 term matrix per setting and station photon total, which
-the state split's CHSH parts contract in the same way.
-
 The module imports no other module of the package.
 """
 
@@ -113,28 +109,6 @@ def read_pass(images: np.ndarray, alice: int
             stations.append(([g11, g01.conjugate(), g01, g00],
                              [fav[settings + i], fav[i]]))
     return stations
-
-
-def station_blocks(images: np.ndarray, cutoff: int, alice: int) -> np.ndarray:
-    """blocks[i, t, k, l]: setting i's station observable 1 - 2|1,0><1,0|
-    between its terms k and l on station total t = 0..N+1, from any
-    mix_station pass cut at `cutoff`, the terms in read_pass's order
-    through the `alice` count. Mixing keeps c + d = a + b, so a term's part
-    of total t, weighted by its oscillator, lies on the run of rows of
-    total t. Each block is those parts' Gram matrix, summed over the run
-    from real products (no complex BLAS: module docstring), less
-    2 conj(f) f^T in block 1, the one holding the favorable (1, 0)."""
-    (r0, r1), (i0, i1) = (part.transpose(1, 0, 2)
-                          for part in (images.real, images.imag))
-    products = np.stack((r0 * r0 + i0 * i0, r1 * r1 + i1 * i1,
-                         r0 * r1 + i0 * i1, r0 * i1 - i0 * r1), axis=1)
-    starts = np.searchsorted(support_rows(cutoff)[0], np.arange(cutoff + 2))
-    g00, g11, real, imag = np.add.reduceat(products, starts).transpose(1, 0, 2)
-    blocks = np.array([[g00, real + 1j * imag], [real - 1j * imag, g11]])
-    fav = images[FAVORABLE_ROW]
-    blocks[:, :, 1] -= 2.0 * fav.conj()[:, None] * fav
-    return np.concatenate((blocks[..., :alice], blocks[::-1, ::-1, :, alice:]),
-                          axis=3).transpose(3, 2, 0, 1)
 
 
 def weighted_sum(x, y) -> float:

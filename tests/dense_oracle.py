@@ -5,15 +5,12 @@ the reference for the detection module's rank-2 readout; from the same
 output the state split (DenseSplit), its CHSH matrix elements and the
 residual's cross-term listing. The library mixes every station with
 optics.mix_station and reads every probability off each station's two mixed
-input terms without building the output, and reads the split's pieces
-without building its states: psi1 as 2x2 logical-qubit amplitudes and lam's
-listing on the input's two-photon support; the tests hold both to these
-brute-force forms. One reference here does use mix_station:
-unit_oscillator_observable, the split's station observable input by input,
-which the one-pass readout detection.station_blocks is held to. mix_station
-lays its images out on the photon-number support rows of
-detection.support_rows; on_square places them in the dense (N+1, N+1)
-output square the oracles index.
+input terms without building the output; it reads lam's listing on the
+input's two-photon support, psi1 as 2x2 logical-qubit amplitudes, and the
+split's CHSH parts from analytic's closed forms. The tests hold all of
+them to these brute-force forms. mix_station lays its images out on the
+photon-number support rows of detection.support_rows; on_square places
+them in the dense (N+1, N+1) output square the oracles index.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""
@@ -24,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from homodyne_bell.bell import ChshDecomposition, CrossTerm
+from homodyne_bell.analytic import ChshDecomposition
+from homodyne_bell.bell import CrossTerm
 from homodyne_bell.detection import support_rows
 from homodyne_bell.fock import coherent_state
-from homodyne_bell.optics import ExperimentConfig, mix_station
+from homodyne_bell.optics import ExperimentConfig
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
 
@@ -133,19 +131,17 @@ def dense_split_state(config: ExperimentConfig) -> DenseSplit:
     return DenseSplit(c1, psi1, lam, lam_coeff, full)
 
 
-def dense_chsh_on_component(component: np.ndarray, quad) -> float:
-    """CHSH of <component| A x B |component> for a support array, the
-    component propagated to the dense output at each setting pair."""
-    return sum(sign * ab_product_expectation(propagate(component, x, y)).real
-               for sign, (x, y) in zip(_SIGNS, quad.pairs))
-
-
-def dense_chsh_decomposition(config: ExperimentConfig, quad) -> ChshDecomposition:
-    """chsh_decomposition with the full state and both components of the
-    dense split re-propagated to the dense output at every setting pair."""
+def dense_chsh_decomposition(config: ExperimentConfig, xi, xi2, eta,
+                             eta2) -> ChshDecomposition:
+    """The split's CHSH parts (analytic.chsh_decomposition) at the setting
+    pairs (xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2), with the full
+    state and both components of the dense split propagated to the dense
+    output at every pair, and their interference taken from the cross
+    matrix elements."""
     split = dense_split_state(config)
     full = psi1_part = lam_part = interference = 0.0
-    for sign, (x, y) in zip(_SIGNS, quad.pairs):
+    pairs = ((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2))
+    for sign, (x, y) in zip(_SIGNS, pairs):
         out_full = propagate(on_support(split.full), x, y)
         out_psi = propagate(on_support(split.psi1), x, y)
         out_lam = propagate(on_support(split.lam), x, y)
@@ -199,21 +195,3 @@ def dense_station_columns(theta: float, cutoff: int) -> np.ndarray:
     u[1:, :, :, 1] = i_sin * raise_weight[:, None, None] * u[:-1, :, :, 0]
     u[:, 1:, :, 1] += cos * raise_weight[None, :, None] * u[:, :-1, :, 0]
     return u
-
-
-def unit_oscillator_observable(theta: float, cutoff: int) -> np.ndarray:
-    """Station observable 1 - 2|1,0><1,0| after mixing at theta, as a
-    matrix on the station's input support |a, b> (a <= cutoff, b <= 1,
-    flat index 2a + b): G - 2 conj(f) f^T with G the Gram matrix of the
-    mixed basis inputs and f their favorable amplitudes, from one
-    mix_station pass of the N + 1 unit oscillators |a>, all at theta, and
-    the complex product of all of its columns. The pass holds the image of
-    |a, b> in column b (cutoff + 1) + a, so order lists the columns in
-    support order."""
-    stride = cutoff + 1
-    images = on_square(mix_station(np.eye(stride), np.full(stride, theta)), cutoff)
-    flat = images.reshape(-1, 2 * stride)
-    order = np.arange(2 * stride).reshape(2, stride).T.reshape(-1)
-    gram = (flat.conj().T @ flat)[order[:, None], order]
-    fav = images[1, 0].reshape(-1)[order]
-    return gram - 2.0 * np.outer(fav.conj(), fav)

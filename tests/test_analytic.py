@@ -11,6 +11,7 @@ from homodyne_bell.analytic import (
     ch_chsh_point,
     ch_closed,
     chsh_closed,
+    chsh_decomposition,
     local_prob_printed_variant,
     probs_general,
     probs_point,
@@ -384,6 +385,26 @@ class TestPointForms:
         minus, _ = ch_chsh_point(*strengths, -HALF_PI, 0.0, *angles)
         s = math.sin(phi1 - phi2)
         assert abs(ch - (0.5 * (1.0 + s) * plus + 0.5 * (1.0 - s) * minus)) <= 1e-15
+
+
+class TestSplitParts:
+    """chsh_decomposition against the forms it is built on; the dense oracle
+    holds its parts in tests/test_bell.py (TestComponentChsh)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(alpha_sq=SEARCH_STRENGTHS, rest=st.tuples(*[FREE] * 6))
+    def test_full_is_the_point_chsh(self, alpha_sq, rest):
+        dec = chsh_decomposition(alpha_sq, *rest)
+        assert dec.full == ch_chsh_point(alpha_sq, alpha_sq, *rest)[1]
+        assert dec.interference == 0.0
+        # c1 psi1 and lam_coeff lam split a unit-norm input into unit-norm parts
+        assert abs(dec.c1 ** 2 + dec.lam_coeff ** 2 - 1.0) <= 1e-15
+        assert abs(dec.reassembled - dec.full) <= 1e-14
+
+    @pytest.mark.parametrize("alpha_sq", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_drive(self, alpha_sq):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            chsh_decomposition(alpha_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
 
 
 def reference_probs(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
+from fixtures.regenerate import SPLIT_FIXTURES, split_args
 from homodyne_bell import analytic, bell, cli, optics, scan
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
-from homodyne_bell.cli import MAX_RESTARTS, RunConfig, main, run_verification
+from homodyne_bell.cli import (MAX_RESTARTS, ORACLE_TOL, RunConfig, main,
+                               run_verification)
 from homodyne_bell.fock import CutoffSpec
 from homodyne_bell.optics import ExperimentConfig, input_support
 from homodyne_bell.scan import FAMILIES
@@ -875,6 +877,8 @@ class TestSplit:
         out = tmp_path / "split.json"
         assert run_cli(["split", "--out", out]) == 0
         payload = json.loads(out.read_text())
+        assert payload["path"] == "analytic"
+        assert payload["numeric_crosscheck"]["passed"] is True
         assert payload["c1"] == pytest.approx(0.367879441, abs=1e-9)
         assert payload["psi1_tsirelson"] == pytest.approx(2.82842712, abs=1e-8)
         assert payload["chsh_lambda_reference_settings"] < 2.0
@@ -885,18 +889,14 @@ class TestSplit:
         assert term["alice_minus_one_reachable"] is True
         assert term["bob_minus_one_reachable"] is False
 
-    @pytest.mark.parametrize("name, payload", [
-        ("split_default", None),
-        ("split_alpha3.5_phi0.4", {"alpha_sq": 3.5, "phi2": 0.4}),
-    ], ids=["default", "alpha3.5-phi0.4"])
-    def test_report_bytes_pinned(self, tmp_path, capsys, name, payload):
-        # the fixtures were written by an earlier commit: a byte that moves
-        # is an output change, to be listed in CHANGES.md
+    @pytest.mark.parametrize("name", list(SPLIT_FIXTURES), ids=[
+        name.removeprefix("split_").replace("_", "-") for name in SPLIT_FIXTURES])
+    def test_report_bytes_pinned(self, tmp_path, capsys, name):
+        # the fixtures were written by an earlier commit (fixtures/
+        # regenerate.py): a byte that moves is an output change, to be
+        # listed in CHANGES.md
         out = tmp_path / "split.json"
-        args = ["split", "--out", out]
-        if payload is not None:
-            args += ["--config", write_config(tmp_path, payload)]
-        assert run_cli(args) == 0
+        assert run_cli(split_args(SPLIT_FIXTURES[name], out, tmp_path)) == 0
         assert out.read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
         assert capsys.readouterr().out == (FIXTURES / f"{name}.stdout").read_text()
 
@@ -933,14 +933,21 @@ class TestSplit:
         assert check["tolerance"] == 1e-9
 
     def test_coarse_cutoff_fails_its_norm_check(self, tmp_path, capsys):
-        # at N = 1 the input keeps only the oscillators' 0- and 1-photon terms
+        # at N = 1 the input keeps only the oscillators' 0- and 1-photon
+        # terms, so the record crosschecking the closed full misses it too
         cfg = write_config(tmp_path, {"cutoff_n": 1})
         out = tmp_path / "split.json"
         assert run_cli(["split", "--config", cfg, "--out", out]) == 1
-        check = json.loads(out.read_text())["input_norm_loss"]
+        payload = json.loads(out.read_text())
+        check = payload["input_norm_loss"]
         assert check["passed"] is False
         assert check["max_residual"] > 0.4
-        assert "split check failed" in capsys.readouterr().err
+        crosscheck = payload["numeric_crosscheck"]
+        assert crosscheck["passed"] is False
+        assert crosscheck["max_residual"] > ORACLE_TOL
+        err = capsys.readouterr().err
+        assert "split check failed" in err
+        assert "split crosscheck failed" in err
 
     def test_reference_dphi_is_the_config_phase_difference(self, tmp_path):
         # the state is built at phi2 - phi1, and the report says so; at the

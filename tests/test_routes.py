@@ -13,7 +13,18 @@ package module: the modules that mix read out through it, not the other
 way round. detection also defines a pass's output row order
 (support_rows), and no other module does: optics builds its mixing table
 (_pair_block) and lays out its passes (mix_station) on the rows it reads
-from there. An AST scan of the package sources enforces all five.
+from there. Within detection, read_pass is the one pass reader: no other
+function of it reads a pass's row layout (support_rows, FAVORABLE_ROW), so
+no second readout of the Fock route comes back beside it. An AST scan of
+the package sources enforces all six.
+
+The split report answers from the closed forms and is checked by one
+record, bell.evaluate_settings: cli.cmd_split reaches neither
+evaluate_quadruple nor run_network. perfbench's verify workload runs
+cmd_split after the verification and requires the traced calls of both to
+equal exactly the counts the verify report implies (one evaluate_quadruple
+per record_ch_chsh_identity point, one run_network per oracle point and
+three per no-signalling draw), so one more call from the split fails it.
 
 The same scan keeps one parameter layer: the paper's printed forms are
 named only where they are defined (analytic), tested and written (cli)
@@ -52,6 +63,10 @@ REAL_PRODUCTS = {("detection", "read_pass"), ("optics", "mix_station")}
 BLAS_CALLS = {"vdot", "dot", "matmul", "einsum", "inner", "tensordot"}
 # (module, function) of the only numpy.linalg use
 LINALG_USERS = {("optics", "_mixing_eig")}
+# names of a pass's row layout, which only detection.read_pass reads
+PASS_LAYOUT = {"support_rows", "FAVORABLE_ROW"}
+# what cli.cmd_split must not reach: perfbench counts their calls exactly
+SPLIT_UNCOUNTED = ("evaluate_quadruple", "run_network")
 
 
 def parse_package():
@@ -158,6 +173,11 @@ def names_linalg(node):
             and "linalg" in node.module.split("."))
 
 
+def reads_pass_layout(node):
+    """A read of a pass's row layout (PASS_LAYOUT) by bare name."""
+    return isinstance(node, ast.Name) and node.id in PASS_LAYOUT
+
+
 def called_names(tree):
     """Names of everything a module calls, as a bare name or an attribute."""
     return {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
@@ -180,6 +200,13 @@ def boundary_violations(trees):
             problems.append(f"{name} references run_network")
     if "mix_station" not in reachable_names(trees["optics"], "run_network"):
         problems.append("run_network does not reach mix_station")
+    for owner in sorted(set(owners(trees["detection"], reads_pass_layout))
+                        - {"", "read_pass"}):
+        problems.append(f"detection.{owner} reads a pass")
+    split_reaches = reachable_names(trees["cli"], "cmd_split")
+    for name in SPLIT_UNCOUNTED:
+        if name in split_reaches:
+            problems.append(f"cli.cmd_split reaches {name}")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
     for name in ("analytic", "detection"):
         for module in sorted(imported_modules(trees[name]) & package):
@@ -237,6 +264,15 @@ def test_route_boundary_holds():
                "def run_network(config, xi, eta):\n"
                "    return read_pass(mix_station(config, xi), 1)\n",
      "_pair_block does not read support_rows"),
+    ("detection", "def station_blocks(images, cutoff, alice):\n"
+                  "    return images[FAVORABLE_ROW], support_rows(cutoff)\n",
+     "detection.station_blocks reads a pass"),
+    ("cli", "def cmd_split(cfg, args):\n"
+            "    return evaluate_quadruple(cfg.experiment(), reference_quadruple())\n",
+     "cli.cmd_split reaches evaluate_quadruple"),
+    ("cli", "def cmd_split(cfg, args):\n    return _oracle(cfg.experiment())\n"
+            "def _oracle(config):\n    return run_network(config, 0.1, 0.2)\n",
+     "cli.cmd_split reaches run_network"),
     ("analytic", "from .optics import PAIR_WEIGHTS\n", "analytic imports optics"),
     ("analytic", "from . import fock\n", "analytic imports fock"),
     ("detection", "from .analytic import probs_point\n",
@@ -266,7 +302,8 @@ def test_route_boundary_holds():
                "    from numpy.linalg import norm\n    return norm(lo)\n",
      "optics.mix_station uses numpy.linalg"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
-        "row_order_copy", "row_order_inline",
+        "row_order_copy", "row_order_inline", "second_pass_reader",
+        "split_record_counted", "split_network_counted",
         "analytic_import", "analytic_module_import", "detection_import",
         "detection_package_import",
         "optics_import", "scipy_import", "scipy_nested_import",
