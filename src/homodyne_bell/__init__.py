@@ -24,7 +24,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 if not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
-from .fock import CutoffSpec, coherent_state, required_cutoff
+from .fock import CutoffSpec, required_cutoff
 from .optics import ExperimentConfig, mix_station, symmetric_config
 from .bell import (
     BellRecord,
@@ -37,17 +37,15 @@ from .analytic import (
     ch_chsh_general,
     ch_closed,
     chsh_closed,
-    probs_general,
 )
 from .scan import ScanRecord, maximize_chsh
 
 __all__ = [
     "__version__",
-    "CutoffSpec", "coherent_state", "required_cutoff",
+    "CutoffSpec", "required_cutoff",
     "ExperimentConfig", "mix_station", "symmetric_config",
     "BellRecord", "SettingsQuadruple", "evaluate_quadruple",
     "tsirelson_two_qubit",
     "ClosedFormPoint", "ch_chsh_general", "ch_closed", "chsh_closed",
-    "probs_general",
     "ScanRecord", "maximize_chsh",
 ]

@@ -15,9 +15,9 @@ One body evaluates them, with `math` on plain floats in `probs_point`
 (the triple verify checks against the probabilities of the Fock route's
 network, optics.run_network) and `ch_chsh_point` (CH and CHSH of four
 setting pairs, which the search runs for every family), and with `numpy`
-on arrays in `probs_general` and `ch_chsh_general`. They take the eight station
-parameters (alpha1_sq, alpha2_sq, phi1, phi2, then the angles) in the
-order and units of optics.ExperimentConfig and bell.evaluate_settings.
+on arrays in `ch_chsh_general`. They take the eight station parameters
+(alpha1_sq, alpha2_sq, phi1, phi2, then the angles) in the order and
+units of optics.ExperimentConfig and bell.evaluate_settings.
 With the Fock numerics they are the two independent routes to every
 quantity, checked against each other.
 
@@ -182,14 +182,6 @@ def _joint(shared, a, b):
     return half * (real * real + imag * imag)
 
 
-def _probs(m, alpha1_sq, alpha2_sq, phi1, phi2, x, y):
-    """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) on m, math or numpy."""
-    root1, half1, root2, half2, joint = _shared(m, alpha1_sq, alpha2_sq,
-                                                phi1, phi2)
-    a, b = _station(m, root1, x), _station(m, root2, y)
-    return _local(half1, a), _local(half2, b), _joint(joint, a, b)
-
-
 def _ch(m, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
     """CH of the four setting pairs, each setting's factors taken once."""
     root1, half1, root2, half2, joint = _shared(m, alpha1_sq, alpha2_sq,
@@ -201,9 +193,10 @@ def _ch(m, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
             - _local(half1, a2) - _local(half2, b))
 
 
-def _check_drives(alpha1_sq, alpha2_sq, every=bool):
-    """Refuse a drive unless finite and >= 0 (every: np.all on arrays)."""
-    for name, value in (("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq)):
+def _check_drives(*drives, every=bool):
+    """Refuse a drive, given as a (name, value) pair, unless finite and >= 0
+    (every: np.all on arrays)."""
+    for name, value in drives:
         if not every((0.0 <= value) & (value < math.inf)):
             raise ValueError(f"{name} must be finite and >= 0")
 
@@ -211,8 +204,11 @@ def _check_drives(alpha1_sq, alpha2_sq, every=bool):
 def probs_point(alpha1_sq, alpha2_sq, phi1, phi2, x, y):
     """(P_A(-1|x), P_B(-1|y), P(-1,-1|x,y)) of the setting pair (x, y) at
     independent station strengths and phases, on plain floats."""
-    _check_drives(alpha1_sq, alpha2_sq)
-    return _probs(math, alpha1_sq, alpha2_sq, phi1, phi2, x, y)
+    _check_drives(("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq))
+    root1, half1, root2, half2, joint = _shared(math, alpha1_sq, alpha2_sq,
+                                                phi1, phi2)
+    a, b = _station(math, root1, x), _station(math, root2, y)
+    return _local(half1, a), _local(half2, b), _joint(joint, a, b)
 
 
 def ch_chsh_point(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
@@ -220,20 +216,15 @@ def ch_chsh_point(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
     (xi2, eta2) on plain floats: CH = P(xi,eta) + P(xi2,eta) - P(xi,eta2)
     + P(xi2,eta2) - P_A(xi2) - P_B(eta), as in bell.evaluate_settings, and
     chsh = 2 + 4 ch."""
-    _check_drives(alpha1_sq, alpha2_sq)
+    _check_drives(("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq))
     ch = _ch(math, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2)
     return ch, 2.0 + 4.0 * ch
 
 
-def probs_general(alpha1_sq, alpha2_sq, phi1, phi2, x, y):
-    """probs_point broadcast over numpy arrays."""
-    _check_drives(alpha1_sq, alpha2_sq, np.all)
-    return _probs(np, alpha1_sq, alpha2_sq, phi1, phi2, x, y)
-
-
 def ch_chsh_general(alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2):
     """ch_chsh_point broadcast over numpy arrays."""
-    _check_drives(alpha1_sq, alpha2_sq, np.all)
+    _check_drives(("alpha1_sq", alpha1_sq), ("alpha2_sq", alpha2_sq),
+                  every=np.all)
     ch = _ch(np, alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2)
     return ch, 2.0 + 4.0 * ch
 
@@ -270,6 +261,7 @@ def chsh_decomposition(alpha_sq, phi1, phi2, xi, xi2, eta, eta2
     and an interference of exactly 0. lam's part, strictly below 2 at the
     reference settings, breaks any 'the residual contributes the classical
     maximum' shortcut."""
+    _check_drives(("alpha_sq", alpha_sq))
     _, full = ch_chsh_point(alpha_sq, alpha_sq, phi1, phi2, xi, xi2, eta, eta2)
     c1 = math.sqrt(alpha_sq) * math.exp(-alpha_sq)
     lam_coeff = math.sqrt(1.0 - alpha_sq * math.exp(-2.0 * alpha_sq))

@@ -18,8 +18,10 @@ psi1 the single-photon-per-station component and lam the unit-norm
 residual; its CHSH parts are analytic's closed forms, checked by one
 record. psi1's Tsirelson value comes from its 2x2 logical-qubit
 amplitudes (psi1_amplitudes), and lam's cross-term listing from the
-input's support (optics.input_support), occupations (a1, b1, a2, b2) with
-b1, b2 in {0, 1}.
+oscillators' Poisson terms (fock.poisson_terms) on the input's support,
+occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}: it builds no
+amplitude, so the split report builds each oscillator once, in its one
+record.
 
 Records are built so that chsh == 2 + 4*ch holds to rounding on every
 record: each distinct station setting gets one canonical marginal (measured
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass
-from .optics import ExperimentConfig, input_support, mix_station, oscillators
+from .fock import poisson_terms
+from .optics import ExperimentConfig, mix_station, oscillators
 
 HALF_PI = math.pi / 2.0
 
@@ -73,11 +76,6 @@ class SettingsQuadruple:
         """(xi, xi2, eta, eta2) = (xi, xi + pi/2, eta, eta + pi/2)."""
         return self.xi, self.xi + HALF_PI, self.eta, self.eta + HALF_PI
 
-    @property
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        xi, xi2, eta, eta2 = self.settings
-        return (xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2)
-
 
 def reference_quadruple() -> SettingsQuadruple:
     return SettingsQuadruple.from_sum_difference(REFERENCE_XI_PLUS_ETA,
@@ -97,7 +95,6 @@ class BellRecord:
     joints: tuple[float, float, float, float]
     local_alice: float
     local_bob: float
-    correlators: tuple[float, float, float, float]
     ch: float
     chsh: float
 
@@ -130,21 +127,12 @@ def evaluate_settings(config: ExperimentConfig, xi: float, xi2: float,
     ch = joints[0] + joints[1] - joints[2] + joints[3] - pa2 - pb
     chsh = sum(s * e for s, e in zip(_SIGNS, correlators))
     return BellRecord(((xi, eta), (xi2, eta), (xi, eta2), (xi2, eta2)), joints,
-                      pa2, pb, correlators, ch, chsh)
+                      pa2, pb, ch, chsh)
 
 
 def evaluate_quadruple(config: ExperimentConfig,
                        quad: SettingsQuadruple) -> BellRecord:
     return evaluate_settings(config, *quad.settings)
-
-
-def _split_coefficients(config: ExperimentConfig) -> tuple[float, float]:
-    """(c1, lam_coeff) = (alpha e^{-alpha^2}, sqrt(1 - alpha^2 e^{-2 alpha^2}))
-    of the split; defined only for alpha1_sq == alpha2_sq."""
-    if config.alpha1_sq != config.alpha2_sq:
-        raise ValueError("state split requires equal oscillator strengths")
-    a2 = config.alpha1_sq
-    return math.sqrt(a2) * math.exp(-a2), math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
 
 
 def psi1_amplitudes(config: ExperimentConfig) -> np.ndarray:
@@ -174,22 +162,32 @@ class CrossTerm:
 def lambda_cross_terms(config: ExperimentConfig) -> list[CrossTerm]:
     """The CROSS_TERM_COUNT largest |<occ|lam>|^2 contributions, largest first.
 
-    lam is the input's support array over lam_coeff with psi1's two entries
-    zeroed: they are c1 psi1's in exact arithmetic, and zeroing them, rather
-    than subtracting c1 psi1, leaves exact zeros there at every phase. Ties
-    are broken by the row-major occupation index of the dense (N+1)^4 state
+    The weights are read on the input's support, occupations
+    (a1, b1, a2, b2) with b1, b2 in {0, 1}, from the drive's Poisson terms
+    p (fock.poisson_terms), with no amplitude built: |<occ|lam>|^2 is
+    p_a1 p_a2 / (2 lam_coeff^2) where b1 + b2 = 1 and 0 elsewhere, with
+    lam_coeff^2 = 1 - p_0 p_1 (c1^2 = alpha^2 e^{-2 alpha^2} = p_0 p_1),
+    and 0 on psi1's two occupations, which c1 psi1 holds whole. p_a1 p_a2
+    is exactly symmetric, so mirror occupations tie bit for bit. Ties are
+    broken by the row-major occupation index of the dense (N+1)^4 state
     so the listing is deterministic. Row-major order of the support array
     is that order restricted to the support, so a stable sort of the
     support gives it. Unequal drives are refused, as for the split.
     """
-    _, lam_coeff = _split_coefficients(config)
-    lam = (1.0 / lam_coeff) * input_support(config)
-    lam[1, 0, 0, 1] = lam[0, 1, 1, 0] = 0.0
-    weights = np.abs(lam.reshape(-1)) ** 2
+    if config.alpha1_sq != config.alpha2_sq:
+        raise ValueError("state split requires equal oscillator strengths")
+    n = config.resolve_cutoff()
+    p = poisson_terms((config.alpha1_sq,), n)[0]
+    domain = (n + 1, 2, n + 1, 2)
+    weights = np.zeros(domain)
+    weights[:, 0, :, 1] = weights[:, 1, :, 0] = (np.multiply.outer(p, p)
+                                                 / (2.0 * (1.0 - p[0] * p[1])))
+    weights[1, 0, 0, 1] = weights[0, 1, 1, 0] = 0.0
+    weights = weights.reshape(-1)
     order = np.argsort(-weights, kind="stable")[:CROSS_TERM_COUNT]
     terms = []
     for flat in order:
-        occ = tuple(int(v) for v in np.unravel_index(int(flat), lam.shape))
+        occ = tuple(int(v) for v in np.unravel_index(int(flat), domain))
         terms.append(CrossTerm(
             occupation=occ,
             weight=float(weights[flat]),

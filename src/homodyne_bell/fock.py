@@ -1,16 +1,16 @@
-"""Photon-number truncation: the per-mode cutoff policy and truncated
-coherent amplitudes.
+"""Photon-number truncation: the per-mode cutoff policy, truncated
+coherent amplitudes and the Poisson terms of their photon numbers.
 
 Every engine works on per-mode occupations 0..N. A coherent input loses its
 Poisson tail beyond N; required_cutoff picks the smallest N that keeps that
-tail under a budget, and coherent_state returns the truncated amplitudes
-together with the probability they drop. Its two halves are separate
+tail under a budget. The amplitudes and the Poisson terms are separate
 calls, each with its own readers: the stations' oscillators
 (optics.oscillators) take only the amplitudes (coherent_amplitudes), and
-verify's network_unitarity check only the Poisson sums (poisson_mass), the
-input's norm taken apart from the amplitudes the network mixes. The tail
-itself is read by coherent_state's callers outside the engines: the tests,
-and users of the package's public API.
+the terms p_0..p_N (poisson_terms), taken on real numbers with no
+amplitude built, give the split's residual listing its weights
+(bell.lambda_cross_terms) and, summed (poisson_mass), verify's
+network_unitarity check the input's norm apart from the amplitudes the
+network mixes.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     (one per station): then every row comes from the same cumprod and the
     result is (len(alpha), cutoff + 1), each row bit for bit the row of a
     call with that amplitude alone. A non-finite alpha is refused before
-    any allocation. The Poisson tail is not taken here: the stations'
-    oscillators (optics.oscillators) need only the amplitudes, and the tail
-    is read by coherent_state's callers and, as poisson_mass, by the
-    verification's norm reference.
+    any allocation. The Poisson terms are not taken here: the stations'
+    oscillators (optics.oscillators) need only the amplitudes, and the
+    terms come from poisson_terms.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -137,33 +136,21 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     return amps if several else amps[0]
 
 
-def poisson_mass(alpha_sq, cutoff: int) -> list[float]:
-    """sum p_0..p_cutoff of Poisson(alpha_sq) for each of the drives
-    alpha_sq (a sequence), with no amplitude built: the terms are the
-    running product of e^{-alpha_sq}, alpha_sq / 1, ..., alpha_sq / cutoff
-    on real numbers. It equals the truncated amplitudes' norm sum |c_n|^2
-    to rounding without reading them."""
-    n = np.arange(1.0, cutoff + 1)
+def poisson_terms(alpha_sq, cutoff: int) -> np.ndarray:
+    """p_0..p_cutoff of Poisson(alpha_sq), p_n = e^{-alpha_sq} alpha_sq^n / n!,
+    one row for each of the drives alpha_sq (a sequence): the running
+    product of e^{-alpha_sq}, alpha_sq / 1, ..., alpha_sq / cutoff on real
+    numbers, with no amplitude built. p_n equals |c_n|^2 of the truncated
+    amplitudes to rounding without reading them."""
     terms = np.empty((len(alpha_sq), cutoff + 1))
     terms[:, 0] = [math.exp(-m) for m in alpha_sq]
-    terms[:, 1:] = np.divide.outer(alpha_sq, n)
-    return terms.cumprod(axis=1).sum(axis=1).tolist()
+    terms[:, 1:] = np.divide.outer(alpha_sq, np.arange(1.0, cutoff + 1))
+    return terms.cumprod(axis=1)
 
 
-def coherent_state(alpha, cutoff: int
-                   ) -> tuple[np.ndarray, float | tuple[float, ...]]:
-    """Truncated coherent amplitudes (coherent_amplitudes) and their
-    dropped tail.
-
-    The tail, the discarded probability, is 1 - poisson_mass(|a|^2): the
-    Poisson terms are taken on real numbers, not as |c_n|^2. A rounding
-    error in |a|^2 moves that sum only by p_cutoff times the error but
-    every c_n by |a|^2 / 2 times it, so 1 - sum |c_n|^2 would miss the
-    tail by about 4e-15 at |a|^2 = 22. alpha as in coherent_amplitudes;
-    for a tuple or list of them the tail is a tuple.
-    """
-    amps = coherent_amplitudes(alpha, cutoff)
-    several = isinstance(alpha, (tuple, list))
-    mag_sq = [abs(a) ** 2 for a in (alpha if several else (alpha,))]
-    tails = tuple(max(0.0, 1.0 - mass) for mass in poisson_mass(mag_sq, cutoff))
-    return amps, (tails if several else tails[0])
+def poisson_mass(alpha_sq, cutoff: int) -> list[float]:
+    """sum p_0..p_cutoff of Poisson(alpha_sq) for each of the drives
+    alpha_sq (a sequence): the row sums of poisson_terms. 1 minus it is the
+    drive's dropped tail, which 1 - sum |c_n|^2 would miss by about 4e-15
+    at alpha_sq = 22."""
+    return poisson_terms(alpha_sq, cutoff).sum(axis=1).tolist()

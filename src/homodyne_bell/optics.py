@@ -14,12 +14,10 @@ local-oscillator phases (see analytic module notes).
 
 The input holds at most one photon at each ph port, so what a station
 holds is its truncated oscillator on the lo port with 0 or 1 photon on the
-ph port. No engine builds the joint input: its support array
-(input_support, (N+1, 2, N+1, 2) over (a1, b1, a2, b2)) is only the domain
-of the split's cross-term listing and the tests' reference input.
-mix_station takes one oscillator per setting and the angles of all of a
-pass's settings, and returns every setting's images of lo (x) |0> and
-lo (x) |1> in one pass, every output mode cut at the per-mode cutoff N.
+ph port, and no engine builds the joint input. mix_station takes one
+oscillator per setting and the angles of all of a pass's settings, and
+returns every setting's images of lo (x) |0> and lo (x) |1> in one pass,
+every output mode cut at the per-mode cutoff N.
 The images hold only the outputs that photon-number conservation lets a
 station input reach, in the row order detection decides
 (detection.support_rows): (N+1)(N+2)/2 + N rows, about half of the (N+1)^2
@@ -41,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass, support_rows
+from .detection import pair_probabilities, read_pass, support_rows
 from .fock import MAX_CUTOFF, CutoffSpec, coherent_amplitudes
 
 
@@ -87,27 +85,17 @@ def symmetric_config(alpha_sq: float, dphi: float = 0.0,
 
 def oscillators(config: ExperimentConfig) -> np.ndarray:
     """Both stations' truncated oscillators at the per-mode cutoff N, rows
-    (Alice, Bob) of one fock.coherent_amplitudes call, bit for bit
-    coherent_state's amplitudes; a mix_station pass takes each row once per
-    setting of its station. The Poisson tails are not taken: no engine
-    reads them, and the verification's norm reference takes its Poisson
-    sums from fock.poisson_mass, apart from these amplitudes. The cutoff is
-    resolved first, so a config above MAX_CUTOFF is refused before any
-    allocation."""
+    (Alice, Bob) of one fock.coherent_amplitudes call, bit for bit the
+    amplitudes of one call per station; a mix_station pass takes each row
+    once per setting of its station. The Poisson terms are not taken: no
+    engine reads them, and the verification's norm reference and the
+    split's listing take theirs from fock.poisson_terms, apart from these
+    amplitudes. The cutoff is resolved first, so a config above MAX_CUTOFF
+    is refused before any allocation."""
     n = config.resolve_cutoff()
     return coherent_amplitudes(
         (math.sqrt(config.alpha1_sq) * cmath.exp(1j * config.phi1),
          math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)), n)
-
-
-def input_support(config: ExperimentConfig) -> np.ndarray:
-    """Input amplitudes on their support, indexed [a1, b1, a2, b2] with a1,
-    a2 up to the cutoff N and b1, b2 in {0, 1}: the truncated oscillators on
-    a1 and a2 times the split photon on (b1, b2)."""
-    lo1, lo2 = oscillators(config)
-    pair = np.zeros((2, 2), dtype=np.complex128)
-    pair[0, 1], pair[1, 0] = PAIR_WEIGHTS
-    return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
 
 
 @lru_cache(maxsize=512)

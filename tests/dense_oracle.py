@@ -1,13 +1,14 @@
 """Dense 4-mode oracles on plain arrays, built on no splitter of the library:
-a support array propagated through the closed binomial station columns
-(dense_station_columns) to the full (N+1)^4 output, and its index readout,
-the reference for the detection module's rank-2 readout; from the same
-output the state split (DenseSplit), its CHSH matrix elements and the
-residual's cross-term listing. The library mixes every station with
-optics.mix_station and reads every probability off each station's two mixed
-input terms without building the output; it reads lam's listing on the
-input's two-photon support, psi1 as 2x2 logical-qubit amplitudes, and the
-split's CHSH parts from analytic's closed forms. The tests hold all of
+the network input's support array (input_support) propagated through the
+closed binomial station columns (dense_station_columns) to the full
+(N+1)^4 output, and its index readout, the reference for the detection
+module's rank-2 readout; from the same output the state split
+(DenseSplit), its CHSH matrix elements and the residual's cross-term
+listing. The library mixes every station with optics.mix_station and
+reads every probability off each station's two mixed input terms without
+building the output or the input; it reads lam's listing off the drive's
+Poisson terms, psi1 as 2x2 logical-qubit amplitudes, and the split's CHSH
+parts from analytic's closed forms. The tests hold all of
 them to these brute-force forms. mix_station lays its images out on the
 photon-number support rows of detection.support_rows; on_square places
 them in the dense (N+1, N+1) output square the oracles index.
@@ -23,11 +24,22 @@ import numpy as np
 
 from homodyne_bell.analytic import ChshDecomposition
 from homodyne_bell.bell import CrossTerm
-from homodyne_bell.detection import support_rows
-from homodyne_bell.fock import coherent_state
-from homodyne_bell.optics import ExperimentConfig
+from homodyne_bell.detection import PAIR_WEIGHTS, support_rows
+from homodyne_bell.fock import coherent_amplitudes
+from homodyne_bell.optics import ExperimentConfig, oscillators
 
 _SIGNS = (1.0, 1.0, -1.0, 1.0)
+
+
+def input_support(config: ExperimentConfig) -> np.ndarray:
+    """Input amplitudes on their support, indexed [a1, b1, a2, b2] with a1,
+    a2 up to the cutoff N and b1, b2 in {0, 1}: the stations' truncated
+    oscillators (optics.oscillators) on a1 and a2 times the split photon
+    on (b1, b2)."""
+    lo1, lo2 = oscillators(config)
+    pair = np.zeros((2, 2), dtype=np.complex128)
+    pair[0, 1], pair[1, 0] = PAIR_WEIGHTS
+    return lo1[:, None, None, None] * pair[:, None, :] * lo2[:, None]
 
 
 def on_square(images: np.ndarray, cutoff: int) -> np.ndarray:
@@ -115,9 +127,9 @@ def dense_split_state(config: ExperimentConfig) -> DenseSplit:
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
     n = config.resolve_cutoff()
-    lo1, _ = coherent_state(alpha * cmath.exp(1j * config.phi1), n)
-    lo2, _ = coherent_state(math.sqrt(config.alpha2_sq)
-                            * cmath.exp(1j * config.phi2), n)
+    lo1 = coherent_amplitudes(alpha * cmath.exp(1j * config.phi1), n)
+    lo2 = coherent_amplitudes(math.sqrt(config.alpha2_sq)
+                              * cmath.exp(1j * config.phi2), n)
     z = 1.0 / math.sqrt(2.0)
     pair = np.zeros((n + 1, n + 1), dtype=complex)
     pair[0, 1], pair[1, 0] = z, 1j * z

@@ -13,7 +13,6 @@ from homodyne_bell.analytic import (
     chsh_closed,
     chsh_decomposition,
     local_prob_printed_variant,
-    probs_general,
     probs_point,
 )
 from homodyne_bell.bell import evaluate_settings
@@ -51,38 +50,38 @@ def standard_quadruple_ch(p):
 
 class TestJointProb:
     def test_zero_drive(self):
-        assert probs_general(0.0, 0.0, 0.0, 0.5, 1.0, 2.0)[2] == 0.0
+        assert probs_point(0.0, 0.0, 0.0, 0.5, 1.0, 2.0)[2] == 0.0
 
     def test_destructive_point(self):
         # exactly zero in exact arithmetic; of the two squares only
         # (cos(pi/2) c_x s_y)^2 ~ 1e-33 is left, where the expanded form
         # would cancel only to ~1e-17
-        assert probs_general(1.0, 1.0, 0.0, HALF_PI, HALF_PI, HALF_PI)[2] == \
+        assert probs_point(1.0, 1.0, 0.0, HALF_PI, HALF_PI, HALF_PI)[2] == \
             pytest.approx(0.0, abs=1e-32)
 
     def test_constructive_point(self):
-        assert probs_general(1.0, 1.0, 0.0, -HALF_PI, HALF_PI, HALF_PI)[2] == \
+        assert probs_point(1.0, 1.0, 0.0, -HALF_PI, HALF_PI, HALF_PI)[2] == \
             pytest.approx(E_MINUS_2_HALF, abs=1e-15)
 
     def test_always_a_probability(self):
         rng = np.random.default_rng(10)
         strengths = 4.0 * (1.0 - rng.random((2, 300)))
-        p_a, p_b, p_ab = probs_general(*strengths,
-                                       *rng.uniform(0, 2 * math.pi, (4, 300)))
-        assert np.all((0.0 <= p_ab) & (p_ab <= np.minimum(p_a, p_b)))
-        assert np.all(np.maximum(p_a, p_b) <= 1.0)
+        for args in zip(*strengths, *rng.uniform(0, 2 * math.pi, (4, 300))):
+            p_a, p_b, p_ab = probs_point(*args)
+            assert 0.0 <= p_ab <= min(p_a, p_b)
+            assert max(p_a, p_b) <= 1.0
 
 
 class TestLocalProb:
     def test_zero_drive_transmitting(self):
-        assert probs_general(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[0] == 0.0
+        assert probs_point(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)[0] == 0.0
 
     def test_zero_drive_balanced(self):
-        assert probs_general(0.0, 0.0, 0.0, 0.0, HALF_PI, 0.0)[0] == \
+        assert probs_point(0.0, 0.0, 0.0, 0.0, HALF_PI, 0.0)[0] == \
             pytest.approx(0.25, abs=1e-15)
 
     def test_unit_drive_balanced(self):
-        assert probs_general(1.0, 1.0, 0.0, 0.0, HALF_PI, 0.0)[0] == \
+        assert probs_point(1.0, 1.0, 0.0, 0.0, HALF_PI, 0.0)[0] == \
             pytest.approx(E_MINUS_1_HALF, abs=1e-15)
 
     def test_variants_differ_by_drive_damping(self):
@@ -90,7 +89,7 @@ class TestLocalProb:
         # clearly distinguishable where the adjudication samples
         assert local_prob_printed_variant(HALF_PI, 1.0) == pytest.approx(
             E_MINUS_2_HALF, abs=1e-15)
-        corrected = probs_general(1.0, 1.0, 0.0, 0.0, 1.1, 0.0)[0]
+        corrected = probs_point(1.0, 1.0, 0.0, 0.0, 1.1, 0.0)[0]
         ratio = local_prob_printed_variant(1.1, 1.0) / corrected
         assert ratio == pytest.approx(math.exp(-1.0), abs=1e-12)
 
@@ -302,7 +301,7 @@ class TestGeneralForms:
     def test_probabilities_match_dense_network(self, a1_sq, a2_sq, phases, x, y):
         num_a, num_b, num_joint, _ = run_network(
             strict_config(a1_sq, a2_sq, *phases), x, y)
-        p_a, p_b, joint = probs_general(a1_sq, a2_sq, *phases, x, y)
+        p_a, p_b, joint = probs_point(a1_sq, a2_sq, *phases, x, y)
         assert abs(joint - num_joint) <= 1e-12
         assert abs(p_a - num_a) <= 1e-12
         assert abs(p_b - num_b) <= 1e-12
@@ -312,7 +311,7 @@ class TestGeneralForms:
     def test_reduce_to_symmetric_forms(self, alpha_sq, phases, x, y):
         phi1, phi2 = phases
         point = ClosedFormPoint(x, y, phi2 - phi1, alpha_sq)
-        p_a, p_b, joint = probs_general(alpha_sq, alpha_sq, phi1, phi2, x, y)
+        p_a, p_b, joint = probs_point(alpha_sq, alpha_sq, phi1, phi2, x, y)
         assert abs(joint - paper_joint(x, y, phi2 - phi1, alpha_sq)) <= 1e-15
         assert abs(p_a - paper_local(x, alpha_sq)) <= 1e-15
         assert abs(p_b - paper_local(y, alpha_sq)) <= 1e-15
@@ -328,21 +327,15 @@ class TestGeneralForms:
         ch, chsh = ch_chsh_general(a1_sq, a2_sq, *rest)
         assert ch.shape == chsh.shape == (50,)
         assert np.array_equal(chsh, 2.0 + 4.0 * ch)
-        probs = probs_general(a1_sq, a2_sq, *rest[:4])
-        assert all(p.shape == (50,) for p in probs)
         for k in range(50):
             one, _ = ch_chsh_general(a1_sq[k], a2_sq[k], *rest[:, k])
             assert one == ch[k]
-            assert probs_general(a1_sq[k], a2_sq[k], *rest[:4, k]) == \
-                tuple(p[k] for p in probs)
 
     @pytest.mark.parametrize("a1_sq,a2_sq", [(-0.1, 1.0), (1.0, math.nan),
                                              (math.inf, 1.0)])
     def test_rejects_bad_drive(self, a1_sq, a2_sq):
         with pytest.raises(ValueError):
             ch_chsh_general(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
-        with pytest.raises(ValueError):
-            probs_general(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.3)
         name = "alpha1_sq" if a1_sq != 1.0 else "alpha2_sq"
         with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0$"):
             ch_chsh_point(a1_sq, a2_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
@@ -365,9 +358,6 @@ class TestPointForms:
         assert abs(ch - want_ch) <= 1e-15
         assert abs(chsh - want_chsh) <= 1e-15
         assert chsh == 2.0 + 4.0 * ch
-        probs = probs_point(a1_sq, a2_sq, *rest[:4])
-        for got, want in zip(probs, probs_general(a1_sq, a2_sq, *rest[:4])):
-            assert abs(got - want) <= 1e-15
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(strengths=st.tuples(SEARCH_STRENGTHS, SEARCH_STRENGTHS),
@@ -403,7 +393,7 @@ class TestSplitParts:
 
     @pytest.mark.parametrize("alpha_sq", [-0.1, math.nan, math.inf])
     def test_rejects_bad_drive(self, alpha_sq):
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
+        with pytest.raises(ValueError, match="^alpha_sq must be finite and >= 0$"):
             chsh_decomposition(alpha_sq, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4)
 
 
@@ -456,6 +446,3 @@ class TestSharedFactorBits:
         ch, chsh = ch_chsh_general(*args)
         assert np.array_equal(ch, want)
         assert np.array_equal(chsh, 2.0 + 4.0 * want)
-        for got, ref in zip(probs_general(*args[:6]),
-                            reference_probs(np, *args[:6])):
-            assert np.array_equal(got, ref)

@@ -11,6 +11,7 @@ from dense_oracle import (
     dense_favorable_probs,
     dense_split_state,
     dense_station_columns,
+    input_support,
     on_square,
     on_support,
     propagate,
@@ -30,13 +31,8 @@ from homodyne_bell.bell import (
 )
 from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
 from homodyne_bell.detection import support_rows
-from homodyne_bell.fock import CutoffSpec, coherent_state
-from homodyne_bell.optics import (
-    ExperimentConfig,
-    input_support,
-    mix_station,
-    symmetric_config,
-)
+from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec, coherent_amplitudes
+from homodyne_bell.optics import ExperimentConfig, mix_station, symmetric_config
 
 HALF_PI = math.pi / 2.0
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -119,12 +115,10 @@ def dense_evaluate_settings(config, xi, xi2, eta, eta2):
     ch = (joints[0] + joints[1] - joints[2] + joints[3]
           - p_alice[xi2] - p_bob[eta])
     chsh = correlators[0] + correlators[1] - correlators[2] + correlators[3]
-    return BellRecord(pairs, joints, p_alice[xi2], p_bob[eta],
-                      correlators, ch, chsh)
+    return BellRecord(pairs, joints, p_alice[xi2], p_bob[eta], ch, chsh)
 
 
-RECORD_FIELDS = ("joints", "local_alice", "local_bob", "correlators", "ch",
-                 "chsh")
+RECORD_FIELDS = ("joints", "local_alice", "local_bob", "ch", "chsh")
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 ANGLES = st.floats(0.0, 2.0 * math.pi)
 # alpha^2 <= 2 keeps the dense oracle small (cutoff <= 21 at tail 1e-12)
@@ -167,6 +161,92 @@ def unequal_drives(draw):
                             CutoffSpec(tail_eps=draw(TAIL_EPS)))
 
 
+# |listed weight - dense weight| <= WEIGHT_RTOL times the larger: the
+# listing takes Poisson products p_a1 p_a2, the dense split |complex
+# amplitude|^2 over lam_coeff^2. Measured worst: 11.2 eps over 2000
+# equal_drives draws, 2.8 eps at test_ties_keep_dense_order's configs (24
+# eps at alpha^2 = 20, outside these ranges). Below the smallest normal
+# double no weight keeps relative precision, so that much slack is absolute.
+WEIGHT_RTOL = 16 * np.finfo(float).eps
+TINY = np.finfo(float).tiny
+# weights this close, relative, count as one tie: far above either route's
+# rounding, far below the gap between weights that differ in exact arithmetic
+TIE_RTOL = 1e-12
+
+
+def close(u, v, rtol):
+    return abs(u - v) <= rtol * max(u, v) + TINY
+
+
+def tie_runs(entries):
+    """(weight, occupation) pairs, largest weight first, as runs of tied
+    weights (TIE_RTOL), each run the set of its occupations; a run is
+    yielded once the next weight leaves it."""
+    run, last = set(), None
+    for weight, occ in entries:
+        if run and not close(weight, last, TIE_RTOL):
+            yield run
+            run = set()
+        run.add(occ)
+        last = weight
+    if run:
+        yield run
+
+
+def assert_matches_dense_listing(config):
+    """lambda_cross_terms against the dense split's lam: every listed weight
+    and magnitude within WEIGHT_RTOL of the dense lam's at that occupation,
+    and the same occupations once tied weights are grouped. Every run of
+    ties the listing holds whole is the dense listing's run, and the last,
+    which the count may cut, lies in the dense run."""
+    terms = lambda_cross_terms(config)
+    lam = dense_split_state(config).lam
+    for term in terms:
+        dense_weight = float(abs(lam[term.occupation]) ** 2)
+        assert close(term.weight, dense_weight, WEIGHT_RTOL), term
+        assert close(term.magnitude, math.sqrt(dense_weight), WEIGHT_RTOL), term
+    listed = list(tie_runs((t.weight, t.occupation) for t in terms))
+    weights = np.abs(lam.reshape(-1)) ** 2
+    dense = tie_runs((float(weights[flat]),
+                      tuple(int(v) for v in np.unravel_index(flat, lam.shape)))
+                     for flat in np.argsort(-weights, kind="stable"))
+    dense = [run for _, run in zip(listed, dense)]
+    assert listed[:-1] == dense[:-1]
+    assert listed[-1] <= dense[-1]
+
+
+# every support occupation of any cutoff: a listing this long is the whole
+# support, sorted
+WHOLE_SUPPORT = 4 * (MAX_CUTOFF + 1) ** 2
+
+
+def mirrors(occ):
+    """occ = (a1, b1, a2, b2) with the oscillator counts swapped, the photon
+    moved to the other station, or both."""
+    a1, b1, a2, b2 = occ
+    return {occ, (a1, b2, a2, b1), (a2, b1, a1, b2), (a2, b2, a1, b1)}
+
+
+def assert_exact_ties(config):
+    """Mirror occupations (mirrors) weigh the same to the bit, psi1's two
+    and theirs aside, and the listing is the first CROSS_TERM_COUNT of the
+    whole support sorted exactly by (-weight, row-major index)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bell, "CROSS_TERM_COUNT", WHOLE_SUPPORT)
+        whole = lambda_cross_terms(config)
+    n = config.resolve_cutoff()
+    domain = (n + 1, 2, n + 1, 2)
+    assert len(whole) == 4 * (n + 1) ** 2
+    weight = {t.occupation: t.weight for t in whole}
+    for occ, w in weight.items():
+        group = mirrors(occ)
+        if occ[1] + occ[3] == 1 and not group & PSI1_OCCUPATIONS:
+            assert {weight[m] for m in group} == {w}, occ
+    keys = [(-t.weight, np.ravel_multi_index(t.occupation, domain)) for t in whole]
+    assert keys == sorted(keys)
+    assert lambda_cross_terms(config) == whole[:bell.CROSS_TERM_COUNT]
+
+
 class TestStationFactorization:
     @PROPERTY_SETTINGS
     @given(config=unequal_drives(), angles=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
@@ -195,7 +275,7 @@ class TestStationFactorization:
         # the closed binomial columns build the same terms with no blocks
         # at all
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
-        lo, _ = coherent_state(alpha, cutoff)
+        lo = coherent_amplitudes(alpha, cutoff)
         images = mix_station(lo[None], (theta,))
         assert images.shape == (len(support_rows(cutoff)[0]), 2, 1)
         images = on_square(images, cutoff)
@@ -250,8 +330,6 @@ class TestSettingsQuadruple:
         xi, eta = (total + difference) / 2.0, (total - difference) / 2.0
         assert (quad.xi, quad.eta) == (xi, eta)
         assert quad.settings == (xi, xi + HALF_PI, eta, eta + HALF_PI)
-        assert quad.pairs == ((xi, eta), (xi + HALF_PI, eta),
-                              (xi, eta + HALF_PI), (xi + HALF_PI, eta + HALF_PI))
 
     def test_reference_quadruple_unchanged(self):
         # (pi +- 3 pi / 4) / 2, as floats
@@ -295,9 +373,6 @@ class TestBellRecords:
         ch = (rec.joints[0] + rec.joints[1] - rec.joints[2] + rec.joints[3]
               - rec.local_alice - rec.local_bob)
         assert rec.ch == pytest.approx(ch, abs=0)
-        chsh = (rec.correlators[0] + rec.correlators[1]
-                - rec.correlators[2] + rec.correlators[3])
-        assert rec.chsh == pytest.approx(chsh, abs=0)
 
 
 class TestCoincidentSettings:
@@ -417,20 +492,44 @@ class TestLambdaCrossTerms:
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives())
     def test_matches_dense_listing(self, config):
-        assert lambda_cross_terms(config) == \
-            dense_cross_terms(dense_split_state(config).lam,
-                              count=bell.CROSS_TERM_COUNT)
+        assert_matches_dense_listing(config)
 
     @pytest.mark.parametrize("alpha_sq", [1e-6, 6.0])
     def test_ties_keep_dense_order(self, alpha_sq):
-        # many occupations tie in weight here; a contraction in another
-        # order perturbs the last bits and swaps tied entries
+        # many occupations tie in weight here, and the dense split's
+        # rounding leaves its mirror weights apart by an ulp or two
         cfg = symmetric_config(alpha_sq, HALF_PI, CutoffSpec(tail_eps=1e-6))
-        terms = lambda_cross_terms(cfg)
-        assert terms == dense_cross_terms(dense_split_state(cfg).lam,
-                                          count=bell.CROSS_TERM_COUNT)
-        weights = [t.weight for t in terms]
+        assert_matches_dense_listing(cfg)
+        weights = [t.weight for t in lambda_cross_terms(cfg)]
         assert len(set(weights)) < len(weights)
+
+    def test_mirror_weights_tie_exactly_at_the_pinned_split(self):
+        # tests/fixtures/split_alpha3.5_phi0.4.json lists these two runs of
+        # four tied weights
+        cfg = ExperimentConfig(3.5, 3.5, 0.0, 0.4)
+        assert_exact_ties(cfg)
+        assert [t.occupation for t in lambda_cross_terms(cfg)[2:]] == [
+            (3, 0, 4, 1), (3, 1, 4, 0), (4, 0, 3, 1), (4, 1, 3, 0),
+            (2, 0, 3, 1), (2, 1, 3, 0), (3, 0, 2, 1), (3, 1, 2, 0)]
+
+    @DENSE_SPLIT_SETTINGS
+    @given(config=equal_drives())
+    def test_mirror_weights_tie_exactly(self, config):
+        assert_exact_ties(config)
+
+    def test_zero_padding_at_the_smallest_cutoff(self):
+        # N = 1 leaves six nonzero weights on the 16 support occupations, so
+        # the listing ends in four zero weights, in row-major order as in
+        # the dense listing (whose domain at N = 1 is the support's)
+        cfg = symmetric_config(1.3, 0.7, CutoffSpec(n_max=1))
+        terms = lambda_cross_terms(cfg)
+        assert all(t.weight > 0.0 for t in terms[:6])
+        assert [(t.occupation, t.weight, t.magnitude) for t in terms[6:]] == [
+            ((0, 0, 0, 0), 0.0, 0.0), ((0, 0, 1, 0), 0.0, 0.0),
+            ((0, 1, 0, 1), 0.0, 0.0), ((0, 1, 1, 0), 0.0, 0.0)]
+        dense = dense_cross_terms(dense_split_state(cfg).lam,
+                                  count=bell.CROSS_TERM_COUNT)
+        assert terms[6:] == dense[6:]
 
 
 class TestComponentChsh:

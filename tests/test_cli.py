@@ -13,13 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
+from dense_oracle import input_support
 from fixtures.regenerate import SPLIT_FIXTURES, split_args
 from homodyne_bell import analytic, bell, cli, optics, scan
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import (MAX_RESTARTS, ORACLE_TOL, RunConfig, main,
                                run_verification)
 from homodyne_bell.fock import CutoffSpec
-from homodyne_bell.optics import ExperimentConfig, input_support
+from homodyne_bell.optics import ExperimentConfig
 from homodyne_bell.scan import FAMILIES
 
 QUICK_CONFIG = {"verify_points": 15, "verify_draws": 8}

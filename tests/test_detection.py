@@ -9,9 +9,10 @@ from dense_oracle import (
     ab_product_expectation,
     dense_favorable_probs,
     dense_station_columns,
+    input_support,
     propagate,
 )
-from homodyne_bell.analytic import probs_general
+from homodyne_bell.analytic import probs_point
 from homodyne_bell.bell import evaluate_settings
 from homodyne_bell.detection import (
     FAVORABLE_ROW,
@@ -22,7 +23,6 @@ from homodyne_bell.detection import (
 from homodyne_bell.fock import MAX_CUTOFF, CutoffSpec
 from homodyne_bell.optics import (
     ExperimentConfig,
-    input_support,
     mix_station,
     oscillators,
     run_network,
@@ -116,12 +116,15 @@ class TestJointProbability:
 
 
 class TestCorrelator:
-    """The correlator formula lives in the bell module's records; these hold
-    it to the dense output's outcome classes."""
+    """The correlator formula lives in bell.evaluate_settings, which sums
+    the four pairs' correlators into the record's chsh; these hold it to
+    the dense output's outcome classes."""
 
     def test_fully_transmitting_settings(self):
+        # four equal pairs with signs +, +, -, +: chsh is twice their
+        # correlator
         rec = evaluate_settings(symmetric_config(0.0), 0.0, 0.0, 0.0, 0.0)
-        assert rec.correlators[0] == pytest.approx(1.0, abs=1e-14)
+        assert rec.chsh / 2.0 == pytest.approx(1.0, abs=1e-14)
         out = dense(symmetric_config(0.0), 0.0, 0.0)
         assert enumerated_correlator(out) == pytest.approx(1.0, abs=1e-14)
 
@@ -138,16 +141,19 @@ class TestCorrelator:
                 summed, abs=1e-12)
 
     def test_against_enumeration_oracle(self):
-        # every record correlator (station route) against the enumerated
-        # dense output of its setting pair (brute-force route)
+        # every record's chsh, its correlators' signed sum (station route),
+        # against the enumerated dense outputs of its setting pairs
+        # (brute-force route)
         rng = np.random.default_rng(3)
         for _ in range(3):
             cfg = symmetric_config(1.0, rng.uniform(0, 2 * math.pi))
             angles = rng.uniform(0, 2 * math.pi, 4)
             rec = evaluate_settings(cfg, *angles)
-            for (x, y), corr in zip(rec.settings, rec.correlators):
-                assert corr == pytest.approx(enumerated_correlator(
-                    dense(cfg, x, y)), abs=1e-10)
+            enumerated = [enumerated_correlator(dense(cfg, x, y))
+                          for x, y in rec.settings]
+            assert rec.chsh == pytest.approx(
+                enumerated[0] + enumerated[1] - enumerated[2] + enumerated[3],
+                abs=1e-10)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(4)
@@ -374,6 +380,6 @@ class TestScale:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 2**20
-        want = probs_general(1.21, 0.64, 0.3, 1.9, 0.7, 2.2)
+        want = probs_point(1.21, 0.64, 0.3, 1.9, 0.7, 2.2)
         assert max(abs(g - w) for g, w in zip((p_a, p_b, p_ab), want)) <= 1e-12
         assert norm == pytest.approx(1.0, abs=1e-12)

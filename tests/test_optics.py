@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from dense_oracle import dense_station_columns, on_square, propagate
+from dense_oracle import (
+    dense_station_columns,
+    input_support,
+    on_square,
+    propagate,
+)
 from homodyne_bell.detection import (
     FAVORABLE_ROW,
     PAIR_WEIGHTS,
     read_pass,
     support_rows,
 )
-from homodyne_bell.fock import CutoffSpec, coherent_state
+from homodyne_bell.fock import CutoffSpec, coherent_amplitudes, poisson_mass
 from homodyne_bell.optics import (
     MAX_CUTOFF,
     ExperimentConfig,
     _mixing_eig,
     _pair_block,
-    input_support,
     mix_station,
     oscillators,
     symmetric_config,
@@ -318,11 +322,11 @@ class TestApplyBeamsplitter:
 
     def test_coherent_input_splits_into_coherent_product(self):
         beta, theta, cutoff = 1.0, 1.1, 14
-        lo, _ = coherent_state(beta, cutoff)
+        lo = coherent_amplitudes(beta, cutoff)
         out = np.tensordot(mixed_columns(theta, cutoff)[..., 0], lo, axes=(2, 0))
         expected = np.multiply.outer(
-            coherent_state(cos(theta / 2.0) * beta, cutoff)[0],
-            coherent_state(1j * sin(theta / 2.0) * beta, cutoff)[0])
+            coherent_amplitudes(cos(theta / 2.0) * beta, cutoff),
+            coherent_amplitudes(1j * sin(theta / 2.0) * beta, cutoff))
         # the truncated input has no pair totals above the cutoff, so the
         # product form holds on the total <= cutoff sector
         diff = np.abs(out - expected)
@@ -398,7 +402,7 @@ class TestInputState:
     def test_norm_is_one_minus_tail(self):
         cfg = ExperimentConfig(1.0, 1.0, 0.0, 0.0, CutoffSpec(n_max=14))
         s = input_support(cfg)
-        tail = 2.0 * coherent_state(1.0, 14)[1]
+        tail = 2.0 * (1.0 - poisson_mass((1.0,), 14)[0])
         assert tail < 2e-12
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
@@ -416,7 +420,7 @@ class TestInputState:
         with pytest.raises(ValueError, match="N=108"):
             symmetric_config(50.0).resolve_cutoff()
         with pytest.raises(ValueError, match="N=108"):
-            input_support(symmetric_config(50.0))
+            oscillators(symmetric_config(50.0))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(a1_sq=st.floats(0.0, 20.0), a2_sq=st.floats(0.0, 20.0),
@@ -435,13 +439,14 @@ class TestInputState:
            cutoff=st.integers(1, MAX_CUTOFF))
     def test_oscillators_are_coherent_state_amplitudes(self, alpha_sq, phases,
                                                        cutoff):
-        # the stations' build skips the Poisson tails, and its rows are
-        # coherent_state's amplitudes bit for bit
+        # the stations' build skips the Poisson terms, and its rows are
+        # bit for bit the amplitudes of one coherent_amplitudes call per
+        # station
         cfg = ExperimentConfig(*alpha_sq, *phases, CutoffSpec(n_max=cutoff))
         rows = oscillators(cfg)
         assert rows.shape == (2, cutoff + 1) and not rows.flags.writeable
         for row, a_sq, phi in zip(rows, alpha_sq, phases):
-            amps, _ = coherent_state(math.sqrt(a_sq) * cmath.exp(1j * phi), cutoff)
+            amps = coherent_amplitudes(math.sqrt(a_sq) * cmath.exp(1j * phi), cutoff)
             assert row.tobytes() == amps.tobytes()
 
     def test_negative_magnitude_rejected(self):
@@ -504,8 +509,8 @@ class TestNetwork:
         cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
                                CutoffSpec(tail_eps=tail_eps))
         n = cfg.resolve_cutoff()
-        lo1 = coherent_state(math.sqrt(a1_sq) * np.exp(1j * phi1), n)[0]
-        lo2 = coherent_state(math.sqrt(a2_sq) * np.exp(1j * phi2), n)[0]
+        lo1 = coherent_amplitudes(math.sqrt(a1_sq) * np.exp(1j * phi1), n)
+        lo2 = coherent_amplitudes(math.sqrt(a2_sq) * np.exp(1j * phi2), n)
         images = on_square(mix_station(np.stack((lo1, lo2)), (xi, eta)), n)
         # term k holds k photons at Alice's ph port and 1 - k at Bob's
         a_k, b_k = images[:, :, :, 0], images[:, :, ::-1, 1]

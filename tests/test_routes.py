@@ -25,6 +25,9 @@ cmd_split after the verification and requires the traced calls of both to
 equal exactly the counts the verify report implies (one evaluate_quadruple
 per record_ch_chsh_identity point, one run_network per oracle point and
 three per no-signalling draw), so one more call from the split fails it.
+Nor does the split build an oscillator beside that record: cmd_split
+reaches optics.oscillators only through evaluate_settings, since
+lambda_cross_terms reads its weights off the Poisson terms.
 
 The same scan keeps one parameter layer: the paper's printed forms are
 named only where they are defined (analytic), tested and written (cli)
@@ -44,9 +47,16 @@ products of float64 views, and no module calls numpy's other products
 in optics._mixing_eig, the mixing generator's eigendecomposition built
 once per photon total, so no LAPACK call (a complex LU, say) comes back
 onto the record or split paths.
+
+And it keeps no dead code: every module-level function, class and constant
+of the package is reachable by name from cli.main, following each reached
+definition's body across modules, as reachable_names follows one module's
+functions. Only __init__'s __version__, __all__ and BLAS_THREAD_VARS are
+exempt: the package's metadata and its import-time thread setting.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -67,6 +77,9 @@ LINALG_USERS = {("optics", "_mixing_eig")}
 PASS_LAYOUT = {"support_rows", "FAVORABLE_ROW"}
 # what cli.cmd_split must not reach: perfbench counts their calls exactly
 SPLIT_UNCOUNTED = ("evaluate_quadruple", "run_network")
+# module-level names that cli.main need not reach
+UNREACHED_EXEMPT = {("__init__", "__version__"), ("__init__", "__all__"),
+                    ("__init__", "BLAS_THREAD_VARS")}
 
 
 def parse_package():
@@ -130,6 +143,43 @@ def reachable_names(tree, entry):
         names |= found
         todo.extend(found)
     return names
+
+
+def module_definitions(tree):
+    """A module's module-level functions, classes and constants, by name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        found[sub.id] = node
+    return found
+
+
+def package_reach(trees, entry, blocked=()):
+    """(module, name) of every module-level definition reached from entry,
+    a (module, name): the names a reached definition references, matched by
+    name against every module's definitions, transitively. Definitions
+    named in `blocked` are reached but not followed."""
+    definitions, by_name = {}, defaultdict(list)
+    for module, tree in trees.items():
+        for name, node in module_definitions(tree).items():
+            definitions[module, name] = node
+            by_name[name].append((module, name))
+    seen, todo = set(), [entry]
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in definitions:
+            continue
+        seen.add(key)
+        if key[1] not in blocked:
+            for name in referenced_names(definitions[key]):
+                todo.extend(by_name[name])
+    return seen
 
 
 def defined_functions(tree):
@@ -207,6 +257,14 @@ def boundary_violations(trees):
     for name in SPLIT_UNCOUNTED:
         if name in split_reaches:
             problems.append(f"cli.cmd_split reaches {name}")
+    if ("optics", "oscillators") in package_reach(
+            trees, ("cli", "cmd_split"), blocked={"evaluate_settings"}):
+        problems.append("cli.cmd_split reaches oscillators outside evaluate_settings")
+    reached = package_reach(trees, ("cli", "main"))
+    for module, tree in trees.items():
+        for name in sorted(module_definitions(tree)):
+            if (module, name) not in reached | UNREACHED_EXEMPT:
+                problems.append(f"{module}.{name} is unreachable from cli.main")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
     for name in ("analytic", "detection"):
         for module in sorted(imported_modules(trees[name]) & package):
@@ -301,6 +359,16 @@ def test_route_boundary_holds():
                "def mix_station(lo, angles):\n"
                "    from numpy.linalg import norm\n    return norm(lo)\n",
      "optics.mix_station uses numpy.linalg"),
+    ("bell", "def lambda_cross_terms(config):\n    return oscillators(config)\n",
+     "cli.cmd_split reaches oscillators outside evaluate_settings"),
+    ("fock", "def orphan(alpha):\n    return alpha\n",
+     "fock.orphan is unreachable from cli.main"),
+    ("fock", "def orphan():\n    return helper()\ndef helper():\n    return 1\n",
+     "fock.helper is unreachable from cli.main"),
+    ("analytic", "class Orphan:\n    pass\n",
+     "analytic.Orphan is unreachable from cli.main"),
+    ("bell", "UNUSED_LIMIT = 3\n", "bell.UNUSED_LIMIT is unreachable from cli.main"),
+    ("scan", "SPARE: int = 4\n", "scan.SPARE is unreachable from cli.main"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "row_order_copy", "row_order_inline", "second_pass_reader",
         "split_record_counted", "split_network_counted",
@@ -310,7 +378,10 @@ def test_route_boundary_holds():
         "printed_form_import", "printed_form_attribute", "half_pi_import",
         "half_pi_attribute", "matmul_outside_real_products",
         "matmul_nested_in_read_pass", "vdot_call", "einsum_call",
-        "linalg_det", "linalg_import_outside_mixing_eig"])
+        "linalg_det", "linalg_import_outside_mixing_eig",
+        "split_second_oscillator_build", "unreachable_function",
+        "unreachable_helper", "unreachable_class", "unreachable_constant",
+        "unreachable_annotated_constant"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":
