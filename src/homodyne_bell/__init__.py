@@ -11,6 +11,10 @@ of the Born-rule readout (detection.read_pass), which also decides the
 term order: the station engine assembles Bell records from them (bell),
 and the verification oracles' network (optics.run_network, used only by
 the cli) returns the probabilities the closed forms are checked against.
+
+The package root holds only the version and the BLAS thread pin below; it
+imports no package module, and every name is imported from the module that
+defines it (`from homodyne_bell.scan import maximize_chsh`).
 """
 
 __version__ = "0.1.0"
@@ -23,29 +27,3 @@ import os
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-
-from .fock import CutoffSpec, required_cutoff
-from .optics import ExperimentConfig, mix_station, symmetric_config
-from .bell import (
-    BellRecord,
-    SettingsQuadruple,
-    evaluate_quadruple,
-    tsirelson_two_qubit,
-)
-from .analytic import (
-    ClosedFormPoint,
-    ch_chsh_general,
-    ch_closed,
-    chsh_closed,
-)
-from .scan import ScanRecord, maximize_chsh
-
-__all__ = [
-    "__version__",
-    "CutoffSpec", "required_cutoff",
-    "ExperimentConfig", "mix_station", "symmetric_config",
-    "BellRecord", "SettingsQuadruple", "evaluate_quadruple",
-    "tsirelson_two_qubit",
-    "ClosedFormPoint", "ch_chsh_general", "ch_closed", "chsh_closed",
-    "ScanRecord", "maximize_chsh",
-]

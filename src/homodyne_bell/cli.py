@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -123,8 +123,7 @@ class RunConfig:
         # range) or a cutoff the cutoff policy refuses before any command
         # runs; the policy's n_max and tail_eps are cutoff_n and cutoff_eps
         try:
-            self.experiment()
-            self.provenance_cutoff()
+            self.experiment().resolve_cutoff()
         except ValueError as exc:
             msg = str(exc).replace("n_max", "cutoff_n").replace(
                 "tail_eps", "cutoff_eps")
@@ -133,14 +132,6 @@ class RunConfig:
     def cutoff_spec(self) -> CutoffSpec:
         """The cutoff policy of every numeric config a command builds."""
         return CutoffSpec(self.cutoff_n, self.cutoff_eps)
-
-    def provenance_cutoff(self, alpha_sq_max: float | None = None) -> int:
-        """Per-mode cutoff reported in provenance: the one the cutoff policy
-        gives the largest drive a command evaluates, alpha_sq_max (default:
-        the config's alpha_sq)."""
-        if alpha_sq_max is None:
-            alpha_sq_max = self.alpha_sq
-        return self.cutoff_spec().resolve(alpha_sq_max)
 
     def experiment(self) -> ExperimentConfig:
         return ExperimentConfig(self.alpha_sq, self.alpha_sq, self.phi1,
@@ -194,15 +185,15 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def provenance(cfg: RunConfig, args: argparse.Namespace,
-               alpha_sq_max: float | None = None) -> dict:
-    """Provenance block of a report. cutoff_n is the cutoff of the largest
-    drive the command evaluates, alpha_sq_max (see
-    RunConfig.provenance_cutoff)."""
+               alpha_sq_max: float) -> dict:
+    """Provenance block of a report. cutoff_n is the per-mode cutoff the
+    cutoff policy gives the largest drive the command evaluates,
+    alpha_sq_max."""
     return {
         "version": __version__,
         "seed": cfg.seed,
         "cutoff_eps": cfg.cutoff_eps,
-        "cutoff_n": cfg.provenance_cutoff(alpha_sq_max),
+        "cutoff_n": cfg.cutoff_spec().resolve(alpha_sq_max),
         "tolerances": {
             "oracle": ORACLE_TOL,
             "identity": IDENTITY_TOL,
@@ -303,12 +294,7 @@ def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]
     CHSH against the general forms on the standard quadruple."""
     xi, eta, dphi = rng.uniform(0.0, 2.0 * math.pi, (3, 500))
     a2 = VERIFY_ALPHA_SQ_MAX * (1.0 - rng.random(500))
-    # ClosedFormPoint's checks bound each field from below and above, so
-    # the drawn arrays pass them once, at their least and greatest values,
-    # and all the points go to each printed form in one call on numpy
     fields = (xi, eta, dphi, a2)
-    analytic.ClosedFormPoint(*(float(f.min()) for f in fields))
-    analytic.ClosedFormPoint(*(float(f.max()) for f in fields))
     ch = analytic.ch_closed(fields, np)
     chsh = analytic.chsh_closed(fields, np)
     general_ch, general_chsh = analytic.ch_chsh_general(
@@ -510,14 +496,14 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
 # optimize
 
 def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
-    family = get_family(args.family)
+    box = get_family(args.family)
     prov = provenance(cfg, args, ALPHA_SQ_MAX)  # resolved before the search
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
                             cutoff=cfg.cutoff_spec())
     crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residual,
                         ORACLE_TOL, outcome.restarts)
     payload = {
-        "family": family.kind,
+        "family": args.family,
         "path": "analytic",
         "best": {"params": outcome.best.params, "ch": outcome.best.ch,
                  "chsh": outcome.best.chsh},
@@ -525,7 +511,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "violation_margin": VIOLATION_MARGIN,
         "restarts": outcome.restarts,
         "evaluations": outcome.evaluations,
-        "search_box": {p.name: [p.lo, p.hi] for p in family.params},
+        "search_box": {p.name: [p.lo, p.hi] for p in box},
         "simplex_diameter_tol": scan.DEFAULT_DIAMETER_TOL,
         "maxfev_per_restart": outcome.maxfev,
         "numeric_crosscheck": crosscheck,
@@ -534,7 +520,7 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
         "provenance": prov,
     }
     write_json(args.out, payload)
-    print(f"{family.kind}: best chsh = {outcome.best.chsh:.9g} "
+    print(f"{args.family}: best chsh = {outcome.best.chsh:.9g} "
           f"(ch = {outcome.best.ch:.3e}) over "
           f"{outcome.restarts} restarts "
           f"(violation_found={payload['violation_found']})")
@@ -586,10 +572,12 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
             "xi": quad.xi,
             "eta": quad.eta,
         },
-        "cross_terms": [asdict(term) for term in lambda_cross_terms(config)],
+        # each term's fields read shallowly: asdict's recursive copy took
+        # longer than building the listing
+        "cross_terms": [vars(term).copy() for term in lambda_cross_terms(config)],
         "numeric_crosscheck": crosscheck,
         "input_norm_loss": norm_loss,
-        "provenance": provenance(cfg, args),
+        "provenance": provenance(cfg, args, cfg.alpha_sq),
     }
     write_json(args.out, payload)
     print(f"c1 = {dec.c1:.9g}, psi1 tsirelson = "

@@ -98,7 +98,9 @@ def oscillators(config: ExperimentConfig) -> np.ndarray:
          math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)), n)
 
 
-@lru_cache(maxsize=512)
+# Only _pair_block(cutoff) calls this, with totals 0..cutoff+1 and
+# cutoff <= MAX_CUTOFF, so one slot per total holds every call it makes.
+@lru_cache(maxsize=MAX_CUTOFF + 2)
 def _mixing_eig(total: int):
     """Eigendecomposition of the two-mode mixing generator on the total-photon
     subspace with `total` photons (real symmetric tridiagonal, size total+1)."""

@@ -6,9 +6,10 @@ pi/2 and the angle difference at 3pi/4, leaving (alpha_sq, xi_plus_eta)
 free. The relaxed families free the four station angles and the per-party
 oscillator phases (`relaxed_phases`), and additionally the two per-party
 strengths (`relaxed_amplitudes`); oscillator strength never varies between
-one party's two settings.
+one party's two settings. FAMILIES holds each family's search box, a tuple
+of ParamSpec (name and bounds), by kind.
 
-A point of a family is its values in the family's params order, a simplex
+A point of a family is its values in the order of its box, a simplex
 vertex as it is. station_params unpacks it into the eight station
 parameters p = (alpha1_sq, alpha2_sq, phi1, phi2, xi, xi2, eta, eta2), the
 one parameter layer of both routes. The search runs on the plain-float closed
@@ -41,7 +42,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -65,34 +66,17 @@ class ParamSpec:
     hi: float
 
 
-@dataclass(frozen=True)
-class ConstraintFamily:
-    kind: str
-    params: tuple[ParamSpec, ...]
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-
 _ANGLE = (0.0, 2.0 * math.pi)
 _RELAXED_ANGLES = tuple(ParamSpec(name, *_ANGLE) for name in
                         ("xi", "xi2", "eta", "eta2", "phi1", "phi2"))
-FAMILIES: dict[str, ConstraintFamily] = {
-    "paper_baseline": ConstraintFamily(
-        "paper_baseline",
-        (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-         ParamSpec("xi_plus_eta", *_ANGLE)),
-    ),
-    "relaxed_phases": ConstraintFamily(
-        "relaxed_phases",
-        (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),) + _RELAXED_ANGLES,
-    ),
-    "relaxed_amplitudes": ConstraintFamily(
-        "relaxed_amplitudes",
-        (ParamSpec("alpha1_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
-         ParamSpec("alpha2_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX)) + _RELAXED_ANGLES,
-    ),
+FAMILIES: dict[str, tuple[ParamSpec, ...]] = {
+    "paper_baseline": (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
+                       ParamSpec("xi_plus_eta", *_ANGLE)),
+    "relaxed_phases": (ParamSpec("alpha_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
+                       *_RELAXED_ANGLES),
+    "relaxed_amplitudes": (ParamSpec("alpha1_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
+                           ParamSpec("alpha2_sq", ALPHA_SQ_MIN, ALPHA_SQ_MAX),
+                           *_RELAXED_ANGLES),
 }
 
 
@@ -106,7 +90,7 @@ class ScanRecord:
     chsh: float
 
 
-def get_family(kind: str) -> ConstraintFamily:
+def get_family(kind: str) -> tuple[ParamSpec, ...]:
     try:
         return FAMILIES[kind]
     except KeyError:
@@ -317,10 +301,11 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    family = get_family(kind)
-    lo = np.array([p.lo for p in family.params])
-    hi = np.array([p.hi for p in family.params])
-    starts = lo + latin_hypercube(restarts, len(family.params), seed) * (hi - lo)
+    box = get_family(kind)
+    names = [p.name for p in box]
+    lo = np.array([p.lo for p in box])
+    hi = np.array([p.hi for p in box])
+    starts = lo + latin_hypercube(restarts, len(box), seed) * (hi - lo)
     lo, hi = lo.tolist(), hi.tolist()
 
     def negative_chsh(x: list[float]) -> float:
@@ -334,7 +319,7 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
                                 DEFAULT_DIAMETER_TOL, maxfev)
         evaluations += calls
         ch, chsh = evaluate_point(kind, x)
-        trace.append(ScanRecord(r, dict(zip(family.names, x)), ch, chsh))
+        trace.append(ScanRecord(r, dict(zip(names, x)), ch, chsh))
         residual = max(residual, abs(numeric_point(kind, x, cutoff)[0] - ch))
     best = max(trace, key=lambda rec: (rec.chsh, -rec.index))
     return OptimizeOutcome(best, tuple(trace), evaluations, restarts, maxfev,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homodyne_bell
 from dense_oracle import input_support
-from fixtures.regenerate import SPLIT_FIXTURES, split_args
+from fixtures.regenerate import (DIGEST_FIXTURES, FIXTURE_RUNS, fixture_args,
+                                 report_name)
 from homodyne_bell import analytic, bell, cli, optics, scan
 from homodyne_bell.analytic import ClosedFormPoint, ch_closed, chsh_closed
 from homodyne_bell.cli import (MAX_RESTARTS, ORACLE_TOL, RunConfig, main,
@@ -48,6 +50,30 @@ def run_python(args, timeout=None):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path},
                           timeout=timeout)
+
+
+def pinned(command):
+    """Parametrize a test over the pinned fixtures of one command
+    (fixtures/regenerate.py), each id the fixture name after the command's."""
+    names = [name for name, (args, _) in FIXTURE_RUNS.items()
+             if args[0] == command]
+    return pytest.mark.parametrize("name", names, ids=[
+        name.removeprefix(f"{command}_").replace("_", "-") for name in names])
+
+
+def assert_matches_fixture(name, tmp_path, capsys):
+    """The fixture's run writes its pinned report and stdout byte for byte.
+    The fixtures were written by an earlier commit (fixtures/
+    regenerate.py): a byte that moves is an output change, to be listed in
+    CHANGES.md."""
+    out = tmp_path / "report"
+    assert run_cli(fixture_args(name, out, tmp_path)) == 0
+    if name in DIGEST_FIXTURES:
+        assert (hashlib.sha256(out.read_bytes()).hexdigest() + "\n"
+                == (FIXTURES / f"{name}.sha256").read_text())
+    else:
+        assert out.read_bytes() == (FIXTURES / report_name(name)).read_bytes()
+    assert capsys.readouterr().out == (FIXTURES / f"{name}.stdout").read_text()
 
 
 def count_printed_form_calls(monkeypatch):
@@ -176,6 +202,10 @@ def default_report(tmp_path_factory):
 
 
 class TestVerify:
+    @pinned("verify")
+    def test_report_bytes_pinned(self, tmp_path, capsys, name):
+        assert_matches_fixture(name, tmp_path, capsys)
+
     def test_default_checks_pass(self, tmp_path):
         cfg = write_config(tmp_path, QUICK_CONFIG)
         out = tmp_path / "report.json"
@@ -568,6 +598,10 @@ class TestTinyTail:
 
 
 class TestFigure:
+    @pinned("figure")
+    def test_report_bytes_pinned(self, tmp_path, capsys, name):
+        assert_matches_fixture(name, tmp_path, capsys)
+
     def test_header_rows_and_window(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert run_cli(["figure", "--grid", "20x20", "--out", out]) == 0
@@ -813,6 +847,10 @@ class TestFigure:
 
 
 class TestOptimize:
+    @pinned("optimize")
+    def test_report_bytes_pinned(self, tmp_path, capsys, name):
+        assert_matches_fixture(name, tmp_path, capsys)
+
     def test_baseline_reports_no_violation(self, tmp_path):
         out = tmp_path / "opt.json"
         assert run_cli(["optimize", "--family", "paper_baseline",
@@ -890,16 +928,9 @@ class TestSplit:
         assert term["alice_minus_one_reachable"] is True
         assert term["bob_minus_one_reachable"] is False
 
-    @pytest.mark.parametrize("name", list(SPLIT_FIXTURES), ids=[
-        name.removeprefix("split_").replace("_", "-") for name in SPLIT_FIXTURES])
+    @pinned("split")
     def test_report_bytes_pinned(self, tmp_path, capsys, name):
-        # the fixtures were written by an earlier commit (fixtures/
-        # regenerate.py): a byte that moves is an output change, to be
-        # listed in CHANGES.md
-        out = tmp_path / "split.json"
-        assert run_cli(split_args(SPLIT_FIXTURES[name], out, tmp_path)) == 0
-        assert out.read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
-        assert capsys.readouterr().out == (FIXTURES / f"{name}.stdout").read_text()
+        assert_matches_fixture(name, tmp_path, capsys)
 
     def test_oversized_dense_state_rejected(self, tmp_path, capsys):
         # alpha_sq 50 resolves to cutoff 108, above fock.MAX_CUTOFF = 63,

@@ -21,8 +21,7 @@ RELAXED = ("relaxed_phases", "relaxed_amplitudes")
 
 
 def box(kind):
-    params = FAMILIES[kind].params
-    return [p.lo for p in params], [p.hi for p in params]
+    return [p.lo for p in FAMILIES[kind]], [p.hi for p in FAMILIES[kind]]
 
 
 def starts(kind, seed, restarts):

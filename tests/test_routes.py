@@ -30,8 +30,8 @@ reaches optics.oscillators only through evaluate_settings, since
 lambda_cross_terms reads its weights off the Poisson terms.
 
 The same scan keeps one parameter layer: the paper's printed forms are
-named only where they are defined (analytic), tested and written (cli)
-and exported (__init__), so no search runs on them, and only bell reads
+named only where they are defined (analytic) and where they are tested
+and written (cli), so no search runs on them, and only bell reads
 HALF_PI, the offset of the standard quadruple (bell.SettingsQuadruple).
 
 The same scan keeps scipy out of the package: no package module imports
@@ -51,8 +51,10 @@ onto the record or split paths.
 And it keeps no dead code: every module-level function, class and constant
 of the package is reachable by name from cli.main, following each reached
 definition's body across modules, as reachable_names follows one module's
-functions. Only __init__'s __version__, __all__ and BLAS_THREAD_VARS are
-exempt: the package's metadata and its import-time thread setting.
+functions. Only __init__'s __version__ and BLAS_THREAD_VARS are exempt:
+the package's metadata and its import-time thread setting. And the package
+root stays those two: __init__ imports no package module, so it re-exports
+nothing and every caller imports a name from the module that defines it.
 """
 
 import ast
@@ -67,7 +69,7 @@ SRC = Path(homodyne_bell.__file__).resolve().parent
 FOCK_ROUTE = ("fock", "optics", "detection", "bell")
 PRINTED_FORMS = {"ClosedFormPoint", "ch_closed", "chsh_closed",
                  "local_prob_printed_variant"}
-PRINTED_FORM_READERS = {"analytic", "cli", "__init__"}
+PRINTED_FORM_READERS = {"analytic", "cli"}
 # (module, function) of the only @ products, both on float64 views
 REAL_PRODUCTS = {("detection", "read_pass"), ("optics", "mix_station")}
 BLAS_CALLS = {"vdot", "dot", "matmul", "einsum", "inner", "tensordot"}
@@ -78,8 +80,7 @@ PASS_LAYOUT = {"support_rows", "FAVORABLE_ROW"}
 # what cli.cmd_split must not reach: perfbench counts their calls exactly
 SPLIT_UNCOUNTED = ("evaluate_quadruple", "run_network")
 # module-level names that cli.main need not reach
-UNREACHED_EXEMPT = {("__init__", "__version__"), ("__init__", "__all__"),
-                    ("__init__", "BLAS_THREAD_VARS")}
+UNREACHED_EXEMPT = {("__init__", "__version__"), ("__init__", "BLAS_THREAD_VARS")}
 
 
 def parse_package():
@@ -266,7 +267,7 @@ def boundary_violations(trees):
             if (module, name) not in reached | UNREACHED_EXEMPT:
                 problems.append(f"{module}.{name} is unreachable from cli.main")
     package = (set(trees) - {"__init__"}) | {"homodyne_bell"}
-    for name in ("analytic", "detection"):
+    for name in ("analytic", "detection", "__init__"):
         for module in sorted(imported_modules(trees[name]) & package):
             problems.append(f"{name} imports {module}")
     for name in FOCK_ROUTE:
@@ -369,6 +370,8 @@ def test_route_boundary_holds():
      "analytic.Orphan is unreachable from cli.main"),
     ("bell", "UNUSED_LIMIT = 3\n", "bell.UNUSED_LIMIT is unreachable from cli.main"),
     ("scan", "SPARE: int = 4\n", "scan.SPARE is unreachable from cli.main"),
+    ("__init__", "from .scan import maximize_chsh\n", "__init__ imports scan"),
+    ("__init__", "from .analytic import ch_closed\n", "__init__ names ch_closed"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
         "row_order_copy", "row_order_inline", "second_pass_reader",
         "split_record_counted", "split_network_counted",
@@ -381,7 +384,8 @@ def test_route_boundary_holds():
         "linalg_det", "linalg_import_outside_mixing_eig",
         "split_second_oscillator_build", "unreachable_function",
         "unreachable_helper", "unreachable_class", "unreachable_constant",
-        "unreachable_annotated_constant"])
+        "unreachable_annotated_constant", "root_reexport",
+        "root_printed_form_reexport"])
 def test_scan_catches_a_crossing(module, source, problem):
     trees = parse_package()
     if module == "optics":

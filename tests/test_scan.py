@@ -38,14 +38,13 @@ TAIL_EPS = st.sampled_from((1e-12, 1e-6, 1e-4))
 
 @st.composite
 def relaxed_points(draw, kind):
-    """A point of a relaxed family: its values in the family's params
-    order."""
+    """A point of a relaxed family: its values in the order of its box."""
     values = {name: draw(ANGLES) for name in
               ("xi", "xi2", "eta", "eta2", "phi1", "phi2")}
     strengths = (("alpha_sq",) if kind == "relaxed_phases"
                  else ("alpha1_sq", "alpha2_sq"))
     values.update({name: draw(STRENGTHS) for name in strengths})
-    return [values[name] for name in FAMILIES[kind].names]
+    return [values[p.name] for p in FAMILIES[kind]]
 
 
 class TestFamilies:
@@ -60,7 +59,7 @@ class TestFamilies:
     def test_relaxed_amplitudes_one_strength_per_party(self):
         # each party has a single strength parameter shared by its two
         # settings; only xi/eta style angles come in setting pairs
-        names = get_family("relaxed_amplitudes").names
+        names = [p.name for p in get_family("relaxed_amplitudes")]
         assert "alpha1_sq" in names and "alpha2_sq" in names
         assert not any(n.startswith("alpha1_sq_") for n in names)
 
@@ -119,14 +118,14 @@ class TestStationParams:
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_missing_parameter_rejected_by_every_evaluator(self, kind):
         # a short vector: one value too few
-        values = [0.5] * (len(FAMILIES[kind].params) - 1)
+        values = [0.5] * (len(FAMILIES[kind]) - 1)
         for evaluate in (station_params, evaluate_point, numeric_point):
             with pytest.raises(ValueError, match="not enough values"):
                 evaluate(kind, values)
 
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_extra_value_rejected_by_every_evaluator(self, kind):
-        values = [0.5] * (len(FAMILIES[kind].params) + 1)
+        values = [0.5] * (len(FAMILIES[kind]) + 1)
         for evaluate in (station_params, evaluate_point, numeric_point):
             with pytest.raises(ValueError, match="too many values"):
                 evaluate(kind, values)
@@ -207,7 +206,7 @@ def baseline_grid(alpha_sq, xi_plus_eta):
             values = [float(a), float(t)]
             ch, chsh = evaluate_point("paper_baseline", values)
             records.append(ScanRecord(len(records), dict(zip(
-                FAMILIES["paper_baseline"].names, values)), ch, chsh))
+                (p.name for p in FAMILIES["paper_baseline"]), values)), ch, chsh))
     return records
 
 
