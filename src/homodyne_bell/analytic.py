@@ -41,7 +41,9 @@ them per cell on math, verify once on numpy arrays of all its draws), and
 e^{-2 alpha_sq} exponent. That exponent is inconsistent with the joint
 probability and the assembled CH form; the brute-force oracle adjudicates
 between it and the e^{-alpha_sq} of P_A above, and the verify command
-records the decision.
+records the decision. tests/test_derivation.py proves the same as an
+identity: the printed variant is P_A, derived from the splitter
+convention, times exactly e^{-alpha_sq}.
 
 The split report's numbers are closed forms too (chsh_decomposition, on
 plain floats). At one strength alpha_sq on both stations the input is
@@ -55,7 +57,12 @@ unit-norm residual. psi1's correlator is
 and its CHSH is that of the four setting pairs with signs +, +, -, +.
 Mixing and the favorable projector keep each station's photon number, so
 psi1 and lam never interfere: the full CHSH (2 + 4 CH) is c1^2 times
-psi1's part plus lam_coeff^2 times lam's, which gives lam's part.
+psi1's part plus lam_coeff^2 times lam's, which gives lam's part. psi1's
+maximal CHSH over all qubit measurements, the report's psi1_tsirelson, is
+the constant 2 sqrt 2: its spin correlation matrix T has T^T T = I at
+every phase. tests/test_derivation.py proves that and this correlator
+from the splitter convention, as sympy identities, as it proves the
+general forms, their factor helpers and the printed forms.
 
 Convention note: the phase difference dphi of the printed forms equals
 phi2 - phi1 of the oscillator phases (pinned by the reflection-phase
@@ -111,11 +118,12 @@ class ClosedFormPoint(_PointFields):
         return cls(*iterable)
 
 
-def local_prob_printed_variant(x: float, alpha_sq: float) -> float:
+def local_prob_printed_variant(x: float, alpha_sq: float, m=math) -> float:
     """The rejected e^{-2 alpha_sq} local-probability variant, retained only
-    so the erratum adjudication can quantify the discrepancy."""
-    return 0.5 * math.exp(-2.0 * alpha_sq) * (
-        alpha_sq * math.cos(x / 2.0) ** 2 + math.sin(x / 2.0) ** 2
+    so the erratum adjudication can quantify the discrepancy; m as in
+    ch_closed."""
+    return 0.5 * m.exp(-2.0 * alpha_sq) * (
+        alpha_sq * m.cos(x / 2.0) ** 2 + m.sin(x / 2.0) ** 2
     )
 
 
@@ -248,9 +256,9 @@ class ChshDecomposition:
                 + self.interference)
 
 
-def _psi1_correlator(sin_dphi, x, y):
-    """E(x, y) of psi1 on plain floats, sin_dphi = sin(phi2 - phi1)."""
-    return -math.cos(x) * math.cos(y) - math.sin(x) * math.sin(y) * sin_dphi
+def _psi1_correlator(sin_dphi, x, y, m=math):
+    """E(x, y) of psi1, sin_dphi = sin(phi2 - phi1); m as in ch_closed."""
+    return -m.cos(x) * m.cos(y) - m.sin(x) * m.sin(y) * sin_dphi
 
 
 def chsh_decomposition(alpha_sq, phi1, phi2, xi, xi2, eta, eta2

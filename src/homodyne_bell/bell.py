@@ -1,5 +1,4 @@
-"""CH and CHSH assembly, the split report's Fock-route pieces, and the
-two-qubit maximal-CHSH check for the entangled component.
+"""CH and CHSH assembly and the split report's Fock-route pieces.
 
 Everything here runs on station vectors, never on a 4-mode output array.
 The input state is sum_k w_k |alpha1, k>_A |alpha2, 1-k>_B with
@@ -16,10 +15,11 @@ the same readout, and bell defines neither of its own.
 The split report writes the symmetric input as c1*psi1 + lam_coeff*lam,
 psi1 the single-photon-per-station component and lam the unit-norm
 residual; its CHSH parts are analytic's closed forms, checked by one
-record. psi1's Tsirelson value comes from its 2x2 logical-qubit
-amplitudes (psi1_amplitudes), and lam's cross-term listing from the
-oscillators' Poisson terms (fock.poisson_terms) on the input's support,
-occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}: it builds no
+record. psi1's Tsirelson value is the constant 2 sqrt 2, proved for every
+phase in tests/test_derivation.py (psi1's spin correlation matrix T has
+T^T T = I), so nothing here computes it. lam's cross-term listing comes
+from the oscillators' Poisson terms (fock.poisson_terms) on the input's
+support, occupations (a1, b1, a2, b2) with b1, b2 in {0, 1}: it builds no
 amplitude, so the split report builds each oscillator once, in its one
 record.
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import PAIR_WEIGHTS, pair_probabilities, read_pass
+from .detection import pair_probabilities, read_pass
 from .fock import poisson_terms
 from .optics import ExperimentConfig, mix_station, oscillators
 
@@ -135,17 +135,6 @@ def evaluate_quadruple(config: ExperimentConfig,
     return evaluate_settings(config, *quad.settings)
 
 
-def psi1_amplitudes(config: ExperimentConfig) -> np.ndarray:
-    """psi1 = w_0 e^{i phi1} |1,0,0,1> + w_1 e^{i phi2} |0,1,1,0> (w =
-    detection.PAIR_WEIGHTS), the split's single-photon entangled component,
-    as a 2x2 logical-qubit amplitude matrix (rows Alice, columns Bob) in the
-    per-station encoding |1,0> -> logical 0, |0,1> -> logical 1."""
-    psi = np.zeros((2, 2), dtype=complex)
-    psi[0, 1], psi[1, 0] = PAIR_WEIGHTS * np.exp(
-        1j * np.array((config.phi1, config.phi2)))
-    return psi
-
-
 @dataclass(frozen=True)
 class CrossTerm:
     """One residual-state occupation with its weight and, per station,
@@ -197,12 +186,3 @@ def lambda_cross_terms(config: ExperimentConfig) -> list[CrossTerm]:
         ))
     return terms
 
-
-def tsirelson_two_qubit(psi: np.ndarray) -> float:
-    """Maximum CHSH value of a two-qubit pure state psi[Alice, Bob] over all
-    qubit measurements: 2 sqrt(1 + C^2) with C = 2 |psi00 psi11 - psi01 psi10| /
-    |psi|^2 its concurrence, which is the Horodecki value 2 sqrt(m1 + m2)
-    of the spin correlation matrix on pure states."""
-    det = psi[0, 0] * psi[1, 1] - psi[0, 1] * psi[1, 0]
-    concurrence = 2.0 * abs(det) / np.sum(np.abs(psi) ** 2)
-    return 2.0 * math.sqrt(1.0 + concurrence ** 2)

@@ -26,9 +26,7 @@ from .bell import (
     evaluate_quadruple,
     evaluate_settings,
     lambda_cross_terms,
-    psi1_amplitudes,
     reference_quadruple,
-    tsirelson_two_qubit,
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
@@ -555,7 +553,10 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
         "path": "analytic",
         "c1": dec.c1,
         "lam_coeff": dec.lam_coeff,
-        "psi1_tsirelson": tsirelson_two_qubit(psi1_amplitudes(config)),
+        # psi1's maximal CHSH over all qubit measurements is 2 sqrt 2 at
+        # every phase, a constant: tests/test_derivation.py proves it
+        # (test_psi1_tsirelson_is_two_sqrt2)
+        "psi1_tsirelson": 2.0 * math.sqrt(2.0),
         "chsh_lambda_reference_settings": dec.lam_part,
         # full = c1^2 psi1_part + lam_coeff^2 lam_part + interference at the
         # reference settings

@@ -7,11 +7,13 @@ module's rank-2 readout; from the same output the state split
 listing. The library mixes every station with optics.mix_station and
 reads every probability off each station's two mixed input terms without
 building the output or the input; it reads lam's listing off the drive's
-Poisson terms, psi1 as 2x2 logical-qubit amplitudes, and the split's CHSH
-parts from analytic's closed forms. The tests hold all of
-them to these brute-force forms. mix_station lays its images out on the
-photon-number support rows of detection.support_rows; on_square places
-them in the dense (N+1, N+1) output square the oracles index.
+Poisson terms and the split's CHSH parts from analytic's closed forms,
+and writes psi1's Tsirelson value as the constant that
+tests/test_derivation.py proves. The tests hold all of them to these
+brute-force forms, and read psi1's logical amplitudes from DenseSplit.
+mix_station lays its images out on the photon-number support rows of
+detection.support_rows; on_square places them in the dense (N+1, N+1)
+output square the oracles index.
 
 Dense input arrays are indexed [a1, b1, a2, b2] with every mode up to the
 cutoff N; dense outputs [c1, d1, c2, d2]."""

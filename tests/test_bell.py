@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import optimize as sciopt
 
 from dense_oracle import (
     dense_chsh_decomposition,
@@ -25,9 +24,7 @@ from homodyne_bell.bell import (
     evaluate_quadruple,
     evaluate_settings,
     lambda_cross_terms,
-    psi1_amplitudes,
     reference_quadruple,
-    tsirelson_two_qubit,
 )
 from homodyne_bell.cli import IDENTITY_TOL, ORACLE_TOL
 from homodyne_bell.detection import support_rows
@@ -48,48 +45,11 @@ C1_BY_ALPHA_SQ = {0.25: 0.38940039153570243, 0.5: 0.4288819424803534,
 CROSS_BY_ALPHA_SQ = {0.25: 0.14947185391803652, 0.5: 0.23738137751336144,
                      1.0: 0.27974778171566048, 2.0: 0.19499782310470082,
                      4.0: 0.051839241771809247}
-DAMPED_TSIRELSON = 2.8096257321932941
 
 
 # each station's single-photon occupations |1,0>, |0,1>: logical 0 and 1
 LOGICAL_BASIS = ((1, 0), (0, 1))
 PSI1_OCCUPATIONS = {(1, 0, 0, 1), (0, 1, 1, 0)}
-
-
-def two_term_psi(amp_first, amp_second):
-    """Logical amplitudes of amp_first |1,0,0,1> + i amp_second |0,1,1,0>."""
-    return np.array([[0.0, amp_first], [1j * amp_second, 0.0]], dtype=complex)
-
-
-def qubit_chsh_search_oracle(psi, seed, starts=24):
-    """Independent check of the qubit CHSH maximum: optimize the four Bloch
-    measurement directions directly."""
-    paulis = [np.array([[0, 1], [1, 0]], dtype=complex),
-              np.array([[0, -1j], [1j, 0]], dtype=complex),
-              np.array([[1, 0], [0, -1]], dtype=complex)]
-
-    def bloch_op(theta, phi):
-        n = (math.sin(theta) * math.cos(phi),
-             math.sin(theta) * math.sin(phi), math.cos(theta))
-        return sum(c * p for c, p in zip(n, paulis))
-
-    def expectation(op_a, op_b):
-        return np.einsum("ab,aA,bB,AB->", psi.conj(), op_a, op_b, psi).real
-
-    def negative_chsh(x):
-        a, a2, b, b2 = (bloch_op(x[2 * k], x[2 * k + 1]) for k in range(4))
-        return -(expectation(a, b) + expectation(a2, b)
-                 + expectation(a, b2) - expectation(a2, b2))
-
-    rng = np.random.default_rng(seed)
-    best = -4.0
-    for _ in range(starts):
-        x0 = rng.uniform(0, 2 * math.pi, 8)
-        res = sciopt.minimize(negative_chsh, x0, method="Nelder-Mead",
-                              options={"xatol": 1e-12, "fatol": 1e-14,
-                                       "maxfev": 4000})
-        best = max(best, -res.fun)
-    return best
 
 
 def closed_split(config, quad):
@@ -397,9 +357,8 @@ class TestCoincidentSettings:
 
 class TestStateSplit:
     """The split full = c1*psi1 + lam_coeff*lam as the report reads it: c1
-    and lam_coeff off analytic.chsh_decomposition, psi1 as logical amplitudes
-    (psi1_amplitudes) and lam through its listing (lambda_cross_terms),
-    held to the dense split."""
+    and lam_coeff off analytic.chsh_decomposition and lam through its listing
+    (lambda_cross_terms), held to the dense split."""
 
     @pytest.mark.parametrize("alpha_sq", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_entangled_weight(self, alpha_sq):
@@ -414,11 +373,12 @@ class TestStateSplit:
         # lam_coeff times each listed magnitude the input's modulus there
         cfg = symmetric_config(alpha_sq, 0.8)
         dec = closed_split(cfg, reference_quadruple())
-        dense = on_support(dense_split_state(cfg).full)
-        psi = dec.c1 * psi1_amplitudes(cfg)
-        for i, occ_a in enumerate(LOGICAL_BASIS):
-            for j, occ_b in enumerate(LOGICAL_BASIS):
-                assert abs(psi[i, j] - dense[occ_a + occ_b]) < 1e-10
+        split = dense_split_state(cfg)
+        dense = on_support(split.full)
+        for occ_a in LOGICAL_BASIS:
+            for occ_b in LOGICAL_BASIS:
+                assert abs(dec.c1 * split.psi1[occ_a + occ_b]
+                           - dense[occ_a + occ_b]) < 1e-10
         for term in lambda_cross_terms(cfg):
             assert abs(dec.lam_coeff * term.magnitude
                        - abs(dense[term.occupation])) < 1e-10
@@ -452,17 +412,21 @@ class TestStateSplit:
     @DENSE_SPLIT_SETTINGS
     @given(config=equal_drives())
     def test_support_holds_dense_state(self, config):
-        # the same operations in the same order: psi1's amplitudes are the
-        # dense psi1's two entries to the last bit, the dense psi1 holds
-        # nothing else, and c1, lam_coeff are the dense split's
-        psi = psi1_amplitudes(config)
+        # the dense psi1 holds nothing off the logical occupations, is
+        # unit-norm there with concurrence 2 |det| = 1 (maximally entangled,
+        # the 2 sqrt 2 of tests/test_derivation.py), and c1, lam_coeff are
+        # the dense split's
         dense = dense_split_state(config)
         rest = dense.psi1.copy()
+        psi = np.zeros((2, 2), dtype=complex)
         for i, occ_a in enumerate(LOGICAL_BASIS):
             for j, occ_b in enumerate(LOGICAL_BASIS):
-                assert psi[i, j] == dense.psi1[occ_a + occ_b]
+                psi[i, j] = dense.psi1[occ_a + occ_b]
                 rest[occ_a + occ_b] = 0.0
         assert not np.any(rest)
+        assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-15)
+        assert 2.0 * abs(psi[0, 0] * psi[1, 1] - psi[0, 1] * psi[1, 0]) == \
+            pytest.approx(1.0, abs=1e-15)
         dec = closed_split(config, reference_quadruple())
         assert (dec.c1, dec.lam_coeff) == (dense.c1, dense.lam_coeff)
 
@@ -631,61 +595,3 @@ class TestDecomposition:
         assert abs(ref.interference) < 1e-12
         assert (dec.c1, dec.lam_coeff) == (ref.c1, ref.lam_coeff)
 
-
-PAULIS = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-          np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-          np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-
-
-def pauli_tsirelson(psi):
-    """Horodecki's maximal CHSH of a two-qubit pure state psi[a, b]:
-    2 sqrt(m1 + m2), m1, m2 the two largest eigenvalues of T^T T with T the
-    3x3 spin correlation matrix."""
-    psi = psi / np.linalg.norm(psi)
-    t = np.array([[np.einsum("ab,aA,bB,AB->", psi.conj(), si, sj, psi).real
-                   for sj in PAULIS] for si in PAULIS])
-    lams = np.linalg.eigvalsh(t.T @ t)[::-1]
-    return 2.0 * math.sqrt(max(lams[0], 0.0) + max(lams[1], 0.0))
-
-
-AMPLITUDE = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-
-
-class TestTsirelson:
-    @PROPERTY_SETTINGS
-    @given(amps=st.tuples(AMPLITUDE, AMPLITUDE, AMPLITUDE, AMPLITUDE).filter(
-        lambda amps: sum(re * re + im * im for re, im in amps) > 1e-3))
-    def test_matches_pauli_correlation_form(self, amps):
-        psi = np.array([complex(*a) for a in amps]).reshape(2, 2)
-        assert tsirelson_two_qubit(psi) == pytest.approx(
-            pauli_tsirelson(psi), abs=1e-12)
-
-    def test_product_state_reaches_classical_bound(self):
-        product = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        assert tsirelson_two_qubit(product) == pytest.approx(2.0, abs=1e-12)
-
-    @PROPERTY_SETTINGS
-    @given(config=equal_drives())
-    def test_entangled_component_saturates_quantum_bound(self, config):
-        assert tsirelson_two_qubit(psi1_amplitudes(config)) == pytest.approx(
-            TWO_SQRT2, abs=1e-12)
-
-    def test_phase_invariance(self):
-        values = [tsirelson_two_qubit(two_term_psi(
-            math.cos(0.25 * math.pi) * np.exp(1j * phi1),
-            math.sin(0.25 * math.pi) * np.exp(1j * phi2)))
-            for phi1, phi2 in ((0.0, 0.0), (1.2, 0.4), (5.9, 3.3))]
-        assert max(values) - min(values) < 1e-10
-
-    def test_damped_state_between_bounds(self):
-        norm = math.sqrt(0.5 + 0.36)
-        value = tsirelson_two_qubit(
-            two_term_psi((1 / math.sqrt(2)) / norm, 0.6 / norm))
-        assert value == pytest.approx(DAMPED_TSIRELSON, abs=1e-12)
-        assert 2.0 < value < TWO_SQRT2
-
-    def test_damped_state_against_search_oracle(self):
-        norm = math.sqrt(0.5 + 0.36)
-        psi = two_term_psi((1 / math.sqrt(2)) / norm, 0.6 / norm)
-        found = qubit_chsh_search_oracle(psi, seed=24)
-        assert found == pytest.approx(tsirelson_two_qubit(psi), abs=1e-6)

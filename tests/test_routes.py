@@ -34,10 +34,11 @@ named only where they are defined (analytic) and where they are tested
 and written (cli), so no search runs on them, and only bell reads
 HALF_PI, the offset of the standard quadruple (bell.SettingsQuadruple).
 
-The same scan keeps scipy out of the package: no package module imports
-it, at module level or inside a function body, so no command loads it.
-scipy is a test dependency only, the oracle the search's Nelder-Mead port
-is held to.
+The same scan keeps scipy and sympy out of the package: no package module
+imports either, at module level or inside a function body, so no command
+loads them. Both are test dependencies only: scipy is the oracle the
+search's Nelder-Mead port is held to, and sympy proves the closed forms
+(tests/test_derivation.py).
 
 And it keeps complex BLAS off every path: a complex product (zgemm) slows
 the plain-float libm work after it (detection's module docstring). The @
@@ -79,6 +80,8 @@ LINALG_USERS = {("optics", "_mixing_eig")}
 PASS_LAYOUT = {"support_rows", "FAVORABLE_ROW"}
 # what cli.cmd_split must not reach: perfbench counts their calls exactly
 SPLIT_UNCOUNTED = ("evaluate_quadruple", "run_network")
+# test dependencies that no package module may import
+TEST_ONLY = ("scipy", "sympy")
 # module-level names that cli.main need not reach
 UNREACHED_EXEMPT = {("__init__", "__version__"), ("__init__", "BLAS_THREAD_VARS")}
 
@@ -274,8 +277,9 @@ def boundary_violations(trees):
         if "analytic" in imported_modules(trees[name]):
             problems.append(f"{name} imports analytic")
     for name, tree in trees.items():
-        if "scipy" in absolute_imports(tree):
-            problems.append(f"{name} imports scipy")
+        for dependency in TEST_ONLY:
+            if dependency in absolute_imports(tree):
+                problems.append(f"{name} imports {dependency}")
         names = referenced_names(tree)
         if name not in PRINTED_FORM_READERS:
             for form in sorted(PRINTED_FORMS & names):
@@ -340,6 +344,9 @@ def test_route_boundary_holds():
     ("optics", "from .analytic import probs_point\n", "optics imports analytic"),
     ("scan", "from scipy import optimize\n", "scan imports scipy"),
     ("cli", "if True:\n    import scipy.stats.qmc\n", "cli imports scipy"),
+    ("analytic", "import sympy\n", "analytic imports sympy"),
+    ("analytic", "def proof(x):\n    from sympy import simplify\n"
+                 "    return simplify(x)\n", "analytic imports sympy"),
     ("scan", "from .analytic import ch_closed\n", "scan names ch_closed"),
     ("bell", "def f(analytic):\n    return analytic.ClosedFormPoint\n",
      "bell names ClosedFormPoint"),
@@ -352,9 +359,9 @@ def test_route_boundary_holds():
      "cli calls vdot"),
     ("bell", "from numpy import einsum\nx = einsum('ij,ij', a, b)\n",
      "bell calls einsum"),
-    ("bell", "import numpy as np\ndef tsirelson_two_qubit(psi):\n"
-             "    return abs(np.linalg.det(psi))\n",
-     "bell.tsirelson_two_qubit uses numpy.linalg"),
+    ("bell", "import numpy as np\ndef concurrence(psi):\n"
+             "    return 2.0 * abs(np.linalg.det(psi))\n",
+     "bell.concurrence uses numpy.linalg"),
     ("optics", "import numpy as np\ndef _mixing_eig(total):\n"
                "    return np.linalg.eigh(total)\n"
                "def mix_station(lo, angles):\n"
@@ -378,6 +385,7 @@ def test_route_boundary_holds():
         "analytic_import", "analytic_module_import", "detection_import",
         "detection_package_import",
         "optics_import", "scipy_import", "scipy_nested_import",
+        "sympy_import", "sympy_nested_import",
         "printed_form_import", "printed_form_attribute", "half_pi_import",
         "half_pi_attribute", "matmul_outside_real_products",
         "matmul_nested_in_read_pass", "vdot_call", "einsum_call",
