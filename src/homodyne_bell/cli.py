@@ -30,7 +30,7 @@ from .bell import (
     REFERENCE_DPHI,
     REFERENCE_XI_MINUS_ETA,
 )
-from .fock import MAX_ALPHA_SQ, CutoffSpec, poisson_mass
+from .fock import MAX_ALPHA_SQ, CutoffSpec, poisson_terms
 from .optics import ExperimentConfig, run_network, symmetric_config
 from .scan import ALPHA_SQ_MAX, FAMILIES, get_family, maximize_chsh
 
@@ -305,12 +305,14 @@ def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]
 
 def _input_norm(config: ExperimentConfig) -> float:
     """The network input's norm on the truncated space: the product of the
-    two stations' Poisson sums up to the cutoff (fock.poisson_mass), taken
-    without building the amplitudes the network mixes, so an oscillator
-    build that is off in its norm shows against it. verify's
-    network_unitarity and split's input_norm_loss both measure against it."""
-    mass_a, mass_b = poisson_mass((config.alpha1_sq, config.alpha2_sq),
-                                  config.resolve_cutoff())
+    two stations' Poisson sums up to the cutoff (row sums of
+    fock.poisson_terms), taken without building the amplitudes the network
+    mixes, so an oscillator build that is off in its norm shows against it.
+    1 minus a drive's sum is its dropped tail, which 1 - sum |c_n|^2 would
+    miss by about 4e-15 at alpha_sq = 22. verify's network_unitarity and
+    split's input_norm_loss both measure against it."""
+    mass_a, mass_b = poisson_terms((config.alpha1_sq, config.alpha2_sq),
+                                   config.resolve_cutoff()).sum(axis=1).tolist()
     return mass_a * mass_b
 
 

@@ -10,7 +10,8 @@ for the station engine (bell) and for the verification oracles' network
 (optics.run_network) alike. A pass holds only the outputs (c, d) that
 conserve photon number, c + d = t <= N + 1 with c, d <= N, as rows in
 support_rows' order: by t, then by c, so each total is one run of rows
-and (1, 0) is row 2. read_pass reads every setting of a pass at once,
+and (1, 0) is row 2; optics reads that order once per cutoff, in its
+cached _pair_block. read_pass reads every setting of a pass at once,
 reducing each to the Gram matrix G of its terms and their favorable
 amplitudes f at (c, d) = (1, 0), exactly one photon at the counting port
 and none at the veto port, the -1 outcome. With W = conj(w) w^T each
@@ -42,7 +43,6 @@ The module imports no other module of the package.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,10 +59,10 @@ _WEIGHTS = PAIR_WEIGHTS.tolist()
 FAVORABLE_ROW = 2
 
 
-@lru_cache(maxsize=64)  # a slot per cutoff an engine accepts, up to 63
 def support_rows(cutoff: int) -> np.ndarray:
     """(t, c) of every output row of a mix_station pass cut at `cutoff`, as
-    two read-only rows: row r holds the occupation (c[r], t[r] - c[r])."""
+    two read-only rows: row r holds the occupation (c[r], t[r] - c[r]).
+    Uncached: its one caller, optics._pair_block, is cached."""
     rows = np.array([(t, c) for t in range(cutoff + 2)
                      for c in range(max(0, t - cutoff), min(t, cutoff) + 1)]).T.copy()
     rows.setflags(write=False)

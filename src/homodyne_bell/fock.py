@@ -8,7 +8,7 @@ calls, each with its own readers: the stations' oscillators
 (optics.oscillators) take only the amplitudes (coherent_amplitudes), and
 the terms p_0..p_N (poisson_terms), taken on real numbers with no
 amplitude built, give the split's residual listing its weights
-(bell.lambda_cross_terms) and, summed (poisson_mass), verify's
+(bell.lambda_cross_terms) and, summed by row (cli._input_norm), verify's
 network_unitarity check the input's norm apart from the amplitudes the
 network mixes.
 """
@@ -102,23 +102,20 @@ class CutoffSpec:
         return n
 
 
-def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
-    """Truncated coherent amplitudes c_0..c_cutoff, read-only.
+def coherent_amplitudes(alphas, cutoff: int) -> np.ndarray:
+    """Truncated coherent amplitudes c_0..c_cutoff, read-only, one row per
+    amplitude in alphas (a sequence, one per station).
 
     c_n = e^{-|a|^2/2} a^n / sqrt(n!), the running product (cumprod, no
     loop and no factorials) of e^{-|a|^2/2}, a / sqrt(1), ...,
-    a / sqrt(cutoff). alpha is one amplitude, or a tuple or list of them
-    (one per station): then every row comes from the same cumprod and the
-    result is (len(alpha), cutoff + 1), each row bit for bit the row of a
-    call with that amplitude alone. A non-finite alpha is refused before
-    any allocation. The Poisson terms are not taken here: the stations'
-    oscillators (optics.oscillators) need only the amplitudes, and the
-    terms come from poisson_terms.
+    a / sqrt(cutoff), every row in the same cumprod and bit for bit the row
+    of a call with its amplitude alone. A non-finite amplitude is refused
+    before any allocation. The Poisson terms are not taken here: the
+    stations' oscillators (optics.oscillators) need only the amplitudes,
+    and the terms come from poisson_terms.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    several = isinstance(alpha, (tuple, list))
-    alphas = tuple(alpha) if several else (alpha,)
     heads = []
     for a in alphas:
         if not cmath.isfinite(a):
@@ -133,7 +130,7 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     factors[:, 1:] = np.divide.outer(alphas, np.sqrt(np.arange(1.0, cutoff + 1)))
     amps = factors.cumprod(axis=1)
     amps.setflags(write=False)
-    return amps if several else amps[0]
+    return amps
 
 
 def poisson_terms(alpha_sq, cutoff: int) -> np.ndarray:
@@ -146,11 +143,3 @@ def poisson_terms(alpha_sq, cutoff: int) -> np.ndarray:
     terms[:, 0] = [math.exp(-m) for m in alpha_sq]
     terms[:, 1:] = np.divide.outer(alpha_sq, np.arange(1.0, cutoff + 1))
     return terms.cumprod(axis=1)
-
-
-def poisson_mass(alpha_sq, cutoff: int) -> list[float]:
-    """sum p_0..p_cutoff of Poisson(alpha_sq) for each of the drives
-    alpha_sq (a sequence): the row sums of poisson_terms. 1 minus it is the
-    drive's dropped tail, which 1 - sum |c_n|^2 would miss by about 4e-15
-    at alpha_sq = 22."""
-    return poisson_terms(alpha_sq, cutoff).sum(axis=1).tolist()

@@ -24,10 +24,12 @@ station input reach, in the row order detection decides
 output square. The mixing generator's spectrum is exact, so one real
 product of a per-cutoff eigenvector table, built on those rows, with every
 setting's phases gives the block columns a station input reaches, and one
-elementwise product applies the input. The station engine (bell) mixes all
-four settings of a record in one pass, and the verification oracles'
-network (run_network) both stations' settings in one; detection.read_pass
-reads either pass out in the term order detection decides.
+elementwise product applies the input; the table's one cached call
+(_pair_block) also gives the rows' totals, a pass's whole layout. The
+station engine (bell) mixes all four settings of a record in one pass,
+and the verification oracles' network (run_network) both stations'
+settings in one; detection.read_pass reads either pass out in the term
+order detection decides.
 """
 
 from __future__ import annotations
@@ -116,12 +118,13 @@ def _mixing_eig(total: int):
 
 
 # The mixing table of one cutoff: 2 (N+2) eigenvector products per output
-# row of the photon-number support (2.2 MB at N = 63), the phase exponents
-# and the input index; an engine touches a few cutoffs, so one slot per
-# cutoff bounds the cache.
+# row of the photon-number support (2.2 MB at N = 63), the phase exponents,
+# the input index and each row's total; an engine touches a few cutoffs,
+# so one slot per cutoff bounds the cache.
 @lru_cache(maxsize=MAX_CUTOFF)
-def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angle-free mixing table of a station cut at `cutoff`, read-only.
+def _pair_block(cutoff: int) -> tuple[np.ndarray, ...]:
+    """Angle-free mixing table and row layout of a station cut at
+    `cutoff`, read-only: the one reader of detection.support_rows.
 
     Within total photon number t the mixing generator is 2 J_x of spin
     t / 2: its eigenvalues are exactly 2j - t, j = 0..t, so with the
@@ -138,7 +141,8 @@ def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     - exponents: i j for j = 0..N+1, then -i t / 2 for t = 0..N+1, the
       phases' exponents per unit angle;
     - source[t, s] = t - s clipped to [0, N]: the lo count of input (t, s),
-      clipped only where prod is zero.
+      clipped only where prod is zero;
+    - total[r] = t of output row r = (t, c), support_rows' first row.
     """
     totals = cutoff + 2
     total, c = support_rows(cutoff)
@@ -157,7 +161,7 @@ def _pair_block(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     source = np.clip(steps[:, None] - np.arange(2), 0, cutoff)
     for array in (prod, exponents, source):
         array.setflags(write=False)
-    return prod, exponents, source
+    return prod, exponents, source, total
 
 
 def mix_station(lo: np.ndarray, angles) -> np.ndarray:
@@ -174,8 +178,8 @@ def mix_station(lo: np.ndarray, angles) -> np.ndarray:
     output that can be nonzero: (N+1)(N+2)/2 + N of the (N+1)^2.
 
     Every setting and every total t <= N + 1 is mixed in one pass over the
-    cutoff's _pair_block table, with no loop: one real product of the
-    eigenvector products with the phases e^{i theta j} of every angle, as
+    cutoff's _pair_block table and row totals, with no loop: one real
+    product of the eigenvector products with the phases e^{i theta j}, as
     (cos, sin) pairs, gives each row's two block columns M[(t, c), s] up
     to the phase e^{-i theta t / 2}, and one elementwise product with that
     phase and the input lo[t - s] gives the images. That is O(N^3) per
@@ -187,8 +191,7 @@ def mix_station(lo: np.ndarray, angles) -> np.ndarray:
     if stride < 2:
         raise ValueError("station cutoff must be >= 1 to hold the ph-port photon")
     totals = stride + 1
-    prod, exponents, source = _pair_block(stride - 1)
-    total = support_rows(stride - 1)[0]
+    prod, exponents, source, total = _pair_block(stride - 1)
     phases = np.exp(np.multiply.outer(exponents, angles))
     # the phases e^{i theta j} read as (cos, sin) pairs, and the product
     # read back as complex block columns

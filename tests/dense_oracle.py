@@ -129,9 +129,9 @@ def dense_split_state(config: ExperimentConfig) -> DenseSplit:
     c1 = alpha * math.exp(-a2)
     lam_coeff = math.sqrt(1.0 - a2 * math.exp(-2.0 * a2))
     n = config.resolve_cutoff()
-    lo1 = coherent_amplitudes(alpha * cmath.exp(1j * config.phi1), n)
-    lo2 = coherent_amplitudes(math.sqrt(config.alpha2_sq)
-                              * cmath.exp(1j * config.phi2), n)
+    lo1, lo2 = coherent_amplitudes(
+        (alpha * cmath.exp(1j * config.phi1),
+         math.sqrt(config.alpha2_sq) * cmath.exp(1j * config.phi2)), n)
     z = 1.0 / math.sqrt(2.0)
     pair = np.zeros((n + 1, n + 1), dtype=complex)
     pair[0, 1], pair[1, 0] = z, 1j * z

@@ -235,20 +235,20 @@ class TestStationFactorization:
         # the closed binomial columns build the same terms with no blocks
         # at all
         alpha = math.sqrt(alpha_sq) * np.exp(1j * phase)
-        lo = coherent_amplitudes(alpha, cutoff)
-        images = mix_station(lo[None], (theta,))
+        lo = coherent_amplitudes((alpha,), cutoff)
+        images = mix_station(lo, (theta,))
         assert images.shape == (len(support_rows(cutoff)[0]), 2, 1)
         images = on_square(images, cutoff)
         unitary = pair_unitary(theta, cutoff, cutoff)
         closed = dense_station_columns(theta, cutoff)
         for s in (0, 1):
             station = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-            station[:, s] = lo
+            station[:, s] = lo[0]
             full = (unitary @ station.reshape(-1)).reshape(station.shape)
             assert np.max(np.abs(images[:, :, s, 0] - full)) <= 1e-15
             # mix_station's eigendecomposed mixing carries up to ~6e-15 of
             # rounding (test_optics.TestStationColumns)
-            independent = np.tensordot(closed[:, :, :, s], lo, axes=(2, 0))
+            independent = np.tensordot(closed[:, :, :, s], lo[0], axes=(2, 0))
             assert np.max(np.abs(images[:, :, s, 0] - independent)) <= 1e-14
 
     def test_station_needs_room_for_the_photon(self):

@@ -19,7 +19,7 @@ from homodyne_bell.detection import (
     read_pass,
     support_rows,
 )
-from homodyne_bell.fock import CutoffSpec, coherent_amplitudes, poisson_mass
+from homodyne_bell.fock import CutoffSpec, coherent_amplitudes, poisson_terms
 from homodyne_bell.optics import (
     MAX_CUTOFF,
     ExperimentConfig,
@@ -271,6 +271,14 @@ class TestMixStation:
         info = _pair_block.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 49)
 
+    def test_table_holds_the_row_totals(self):
+        # a pass takes its row layout from the cached table alone: each
+        # row's total t, support_rows' first row, read-only like the table
+        for cutoff in range(1, MAX_CUTOFF + 1):
+            total = _pair_block(cutoff)[3]
+            assert np.array_equal(total, support_rows(cutoff)[0])
+            assert not total.flags.writeable
+
 
 class TestStationColumns:
     """mix_station's columns on the input support against two references
@@ -322,11 +330,10 @@ class TestApplyBeamsplitter:
 
     def test_coherent_input_splits_into_coherent_product(self):
         beta, theta, cutoff = 1.0, 1.1, 14
-        lo = coherent_amplitudes(beta, cutoff)
+        lo, lo_c, lo_d = coherent_amplitudes(
+            (beta, cos(theta / 2.0) * beta, 1j * sin(theta / 2.0) * beta), cutoff)
         out = np.tensordot(mixed_columns(theta, cutoff)[..., 0], lo, axes=(2, 0))
-        expected = np.multiply.outer(
-            coherent_amplitudes(cos(theta / 2.0) * beta, cutoff),
-            coherent_amplitudes(1j * sin(theta / 2.0) * beta, cutoff))
+        expected = np.multiply.outer(lo_c, lo_d)
         # the truncated input has no pair totals above the cutoff, so the
         # product form holds on the total <= cutoff sector
         diff = np.abs(out - expected)
@@ -402,7 +409,7 @@ class TestInputState:
     def test_norm_is_one_minus_tail(self):
         cfg = ExperimentConfig(1.0, 1.0, 0.0, 0.0, CutoffSpec(n_max=14))
         s = input_support(cfg)
-        tail = 2.0 * (1.0 - poisson_mass((1.0,), 14)[0])
+        tail = 2.0 * (1.0 - poisson_terms((1.0,), 14).sum(axis=1)[0])
         assert tail < 2e-12
         assert np.vdot(s, s).real == pytest.approx(1.0 - tail, abs=1e-14)
 
@@ -446,8 +453,8 @@ class TestInputState:
         rows = oscillators(cfg)
         assert rows.shape == (2, cutoff + 1) and not rows.flags.writeable
         for row, a_sq, phi in zip(rows, alpha_sq, phases):
-            amps = coherent_amplitudes(math.sqrt(a_sq) * cmath.exp(1j * phi), cutoff)
-            assert row.tobytes() == amps.tobytes()
+            amp = math.sqrt(a_sq) * cmath.exp(1j * phi)
+            assert row.tobytes() == coherent_amplitudes((amp,), cutoff)[0].tobytes()
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
@@ -509,9 +516,9 @@ class TestNetwork:
         cfg = ExperimentConfig(a1_sq, a2_sq, phi1, phi2,
                                CutoffSpec(tail_eps=tail_eps))
         n = cfg.resolve_cutoff()
-        lo1 = coherent_amplitudes(math.sqrt(a1_sq) * np.exp(1j * phi1), n)
-        lo2 = coherent_amplitudes(math.sqrt(a2_sq) * np.exp(1j * phi2), n)
-        images = on_square(mix_station(np.stack((lo1, lo2)), (xi, eta)), n)
+        lo = coherent_amplitudes((math.sqrt(a1_sq) * np.exp(1j * phi1),
+                                  math.sqrt(a2_sq) * np.exp(1j * phi2)), n)
+        images = on_square(mix_station(lo, (xi, eta)), n)
         # term k holds k photons at Alice's ph port and 1 - k at Bob's
         a_k, b_k = images[:, :, :, 0], images[:, :, ::-1, 1]
         factorized = np.einsum("k,cdk,euk->cdeu", PAIR_WEIGHTS, a_k, b_k)

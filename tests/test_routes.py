@@ -13,10 +13,13 @@ package module: the modules that mix read out through it, not the other
 way round. detection also defines a pass's output row order
 (support_rows), and no other module does: optics builds its mixing table
 (_pair_block) and lays out its passes (mix_station) on the rows it reads
-from there. Within detection, read_pass is the one pass reader: no other
-function of it reads a pass's row layout (support_rows, FAVORABLE_ROW), so
-no second readout of the Fock route comes back beside it. An AST scan of
-the package sources enforces all six.
+from there. Only the cached _pair_block calls support_rows, so every pass
+takes its whole layout from that one table, and only optics.oscillators
+calls fock.coherent_amplitudes, the one site that builds the stations'
+amplitudes (ONLY_CALLERS). Within detection, read_pass is the one pass
+reader: no other function of it reads a pass's row layout (support_rows,
+FAVORABLE_ROW), so no second readout of the Fock route comes back beside
+it. An AST scan of the package sources enforces each of these.
 
 The split report answers from the closed forms and is checked by one
 record, bell.evaluate_settings: cli.cmd_split reaches neither
@@ -78,6 +81,9 @@ BLAS_CALLS = {"vdot", "dot", "matmul", "einsum", "inner", "tensordot"}
 LINALG_USERS = {("optics", "_mixing_eig")}
 # names of a pass's row layout, which only detection.read_pass reads
 PASS_LAYOUT = {"support_rows", "FAVORABLE_ROW"}
+# (module, function) of the one call site of each name
+ONLY_CALLERS = {"support_rows": ("optics", "_pair_block"),
+                "coherent_amplitudes": ("optics", "oscillators")}
 # what cli.cmd_split must not reach: perfbench counts their calls exactly
 SPLIT_UNCOUNTED = ("evaluate_quadruple", "run_network")
 # test dependencies that no package module may import
@@ -232,6 +238,14 @@ def reads_pass_layout(node):
     return isinstance(node, ast.Name) and node.id in PASS_LAYOUT
 
 
+def calls(name):
+    """A hit for owners: a call of `name`, as a bare name or an attribute."""
+    def hit(node):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    return hit
+
+
 def called_names(tree):
     """Names of everything a module calls, as a bare name or an attribute."""
     return {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
@@ -294,6 +308,10 @@ def boundary_violations(trees):
                 problems.append(f"{name}.{owner} uses numpy.linalg")
         for call in sorted(BLAS_CALLS & called_names(tree)):
             problems.append(f"{name} calls {call}")
+        for callee, site in ONLY_CALLERS.items():
+            for owner in sorted(set(owners(tree, calls(callee)))):
+                if (name, owner) != site:
+                    problems.append(f"{name}.{owner} calls {callee}")
     return problems
 
 
@@ -327,6 +345,18 @@ def test_route_boundary_holds():
                "def run_network(config, xi, eta):\n"
                "    return read_pass(mix_station(config, xi), 1)\n",
      "_pair_block does not read support_rows"),
+    ("optics", "from .detection import read_pass, support_rows\n"
+               "def _pair_block(cutoff):\n    return support_rows(cutoff)\n"
+               "def mix_station(lo, angles):\n"
+               "    prod = _pair_block(lo.shape[1] - 1)\n"
+               "    return prod, support_rows(lo.shape[1] - 1)[0]\n"
+               "def run_network(config, xi, eta):\n"
+               "    return read_pass(mix_station(config, xi), 1)\n",
+     "optics.mix_station calls support_rows"),
+    ("cli", "def _input_norm(config):\n"
+            "    lo = fock.coherent_amplitudes((1.0, 1.0), 4)\n"
+            "    return (abs(lo) ** 2).sum()\n",
+     "cli._input_norm calls coherent_amplitudes"),
     ("detection", "def station_blocks(images, cutoff, alice):\n"
                   "    return images[FAVORABLE_ROW], support_rows(cutoff)\n",
      "detection.station_blocks reads a pass"),
@@ -380,7 +410,8 @@ def test_route_boundary_holds():
     ("__init__", "from .scan import maximize_chsh\n", "__init__ imports scan"),
     ("__init__", "from .analytic import ch_closed\n", "__init__ names ch_closed"),
 ], ids=["import", "attribute", "package_import", "module_import", "helper",
-        "row_order_copy", "row_order_inline", "second_pass_reader",
+        "row_order_copy", "row_order_inline", "row_layout_second_lookup",
+        "second_amplitude_build", "second_pass_reader",
         "split_record_counted", "split_network_counted",
         "analytic_import", "analytic_module_import", "detection_import",
         "detection_package_import",
