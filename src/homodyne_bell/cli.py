@@ -4,7 +4,8 @@ state-split reports.
 
 Subcommands: verify, figure, optimize, split. Exit codes are stable:
 0 success, 1 verification failure, 2 configuration error. All outputs are
-deterministic for a fixed seed; floats are emitted at 9 significant digits.
+deterministic for a fixed seed; floats are emitted at 9 significant digits,
+a non-finite one as null. One rule, _check's, judges every check: NaN fails.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _round9(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -208,9 +209,13 @@ def provenance(cfg: RunConfig, args: argparse.Namespace,
 # ---------------------------------------------------------------------------
 # verify
 
-def _check(name: str, residual: float, tol: float, n: int) -> dict:
-    return {"name": name, "passed": bool(residual <= tol),
-            "max_residual": residual, "tolerance": tol, "points": n}
+def _check(name: str, residuals, tol: float) -> dict:
+    """A check's record, one row of residuals per point (a residual, a tuple
+    of them, or an array): it passes when the largest, floored at 0.0, is
+    <= tol. np.max keeps a NaN, so a NaN anywhere is the largest and fails."""
+    worst = float(np.max(residuals, initial=0.0))
+    return {"name": name, "passed": worst <= tol, "max_residual": worst,
+            "tolerance": tol, "points": len(residuals)}
 
 
 def _unequal_drives(rng: np.random.Generator) -> tuple[float, float]:
@@ -225,66 +230,66 @@ def _network_oracle_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dic
     """Closed forms against the brute-force network at random points: free
     phases and _unequal_drives."""
     spec = cfg.cutoff_spec()
-    worst_joint = worst_local = worst_margin = 0.0
+    joint, local, margin = [], [], []
     for _ in range(cfg.verify_points):
         a1_sq, a2_sq = _unequal_drives(rng)
         phi1, phi2, xi, eta = rng.uniform(0.0, 2.0 * math.pi, 4)
         p_a, p_b, p_ab, _ = run_network(
             ExperimentConfig(a1_sq, a2_sq, phi1, phi2, spec), xi, eta)
         c_a, c_b, c_ab = analytic.probs_point(a1_sq, a2_sq, phi1, phi2, xi, eta)
-        worst_joint = max(worst_joint, abs(p_ab - c_ab))
-        worst_local = max(worst_local, abs(p_a - c_a), abs(p_b - c_b))
+        joint.append(abs(p_ab - c_ab))
+        local.append((abs(p_a - c_a), abs(p_b - c_b)))
         # the readout gives p_ab <= min(p_a, p_b) by construction, so the
         # bound tests the closed forms' triple
-        worst_margin = max(worst_margin, p_ab - min(p_a, p_b),
-                           c_ab - min(c_a, c_b))
-    n = cfg.verify_points
-    return [_check("joint_oracle_agreement", worst_joint, ORACLE_TOL, n),
-            _check("local_oracle_agreement", worst_local, ORACLE_TOL, n),
-            _check("joint_within_marginals", worst_margin, 1e-15, n)]
+        margin.append((p_ab - min(p_a, p_b), c_ab - min(c_a, c_b)))
+    return [_check("joint_oracle_agreement", joint, ORACLE_TOL),
+            _check("local_oracle_agreement", local, ORACLE_TOL),
+            _check("joint_within_marginals", margin, 1e-15)]
 
 
 def _exponent_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     """The local-probability exponent adjudicated by the brute force."""
     spec = cfg.cutoff_spec()
-    corrected_resid = printed_resid = 0.0
+    corrected, printed = [], []
     for a2, x in ((0.5, 1.2), (1.0, math.pi / 2.0), (2.0, 2.4)):
         p = run_network(symmetric_config(a2, 0.7, spec), x, 0.9)[0]
-        corrected = analytic.probs_point(a2, a2, 0.0, 0.7, x, 0.9)[0]
-        corrected_resid = max(corrected_resid, abs(p - corrected))
-        printed_resid = max(printed_resid,
-                            abs(p - analytic.local_prob_printed_variant(x, a2)))
+        corrected.append(abs(p - analytic.probs_point(a2, a2, 0.0, 0.7, x, 0.9)[0]))
+        printed.append(abs(p - analytic.local_prob_printed_variant(x, a2)))
+    check = _check("local_exponent_adjudication", corrected, ORACLE_TOL)
+    corrected_resid = check["max_residual"]
+    printed_resid = _check("printed_variant", printed, ORACLE_TOL)["max_residual"]
+    # an exponent wins when it matches the brute force and the other misses
+    # it; a NaN residual wins nothing and leaves the corrected decision
     corrected_wins = corrected_resid <= ORACLE_TOL < printed_resid
-    printed_wins = printed_resid <= ORACLE_TOL < corrected_resid
-    decision = (analytic.LOCAL_EXPONENT_CORRECTED if corrected_resid <= printed_resid
-                else analytic.LOCAL_EXPONENT_PRINTED)
-    return [{"name": "local_exponent_adjudication", "passed": bool(corrected_wins),
-             "max_residual": corrected_resid, "tolerance": ORACLE_TOL, "points": 3,
-             "decision": decision, "printed_variant_residual": printed_resid,
-             "escalation": None if (corrected_wins or not printed_wins) else
-             "brute force favors the printed exponent; the network "
-             "convention needs re-derivation before results are used"}]
+    check.update(
+        passed=corrected_wins,
+        decision=(analytic.LOCAL_EXPONENT_PRINTED if printed_resid < corrected_resid
+                  else analytic.LOCAL_EXPONENT_CORRECTED),
+        printed_variant_residual=printed_resid,
+        escalation=("brute force favors the printed exponent; the network "
+                    "convention needs re-derivation before results are used")
+        if printed_resid <= ORACLE_TOL < corrected_resid else None)
+    return [check]
 
 
 def _station_record_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     """Numeric records: their identity checks only the assembly, so each
     record's joints and canonical marginals are also held to the closed forms."""
     spec = cfg.cutoff_spec()
-    worst_rec = worst_station = 0.0
+    identity, station = [], []
     for a2 in (0.3, 1.0, 2.5):
         for _ in range(4):
             quad = SettingsQuadruple(*rng.uniform(0.0, 2.0 * math.pi, 2))
             rec = evaluate_quadruple(symmetric_config(a2, REFERENCE_DPHI, spec), quad)
-            worst_rec = max(worst_rec, abs(rec.chsh - (2.0 + 4.0 * rec.ch)))
+            identity.append(abs(rec.chsh - (2.0 + 4.0 * rec.ch)))
             closed = [analytic.probs_point(a2, a2, 0.0, REFERENCE_DPHI, x, y)
                       for x, y in rec.settings]
             # local_alice is at the second pair's x, local_bob at the first's y
-            worst_station = max(worst_station,
-                                abs(rec.local_alice - closed[1][0]),
-                                abs(rec.local_bob - closed[0][1]),
-                                *(abs(j - c[2]) for j, c in zip(rec.joints, closed)))
-    return [_check("record_ch_chsh_identity", worst_rec, IDENTITY_TOL, 12),
-            _check("station_closed_form_agreement", worst_station, ORACLE_TOL, 12)]
+            station.append((abs(rec.local_alice - closed[1][0]),
+                            abs(rec.local_bob - closed[0][1]),
+                            *(abs(j - c[2]) for j, c in zip(rec.joints, closed))))
+    return [_check("record_ch_chsh_identity", identity, IDENTITY_TOL),
+            _check("station_closed_form_agreement", station, ORACLE_TOL)]
 
 
 def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
@@ -297,10 +302,10 @@ def _printed_form_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]
     chsh = analytic.chsh_closed(fields, np)
     general_ch, general_chsh = analytic.ch_chsh_general(
         a2, a2, 0.0, dphi, *SettingsQuadruple(xi, eta).settings)
-    return [_check("closed_form_assembly_identity",
-                   float(np.max(np.abs(ch - general_ch))), IDENTITY_TOL, 500),
-            _check("closed_form_expanded_identity",
-                   float(np.max(np.abs(chsh - general_chsh))), IDENTITY_TOL, 500)]
+    return [_check("closed_form_assembly_identity", np.abs(ch - general_ch),
+                   IDENTITY_TOL),
+            _check("closed_form_expanded_identity", np.abs(chsh - general_chsh),
+                   IDENTITY_TOL)]
 
 
 def _input_norm(config: ExperimentConfig) -> float:
@@ -322,7 +327,7 @@ def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
     (_input_norm, from Poisson sums: every probability is conditional on
     the truncated space, so only this check sees a mis-normalized oscillator)."""
     spec = cfg.cutoff_spec()
-    worst_nosig = worst_norm = 0.0
+    nosig, norm = [], []
     for _ in range(cfg.verify_draws):
         a1_sq, a2_sq = _unequal_drives(rng)
         xi, eta, xi_alt, eta_alt = rng.uniform(0.0, 2.0 * math.pi, 4)
@@ -333,11 +338,10 @@ def _invariant_checks(cfg: RunConfig, rng: np.random.Generator) -> list[dict]:
                               xi, eta_alt)
         alt_alice = run_network(ExperimentConfig(a1_sq, a2_sq, phi1_alt, phi2, spec),
                                 xi_alt, eta)
-        worst_nosig = max(worst_nosig, abs(p_a - alt_bob[0]),
-                          abs(p_b - alt_alice[1]))
-        worst_norm = max(worst_norm, abs(norm_sq - _input_norm(config)))
-    return [_check("no_signalling", worst_nosig, NOSIGNAL_TOL, cfg.verify_draws),
-            _check("network_unitarity", worst_norm, UNITARITY_TOL, cfg.verify_draws)]
+        nosig.append((abs(p_a - alt_bob[0]), abs(p_b - alt_alice[1])))
+        norm.append(abs(norm_sq - _input_norm(config)))
+    return [_check("no_signalling", nosig, NOSIGNAL_TOL),
+            _check("network_unitarity", norm, UNITARITY_TOL)]
 
 
 # verify's check table, in report order: each group draws from the one rng
@@ -361,8 +365,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     report["provenance"][analytic.LOCAL_EXPONENT_DECISION_KEY] = \
         report[analytic.LOCAL_EXPONENT_DECISION_KEY]
     for check in report["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        print(f"{status} {check['name']} "
+        print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']} "
               f"max_residual={check['max_residual']:.3e} "
               f"tol={check['tolerance']:.1e}")
     write_json(args.out, report)
@@ -468,15 +471,14 @@ def cmd_figure(cfg: RunConfig, args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot write {args.out}: {exc}") from exc
 
         # mandatory numeric spot-check of the analytic grid
-        worst = 0.0
-        for alpha_sq, xi, eta, ch in sample:
-            rec = evaluate_quadruple(
+        crosscheck = _check("numeric_crosscheck", [
+            abs(evaluate_quadruple(
                 symmetric_config(alpha_sq, args.dphi, cfg.cutoff_spec()),
-                SettingsQuadruple(xi, eta))
-            worst = max(worst, abs(rec.ch - ch))
-        print(f"numeric crosscheck: {count} of {points} points, "
-              f"max |ch_numeric - ch_analytic| = {worst:.3e}")
-        if worst > ORACLE_TOL:
+                SettingsQuadruple(xi, eta)).ch - ch)
+            for alpha_sq, xi, eta, ch in sample], ORACLE_TOL)
+        print(f"numeric crosscheck: {crosscheck['points']} of {points} points, "
+              f"max |ch_numeric - ch_analytic| = {crosscheck['max_residual']:.3e}")
+        if not crosscheck["passed"]:
             print("figure crosscheck failed: numeric and analytic paths "
                   "disagree", file=sys.stderr)
             return EXIT_VERIFICATION_FAILURE
@@ -500,8 +502,8 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
     prov = provenance(cfg, args, ALPHA_SQ_MAX)  # resolved before the search
     outcome = maximize_chsh(args.family, cfg.restarts, cfg.seed,
                             cutoff=cfg.cutoff_spec())
-    crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residual,
-                        ORACLE_TOL, outcome.restarts)
+    crosscheck = _check("numeric_crosscheck", outcome.crosscheck_residuals,
+                        ORACLE_TOL)
     payload = {
         "family": args.family,
         "path": "analytic",
@@ -524,9 +526,9 @@ def cmd_optimize(cfg: RunConfig, args: argparse.Namespace) -> int:
           f"(ch = {outcome.best.ch:.3e}) over "
           f"{outcome.restarts} restarts "
           f"(violation_found={payload['violation_found']})")
-    print(f"numeric crosscheck: {outcome.restarts} of "
+    print(f"numeric crosscheck: {crosscheck['points']} of "
           f"{outcome.restarts} restarts, max |ch_numeric - ch_analytic| = "
-          f"{outcome.crosscheck_residual:.3e}")
+          f"{crosscheck['max_residual']:.3e}")
     if not crosscheck["passed"]:
         print("optimize crosscheck failed: numeric and analytic paths disagree",
               file=sys.stderr)
@@ -546,10 +548,10 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     # evaluate_settings, as perfbench's verify workload runs split after
     # verify and counts each evaluate_quadruple call as one of its records
     record = evaluate_settings(config, *quad.settings)
-    crosscheck = _check("numeric_crosscheck", abs(record.chsh - dec.full),
-                        ORACLE_TOL, 1)
+    crosscheck = _check("numeric_crosscheck", [abs(record.chsh - dec.full)],
+                        ORACLE_TOL)
     # the probability the truncated input drops at the cutoff
-    norm_loss = _check("input_norm_loss", 1.0 - _input_norm(config), ORACLE_TOL, 1)
+    norm_loss = _check("input_norm_loss", [1.0 - _input_norm(config)], ORACLE_TOL)
     payload = {
         "alpha_sq": cfg.alpha_sq,
         "path": "analytic",
@@ -592,9 +594,8 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not norm_loss["passed"]:
         print("split check failed: the cutoff drops more of the input state "
               "than the oracle tolerance", file=sys.stderr)
-    if not (crosscheck["passed"] and norm_loss["passed"]):
-        return EXIT_VERIFICATION_FAILURE
-    return EXIT_OK
+    return (EXIT_OK if crosscheck["passed"] and norm_loss["passed"]
+            else EXIT_VERIFICATION_FAILURE)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ refines each with a Nelder-Mead simplex until every vertex is within the
 constant DEFAULT_DIAMETER_TOL of the best vertex in every coordinate
 (scipy's xatol; not a diameter bound, though the optimize report names it
 simplex_diameter_tol). Each restart's final point is re-evaluated on the
-numerics, and the largest |ch_numeric - ch_analytic| is part of the
-result. Everything is deterministic given the seed; restarts are
-independent evaluations reduced in restart order.
+numerics, and its |ch_numeric - ch_analytic| is part of the result, for
+the caller to judge. Everything is deterministic given the seed; restarts
+are independent evaluations reduced in restart order.
 
 The hypercube is drawn in numpy (latin_hypercube) and reproduces
 scipy.stats.qmc.LatinHypercube draw for draw. The simplex runs on plain
@@ -271,15 +271,15 @@ class OptimizeOutcome:
     the search budget actually used (the claim is only as strong as the
     budget, so the budget is part of the result).
 
-    crosscheck_residual is the largest |ch_numeric - ch_analytic| over the
-    restart records."""
+    crosscheck_residuals holds each restart record's |ch_numeric -
+    ch_analytic| in trace order, unreduced, for the caller to judge."""
 
     best: ScanRecord
     trace: tuple[ScanRecord, ...]
     evaluations: int
     restarts: int
     maxfev: int
-    crosscheck_residual: float
+    crosscheck_residuals: tuple[float, ...]
 
 
 def maximize_chsh(kind: str, restarts: int, seed: int,
@@ -312,15 +312,14 @@ def maximize_chsh(kind: str, restarts: int, seed: int,
         return -evaluate_point(kind, x)[1]
 
     evaluations = 0
-    trace = []
-    residual = 0.0
+    trace, residuals = [], []
     for r, start in enumerate(starts.tolist()):
         x, calls = _nelder_mead(negative_chsh, start, lo, hi,
                                 DEFAULT_DIAMETER_TOL, maxfev)
         evaluations += calls
         ch, chsh = evaluate_point(kind, x)
         trace.append(ScanRecord(r, dict(zip(names, x)), ch, chsh))
-        residual = max(residual, abs(numeric_point(kind, x, cutoff)[0] - ch))
+        residuals.append(abs(numeric_point(kind, x, cutoff)[0] - ch))
     best = max(trace, key=lambda rec: (rec.chsh, -rec.index))
     return OptimizeOutcome(best, tuple(trace), evaluations, restarts, maxfev,
-                           residual)
+                           tuple(residuals))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -119,6 +120,22 @@ def _corrected_variant(x, alpha_sq, printed=analytic.local_prob_printed_variant)
     return printed(x, alpha_sq) * math.exp(alpha_sq)
 
 
+# the drives of verify's first oracle point at the default seed: the first
+# draw of its rng, which _network_oracle_checks, CHECK_GROUPS' first, takes
+FIRST_ORACLE_DRIVES = cli._unequal_drives(np.random.default_rng(RunConfig().seed))
+
+
+def _nan_joint_at_first_oracle_point(config, xi, eta, run=cli.run_network):
+    p_a, p_b, p_ab, norm_sq = run(config, xi, eta)
+    if (config.alpha1_sq, config.alpha2_sq) == FIRST_ORACLE_DRIVES:
+        p_ab = math.nan
+    return p_a, p_b, p_ab, norm_sq
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 CORRECTED = analytic.LOCAL_EXPONENT_CORRECTED
 # each row: the patches of one planted fault, the exact set of checks it
 # fails, and the local-exponent decision the report then makes
@@ -190,6 +207,12 @@ PLANTED_FAULTS = [
     # a wrong CHSH sign leaves every probability alone
     pytest.param([(bell, "_SIGNS", (1.0, 1.0, -1.0, -1.0))],
                  {"record_ch_chsh_identity"}, CORRECTED, id="chsh-sign-wrong"),
+    # a NaN at one point of a hundred is that check's largest residual;
+    # cli's binding of the network only, so the exponent points and the
+    # invariants, which never read the joint, stay sound
+    pytest.param([(cli, "run_network", _nan_joint_at_first_oracle_point)],
+                 {"joint_oracle_agreement", "joint_within_marginals"},
+                 CORRECTED, id="oracle-joint-nan-at-one-point"),
 ]
 
 
@@ -262,6 +285,43 @@ class TestVerify:
             assert adjudication["escalation"] is None
         else:
             assert "printed exponent" in adjudication["escalation"]
+
+    def test_check_keeps_a_nan_and_counts_rows(self):
+        # one row per point, each a residual, a tuple of them or an array;
+        # a NaN after a smaller residual is still the largest
+        check = cli._check("c", [(0.1, 0.2), (math.nan, 0.0), (0.3, 0.0)], 1.0)
+        assert check["passed"] is False and check["points"] == 3
+        assert math.isnan(check["max_residual"])
+        assert cli._check("c", np.array([-1.0, -2.0]), 0.0) == {
+            "name": "c", "passed": True, "max_residual": 0.0,
+            "tolerance": 0.0, "points": 2}
+
+    def test_nan_residual_written_as_null(self, tmp_path, capsys, monkeypatch):
+        # the report stays strict JSON: the NaN residual is null there, the
+        # failed check says passed: false, and stdout prints nan
+        monkeypatch.setattr(cli, "run_network", _nan_joint_at_first_oracle_point)
+        cfg = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "report.json"
+        assert run_cli(["verify", "--config", cfg, "--out", out]) == 1
+        report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        check = report["checks"][0]
+        assert (check["name"], check["passed"], check["max_residual"]) == (
+            "joint_oracle_agreement", False, None)
+        assert ("FAIL joint_oracle_agreement max_residual=nan"
+                in capsys.readouterr().out)
+
+    def test_nan_corrected_residual_keeps_the_corrected_decision(
+            self, monkeypatch):
+        # a NaN is not below the printed variant's residual: the check fails
+        # and the decision stays at the corrected exponent, unescalated
+        monkeypatch.setattr(*plant(analytic, "probs_point",
+                                   lambda p: (math.nan, p[1], p[2])))
+        [check] = cli._exponent_checks(RunConfig(), np.random.default_rng(0))
+        assert check["passed"] is False
+        assert math.isnan(check["max_residual"])
+        assert check["printed_variant_residual"] > ORACLE_TOL
+        assert check["decision"] == analytic.LOCAL_EXPONENT_CORRECTED
+        assert check["escalation"] is None
 
     def test_printed_forms_called_once(self, monkeypatch):
         # the 500 draws go to each printed form in one call on numpy
@@ -845,6 +905,18 @@ class TestFigure:
                         "--out", tmp_path / "g.csv"]) == 1
         assert "figure crosscheck failed" in capsys.readouterr().err
 
+    def test_nan_spot_check_fails(self, tmp_path, capsys, monkeypatch):
+        # a NaN numeric ch is the spot-checks' largest residual: the run
+        # fails and leaves no grid
+        monkeypatch.setattr(*plant(cli, "evaluate_quadruple",
+                                   lambda rec: dataclasses.replace(rec, ch=math.nan)))
+        assert run_cli(["figure", "--grid", "4x4",
+                        "--out", tmp_path / "g.csv"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert "max |ch_numeric - ch_analytic| = nan" in captured.out
+        assert "figure crosscheck failed" in captured.err
+
 
 class TestOptimize:
     @pinned("optimize")
@@ -886,6 +958,17 @@ class TestOptimize:
         check = json.loads(out.read_text())["numeric_crosscheck"]
         assert check["passed"] is False
         assert check["tolerance"] == cli.ORACLE_TOL < check["max_residual"]
+
+    def test_nan_numeric_point_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scan, "numeric_point", lambda *args: (math.nan,) * 2)
+        out = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--family", "paper_baseline",
+                        "--restarts", "2", "--out", out]) == 1
+        check = json.loads(out.read_text(),
+                           parse_constant=_refuse_constant)["numeric_crosscheck"]
+        assert (check["passed"], check["max_residual"], check["points"]) == (
+            False, None, 2)
+        assert "optimize crosscheck failed" in capsys.readouterr().err
 
     def test_stdout_shows_ch(self, tmp_path, capsys):
         # chsh at 9 digits can read 2 for a value just below the bound
@@ -980,6 +1063,16 @@ class TestSplit:
         err = capsys.readouterr().err
         assert "split check failed" in err
         assert "split crosscheck failed" in err
+
+    def test_nan_record_fails_its_crosscheck(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(*plant(cli, "evaluate_settings",
+                                   lambda rec: dataclasses.replace(rec, chsh=math.nan)))
+        out = tmp_path / "split.json"
+        assert run_cli(["split", "--out", out]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["numeric_crosscheck"]["passed"] is False
+        assert payload["input_norm_loss"]["passed"] is True
+        assert "split crosscheck failed" in capsys.readouterr().err
 
     def test_reference_dphi_is_the_config_phase_difference(self, tmp_path):
         # the state is built at phi2 - phi1, and the report says so; at the

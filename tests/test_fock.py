@@ -2,6 +2,7 @@ import cmath
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,6 @@ def poisson_tail(lam, n):
 def exact_poisson_tail(lam, n):
     """Poisson tail beyond n at 60 digits: the regularized lower incomplete
     gamma function P(n + 1, lam), with 1 beyond n = -1."""
-    mpmath = pytest.importorskip("mpmath")
     if n < 0:
         return 1
     with mpmath.workdps(60):
@@ -164,7 +164,6 @@ class TestCoherentState:
     @given(alpha_sq=st.sampled_from((1e-6, 1.0, 4.0, 22.0)),
            phase=st.floats(0.0, 2.0 * math.pi), cutoff=st.integers(0, 63))
     def test_matches_40_digit_reference(self, alpha_sq, phase, cutoff):
-        mpmath = pytest.importorskip("mpmath")
         alpha = math.sqrt(alpha_sq) * cmath.exp(1j * phase)
         amps = coherent_amplitudes((alpha,), cutoff)[0]
         tail = dropped_tail(abs(alpha) ** 2, cutoff)

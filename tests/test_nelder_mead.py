@@ -230,6 +230,6 @@ class TestMaximize:
         for rec in out.trace:
             assert (rec.ch, rec.chsh) == evaluate_point(
                 kind, list(rec.params.values()))
-        assert out.crosscheck_residual == max(
+        assert out.crosscheck_residuals == tuple(
             abs(numeric_point(kind, list(rec.params.values()))[0] - rec.ch)
             for rec in out.trace)
